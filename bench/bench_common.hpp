@@ -19,9 +19,19 @@
 
 namespace nglts::bench {
 
+/// Mesh-scale multiplier of the benches: `NGLTS_BENCH_SCALE`, default 1. A
+/// value that is not a finite number > 0 exits with a clear message instead
+/// of meshing with scale 0 (a division by zero further down).
 inline double benchScale() {
   const char* s = std::getenv("NGLTS_BENCH_SCALE");
-  return s ? std::atof(s) : 1.0;
+  if (!s) return 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+    std::fprintf(stderr, "NGLTS_BENCH_SCALE: '%s' is not a finite number > 0\n", s);
+    std::exit(2);
+  }
+  return v;
 }
 
 /// Kernel backend the solver benches pin (`SimConfig::kernelBackend`): the

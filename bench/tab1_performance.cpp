@@ -201,7 +201,7 @@ int main() {
       dcfg.sim.kernelBackend = bench::benchKernelBackend();
       dcfg.sim.numThreads = std::max<int_t>(1, solver::hardwareThreads() / 2);
       dcfg.compressFaces = mode == 1;
-      dcfg.threaded = true;
+      dcfg.transport = parallel::Transport::kThread;
       parallel::DistributedSimulation<float, 1> dist(sc.mesh, sc.materials, parts.part, dcfg);
       dist.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
         for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "cli/scenario.hpp"
+#include "common/log.hpp"
 
 namespace {
 
@@ -71,7 +72,7 @@ void printUsage() {
       "      --checkpoint F    snapshot file for checkpoint/restore\n"
       "      --checkpoint-every N  write a snapshot every N LTS cycles (0 = off)\n"
       "      --restore         resume the batch from the --checkpoint file\n"
-      "  -q, --quiet           suppress progress output\n"
+      "  -q, --quiet           suppress progress output and INFO log lines\n"
       "  -h, --help            show this help\n");
 }
 
@@ -203,6 +204,7 @@ int main(int argc, char** argv) {
       opts.restore = true;
     } else if (arg == "-q" || arg == "--quiet") {
       opts.quiet = true;
+      nglts::setLogLevel(nglts::LogLevel::kWarn); // core INFO lines (lambda sweep, pipeline)
     } else {
       usageError("unknown option '" + arg + "'");
     }

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "cli/scenario.hpp"
+#include "common/float_env.hpp"
 #include "lts/clustering.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
@@ -69,15 +70,17 @@ void applyOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
 }
 
 
-/// Record the small-GEMM backend the run's kernels dispatch to and the
-/// arithmetic precision in the scenario summary ("kernel backend:
-/// vector(avx2)" / "precision: f64"); CI greps these lines to assert an
-/// explicit --kernel vector/specialized never silently degrades and that
-/// --precision f32 actually took effect.
+/// Record the small-GEMM backend the run's kernels dispatch to, the
+/// arithmetic precision and the solver threads' subnormal mode in the
+/// scenario summary ("kernel backend: vector(avx2)" / "precision: f64" /
+/// "denormals: flush-to-zero"); CI greps these lines to assert an explicit
+/// --kernel vector/specialized never silently degrades, that --precision f32
+/// actually took effect, and that f32 runs compute with subnormals flushed.
 void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
   appendf(out, "precision: %s\n", solver::precisionName(cfg.precision));
+  appendf(out, "denormals: %s\n", kFlushDenormals ? "flush-to-zero" : "ieee");
   // Non-default scheduling knobs are worth a summary line (CI greps them to
   // confirm the flag reached the engine); the defaults stay silent so
   // existing summary expectations hold.

@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 
+#include "common/float_env.hpp"
 #include "solver/executor.hpp"
 #include "solver/setup.hpp"
 #include "solver/state.hpp"
@@ -144,14 +145,11 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
       cfg_.sim.order, cfg_.sim.mechanisms, cfg_.sim.sparseKernels, omega,
       cfg_.sim.kernelBackend);
 
-  transport_ = cfg_.transport;
-  if (cfg_.threaded && transport_ == Transport::kSeq) transport_ = Transport::kThread;
-
   if (cfg_.commFactory) {
     comm_ = cfg_.commFactory(numRanks_);
     if (!comm_) throw std::invalid_argument("DistributedSimulation: commFactory returned null");
   } else {
-    switch (transport_) {
+    switch (cfg_.transport) {
       case Transport::kSeq: comm_ = std::make_unique<SeqComm>(numRanks_); break;
       case Transport::kThread: comm_ = std::make_unique<ThreadComm>(numRanks_); break;
       case Transport::kMpi: comm_ = makeMpiComm(numRanks_); break;
@@ -559,13 +557,17 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
 
   comm_->barrier(); // MPI: don't time another process's setup
   Timer timer;
+  // Subnormal flushing for the work between schedule ops (packAndSend's
+  // face compression); the executor's element loops enter their own guard
+  // on every team thread. Rank std::threads enter theirs below.
+  const ScopedFlushDenormals flush;
   if (localRank_ >= 0) {
     // MPI: this process drives exactly one rank; the exchange itself is the
     // cross-process synchronization.
     Rank& rank = *ranks_[localRank_];
     for (std::uint64_t c = 0; c < cycles; ++c)
       for (const lts::ScheduleOp& op : schedule_) stepOp(rank, op);
-  } else if (transport_ == Transport::kSeq) {
+  } else if (cfg_.transport == Transport::kSeq) {
     // Deterministic lockstep: all ranks execute schedule op i before any
     // rank starts op i+1 — every SeqComm receive then finds its message
     // (the schedule's write-before-read guarantee, applied across ranks).
@@ -585,6 +587,7 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
     for (auto& rankPtr : ranks_) {
       Rank* rank = rankPtr.get();
       threads.emplace_back([this, rank, cycles] {
+        const ScopedFlushDenormals rankFlush;
         for (std::uint64_t c = 0; c < cycles; ++c)
           for (const lts::ScheduleOp& op : schedule_) stepOp(*rank, op);
       });

@@ -27,6 +27,10 @@
 // indivisible unit — each runs on one (arbitrary) thread with its own
 // workspace — so dynamic results are bitwise-identical to the static
 // reference; only the chunk→OS-thread binding is timing-dependent.
+//
+// Both chunk runners execute their chunks under `ScopedFlushDenormals`
+// (common/float_env.hpp), entered on every team thread: the FP control
+// register is per thread, and the pool threads outlive any one region.
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -37,6 +41,7 @@
 #endif
 
 #include "common/aligned.hpp"
+#include "common/float_env.hpp"
 #include "common/types.hpp"
 #include "kernels/ader_kernels.hpp"
 
@@ -81,11 +86,13 @@ void forEachChunk(int_t nChunks, Fn&& fn) {
 #ifdef _OPENMP
 #pragma omp parallel num_threads(static_cast<int>(nChunks))
   {
+    const ScopedFlushDenormals flush;
     for (int_t t = static_cast<int_t>(omp_get_thread_num()); t < nChunks;
          t += static_cast<int_t>(omp_get_num_threads()))
       fn(t);
   }
 #else
+  const ScopedFlushDenormals flush;
   for (int_t t = 0; t < nChunks; ++t) fn(t);
 #endif
 }
@@ -134,6 +141,7 @@ void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
   std::vector<StealCursor> cursor(nThreads);
 #pragma omp parallel num_threads(static_cast<int>(nThreads))
   {
+    const ScopedFlushDenormals flush;
     const int_t self = static_cast<int_t>(omp_get_thread_num());
     for (int_t v = 0; v < nThreads; ++v) {
       const int_t q = (self + v) % nThreads;
@@ -149,6 +157,7 @@ void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
     }
   }
 #else
+  const ScopedFlushDenormals flush;
   for (idx_t i = 0; i < nChunks; ++i) fn(order[i]);
 #endif
 }

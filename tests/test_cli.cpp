@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -158,4 +159,26 @@ TEST(Scenarios, QuickstartRunsAndProducesFiniteSeismogram) {
   ASSERT_FALSE(report.trace.empty());
   for (double v : report.trace) EXPECT_TRUE(std::isfinite(v));
   EXPECT_FALSE(report.summary.empty());
+}
+
+TEST(Cli, QuietSilencesCoreInfoLinesOnLahabra) {
+  // The λ-sweep and pipeline INFO lines come from the core logger, not the
+  // scenario progress output; -q must silence both. Only stderr is captured.
+  auto stderrOf = [](const std::string& flags) {
+    const std::string cmd = std::string("'") + NGLTS_CLI_EXE +
+                            "' -s lahabra --scale 0.3 --ranks 2 --threads 1 --end-time 0.01 " +
+                            flags + " 2>&1 >/dev/null";
+    std::FILE* p = popen(cmd.c_str(), "r");
+    EXPECT_NE(p, nullptr) << cmd;
+    std::string out;
+    if (!p) return out;
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p)) out += buf;
+    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << out;
+    return out;
+  };
+  EXPECT_NE(stderrOf("").find("[nglts INFO "), std::string::npos)
+      << "precondition: without -q the run logs INFO lines";
+  const std::string quiet = stderrOf("-q");
+  EXPECT_EQ(quiet.find("[nglts INFO "), std::string::npos) << quiet;
 }

@@ -292,10 +292,10 @@ TEST(DistEquivalenceExtra, ThreadedMatchesSequentialBitwise) {
   const ns::SimConfig cfg = makeCfg(ns::TimeScheme::kLtsNextGen, 0);
   const auto part = stripePartition(f.mesh, 4);
 
-  auto runMode = [&](bool threaded) {
+  auto runMode = [&](npar::Transport transport) {
     npar::DistConfig dcfg;
     dcfg.sim = cfg;
-    dcfg.threaded = threaded;
+    dcfg.transport = transport;
     npar::DistributedSimulation<double, 1> sim(f.mesh, f.mats, part, dcfg);
     sim.setInitialCondition(initWave);
     sim.run(tEnd);
@@ -306,8 +306,8 @@ TEST(DistEquivalenceExtra, ThreadedMatchesSequentialBitwise) {
     }
     return out;
   };
-  const auto seq = runMode(false);
-  const auto thr = runMode(true);
+  const auto seq = runMode(npar::Transport::kSeq);
+  const auto thr = runMode(npar::Transport::kThread);
   ASSERT_EQ(seq.size(), thr.size());
   for (std::size_t i = 0; i < seq.size(); ++i) ASSERT_EQ(seq[i], thr[i]) << "dof " << i;
 }

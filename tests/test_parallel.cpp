@@ -177,23 +177,24 @@ void initWave(double x0, const std::array<double, 3>& x, double* q9) {
   q9[nglts::kVelU] = std::exp(-r2 / (200.0 * 200.0));
 }
 
-npar::DistConfig makeDistConfig(bool compress = true, bool threaded = false) {
+npar::DistConfig makeDistConfig(bool compress = true,
+                                npar::Transport transport = npar::Transport::kSeq) {
   npar::DistConfig cfg;
   cfg.sim.order = 3;
   cfg.sim.scheme = ns::TimeScheme::kLtsNextGen;
   cfg.sim.numClusters = 3;
   cfg.compressFaces = compress;
-  cfg.threaded = threaded;
+  cfg.transport = transport;
   return cfg;
 }
 
 template <typename Real>
-std::vector<Real> runDistributed(int_t ranks, bool compress, bool threaded,
+std::vector<Real> runDistributed(int_t ranks, bool compress, npar::Transport transport,
                                  std::uint64_t* bytes = nullptr,
                                  std::uint64_t* messages = nullptr, bool overlap = false) {
   DistFixture f = makeFixture();
   const auto part = stripePartition(f.mesh, ranks, 1000.0);
-  npar::DistConfig cfg = makeDistConfig(compress, threaded);
+  npar::DistConfig cfg = makeDistConfig(compress, transport);
   cfg.overlap = overlap;
   npar::DistributedSimulation<Real, 1> sim(f.mesh, f.mats, part, cfg);
   sim.setInitialCondition(
@@ -270,8 +271,8 @@ class JitterComm final : public npar::Communicator {
 
 TEST(DistributedSim, SingleRankMatchesMultiRankBitwise) {
   std::uint64_t bytes = 0, messages = 0;
-  const auto one = runDistributed<double>(1, true, false);
-  const auto four = runDistributed<double>(4, true, false, &bytes, &messages);
+  const auto one = runDistributed<double>(1, true, npar::Transport::kSeq);
+  const auto four = runDistributed<double>(4, true, npar::Transport::kSeq, &bytes, &messages);
   ASSERT_EQ(one.size(), four.size());
   for (std::size_t i = 0; i < one.size(); ++i) ASSERT_EQ(one[i], four[i]) << "dof " << i;
   EXPECT_GT(bytes, 0u);
@@ -288,7 +289,7 @@ TEST(DistributedSim, FloatEngineMatchesSharedMemoryBitwise) {
       [](const std::array<double, 3>& x, int_t, double* q9) { initWave(450.0, x, q9); });
   ref.run(0.3);
 
-  const auto dist = runDistributed<float>(4, true, false);
+  const auto dist = runDistributed<float>(4, true, npar::Transport::kSeq);
   std::size_t i = 0;
   for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
     const float* q = ref.dofs(e);
@@ -297,8 +298,8 @@ TEST(DistributedSim, FloatEngineMatchesSharedMemoryBitwise) {
 }
 
 TEST(DistributedSim, CompressedMatchesUncompressed) {
-  const auto a = runDistributed<double>(3, true, false);
-  const auto b = runDistributed<double>(3, false, false);
+  const auto a = runDistributed<double>(3, true, npar::Transport::kSeq);
+  const auto b = runDistributed<double>(3, false, npar::Transport::kSeq);
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) worst = std::max(worst, std::fabs(a[i] - b[i]));
   EXPECT_LT(worst, 1e-11);
@@ -306,16 +307,16 @@ TEST(DistributedSim, CompressedMatchesUncompressed) {
 
 TEST(DistributedSim, CompressionReducesBytes) {
   std::uint64_t bytesCompressed = 0, bytesRaw = 0;
-  runDistributed<double>(4, true, false, &bytesCompressed);
-  runDistributed<double>(4, false, false, &bytesRaw);
+  runDistributed<double>(4, true, npar::Transport::kSeq, &bytesCompressed);
+  runDistributed<double>(4, false, npar::Transport::kSeq, &bytesRaw);
   EXPECT_GT(bytesRaw, 0u);
   // F(3)/B(3) = 6/10 per dataset, message counts identical.
   EXPECT_NEAR(static_cast<double>(bytesCompressed) / bytesRaw, 0.6, 1e-6);
 }
 
 TEST(DistributedSim, ThreadedMatchesSequential) {
-  const auto seq = runDistributed<double>(4, true, false);
-  const auto thr = runDistributed<double>(4, true, true);
+  const auto seq = runDistributed<double>(4, true, npar::Transport::kSeq);
+  const auto thr = runDistributed<double>(4, true, npar::Transport::kThread);
   ASSERT_EQ(seq.size(), thr.size());
   for (std::size_t i = 0; i < seq.size(); ++i) ASSERT_EQ(seq[i], thr[i]) << "dof " << i;
 }
@@ -324,8 +325,9 @@ TEST(DistributedSim, OverlapSendsSameMessagesAsLockstep) {
   // The overlapped exchange reorders compute against communication but
   // must post exactly the same messages and bytes on the same channels.
   std::uint64_t bytesLock = 0, msgLock = 0, bytesOv = 0, msgOv = 0;
-  const auto lock = runDistributed<double>(4, true, false, &bytesLock, &msgLock);
-  const auto ov = runDistributed<double>(4, true, false, &bytesOv, &msgOv, /*overlap=*/true);
+  const auto lock = runDistributed<double>(4, true, npar::Transport::kSeq, &bytesLock, &msgLock);
+  const auto ov = runDistributed<double>(4, true, npar::Transport::kSeq, &bytesOv, &msgOv,
+                                         /*overlap=*/true);
   EXPECT_EQ(bytesLock, bytesOv);
   EXPECT_EQ(msgLock, msgOv);
   EXPECT_GT(msgLock, 0u);
@@ -338,7 +340,7 @@ TEST(DistributedSim, OverlapSurvivesAdversarialMessageTiming) {
   // JitterComm that delays sends and scrambles the cross-channel
   // interleaving, assert zero per-channel FIFO violations, and require the
   // DOFs to stay bitwise equal to the SeqComm lockstep run.
-  const auto lock = runDistributed<double>(4, true, false);
+  const auto lock = runDistributed<double>(4, true, npar::Transport::kSeq);
 
   DistFixture f = makeFixture();
   const auto part = stripePartition(f.mesh, 4, 1000.0);

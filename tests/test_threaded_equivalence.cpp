@@ -204,7 +204,7 @@ TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
     part[e] = f.mesh.centroid(e)[0] < 500.0 ? 0 : 1;
   npar::DistConfig dcfg;
   dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
-  dcfg.threaded = true; // rank std::threads, each forking a 2-thread team
+  dcfg.transport = npar::Transport::kThread; // rank std::threads, each forking a 2-thread team
   npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
   ASSERT_EQ(dist.ranks(), 2);
   addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
