@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "cli/scenario.hpp"
@@ -43,8 +44,8 @@ void printUsage() {
       "                        explicit vector/specialized errors instead of\n"
       "                        falling back; bitwise-identical results)\n"
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
-      "                        quickstart/loh3; fused/lahabra are f32-only; f32\n"
-      "                        accuracy is misfit-gated, see docs/KERNELS.md)\n"
+      "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
+      "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
       "      --executor M      chunk scheduling of the solver loops: static | dynamic\n"
       "                        (default static; dynamic work-steals whole chunks,\n"
       "                        halo-boundary chunks first; bitwise-identical results)\n"
@@ -99,14 +100,19 @@ double parseDouble(const std::string& flag, const std::string& value) {
 }
 
 int_t parseInt(const std::string& flag, const std::string& value) {
+  long long v = 0;
   try {
     std::size_t pos = 0;
-    const long v = std::stol(value, &pos);
+    v = std::stoll(value, &pos);
     if (pos != value.size()) throw std::invalid_argument(value);
-    return static_cast<int_t>(v);
   } catch (const std::exception&) {
     usageError("invalid integer '" + value + "' for " + flag);
   }
+  // Reject instead of narrowing: a wrapped value would run a different order,
+  // rank count, ... than the one asked for.
+  if (v < std::numeric_limits<int_t>::min() || v > std::numeric_limits<int_t>::max())
+    usageError("integer '" + value + "' out of range for " + flag);
+  return static_cast<int_t>(v);
 }
 
 } // namespace

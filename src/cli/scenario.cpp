@@ -1,6 +1,9 @@
 #include "cli/scenario.hpp"
 
 #include <algorithm>
+#include <cstdarg>
+#include <cstdio>
+#include <fstream>
 #include <stdexcept>
 
 namespace nglts::cli {
@@ -52,6 +55,41 @@ std::string schemeName(solver::TimeScheme scheme) {
     case solver::TimeScheme::kLtsBaseline: return "baseline";
   }
   return "?";
+}
+
+void appendf(std::string& out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  out += buf;
+}
+
+void progressf(const ScenarioOptions& opts, const char* fmt, ...) {
+  if (opts.quiet) return;
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  std::fputs(buf, stdout);
+  std::fflush(stdout);
+}
+
+void writeTraceCsv(const std::string& path, double tEnd,
+                   const std::vector<std::vector<double>>& columns, const std::string& header) {
+  const idx_t samples = columns.empty() ? 0 : static_cast<idx_t>(columns[0].size());
+  std::ofstream csv(path);
+  csv.precision(17); // round-trip exact doubles (golden-fixture comparisons)
+  csv << header << '\n';
+  for (idx_t i = 0; i < samples; ++i) {
+    csv << tEnd * i / (samples - 1);
+    for (const auto& col : columns) csv << ',' << col[i];
+    csv << '\n';
+  }
+  csv.flush();
+  if (!csv) throw std::runtime_error("failed to write " + path);
 }
 
 } // namespace nglts::cli

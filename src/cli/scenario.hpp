@@ -36,17 +36,19 @@ struct ScenarioOptions {
   /// Paper symbol: number of clusters in Figs. 4/5.
   std::optional<int_t> numClusters;
   /// Fused-simulation width W (Sec. IV-A): number of forward simulations
-  /// advanced in one solver execution. Valid: 1 or 2 for quickstart/loh3
-  /// (at either --precision), 1, 8 or 16 for the single-precision fused/
-  /// lahabra scenarios (the instantiated kernel widths).
+  /// advanced in one solver execution. Valid: 1 or 2 for quickstart/loh1/
+  /// loh3 (at either --precision), 1, 8 or 16 for the single-precision
+  /// fused/lahabra scenarios (the instantiated kernel widths).
   std::optional<int_t> fusedWidth;
   /// Simulated end time [s] (> 0). Scenarios run full LTS cycles until at
   /// least this much physical time is covered.
   std::optional<double> endTime;
-  /// Number of distributed ranks (>= 1). When > 1, scenarios that support
-  /// it run through `parallel::DistributedSimulation` over a weighted
-  /// dual-graph partition instead of the shared-memory solver; results are
-  /// bitwise-identical to the single-rank run (Sec. V-C).
+  /// Number of distributed ranks (>= 1). When > 1, every scenario but
+  /// `batch` runs its primary simulation through
+  /// `parallel::DistributedSimulation` — over the pipeline's partition
+  /// (loh1, lahabra) or a weighted dual-graph partition — instead of the
+  /// shared-memory solver; results are bitwise-identical to the single-rank
+  /// run (Sec. V-C).
   std::optional<int_t> ranks;
   /// OpenMP threads per rank for the executor's element loops
   /// (`SimConfig::numThreads`, >= 1; 1 = serial). Unset = all hardware
@@ -56,8 +58,9 @@ struct ScenarioOptions {
   /// Halo transport of the distributed engine (`--transport`): seq (SeqComm
   /// lockstep, the bitwise reference), thread (one std::thread per rank) or
   /// mpi (one process per rank; requires an NGLTS_WITH_MPI build under
-  /// mpirun). Unset keeps the scenario default — seq for quickstart/loh3,
-  /// thread for lahabra. Results are bitwise-identical across transports.
+  /// mpirun). Unset keeps the scenario default — seq for quickstart/loh1/
+  /// loh3/fused, thread for lahabra. Results are bitwise-identical across
+  /// transports.
   std::optional<parallel::Transport> transport;
   /// Overlap halo communication with interior-element compute
   /// (`--overlap`); bitwise-identical to the lockstep exchange (Sec. V-C).
@@ -70,7 +73,7 @@ struct ScenarioOptions {
   /// across backends — a pure performance knob.
   std::optional<linalg::KernelBackend> kernelBackend;
   /// Arithmetic precision (`SimConfig::precision`, the `--precision` flag):
-  /// f64 (the default for quickstart/loh3) or f32 (accuracy guarded by the
+  /// f64 (the default for quickstart/loh1/loh3) or f32 (accuracy guarded by the
   /// golden-seismogram misfit gates in tests/test_solver_lts.cpp, not by
   /// bitwise identity — see docs/KERNELS.md). The fused and lahabra
   /// scenarios are single-precision by design and reject an explicit f64.
@@ -142,16 +145,16 @@ struct ScenarioReport {
   /// Uniformly resampled x-velocity of lane 0 at the scenario's first
   /// receiver; empty for scenarios without receivers.
   std::vector<double> trace;
-  /// Elements per LTS cluster of the primary run (empty when the scenario
-  /// resolves no clustering up front, e.g. distributed quickstart). Tests
-  /// assert benchmark scenarios actually populate multiple clusters.
+  /// Elements per LTS cluster of the primary run, as its engine resolved
+  /// them (filled by every scenario but `batch`, on one rank or several).
+  /// Tests assert benchmark scenarios actually populate multiple clusters.
   std::vector<idx_t> clusterHistogram;
   /// Human-readable multi-line result summary (always printed).
   std::string summary;
 };
 
-/// One registered workload. Implementations live in scenarios_builtin.cpp;
-/// they are refactored out of the former standalone example mains.
+/// One registered workload. Implementations live in scenarios_builtin.cpp
+/// and scenario_batch.cpp.
 class Scenario {
  public:
   virtual ~Scenario() = default;
@@ -196,7 +199,7 @@ class ScenarioRegistry {
 
 /// Register the built-in scenarios (quickstart, loh1, loh3, lahabra, fused,
 /// batch) into the global registry. Idempotent — safe to call from multiple
-/// entry points (driver main, example wrappers, tests).
+/// entry points (driver main, tests).
 void registerBuiltinScenarios();
 
 /// The `batch` scenario (scenario_batch.cpp): ensemble batch execution of
@@ -224,5 +227,20 @@ solver::TimeScheme parseScheme(const std::string& s);
 
 /// Inverse of `parseScheme` (for messages and summaries).
 std::string schemeName(solver::TimeScheme scheme);
+
+// -- output helpers shared by the scenario implementations --------------------
+
+/// printf-style append to `out`.
+void appendf(std::string& out, const char* fmt, ...);
+
+/// printf-style progress message on stdout; silent under `opts.quiet`.
+void progressf(const ScenarioOptions& opts, const char* fmt, ...);
+
+/// Write seismogram columns as CSV: `header`, then one row per sample with
+/// the uniform time tEnd * i / (n - 1) followed by every column, at
+/// round-trip precision (golden fixtures are compared against these files).
+/// Throws `std::runtime_error` if the file cannot be written.
+void writeTraceCsv(const std::string& path, double tEnd,
+                   const std::vector<std::vector<double>>& columns, const std::string& header);
 
 } // namespace nglts::cli

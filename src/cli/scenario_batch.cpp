@@ -10,9 +10,7 @@
 // `--restore` resumes it bitwise-identically.
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <stdexcept>
 
 #include "batch/batch_engine.hpp"
@@ -22,26 +20,6 @@
 
 namespace nglts::cli {
 namespace {
-
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-void progressf(const ScenarioOptions& opts, const char* fmt, ...) {
-  if (opts.quiet) return;
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  std::fputs(buf, stdout);
-  std::fflush(stdout);
-}
 
 std::vector<batch::ScenarioRequest> synthesizeRequests(int_t n) {
   if (n < 1) throw std::invalid_argument("batch size must be >= 1");
@@ -118,16 +96,8 @@ class BatchScenario final : public Scenario {
               res.id.c_str(), static_cast<int>(res.fusedWidth), static_cast<int>(res.lane),
               peak);
       if (report.trace.empty()) report.trace = vx;
-      if (!opts.outputPrefix.empty()) {
-        const std::string path = opts.outputPrefix + "batch_" + res.id + ".csv";
-        std::ofstream csv(path);
-        csv.precision(17);
-        csv << "time,vx\n";
-        for (idx_t i = 0; i < samples; ++i)
-          csv << tEnd * i / (samples - 1) << ',' << vx[static_cast<std::size_t>(i)] << '\n';
-        csv.flush();
-        if (!csv) throw std::runtime_error("failed to write " + path);
-      }
+      if (!opts.outputPrefix.empty())
+        writeTraceCsv(opts.outputPrefix + "batch_" + res.id + ".csv", tEnd, {vx}, "time,vx");
     });
 
     report.stats.seconds = stats.setupSeconds + stats.solveSeconds;

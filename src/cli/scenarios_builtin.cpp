@@ -1,13 +1,11 @@
-// Built-in scenarios of the `nglts` driver, refactored out of the former
-// standalone example mains. Each scenario owns its canonical defaults
-// (mesh, materials, sources, receivers) and applies `ScenarioOptions`
-// overrides on top; the examples/ binaries are now thin wrappers that run
-// these registry entries with default options.
+// Built-in scenarios of the `nglts` driver. Each scenario owns its canonical
+// defaults (mesh, materials, sources, receivers) and applies
+// `ScenarioOptions` overrides on top. Every primary run takes one engine
+// path: `withEngine` builds `Simulation` on one rank or
+// `DistributedSimulation` on several and hands it to the scenario's single
+// body, and `runPrimary` runs and reports it the same way for both.
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -39,37 +37,6 @@ namespace {
 // Shared helpers
 // ---------------------------------------------------------------------------
 
-void appendf(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-void progressf(const ScenarioOptions& opts, const char* fmt, ...) {
-  if (opts.quiet) return;
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof buf, fmt, args);
-  va_end(args);
-  std::fputs(buf, stdout);
-  std::fflush(stdout);
-}
-
-/// Local alias for `applyScenarioOverrides` (defined at the bottom of this
-/// file, shared with scenario_batch.cpp); fusedWidth is checked per
-/// scenario by resolveWidth. `defaultRanks` is the scenario's rank count
-/// when `--ranks` is unset (1 for the shared-memory scenarios, lahabra
-/// passes its distributed default) — it only feeds the `--threads` default.
-void applyOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
-                    int_t defaultRanks = 1) {
-  applyScenarioOverrides(cfg, opts, defaultRanks);
-}
-
-
 /// Record the small-GEMM backend the run's kernels dispatch to, the
 /// arithmetic precision and the solver threads' subnormal mode in the
 /// scenario summary ("kernel backend: vector(avx2)" / "precision: f64" /
@@ -90,76 +57,54 @@ void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
     appendf(out, "partition: %s\n", partition::partitionWeightingName(cfg.partitionWeighting));
 }
 
-/// Resolve the configured clustering (auto-lambda sweep pinned to a fixed
-/// value in `cfg`), cut the weighted dual graph into `nRanks` parts and
-/// build the distributed engine over it. The transport comes from
-/// `--transport` (falling back to `defaultTransport`) and `--overlap`
-/// selects the overlapped exchange — results are bitwise-identical to the
-/// shared-memory solver in every combination.
-template <typename Real, int W>
-parallel::DistributedSimulation<Real, W> makeDistributed(
-    mesh::TetMesh mesh, std::vector<physics::Material> mats, solver::SimConfig& cfg,
-    int_t nRanks, const ScenarioOptions& opts,
-    parallel::Transport defaultTransport = parallel::Transport::kSeq, bool compress = true) {
-  // Resolve the clustering once for the partition weights and pin its
-  // lambda into cfg — the driver's internal re-resolution (geometry + CFL +
-  // buildClustering, cheap O(n)) then reproduces it without re-running the
-  // expensive auto-lambda sweep.
-  const auto geo = mesh::computeGeometry(mesh);
-  const auto dtCfl = lts::cflTimeSteps(geo, mats, cfg.order, cfg.cfl);
-  const auto clustering = solver::resolveClustering(mesh, dtCfl, cfg);
-  cfg.lambda = clustering.lambda;
-  cfg.autoLambda = false;
-  const auto graph = partition::buildPartitionGraph(mesh, clustering, cfg.partitionWeighting);
-  auto parts = partition::partitionGraph(graph, mesh, nRanks);
-  parallel::DistConfig dcfg;
-  dcfg.sim = cfg;
-  dcfg.compressFaces = compress;
-  dcfg.transport = opts.transport.value_or(defaultTransport);
-  dcfg.overlap = opts.overlap;
-  return parallel::DistributedSimulation<Real, W>(std::move(mesh), std::move(mats),
-                                                  std::move(parts.part), dcfg);
-}
-
-solver::PerfStats toPerfStats(const parallel::DistStats& st) {
-  solver::PerfStats p;
-  p.seconds = st.seconds;
-  p.simulatedTime = st.simulatedTime;
-  p.cycles = st.cycles;
-  p.elementUpdates = st.elementUpdates;
-  p.flops = st.flops;
-  return p;
-}
-
-void appendDistLine(std::string& out, const parallel::DistStats& st, int_t ranks,
-                    bool compressed, parallel::Transport transport, bool overlap) {
-  appendf(out,
-          "distributed run: %lld ranks, %s transport, %s exchange, %.2f MB in %llu "
-          "messages (%s), %.3g element updates/s\n",
-          static_cast<long long>(ranks), parallel::transportName(transport).c_str(),
-          overlap ? "overlapped" : "lockstep", st.commBytes / 1e6,
-          static_cast<unsigned long long>(st.messages),
-          compressed ? "9xF face-local compression" : "raw 9xB buffers",
-          st.seconds > 0 ? static_cast<double>(st.elementUpdates) / st.seconds : 0.0);
-}
-
-int_t resolveWidth(const ScenarioOptions& opts, int_t fallback,
-                   std::initializer_list<int_t> valid, const char* scenario) {
-  const int_t w = opts.fusedWidth.value_or(fallback);
-  if (std::find(valid.begin(), valid.end(), w) == valid.end()) {
-    std::string msg = "scenario '";
-    msg += scenario;
-    msg += "' supports fused widths";
-    for (int_t v : valid) {
-      msg += ' ';
-      msg += std::to_string(v);
-    }
-    msg += ", got ";
-    msg += std::to_string(w);
-    throw std::invalid_argument(msg);
+/// Base of the built-in scenarios. It states once which fused widths a
+/// scenario instantiates (`DefaultW` when `--fused` is unset) and whether it
+/// runs in double precision as well as single, and `run` is the one
+/// precision × width dispatch onto `Derived::runW<Real, W>(cfg, opts)`.
+template <typename Derived, bool kF64, int DefaultW, int... Ws>
+class BuiltinScenario : public Scenario {
+ public:
+  ScenarioReport run(const ScenarioOptions& opts) const final {
+    const solver::SimConfig cfg = resolveConfig(opts);
+    const int_t w = resolveWidth(opts);
+    const auto& self = static_cast<const Derived&>(*this);
+    const auto runWidth = [&]<int W>() {
+      if constexpr (kF64)
+        if (cfg.precision == solver::Precision::kF64)
+          return self.template runW<double, W>(cfg, opts);
+      return self.template runW<float, W>(cfg, opts);
+    };
+    ScenarioReport report;
+    (void)((w == Ws && (report = runWidth.template operator()<Ws>(), true)) || ...);
+    return report;
   }
-  return w;
-}
+
+ protected:
+  /// The configured fused width; throws `std::invalid_argument` naming the
+  /// valid ones (the one runtime width check).
+  int_t resolveWidth(const ScenarioOptions& opts) const {
+    const int_t w = opts.fusedWidth.value_or(DefaultW);
+    if (((w != Ws) && ...)) {
+      std::string msg = "scenario '" + name() + "' supports fused widths";
+      ((msg += ' ' + std::to_string(Ws)), ...);
+      throw std::invalid_argument(msg + ", got " + std::to_string(w));
+    }
+    return w;
+  }
+
+  /// Check the fused width and, for a single-precision scenario, reject an
+  /// explicit f64 and pin the precision to f32. Ends every `resolveConfig`.
+  solver::SimConfig checked(solver::SimConfig cfg, const ScenarioOptions& opts) const {
+    resolveWidth(opts);
+    if constexpr (!kF64) {
+      if (opts.precision && *opts.precision != solver::Precision::kF32)
+        throw std::invalid_argument("scenario '" + name() +
+                                    "' runs single-precision only (drop --precision or pass f32)");
+      cfg.precision = solver::Precision::kF32;
+    }
+    return cfg;
+  }
+};
 
 idx_t scaledCells(idx_t base, double meshScale) {
   return std::max<idx_t>(2, static_cast<idx_t>(std::llround(base * meshScale)));
@@ -190,40 +135,172 @@ void addConfiguredSources(Sim& sim, const ScenarioOptions& opts, Builtin&& built
   for (const seismo::PointSource& src : fault.pointSources()) sim.addPointSource(src, laneScale);
 }
 
-std::string perfLine(const solver::PerfStats& st) {
-  std::string s;
-  appendf(s, "%llu cycles (%.3f simulated s) in %.2f s wall — %.3g element updates/s, %.1f GFLOPS",
+/// Register one of the scenario's built-in receivers. A position outside
+/// the mesh (e.g. under `--mesh-file`) is an error naming the scenario and
+/// the position, never a silently missing seismogram.
+template <typename Sim>
+void requireReceiver(Sim& sim, const std::array<double, 3>& x, const std::string& scenario) {
+  if (sim.addReceiver(x) >= 0) return;
+  std::string msg = "scenario '" + scenario + "': receiver";
+  appendf(msg, " (%g, %g, %g) lies outside the mesh", x[0], x[1], x[2]);
+  throw std::runtime_error(msg);
+}
+
+/// With `--output`, write `columns` sampled uniformly on [0, tEnd] to
+/// `<prefix><file>` and note it in the summary.
+void writeCsv(const ScenarioOptions& opts, const std::string& file, double tEnd,
+              const std::vector<std::vector<double>>& columns, const std::string& header,
+              ScenarioReport& report) {
+  if (opts.outputPrefix.empty()) return;
+  const std::string path = opts.outputPrefix + file;
+  writeTraceCsv(path, tEnd, columns, header);
+  appendf(report.summary, "wrote %s\n", path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The engine path every scenario's primary run takes
+// ---------------------------------------------------------------------------
+
+/// The primary run's mesh and materials (external order), plus the rank
+/// partition of the pipeline-driven scenarios.
+struct EngineInputs {
+  mesh::TetMesh mesh;
+  std::vector<physics::Material> materials;
+  std::vector<int_t> part; ///< empty: `withEngine` cuts a weighted partition
+};
+
+/// Cut the weighted dual graph of the clustering `cfg` resolves into
+/// `nRanks` parts, and pin that clustering's lambda into `cfg`: the engine's
+/// own re-resolution (geometry + CFL + buildClustering, cheap O(n)) then
+/// reproduces it without re-running the auto-lambda sweep.
+std::vector<int_t> weightedPartition(const mesh::TetMesh& mesh,
+                                     const std::vector<physics::Material>& mats,
+                                     solver::SimConfig& cfg, int_t nRanks) {
+  const auto geo = mesh::computeGeometry(mesh);
+  const auto dtCfl = lts::cflTimeSteps(geo, mats, cfg.order, cfg.cfl);
+  const auto clustering = solver::resolveClustering(mesh, dtCfl, cfg);
+  cfg.lambda = clustering.lambda;
+  cfg.autoLambda = false;
+  const auto graph = partition::buildPartitionGraph(mesh, clustering, cfg.partitionWeighting);
+  return partition::partitionGraph(graph, mesh, nRanks).part;
+}
+
+/// Build the scenario's primary engine and hand it to `body`: `Simulation`
+/// on one rank; otherwise `DistributedSimulation` over `in.part` (or a
+/// weighted partition), with `--transport` (default `defaultTransport`) and
+/// `--overlap`. Both give bitwise-identical results, so `body` is written
+/// once against either facade.
+template <typename Real, int W, typename Body>
+void withEngine(EngineInputs in, solver::SimConfig cfg, int_t nRanks, const ScenarioOptions& opts,
+                parallel::Transport defaultTransport, Body&& body) {
+  if (nRanks == 1) {
+    solver::Simulation<Real, W> sim(std::move(in.mesh), std::move(in.materials), cfg);
+    body(sim);
+    return;
+  }
+  if (in.part.empty()) in.part = weightedPartition(in.mesh, in.materials, cfg, nRanks);
+  parallel::DistConfig dcfg;
+  dcfg.sim = cfg;
+  dcfg.transport = opts.transport.value_or(defaultTransport);
+  dcfg.overlap = opts.overlap;
+  parallel::DistributedSimulation<Real, W> sim(std::move(in.mesh), std::move(in.materials),
+                                               std::move(in.part), dcfg);
+  body(sim);
+}
+
+template <typename Sim>
+constexpr bool kDistributed = requires(Sim& s) { s.gatherReceivers(); };
+
+/// Run the primary engine to `tEnd` and record it in `report`: the config
+/// and clustering it ran, its counters and the summary lines (clusters,
+/// performance and, on several ranks, the exchange). Under MPI the
+/// receivers are gathered on rank 0; returns whether this process holds
+/// the traces.
+template <typename Sim>
+bool runPrimary(Sim& sim, double tEnd, const ScenarioOptions& opts, ScenarioReport& report) {
+  const lts::Clustering& clustering = sim.clustering();
+  report.clusterHistogram = clustering.clusterSize;
+  appendf(report.summary, "clusters:");
+  for (idx_t n : clustering.clusterSize)
+    appendf(report.summary, " %lld", static_cast<long long>(n));
+  appendf(report.summary, "  (%lld elements, lambda %.2f, theoretical speedup %.2fx)\n",
+          static_cast<long long>(clustering.cluster.size()), clustering.lambda,
+          clustering.theoreticalSpeedup);
+  if constexpr (kDistributed<Sim>) {
+    report.config = sim.config().sim;
+    progressf(opts, "running %s on %lld ranks...\n", schemeName(report.config.scheme).c_str(),
+              static_cast<long long>(sim.ranks()));
+  } else {
+    report.config = sim.config();
+    progressf(opts, "running %s...\n", schemeName(report.config.scheme).c_str());
+  }
+
+  const auto st = sim.run(tEnd);
+  report.stats = st;
+  appendf(report.summary,
+          "%llu cycles (%.3f simulated s) in %.2f s wall — %.3g element updates/s, %.1f GFLOPS\n",
           static_cast<unsigned long long>(st.cycles), st.simulatedTime, st.seconds,
           st.elementUpdatesPerSecond(), st.gflops());
-  return s;
-}
-
-void writeTraceCsv(const std::string& path, const std::vector<double>& times,
-                   const std::vector<std::vector<double>>& columns,
-                   const std::string& header) {
-  std::ofstream csv(path);
-  csv.precision(17); // round-trip exact doubles (golden-fixture comparisons)
-  csv << header << '\n';
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    csv << times[i];
-    for (const auto& col : columns) csv << ',' << col[i];
-    csv << '\n';
+  if constexpr (kDistributed<Sim>) {
+    sim.gatherReceivers();
+    appendf(report.summary,
+            "distributed run: %lld ranks, %s transport, %s exchange, %.2f MB in %llu "
+            "messages (%s)\n",
+            static_cast<long long>(sim.ranks()), parallel::transportName(sim.transport()).c_str(),
+            sim.config().overlap ? "overlapped" : "lockstep", st.commBytes / 1e6,
+            static_cast<unsigned long long>(st.messages),
+            sim.config().compressFaces ? "9xF face-local compression" : "raw 9xB buffers");
+    return sim.localRank() <= 0;
   }
-  csv.flush();
-  if (!csv) throw std::runtime_error("failed to write " + path);
+  return true;
 }
 
-std::vector<double> uniformTimes(double tEnd, idx_t samples) {
-  std::vector<double> t(samples);
-  for (idx_t i = 0; i < samples; ++i) t[i] = tEnd * i / (samples - 1);
-  return t;
+/// Resample lane 0 of receiver 0 to `samples` points on [0, tEnd] into
+/// `report.trace`, summarize its peak and write it as `<prefix><file>`.
+template <typename Sim>
+void reportReceiver0(const Sim& sim, double tEnd, idx_t samples, const ScenarioOptions& opts,
+                     const std::string& file, ScenarioReport& report) {
+  report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
+  double peak = 0.0;
+  for (double v : report.trace) peak = std::max(peak, std::fabs(v));
+  appendf(report.summary, "receiver vx peak: %.4e m/s over %.2f s\n", peak, tEnd);
+  writeCsv(opts, file, tEnd, {report.trace}, "time,vx", report);
+}
+
+/// Run the preprocessing pipeline of a pipeline-driven scenario. `pcfg`
+/// carries the scenario's domain and meshing rule; the solver fields come
+/// from `cfg` and the partition count is `nRanks`. Appends the pipeline
+/// summary, honours `--write-mesh`, and pins the swept lambda into `cfg` so
+/// the engine reproduces the pipeline clustering without re-running the
+/// sweep. Returns the engine inputs over the pipeline's partition.
+EngineInputs runScenarioPipeline(const seismo::VelocityModel& model, pre::PipelineConfig pcfg,
+                                 solver::SimConfig& cfg, int_t nRanks,
+                                 const ScenarioOptions& opts, ScenarioReport& report) {
+  pcfg.order = cfg.order;
+  pcfg.mechanisms = cfg.mechanisms;
+  pcfg.cfl = cfg.cfl;
+  pcfg.numClusters = cfg.numClusters;
+  pcfg.autoLambda = cfg.autoLambda && cfg.scheme != solver::TimeScheme::kGts;
+  pcfg.lambda = cfg.lambda;
+  pcfg.numPartitions = nRanks;
+  pcfg.partitionWeighting = cfg.partitionWeighting;
+  applyIngestionOverrides(pcfg, opts);
+
+  progressf(opts, "running preprocessing pipeline...\n");
+  pre::PipelineResult pipe = pre::runPipeline(model, pcfg);
+  if (!opts.writeMesh.empty()) mesh::writeGmshFile(pipe.mesh, opts.writeMesh);
+  report.summary += pipe.summary();
+  report.summary += '\n';
+  cfg.lambda = pipe.clustering.lambda;
+  cfg.autoLambda = false;
+  return {std::move(pipe.mesh), std::move(pipe.materials), std::move(pipe.parts.part)};
 }
 
 // ---------------------------------------------------------------------------
 // quickstart — 1 km^3 two-layer box (the minimal end-to-end workflow)
 // ---------------------------------------------------------------------------
 
-class QuickstartScenario final : public Scenario {
+class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true, 1, 1, 2> {
  public:
   std::string name() const override { return "quickstart"; }
   std::string description() const override {
@@ -239,41 +316,17 @@ class QuickstartScenario final : public Scenario {
     cfg.numClusters = 3;
     cfg.autoLambda = true;
     cfg.attenuationFreq = 2.0;
-    applyOverrides(cfg, opts);
-    resolveWidth(opts, 1, {1, 2}, "quickstart");
-    return cfg;
-  }
-
-  ScenarioReport run(const ScenarioOptions& opts) const override {
-    const bool f32 = resolveConfig(opts).precision == solver::Precision::kF32;
-    switch (resolveWidth(opts, 1, {1, 2}, "quickstart")) {
-      case 2: return f32 ? runW<float, 2>(opts) : runW<double, 2>(opts);
-      default: return f32 ? runW<float, 1>(opts) : runW<double, 1>(opts);
-    }
-  }
-
- private:
-  template <typename Sim>
-  static void addSetup(Sim& sim, const ScenarioOptions& opts) {
-    // A double-couple point source (or the --fault-file subfaults) and a
-    // surface receiver.
-    addConfiguredSources(sim, opts, [](auto& s) {
-      auto stf = std::make_shared<seismo::RickerWavelet>(2.0, 0.6);
-      s.addPointSource(
-          seismo::momentTensorSource({500.0, 500.0, -400.0}, {0, 0, 0, 1e9, 0, 0}, stf));
-    });
-    if (sim.addReceiver({800.0, 750.0, -20.0}) < 0)
-      throw std::runtime_error("quickstart receiver outside mesh");
+    applyScenarioOverrides(cfg, opts);
+    return checked(cfg, opts);
   }
 
   template <typename Real, int W>
-  ScenarioReport runW(const ScenarioOptions& opts) const {
-    solver::SimConfig cfg = resolveConfig(opts);
+  ScenarioReport runW(const solver::SimConfig& cfg, const ScenarioOptions& opts) const {
     const double tEnd = opts.endTime.value_or(2.0);
-    const int_t nRanks = opts.ranks.value_or(1);
 
     // A 1 km^3 box, ~100 m elements at scale 1, jittered, free surface on top.
-    mesh::TetMesh mesh = resolveMesh(opts, [&] {
+    EngineInputs in;
+    in.mesh = resolveMesh(opts, [&] {
       mesh::BoxSpec spec;
       const idx_t cells = scaledCells(10, opts.meshScale);
       spec.planes[0] = mesh::uniformPlanes(0.0, 1000.0, cells);
@@ -283,61 +336,31 @@ class QuickstartScenario final : public Scenario {
       spec.freeSurfaceTop = true;
       return mesh::generateBox(spec);
     });
-    progressf(opts, "mesh: %lld tetrahedra\n", static_cast<long long>(mesh.numElements()));
+    progressf(opts, "mesh: %lld tetrahedra\n", static_cast<long long>(in.mesh.numElements()));
 
     // A soft near-surface layer over stiffer rock (drives the clustering).
-    std::vector<physics::Material> materials(mesh.numElements());
-    for (idx_t e = 0; e < mesh.numElements(); ++e) {
-      const double vs = mesh.centroid(e)[2] > -250.0 ? 500.0 : 2000.0;
-      materials[e] = physics::viscoElasticMaterial(2600.0, vs * 1.9, vs, 100.0, 50.0,
-                                                   cfg.mechanisms, cfg.attenuationFreq);
+    in.materials.resize(in.mesh.numElements());
+    for (idx_t e = 0; e < in.mesh.numElements(); ++e) {
+      const double vs = in.mesh.centroid(e)[2] > -250.0 ? 500.0 : 2000.0;
+      in.materials[e] = physics::viscoElasticMaterial(2600.0, vs * 1.9, vs, 100.0, 50.0,
+                                                      cfg.mechanisms, cfg.attenuationFreq);
     }
 
     ScenarioReport report;
     appendKernelLine(report.summary, cfg);
-    const idx_t samples = 101;
-    bool root = true; // under MPI only rank 0 holds the gathered traces
-    if (nRanks > 1) {
-      // Distributed path: same engine under a halo decomposition — the
-      // seismogram is bitwise-identical to the single-rank run.
-      auto sim = makeDistributed<Real, W>(std::move(mesh), std::move(materials), cfg,
-                                          nRanks, opts);
-      report.config = cfg;
-      addSetup(sim, opts);
-      progressf(opts, "running distributed on %lld ranks...\n",
-                static_cast<long long>(sim.ranks()));
-      const auto st = sim.run(tEnd);
-      sim.gatherReceivers();
-      root = sim.localRank() <= 0;
-      report.stats = toPerfStats(st);
-      appendf(report.summary, "%s\n", perfLine(report.stats).c_str());
-      appendDistLine(report.summary, st, sim.ranks(), /*compressed=*/true, sim.transport(),
-                     opts.overlap);
-      if (root)
-        report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
-    } else {
-      solver::Simulation<Real, W> sim(std::move(mesh), std::move(materials), cfg);
-      report.config = sim.config();
-      report.clusterHistogram = sim.clustering().clusterSize;
-      appendf(report.summary, "clusters:");
-      for (idx_t n : sim.clustering().clusterSize)
-        appendf(report.summary, " %lld", static_cast<long long>(n));
-      appendf(report.summary, "  (lambda %.2f, theoretical speedup %.2fx)\n",
-              sim.clustering().lambda, sim.clustering().theoreticalSpeedup);
-      addSetup(sim, opts);
-      report.stats = sim.run(tEnd);
-      appendf(report.summary, "%s\n", perfLine(report.stats).c_str());
-      report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
-    }
-    double peak = 0.0;
-    for (double v : report.trace) peak = std::max(peak, std::fabs(v));
-    appendf(report.summary, "receiver vx peak: %.4e m/s over %.2f s\n", peak, tEnd);
-
-    if (!opts.outputPrefix.empty() && root) {
-      const std::string path = opts.outputPrefix + "quickstart_seismogram.csv";
-      writeTraceCsv(path, uniformTimes(tEnd, samples), {report.trace}, "time,vx");
-      appendf(report.summary, "wrote %s\n", path.c_str());
-    }
+    withEngine<Real, W>(std::move(in), cfg, opts.ranks.value_or(1), opts,
+                        parallel::Transport::kSeq, [&](auto& sim) {
+      // A double-couple point source (or the --fault-file subfaults) and a
+      // surface receiver.
+      addConfiguredSources(sim, opts, [](auto& s) {
+        auto stf = std::make_shared<seismo::RickerWavelet>(2.0, 0.6);
+        s.addPointSource(
+            seismo::momentTensorSource({500.0, 500.0, -400.0}, {0, 0, 0, 1e9, 0, 0}, stf));
+      });
+      requireReceiver(sim, {800.0, 750.0, -20.0}, name());
+      if (runPrimary(sim, tEnd, opts, report))
+        reportReceiver0(sim, tEnd, 101, opts, "quickstart_seismogram.csv", report);
+    });
     return report;
   }
 };
@@ -346,7 +369,7 @@ class QuickstartScenario final : public Scenario {
 // loh3 — layer over halfspace with constant-Q attenuation (paper Sec. VII-B)
 // ---------------------------------------------------------------------------
 
-class Loh3Scenario final : public Scenario {
+class Loh3Scenario final : public BuiltinScenario<Loh3Scenario, true, 1, 1, 2> {
  public:
   std::string name() const override { return "loh3"; }
   std::string description() const override {
@@ -362,25 +385,44 @@ class Loh3Scenario final : public Scenario {
     cfg.scheme = solver::TimeScheme::kLtsNextGen;
     cfg.numClusters = 3;
     cfg.receiverSampleDt = 0.005;
-    applyOverrides(cfg, opts);
+    applyScenarioOverrides(cfg, opts);
     cfg.autoLambda = !opts.lambda && cfg.scheme != solver::TimeScheme::kGts;
-    resolveWidth(opts, 1, {1, 2}, "loh3");
-    return cfg;
+    return checked(cfg, opts);
   }
 
-  ScenarioReport run(const ScenarioOptions& opts) const override {
-    const bool f32 = resolveConfig(opts).precision == solver::Precision::kF32;
-    switch (resolveWidth(opts, 1, {1, 2}, "loh3")) {
-      case 2: return f32 ? runW<float, 2>(opts) : runW<double, 2>(opts);
-      default: return f32 ? runW<float, 1>(opts) : runW<double, 1>(opts);
-    }
+  template <typename Real, int W>
+  ScenarioReport runW(const solver::SimConfig& cfg, const ScenarioOptions& opts) const {
+    solver::SimConfig gtsCfg = cfg;
+    gtsCfg.scheme = solver::TimeScheme::kGts;
+    gtsCfg.autoLambda = false;
+    const double tEnd = opts.endTime.value_or(2.0);
+
+    EngineInputs ref = inputs(cfg, opts);
+    solver::Simulation<Real, W> gts(std::move(ref.mesh), std::move(ref.materials), gtsCfg);
+    addSetup(gts, opts);
+    ScenarioReport report;
+    appendKernelLine(report.summary, cfg);
+    progressf(opts, "running GTS reference...\n");
+    const solver::PerfStats sg = gts.run(tEnd);
+
+    withEngine<Real, W>(inputs(cfg, opts), cfg, opts.ranks.value_or(1), opts,
+                        parallel::Transport::kSeq, [&](auto& primary) {
+      addSetup(primary, opts);
+      const bool root = runPrimary(primary, tEnd, opts, report);
+      appendf(report.summary, "GTS: %.2f s wall;  %s: %.2f s wall  => measured speedup %.2fx\n",
+              sg.seconds, schemeName(cfg.scheme).c_str(), report.stats.seconds,
+              sg.seconds / report.stats.seconds);
+      if (root) compareReceivers(opts, cfg, tEnd, gts, primary, report);
+    });
+    return report;
   }
 
  private:
-  mesh::TetMesh makeMesh(const ScenarioOptions& opts) const {
+  EngineInputs inputs(const solver::SimConfig& cfg, const ScenarioOptions& opts) const {
     // Scaled-down LOH.3: 6 km x 6 km x 3 km domain, velocity-aware vertical
     // grading across the 1 km layer interface (unless --mesh-file overrides).
-    return resolveMesh(opts, [&] {
+    EngineInputs in;
+    in.mesh = resolveMesh(opts, [&] {
       mesh::BoxSpec spec;
       const idx_t lateral = scaledCells(14, opts.meshScale);
       spec.planes[0] = mesh::uniformPlanes(0.0, 6000.0, lateral);
@@ -392,19 +434,14 @@ class Loh3Scenario final : public Scenario {
       spec.freeSurfaceTop = true;
       return mesh::generateBox(spec);
     });
-  }
-
-  template <typename Real, int W>
-  solver::Simulation<Real, W> makeSim(const solver::SimConfig& cfg,
-                                      const ScenarioOptions& opts) const {
-    mesh::TetMesh mesh = makeMesh(opts);
     const seismo::Loh3Model model(0.0);
-    auto materials = seismo::materialsForMesh(mesh, model, cfg.mechanisms, cfg.attenuationFreq);
-    return solver::Simulation<Real, W>(std::move(mesh), std::move(materials), cfg);
+    in.materials =
+        seismo::materialsForMesh(in.mesh, model, cfg.mechanisms, cfg.attenuationFreq);
+    return in;
   }
 
   template <typename Sim>
-  static void addSetup(Sim& sim, const ScenarioOptions& opts) {
+  void addSetup(Sim& sim, const ScenarioOptions& opts) const {
     // LOH-style source: M_xy double couple at 2 km depth, Brune moment rate
     // (or the --fault-file subfaults).
     addConfiguredSources(sim, opts, [](auto& s) {
@@ -413,72 +450,8 @@ class Loh3Scenario final : public Scenario {
           seismo::momentTensorSource({3000.0, 3000.0, -2000.0}, {0, 0, 0, 1.0, 0, 0}, stf));
     });
     // The benchmark's "ninth receiver" direction, scaled into the domain.
-    sim.addReceiver({4800.0, 4200.0, -20.0});
-    sim.addReceiver({3900.0, 3600.0, -20.0});
-  }
-
-  template <typename Real, int W>
-  ScenarioReport runW(const ScenarioOptions& opts) const {
-    solver::SimConfig cfg = resolveConfig(opts);
-    solver::SimConfig gtsCfg = cfg;
-    gtsCfg.scheme = solver::TimeScheme::kGts;
-    gtsCfg.autoLambda = false;
-    const double tEnd = opts.endTime.value_or(2.0);
-    const int_t nRanks = opts.ranks.value_or(1);
-
-    auto gts = makeSim<Real, W>(gtsCfg, opts);
-    addSetup(gts, opts);
-    ScenarioReport report;
-    appendKernelLine(report.summary, cfg);
-    progressf(opts, "running GTS reference...\n");
-    const auto sg = gts.run(tEnd);
-
-    if (nRanks > 1) {
-      mesh::TetMesh mesh = makeMesh(opts);
-      const seismo::Loh3Model model(0.0);
-      auto materials =
-          seismo::materialsForMesh(mesh, model, cfg.mechanisms, cfg.attenuationFreq);
-      auto primary =
-          makeDistributed<Real, W>(std::move(mesh), std::move(materials), cfg, nRanks, opts);
-      report.config = cfg;
-      report.clusterHistogram = primary.clustering().clusterSize;
-      appendf(report.summary,
-              "mesh: %lld elements; %s lambda %.2f, theoretical speedup %.2fx\n",
-              static_cast<long long>(gts.meshRef().numElements()),
-              schemeName(cfg.scheme).c_str(), primary.clustering().lambda,
-              primary.clustering().theoreticalSpeedup);
-      addSetup(primary, opts);
-      progressf(opts, "running distributed %s on %lld ranks...\n",
-                schemeName(cfg.scheme).c_str(), static_cast<long long>(primary.ranks()));
-      const auto st = primary.run(tEnd);
-      primary.gatherReceivers();
-      report.stats = toPerfStats(st);
-      appendf(report.summary, "GTS: %.2f s wall;  %s: %.2f s wall  => measured speedup %.2fx\n",
-              sg.seconds, schemeName(cfg.scheme).c_str(), report.stats.seconds,
-              sg.seconds / report.stats.seconds);
-      appendDistLine(report.summary, st, primary.ranks(), /*compressed=*/true,
-                     primary.transport(), opts.overlap);
-      // Under MPI only rank 0 holds the gathered traces.
-      if (primary.localRank() <= 0) compareReceivers(opts, cfg, tEnd, gts, primary, report);
-      return report;
-    }
-
-    auto primary = makeSim<Real, W>(cfg, opts);
-    report.config = primary.config();
-    report.clusterHistogram = primary.clustering().clusterSize;
-    appendf(report.summary, "mesh: %lld elements; %s lambda %.2f, theoretical speedup %.2fx\n",
-            static_cast<long long>(primary.meshRef().numElements()),
-            schemeName(cfg.scheme).c_str(), primary.clustering().lambda,
-            primary.clustering().theoreticalSpeedup);
-    addSetup(primary, opts);
-
-    progressf(opts, "running %s...\n", schemeName(cfg.scheme).c_str());
-    report.stats = primary.run(tEnd);
-    appendf(report.summary, "GTS: %.2f s wall;  %s: %.2f s wall  => measured speedup %.2fx\n",
-            sg.seconds, schemeName(cfg.scheme).c_str(), report.stats.seconds,
-            sg.seconds / report.stats.seconds);
-    compareReceivers(opts, cfg, tEnd, gts, primary, report);
-    return report;
+    requireReceiver(sim, {4800.0, 4200.0, -20.0}, name());
+    requireReceiver(sim, {3900.0, 3600.0, -20.0}, name());
   }
 
   /// Per-receiver misfit vs the GTS reference plus the CSV artifact; works
@@ -490,6 +463,7 @@ class Loh3Scenario final : public Scenario {
                         ScenarioReport& report) const {
     const idx_t samples = 400;
     std::vector<std::vector<double>> columns;
+    std::string header = "time";
     for (idx_t r = 0; r < gts.numReceivers(); ++r) {
       const auto a = seismo::resample(gts.receiver(r).traces[0], kVelU, tEnd, samples);
       const auto b = seismo::resample(primary.receiver(r).traces[0], kVelU, tEnd, samples);
@@ -499,17 +473,10 @@ class Loh3Scenario final : public Scenario {
       if (r == 0) report.trace = b;
       columns.push_back(a);
       columns.push_back(b);
+      appendf(header, ",r%lld_vx_gts,r%lld_vx_%s", static_cast<long long>(r),
+              static_cast<long long>(r), schemeName(cfg.scheme).c_str());
     }
-    if (!opts.outputPrefix.empty()) {
-      const std::string path = opts.outputPrefix + "loh3_seismograms.csv";
-      std::string header = "time";
-      for (idx_t r = 0; r < gts.numReceivers(); ++r) {
-        appendf(header, ",r%lld_vx_gts,r%lld_vx_%s", static_cast<long long>(r),
-                static_cast<long long>(r), schemeName(cfg.scheme).c_str());
-      }
-      writeTraceCsv(path, uniformTimes(tEnd, samples), columns, header);
-      appendf(report.summary, "wrote %s\n", path.c_str());
-    }
+    writeCsv(opts, "loh3_seismograms.csv", tEnd, columns, header, report);
   }
 };
 
@@ -517,7 +484,7 @@ class Loh3Scenario final : public Scenario {
 // loh1 — SCEC LOH.1 elastic layer over halfspace through the pipeline
 // ---------------------------------------------------------------------------
 
-class Loh1Scenario final : public Scenario {
+class Loh1Scenario final : public BuiltinScenario<Loh1Scenario, true, 1, 1, 2> {
  public:
   std::string name() const override { return "loh1"; }
   std::string description() const override {
@@ -534,42 +501,13 @@ class Loh1Scenario final : public Scenario {
     cfg.numClusters = 4;
     cfg.autoLambda = true;
     cfg.receiverSampleDt = 0.005;
-    applyOverrides(cfg, opts);
+    applyScenarioOverrides(cfg, opts);
     cfg.autoLambda = !opts.lambda && cfg.scheme != solver::TimeScheme::kGts;
-    resolveWidth(opts, 1, {1, 2}, "loh1");
-    return cfg;
-  }
-
-  ScenarioReport run(const ScenarioOptions& opts) const override {
-    const bool f32 = resolveConfig(opts).precision == solver::Precision::kF32;
-    switch (resolveWidth(opts, 1, {1, 2}, "loh1")) {
-      case 2: return f32 ? runW<float, 2>(opts) : runW<double, 2>(opts);
-      default: return f32 ? runW<float, 1>(opts) : runW<double, 1>(opts);
-    }
-  }
-
- private:
-  /// LOH.1 structure: 1 km sediment layer (vp 4000, vs 2000, rho 2600) over
-  /// a stiff halfspace (vp 6000, vs 3464, rho 2700) — the same geometry as
-  /// LOH.3 but purely elastic (Q = infinity, mechanisms = 0 ignores it).
-  static seismo::LayeredModel model() {
-    return seismo::LayeredModel({{-1000.0, {2600.0, 4000.0, 2000.0, 1e30, 1e30}},
-                                 {-3000.0, {2700.0, 6000.0, 3464.0, 1e30, 1e30}}});
-  }
-
-  template <typename Sim>
-  static void addSources(Sim& sim, const ScenarioOptions& opts) {
-    // The benchmark's point double couple at 2 km depth (or --fault-file).
-    addConfiguredSources(sim, opts, [](auto& s) {
-      auto stf = std::make_shared<seismo::BrunePulse>(0.1, 1e16);
-      s.addPointSource(
-          seismo::momentTensorSource({3000.0, 3000.0, -2000.0}, {0, 0, 0, 1.0, 0, 0}, stf));
-    });
+    return checked(cfg, opts);
   }
 
   template <typename Real, int W>
-  ScenarioReport runW(const ScenarioOptions& opts) const {
-    solver::SimConfig cfg = resolveConfig(opts);
+  ScenarioReport runW(solver::SimConfig cfg, const ScenarioOptions& opts) const {
     const double tEnd = opts.endTime.value_or(2.0);
     const int_t nRanks = opts.ranks.value_or(1);
 
@@ -585,76 +523,32 @@ class Loh1Scenario final : public Scenario {
     pcfg.minEdge = 200.0;
     pcfg.maxEdge = 2500.0;
     pcfg.jitter = 0.2;
-    pcfg.order = cfg.order;
-    pcfg.mechanisms = cfg.mechanisms;
-    pcfg.cfl = cfg.cfl;
-    pcfg.numClusters = cfg.numClusters;
-    pcfg.autoLambda = cfg.autoLambda;
-    pcfg.lambda = cfg.lambda;
-    pcfg.numPartitions = nRanks;
-    pcfg.partitionWeighting = cfg.partitionWeighting;
-    applyIngestionOverrides(pcfg, opts);
-
-    progressf(opts, "running preprocessing pipeline...\n");
-    pre::PipelineResult pipe = pre::runPipeline(model(), pcfg);
-    if (!opts.writeMesh.empty()) mesh::writeGmshFile(pipe.mesh, opts.writeMesh);
-
     ScenarioReport report;
-    report.summary += pipe.summary();
-    report.summary += '\n';
+    EngineInputs in = runScenarioPipeline(model(), pcfg, cfg, nRanks, opts, report);
     appendKernelLine(report.summary, cfg);
-    report.clusterHistogram = pipe.clustering.clusterSize;
-    // Pin the swept lambda so the solver's internal re-resolution reproduces
-    // the pipeline clustering without re-running the sweep.
-    cfg.lambda = pipe.clustering.lambda;
-    cfg.autoLambda = false;
 
-    const std::array<double, 3> receiver = {4800.0, 4200.0, -20.0};
-    const idx_t samples = 201;
-    bool root = true;
-    if (nRanks > 1) {
-      parallel::DistConfig dcfg;
-      dcfg.sim = cfg;
-      dcfg.compressFaces = true;
-      dcfg.transport = opts.transport.value_or(parallel::Transport::kSeq);
-      dcfg.overlap = opts.overlap;
-      parallel::DistributedSimulation<Real, W> sim(pipe.mesh, pipe.materials, pipe.parts.part,
-                                                   dcfg);
-      report.config = cfg;
-      addSources(sim, opts);
-      sim.addReceiver(receiver);
-      progressf(opts, "running distributed %s on %lld ranks...\n",
-                schemeName(cfg.scheme).c_str(), static_cast<long long>(sim.ranks()));
-      const auto st = sim.run(tEnd);
-      sim.gatherReceivers();
-      root = sim.localRank() <= 0;
-      report.stats = toPerfStats(st);
-      appendf(report.summary, "%s\n", perfLine(report.stats).c_str());
-      appendDistLine(report.summary, st, sim.ranks(), /*compressed=*/true, sim.transport(),
-                     opts.overlap);
-      if (root)
-        report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
-    } else {
-      solver::Simulation<Real, W> sim(pipe.mesh, pipe.materials, cfg);
-      report.config = sim.config();
-      addSources(sim, opts);
-      if (sim.addReceiver(receiver) < 0)
-        throw std::runtime_error("loh1 receiver outside mesh");
-      progressf(opts, "running %s...\n", schemeName(cfg.scheme).c_str());
-      report.stats = sim.run(tEnd);
-      appendf(report.summary, "%s\n", perfLine(report.stats).c_str());
-      report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
-    }
-    double peak = 0.0;
-    for (double v : report.trace) peak = std::max(peak, std::fabs(v));
-    appendf(report.summary, "receiver vx peak: %.4e m/s over %.2f s\n", peak, tEnd);
-
-    if (!opts.outputPrefix.empty() && root) {
-      const std::string path = opts.outputPrefix + "loh1_seismogram.csv";
-      writeTraceCsv(path, uniformTimes(tEnd, samples), {report.trace}, "time,vx");
-      appendf(report.summary, "wrote %s\n", path.c_str());
-    }
+    withEngine<Real, W>(std::move(in), cfg, nRanks, opts, parallel::Transport::kSeq,
+                        [&](auto& sim) {
+      // The benchmark's point double couple at 2 km depth (or --fault-file).
+      addConfiguredSources(sim, opts, [](auto& s) {
+        auto stf = std::make_shared<seismo::BrunePulse>(0.1, 1e16);
+        s.addPointSource(
+            seismo::momentTensorSource({3000.0, 3000.0, -2000.0}, {0, 0, 0, 1.0, 0, 0}, stf));
+      });
+      requireReceiver(sim, {4800.0, 4200.0, -20.0}, name());
+      if (runPrimary(sim, tEnd, opts, report))
+        reportReceiver0(sim, tEnd, 201, opts, "loh1_seismogram.csv", report);
+    });
     return report;
+  }
+
+ private:
+  /// LOH.1 structure: 1 km sediment layer (vp 4000, vs 2000, rho 2600) over
+  /// a stiff halfspace (vp 6000, vs 3464, rho 2700) — the same geometry as
+  /// LOH.3 but purely elastic (Q = infinity, mechanisms = 0 ignores it).
+  static seismo::LayeredModel model() {
+    return seismo::LayeredModel({{-1000.0, {2600.0, 4000.0, 2000.0, 1e30, 1e30}},
+                                 {-3000.0, {2700.0, 6000.0, 3464.0, 1e30, 1e30}}});
   }
 };
 
@@ -662,7 +556,7 @@ class Loh1Scenario final : public Scenario {
 // lahabra — production pipeline + distributed LTS run (paper Sec. VI)
 // ---------------------------------------------------------------------------
 
-class LaHabraScenario final : public Scenario {
+class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 1, 8, 16> {
  public:
   /// Distributed by default: partition count when `--ranks` is unset (also
   /// the rank count the `--threads` default divides by).
@@ -682,31 +576,16 @@ class LaHabraScenario final : public Scenario {
     cfg.scheme = solver::TimeScheme::kLtsNextGen;
     cfg.numClusters = 5;
     cfg.autoLambda = true;
-    cfg.sparseKernels = opts.fusedWidth.value_or(1) > 1; // fused => all-sparse kernels
-    applyOverrides(cfg, opts, kDefaultRanks); // distributed by default
-    if (opts.precision && *opts.precision != solver::Precision::kF32)
-      throw std::invalid_argument(
-          "scenario 'lahabra' runs single-precision only (drop --precision or pass f32)");
-    cfg.precision = solver::Precision::kF32;
-    resolveWidth(opts, 1, {1, 8, 16}, "lahabra");
+    cfg.sparseKernels = resolveWidth(opts) > 1; // fused => all-sparse kernels
+    applyScenarioOverrides(cfg, opts, kDefaultRanks); // distributed by default
     // GTS in the distributed driver is LTS with a single cluster.
     if (cfg.scheme == solver::TimeScheme::kGts) cfg.numClusters = 1;
-    return cfg;
+    return checked(cfg, opts);
   }
 
-  ScenarioReport run(const ScenarioOptions& opts) const override {
-    switch (resolveWidth(opts, 1, {1, 8, 16}, "lahabra")) {
-      case 8: return runW<8>(opts);
-      case 16: return runW<16>(opts);
-      default: return runW<1>(opts);
-    }
-  }
-
- private:
-  template <int W>
-  ScenarioReport runW(const ScenarioOptions& opts) const {
-    const solver::SimConfig cfg = resolveConfig(opts);
-
+  template <typename Real, int W>
+  ScenarioReport runW(solver::SimConfig cfg, const ScenarioOptions& opts) const {
+    const int_t nRanks = opts.ranks.value_or(kDefaultRanks);
     seismo::LaHabraLikeModel::Params params;
     params.zTop = 0.0;
     params.basinCenter = {8000.0, 8000.0};
@@ -719,63 +598,23 @@ class LaHabraScenario final : public Scenario {
     pcfg.maxFrequency = 0.5 * opts.meshScale;
     pcfg.elementsPerWavelength = 2.0;
     pcfg.minEdge = 150.0 / opts.meshScale;
-    pcfg.order = cfg.order;
-    pcfg.mechanisms = cfg.mechanisms;
-    pcfg.cfl = cfg.cfl;
-    pcfg.numClusters = cfg.numClusters;
-    pcfg.autoLambda = cfg.autoLambda && cfg.scheme != solver::TimeScheme::kGts;
-    pcfg.lambda = cfg.lambda;
-    pcfg.numPartitions = opts.ranks.value_or(kDefaultRanks);
-    pcfg.partitionWeighting = cfg.partitionWeighting;
-    applyIngestionOverrides(pcfg, opts);
-
-    progressf(opts, "running preprocessing pipeline...\n");
-    pre::PipelineResult pipe = pre::runPipeline(model, pcfg);
-    if (!opts.writeMesh.empty()) mesh::writeGmshFile(pipe.mesh, opts.writeMesh);
     ScenarioReport report;
-    report.config = cfg;
-    report.config.lambda = pipe.clustering.lambda;
-    report.config.autoLambda = false;
-    report.clusterHistogram = pipe.clustering.clusterSize;
-    report.summary += pipe.summary();
-    report.summary += '\n';
+    EngineInputs in = runScenarioPipeline(model, pcfg, cfg, nRanks, opts, report);
     appendKernelLine(report.summary, cfg);
 
-    parallel::DistConfig dcfg;
-    dcfg.sim = report.config;
-    dcfg.compressFaces = true;
-    dcfg.transport = opts.transport.value_or(parallel::Transport::kThread);
-    dcfg.overlap = opts.overlap;
-    parallel::DistributedSimulation<float, W> sim(pipe.mesh, pipe.materials, pipe.parts.part,
-                                                  dcfg);
-    sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
-      for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
-      const double r2 = (x[0] - 8000.0) * (x[0] - 8000.0) +
-                        (x[1] - 8000.0) * (x[1] - 8000.0) +
-                        (x[2] + 3000.0) * (x[2] + 3000.0);
-      q9[kVelW] = std::exp(-r2 / 1.2e6);
+    withEngine<Real, W>(std::move(in), cfg, nRanks, opts, parallel::Transport::kThread,
+                        [&](auto& sim) {
+      sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
+        for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
+        const double r2 = (x[0] - 8000.0) * (x[0] - 8000.0) +
+                          (x[1] - 8000.0) * (x[1] - 8000.0) +
+                          (x[2] + 3000.0) * (x[2] + 3000.0);
+        q9[kVelW] = std::exp(-r2 / 1.2e6);
+      });
+      // Kinematic subfaults ride on top of the basin initial condition.
+      addConfiguredSources(sim, opts, [](auto&) {});
+      runPrimary(sim, opts.endTime.value_or(6.0 * sim.cycleDt()), opts, report);
     });
-    // Kinematic subfaults ride on top of the basin initial condition.
-    if (!opts.faultFile.empty()) {
-      const seismo::FiniteFault fault = seismo::parseFaultFile(opts.faultFile);
-      for (const seismo::PointSource& src : fault.pointSources()) sim.addPointSource(src);
-    }
-    progressf(opts, "running distributed %s x%d simulation on %d ranks...\n",
-              schemeName(cfg.scheme).c_str(), W, sim.ranks());
-    const double tEnd = opts.endTime.value_or(6.0 * sim.cycleDt());
-    const auto st = sim.run(tEnd);
-    report.stats = toPerfStats(st);
-    appendf(report.summary,
-            "distributed run: %d ranks, fused x%d, %llu cycles, %.2f s wall, "
-            "%.3g element updates/s, %.1f GFLOPS\n",
-            sim.ranks(), W, static_cast<unsigned long long>(st.cycles), st.seconds,
-            static_cast<double>(st.elementUpdates) / st.seconds, report.stats.gflops());
-    appendf(report.summary,
-            "communication: %s transport, %s exchange, %.2f MB in %llu messages "
-            "(face-local compression on)\n",
-            parallel::transportName(sim.transport()).c_str(),
-            opts.overlap ? "overlapped" : "lockstep", st.commBytes / 1e6,
-            static_cast<unsigned long long>(st.messages));
     return report;
   }
 };
@@ -784,7 +623,7 @@ class LaHabraScenario final : public Scenario {
 // fused — ensemble of forward simulations in one execution (paper Sec. IV-A)
 // ---------------------------------------------------------------------------
 
-class FusedScenario final : public Scenario {
+class FusedScenario final : public BuiltinScenario<FusedScenario, false, 16, 1, 8, 16> {
  public:
   std::string name() const override { return "fused"; }
   std::string description() const override {
@@ -800,97 +639,59 @@ class FusedScenario final : public Scenario {
     cfg.numClusters = 3;
     cfg.sparseKernels = true;
     cfg.attenuationFreq = 1.0;
-    applyOverrides(cfg, opts);
-    if (opts.precision && *opts.precision != solver::Precision::kF32)
-      throw std::invalid_argument(
-          "scenario 'fused' runs single-precision only (drop --precision or pass f32)");
-    cfg.precision = solver::Precision::kF32;
-    resolveWidth(opts, 16, {1, 8, 16}, "fused");
-    return cfg;
+    applyScenarioOverrides(cfg, opts);
+    return checked(cfg, opts);
   }
 
-  ScenarioReport run(const ScenarioOptions& opts) const override {
-    switch (resolveWidth(opts, 16, {1, 8, 16}, "fused")) {
-      case 1: return runW<1>(opts);
-      case 8: return runW<8>(opts);
-      default: return runW<16>(opts);
-    }
-  }
-
- private:
-  static mesh::TetMesh makeBoxMesh(double meshScale) {
-    mesh::BoxSpec spec;
-    const idx_t cells = scaledCells(8, meshScale);
-    spec.planes[0] = mesh::uniformPlanes(0.0, 2000.0, cells);
-    spec.planes[1] = mesh::uniformPlanes(0.0, 2000.0, cells);
-    spec.planes[2] = mesh::uniformPlanes(-2000.0, 0.0, cells);
-    spec.jitter = 0.18;
-    spec.freeSurfaceTop = true;
-    return mesh::generateBox(spec);
-  }
-
-  template <int W>
-  solver::Simulation<float, W> makeSim(const solver::SimConfig& cfg,
-                                       const ScenarioOptions& opts) const {
-    mesh::TetMesh mesh = resolveMesh(opts, [&] { return makeBoxMesh(opts.meshScale); });
-    std::vector<physics::Material> mats(mesh.numElements());
-    for (idx_t e = 0; e < mesh.numElements(); ++e) {
-      const double vs = mesh.centroid(e)[2] > -500.0 ? 800.0 : 2400.0;
-      mats[e] = physics::viscoElasticMaterial(2600.0, vs * 1.8, vs, 100.0, 50.0,
-                                              cfg.mechanisms, cfg.attenuationFreq);
-    }
-    return solver::Simulation<float, W>(std::move(mesh), std::move(mats), cfg);
-  }
-
-  template <int W>
-  ScenarioReport runW(const ScenarioOptions& opts) const {
-    const solver::SimConfig cfg = resolveConfig(opts);
+  template <typename Real, int W>
+  ScenarioReport runW(const solver::SimConfig& cfg, const ScenarioOptions& opts) const {
     const double tEnd = opts.endTime.value_or(3.0);
-    auto sim = makeSim<W>(cfg, opts);
-
     // Ensemble of sources: one per lane, scaled 1..W (fault-file sources get
     // the same per-lane scaling, so lane linearity still holds).
     std::vector<double> scales(W);
     for (int w = 0; w < W; ++w) scales[w] = 1.0 + w;
     auto stf = std::make_shared<seismo::RickerWavelet>(1.0, 1.2, 1e9);
-    addConfiguredSources(
-        sim, opts,
-        [&](auto& s) {
-          s.addPointSource(
-              seismo::momentTensorSource({1000.0, 1000.0, -800.0}, {0, 0, 0, 1, 0, 0}, stf),
-              scales);
-        },
-        scales);
-    const idx_t rec = sim.addReceiver({1600.0, 1500.0, -30.0});
-    if (rec < 0) throw std::runtime_error("fused receiver outside mesh");
 
-    progressf(opts, "running fused x%d ensemble...\n", W);
     ScenarioReport report;
     appendKernelLine(report.summary, cfg);
-    report.config = sim.config();
-    report.clusterHistogram = sim.clustering().clusterSize;
-    report.stats = sim.run(tEnd);
-    appendf(report.summary, "fused x%d run: %s\n", W, perfLine(report.stats).c_str());
+    progressf(opts, "fused x%d ensemble\n", W);
+    bool root = true;
+    withEngine<Real, W>(inputs(cfg, opts), cfg, opts.ranks.value_or(1), opts,
+                        parallel::Transport::kSeq, [&](auto& sim) {
+      addConfiguredSources(
+          sim, opts,
+          [&](auto& s) {
+            s.addPointSource(
+                seismo::momentTensorSource({1000.0, 1000.0, -800.0}, {0, 0, 0, 1, 0, 0}, stf),
+                scales);
+          },
+          scales);
+      requireReceiver(sim, {1600.0, 1500.0, -30.0}, name());
+      root = runPrimary(sim, tEnd, opts, report);
+      if (!root) return;
 
-    // Verify lane linearity against lane 0.
-    const idx_t samples = 300;
-    report.trace = seismo::resample(sim.receiver(rec).traces[0], kVelU, tEnd, samples);
-    double worstMisfit = 0.0;
-    for (int w = 1; w < W; ++w) {
-      auto lane = seismo::resample(sim.receiver(rec).traces[w], kVelU, tEnd, samples);
-      std::vector<double> expect(report.trace.size());
-      for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = scales[w] * report.trace[i];
-      worstMisfit = std::max(worstMisfit, seismo::energyMisfit(lane, expect));
-    }
-    if (W > 1)
-      appendf(report.summary, "worst lane-linearity misfit: %.3e (must be ~fp32 round-off)\n",
-              worstMisfit);
+      // Verify lane linearity against lane 0.
+      const idx_t samples = 300;
+      report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
+      double worstMisfit = 0.0;
+      for (int w = 1; w < W; ++w) {
+        auto lane = seismo::resample(sim.receiver(0).traces[w], kVelU, tEnd, samples);
+        std::vector<double> expect(report.trace.size());
+        for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = scales[w] * report.trace[i];
+        worstMisfit = std::max(worstMisfit, seismo::energyMisfit(lane, expect));
+      }
+      if (W > 1)
+        appendf(report.summary, "worst lane-linearity misfit: %.3e (must be ~fp32 round-off)\n",
+                worstMisfit);
+    });
 
-    // Compare against a single-simulation run for the per-simulation speedup.
-    if (W > 1) {
+    // Compare against a single-rank, single-simulation run for the
+    // per-simulation speedup.
+    if (W > 1 && root) {
       solver::SimConfig singleCfg = cfg;
       singleCfg.sparseKernels = false;
-      auto single = makeSim<1>(singleCfg, opts);
+      EngineInputs in = inputs(singleCfg, opts);
+      solver::Simulation<Real, 1> single(std::move(in.mesh), std::move(in.materials), singleCfg);
       single.addPointSource(
           seismo::momentTensorSource({1000.0, 1000.0, -800.0}, {0, 0, 0, 1e9, 0, 0}, stf));
       progressf(opts, "running single-simulation reference...\n");
@@ -902,6 +703,28 @@ class FusedScenario final : public Scenario {
                   (stSingle.simulatedTime / report.stats.simulatedTime));
     }
     return report;
+  }
+
+ private:
+  static EngineInputs inputs(const solver::SimConfig& cfg, const ScenarioOptions& opts) {
+    EngineInputs in;
+    in.mesh = resolveMesh(opts, [&] {
+      mesh::BoxSpec spec;
+      const idx_t cells = scaledCells(8, opts.meshScale);
+      spec.planes[0] = mesh::uniformPlanes(0.0, 2000.0, cells);
+      spec.planes[1] = mesh::uniformPlanes(0.0, 2000.0, cells);
+      spec.planes[2] = mesh::uniformPlanes(-2000.0, 0.0, cells);
+      spec.jitter = 0.18;
+      spec.freeSurfaceTop = true;
+      return mesh::generateBox(spec);
+    });
+    in.materials.resize(in.mesh.numElements());
+    for (idx_t e = 0; e < in.mesh.numElements(); ++e) {
+      const double vs = in.mesh.centroid(e)[2] > -500.0 ? 800.0 : 2400.0;
+      in.materials[e] = physics::viscoElasticMaterial(2600.0, vs * 1.8, vs, 100.0, 50.0,
+                                                      cfg.mechanisms, cfg.attenuationFreq);
+    }
+    return in;
   }
 };
 

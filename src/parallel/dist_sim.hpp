@@ -65,6 +65,7 @@
 #include "seismo/source.hpp"
 #include "solver/config.hpp"
 #include "solver/seismo_hook.hpp"
+#include "solver/simulation.hpp"
 
 namespace nglts::parallel {
 
@@ -88,12 +89,10 @@ struct DistConfig {
   CommFactory commFactory;
 };
 
-struct DistStats {
-  double seconds = 0.0;
-  double simulatedTime = 0.0;
-  std::uint64_t cycles = 0;
-  std::uint64_t elementUpdates = 0; ///< per fused lane
-  std::uint64_t flops = 0;          ///< useful ops of the rank engines (all lanes)
+/// `run()` counters: the shared-memory ones (flops summed over the rank
+/// engines) plus the exchanged volume. A distinct type, so callers can
+/// overload on which facade produced it.
+struct DistStats : solver::PerfStats {
   std::uint64_t commBytes = 0;
   std::uint64_t messages = 0;
 };
@@ -115,8 +114,8 @@ class DistributedSimulation {
   DistributedSimulation& operator=(const DistributedSimulation&) = delete;
 
   const DistConfig& config() const { return cfg_; }
-  const lts::Clustering& clustering() const { return clustering_; }
-  double cycleDt() const { return clustering_.clusterDt.back(); }
+  const lts::Clustering& clustering() const { return setup_.clustering; }
+  double cycleDt() const { return setup_.cycleDt(); }
   int_t ranks() const { return numRanks_; }
   /// The transport driving the run (`DistConfig::transport`).
   Transport transport() const { return cfg_.transport; }
@@ -172,13 +171,10 @@ class DistributedSimulation {
   int_t localRank_ = -1; ///< -1: all ranks in-process; else the MPI rank
   mesh::TetMesh mesh_;                        ///< global external order
   std::vector<physics::Material> materials_;  ///< global external order
+  solver::FacadeSetup<Real, W> setup_;        ///< global geometry, clustering, kernels
   std::vector<int_t> part_;
   int_t numRanks_ = 1;
-  std::vector<mesh::ElementGeometry> geo_;    ///< global external order
-  lts::Clustering clustering_;                ///< global
-  std::vector<lts::ScheduleOp> schedule_;
 
-  std::unique_ptr<kernels::AderKernels<Real, W>> kernels_;
   std::unique_ptr<Communicator> comm_;
   std::vector<std::unique_ptr<Rank>> ranks_; ///< indexed by rank id; under MPI
                                              ///< only the local slot is built

@@ -11,7 +11,6 @@
 #include "parallel/dist_sim.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -19,7 +18,6 @@
 
 #include "common/float_env.hpp"
 #include "solver/executor.hpp"
-#include "solver/setup.hpp"
 #include "solver/state.hpp"
 
 namespace nglts::parallel {
@@ -105,12 +103,11 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
     : cfg_(config),
       mesh_(std::move(mesh)),
       materials_(std::move(materials)),
+      // The same setup as the shared-memory Simulation, so both paths step
+      // the exact same clusters (the invariant behind the bitwise
+      // equivalence).
+      setup_("DistributedSimulation", cfg_.sim, mesh_, materials_),
       part_(std::move(partition)) {
-  solver::validateSimConfig(cfg_.sim);
-  if (mesh_.faces.empty())
-    throw std::runtime_error("DistributedSimulation: mesh connectivity not built");
-  if (static_cast<idx_t>(materials_.size()) != mesh_.numElements())
-    throw std::runtime_error("DistributedSimulation: one material per element required");
   if (static_cast<idx_t>(part_.size()) != mesh_.numElements())
     throw std::invalid_argument("DistributedSimulation: partition size != element count");
 
@@ -129,21 +126,6 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
       throw std::invalid_argument("DistributedSimulation: rank " + std::to_string(r) +
                                   " of " + std::to_string(numRanks_) +
                                   " owns no elements (every rank needs work)");
-
-  // Global clustering and schedule through the same resolution helpers as
-  // the shared-memory Simulation, so both paths step the exact same
-  // clusters (the invariant behind the bitwise equivalence).
-  geo_ = mesh::computeGeometry(mesh_);
-  const std::vector<double> dtCfl =
-      lts::cflTimeSteps(geo_, materials_, cfg_.sim.order, cfg_.sim.cfl);
-  clustering_ = solver::resolveClustering(mesh_, dtCfl, cfg_.sim);
-  schedule_ = lts::buildSchedule(clustering_.numClusters);
-  lts::checkSchedule(schedule_, clustering_.numClusters);
-
-  const std::vector<double> omega = solver::resolveOmega(materials_, cfg_.sim.mechanisms);
-  kernels_ = std::make_unique<kernels::AderKernels<Real, W>>(
-      cfg_.sim.order, cfg_.sim.mechanisms, cfg_.sim.sparseKernels, omega,
-      cfg_.sim.kernelBackend);
 
   if (cfg_.commFactory) {
     comm_ = cfg_.commFactory(numRanks_);
@@ -172,27 +154,27 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::buildRank(int_t r) {
   auto rank = std::make_unique<Rank>();
   rank->id = r;
-  rank->view = buildHaloView(mesh_, geo_, materials_, clustering_, part_, r);
+  rank->view = buildHaloView(mesh_, setup_.geo, materials_, setup_.clustering, part_, r);
   const HaloView& view = rank->view;
+  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
 
   rank->state = std::make_unique<solver::SolverState<Real, W>>(
-      view.mesh, view.materials, view.geo, view.clustering, *kernels_, cfg_.sim,
-      view.numOwned);
+      view.mesh, view.materials, view.geo, view.clustering, kernels, cfg_.sim, view.numOwned);
   const double recDt =
-      cfg_.sim.receiverSampleDt > 0.0 ? cfg_.sim.receiverSampleDt : clustering_.dtMin;
+      cfg_.sim.receiverSampleDt > 0.0 ? cfg_.sim.receiverSampleDt : setup_.clustering.dtMin;
   rank->hook = std::make_unique<solver::SeismoHook<Real, W>>(
-      view.mesh, view.geo, view.materials, *kernels_, *rank->state, recDt);
+      view.mesh, view.geo, view.materials, kernels, *rank->state, recDt);
 
   // Ghost slots + send/receive lists from the cross-rank faces. One scan of
   // the owned elements covers each cross face once in both roles: the owned
   // element consumes the remote buffers (receive slot) and produces for the
   // remote consumer (send op) through the same geometric face.
   const solver::SolverState<Real, W>& state = *rank->state;
-  const int_t nc = clustering_.numClusters;
+  const int_t nc = setup_.clustering.numClusters;
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
-  const std::size_t bufN = kernels_->elasticDofsPerElement();
-  const std::size_t faceN = kernels_->faceDataSize();
-  const std::size_t stackN = static_cast<std::size_t>(kernels_->order()) * bufN;
+  const std::size_t bufN = kernels.elasticDofsPerElement();
+  const std::size_t faceN = kernels.faceDataSize();
+  const std::size_t stackN = static_cast<std::size_t>(kernels.order()) * bufN;
   const std::size_t dataN = cfg_.compressFaces && !baseline ? faceN : bufN;
 
   rank->sendByCluster.assign(nc, {});
@@ -260,13 +242,13 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
     }
   }
 
-  auto inner = solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, *kernels_,
-                                                       clustering_.clusterDt);
+  auto inner = solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, kernels,
+                                                       setup_.clustering.clusterDt);
   auto policy = std::make_unique<HaloNeighborData<Real, W>>(
-      std::move(inner), *rank->state, *kernels_, cfg_.sim.scheme, cfg_.compressFaces,
-      clustering_.clusterDt, &rank->ghosts);
+      std::move(inner), *rank->state, kernels, cfg_.sim.scheme, cfg_.compressFaces,
+      setup_.clustering.clusterDt, &rank->ghosts);
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
-      cfg_.sim, *kernels_, *rank->state, view.clustering, schedule_, rank->hook.get(),
+      cfg_.sim, kernels, *rank->state, view.clustering, setup_.schedule, rank->hook.get(),
       std::move(policy));
   if (cfg_.sim.executorMode == solver::ExecutorMode::kDynamic) {
     // Dynamic mode: queue halo-boundary chunks first so the data the
@@ -296,14 +278,14 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::setInitialCondition(const InitFn& f) {
   for (auto& rank : ranks_)
     if (rank)
-      solver::projectInitialCondition(*kernels_, rank->view.mesh, rank->view.geo, f,
+      solver::projectInitialCondition(*setup_.kernels, rank->view.mesh, rank->view.geo, f,
                                       *rank->state, rank->view.numOwned);
 }
 
 template <typename Real, int W>
 void DistributedSimulation<Real, W>::addPointSource(const seismo::PointSource& src,
                                                     std::vector<double> laneScale) {
-  const idx_t el = mesh::locatePoint(mesh_, geo_, src.position);
+  const idx_t el = mesh::locatePoint(mesh_, setup_.geo, src.position);
   if (el < 0) throw std::runtime_error("addPointSource: source outside the mesh");
   if (!ownsRank(part_[el])) return; // another MPI process owns this element
   Rank& rank = *ranks_[part_[el]];
@@ -312,7 +294,7 @@ void DistributedSimulation<Real, W>::addPointSource(const seismo::PointSource& s
 
 template <typename Real, int W>
 idx_t DistributedSimulation<Real, W>::addReceiver(const std::array<double, 3>& position) {
-  const idx_t el = mesh::locatePoint(mesh_, geo_, position);
+  const idx_t el = mesh::locatePoint(mesh_, setup_.geo, position);
   if (el < 0) return -1;
   // Local index assignment must be deterministic across MPI processes (the
   // owning one binds the receiver; the others only record where it lives),
@@ -398,11 +380,12 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
   const idx_t step = rank.exec->clusterStep(cluster);
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
   const solver::SolverState<Real, W>& state = *rank.state;
-  const std::size_t bufN = kernels_->elasticDofsPerElement();
-  const std::size_t faceN = kernels_->faceDataSize();
-  const int_t order = kernels_->order();
-  const int_t nb = kernels_->numBasis();
-  const bool anel = kernels_->mechanisms() > 0;
+  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
+  const std::size_t bufN = kernels.elasticDofsPerElement();
+  const std::size_t faceN = kernels.faceDataSize();
+  const int_t order = kernels.order();
+  const int_t nb = kernels.numBasis();
+  const bool anel = kernels.mechanisms() > 0;
   const std::size_t nbW = static_cast<std::size_t>(nb) * W;
 
   for (const typename Rank::SendOp& op : rank.sendByCluster[cluster]) {
@@ -436,8 +419,8 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
 #pragma omp simd
       for (std::size_t i = 0; i < bufN; ++i) combo[i] = b1[i] - b2[i];
       if (cfg_.compressFaces) {
-        kernels_->compressBuffer(op.face, op.recvPerm, b2, rank.face0.data());
-        kernels_->compressBuffer(op.face, op.recvPerm, combo, rank.face1.data());
+        kernels.compressBuffer(op.face, op.recvPerm, b2, rank.face0.data());
+        kernels.compressBuffer(op.face, op.recvPerm, combo, rank.face1.data());
         appendReals(payload, rank.face0.data(), faceN);
         appendReals(payload, rank.face1.data(), faceN);
       } else {
@@ -449,7 +432,7 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
       const Real* data =
           op.rel == HaloRelation::kEqual ? state.b1(op.el) : state.b3(op.el);
       if (cfg_.compressFaces) {
-        kernels_->compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
+        kernels.compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
         appendReals(payload, rank.face0.data(), faceN);
       } else {
         appendReals(payload, data, bufN);
@@ -463,10 +446,11 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
   const idx_t step = rank.exec->clusterStep(cluster);
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
-  const std::size_t bufN = kernels_->elasticDofsPerElement();
-  const int_t order = kernels_->order();
-  const int_t nb = kernels_->numBasis();
-  const bool anel = kernels_->mechanisms() > 0;
+  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
+  const std::size_t bufN = kernels.elasticDofsPerElement();
+  const int_t order = kernels.order();
+  const int_t nb = kernels.numBasis();
+  const bool anel = kernels.mechanisms() > 0;
   const std::size_t nbW = static_cast<std::size_t>(nb) * W;
 
   for (idx_t si : rank.recvByCluster[cluster]) {
@@ -540,8 +524,7 @@ void DistributedSimulation<Real, W>::stepOpOverlap(Rank& rank, const lts::Schedu
 template <typename Real, int W>
 DistStats DistributedSimulation<Real, W>::run(double endTime) {
   DistStats stats;
-  const double dtCycle = cycleDt();
-  const std::uint64_t cycles = static_cast<std::uint64_t>(std::ceil(endTime / dtCycle - 1e-9));
+  const std::uint64_t cycles = setup_.cyclesFor(endTime);
   // Per-run deltas of the communicator-owned counters. Under MPI these are
   // process-local and reduced below; in-process they are already global and
   // allreduceSum is the identity.
@@ -549,11 +532,6 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
   const std::uint64_t msg0 = comm_->messagesSent();
   for (auto& rank : ranks_)
     if (rank) rank->exec->drainFlops(); // reset counters for this run
-
-  std::uint64_t updatesPerCycle = 0;
-  for (int_t l = 0; l < clustering_.numClusters; ++l)
-    updatesPerCycle +=
-        clustering_.clusterSize[l] * lts::stepsPerCycle(clustering_.numClusters, l);
 
   comm_->barrier(); // MPI: don't time another process's setup
   Timer timer;
@@ -566,13 +544,13 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
     // cross-process synchronization.
     Rank& rank = *ranks_[localRank_];
     for (std::uint64_t c = 0; c < cycles; ++c)
-      for (const lts::ScheduleOp& op : schedule_) stepOp(rank, op);
+      for (const lts::ScheduleOp& op : setup_.schedule) stepOp(rank, op);
   } else if (cfg_.transport == Transport::kSeq) {
     // Deterministic lockstep: all ranks execute schedule op i before any
     // rank starts op i+1 — every SeqComm receive then finds its message
     // (the schedule's write-before-read guarantee, applied across ranks).
     for (std::uint64_t c = 0; c < cycles; ++c)
-      for (const lts::ScheduleOp& op : schedule_)
+      for (const lts::ScheduleOp& op : setup_.schedule)
         for (auto& rank : ranks_) stepOp(*rank, op);
   } else {
     // One std::thread per rank. Each rank thread is an OpenMP *initial*
@@ -589,16 +567,14 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
       threads.emplace_back([this, rank, cycles] {
         const ScopedFlushDenormals rankFlush;
         for (std::uint64_t c = 0; c < cycles; ++c)
-          for (const lts::ScheduleOp& op : schedule_) stepOp(*rank, op);
+          for (const lts::ScheduleOp& op : setup_.schedule) stepOp(*rank, op);
       });
     }
     for (auto& t : threads) t.join();
   }
   comm_->barrier(); // MPI: every rank finished before anyone reads stats
   stats.seconds = timer.seconds();
-  stats.cycles = cycles;
-  stats.simulatedTime = cycles * dtCycle;
-  stats.elementUpdates = cycles * updatesPerCycle;
+  setup_.countCycles(stats, cycles);
   std::uint64_t flops = 0;
   for (auto& rank : ranks_)
     if (rank) flops += rank->exec->drainFlops();

@@ -41,6 +41,33 @@
 
 namespace nglts::solver {
 
+/// The constructor-time setup `Simulation` and `parallel::DistributedSimulation`
+/// share, in one place: validation, precision normalization, geometry, CFL
+/// steps, clustering, schedule and kernels, plus the cycle accounting both
+/// `run()`s report. Both facades stepping the exact same clusters with the
+/// exact same operators is the invariant behind the distributed engine's
+/// bitwise equivalence to the single-rank run.
+template <typename Real, int W>
+struct FacadeSetup {
+  /// Validates `cfg` and the mesh/material consistency (errors name
+  /// `facade`), then normalizes `cfg.precision` to `Real` so the facade's
+  /// config reports the precision that actually runs.
+  FacadeSetup(const char* facade, SimConfig& cfg, const mesh::TetMesh& mesh,
+              const std::vector<physics::Material>& materials);
+
+  std::vector<mesh::ElementGeometry> geo; ///< external order
+  lts::Clustering clustering;             ///< external order
+  std::vector<lts::ScheduleOp> schedule;
+  std::unique_ptr<kernels::AderKernels<Real, W>> kernels;
+
+  double cycleDt() const { return clustering.clusterDt.back(); }
+  /// Number of full LTS cycles that cover `endTime`.
+  std::uint64_t cyclesFor(double endTime) const;
+  /// Fill the counters a run of `cycles` full cycles implies: cycles,
+  /// simulated time and per-lane element updates.
+  void countCycles(PerfStats& stats, std::uint64_t cycles) const;
+};
+
 template <typename Real, int W>
 class Simulation {
  public:
@@ -59,11 +86,11 @@ class Simulation {
   const SimConfig& config() const { return cfg_; }
   /// The caller's mesh (external element order).
   const mesh::TetMesh& meshRef() const { return mesh_; }
-  const lts::Clustering& clustering() const { return clustering_; }
-  const kernels::AderKernels<Real, W>& kernels() const { return *kernels_; }
+  const lts::Clustering& clustering() const { return setup_.clustering; }
+  const kernels::AderKernels<Real, W>& kernels() const { return *setup_.kernels; }
   /// The memory arena (cluster-contiguous internal layout, id mapping).
   const SolverState<Real, W>& state() const { return *state_; }
-  double cycleDt() const { return clustering_.clusterDt.back(); }
+  double cycleDt() const { return setup_.cycleDt(); }
 
   void setInitialCondition(const InitFn& f);
 
@@ -84,7 +111,7 @@ class Simulation {
   PerfStats run(double endTime);
 
   /// Number of full LTS cycles `run(endTime)` executes.
-  std::uint64_t cyclesFor(double endTime) const;
+  std::uint64_t cyclesFor(double endTime) const { return setup_.cyclesFor(endTime); }
   /// Advance by exactly `cycles` full LTS cycles — the checkpoint driver's
   /// entry point (batch/checkpoint.*): snapshots are taken at cycle
   /// boundaries, and `runCycles(a); runCycles(b)` is bitwise-identical to
@@ -132,17 +159,21 @@ class Simulation {
   SimConfig cfg_;
   mesh::TetMesh mesh_;                        ///< external order
   std::vector<physics::Material> materials_;  ///< external order
-  std::vector<mesh::ElementGeometry> geo_;    ///< external order
-  lts::Clustering clustering_;                ///< external order
+  FacadeSetup<Real, W> setup_;
 
-  std::unique_ptr<kernels::AderKernels<Real, W>> kernels_;
   std::unique_ptr<SolverState<Real, W>> state_;
   std::unique_ptr<SeismoHook<Real, W>> hook_; ///< sources + receivers
   std::unique_ptr<StepExecutor<Real, W>> executor_;
-
-  std::size_t elSize() const { return kernels_->dofsPerElement(); }
-  std::size_t bufSize() const { return kernels_->elasticDofsPerElement(); }
 };
+
+extern template struct FacadeSetup<float, 1>;
+extern template struct FacadeSetup<float, 2>;
+extern template struct FacadeSetup<float, 4>;
+extern template struct FacadeSetup<float, 8>;
+extern template struct FacadeSetup<float, 16>;
+extern template struct FacadeSetup<double, 1>;
+extern template struct FacadeSetup<double, 2>;
+extern template struct FacadeSetup<double, 4>;
 
 extern template class Simulation<float, 1>;
 extern template class Simulation<float, 2>;

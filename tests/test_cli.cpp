@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +20,21 @@ namespace {
 nc::ScenarioRegistry& registry() {
   nc::registerBuiltinScenarios();
   return nc::ScenarioRegistry::instance();
+}
+
+/// Run the `nglts` binary with `flags`; returns what it wrote to stderr
+/// (stdout is discarded) and stores the wait status in `status`.
+std::string cliStderr(const std::string& flags, int& status) {
+  const std::string cmd = std::string("'") + NGLTS_CLI_EXE + "' " + flags + " 2>&1 >/dev/null";
+  std::FILE* p = popen(cmd.c_str(), "r");
+  EXPECT_NE(p, nullptr) << cmd;
+  std::string out;
+  status = -1;
+  if (!p) return out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p)) out += buf;
+  status = pclose(p);
+  return out;
 }
 
 } // namespace
@@ -165,16 +183,10 @@ TEST(Cli, QuietSilencesCoreInfoLinesOnLahabra) {
   // The λ-sweep and pipeline INFO lines come from the core logger, not the
   // scenario progress output; -q must silence both. Only stderr is captured.
   auto stderrOf = [](const std::string& flags) {
-    const std::string cmd = std::string("'") + NGLTS_CLI_EXE +
-                            "' -s lahabra --scale 0.3 --ranks 2 --threads 1 --end-time 0.01 " +
-                            flags + " 2>&1 >/dev/null";
-    std::FILE* p = popen(cmd.c_str(), "r");
-    EXPECT_NE(p, nullptr) << cmd;
-    std::string out;
-    if (!p) return out;
-    char buf[256];
-    while (std::fgets(buf, sizeof buf, p)) out += buf;
-    EXPECT_EQ(pclose(p), 0) << cmd << "\n" << out;
+    int status = 0;
+    const std::string out =
+        cliStderr("-s lahabra --scale 0.3 --ranks 2 --threads 1 --end-time 0.01 " + flags, status);
+    EXPECT_EQ(status, 0) << flags << "\n" << out;
     return out;
   };
   EXPECT_NE(stderrOf("").find("[nglts INFO "), std::string::npos)
@@ -182,3 +194,58 @@ TEST(Cli, QuietSilencesCoreInfoLinesOnLahabra) {
   const std::string quiet = stderrOf("-q");
   EXPECT_EQ(quiet.find("[nglts INFO "), std::string::npos) << quiet;
 }
+
+TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
+  // A value that does not fit the 32-bit flag type must not wrap into a
+  // different run (--order 4294967300 would otherwise run order 4).
+  for (const char* flag : {"--order 4294967300", "--ranks 4294967298", "--threads -4294967295"}) {
+    int status = 0;
+    const std::string err =
+        cliStderr(std::string("-s quickstart --scale 0.3 --end-time 0.01 -q ") + flag, status);
+    ASSERT_TRUE(WIFEXITED(status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << "\n" << err;
+    const std::string name = std::string(flag).substr(0, std::strchr(flag, ' ') - flag);
+    EXPECT_NE(err.find("out of range for " + name), std::string::npos) << err;
+  }
+}
+
+namespace {
+
+/// Every scenario's primary run takes one engine path: the same body on
+/// `Simulation` (1 rank) and on `DistributedSimulation` (2 ranks). The two
+/// must agree to the bit in trace, clustering and work done.
+void expectRanksAgree(const std::string& scenario, std::optional<nglts::int_t> fused = {}) {
+  const nc::Scenario* s = registry().find(scenario);
+  ASSERT_NE(s, nullptr);
+  nc::ScenarioOptions opts;
+  opts.meshScale = 0.35;
+  opts.order = 3;
+  opts.endTime = 0.3;
+  opts.quiet = true;
+  opts.fusedWidth = fused;
+  opts.ranks = 1;
+  const nc::ScenarioReport one = s->run(opts);
+  opts.ranks = 2;
+  const nc::ScenarioReport two = s->run(opts);
+
+  ASSERT_FALSE(one.trace.empty()) << scenario;
+  ASSERT_EQ(one.trace.size(), two.trace.size()) << scenario;
+  EXPECT_EQ(std::memcmp(one.trace.data(), two.trace.data(), one.trace.size() * sizeof(double)), 0)
+      << scenario << ": 2-rank trace differs from the 1-rank trace";
+  bool signal = false;
+  for (double v : one.trace) signal = signal || v != 0.0;
+  EXPECT_TRUE(signal) << scenario << ": trace carries no signal";
+  EXPECT_FALSE(one.clusterHistogram.empty()) << scenario;
+  EXPECT_EQ(one.clusterHistogram, two.clusterHistogram) << scenario;
+  EXPECT_GT(one.stats.elementUpdates, 0u) << scenario;
+  EXPECT_EQ(one.stats.elementUpdates, two.stats.elementUpdates) << scenario;
+  EXPECT_EQ(one.summary.find("distributed run:"), std::string::npos) << one.summary;
+  EXPECT_NE(two.summary.find("distributed run: 2 ranks"), std::string::npos) << two.summary;
+}
+
+} // namespace
+
+TEST(ScenarioRanks, QuickstartOneAndTwoRanksAgreeBitwise) { expectRanksAgree("quickstart"); }
+TEST(ScenarioRanks, Loh1OneAndTwoRanksAgreeBitwise) { expectRanksAgree("loh1"); }
+TEST(ScenarioRanks, Loh3OneAndTwoRanksAgreeBitwise) { expectRanksAgree("loh3"); }
+TEST(ScenarioRanks, FusedOneAndTwoRanksAgreeBitwise) { expectRanksAgree("fused", 8); }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -448,4 +449,57 @@ TEST(GmshScenarioRoundTrip, QuickstartGtsSeismogramBitwiseIdentical) {
 
 TEST(GmshScenarioRoundTrip, QuickstartLtsSeismogramBitwiseIdentical) {
   expectImportReproducesRun(nglts::solver::TimeScheme::kLtsNextGen, "lts");
+}
+
+TEST(GmshScenarioRoundTrip, BuiltinReceiversOutsideAnImportedMeshAreErrors) {
+  // A 500 m box with a fault inside it: every scenario's built-in receiver
+  // lies beyond the box, which must fail loudly, naming the scenario and the
+  // receiver position — on one rank and on several, never a run without a
+  // seismogram or an unrelated out_of_range.
+  const std::string meshPath = ::testing::TempDir() + "nglts_small_box.msh";
+  const std::string faultPath = ::testing::TempDir() + "nglts_small_box_fault.txt";
+  nm::BoxSpec spec;
+  spec.planes[0] = nm::uniformPlanes(0.0, 500.0, 3);
+  spec.planes[1] = nm::uniformPlanes(0.0, 500.0, 3);
+  spec.planes[2] = nm::uniformPlanes(-500.0, 0.0, 3);
+  spec.freeSurfaceTop = true;
+  nm::writeGmshFile(nm::generateBox(spec), meshPath);
+  {
+    std::ofstream fault(faultPath);
+    fault << "subfault\nposition 250 250 -250\nmoment 0 0 0 1e9 0 0\n"
+             "stf 0.0 0.0\nstf 0.1 1.0\nstf 0.4 0.0\n";
+  }
+
+  struct Case {
+    const char* scenario;
+    int_t ranks;
+    const char* receiver;
+  };
+  nglts::cli::registerBuiltinScenarios();
+  for (const Case& c : {Case{"quickstart", 1, "(800, 750, -20)"},
+                        Case{"loh3", 1, "(4800, 4200, -20)"},
+                        Case{"loh1", 2, "(4800, 4200, -20)"},
+                        Case{"fused", 2, "(1600, 1500, -30)"}}) {
+    const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find(c.scenario);
+    ASSERT_NE(s, nullptr);
+    nglts::cli::ScenarioOptions opts;
+    opts.meshFile = meshPath;
+    opts.faultFile = faultPath;
+    opts.order = 2;
+    opts.endTime = 0.05;
+    opts.lambda = 1.0;
+    opts.ranks = c.ranks;
+    opts.quiet = true;
+    try {
+      s->run(opts);
+      ADD_FAILURE() << c.scenario << ": a receiver outside the mesh was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + c.scenario + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.receiver), std::string::npos) << what;
+      EXPECT_NE(what.find("outside the mesh"), std::string::npos) << what;
+    }
+  }
+  std::remove(meshPath.c_str());
+  std::remove(faultPath.c_str());
 }
