@@ -67,10 +67,9 @@ struct ScenarioOptions {
   bool overlap = false;
   /// Small-GEMM kernel backend (`SimConfig::kernelBackend`, the `--kernel`
   /// flag; docs/KERNELS.md): `auto` (CPU detection), `scalar` (reference
-  /// loops), `vector` (explicit SIMD; hard error when unavailable rather
-  /// than a silent fallback) or `specialized` (vector plus compile-time-
-  /// sparsity kernels for registered patterns). Bitwise-identical results
-  /// across backends — a pure performance knob.
+  /// loops) or `vector` (explicit SIMD; hard error when unavailable rather
+  /// than a silent fallback). Bitwise-identical results across backends —
+  /// a pure performance knob.
   std::optional<linalg::KernelBackend> kernelBackend;
   /// Arithmetic precision (`SimConfig::precision`, the `--precision` flag):
   /// f64 (the default for quickstart/loh1/loh3) or f32 (accuracy guarded by the

@@ -41,7 +41,7 @@ namespace {
 /// arithmetic precision and the solver threads' subnormal mode in the
 /// scenario summary ("kernel backend: vector(avx2)" / "precision: f64" /
 /// "denormals: flush-to-zero"); CI greps these lines to assert an explicit
-/// --kernel vector/specialized never silently degrades, that --precision f32
+/// --kernel vector never silently degrades, that --precision f32
 /// actually took effect, and that f32 runs compute with subnormals flushed.
 void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
@@ -736,7 +736,7 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   if (opts.scheme) cfg.scheme = *opts.scheme;
   if (opts.numClusters) cfg.numClusters = *opts.numClusters;
   if (opts.kernelBackend) cfg.kernelBackend = *opts.kernelBackend;
-  // Resolve now so an explicit --kernel vector/specialized on an unsupported
+  // Resolve now so an explicit --kernel vector on an unsupported
   // build/host fails at config time (never a silent fallback mid-run).
   linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;

@@ -1,26 +1,18 @@
 #pragma once
 // Kernel backend selection for the small-GEMM hot-path layer
-// (docs/KERNELS.md). Three implementations of every kernel exist:
+// (docs/KERNELS.md). Two implementations of every kernel exist:
 //
 //   * scalar — the reference triple loops of linalg/small_gemm.hpp
 //     (`#pragma omp simd` hints only, auto-vectorization),
 //   * vector — the explicit register-blocked SIMD micro-kernels of
-//     linalg/small_gemm_vector.hpp (GCC/Clang vector extensions),
-//   * specialized — the vector backend plus order-specialized CSR kernels
-//     whose sparsity patterns are compile-time constants
-//     (linalg/small_gemm_specialized.hpp); operator matrices whose pattern
-//     is not in the committed table fall back to the generic vector path
-//     per operator (the SeisSol/libxsmm sparsity-unrolling trick).
+//     linalg/small_gemm_vector.hpp (GCC/Clang vector extensions).
 //
 // The backend is a *runtime* choice: `resolveKernelBackend` maps the
 // requested backend (`SimConfig::kernelBackend`, the `--kernel` CLI flag,
 // or the `NGLTS_KERNEL` bench environment variable) to a concrete one,
 // using compile-time availability plus CPU feature detection for `auto`.
-// An *explicit* `vector` or `specialized` request never silently falls
-// back — it throws if the build or host cannot honor it (CI asserts this).
-// `auto` resolves to `vector`: the specialized backend is opt-in, because
-// its per-operator pattern lookup is an exact-match registry and the win
-// is shape-dependent (bench/kernel_micro.cpp measures it).
+// An *explicit* `vector` request never silently falls back — it throws if
+// the build or host cannot honor it (CI asserts this).
 //
 // Both backends are bitwise-identical by construction: they vectorize only
 // across independent output elements and preserve the scalar reference's
@@ -34,15 +26,12 @@
 namespace nglts::linalg {
 
 /// Requested kernel backend. `kAuto` resolves at runtime (CPU detection);
-/// `kScalar`/`kVector`/`kSpecialized` force one implementation —
-/// `kVector`/`kSpecialized` hard-error instead of falling back when
-/// unavailable (the *per-operator* pattern fallback inside kSpecialized is
-/// a documented part of that backend, not a silent degradation).
+/// `kScalar`/`kVector` force one implementation — `kVector` hard-errors
+/// instead of falling back when unavailable.
 enum class KernelBackend : int_t {
-  kAuto = 0,    ///< resolve via `resolveKernelBackend` (the default)
-  kScalar,      ///< reference triple loops, auto-vectorization only
-  kVector,      ///< explicit register-blocked SIMD micro-kernels
-  kSpecialized  ///< vector + compile-time-pattern CSR kernels where registered
+  kAuto = 0,  ///< resolve via `resolveKernelBackend` (the default)
+  kScalar,    ///< reference triple loops, auto-vectorization only
+  kVector     ///< explicit register-blocked SIMD micro-kernels
 };
 
 /// Host SIMD capability, detected once at first use (x86: cpuid via
@@ -82,7 +71,7 @@ struct KernelBackendInfo {
   bool available;
 };
 
-/// The backend registry (scalar, vector, specialized — `auto` is a
+/// The backend registry (scalar, vector — `auto` is a
 /// resolution rule, not an implementation, so it is not listed). Order is
 /// stable.
 const std::vector<KernelBackendInfo>& kernelBackendRegistry();
@@ -92,14 +81,12 @@ const std::vector<KernelBackendInfo>& kernelBackendRegistry();
 ///   * kVector      -> kVector, or `std::runtime_error` when the build has
 ///     no vector kernels or the CPU reports no SIMD — an explicit request
 ///     must never silently degrade,
-///   * kSpecialized -> kSpecialized under the same availability rule as
-///     kVector (its generic-path fallback *is* the vector backend),
 ///   * kAuto        -> kVector when compiled in and the CPU has SIMD, else
-///     kScalar (never kSpecialized — that backend is opt-in).
+///     kScalar.
 KernelBackend resolveKernelBackend(KernelBackend requested);
 
 /// Stable name of a backend value:
-/// "auto" | "scalar" | "vector" | "specialized".
+/// "auto" | "scalar" | "vector".
 std::string kernelBackendName(KernelBackend b);
 
 /// Inverse of `kernelBackendName`; throws `std::invalid_argument` on
@@ -107,7 +94,7 @@ std::string kernelBackendName(KernelBackend b);
 KernelBackend parseKernelBackend(const std::string& s);
 
 /// Human-readable label of what `requested` resolves to, e.g. "scalar",
-/// "vector(avx512f)" or "specialized(avx2)" — printed in scenario summaries
+/// "vector(avx512f)" or "vector(avx2)" — printed in scenario summaries
 /// and bench artifacts so every measurement records the backend (and the
 /// ISA its kernels actually dispatch to) that produced it.
 std::string resolvedKernelBackendLabel(KernelBackend requested);

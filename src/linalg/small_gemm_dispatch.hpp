@@ -21,9 +21,7 @@ namespace nglts::linalg {
 
 /// The dispatchable kernel set (see small_gemm.hpp for operand shapes):
 /// the two operator shapes (star / right) in dense and CSR form, plus the
-/// elementwise helpers — axpy (the ADER time-integral accumulation) and
-/// scale-copy (no product caller today; part of the backend contract so
-/// every implementation ships and tests the full helper set).
+/// elementwise axpy (the ADER time-integral accumulation).
 template <typename Real, int W>
 struct SmallGemmOps {
   std::uint64_t (*starDense)(int_t m, int_t k, int_t nCols, int_t ld, const Real* a,
@@ -34,11 +32,10 @@ struct SmallGemmOps {
   std::uint64_t (*rightCsr)(int_t nVars, int_t kEff, const Csr<Real>& b, const Real* d, Real* o,
                             int_t ldd, int_t ldo);
   void (*axpy)(Real s, const Real* src, Real* dst, std::size_t n);
-  void (*scaleCopy)(Real s, const Real* src, Real* dst, std::size_t n);
   KernelBackend backend;  ///< kScalar or kVector — which table this is
 };
 
-/// The table for a *resolved* backend (kScalar, kVector or kSpecialized —
+/// The table for a *resolved* backend (kScalar or kVector —
 /// pass requests through `resolveKernelBackend` first; kAuto maps to the
 /// scalar table here only as a safety net). The vector table exists for
 /// power-of-two W (every instantiated fused width) on compilers with
@@ -47,48 +44,37 @@ struct SmallGemmOps {
 /// additional `target("avx2")` and `target("avx512f")` clone tables,
 /// picked here at runtime (widest CPU-supported ISA first) — same bodies,
 /// 32/64-byte vectors, bitwise-identical results (small_gemm_vector.hpp).
-///
-/// `kSpecialized` returns the *generic* vector tables: at this raw layer
-/// the specialized backend is the vector backend. The pattern-specialized
-/// function pointers live one level up, resolved per operator matrix by
-/// `findSpecializedRightCsr` into `SmallOp::specializedRight`
-/// (small_gemm_specialized.hpp) — generic tables here are its documented
-/// runtime fallback for unregistered patterns.
 template <typename Real, int W>
 inline const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved) {
   static constexpr SmallGemmOps<Real, W> scalar = {
       &starMulDense<Real, W>, &starMulCsr<Real, W>,  &rightMulDense<Real, W>,
-      &rightMulCsr<Real, W>,  &axpyBlock<Real>,      &scaleCopyBlock<Real>,
-      KernelBackend::kScalar,
+      &rightMulCsr<Real, W>,  &axpyBlock<Real>,      KernelBackend::kScalar,
   };
 #if NGLTS_HAVE_VECTOR_KERNELS
   if constexpr (vecdetail::isPow2(W)) {
-    static constexpr SmallGemmOps<Real, W> vector = {
-        &starMulDenseVec<Real, W>, &starMulCsrVec<Real, W>,  &rightMulDenseVec<Real, W>,
-        &rightMulCsrVec<Real, W>,  &axpyBlockVec<Real>,      &scaleCopyBlockVec<Real>,
-        KernelBackend::kVector,
-    };
-    const bool wantsVector =
-        resolved == KernelBackend::kVector || resolved == KernelBackend::kSpecialized;
+    if (resolved == KernelBackend::kVector) {
 #if NGLTS_HAVE_AVX512_CLONES
-    static constexpr SmallGemmOps<Real, W> vectorAvx512 = {
-        &starMulDenseVecAvx512<Real, W>, &starMulCsrVecAvx512<Real, W>,
-        &rightMulDenseVecAvx512<Real, W>, &rightMulCsrVecAvx512<Real, W>,
-        &axpyBlockVecAvx512<Real>,        &scaleCopyBlockVecAvx512<Real>,
-        KernelBackend::kVector,
-    };
-    if (wantsVector && detectCpuSimd().avx512f) return vectorAvx512;
+      static constexpr SmallGemmOps<Real, W> vectorAvx512 = {
+          &starMulDenseVecAvx512<Real, W>, &starMulCsrVecAvx512<Real, W>,
+          &rightMulDenseVecAvx512<Real, W>, &rightMulCsrVecAvx512<Real, W>,
+          &axpyBlockVecAvx512<Real>,        KernelBackend::kVector,
+      };
+      if (detectCpuSimd().avx512f) return vectorAvx512;
 #endif
 #if NGLTS_HAVE_AVX2_CLONES
-    static constexpr SmallGemmOps<Real, W> vectorAvx2 = {
-        &starMulDenseVecAvx2<Real, W>, &starMulCsrVecAvx2<Real, W>,
-        &rightMulDenseVecAvx2<Real, W>, &rightMulCsrVecAvx2<Real, W>,
-        &axpyBlockVecAvx2<Real>,        &scaleCopyBlockVecAvx2<Real>,
-        KernelBackend::kVector,
-    };
-    if (wantsVector && detectCpuSimd().avx2) return vectorAvx2;
+      static constexpr SmallGemmOps<Real, W> vectorAvx2 = {
+          &starMulDenseVecAvx2<Real, W>, &starMulCsrVecAvx2<Real, W>,
+          &rightMulDenseVecAvx2<Real, W>, &rightMulCsrVecAvx2<Real, W>,
+          &axpyBlockVecAvx2<Real>,        KernelBackend::kVector,
+      };
+      if (detectCpuSimd().avx2) return vectorAvx2;
 #endif
-    if (wantsVector) return vector;
+      static constexpr SmallGemmOps<Real, W> vector = {
+          &starMulDenseVec<Real, W>, &starMulCsrVec<Real, W>, &rightMulDenseVec<Real, W>,
+          &rightMulCsrVec<Real, W>,  &axpyBlockVec<Real>,     KernelBackend::kVector,
+      };
+      return vector;
+    }
   }
 #endif
   return scalar;

@@ -428,14 +428,6 @@ struct VecKernels {
     const V1 s1 = splat<V1, Real>(s);
     for (; i < n; ++i) storeu(dst + i, loadu<V1>(dst + i) + s1 * loadu<V1>(src + i));
   }
-
-  NGLTS_VEC_INLINE static void scaleCopy(Real s, const Real* src, Real* dst, std::size_t n) {
-    const V sv = splat<V, Real>(s);
-    std::size_t i = 0;
-    for (; i + static_cast<std::size_t>(VL) <= n; i += VL)
-      storeu(dst + i, sv * loadu<V>(src + i));
-    for (; i < n; ++i) dst[i] = s * src[i];
-  }
 };
 
 } // namespace vecdetail
@@ -498,11 +490,6 @@ void axpyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
   vecdetail::VecKernels<Real, 1, vecdetail::kBaseVecBytes>::axpy(s, src, dst, n);
 }
 
-template <typename Real>
-void scaleCopyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
-  vecdetail::VecKernels<Real, 1, vecdetail::kBaseVecBytes>::scaleCopy(s, src, dst, n);
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 runtime clones (x86-64 portable builds): the same bodies inlined
 // into target("avx2") wrappers with 32-byte vectors. Selected by the
@@ -554,12 +541,6 @@ NGLTS_TARGET_AVX2 std::uint64_t rightMulCsrVecAvx2(int_t nVars, int_t kEff, cons
 template <typename Real>
 NGLTS_TARGET_AVX2 void axpyBlockVecAvx2(Real s, const Real* src, Real* dst, std::size_t n) {
   vecdetail::VecKernels<Real, 1, 32>::axpy(s, src, dst, n);
-}
-
-template <typename Real>
-NGLTS_TARGET_AVX2 void scaleCopyBlockVecAvx2(Real s, const Real* src, Real* dst,
-                                             std::size_t n) {
-  vecdetail::VecKernels<Real, 1, 32>::scaleCopy(s, src, dst, n);
 }
 
 #endif // NGLTS_HAVE_AVX2_CLONES
@@ -619,12 +600,6 @@ template <typename Real>
 NGLTS_TARGET_AVX512 void axpyBlockVecAvx512(Real s, const Real* src, Real* dst,
                                             std::size_t n) {
   vecdetail::VecKernels<Real, 1, 64>::axpy(s, src, dst, n);
-}
-
-template <typename Real>
-NGLTS_TARGET_AVX512 void scaleCopyBlockVecAvx512(Real s, const Real* src, Real* dst,
-                                                 std::size_t n) {
-  vecdetail::VecKernels<Real, 1, 64>::scaleCopy(s, src, dst, n);
 }
 
 #endif // NGLTS_HAVE_AVX512_CLONES

@@ -209,6 +209,16 @@ TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
+TEST(Cli, RemovedKernelBackendIsAUsageError) {
+  int status = 0;
+  const std::string err =
+      cliStderr("-s quickstart --scale 0.3 --end-time 0.01 -q --kernel specialized", status);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << err;
+  EXPECT_NE(err.find("unknown kernel backend 'specialized'"), std::string::npos) << err;
+  EXPECT_NE(err.find("auto | scalar | vector)"), std::string::npos) << err;
+}
+
 namespace {
 
 /// Every scenario's primary run takes one engine path: the same body on

@@ -4,28 +4,25 @@
 // return identical analytic flop counts. Covered here:
 //   * per-kernel randomized-operand exactness for {W = 1, 2, 4} x
 //     {dense, CSR} x {star, right} (double and float),
-//   * axpy / scale-copy helper exactness,
+//   * axpy helper exactness,
 //   * flop-count parity across backends,
 //   * backend registry / resolution / parsing behavior,
 //   * AderKernels-level equivalence (full ADER predictor + updates), and
-//   * an end-to-end quickstart run per forced backend with a bitwise
-//     seismogram comparison.
+//   * end-to-end quickstart (dense image) and fused x8 (f32, sparse CSR
+//     image) runs per forced backend with a bitwise seismogram comparison.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
 #include <vector>
 
-#include "basis/global_matrices.hpp"
 #include "cli/scenario.hpp"
 #include "kernels/ader_kernels.hpp"
 #include "kernels/kernel_setup.hpp"
 #include "linalg/small_gemm_dispatch.hpp"
-#include "linalg/small_gemm_specialized.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
-#include "physics/jacobians.hpp"
 
 namespace nl = nglts::linalg;
 namespace nk = nglts::kernels;
@@ -136,7 +133,7 @@ void checkBackendsAgree(unsigned seed) {
     EXPECT_TRUE(bitwiseEqual(c1, c2)) << "rightCsr W=" << W;
   }
 
-  // axpy / scale-copy helpers over an odd length (vector tails exercised).
+  // axpy helper over an odd length (vector tails exercised).
   {
     const std::size_t n = 211;
     const auto src = randomVec<Real>(n, seed + 8);
@@ -145,9 +142,6 @@ void checkBackendsAgree(unsigned seed) {
     scalar.axpy(Real(0.37), src.data(), d1.data(), n);
     vector.axpy(Real(0.37), src.data(), d2.data(), n);
     EXPECT_TRUE(bitwiseEqual(d1, d2)) << "axpy";
-    scalar.scaleCopy(Real(-1.91), src.data(), d1.data(), n);
-    vector.scaleCopy(Real(-1.91), src.data(), d2.data(), n);
-    EXPECT_TRUE(bitwiseEqual(d1, d2)) << "scaleCopy";
   }
 }
 
@@ -165,18 +159,14 @@ TEST(KernelBackends, BitwiseAgreementFloatW16) { checkBackendsAgree<float, 16>(1
 
 // -- registry / resolution / parsing ----------------------------------------
 
-TEST(KernelBackends, RegistryListsScalarVectorAndSpecialized) {
+TEST(KernelBackends, RegistryListsScalarAndVector) {
   const auto& reg = nl::kernelBackendRegistry();
-  ASSERT_EQ(reg.size(), 3u);
+  ASSERT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg[0].id, KernelBackend::kScalar);
   EXPECT_STREQ(reg[0].name, "scalar");
   EXPECT_TRUE(reg[0].available);  // the reference backend always exists
   EXPECT_EQ(reg[1].id, KernelBackend::kVector);
   EXPECT_STREQ(reg[1].name, "vector");
-  EXPECT_EQ(reg[2].id, KernelBackend::kSpecialized);
-  EXPECT_STREQ(reg[2].name, "specialized");
-  // specialized is vector + pattern kernels: both share one availability rule
-  EXPECT_EQ(reg[2].available, reg[1].available);
   for (const auto& info : reg) EXPECT_FALSE(std::string(info.description).empty());
 }
 
@@ -184,11 +174,17 @@ TEST(KernelBackends, ParseRoundTrips) {
   EXPECT_EQ(nl::parseKernelBackend("auto"), KernelBackend::kAuto);
   EXPECT_EQ(nl::parseKernelBackend("scalar"), KernelBackend::kScalar);
   EXPECT_EQ(nl::parseKernelBackend("vector"), KernelBackend::kVector);
-  EXPECT_EQ(nl::parseKernelBackend("specialized"), KernelBackend::kSpecialized);
   EXPECT_THROW(nl::parseKernelBackend("avx512"), std::invalid_argument);
   EXPECT_THROW(nl::parseKernelBackend(""), std::invalid_argument);
-  for (auto b : {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kVector,
-                 KernelBackend::kSpecialized})
+  // The removed opt-in backend is rejected loudly, naming what is accepted.
+  try {
+    nl::parseKernelBackend("specialized");
+    ADD_FAILURE() << "'specialized' must not parse";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("auto | scalar | vector)"), std::string::npos)
+        << e.what();
+  }
+  for (auto b : {KernelBackend::kAuto, KernelBackend::kScalar, KernelBackend::kVector})
     EXPECT_EQ(nl::parseKernelBackend(nl::kernelBackendName(b)), b);
 }
 
@@ -196,21 +192,13 @@ TEST(KernelBackends, ResolutionNeverReturnsAuto) {
   EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kScalar), KernelBackend::kScalar);
   const KernelBackend autoPick = nl::resolveKernelBackend(KernelBackend::kAuto);
   EXPECT_NE(autoPick, KernelBackend::kAuto);
-  // specialized is opt-in only: its win is shape-dependent, so auto must
-  // never escalate to it on its own.
-  EXPECT_NE(autoPick, KernelBackend::kSpecialized);
   // On GCC/Clang builds the vector kernels are compiled in; auto must pick
-  // them whenever the CPU reports any SIMD, and an explicit vector or
-  // specialized request must then resolve (not fall back, not throw).
+  // them whenever the CPU reports any SIMD, and an explicit vector request
+  // must then resolve (not fall back, not throw).
   if (nl::vectorBackendCompiled() && nl::detectCpuSimd().any()) {
     EXPECT_EQ(autoPick, KernelBackend::kVector);
     EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kVector), KernelBackend::kVector);
-    EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kSpecialized),
-              KernelBackend::kSpecialized);
     EXPECT_EQ(nl::resolvedKernelBackendLabel(KernelBackend::kVector).rfind("vector(", 0), 0u);
-    EXPECT_EQ(
-        nl::resolvedKernelBackendLabel(KernelBackend::kSpecialized).rfind("specialized(", 0),
-        0u);
   }
 }
 
@@ -220,146 +208,6 @@ TEST(KernelBackends, DetectionIsStableAndLabelled) {
   EXPECT_EQ(simd.any(), std::string(simd.isa) != "none");
   EXPECT_EQ(nl::resolvedKernelBackendLabel(KernelBackend::kScalar), "scalar");
 }
-
-// -- specialized backend: committed patterns vs runtime operators -----------
-
-namespace {
-
-/// The generic-geometry star pattern: union over directions of the elastic
-/// Jacobian patterns (mirrors tools/gen_specialized.cpp).
-nl::Matrix elasticStarUnion() {
-  const np::Material mat = np::elasticMaterial(2700.0, 6000.0, 3464.0);
-  nl::Matrix u(nglts::kElasticVars, nglts::kElasticVars);
-  for (int_t d = 0; d < 3; ++d) {
-    const nl::Matrix j = np::elasticJacobian(mat, d);
-    for (int_t r = 0; r < nglts::kElasticVars; ++r)
-      for (int_t c = 0; c < nglts::kElasticVars; ++c)
-        if (j(r, c) != 0.0) u(r, c) = 1.0;
-  }
-  return u;
-}
-
-} // namespace
-
-/// Drift guard for the committed tables: every registered operator pattern,
-/// rebuilt the way the runtime builds it, must still be found by the
-/// exact-match lookup. If this fails, rerun tools/gen_specialized.cpp — the
-/// backend itself only loses speed (per-operator generic fallback), not
-/// correctness.
-TEST(KernelBackends, SpecializedLookupMatchesRuntimeOperators) {
-  for (const int_t order : {int_t(3), int_t(4)}) {
-    const auto gm = nglts::basis::buildGlobalMatrices(order);
-    for (int_t c = 0; c < 3; ++c) {
-      const auto kD = nl::toCsr<double>(gm->kXi[c]);
-      const auto gD = nl::toCsr<double>(gm->gXi[c]);
-      EXPECT_NE((nl::findSpecializedRightCsr<double, 2>(kD)), nullptr)
-          << "order " << order << " kXi[" << c << "]";
-      EXPECT_NE((nl::findSpecializedRightCsr<double, 2>(gD)), nullptr)
-          << "order " << order << " gXi[" << c << "]";
-      // float shares the pattern (toCsr thresholds the double value)
-      EXPECT_NE((nl::findSpecializedRightCsr<float, 8>(nl::toCsr<float>(gm->kXi[c]))), nullptr);
-      // W = 1 GEMM shapes delegate to the scalar reference by design
-      EXPECT_EQ((nl::findSpecializedRightCsr<double, 1>(kD)), nullptr);
-    }
-  }
-  EXPECT_NE((nl::findSpecializedStarCsr<double, 2>(nl::toCsr<double>(elasticStarUnion()))),
-            nullptr);
-  // An unregistered pattern must miss, never mis-match: the 10x10 identity.
-  nl::Matrix eye(10, 10);
-  for (int_t i = 0; i < 10; ++i) eye(i, i) = 1.0;
-  EXPECT_EQ((nl::findSpecializedRightCsr<double, 2>(nl::toCsr<double>(eye))), nullptr);
-  EXPECT_EQ((nl::findSpecializedStarCsr<double, 2>(nl::toCsr<double>(eye))), nullptr);
-}
-
-/// At the raw dispatch level kSpecialized returns the generic vector tables
-/// (tagged kVector) — the pattern kernels live per-operator in
-/// `SmallOp::specializedRight`, resolved by AderKernels.
-TEST(KernelBackends, SpecializedDispatchFallsThroughToVectorTables) {
-  NGLTS_REQUIRE_VECTOR_BACKEND();
-  const auto& spec = nl::smallGemmOps<double, 2>(KernelBackend::kSpecialized);
-  const auto& vec = nl::smallGemmOps<double, 2>(KernelBackend::kVector);
-  EXPECT_EQ(spec.backend, KernelBackend::kVector);
-  EXPECT_EQ(spec.rightCsr, vec.rightCsr);
-  EXPECT_EQ(spec.starCsr, vec.starCsr);
-}
-
-namespace {
-
-/// Specialized right-multiply vs the scalar reference on the registered
-/// operator patterns: bitwise-identical outputs and identical analytic flop
-/// counts, including the runtime kEff trim (and its clamp past b.rows).
-template <typename Real, int W>
-void checkSpecializedRightAgree(unsigned seed) {
-  NGLTS_REQUIRE_VECTOR_BACKEND();
-  const auto& scalar = nl::smallGemmOps<Real, W>(KernelBackend::kScalar);
-  for (const int_t order : {int_t(3), int_t(4)}) {
-    const auto gm = nglts::basis::buildGlobalMatrices(order);
-    for (const nl::Matrix* m : {&gm->kXi[0], &gm->gXi[1]}) {
-      const auto csr = nl::toCsr<Real>(*m);
-      const auto fn = nl::findSpecializedRightCsr<Real, W>(csr);
-      ASSERT_NE(fn, nullptr);
-      const int_t nVars = 9, ldd = csr.rows + 3, ldo = csr.cols + 2;
-      for (const int_t kEff : {csr.rows, csr.rows / 2, csr.rows + 5}) {
-        const auto d =
-            randomVec<Real>(static_cast<std::size_t>(nVars) * ldd * W, seed, 0.2);
-        auto o1 = randomVec<Real>(static_cast<std::size_t>(nVars) * ldo * W, seed + 1);
-        auto o2 = o1;
-        const auto f1 = scalar.rightCsr(nVars, kEff, csr, d.data(), o1.data(), ldd, ldo);
-        const auto f2 = fn(nVars, kEff, csr, d.data(), o2.data(), ldd, ldo);
-        EXPECT_EQ(f1, f2) << "flop parity, order " << order << " kEff " << kEff;
-        EXPECT_TRUE(bitwiseEqual(o1, o2))
-            << "order " << order << " W " << W << " kEff " << kEff;
-        ++seed;
-      }
-    }
-  }
-}
-
-/// Specialized star vs the scalar reference on the elastic union pattern,
-/// with both an even and an odd (tail-bearing) column count.
-template <typename Real, int W>
-void checkSpecializedStarAgree(unsigned seed) {
-  NGLTS_REQUIRE_VECTOR_BACKEND();
-  const auto& scalar = nl::smallGemmOps<Real, W>(KernelBackend::kScalar);
-  nl::Matrix u = elasticStarUnion();
-  // Pattern-preserving random values (the committed pattern fixes only the
-  // structure; the values stay runtime operands).
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> uni(0.1, 2.0);
-  for (int_t r = 0; r < u.rows(); ++r)
-    for (int_t c = 0; c < u.cols(); ++c)
-      if (u(r, c) != 0.0) u(r, c) = uni(rng);
-  const auto csr = nl::toCsr<Real>(u);
-  const auto fn = nl::findSpecializedStarCsr<Real, W>(csr);
-  ASSERT_NE(fn, nullptr);
-  for (const int_t nCols : {int_t(20), int_t(13)}) {
-    const int_t ld = nCols + 4;
-    const auto d = randomVec<Real>(static_cast<std::size_t>(csr.cols) * ld * W, seed + 1);
-    auto o1 = randomVec<Real>(static_cast<std::size_t>(csr.rows) * ld * W, seed + 2);
-    auto o2 = o1;
-    const auto f1 = scalar.starCsr(csr, nCols, ld, d.data(), o1.data());
-    const auto f2 = fn(csr, nCols, ld, d.data(), o2.data());
-    EXPECT_EQ(f1, f2) << "star flop parity, nCols " << nCols;
-    EXPECT_TRUE(bitwiseEqual(o1, o2)) << "star W " << W << " nCols " << nCols;
-  }
-}
-
-} // namespace
-
-TEST(KernelBackends, SpecializedRightBitwiseDoubleW2) {
-  checkSpecializedRightAgree<double, 2>(21);
-}
-TEST(KernelBackends, SpecializedRightBitwiseDoubleW4) {
-  checkSpecializedRightAgree<double, 4>(22);
-}
-TEST(KernelBackends, SpecializedRightBitwiseFloatW8) {
-  checkSpecializedRightAgree<float, 8>(23);
-}
-TEST(KernelBackends, SpecializedRightBitwiseFloatW16) {
-  checkSpecializedRightAgree<float, 16>(24);
-}
-TEST(KernelBackends, SpecializedStarBitwiseDoubleW2) { checkSpecializedStarAgree<double, 2>(25); }
-TEST(KernelBackends, SpecializedStarBitwiseFloatW8) { checkSpecializedStarAgree<float, 8>(26); }
 
 // -- AderKernels-level equivalence ------------------------------------------
 
@@ -436,46 +284,65 @@ TEST(KernelBackends, AderKernelsBitwiseAcrossBackends) {
   const auto [vOut2, vFlops2] = runAderPipeline<2>(f, true, KernelBackend::kVector);
   EXPECT_EQ(sFlops2, vFlops2);
   EXPECT_TRUE(bitwiseEqual(sOut2, vOut2));
-  // specialized: pattern kernels fire on the registered kXi/gXi operators
-  // (order 4, sparse, W = 2) and must stay bitwise + flop-identical.
-  const auto [pOut2, pFlops2] = runAderPipeline<2>(f, true, KernelBackend::kSpecialized);
-  EXPECT_EQ(sFlops2, pFlops2) << "specialized flop parity";
-  EXPECT_TRUE(bitwiseEqual(sOut2, pOut2)) << "specialized W=2 sparse";
-  // W = 1 specialized degrades to the generic path per the W=1 rule.
-  const auto [sOut1, sFlops1] = runAderPipeline<1>(f, true, KernelBackend::kScalar);
-  const auto [pOut1, pFlops1] = runAderPipeline<1>(f, true, KernelBackend::kSpecialized);
-  EXPECT_EQ(sFlops1, pFlops1);
-  EXPECT_TRUE(bitwiseEqual(sOut1, pOut1));
 }
 
-// -- end-to-end: quickstart seismogram per forced backend -------------------
+// -- end-to-end: seismogram per forced backend -----------------------------
 
-TEST(KernelBackends, QuickstartSeismogramBitwiseAcrossBackends) {
-  NGLTS_REQUIRE_VECTOR_BACKEND();
+namespace {
+
+/// Run `scenario` under each forced backend (scalar reference, vector,
+/// auto): the seismogram must agree to the bit, and the analytic work
+/// counters (flops, element updates) must not depend on the backend.
+void expectScenarioBitwiseAcrossBackends(const std::string& scenario,
+                                         nglts::cli::ScenarioOptions opts) {
   nglts::cli::registerBuiltinScenarios();
-  const auto* s = nglts::cli::ScenarioRegistry::instance().find("quickstart");
+  const auto* s = nglts::cli::ScenarioRegistry::instance().find(scenario);
   ASSERT_NE(s, nullptr);
+  opts.quiet = true;
   auto runWith = [&](KernelBackend b) {
-    nglts::cli::ScenarioOptions opts;
-    opts.meshScale = 0.4;
-    opts.order = 3;
-    opts.endTime = 0.3;
-    opts.quiet = true;
     opts.kernelBackend = b;
     return s->run(opts);
   };
   const auto scalarRun = runWith(KernelBackend::kScalar);
-  const auto vectorRun = runWith(KernelBackend::kVector);
-  const auto autoRun = runWith(KernelBackend::kAuto);
-  const auto specialRun = runWith(KernelBackend::kSpecialized);
-  ASSERT_FALSE(scalarRun.trace.empty());
-  EXPECT_EQ(scalarRun.stats.flops, vectorRun.stats.flops) << "end-to-end flop parity";
-  EXPECT_EQ(scalarRun.stats.flops, specialRun.stats.flops) << "specialized flop parity";
-  EXPECT_TRUE(bitwiseEqual(scalarRun.trace, vectorRun.trace));
-  EXPECT_TRUE(bitwiseEqual(scalarRun.trace, autoRun.trace));
-  EXPECT_TRUE(bitwiseEqual(scalarRun.trace, specialRun.trace));
-  // The summary records which backend produced the run (CI greps it).
-  EXPECT_NE(scalarRun.summary.find("kernel backend: scalar"), std::string::npos);
-  EXPECT_NE(vectorRun.summary.find("kernel backend: vector"), std::string::npos);
-  EXPECT_NE(specialRun.summary.find("kernel backend: specialized"), std::string::npos);
+  ASSERT_FALSE(scalarRun.trace.empty()) << scenario;
+  ASSERT_GT(scalarRun.stats.elementUpdates, 0u) << scenario;
+  bool signal = false;
+  for (double v : scalarRun.trace) signal = signal || v != 0.0;
+  ASSERT_TRUE(signal) << scenario << ": trace carries no signal";
+  for (const KernelBackend b : {KernelBackend::kVector, KernelBackend::kAuto}) {
+    const auto run = runWith(b);
+    const std::string label = scenario + " --kernel " + nl::kernelBackendName(b);
+    EXPECT_EQ(scalarRun.stats.flops, run.stats.flops) << label << ": flop parity";
+    EXPECT_EQ(scalarRun.stats.elementUpdates, run.stats.elementUpdates) << label;
+    EXPECT_TRUE(bitwiseEqual(scalarRun.trace, run.trace)) << label;
+    // The summary records which backend produced the run (CI greps it).
+    if (b == KernelBackend::kVector)
+      EXPECT_NE(run.summary.find("kernel backend: vector"), std::string::npos) << run.summary;
+  }
+  EXPECT_NE(scalarRun.summary.find("kernel backend: scalar"), std::string::npos)
+      << scalarRun.summary;
+}
+
+} // namespace
+
+TEST(KernelBackends, QuickstartSeismogramBitwiseAcrossBackends) {
+  NGLTS_REQUIRE_VECTOR_BACKEND();
+  nglts::cli::ScenarioOptions opts;
+  opts.meshScale = 0.4;
+  opts.order = 3;
+  opts.endTime = 0.3;
+  expectScenarioBitwiseAcrossBackends("quickstart", opts);
+}
+
+/// The fused ensemble runs the fully sparse CSR image at W = 8 in f32 —
+/// the kernel path of the fused benchmark workload, which the dense
+/// quickstart image never touches.
+TEST(KernelBackends, FusedSparseSeismogramBitwiseAcrossBackends) {
+  NGLTS_REQUIRE_VECTOR_BACKEND();
+  nglts::cli::ScenarioOptions opts;
+  opts.fusedWidth = 8;
+  opts.precision = nglts::solver::Precision::kF32;
+  opts.meshScale = 0.35;
+  opts.endTime = 0.3;
+  expectScenarioBitwiseAcrossBackends("fused", opts);
 }

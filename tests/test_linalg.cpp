@@ -178,13 +178,11 @@ TEST(SmallGemm, RightCsrW1) { checkRightAgainstReference<1>(true, 20); }
 TEST(SmallGemm, RightCsrW1Trimmed) { checkRightAgainstReference<1>(true, 10); }
 TEST(SmallGemm, RightCsrW16) { checkRightAgainstReference<16>(true, 20); }
 
-TEST(SmallGemm, AxpyAndScaleCopy) {
+TEST(SmallGemm, Axpy) {
   std::vector<double> src = {1.0, 2.0, 3.0}, dst = {1.0, 1.0, 1.0};
   nl::axpyBlock(2.0, src.data(), dst.data(), 3);
   EXPECT_DOUBLE_EQ(dst[0], 3.0);
   EXPECT_DOUBLE_EQ(dst[2], 7.0);
-  nl::scaleCopyBlock(0.5, src.data(), dst.data(), 3);
-  EXPECT_DOUBLE_EQ(dst[1], 1.0);
 }
 
 TEST(SmallGemm, DenseCsrAgree) {
