@@ -31,7 +31,7 @@ struct RowResult {
 
 template <int W>
 RowResult runCase(solver::TimeScheme scheme, double lambda, bool sparse, double scale,
-                  double tEnd, bool reorder = true, int_t threads = -1) {
+                  double tEnd, int_t threads = -1) {
   bench::Loh3Scenario sc(scale);
   solver::SimConfig cfg;
   cfg.order = 4;
@@ -44,7 +44,6 @@ RowResult runCase(solver::TimeScheme scheme, double lambda, bool sparse, double 
   if (cfg.autoLambda) cfg.lambda = 1.0;
   cfg.sparseKernels = sparse;
   cfg.kernelBackend = bench::benchKernelBackend();
-  cfg.clusterReorder = reorder;
   cfg.numThreads = threads > 0 ? threads : solver::hardwareThreads();
   solver::Simulation<float, W> sim(std::move(sc.mesh), std::move(sc.materials), cfg);
   sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
@@ -119,14 +118,12 @@ int main() {
   double gtsCost1 = 0.0;
   std::vector<std::array<double, 2>> costs;
   std::vector<std::array<double, 2>> gflops;
-  RowResult ltsPacked; // "EDGE LTS (1.0)" 1-sim run, reused for the reorder A/B
   for (const Row& r : rows) {
     const double c1 = timeToSolution<1>(r.scheme, r.lambda, false, scale, tEnd);
     const double c16 = timeToSolution<16>(r.scheme, r.lambda, true, scale, tEnd);
     const auto p1 = runCase<1>(r.scheme, r.lambda, false, scale, tEnd);
     const auto p16 = runCase<16>(r.scheme, r.lambda, true, scale, tEnd);
     if (gtsCost1 == 0.0) gtsCost1 = c1;
-    if (r.scheme == solver::TimeScheme::kLtsNextGen && r.lambda == 1.0) ltsPacked = p1;
     costs.push_back({c1, c16});
     gflops.push_back({p1.gflops, p16.gflops});
     table.addRow({r.name, formatNumber(p1.gflops, "%.1f"), formatNumber(gtsCost1 / c1, "%.2f"),
@@ -143,20 +140,6 @@ int main() {
   std::printf("%s\n", table.str().c_str());
   table.writeCsv("tab1_performance.csv");
 
-  // A/B of the cluster-contiguous arena layout (Sec. VI): the same LTS run
-  // through the contiguous cluster ranges (the "EDGE LTS (1.0)" row above)
-  // vs the legacy index-list gather.
-  const auto& packed = ltsPacked;
-  const auto lists = runCase<1>(solver::TimeScheme::kLtsNextGen, 1.0, false, scale, tEnd, false);
-  std::printf("LTS element updates/s: reordered %.3g, index lists %.3g (%.2fx)\n",
-              packed.updatesPerSec, lists.updatesPerSec,
-              packed.updatesPerSec / lists.updatesPerSec);
-  json.beginRow();
-  json.rowSet("configuration", "EDGE LTS (1.0) cluster-reorder A/B");
-  json.rowSet("updates_per_sec_reordered", packed.updatesPerSec);
-  json.rowSet("updates_per_sec_index_lists", lists.updatesPerSec);
-  json.rowSet("reorder_speedup", packed.updatesPerSec / lists.updatesPerSec);
-
   // Thread-count sweep of the threaded StepExecutor (static chunks over the
   // cluster-contiguous ranges, first-touch-matched): the same LTS setting at
   // 1/2/4/8 threads. Results are bitwise-identical across the sweep — only
@@ -167,7 +150,7 @@ int main() {
     double oneThread = 0.0;
     for (int_t t : {1, 2, 4, 8}) {
       const auto r =
-          runCase<1>(solver::TimeScheme::kLtsNextGen, 1.0, false, scale, tEnd, true, t);
+          runCase<1>(solver::TimeScheme::kLtsNextGen, 1.0, false, scale, tEnd, t);
       if (t == 1) oneThread = r.updatesPerSec;
       std::printf("  %lld threads: %.3g element updates/s (%.2fx vs 1 thread)\n",
                   static_cast<long long>(t), r.updatesPerSec, r.updatesPerSec / oneThread);

@@ -47,8 +47,8 @@ void printUsage() {
       "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
       "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
       "      --executor M      chunk scheduling of the solver loops: static | dynamic\n"
-      "                        (default static; dynamic work-steals whole chunks,\n"
-      "                        halo-boundary chunks first; bitwise-identical results)\n"
+      "                        (default static; dynamic work-steals whole chunks;\n"
+      "                        bitwise-identical results)\n"
       "      --partition W     rank-partitioner weighting: weighted | unweighted\n"
       "                        (default weighted = LTS update frequency + face-flux\n"
       "                        share; affects rank balance only, results are\n"

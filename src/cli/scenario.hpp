@@ -80,7 +80,7 @@ struct ScenarioOptions {
   /// Chunk→thread scheduling of the solver loops (`SimConfig::executorMode`,
   /// the `--executor` flag): `static` (chunk t on thread t, the bitwise
   /// reference) or `dynamic` (work-stealing over an over-decomposed chunk
-  /// map, halo-boundary chunks first). Results are bitwise-identical across
+  /// map). Results are bitwise-identical across
   /// modes and thread counts — a pure performance knob.
   std::optional<solver::ExecutorMode> executor;
   /// Dual-graph weighting of the rank partitioner

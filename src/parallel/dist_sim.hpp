@@ -44,7 +44,9 @@
 // runs its halo-boundary producers first so their payloads enter the
 // network before the interior bulk computes, and the neighbor phase runs
 // interior consumers first so the exchange is in flight during compute and
-// only the boundary subset waits on arrivals. Element updates within one
+// only the boundary sub-range waits on arrivals (each cluster's arena range
+// is laid out interior | halo boundary, so both halves are contiguous
+// ranges — SolverState::haloBoundaryBegin). Element updates within one
 // schedule op are independent, so the split is bitwise-identical to the
 // lockstep reference it is A/B'd against (see stepOpOverlap).
 #include <cstdint>
@@ -79,7 +81,7 @@ struct DistConfig {
   /// rank threads, or real MPI — one process per rank, requires a build
   /// with NGLTS_WITH_MPI=ON and `mpiInit` before construction.
   Transport transport = Transport::kSeq;
-  /// Split each schedule op into halo-boundary and interior subsets so the
+  /// Split each schedule op into halo-boundary and interior sub-ranges so the
   /// exchange overlaps interior compute (bitwise-identical to lockstep).
   bool overlap = false;
   /// Test/bench seam: construct the communicator yourself (the adversarial

@@ -6,8 +6,8 @@
 // lockstep, ThreadComm per-rank threads, and the MpiComm one-process-per-
 // rank mode where only the local rank's engine is built. The element
 // stepping itself is the shared `StepExecutor` — there is no duplicated
-// update loop here; the overlap mode only re-partitions each op's element
-// range into boundary/interior subset calls around the same exchange.
+// update loop here; the overlap mode only splits each op's element range
+// into its interior and halo-boundary sub-ranges around the same exchange.
 #include "parallel/dist_sim.hpp"
 
 #include <algorithm>
@@ -50,14 +50,6 @@ std::uint64_t readU64(const std::vector<std::uint8_t>& raw, std::size_t& off) {
   return v;
 }
 
-/// Sorted unique copy of `v` — the boundary element lists of the overlap
-/// split (an element can produce/consume on several halo faces).
-std::vector<idx_t> sortedUnique(std::vector<idx_t> v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
-}
-
 } // namespace
 
 /// Per-rank engine: halo view, arena, hook, executor, ghost slots and the
@@ -81,15 +73,6 @@ struct DistributedSimulation<Real, W>::Rank {
   };
   std::vector<std::vector<SendOp>> sendByCluster;
   std::vector<std::vector<idx_t>> recvByCluster; ///< ghost slot ids
-
-  // Overlap split (stepOpOverlap): per cluster, the owned elements with at
-  // least one cross-rank face — each such element both produces for and
-  // consumes from its remote neighbor through that face, so one set serves
-  // both phases — and the interior complement. Their union is exactly the
-  // cluster's owned range, so subset stepping is bitwise-identical to the
-  // unsplit op.
-  std::vector<std::vector<idx_t>> haloBound; ///< internal ids, sorted unique
-  std::vector<std::vector<idx_t>> interior;  ///< cluster range \ haloBound
 
   // Serial packing staging (one producer face at a time).
   aligned_vector<Real> combo, face0, face1;
@@ -224,24 +207,6 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->face0.assign(faceN, Real(0));
   rank->face1.assign(faceN, Real(0));
 
-  // Boundary/interior split lists for the overlap mode.
-  rank->haloBound.assign(nc, {});
-  rank->interior.assign(nc, {});
-  for (int_t c = 0; c < nc; ++c) {
-    std::vector<idx_t> bound;
-    for (const typename Rank::SendOp& op : rank->sendByCluster[c]) bound.push_back(op.el);
-    rank->haloBound[c] = sortedUnique(std::move(bound));
-    const std::vector<idx_t>& b = rank->haloBound[c];
-    auto addInterior = [&](idx_t el) {
-      if (!std::binary_search(b.begin(), b.end(), el)) rank->interior[c].push_back(el);
-    };
-    if (state.contiguousClusters()) {
-      for (idx_t el = state.clusterBegin(c); el < state.clusterEnd(c); ++el) addInterior(el);
-    } else {
-      for (idx_t el : state.clusterElems(c)) addInterior(el);
-    }
-  }
-
   auto inner = solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, kernels,
                                                        setup_.clustering.clusterDt);
   auto policy = std::make_unique<HaloNeighborData<Real, W>>(
@@ -250,17 +215,6 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
       cfg_.sim, kernels, *rank->state, view.clustering, setup_.schedule, rank->hook.get(),
       std::move(policy));
-  if (cfg_.sim.executorMode == solver::ExecutorMode::kDynamic) {
-    // Dynamic mode: queue halo-boundary chunks first so the data the
-    // exchange ships is computed earliest in each op — with `--overlap`,
-    // the boundary-subset call returns (and sends post) as soon as every
-    // thread has drained those front-of-queue chunks. Pure ordering hint;
-    // results stay bitwise-identical.
-    std::vector<idx_t> bound;
-    for (int_t c = 0; c < nc; ++c)
-      bound.insert(bound.end(), rank->haloBound[c].begin(), rank->haloBound[c].end());
-    rank->exec->setHaloPriority(bound);
-  }
   ranks_[r] = std::move(rank);
 }
 
@@ -496,28 +450,31 @@ void DistributedSimulation<Real, W>::stepOp(Rank& rank, const lts::ScheduleOp& o
 
 // The overlapped exchange. Correctness rests on three facts: (1) packAndSend
 // reads only the boundary producers' buffers, all written by the time the
-// boundary subset ran; (2) interior consumers read no ghost slot, so they
+// boundary sub-range ran; (2) interior consumers read no ghost slot, so they
 // may run before the receives; (3) the executor's step counter advances only
-// on the final subset call, so the sub-step parity seen by packAndSend /
+// on the final sub-range call, so the sub-step parity seen by packAndSend /
 // receiveHalo / the element kernels is identical to lockstep. Send and
 // receive calls keep their per-(src,dst,tag) order, so the payload *values*
 // on the wire are exactly the lockstep ones — bitwise identity follows.
 template <typename Real, int W>
 void DistributedSimulation<Real, W>::stepOpOverlap(Rank& rank, const lts::ScheduleOp& op) {
   const int_t c = op.cluster;
+  const idx_t begin = rank.state->clusterBegin(c);
+  const idx_t split = rank.state->haloBoundaryBegin(c);
+  const idx_t end = rank.state->clusterEnd(c);
   if (op.kind == lts::PhaseKind::kLocal) {
     // Boundary producers first: their payloads enter the network before the
     // interior bulk computes.
-    rank.exec->runOp(op, rank.haloBound[c], false);
+    rank.exec->runOp(op, split, end, false);
     packAndSend(rank, c);
-    rank.exec->runOp(op, rank.interior[c], false);
+    rank.exec->runOp(op, begin, split, false);
   } else {
     // Interior consumers overlap with the in-flight exchange; only the
-    // boundary subset waits on what has not yet arrived.
-    rank.exec->runOp(op, rank.interior[c], false);
+    // boundary sub-range waits on what has not yet arrived.
+    rank.exec->runOp(op, begin, split, false);
     comm_->pollInbox(rank.id);
     receiveHalo(rank, c);
-    rank.exec->runOp(op, rank.haloBound[c], true);
+    rank.exec->runOp(op, split, end, true);
   }
 }
 

@@ -30,20 +30,26 @@ Reordering buildReordering(const mesh::TetMesh& mesh, const std::vector<int_t>& 
   return r;
 }
 
+bool hasHaloFace(const mesh::TetMesh& mesh, idx_t e, idx_t numOwned) {
+  for (int_t f = 0; f < 4; ++f)
+    if (mesh.faces[e][f].neighbor >= numOwned) return true;
+  return false;
+}
+
 namespace {
 
-/// Sum of |newId[e] - newId[nb]| over intra-cluster faces — the locality
+/// Sum of |newId[e] - newId[nb]| over intra-block faces — the locality
 /// cost the neighbor phase's cache behaviour depends on. `localId` maps a
-/// cluster's elements to their position within the cluster block.
-double intraClusterDistance(const mesh::TetMesh& mesh, const std::vector<int_t>& cluster,
-                            const std::vector<idx_t>& order, idx_t owned,
-                            std::vector<idx_t>& localId /* scratch, size n */) {
+/// block's elements to their position within the block.
+double intraBlockDistance(const mesh::TetMesh& mesh, const std::vector<int_t>& block,
+                          const std::vector<idx_t>& order, idx_t owned,
+                          std::vector<idx_t>& localId /* scratch, size n */) {
   for (std::size_t i = 0; i < order.size(); ++i) localId[order[i]] = static_cast<idx_t>(i);
   double sum = 0.0;
   for (idx_t e : order)
     for (int_t f = 0; f < 4; ++f) {
       const idx_t nb = mesh.faces[e][f].neighbor;
-      if (nb >= 0 && nb < owned && cluster[nb] == cluster[e])
+      if (nb >= 0 && nb < owned && block[nb] == block[e])
         sum += std::abs(static_cast<double>(localId[e] - localId[nb]));
     }
   return sum;
@@ -59,23 +65,30 @@ Reordering buildClusterReordering(const mesh::TetMesh& mesh, const std::vector<i
   int_t nc = 0;
   for (idx_t e = 0; e < n; ++e) nc = std::max(nc, cluster[e] + 1);
 
-  // Base ordering: stable by-cluster sort, preserving the mesh generator's
-  // numbering inside each cluster (already near-banded for graded boxes).
-  // Only the owned prefix takes part; halo elements stay behind it.
-  std::vector<std::vector<idx_t>> blocks(nc);
-  for (idx_t e = 0; e < owned; ++e) blocks[cluster[e]].push_back(e);
+  // Sub-block of each owned element: its cluster, split into interior
+  // (role 0) then halo boundary (role 1, a face neighbor in the halo suffix)
+  // — the interior-then-send order of `buildReordering`. Base ordering is a
+  // stable sort by sub-block, preserving the mesh generator's numbering
+  // inside each one (already near-banded for graded boxes). Only the owned
+  // prefix takes part; halo elements stay behind it.
+  std::vector<int_t> blockOf(owned);
+  std::vector<std::vector<idx_t>> blocks(2 * static_cast<std::size_t>(nc));
+  for (idx_t e = 0; e < owned; ++e) {
+    blockOf[e] = 2 * cluster[e] + (hasHaloFace(mesh, e, owned) ? 1 : 0);
+    blocks[blockOf[e]].push_back(e);
+  }
 
   Reordering r;
   r.oldId.reserve(n);
   std::vector<idx_t> localId(n, 0);
   std::vector<char> visited;
   std::vector<idx_t> bfs;
-  for (int_t c = 0; c < nc; ++c) {
-    auto& block = blocks[c];
+  for (int_t k = 0; k < 2 * nc; ++k) {
+    auto& block = blocks[k];
     if (packNeighbors && block.size() > 2) {
-      // Candidate: BFS over the intra-cluster dual graph, seeded from the
+      // Candidate: BFS over the intra-block dual graph, seeded from the
       // lowest unvisited id (deterministic) — an element and its
-      // same-cluster face-neighbors end up within a frontier of each other.
+      // same-block face-neighbors end up within a frontier of each other.
       // Keep it only if it beats the preserved input order on the summed
       // neighbor distance; for meshes with poor native numbering BFS wins,
       // for generator-ordered boxes the input order usually does.
@@ -91,15 +104,15 @@ Reordering buildClusterReordering(const mesh::TetMesh& mesh, const std::vector<i
           const idx_t e = bfs[head];
           for (int_t f = 0; f < 4; ++f) {
             const idx_t nb = mesh.faces[e][f].neighbor;
-            if (nb >= 0 && nb < owned && !visited[nb] && cluster[nb] == c) {
+            if (nb >= 0 && nb < owned && !visited[nb] && blockOf[nb] == k) {
               bfs.push_back(nb);
               visited[nb] = 1;
             }
           }
         }
       }
-      if (intraClusterDistance(mesh, cluster, bfs, owned, localId) <
-          intraClusterDistance(mesh, cluster, block, owned, localId))
+      if (intraBlockDistance(mesh, blockOf, bfs, owned, localId) <
+          intraBlockDistance(mesh, blockOf, block, owned, localId))
         block.swap(bfs);
     }
     r.oldId.insert(r.oldId.end(), block.begin(), block.end());

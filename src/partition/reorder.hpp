@@ -30,9 +30,17 @@ Reordering buildReordering(const mesh::TetMesh& mesh, const std::vector<int_t>& 
 /// `numOwned >= 0` restricts the permutation to the owned prefix
 /// [0, numOwned): only owned elements are cluster-sorted/BFS-packed; the
 /// halo suffix [numOwned, n) keeps its order, appended after the owned
-/// cluster ranges (the distributed arena layout of Sec. V-C).
+/// cluster ranges (the distributed arena layout of Sec. V-C). Each owned
+/// cluster range is itself split into an interior sub-block followed by the
+/// halo-boundary sub-block (elements with `hasHaloFace`), and the BFS runs
+/// inside each sub-block. Without a halo suffix the boundary sub-blocks are
+/// empty.
 Reordering buildClusterReordering(const mesh::TetMesh& mesh, const std::vector<int_t>& cluster,
                                   bool packNeighbors = true, idx_t numOwned = -1);
+
+/// Whether element `e` has a face neighbor in the halo suffix
+/// [numOwned, n) — a halo-boundary element of a rank-local view.
+bool hasHaloFace(const mesh::TetMesh& mesh, idx_t e, idx_t numOwned);
 
 /// First internal index of each cluster under a cluster-contiguous
 /// reordering: `numClusters + 1` offsets, range of cluster c is

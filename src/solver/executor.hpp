@@ -7,8 +7,9 @@
 // chunk t runs on thread t — the same map the arena's NUMA first-touch
 // pass used, so every thread streams through pages it placed itself; the
 // dynamic mode (`SimConfig::executorMode`) over-decomposes into
-// `dynamicChunkCount(numThreads)` chunks and work-steals them whole, with
-// halo-boundary chunks queued first (`setHaloPriority`). The
+// `dynamicChunkCount(numThreads)` chunks and work-steals them whole. The
+// distributed overlap mode runs an op as two calls over the interior and
+// halo-boundary sub-ranges of the cluster's range. The
 // three neighbor-data paradigms — GTS direct-B1, the paper's
 // next-generation three-buffer scheme, and the buffer+derivative baseline
 // of [15] — are strategy classes behind the `NeighborDataPolicy` interface
@@ -118,18 +119,18 @@ class StepExecutor {
   /// halo sends/receives between ops. `runCycle()` is a loop over these.
   void runOp(const lts::ScheduleOp& op);
 
-  /// Execute `op` over only `elems` (internal ids, all inside the op's
-  /// cluster) — the distributed overlap path splits an op into a
-  /// halo-boundary subset and an interior subset so communication can
-  /// proceed during the interior compute. Element updates within one op are
-  /// independent (each writes only its own data; hooks are element-owned),
-  /// so any partition of the op's range into subset calls is
-  /// bitwise-identical to one full-range `runOp`. For kNeighbor ops the
-  /// cluster step counter advances only when `completesOp` is true — pass
-  /// it on the op's final subset; the sub-step parity read by halo packing
-  /// must not move until every element of the op has run. Ignored for
-  /// kLocal ops (the local phase never advances the counter).
-  void runOp(const lts::ScheduleOp& op, const std::vector<idx_t>& elems, bool completesOp);
+  /// Execute `op` over only the internal range [begin, end) inside the op's
+  /// cluster range — the distributed overlap path splits an op into the
+  /// interior and halo-boundary sub-ranges (`SolverState::haloBoundaryBegin`)
+  /// so communication can proceed during the interior compute. Element
+  /// updates within one op are independent (each writes only its own data;
+  /// hooks are element-owned), so any partition of the op's range into
+  /// sub-range calls is bitwise-identical to one full-range `runOp`. For
+  /// kNeighbor ops the cluster step counter advances only when `completesOp`
+  /// is true — pass it on the op's final sub-range; the sub-step parity read
+  /// by halo packing must not move until every element of the op has run.
+  /// Ignored for kLocal ops (the local phase never advances the counter).
+  void runOp(const lts::ScheduleOp& op, idx_t begin, idx_t end, bool completesOp);
 
   idx_t clusterStep(int_t cluster) const { return clusterStep_[cluster]; }
   /// All per-cluster step counters — the executor's schedule position
@@ -141,19 +142,9 @@ class StepExecutor {
   /// `std::invalid_argument` on a cluster-count mismatch.
   void restoreClusterSteps(const std::vector<idx_t>& steps);
   const std::vector<lts::ScheduleOp>& schedule() const { return schedule_; }
-  const NeighborDataPolicy<Real, W>& neighborPolicy() const { return *policy_; }
 
   /// Sum the per-thread flop counters and reset them.
   std::uint64_t drainFlops();
-
-  /// Mark internal element ids whose chunks the dynamic mode schedules
-  /// *first* (front of every steal queue). The distributed driver passes the
-  /// union of its per-cluster halo-boundary lists so boundary data is ready
-  /// as early as possible for the halo exchange (`--overlap` posts sends
-  /// right after the boundary subset). Pure scheduling-order hint: results
-  /// are bitwise-identical with or without it, and the static mode ignores
-  /// it entirely.
-  void setHaloPriority(const std::vector<idx_t>& internalElems);
 
   /// Test seam for the dynamic mode's differential suite: called with the
   /// chunk id right before each chunk executes, from the executing thread.
@@ -162,29 +153,15 @@ class StepExecutor {
   /// mode; must be thread-safe.
   void setChunkDelayHook(std::function<void(int_t)> hook) { chunkDelayHook_ = std::move(hook); }
 
-  ExecutorMode executorMode() const { return mode_; }
-  /// Chunks each op is cut into: numThreads (static) or
-  /// `dynamicChunkCount(numThreads)` (dynamic) — also the workspace count.
-  int_t numChunks() const { return nChunks_; }
-
  private:
-  void localPhase(int_t cluster);
-  void neighborPhase(int_t cluster);
   void localElement(idx_t el, double dt, double t0, bool odd, int_t tid);
   void neighborElement(idx_t el, idx_t step, int_t tid);
-  /// Run `fn(el, tid)` over the op's element range in nChunks_ chunks of the
-  /// pure `staticChunk` map — chunk t on thread t in static mode, stolen in
-  /// whole-chunk units in dynamic mode (contiguous range or index-list
-  /// fallback, see threading.hpp). `tid` is the chunk id in both modes.
+  /// Run `fn(el, tid)` over [begin, end) in nChunks_ chunks of the pure
+  /// `staticChunk` map — chunk t on thread t in static mode, stolen in
+  /// whole-chunk units in dynamic mode (threading.hpp). `tid` is the chunk
+  /// id in both modes.
   template <typename Fn>
-  void parallelElements(int_t cluster, Fn&& fn);
-  /// Same chunking over an explicit element list (the subset `runOp`).
-  template <typename Fn>
-  void parallelElementList(const std::vector<idx_t>& elems, Fn&& fn);
-  /// Dynamic-mode chunk execution over [begin, end) of the (possibly null)
-  /// index list: builds the priority-ordered chunk sequence and steals.
-  template <typename Fn>
-  void runChunksDynamic(idx_t begin, idx_t end, const std::vector<idx_t>* elems, Fn&& fn);
+  void parallelRange(idx_t begin, idx_t end, Fn&& fn);
 
   const kernels::AderKernels<Real, W>& kernels_;
   SolverState<Real, W>& state_;
@@ -198,8 +175,6 @@ class StepExecutor {
   ExecutorMode mode_ = ExecutorMode::kStatic;
   int_t nChunks_ = 1;            ///< chunks per op (== workspace count)
   WorkspacePool<Real, W> pool_;  ///< per-chunk scratch/recStack/flops
-  std::vector<std::uint8_t> haloPriority_; ///< per internal element; empty = none
-  std::vector<int_t> chunkOrder_;          ///< scratch: priority-ordered chunk ids
   std::function<void(int_t)> chunkDelayHook_; ///< test seam (dynamic mode)
 };
 

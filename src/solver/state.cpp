@@ -1,23 +1,9 @@
 #include "solver/state.hpp"
 
-#include <numeric>
-
 #include "kernels/kernel_setup.hpp"
 #include "solver/threading.hpp"
 
 namespace nglts::solver {
-
-namespace {
-
-partition::Reordering identityReordering(idx_t n) {
-  partition::Reordering r;
-  r.oldId.resize(n);
-  std::iota(r.oldId.begin(), r.oldId.end(), idx_t{0});
-  r.newId = r.oldId;
-  return r;
-}
-
-} // namespace
 
 template <typename Real, int W>
 SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
@@ -29,22 +15,20 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
   const idx_t n = externalMesh.numElements();
   numOwned_ = numOwned < 0 ? n : numOwned;
   if (numOwned_ > n) throw std::runtime_error("SolverState: numOwned > numElements");
-  reorder_ = cfg.clusterReorder
-                 ? partition::buildClusterReordering(externalMesh, clustering.cluster,
-                                                     /*packNeighbors=*/true, numOwned_)
-                 : identityReordering(n);
+  reorder_ = partition::buildClusterReordering(externalMesh, clustering.cluster,
+                                               /*packNeighbors=*/true, numOwned_);
   mesh_ = partition::applyReordering(externalMesh, reorder_);
   numClusters_ = clustering.numClusters;
-  contiguous_ = cfg.clusterReorder;
   cluster_ = partition::permute(clustering.cluster, reorder_);
-  if (contiguous_) {
-    // Cluster ranges span the owned prefix only; halo elements sit after.
-    const std::vector<int_t> ownedCluster(cluster_.begin(), cluster_.begin() + numOwned_);
-    clusterOffsets_ = partition::clusterRanges(ownedCluster, numClusters_);
-  } else {
-    // Original mesh order: clusters are scattered, keep index lists.
-    clusterElems_.assign(numClusters_, {});
-    for (idx_t e = 0; e < numOwned_; ++e) clusterElems_[cluster_[e]].push_back(e);
+  // Cluster ranges span the owned prefix only; halo elements sit after.
+  const std::vector<int_t> ownedCluster(cluster_.begin(), cluster_.begin() + numOwned_);
+  clusterOffsets_ = partition::clusterRanges(ownedCluster, numClusters_);
+  // The reordering put each cluster's halo-boundary elements last.
+  haloBoundaryBegin_.resize(numClusters_);
+  for (int_t c = 0; c < numClusters_; ++c) {
+    idx_t b = clusterEnd(c);
+    while (b > clusterBegin(c) && partition::hasHaloFace(mesh_, b - 1, numOwned_)) --b;
+    haloBoundaryBegin_[c] = b;
   }
 
   const std::vector<mesh::ElementGeometry> geo = partition::permute(externalGeo, reorder_);
@@ -92,16 +76,8 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
       for (idx_t el = c.begin; el < c.end; ++el) zeroElement(el);
     });
   };
-  if (contiguous_) {
-    for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
-    zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
-  } else {
-    // Index-list fallback: chunk the internal index space directly — the
-    // executor's list chunks don't map to contiguous ranges here, so this
-    // layout only spreads pages, it cannot pin them to their computing
-    // thread (one more reason clusterReorder is the default).
-    zeroRange(0, n);
-  }
+  for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
+  zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
 }
 
 template class SolverState<float, 1>;

@@ -6,9 +6,12 @@
 // *cluster-contiguous* internal order: the elements of time cluster c occupy
 // the contiguous index range [clusterBegin(c), clusterEnd(c)), and inside a
 // cluster face-neighbors are packed close by a dual-graph BFS
-// (partition::buildClusterReordering, paper Sec. VI). The executor streams
-// linearly through each cluster's range instead of gathering through index
-// lists.
+// (partition::buildClusterReordering, paper Sec. VI). In a rank-local halo
+// view each cluster range is further split into an interior sub-range
+// followed by the halo-boundary sub-range [haloBoundaryBegin(c),
+// clusterEnd(c)), so the distributed overlap mode runs both halves of an op
+// as contiguous ranges too. Every element loop of the executor streams
+// linearly through one such range.
 //
 // All arenas are NUMA first-touch initialized by a parallel per-cluster
 // zero-fill pass (arena_vector's resize leaves pages untouched) that uses
@@ -50,7 +53,7 @@ class SolverState {
   /// cluster-contiguous internal ranges; [numOwned, n) are halo copies of
   /// remote elements, appended after the owned ranges in stable order. Halo
   /// elements have arena slots (so neighbor reads stay uniform) but are
-  /// excluded from every cluster range/list the executor iterates.
+  /// excluded from every cluster range the executor iterates.
   SolverState(const mesh::TetMesh& externalMesh,
               const std::vector<physics::Material>& externalMaterials,
               const std::vector<mesh::ElementGeometry>& externalGeo,
@@ -66,20 +69,17 @@ class SolverState {
   idx_t numHalo() const { return mesh_.numElements() - numOwned_; }
   bool isHalo(idx_t internal) const { return internal >= numOwned_; }
   int_t numClusters() const { return numClusters_; }
-  /// Whether every cluster is one contiguous internal index range
-  /// (`SimConfig::clusterReorder`); if not, iterate `clusterElems` instead.
-  bool contiguousClusters() const { return contiguous_; }
   /// Internal index range of cluster c: [clusterBegin(c), clusterEnd(c)).
-  /// Only meaningful when `contiguousClusters()`.
   idx_t clusterBegin(int_t c) const { return clusterOffsets_[c]; }
   idx_t clusterEnd(int_t c) const { return clusterOffsets_[c + 1]; }
-  /// Index-list fallback of the unreordered layout (clusterReorder = false).
-  const std::vector<idx_t>& clusterElems(int_t c) const { return clusterElems_[c]; }
+  /// First element of cluster c's halo-boundary sub-range: the elements of
+  /// [haloBoundaryBegin(c), clusterEnd(c)) are exactly those with a face
+  /// neighbor in the halo suffix. Equals clusterEnd(c) without a halo.
+  idx_t haloBoundaryBegin(int_t c) const { return haloBoundaryBegin_[c]; }
   int_t clusterOf(idx_t internal) const { return cluster_[internal]; }
 
   idx_t toInternal(idx_t external) const { return reorder_.newId[external]; }
   idx_t toExternal(idx_t internal) const { return reorder_.oldId[internal]; }
-  const partition::Reordering& reordering() const { return reorder_; }
 
   /// The permuted mesh the executor iterates (face adjacency in internal ids).
   const mesh::TetMesh& internalMesh() const { return mesh_; }
@@ -114,10 +114,9 @@ class SolverState {
   mesh::TetMesh mesh_;                       ///< internal order
   idx_t numOwned_ = 0;
   int_t numClusters_ = 1;
-  bool contiguous_ = true;
   std::vector<int_t> cluster_;               ///< internal order
   std::vector<idx_t> clusterOffsets_;        ///< numClusters + 1 prefix offsets
-  std::vector<std::vector<idx_t>> clusterElems_; ///< only when !contiguous_
+  std::vector<idx_t> haloBoundaryBegin_;     ///< per cluster
   std::vector<kernels::ElementData<Real>> elementData_;
 
   std::size_t elSize_ = 0, bufSize_ = 0, stackSize_ = 0;

@@ -116,14 +116,12 @@ struct alignas(kAlignment) StealCursor {
   std::atomic<idx_t> next{0};
 };
 
-/// Work-stealing execution of the chunk ids in `order`, each exactly once.
+/// Work-stealing execution of the chunk ids [0, nChunks), each exactly once.
 ///
 /// Queue q (one per configured thread, q in [0, nThreads)) holds the
-/// round-robin slice order[q], order[q + nThreads], order[q + 2*nThreads]...
-/// — so a priority prefix of `order` (halo-boundary chunks) lands at the
-/// front of *every* queue and is claimed first machine-wide. Each queue has
-/// a single atomic claim cursor: the owning thread drains its own queue
-/// with `fetch_add`, then turns thief and drains its neighbors' queues in
+/// round-robin slice q, q + nThreads, q + 2*nThreads... Each queue has a
+/// single atomic claim cursor: the owning thread drains its own queue with
+/// `fetch_add`, then turns thief and drains its neighbors' queues in
 /// deterministic victim order (q+1, q+2, ... mod nThreads) through the very
 /// same cursor. Every `fetch_add` yields a distinct slot, so each chunk is
 /// claimed by exactly one thread and runs as one indivisible unit — no
@@ -135,8 +133,7 @@ struct alignas(kAlignment) StealCursor {
 /// is off), ownerless queues are simply drained by thieves — the executed
 /// chunk set never changes.
 template <typename Fn>
-void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
-  const idx_t nChunks = static_cast<idx_t>(order.size());
+void stealChunks(int_t nChunks, int_t nThreads, Fn&& fn) {
 #ifdef _OPENMP
   std::vector<StealCursor> cursor(nThreads);
 #pragma omp parallel num_threads(static_cast<int>(nThreads))
@@ -152,13 +149,13 @@ void stealChunks(const std::vector<int_t>& order, int_t nThreads, Fn&& fn) {
         const idx_t k = cursor[q].next.fetch_add(1, std::memory_order_relaxed);
         const idx_t slot = q + k * nThreads;
         if (slot >= nChunks) break;
-        fn(order[slot]);
+        fn(static_cast<int_t>(slot));
       }
     }
   }
 #else
   const ScopedFlushDenormals flush;
-  for (idx_t i = 0; i < nChunks; ++i) fn(order[i]);
+  for (int_t c = 0; c < nChunks; ++c) fn(c);
 #endif
 }
 

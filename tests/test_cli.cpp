@@ -23,9 +23,11 @@ nc::ScenarioRegistry& registry() {
 }
 
 /// Run the `nglts` binary with `flags`; returns what it wrote to stderr
-/// (stdout is discarded) and stores the wait status in `status`.
-std::string cliStderr(const std::string& flags, int& status) {
-  const std::string cmd = std::string("'") + NGLTS_CLI_EXE + "' " + flags + " 2>&1 >/dev/null";
+/// (and to stdout if `withStdout`, else stdout is discarded) and stores the
+/// wait status in `status`.
+std::string cliStderr(const std::string& flags, int& status, bool withStdout = false) {
+  const std::string cmd = std::string("'") + NGLTS_CLI_EXE + "' " + flags +
+                          (withStdout ? " 2>&1" : " 2>&1 >/dev/null");
   std::FILE* p = popen(cmd.c_str(), "r");
   EXPECT_NE(p, nullptr) << cmd;
   std::string out;
@@ -217,6 +219,20 @@ TEST(Cli, RemovedKernelBackendIsAUsageError) {
   EXPECT_EQ(WEXITSTATUS(status), 2) << err;
   EXPECT_NE(err.find("unknown kernel backend 'specialized'"), std::string::npos) << err;
   EXPECT_NE(err.find("auto | scalar | vector)"), std::string::npos) << err;
+}
+
+TEST(Cli, RunEndingBeforeTheWaveArrivesReportsMisfitAsNotAvailable) {
+  // These runs end before the wave reaches the receiver, so the reference
+  // trace is all zeros and the energy misfit is undefined: the summary says
+  // so and the run still succeeds.
+  for (const char* flags : {"-s loh3 --scale 0.35 --order 3 --end-time 0.03",
+                            "-s fused --fused 8 --scale 0.35 --end-time 0.01"}) {
+    int status = 0;
+    const std::string out = cliStderr(flags, status, /*withStdout=*/true);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << flags << "\n" << out;
+    EXPECT_NE(out.find("n/a (zero reference trace)"), std::string::npos) << out;
+  }
 }
 
 namespace {

@@ -7,7 +7,7 @@
 // change a result. The randomized stress case injects adversarial per-chunk
 // delays through the executor's test seam to force pathological steal
 // interleavings and repeats the same assertion; the distributed case covers
-// the halo-priority path (`setHaloPriority`) under the overlapped exchange.
+// the overlapped exchange's interior and halo-boundary sub-range calls.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -170,31 +170,6 @@ INSTANTIATE_TEST_SUITE_P(
              "threads";
     });
 
-TEST(DynamicExecutorExtra, IndexListLayoutBitwiseVsStatic) {
-  // clusterReorder = false exercises the index-list steal path
-  // (parallelElementList): a different chunk→element map, same bitwise
-  // contract.
-  const double tEnd = 0.2;
-  Fixture f = makeFixture(/*mechanisms=*/0);
-  ns::SimConfig scfg = makeCfg(ns::TimeScheme::kLtsNextGen, 4, ns::ExecutorMode::kStatic);
-  scfg.clusterReorder = false;
-  ns::SimConfig dcfg = scfg;
-  dcfg.executorMode = ns::ExecutorMode::kDynamic;
-
-  ns::Simulation<double, 1> ref(f.mesh, f.mats, scfg);
-  addSetup<ns::Simulation<double, 1>, 1>(ref);
-  ref.setInitialCondition(initWave);
-  ref.run(tEnd);
-
-  ns::Simulation<double, 1> dyn(f.mesh, f.mats, dcfg);
-  addSetup<ns::Simulation<double, 1>, 1>(dyn);
-  dyn.setInitialCondition(initWave);
-  dyn.run(tEnd);
-
-  expectBitwiseSeismograms(ref, dyn, 1);
-  expectBitwiseDofs(ref, dyn, f.mesh.numElements(), ref.kernels().dofsPerElement());
-}
-
 TEST(DynamicExecutorExtra, ThreadsExceedingElementsBitwise) {
   // 64 threads -> 256 chunks over clusters far smaller than that: empty
   // chunks and all-thief queues must be harmless.
@@ -240,8 +215,8 @@ TEST(DynamicExecutorStress, RandomizedStealTimingStaysBitwise) {
 }
 
 TEST(DynamicExecutorDistributed, OverlapDynamicBitwiseVsSingleRankStatic) {
-  // The halo-priority path: a 2-rank overlapped exchange with the dynamic
-  // executor (halo-boundary chunks queued first) vs the 1-rank 1-thread
+  // A 2-rank overlapped exchange with the dynamic executor (each op stolen
+  // as its interior and halo-boundary sub-ranges) vs the 1-rank 1-thread
   // static reference.
   const double tEnd = 0.2;
   Fixture f = makeFixture(/*mechanisms=*/0);

@@ -405,12 +405,22 @@ TEST(DistributedSim, BadPartitionsThrow) {
 }
 
 TEST(HaloView, OwnedPrefixAndHaloSuffix) {
-  DistFixture f = makeFixture(3);
+  // View invariants, then the arena layout the overlapped exchange runs on:
+  // each owned cluster range is interior | halo boundary, and
+  // [haloBoundaryBegin(c), clusterEnd(c)) holds exactly the owned elements
+  // with a face neighbor in the halo suffix. With 3 stripes the middle
+  // rank's boundary faces two neighbor ranks.
+  DistFixture f = makeFixture(5);
   const auto geo = nm::computeGeometry(f.mesh);
   const auto dt = nglts::lts::cflTimeSteps(geo, f.mats, 3);
   const auto clustering = nglts::lts::buildClustering(f.mesh, dt, 3, 1.0);
-  const auto part = stripePartition(f.mesh, 2, 1000.0);
-  for (int_t r = 0; r < 2; ++r) {
+  ASSERT_GT(clustering.numClusters, 1);
+  const nglts::kernels::AderKernels<double, 1> kernels(3, 0, false);
+  ns::SimConfig cfg;
+  cfg.order = 3;
+  cfg.scheme = ns::TimeScheme::kLtsNextGen;
+  const auto part = stripePartition(f.mesh, 3, 1000.0);
+  for (int_t r = 0; r < 3; ++r) {
     const auto view = npar::buildHaloView(f.mesh, geo, f.mats, clustering, part, r);
     ASSERT_GT(view.numOwned, 0);
     ASSERT_GT(static_cast<idx_t>(view.localToGlobal.size()), view.numOwned)
@@ -428,5 +438,32 @@ TEST(HaloView, OwnedPrefixAndHaloSuffix) {
         if (nb >= 0) EXPECT_LT(nb, static_cast<idx_t>(view.localToGlobal.size()));
       }
     }
+
+    const ns::SolverState<double, 1> st(view.mesh, view.materials, view.geo, view.clustering,
+                                        kernels, cfg, view.numOwned);
+    const auto& m = st.internalMesh();
+    auto touchesHalo = [&](idx_t el) {
+      for (int_t fc = 0; fc < 4; ++fc)
+        if (m.faces[el][fc].neighbor >= st.numOwned()) return true;
+      return false;
+    };
+    // The cluster ranges tile the owned prefix, so checking every element of
+    // every range covers each owned element exactly once.
+    ASSERT_EQ(st.clusterEnd(st.numClusters() - 1), st.numOwned());
+    idx_t boundary = 0;
+    for (int_t c = 0; c < st.numClusters(); ++c) {
+      ASSERT_LE(st.clusterBegin(c), st.haloBoundaryBegin(c));
+      ASSERT_LE(st.haloBoundaryBegin(c), st.clusterEnd(c));
+      for (idx_t el = st.clusterBegin(c); el < st.clusterEnd(c); ++el)
+        EXPECT_EQ(touchesHalo(el), el >= st.haloBoundaryBegin(c))
+            << "rank " << r << " cluster " << c << " element " << el;
+      boundary += st.clusterEnd(c) - st.haloBoundaryBegin(c);
+    }
+    EXPECT_GT(boundary, 0) << "stripe cut must produce halo-boundary elements";
   }
+
+  // A single-rank arena has no halo: every boundary sub-range is empty.
+  const ns::SolverState<double, 1> single(f.mesh, f.mats, geo, clustering, kernels, cfg);
+  for (int_t c = 0; c < single.numClusters(); ++c)
+    EXPECT_EQ(single.haloBoundaryBegin(c), single.clusterEnd(c)) << "cluster " << c;
 }

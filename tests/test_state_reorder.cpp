@@ -1,12 +1,17 @@
 // The cluster-contiguous solver arena (solver/state.hpp): permutation
 // round-trip of the external <-> internal id maps, the cluster-contiguity
 // invariant of the internal layout, the neighbor-packing property of
-// partition::buildClusterReordering, and bitwise identity of GTS runs with
-// the reorder enabled vs disabled (the permutation must never change the
-// math, only the memory layout).
+// partition::buildClusterReordering, and input-order invariance: the same
+// box fed in generator order and in a shuffled order must step bitwise-
+// identical DOFs and receiver traces under gts/lts/baseline (the arena
+// permutation, built by a real BFS reorder from two different inputs, must
+// never change the math, only the memory layout).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <random>
 
 #include "mesh/box_gen.hpp"
 #include "partition/reorder.hpp"
@@ -23,31 +28,37 @@ using nglts::int_t;
 
 namespace {
 
-/// Two-velocity-layer box (miniature LOH-style setting) with a genuine
-/// multi-cluster clustering.
-ns::Simulation<double, 1> makeSim(ns::TimeScheme scheme, int_t numClusters, bool reorder,
-                                  idx_t n = 5) {
+struct Box {
+  nm::TetMesh mesh;
+  std::vector<np::Material> mats;
+};
+
+/// Two-velocity-layer box (miniature LOH-style setting) that yields a
+/// genuine multi-cluster clustering.
+Box makeBox(idx_t n = 5) {
   nm::BoxSpec spec;
   spec.planes[0] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.planes[1] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.planes[2] = nm::uniformPlanes(0.0, 1000.0, n);
   spec.jitter = 0.18;
   spec.freeSurfaceTop = true;
-  auto mesh = nm::generateBox(spec);
-
-  std::vector<np::Material> mats(mesh.numElements());
-  for (idx_t e = 0; e < mesh.numElements(); ++e) {
-    const auto c = mesh.centroid(e);
+  Box box;
+  box.mesh = nm::generateBox(spec);
+  box.mats.resize(box.mesh.numElements());
+  for (idx_t e = 0; e < box.mesh.numElements(); ++e) {
+    const auto c = box.mesh.centroid(e);
     const double vs = c[2] > 500.0 ? 400.0 : 1600.0;
-    mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
+    box.mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
   }
+  return box;
+}
 
+ns::Simulation<double, 1> makeSim(Box box, ns::TimeScheme scheme, int_t numClusters) {
   ns::SimConfig cfg;
   cfg.order = 3;
   cfg.scheme = scheme;
   cfg.numClusters = numClusters;
-  cfg.clusterReorder = reorder;
-  return ns::Simulation<double, 1>(std::move(mesh), std::move(mats), cfg);
+  return ns::Simulation<double, 1>(std::move(box.mesh), std::move(box.mats), cfg);
 }
 
 void addSourceAndReceiver(ns::Simulation<double, 1>& sim) {
@@ -60,7 +71,7 @@ void addSourceAndReceiver(ns::Simulation<double, 1>& sim) {
 } // namespace
 
 TEST(StateReorder, PermutationRoundTrip) {
-  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
+  auto sim = makeSim(makeBox(), ns::TimeScheme::kLtsNextGen, 3);
   const auto& st = sim.state();
   const idx_t n = st.numElements();
   ASSERT_EQ(n, sim.meshRef().numElements());
@@ -76,9 +87,8 @@ TEST(StateReorder, PermutationRoundTrip) {
 }
 
 TEST(StateReorder, ClustersAreContiguousRanges) {
-  auto sim = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
+  auto sim = makeSim(makeBox(), ns::TimeScheme::kLtsNextGen, 3);
   const auto& st = sim.state();
-  ASSERT_TRUE(st.contiguousClusters());
 
   // Ranges tile [0, n) and every element inside a range carries its
   // cluster's id.
@@ -145,28 +155,57 @@ TEST(StateReorder, BfsPacksNeighborsCloserThanStableSort) {
   }
 }
 
-TEST(StateReorder, GtsBitwiseIdenticalWithAndWithoutReorder) {
-  auto on = makeSim(ns::TimeScheme::kGts, 1, true);
-  auto off = makeSim(ns::TimeScheme::kGts, 1, false);
-  ASSERT_TRUE(on.state().contiguousClusters());
-  ASSERT_FALSE(off.state().contiguousClusters());
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.5);
-  off.run(0.5);
+struct InvarianceCase {
+  const char* name;
+  ns::TimeScheme scheme;
+  int_t numClusters;
+  double endTime;
+  friend void PrintTo(const InvarianceCase& c, std::ostream* os) { *os << c.name; }
+};
 
-  // DOFs, addressed by external ids, must agree bit for bit: the reorder
-  // changes the memory layout, never the math.
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
+class StateReorderInputOrder : public ::testing::TestWithParam<InvarianceCase> {};
+
+TEST_P(StateReorderInputOrder, BitwiseIdenticalUnderShuffledInput) {
+  const InvarianceCase& tc = GetParam();
+  const Box box = makeBox();
+  const idx_t n = box.mesh.numElements();
+
+  // The same box in a seeded random element order.
+  npart::Reordering shuffle;
+  shuffle.oldId.resize(n);
+  std::iota(shuffle.oldId.begin(), shuffle.oldId.end(), idx_t{0});
+  std::shuffle(shuffle.oldId.begin(), shuffle.oldId.end(), std::mt19937(20261017u));
+  shuffle.newId.resize(n);
+  for (idx_t e = 0; e < n; ++e) shuffle.newId[shuffle.oldId[e]] = e;
+  Box shuffled{npart::applyReordering(box.mesh, shuffle), npart::permute(box.mats, shuffle)};
+
+  auto ref = makeSim(box, tc.scheme, tc.numClusters);
+  auto shf = makeSim(std::move(shuffled), tc.scheme, tc.numClusters);
+
+  // The clustering must not depend on the input order, or the two runs
+  // would step different schedules.
+  for (idx_t e = 0; e < n; ++e)
+    ASSERT_EQ(ref.clustering().cluster[e], shf.clustering().cluster[shuffle.newId[e]])
+        << "element " << e;
+
+  addSourceAndReceiver(ref);
+  addSourceAndReceiver(shf);
+  ref.run(tc.endTime);
+  shf.run(tc.endTime);
+
+  // DOFs, addressed by external ids mapped through the shuffle, must agree
+  // bit for bit: the arena permutation changes the memory layout, never the
+  // math.
+  for (idx_t e = 0; e < n; ++e) {
+    const double* a = ref.dofs(e);
+    const double* b = shf.dofs(shuffle.newId[e]);
+    for (std::size_t i = 0; i < ref.kernels().dofsPerElement(); ++i)
+      ASSERT_EQ(a[i], b[i]) << "element " << e << " dof " << i;
   }
 
   // Seismograms too (sampled inside element-local steps).
-  const auto& ta = on.receiver(0).traces[0];
-  const auto& tb = off.receiver(0).traces[0];
+  const auto& ta = ref.receiver(0).traces[0];
+  const auto& tb = shf.receiver(0).traces[0];
   ASSERT_EQ(ta.times.size(), tb.times.size());
   ASSERT_GT(ta.times.size(), 0u);
   for (std::size_t i = 0; i < ta.times.size(); ++i) {
@@ -176,36 +215,9 @@ TEST(StateReorder, GtsBitwiseIdenticalWithAndWithoutReorder) {
   }
 }
 
-TEST(StateReorder, LtsBitwiseIdenticalWithAndWithoutReorder) {
-  // Same property under genuine multi-cluster LTS: per-element updates are
-  // deterministic and layout-independent.
-  auto on = makeSim(ns::TimeScheme::kLtsNextGen, 3, true);
-  auto off = makeSim(ns::TimeScheme::kLtsNextGen, 3, false);
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.5);
-  off.run(0.5);
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
-  }
-}
-
-TEST(StateReorder, BaselineBitwiseIdenticalWithAndWithoutReorder) {
-  // And under the buffer+derivative baseline scheme, whose neighbor phase
-  // reads whole derivative-stack arena slices.
-  auto on = makeSim(ns::TimeScheme::kLtsBaseline, 3, true);
-  auto off = makeSim(ns::TimeScheme::kLtsBaseline, 3, false);
-  addSourceAndReceiver(on);
-  addSourceAndReceiver(off);
-  on.run(0.3);
-  off.run(0.3);
-  for (idx_t el = 0; el < on.meshRef().numElements(); ++el) {
-    const double* a = on.dofs(el);
-    const double* b = off.dofs(el);
-    for (std::size_t i = 0; i < on.kernels().dofsPerElement(); ++i)
-      ASSERT_EQ(a[i], b[i]) << "element " << el << " dof " << i;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, StateReorderInputOrder,
+    ::testing::Values(InvarianceCase{"gts", ns::TimeScheme::kGts, 1, 0.5},
+                      InvarianceCase{"lts", ns::TimeScheme::kLtsNextGen, 3, 0.5},
+                      InvarianceCase{"baseline", ns::TimeScheme::kLtsBaseline, 3, 0.3}),
+    [](const ::testing::TestParamInfo<InvarianceCase>& info) { return info.param.name; });

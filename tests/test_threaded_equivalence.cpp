@@ -5,15 +5,13 @@
 // schedule op's cluster range into SimConfig::numThreads static chunks and
 // each element is updated by exactly one chunk with chunk-private scratch,
 // so no tolerance is needed; any drift is a chunking/workspace bug. Also
-// covered: the index-list layout (clusterReorder = false), the hybrid
-// ranks x threads distributed run vs the 1-rank 1-thread reference, and
-// the numThreads validation.
+// covered: the hybrid ranks x threads distributed run vs the 1-rank
+// 1-thread reference, and the numThreads validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 #include <random>
 #include <tuple>
 
@@ -119,21 +117,16 @@ void expectBitwiseDofs(const SimA& a, const SimB& b, idx_t numElements, std::siz
 /// 1-thread reference vs `threads`-thread run of the same Simulation:
 /// bitwise seismograms and DOFs.
 template <int W>
-void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms,
-                          bool clusterReorder = true) {
+void runThreadEquivalence(ns::TimeScheme scheme, int_t threads, int_t mechanisms) {
   const double tEnd = 0.2;
   Fixture f = makeFixture(mechanisms);
 
-  ns::SimConfig refCfg = makeCfg(scheme, mechanisms, /*threads=*/1);
-  refCfg.clusterReorder = clusterReorder;
-  ns::Simulation<double, W> ref(f.mesh, f.mats, refCfg);
+  ns::Simulation<double, W> ref(f.mesh, f.mats, makeCfg(scheme, mechanisms, /*threads=*/1));
   addSetup<ns::Simulation<double, W>, W>(ref);
   ref.setInitialCondition(initWave);
   ref.run(tEnd);
 
-  ns::SimConfig thrCfg = makeCfg(scheme, mechanisms, threads);
-  thrCfg.clusterReorder = clusterReorder;
-  ns::Simulation<double, W> thr(f.mesh, f.mats, thrCfg);
+  ns::Simulation<double, W> thr(f.mesh, f.mats, makeCfg(scheme, mechanisms, threads));
   addSetup<ns::Simulation<double, W>, W>(thr);
   thr.setInitialCondition(initWave);
   thr.run(tEnd);
@@ -173,13 +166,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ThreadedEquivalenceExtra, AnelasticBitwiseVsSingleThread) {
   runThreadEquivalence<1>(ns::TimeScheme::kLtsNextGen, 8, /*mechanisms=*/3);
-}
-
-TEST(ThreadedEquivalenceExtra, IndexListLayoutBitwiseVsSingleThread) {
-  // clusterReorder = false chunks the per-cluster index lists instead of
-  // contiguous ranges — a different chunk→element map, same bitwise result.
-  runThreadEquivalence<1>(ns::TimeScheme::kLtsNextGen, 4, /*mechanisms=*/0,
-                          /*clusterReorder=*/false);
 }
 
 TEST(ThreadedEquivalenceExtra, ThreadsExceedingElementsBitwise) {
@@ -228,8 +214,7 @@ TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
 
 TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
   // Chunk-indivisibility property of the work-stealing scheduler: for random
-  // (range, numThreads) and a random priority order, `stealChunks` may run
-  // the chunks in any sequence, but every chunk id is delivered to `fn`
+  // (range, numThreads), `stealChunks` may run the chunks in any sequence, but every chunk id is delivered to `fn`
   // exactly once (never split across threads, never run twice), every
   // element of the range is covered exactly once, and a synthetic per-op
   // flop count accumulated in per-chunk counters matches the serial sum
@@ -240,9 +225,6 @@ TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
     const idx_t n = static_cast<idx_t>(rng() % 1500);
     const int_t threads = 1 + static_cast<int_t>(rng() % 16);
     const int_t nChunks = ns::dynamicChunkCount(threads);
-    std::vector<int_t> order(nChunks);
-    std::iota(order.begin(), order.end(), 0);
-    std::shuffle(order.begin(), order.end(), rng);
 
     auto flopOf = [](idx_t el) {
       return static_cast<std::uint64_t>(el) * 2654435761u + 17u;
@@ -254,7 +236,7 @@ TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
     std::vector<int_t> execOrder(nChunks, -1);
     std::atomic<int_t> execPos{0};
 
-    ns::stealChunks(order, threads, [&](int_t c) {
+    ns::stealChunks(nChunks, threads, [&](int_t c) {
       execOrder[execPos.fetch_add(1)] = c;
       runs[c].fetch_add(1);
       const ns::ChunkRange r = ns::staticChunk(begin, begin + n, nChunks, c);
