@@ -46,9 +46,6 @@ void printUsage() {
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
       "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
-      "      --executor M      chunk scheduling of the solver loops: static | dynamic\n"
-      "                        (default static; dynamic work-steals whole chunks;\n"
-      "                        bitwise-identical results)\n"
       "      --partition W     rank-partitioner weighting: weighted | unweighted\n"
       "                        (default weighted = LTS update frequency + face-flux\n"
       "                        share; affects rank balance only, results are\n"
@@ -169,12 +166,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--precision") {
       try {
         opts.precision = nglts::solver::parsePrecision(requireValue(argc, argv, i));
-      } catch (const std::invalid_argument& e) {
-        usageError(e.what());
-      }
-    } else if (arg == "--executor") {
-      try {
-        opts.executor = nglts::solver::parseExecutorMode(requireValue(argc, argv, i));
       } catch (const std::invalid_argument& e) {
         usageError(e.what());
       }

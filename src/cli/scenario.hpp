@@ -77,12 +77,6 @@ struct ScenarioOptions {
   /// bitwise identity — see docs/KERNELS.md). The fused and lahabra
   /// scenarios are single-precision by design and reject an explicit f64.
   std::optional<solver::Precision> precision;
-  /// Chunk→thread scheduling of the solver loops (`SimConfig::executorMode`,
-  /// the `--executor` flag): `static` (chunk t on thread t, the bitwise
-  /// reference) or `dynamic` (work-stealing over an over-decomposed chunk
-  /// map). Results are bitwise-identical across
-  /// modes and thread counts — a pure performance knob.
-  std::optional<solver::ExecutorMode> executor;
   /// Dual-graph weighting of the rank partitioner
   /// (`SimConfig::partitionWeighting`, the `--partition` flag): `weighted`
   /// (LTS update frequency + face-flux share, the default) or `unweighted`

@@ -49,11 +49,9 @@ void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
   appendf(out, "precision: %s\n", solver::precisionName(cfg.precision));
   appendf(out, "denormals: %s\n", kFlushDenormals ? "flush-to-zero" : "ieee");
-  // Non-default scheduling knobs are worth a summary line (CI greps them to
-  // confirm the flag reached the engine); the defaults stay silent so
+  // A non-default partition weighting is worth a summary line (CI greps it
+  // to confirm the flag reached the engine); the default stays silent so
   // existing summary expectations hold.
-  if (cfg.executorMode != solver::ExecutorMode::kStatic)
-    appendf(out, "executor: %s\n", solver::executorModeName(cfg.executorMode));
   if (cfg.partitionWeighting != partition::PartitionWeighting::kWeighted)
     appendf(out, "partition: %s\n", partition::partitionWeightingName(cfg.partitionWeighting));
 }
@@ -761,7 +759,6 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   // build/host fails at config time (never a silent fallback mid-run).
   linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;
-  if (opts.executor) cfg.executorMode = *opts.executor;
   if (opts.partition) cfg.partitionWeighting = *opts.partition;
   if (opts.lambda) {
     cfg.lambda = *opts.lambda;

@@ -13,8 +13,8 @@
 // so the guard is entered inside every parallel block that runs solver work
 // (threading.hpp) and around the distributed run loop (exchange.cpp), and it
 // restores the saved state on exit: the host application's FP environment
-// is never left changed. All solver configurations (threads, executor,
-// ranks, transport, overlap) compute under the same mode, which keeps them
+// is never left changed. All solver configurations (threads, ranks,
+// transport, overlap) compute under the same mode, which keeps them
 // bitwise-identical to each other.
 #include <cstdint>
 

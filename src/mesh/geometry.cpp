@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "basis/global_matrices.hpp"
 
@@ -86,8 +87,24 @@ ElementGeometry computeElementGeometry(const TetMesh& mesh, idx_t el) {
 
 std::vector<ElementGeometry> computeGeometry(const TetMesh& mesh) {
   std::vector<ElementGeometry> out(mesh.numElements());
+  // An exception leaving the OpenMP region would call std::terminate: keep
+  // the lowest failing element (thread-count independent) and throw after.
+  idx_t bad = -1;
+  std::string what;
 #pragma omp parallel for schedule(static)
-  for (idx_t el = 0; el < mesh.numElements(); ++el) out[el] = computeElementGeometry(mesh, el);
+  for (idx_t el = 0; el < mesh.numElements(); ++el) {
+    try {
+      out[el] = computeElementGeometry(mesh, el);
+    } catch (const std::exception& e) {
+#pragma omp critical(nglts_compute_geometry)
+      if (bad < 0 || el < bad) {
+        bad = el;
+        what = e.what();
+      }
+    }
+  }
+  if (bad >= 0)
+    throw std::runtime_error("computeGeometry: element " + std::to_string(bad) + ": " + what);
   return out;
 }
 

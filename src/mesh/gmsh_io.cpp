@@ -27,8 +27,11 @@ class Parser {
 
   idx_t line() const { return line_; }
 
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::invalid_argument(name_ + ":" + std::to_string(line_) + ": " + msg);
+  [[noreturn]] void fail(const std::string& msg) const { failAt(line_, msg); }
+
+  /// `fail` for an earlier line (checks that run after the section ends).
+  [[noreturn]] void failAt(idx_t line, const std::string& msg) const {
+    throw std::invalid_argument(name_ + ":" + std::to_string(line) + ": " + msg);
   }
 
   /// Next non-empty line split into whitespace tokens; false at EOF.
@@ -114,6 +117,7 @@ struct ReadState {
   std::unordered_map<idx_t, FaceKind> physKind;        ///< dim-2 physical tag -> kind
   std::unordered_map<idx_t, idx_t> surfacePhys;        ///< surface entity tag -> physical tag
   std::map<std::array<idx_t, 3>, FaceKind> triKind;    ///< sorted vertex triple -> kind
+  std::vector<idx_t> tetLine;                          ///< element -> its file line
 };
 
 void parseMeshFormat(Parser& p) {
@@ -258,6 +262,7 @@ void parseElements(Parser& p, TetMesh& mesh, ReadState& st) {
             if (v[a] == v[c])
               p.fail("degenerate tetrahedron (repeated node after deduplication)");
         mesh.elements.push_back(v);
+        st.tetLine.push_back(p.line());
       } else if (type == 2 && triangleTagged) {
         st.triKind[sortedTriple(v[0], v[1], v[2])] = triangleKind;
       }
@@ -315,6 +320,13 @@ TetMesh readGmsh(std::istream& in, const std::string& name) {
   if (!sawElements || mesh.elements.empty()) p.fail("no tetrahedra in $Elements");
 
   fixOrientation(mesh);
+  // After the flips every valid tet has det > 0; a flat one (four coplanar
+  // nodes, or non-finite coordinates) would fail geometry setup later with
+  // no file position.
+  for (idx_t el = 0; el < mesh.numElements(); ++el)
+    if (!(orientationDet(mesh, el) > 0.0))
+      p.failAt(st.tetLine[static_cast<std::size_t>(el)],
+               "degenerate tetrahedron (four coplanar nodes, zero volume)");
   buildConnectivity(mesh, {}, FaceKind::kAbsorbing);
   // Boundary triangles override the default absorbing kind; triangles that
   // match interior faces (conforming internal interfaces) are ignored.

@@ -20,9 +20,10 @@
 //                      every other element type is rejected (tet-only)
 //
 // Any other section, a version/format mismatch, truncation, duplicate or
-// unknown node tags, or degenerate tetrahedra raise `std::invalid_argument`
-// with the offending location ("<source>:<line>: message") — malformed input
-// is never imported partially.
+// unknown node tags, or degenerate tetrahedra (a repeated node, or four
+// coplanar nodes) raise `std::invalid_argument` with the offending location
+// ("<source>:<line>: message") — malformed input is never imported
+// partially.
 //
 // The writer emits this exact subset (one node block, per-kind triangle
 // blocks, 17-significant-digit coordinates), so a `box_gen` mesh exported

@@ -10,17 +10,6 @@ namespace nglts::mesh {
 
 namespace {
 
-double orientationDet(const TetMesh& m, idx_t el) {
-  const auto& e = m.elements[el];
-  const auto& v0 = m.vertices[e[0]];
-  double a[3][3];
-  for (int_t c = 0; c < 3; ++c)
-    for (int_t d = 0; d < 3; ++d) a[d][c] = m.vertices[e[c + 1]][d] - v0[d];
-  return a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1]) -
-         a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0]) +
-         a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]);
-}
-
 struct TripleHash {
   std::size_t operator()(const std::array<idx_t, 3>& t) const {
     std::size_t h = 1469598103934665603ull;
@@ -45,6 +34,17 @@ std::array<double, 3> TetMesh::centroid(idx_t el) const {
   for (idx_t v : elements[el])
     for (int_t d = 0; d < 3; ++d) c[d] += 0.25 * vertices[v][d];
   return c;
+}
+
+double orientationDet(const TetMesh& m, idx_t el) {
+  const auto& e = m.elements[el];
+  const auto& v0 = m.vertices[e[0]];
+  double a[3][3];
+  for (int_t c = 0; c < 3; ++c)
+    for (int_t d = 0; d < 3; ++d) a[d][c] = m.vertices[e[c + 1]][d] - v0[d];
+  return a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1]) -
+         a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0]) +
+         a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]);
 }
 
 idx_t fixOrientation(TetMesh& mesh) {

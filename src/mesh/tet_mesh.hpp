@@ -32,6 +32,10 @@ struct TetMesh {
   std::array<double, 3> centroid(idx_t el) const;
 };
 
+/// Orientation determinant of element `el`: det of the edge matrix
+/// [v1 - v0, v2 - v0, v3 - v0] = 6 x signed volume; 0 for a flat tet.
+double orientationDet(const TetMesh& mesh, idx_t el);
+
 /// Ensure every element has positive orientation (det of edge matrix > 0);
 /// swaps two vertices where needed. Returns the number of flips.
 idx_t fixOrientation(TetMesh& mesh);

@@ -47,33 +47,6 @@ inline Precision parsePrecision(const std::string& s) {
 /// snapshot validation).
 inline int_t precisionBytes(Precision p) { return p == Precision::kF32 ? 4 : 8; }
 
-/// How the `StepExecutor` maps an op's chunks onto threads. `kStatic` is
-/// the reference: chunk t runs on team thread t, matching the arena's NUMA
-/// first-touch map. `kDynamic` over-decomposes each op into more chunks
-/// than threads and lets idle threads *steal* whole chunks from their
-/// neighbors' queues — better tail latency when LTS clusters (or shared
-/// machines) make per-chunk cost uneven. Both modes use the same pure
-/// chunk→element map and per-chunk workspaces, so results are
-/// bitwise-identical across modes and thread counts (threading.hpp).
-enum class ExecutorMode : int_t {
-  kStatic = 0,  ///< chunk t on thread t (the bitwise reference schedule)
-  kDynamic      ///< work-stealing over an over-decomposed chunk map
-};
-
-/// Stable name of an executor mode: "static" | "dynamic" (CLI/bench).
-inline const char* executorModeName(ExecutorMode m) {
-  return m == ExecutorMode::kDynamic ? "dynamic" : "static";
-}
-
-/// Inverse of `executorModeName`; throws `std::invalid_argument` on
-/// anything else (the CLI's `--executor` error path).
-inline ExecutorMode parseExecutorMode(const std::string& s) {
-  if (s == "static") return ExecutorMode::kStatic;
-  if (s == "dynamic") return ExecutorMode::kDynamic;
-  throw std::invalid_argument("unknown executor mode '" + s +
-                              "' (expected static | dynamic)");
-}
-
 /// Solver configuration shared by all time-stepping schemes. Every field
 /// has a validated range; `Simulation`'s constructor throws
 /// `std::invalid_argument` on violations.
@@ -136,11 +109,6 @@ struct SimConfig {
   /// so this is purely a performance knob. The CLI defaults it to the
   /// hardware thread count divided by `--ranks`.
   int_t numThreads = 1;
-  /// Chunk→thread scheduling mode (`--executor {static,dynamic}`). Dynamic
-  /// work-stealing is opt-in; like `numThreads` it is purely a performance
-  /// knob — results stay bitwise-identical to the static reference because
-  /// chunks are the indivisible unit (see `ExecutorMode`).
-  ExecutorMode executorMode = ExecutorMode::kStatic;
   /// Dual-graph weighting the rank partitioner balances
   /// (`--partition {unweighted,weighted}`). Weighted is the default: LTS
   /// update frequencies plus a face-flux share (partition/dual_graph.hpp).

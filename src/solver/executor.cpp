@@ -132,9 +132,7 @@ StepExecutor<Real, W>::StepExecutor(const SimConfig& cfg,
       policy_(policy ? std::move(policy)
                      : makeNeighborDataPolicy<Real, W>(cfg, state, kernels, clusterDt_)),
       nThreads_(checkedThreads(cfg.numThreads)),
-      mode_(cfg.executorMode),
-      nChunks_(mode_ == ExecutorMode::kDynamic ? dynamicChunkCount(nThreads_) : nThreads_),
-      pool_(kernels, state.stackSize(), nChunks_) {}
+      pool_(kernels, state.stackSize(), nThreads_) {}
 
 template <typename Real, int W>
 template <typename Fn>
@@ -144,17 +142,7 @@ void StepExecutor<Real, W>::parallelRange(idx_t begin, idx_t end, Fn&& fn) {
   // cluster range the element→chunk map matches the first-touch pass of
   // SolverState — thread t walks pages it placed. The map depends only on
   // (range, numThreads), so results are bitwise-identical for every thread
-  // count. The dynamic mode uses the same pure map over more chunks and
-  // steals them whole — identical results, timing-dependent placement
-  // (threading.hpp).
-  if (mode_ == ExecutorMode::kDynamic) {
-    stealChunks(nChunks_, nThreads_, [&](int_t c) {
-      if (chunkDelayHook_) chunkDelayHook_(c);
-      const ChunkRange r = staticChunk(begin, end, nChunks_, c);
-      for (idx_t el = r.begin; el < r.end; ++el) fn(el, c);
-    });
-    return;
-  }
+  // count.
   forEachChunk(nThreads_, [&](int_t t) {
     const ChunkRange c = staticChunk(begin, end, nThreads_, t);
     for (idx_t el = c.begin; el < c.end; ++el) fn(el, t);

@@ -3,17 +3,15 @@
 // flattened rate-2 LTS op sequence (lts::ScheduleOp, paper Sec. V-B) over
 // the cluster-contiguous element ranges of a `SolverState`, one parallel
 // region per (phase, cluster) op: the op's range is cut into static
-// contiguous chunks (solver/threading.hpp). In the static executor mode
+// contiguous chunks (solver/threading.hpp), one per configured thread, and
 // chunk t runs on thread t — the same map the arena's NUMA first-touch
-// pass used, so every thread streams through pages it placed itself; the
-// dynamic mode (`SimConfig::executorMode`) over-decomposes into
-// `dynamicChunkCount(numThreads)` chunks and work-steals them whole. The
+// pass used, so every thread streams through pages it placed itself. The
 // distributed overlap mode runs an op as two calls over the interior and
-// halo-boundary sub-ranges of the cluster's range. The
-// three neighbor-data paradigms — GTS direct-B1, the paper's
-// next-generation three-buffer scheme, and the buffer+derivative baseline
-// of [15] — are strategy classes behind the `NeighborDataPolicy` interface
-// instead of `if (scheme)` branches in the hot loop.
+// halo-boundary sub-ranges of the cluster's range. The three neighbor-data
+// paradigms — GTS direct-B1, the paper's next-generation three-buffer
+// scheme, and the buffer+derivative baseline of [15] — are strategy classes
+// behind the `NeighborDataPolicy` interface instead of `if (scheme)`
+// branches in the hot loop.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in
@@ -24,7 +22,6 @@
 // the double-buffered policy data, and hook state is only touched from the
 // element that owns it.
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -146,20 +143,12 @@ class StepExecutor {
   /// Sum the per-thread flop counters and reset them.
   std::uint64_t drainFlops();
 
-  /// Test seam for the dynamic mode's differential suite: called with the
-  /// chunk id right before each chunk executes, from the executing thread.
-  /// Tests inject randomized sleeps here to force adversarial steal timings
-  /// and assert the results stay bitwise-identical. Never called in static
-  /// mode; must be thread-safe.
-  void setChunkDelayHook(std::function<void(int_t)> hook) { chunkDelayHook_ = std::move(hook); }
-
  private:
   void localElement(idx_t el, double dt, double t0, bool odd, int_t tid);
   void neighborElement(idx_t el, idx_t step, int_t tid);
-  /// Run `fn(el, tid)` over [begin, end) in nChunks_ chunks of the pure
-  /// `staticChunk` map — chunk t on thread t in static mode, stolen in
-  /// whole-chunk units in dynamic mode (threading.hpp). `tid` is the chunk
-  /// id in both modes.
+  /// Run `fn(el, tid)` over [begin, end) in nThreads_ chunks of the pure
+  /// `staticChunk` map, chunk t on thread t (threading.hpp). `tid` is the
+  /// chunk id.
   template <typename Fn>
   void parallelRange(idx_t begin, idx_t end, Fn&& fn);
 
@@ -172,10 +161,7 @@ class StepExecutor {
   std::unique_ptr<NeighborDataPolicy<Real, W>> policy_;
 
   int_t nThreads_ = 1;           ///< SimConfig::numThreads (validated >= 1)
-  ExecutorMode mode_ = ExecutorMode::kStatic;
-  int_t nChunks_ = 1;            ///< chunks per op (== workspace count)
   WorkspacePool<Real, W> pool_;  ///< per-chunk scratch/recStack/flops
-  std::function<void(int_t)> chunkDelayHook_; ///< test seam (dynamic mode)
 };
 
 extern template class StepExecutor<float, 1>;

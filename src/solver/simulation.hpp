@@ -18,7 +18,6 @@
 // order and the facade translates through `state().toInternal()`.
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -133,13 +132,6 @@ class Simulation {
   /// Mutable receiver access for snapshot trace restore; same bounds
   /// contract as `receiver()`.
   seismo::Receiver& receiverMut(idx_t i) { return hook_->mutableReceiver(i); }
-
-  /// Forward of `StepExecutor::setChunkDelayHook` — the dynamic-mode
-  /// differential tests inject randomized per-chunk delays to force
-  /// adversarial steal timings (no-op in static mode).
-  void setChunkDelayHook(std::function<void(int_t)> hook) {
-    executor_->setChunkDelayHook(std::move(hook));
-  }
 
   /// Pointwise solution sample (elastic quantities) for verification.
   std::array<double, kElasticVars> sample(idx_t element, const std::array<double, 3>& xi,

@@ -20,18 +20,9 @@
 // exactly one chunk, in a fixed intra-chunk order, with chunk-private
 // scratch.
 //
-// The dynamic executor mode (`--executor dynamic`, SimConfig::executorMode)
-// keeps that exact invariant while relaxing *placement*: the op is cut into
-// `dynamicChunkCount(numThreads)` chunks by the same pure `staticChunk` map
-// and `stealChunks` lets idle threads steal whole chunks. Chunks stay the
-// indivisible unit — each runs on one (arbitrary) thread with its own
-// workspace — so dynamic results are bitwise-identical to the static
-// reference; only the chunk→OS-thread binding is timing-dependent.
-//
-// Both chunk runners execute their chunks under `ScopedFlushDenormals`
+// `forEachChunk` executes its chunks under `ScopedFlushDenormals`
 // (common/float_env.hpp), entered on every team thread: the FP control
 // register is per thread, and the pool threads outlive any one region.
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -97,68 +88,6 @@ void forEachChunk(int_t nChunks, Fn&& fn) {
 #endif
 }
 
-/// Chunks per configured thread the dynamic executor over-decomposes each
-/// op into. More chunks = finer stealing granularity (better balance on
-/// skewed per-element cost) but more scheduling overhead and a chunk map
-/// further from the arena's first-touch layout; 4 is the usual sweet spot
-/// for loops whose per-chunk cost varies by small integer factors.
-inline constexpr int_t kStealChunksPerThread = 4;
-
-/// Chunk count of the dynamic executor's chunk map for `nThreads`. Pure
-/// function: the map stays a function of (range, config), never of runtime
-/// thread timing — the bitwise-determinism invariant of `staticChunk`.
-inline int_t dynamicChunkCount(int_t nThreads) { return nThreads * kStealChunksPerThread; }
-
-/// One claim cursor per work-stealing queue, cache-line padded: owner and
-/// thieves contend on it with `fetch_add`, and adjacent queues must not
-/// false-share.
-struct alignas(kAlignment) StealCursor {
-  std::atomic<idx_t> next{0};
-};
-
-/// Work-stealing execution of the chunk ids [0, nChunks), each exactly once.
-///
-/// Queue q (one per configured thread, q in [0, nThreads)) holds the
-/// round-robin slice q, q + nThreads, q + 2*nThreads... Each queue has a
-/// single atomic claim cursor: the owning thread drains its own queue with
-/// `fetch_add`, then turns thief and drains its neighbors' queues in
-/// deterministic victim order (q+1, q+2, ... mod nThreads) through the very
-/// same cursor. Every `fetch_add` yields a distinct slot, so each chunk is
-/// claimed by exactly one thread and runs as one indivisible unit — no
-/// chunk is ever split or run twice, which is the whole bitwise-determinism
-/// argument: *which* thread runs a chunk is timing-dependent, but the
-/// chunk→element map and the per-chunk workspaces are not.
-///
-/// If the OpenMP runtime delivers a smaller team than `nThreads` (or OpenMP
-/// is off), ownerless queues are simply drained by thieves — the executed
-/// chunk set never changes.
-template <typename Fn>
-void stealChunks(int_t nChunks, int_t nThreads, Fn&& fn) {
-#ifdef _OPENMP
-  std::vector<StealCursor> cursor(nThreads);
-#pragma omp parallel num_threads(static_cast<int>(nThreads))
-  {
-    const ScopedFlushDenormals flush;
-    const int_t self = static_cast<int_t>(omp_get_thread_num());
-    for (int_t v = 0; v < nThreads; ++v) {
-      const int_t q = (self + v) % nThreads;
-      for (;;) {
-        // Relaxed is sufficient: the fetch_add's atomicity alone guarantees
-        // unique claims, and the parallel region's end barrier orders every
-        // chunk's writes before any later read of them.
-        const idx_t k = cursor[q].next.fetch_add(1, std::memory_order_relaxed);
-        const idx_t slot = q + k * nThreads;
-        if (slot >= nChunks) break;
-        fn(static_cast<int_t>(slot));
-      }
-    }
-  }
-#else
-  const ScopedFlushDenormals flush;
-  for (int_t c = 0; c < nChunks; ++c) fn(c);
-#endif
-}
-
 /// Everything one executor thread mutates outside the arena: the ADER
 /// kernel scratch, the receiver-element derivative stack, and the flop
 /// counter. One instance per chunk id, allocated by its owning thread (so
@@ -177,13 +106,12 @@ struct ThreadWorkspace {
 template <typename Real, int W>
 class WorkspacePool {
  public:
-  /// `recStackSize` is `SolverState::stackSize()` (order x 9 x B x W).
-  /// `nChunks` is the executor's chunk count: numThreads for the static
-  /// mode, `dynamicChunkCount(numThreads)` for the work-stealing mode.
+  /// `recStackSize` is `SolverState::stackSize()` (order x 9 x B x W);
+  /// `numThreads` is `SimConfig::numThreads`, the executor's chunk count.
   WorkspacePool(const kernels::AderKernels<Real, W>& kernels, std::size_t recStackSize,
-                int_t nChunks) {
-    ws_.resize(nChunks);
-    forEachChunk(nChunks, [&](int_t t) {
+                int_t numThreads) {
+    ws_.resize(numThreads);
+    forEachChunk(numThreads, [&](int_t t) {
       auto w = std::make_unique<ThreadWorkspace<Real, W>>();
       w->scratch = kernels.makeScratch();
       w->recStack.assign(recStackSize, Real(0));

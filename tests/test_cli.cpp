@@ -8,6 +8,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/scenario.hpp"
@@ -211,14 +212,22 @@ TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
-TEST(Cli, RemovedKernelBackendIsAUsageError) {
-  int status = 0;
-  const std::string err =
-      cliStderr("-s quickstart --scale 0.3 --end-time 0.01 -q --kernel specialized", status);
-  ASSERT_TRUE(WIFEXITED(status)) << err;
-  EXPECT_EQ(WEXITSTATUS(status), 2) << err;
-  EXPECT_NE(err.find("unknown kernel backend 'specialized'"), std::string::npos) << err;
-  EXPECT_NE(err.find("auto | scalar | vector)"), std::string::npos) << err;
+TEST(Cli, RemovedOptionsAreUsageErrors) {
+  // Deleted variants fail as usage errors instead of silently running the
+  // remaining one: a removed value of a kept flag, and a removed flag.
+  const std::pair<const char*, const char*> cases[] = {
+      {"--kernel specialized",
+       "unknown kernel backend 'specialized' (expected auto | scalar | vector)"},
+      {"--executor dynamic", "unknown option '--executor'"},
+  };
+  for (const auto& [flag, expected] : cases) {
+    int status = 0;
+    const std::string err =
+        cliStderr(std::string("-s quickstart --scale 0.3 --end-time 0.01 -q ") + flag, status);
+    ASSERT_TRUE(WIFEXITED(status)) << flag << "\n" << err;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flag << "\n" << err;
+    EXPECT_NE(err.find(expected), std::string::npos) << err;
+  }
 }
 
 TEST(Cli, RunEndingBeforeTheWaveArrivesReportsMisfitAsNotAvailable) {

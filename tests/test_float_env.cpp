@@ -1,7 +1,7 @@
 // Subnormal flushing of the solver loops (common/float_env.hpp). An f32 box
 // whose Gaussian initial condition underflows into the subnormal range in
 // the far field: the projected initial state holds subnormal DOFs, the run
-// leaves none, every threads x executor and ranks x transport x overlap
+// leaves none, every thread count and ranks x transport x overlap
 // configuration stays bitwise-identical to the 1-thread single-rank run
 // (all of them compute under the same FP mode), and the calling thread's FP
 // control word is unchanged by construction and run().
@@ -53,14 +53,13 @@ Fixture makeFixture() {
   return f;
 }
 
-ns::SimConfig makeCfg(int_t threads, ns::ExecutorMode mode) {
+ns::SimConfig makeCfg(int_t threads) {
   ns::SimConfig cfg;
   cfg.order = 3;
   cfg.scheme = ns::TimeScheme::kLtsNextGen;
   cfg.numClusters = 3;
   cfg.lambda = 1.0;
   cfg.numThreads = threads;
-  cfg.executorMode = mode;
   return cfg;
 }
 
@@ -120,8 +119,7 @@ class FloatEnv : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     fixture_ = new Fixture(makeFixture());
-    reference_ = new ns::Simulation<float, 1>(fixture_->mesh, fixture_->mats,
-                                              makeCfg(1, ns::ExecutorMode::kStatic));
+    reference_ = new ns::Simulation<float, 1>(fixture_->mesh, fixture_->mats, makeCfg(1));
     attachInputs(*reference_);
     subnormalsBefore_ = countSubnormal(*reference_, elements(), dofs());
     reference_->run(kEndTime);
@@ -167,15 +165,14 @@ TEST_F(FloatEnv, RunFlushesEverySubnormalDof) {
 
 TEST_F(FloatEnv, CallerControlWordUnchangedByConstructionAndRun) {
   const std::uint64_t before = nglts::fpControlWord();
-  ns::Simulation<float, 1> sim(fixture_->mesh, fixture_->mats,
-                               makeCfg(2, ns::ExecutorMode::kDynamic));
+  ns::Simulation<float, 1> sim(fixture_->mesh, fixture_->mats, makeCfg(2));
   EXPECT_EQ(nglts::fpControlWord(), before);
   attachInputs(sim);
   sim.run(kEndTime);
   EXPECT_EQ(nglts::fpControlWord(), before);
 
   npar::DistConfig dcfg;
-  dcfg.sim = makeCfg(1, ns::ExecutorMode::kStatic);
+  dcfg.sim = makeCfg(1);
   dcfg.transport = npar::Transport::kThread;
   npar::DistributedSimulation<float, 1> dist(fixture_->mesh, fixture_->mats, twoRanks(), dcfg);
   EXPECT_EQ(nglts::fpControlWord(), before);
@@ -184,25 +181,19 @@ TEST_F(FloatEnv, CallerControlWordUnchangedByConstructionAndRun) {
   EXPECT_EQ(nglts::fpControlWord(), before);
 }
 
-class FloatEnvThreads
-    : public FloatEnv,
-      public ::testing::WithParamInterface<std::tuple<int_t, ns::ExecutorMode>> {};
+class FloatEnvThreads : public FloatEnv, public ::testing::WithParamInterface<int_t> {};
 
 TEST_P(FloatEnvThreads, BitwiseVsSingleThread) {
-  const auto [threads, mode] = GetParam();
-  ns::Simulation<float, 1> sim(fixture_->mesh, fixture_->mats, makeCfg(threads, mode));
+  ns::Simulation<float, 1> sim(fixture_->mesh, fixture_->mats, makeCfg(GetParam()));
   attachInputs(sim);
   sim.run(kEndTime);
   expectBitwise(*reference_, sim, elements(), dofs());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsByExecutor, FloatEnvThreads,
-    ::testing::Combine(::testing::Values<int_t>(1, 2, 8),
-                       ::testing::Values(ns::ExecutorMode::kStatic, ns::ExecutorMode::kDynamic)),
+    Threads, FloatEnvThreads, ::testing::Values<int_t>(1, 2, 8),
     [](const ::testing::TestParamInfo<FloatEnvThreads::ParamType>& info) {
-      return std::to_string(std::get<0>(info.param)) + "threads_" +
-             ns::executorModeName(std::get<1>(info.param));
+      return std::to_string(info.param) + "threads";
     });
 
 class FloatEnvRanks : public FloatEnv,
@@ -212,7 +203,7 @@ class FloatEnvRanks : public FloatEnv,
 TEST_P(FloatEnvRanks, TwoRanksBitwiseVsSingleRank) {
   const auto [transport, overlap] = GetParam();
   npar::DistConfig dcfg;
-  dcfg.sim = makeCfg(1, ns::ExecutorMode::kStatic);
+  dcfg.sim = makeCfg(1);
   dcfg.transport = transport;
   dcfg.overlap = overlap;
   npar::DistributedSimulation<float, 1> dist(fixture_->mesh, fixture_->mats, twoRanks(), dcfg);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "basis/global_matrices.hpp"
 #include "mesh/box_gen.hpp"
@@ -175,6 +177,21 @@ TEST(Geometry, FaceAreasConsistentAcrossNeighbors) {
       if (fi.neighbor < 0) continue;
       EXPECT_NEAR(geo[el].face[f].area, geo[fi.neighbor].face[fi.neighborFace].area, 1e-12);
     }
+}
+
+TEST(Geometry, FlatTetIsANamedError) {
+  // Element 1 is flat (its fourth vertex lies in the z = 0 plane of the
+  // other three). The error leaves the threaded loop as an exception that
+  // names the element instead of terminating the process.
+  nm::TetMesh mesh;
+  mesh.vertices = {{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 1, 0}};
+  mesh.elements = {{0, 1, 2, 3}, {0, 1, 2, 4}};
+  try {
+    nm::computeGeometry(mesh);
+    FAIL() << "expected std::runtime_error for the flat element";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("element 1:"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Geometry, LocatePoint) {

@@ -356,7 +356,15 @@ TEST(GmshConformance, RejectsDegenerateTets) {
   const auto pos = content.find("1 1 2 3 4\n");
   ASSERT_NE(pos, std::string::npos);
   content.replace(pos, 10, "1 1 2 3 3\n");
-  expectParseError(content, "degenerate tetrahedron", 19);
+  expectParseError(content, "degenerate tetrahedron (repeated node", 19);
+  // Node 5 lies in the plane of nodes 1-3, so the second tet is flat (zero
+  // volume in either orientation); the error points at its element line.
+  expectParseError(
+      "$MeshFormat\n4.1 0 8\n$EndMeshFormat\n"
+      "$Nodes\n1 5 1 5\n3 1 0 5\n1\n2\n3\n4\n5\n"
+      "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n$EndNodes\n"
+      "$Elements\n1 2 1 2\n3 1 4 2\n1 1 2 3 4\n2 1 2 3 5\n$EndElements\n",
+      "degenerate tetrahedron (four coplanar nodes", 22);
 }
 
 TEST(GmshConformance, RejectsMeshWithoutNodes) {

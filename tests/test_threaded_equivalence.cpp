@@ -5,14 +5,12 @@
 // schedule op's cluster range into SimConfig::numThreads static chunks and
 // each element is updated by exactly one chunk with chunk-private scratch,
 // so no tolerance is needed; any drift is a chunking/workspace bug. Also
-// covered: the hybrid ranks x threads distributed run vs the 1-rank
-// 1-thread reference, and the numThreads validation.
+// covered: the hybrid ranks x threads distributed run (lockstep and
+// overlapped) vs the 1-rank 1-thread reference, and the numThreads
+// validation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <random>
 #include <tuple>
 
 #include "mesh/box_gen.hpp"
@@ -176,7 +174,9 @@ TEST(ThreadedEquivalenceExtra, ThreadsExceedingElementsBitwise) {
 
 TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   // The executor's OpenMP teams nested inside ThreadComm rank threads
-  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference.
+  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference,
+  // lockstep and overlapped: under --overlap each op runs as its interior
+  // and halo-boundary sub-ranges, each cut into 2 static chunks.
   const double tEnd = 0.2;
   Fixture f = makeFixture(/*mechanisms=*/0);
 
@@ -188,17 +188,21 @@ TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   std::vector<int_t> part(f.mesh.numElements());
   for (idx_t e = 0; e < f.mesh.numElements(); ++e)
     part[e] = f.mesh.centroid(e)[0] < 500.0 ? 0 : 1;
-  npar::DistConfig dcfg;
-  dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
-  dcfg.transport = npar::Transport::kThread; // rank std::threads, each forking a 2-thread team
-  npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
-  ASSERT_EQ(dist.ranks(), 2);
-  addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
-  dist.setInitialCondition(initWave);
-  dist.run(tEnd);
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap" : "lockstep");
+    npar::DistConfig dcfg;
+    dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
+    dcfg.transport = npar::Transport::kThread; // rank std::threads, each forking a 2-thread team
+    dcfg.overlap = overlap;
+    npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
+    ASSERT_EQ(dist.ranks(), 2);
+    addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
+    dist.setInitialCondition(initWave);
+    dist.run(tEnd);
 
-  expectBitwiseSeismograms(ref, dist, 1);
-  expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
+    expectBitwiseSeismograms(ref, dist, 1);
+    expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
+  }
 }
 
 TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
@@ -210,58 +214,6 @@ TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
   EXPECT_THROW((ns::Simulation<double, 1>(f.mesh, f.mats, cfg)), std::invalid_argument);
   cfg.numThreads = 1;
   EXPECT_NO_THROW(ns::validateSimConfig(cfg));
-}
-
-TEST(ThreadedConfig, DynamicStealPermutesChunksButNeverSplitsOne) {
-  // Chunk-indivisibility property of the work-stealing scheduler: for random
-  // (range, numThreads), `stealChunks` may run the chunks in any sequence, but every chunk id is delivered to `fn`
-  // exactly once (never split across threads, never run twice), every
-  // element of the range is covered exactly once, and a synthetic per-op
-  // flop count accumulated in per-chunk counters matches the serial sum
-  // exactly — the same argument that keeps the dynamic executor bitwise.
-  std::mt19937 rng(987654u);
-  for (int_t iter = 0; iter < 30; ++iter) {
-    const idx_t begin = static_cast<idx_t>(rng() % 64);
-    const idx_t n = static_cast<idx_t>(rng() % 1500);
-    const int_t threads = 1 + static_cast<int_t>(rng() % 16);
-    const int_t nChunks = ns::dynamicChunkCount(threads);
-
-    auto flopOf = [](idx_t el) {
-      return static_cast<std::uint64_t>(el) * 2654435761u + 17u;
-    };
-
-    std::vector<std::atomic<int>> runs(nChunks);
-    std::vector<std::atomic<int>> hits(n > 0 ? n : 1);
-    std::vector<std::uint64_t> chunkFlops(nChunks, 0); // written by the one owning thread
-    std::vector<int_t> execOrder(nChunks, -1);
-    std::atomic<int_t> execPos{0};
-
-    ns::stealChunks(nChunks, threads, [&](int_t c) {
-      execOrder[execPos.fetch_add(1)] = c;
-      runs[c].fetch_add(1);
-      const ns::ChunkRange r = ns::staticChunk(begin, begin + n, nChunks, c);
-      for (idx_t el = r.begin; el < r.end; ++el) {
-        hits[el - begin].fetch_add(1);
-        chunkFlops[c] += flopOf(el);
-      }
-    });
-
-    for (int_t c = 0; c < nChunks; ++c)
-      ASSERT_EQ(runs[c].load(), 1) << "chunk " << c << " iter " << iter;
-    for (idx_t e = 0; e < n; ++e)
-      ASSERT_EQ(hits[e].load(), 1) << "element " << begin + e << " iter " << iter;
-    // Execution order is a permutation of the chunk ids (steals reorder,
-    // never drop or duplicate).
-    ASSERT_EQ(execPos.load(), nChunks);
-    std::vector<int_t> sortedExec = execOrder;
-    std::sort(sortedExec.begin(), sortedExec.end());
-    for (int_t c = 0; c < nChunks; ++c) ASSERT_EQ(sortedExec[c], c);
-    // Exact flop parity with the serial accumulation (uint64 sums commute).
-    std::uint64_t serial = 0, stolen = 0;
-    for (idx_t el = begin; el < begin + n; ++el) serial += flopOf(el);
-    for (std::uint64_t f : chunkFlops) stolen += f;
-    ASSERT_EQ(stolen, serial) << "iter " << iter;
-  }
 }
 
 TEST(ThreadedConfig, StaticChunkCoversRangeExactlyOnce) {
