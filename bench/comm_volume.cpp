@@ -7,8 +7,8 @@
 //    remote faces (F/B = 15/35 at O = 5).
 // We print the per-face payload table and measured per-cycle byte volumes on
 // a partitioned LOH.3-like mesh for all three schemes — both the analytic
-// accounting (Simulation::cycleCommBytes) and the bytes actually shipped by
-// the distributed driver.
+// accounting (DistributedSimulation::cycleCommBytes, computed on a 1-rank
+// `Simulation`) and the bytes actually shipped by a multi-rank run.
 #include <cstdio>
 
 #include "bench_common.hpp"

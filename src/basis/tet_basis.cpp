@@ -7,7 +7,7 @@
 
 namespace nglts::basis {
 
-// Collapsed-coordinate factorization without divisions (see DESIGN.md §5):
+// Collapsed-coordinate factorization without divisions:
 //   phi_pqr = S_p^{(0,0)}(u1, v1) * S_q^{(2p+1,0)}(u2, v2) * P_r^{(2p+2q+2,0)}(c)
 // with u1 = 2 xi1 - (1 - xi2 - xi3), v1 = 1 - xi2 - xi3,
 //      u2 = 2 xi2 - (1 - xi3),       v2 = 1 - xi3,       c = 2 xi3 - 1.

@@ -53,7 +53,7 @@ void BatchEngine::add(const std::vector<ScenarioRequest>& reqs) {
 pre::PipelineConfig BatchEngine::groupPipelineConfig(const PlannedRun& pr) const {
   // Mirror the discretization/clustering knobs from the solver config so the
   // two halves of the base scenario cannot drift apart. GTS collapses to one
-  // cluster with the sweep off — matching Simulation::resolveClustering — so
+  // cluster with the sweep off — matching solver::resolveClustering — so
   // a GTS batch does not pay (or cache-key) a meaningless lambda sweep.
   pre::PipelineConfig p = cfg_.pipeline;
   p.order = cfg_.sim.order;
@@ -170,7 +170,7 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
       cache_.get(scaled, pcfg, combinedModelKey(modelKey_, materialScale));
 
   // Pin the pipeline's clustering decision into the run config (the lahabra
-  // pattern): the facade re-derives the identical clusters from the
+  // pattern): the engine re-derives the identical clusters from the
   // reordered mesh instead of sweeping lambda again.
   solver::SimConfig runCfg = cfg_.sim;
   runCfg.lambda = pipe->clustering.lambda;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -179,6 +180,8 @@ SnapshotInfo peekSnapshot(const std::string& path) {
 template <typename Real, int W>
 void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::uint64_t runIndex,
                   std::uint64_t cyclesDone, const solver::Simulation<Real, W>* sim) {
+  if (sim && sim->ranks() != 1)
+    throw std::invalid_argument("saveSnapshot: checkpoints cover single-rank runs only");
   Writer w;
   w.bytes(kMagic, 8);
   w.u32(kSnapshotVersion);
@@ -195,7 +198,7 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
   if (sim) {
     const auto& st = sim->state();
     const idx_t n = st.numElements();
-    const bool useStack = sim->config().scheme == solver::TimeScheme::kLtsBaseline;
+    const bool useStack = sim->config().sim.scheme == solver::TimeScheme::kLtsBaseline;
     w.u64(static_cast<std::uint64_t>(n));
     w.u64(st.elSize());
     w.u64(st.bufSize());
@@ -236,6 +239,8 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
 
 template <typename Real, int W>
 SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& sim) {
+  if (sim.ranks() != 1)
+    throw std::invalid_argument("loadSnapshot: checkpoints cover single-rank runs only");
   const std::vector<unsigned char> buf = readFile(path);
   const SnapshotInfo info = validateAndParseHeader(buf, path);
   if (!info.hasState)
@@ -262,7 +267,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   r.bytes(skip.data(), skip.size());
 
   auto& st = sim.stateMut();
-  const bool useStack = sim.config().scheme == solver::TimeScheme::kLtsBaseline;
+  const bool useStack = sim.config().sim.scheme == solver::TimeScheme::kLtsBaseline;
   const auto n = r.u64();
   const auto elSize = r.u64();
   const auto bufSize = r.u64();

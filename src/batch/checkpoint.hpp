@@ -1,13 +1,15 @@
 #pragma once
 // Versioned binary snapshots for checkpoint/restart of batch runs.
 //
-// The complete time-loop state of a `Simulation` lives in the `SolverState`
-// arenas (DOFs q, the B1/B2/B3 buffers, the baseline derivative stack), the
-// executor's per-cluster step counters and the accumulated receiver traces;
+// The complete time-loop state of a single-rank `Simulation` (the 1-rank
+// `parallel::DistributedSimulation`; multi-rank snapshots are not
+// supported) lives in rank 0's `SolverState` arenas (DOFs q, the B1/B2/B3
+// buffers, the baseline derivative stack), the executor's per-cluster step
+// counters and the accumulated receiver traces;
 // everything else — mesh, operators, schedule — is rebuilt deterministically
 // from the constructor inputs (the box generator is seeded, the lambda sweep
 // is pure). A snapshot therefore serializes exactly those three pieces at a
-// *cycle boundary* (`Simulation::runCycles` is the matching entry point) and
+// *cycle boundary* (`runCycles` is the matching entry point) and
 // a restored run is bitwise-identical to an uninterrupted one.
 //
 // Format (all integers little-endian, reals by IEEE-754 bit pattern):
@@ -72,15 +74,17 @@ SnapshotInfo peekSnapshot(const std::string& path);
 
 /// Write a snapshot atomically (temp file + rename). `sim == nullptr`
 /// writes a run-boundary marker (hasState = 0). The simulation must be at a
-/// cycle boundary — `cyclesDone` cycles into its run.
+/// cycle boundary — `cyclesDone` cycles into its run — and run on one rank
+/// (`std::invalid_argument` otherwise).
 template <typename Real, int W>
 void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::uint64_t runIndex,
                   std::uint64_t cyclesDone, const solver::Simulation<Real, W>* sim);
 
 /// Restore arenas, step counters and receiver traces into `sim`, which must
 /// have been rebuilt with the same mesh/config/receivers as the saved run.
-/// Throws `std::runtime_error` when the snapshot does not carry state, or
-/// when its geometry (element count, arena sizes, width, scalar size,
+/// Throws `std::invalid_argument` for a multi-rank `sim`, and
+/// `std::runtime_error` when the snapshot does not carry state, or when its
+/// geometry (element count, arena sizes, width, scalar size,
 /// cluster/receiver counts) does not match `sim`.
 template <typename Real, int W>
 SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& sim);

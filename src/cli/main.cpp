@@ -28,8 +28,8 @@ void printUsage() {
       "      --clusters N      number of LTS clusters (>= 1)\n"
       "      --fused W         fused-simulation width (1|2 double, 1|8|16 float scenarios)\n"
       "      --end-time T      simulated end time [s]\n"
-      "      --ranks N         distributed ranks (> 1 runs the message-passing engine;\n"
-      "                        default under --transport mpi: the mpirun world size)\n"
+      "      --ranks N         engine ranks (default 1, lahabra: 4; under\n"
+      "                        --transport mpi: the mpirun world size)\n"
       "      --threads N       OpenMP threads per rank for the solver loops (>= 1;\n"
       "                        default: hardware threads / ranks; results are\n"
       "                        bitwise-identical for every value)\n"

@@ -43,12 +43,11 @@ struct ScenarioOptions {
   /// Simulated end time [s] (> 0). Scenarios run full LTS cycles until at
   /// least this much physical time is covered.
   std::optional<double> endTime;
-  /// Number of distributed ranks (>= 1). When > 1, every scenario but
-  /// `batch` runs its primary simulation through
-  /// `parallel::DistributedSimulation` — over the pipeline's partition
-  /// (loh1, lahabra) or a weighted dual-graph partition — instead of the
-  /// shared-memory solver; results are bitwise-identical to the single-rank
-  /// run (Sec. V-C).
+  /// Number of distributed ranks (>= 1). Every scenario but `batch` runs
+  /// its primary simulation through `parallel::DistributedSimulation` on
+  /// this many ranks — over the pipeline's partition (loh1, lahabra), a
+  /// weighted dual-graph partition, or on one rank an all-zero one; results
+  /// are bitwise-identical for every rank count (Sec. V-C).
   std::optional<int_t> ranks;
   /// OpenMP threads per rank for the executor's element loops
   /// (`SimConfig::numThreads`, >= 1; 1 = serial). Unset = all hardware

@@ -1,9 +1,9 @@
 // Built-in scenarios of the `nglts` driver. Each scenario owns its canonical
 // defaults (mesh, materials, sources, receivers) and applies
 // `ScenarioOptions` overrides on top. Every primary run takes one engine
-// path: `withEngine` builds `Simulation` on one rank or
-// `DistributedSimulation` on several and hands it to the scenario's single
-// body, and `runPrimary` runs and reports it the same way for both.
+// path: `withEngine` builds the `DistributedSimulation` engine on however
+// many ranks were asked for and hands it to the scenario's single body, and
+// `runPrimary` runs and reports it.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -184,7 +184,7 @@ void writeCsv(const ScenarioOptions& opts, const std::string& file, double tEnd,
 struct EngineInputs {
   mesh::TetMesh mesh;
   std::vector<physics::Material> materials;
-  std::vector<int_t> part; ///< empty: `withEngine` cuts a weighted partition
+  std::vector<int_t> part; ///< empty: `withEngine` resolves the partition
 };
 
 /// Cut the weighted dual graph of the clustering `cfg` resolves into
@@ -203,20 +203,17 @@ std::vector<int_t> weightedPartition(const mesh::TetMesh& mesh,
   return partition::partitionGraph(graph, mesh, nRanks).part;
 }
 
-/// Build the scenario's primary engine and hand it to `body`: `Simulation`
-/// on one rank; otherwise `DistributedSimulation` over `in.part` (or a
-/// weighted partition), with `--transport` (default `defaultTransport`) and
-/// `--overlap`. Both give bitwise-identical results, so `body` is written
-/// once against either facade.
+/// Build the scenario's primary engine over `in.part` and hand it to `body`,
+/// with `--transport` (default `defaultTransport`) and `--overlap`. Without
+/// a given partition one rank owns every element (all zeros; the
+/// partitioner is not called) and several ranks cut a weighted one. Every
+/// rank count gives bitwise-identical results.
 template <typename Real, int W, typename Body>
 void withEngine(EngineInputs in, solver::SimConfig cfg, int_t nRanks, const ScenarioOptions& opts,
                 parallel::Transport defaultTransport, Body&& body) {
-  if (nRanks == 1) {
-    solver::Simulation<Real, W> sim(std::move(in.mesh), std::move(in.materials), cfg);
-    body(sim);
-    return;
-  }
-  if (in.part.empty()) in.part = weightedPartition(in.mesh, in.materials, cfg, nRanks);
+  if (in.part.empty())
+    in.part = nRanks == 1 ? std::vector<int_t>(in.mesh.numElements(), 0)
+                          : weightedPartition(in.mesh, in.materials, cfg, nRanks);
   parallel::DistConfig dcfg;
   dcfg.sim = cfg;
   dcfg.transport = opts.transport.value_or(defaultTransport);
@@ -226,16 +223,14 @@ void withEngine(EngineInputs in, solver::SimConfig cfg, int_t nRanks, const Scen
   body(sim);
 }
 
-template <typename Sim>
-constexpr bool kDistributed = requires(Sim& s) { s.gatherReceivers(); };
-
 /// Run the primary engine to `tEnd` and record it in `report`: the config
 /// and clustering it ran, its counters and the summary lines (clusters,
 /// performance and, on several ranks, the exchange). Under MPI the
 /// receivers are gathered on rank 0; returns whether this process holds
 /// the traces.
-template <typename Sim>
-bool runPrimary(Sim& sim, double tEnd, const ScenarioOptions& opts, ScenarioReport& report) {
+template <typename Real, int W>
+bool runPrimary(parallel::DistributedSimulation<Real, W>& sim, double tEnd,
+                const ScenarioOptions& opts, ScenarioReport& report) {
   const lts::Clustering& clustering = sim.clustering();
   report.clusterHistogram = clustering.clusterSize;
   appendf(report.summary, "clusters:");
@@ -244,14 +239,9 @@ bool runPrimary(Sim& sim, double tEnd, const ScenarioOptions& opts, ScenarioRepo
   appendf(report.summary, "  (%lld elements, lambda %.2f, theoretical speedup %.2fx)\n",
           static_cast<long long>(clustering.cluster.size()), clustering.lambda,
           clustering.theoreticalSpeedup);
-  if constexpr (kDistributed<Sim>) {
-    report.config = sim.config().sim;
-    progressf(opts, "running %s on %lld ranks...\n", schemeName(report.config.scheme).c_str(),
-              static_cast<long long>(sim.ranks()));
-  } else {
-    report.config = sim.config();
-    progressf(opts, "running %s...\n", schemeName(report.config.scheme).c_str());
-  }
+  report.config = sim.config().sim;
+  progressf(opts, "running %s on %lld rank%s...\n", schemeName(report.config.scheme).c_str(),
+            static_cast<long long>(sim.ranks()), sim.ranks() == 1 ? "" : "s");
 
   const auto st = sim.run(tEnd);
   report.stats = st;
@@ -259,8 +249,8 @@ bool runPrimary(Sim& sim, double tEnd, const ScenarioOptions& opts, ScenarioRepo
           "%llu cycles (%.3f simulated s) in %.2f s wall — %.3g element updates/s, %.1f GFLOPS\n",
           static_cast<unsigned long long>(st.cycles), st.simulatedTime, st.seconds,
           st.elementUpdatesPerSecond(), st.gflops());
-  if constexpr (kDistributed<Sim>) {
-    sim.gatherReceivers();
+  sim.gatherReceivers();
+  if (sim.ranks() > 1)
     appendf(report.summary,
             "distributed run: %lld ranks, %s transport, %s exchange, %.2f MB in %llu "
             "messages (%s)\n",
@@ -268,9 +258,7 @@ bool runPrimary(Sim& sim, double tEnd, const ScenarioOptions& opts, ScenarioRepo
             sim.config().overlap ? "overlapped" : "lockstep", st.commBytes / 1e6,
             static_cast<unsigned long long>(st.messages),
             sim.config().compressFaces ? "9xF face-local compression" : "raw 9xB buffers");
-    return sim.localRank() <= 0;
-  }
-  return true;
+  return sim.localRank() <= 0;
 }
 
 /// Resample lane 0 of receiver 0 to `samples` points on [0, tEnd] into
@@ -473,11 +461,11 @@ class Loh3Scenario final : public BuiltinScenario<Loh3Scenario, true, 1, 1, 2> {
   }
 
   /// Per-receiver misfit vs the GTS reference plus the CSV artifact; works
-  /// for both the shared-memory and the distributed primary simulation, at
-  /// either precision (traces are resampled to double either way).
-  template <typename Real, int W, typename PrimarySim>
+  /// for a primary run on any number of ranks, at either precision (traces
+  /// are resampled to double either way).
+  template <typename Real, int W>
   void compareReceivers(const ScenarioOptions& opts, const solver::SimConfig& cfg, double tEnd,
-                        solver::Simulation<Real, W>& gts, PrimarySim& primary,
+                        solver::Simulation<Real, W>& gts, solver::Simulation<Real, W>& primary,
                         ScenarioReport& report) const {
     const idx_t samples = 400;
     std::vector<std::vector<double>> columns;

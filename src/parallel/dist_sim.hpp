@@ -1,15 +1,17 @@
 #pragma once
-// Distributed-memory execution of the LTS schemes (paper Sec. V-C) as a
-// thin layer over the layered solver engine: the mesh is partitioned, every
-// rank owns a `SolverState` arena built over its halo view (owned elements
-// cluster-contiguous, halo copies appended after the owned ranges) and runs
-// the same flattened LTS schedule through a `StepExecutor` whose
-// neighbor-data policy is decorated by `HaloNeighborData` — owned faces read
-// the arena, cross-boundary faces read ghost slots filled from the
-// message-passing layer. All three neighbor-data schemes (GTS, the
-// next-generation three-buffer scheme, the buffer+derivative baseline of
-// [15]) and fused ensembles W > 1 run through the same engine as the
-// single-process `Simulation`, producing bitwise-identical results.
+// The solver engine: the clustered LTS schemes on one rank or many (paper
+// Sec. V-C) as a thin layer over the layered solver core. The mesh is
+// partitioned, every rank owns a `SolverState` arena built over its halo
+// view (owned elements cluster-contiguous, halo copies appended after the
+// owned ranges) and runs the same flattened LTS schedule through a
+// `StepExecutor`; a rank with cross-rank faces decorates its neighbor-data
+// policy with `HaloNeighborData` — owned faces read the arena,
+// cross-boundary faces read ghost slots filled from the message-passing
+// layer. All three neighbor-data schemes (GTS, the next-generation
+// three-buffer scheme, the buffer+derivative baseline of [15]) and fused
+// ensembles W > 1 run through it. The single-rank run
+// (`solver::Simulation`, simulation.hpp) is the same class over an
+// all-zero partition: one rank, no halo, no messages.
 //
 // Messages per cross-boundary face and producer step (next-gen / GTS;
 // payloads are raw 9 x B buffers or, with `compressFaces`, face-local 9 x F
@@ -35,10 +37,9 @@
 // `SimConfig::numThreads` OpenMP threads (the hybrid `--ranks x --threads`
 // layout — rank std::threads are OpenMP initial threads, so the teams nest
 // without configuration). All combinations are bitwise-reproducible and
-// bitwise-identical to the single-rank `Simulation`: per-element updates
-// are order-deterministic regardless of threading, and every cross-rank
-// payload carries exactly the values the shared-memory policy would have
-// read.
+// bitwise-identical to the single-rank run: per-element updates are
+// order-deterministic regardless of threading, and every cross-rank payload
+// carries exactly the values the shared-memory policy would have read.
 //
 // `DistConfig::overlap` breaks the op-lockstep exchange: the local phase
 // runs its halo-boundary producers first so their payloads enter the
@@ -49,6 +50,7 @@
 // ranges — SolverState::haloBoundaryBegin). Element updates within one
 // schedule op are independent, so the split is bitwise-identical to the
 // lockstep reference it is A/B'd against (see stepOpOverlap).
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -67,7 +69,7 @@
 #include "seismo/source.hpp"
 #include "solver/config.hpp"
 #include "solver/seismo_hook.hpp"
-#include "solver/simulation.hpp"
+#include "solver/state.hpp"
 
 namespace nglts::parallel {
 
@@ -92,8 +94,8 @@ struct DistConfig {
 };
 
 /// `run()` counters: the shared-memory ones (flops summed over the rank
-/// engines) plus the exchanged volume. A distinct type, so callers can
-/// overload on which facade produced it.
+/// engines) plus the exchanged volume (zero on one rank). A distinct type,
+/// so callers can overload on it.
 struct DistStats : solver::PerfStats {
   std::uint64_t commBytes = 0;
   std::uint64_t messages = 0;
@@ -104,6 +106,12 @@ class DistributedSimulation {
  public:
   using InitFn = solver::InitialConditionFn;
 
+  /// The single-rank engine (`solver::Simulation`): one rank owning every
+  /// element (an all-zero partition) over the SeqComm lockstep transport.
+  /// The partitioner is never called.
+  DistributedSimulation(mesh::TetMesh mesh, std::vector<physics::Material> materials,
+                        solver::SimConfig config);
+
   /// `partition` maps every global element to a rank in [0, max(part) + 1).
   /// Throws `std::invalid_argument` if the partition is empty, has negative
   /// entries, or leaves any rank without elements (an empty rank would
@@ -112,12 +120,18 @@ class DistributedSimulation {
                         std::vector<int_t> partition, DistConfig config);
   ~DistributedSimulation();
 
+  /// Every rank's executor holds a pointer to its source/receiver hook; the
+  /// engine is created in place (guaranteed copy elision covers factory
+  /// returns).
   DistributedSimulation(const DistributedSimulation&) = delete;
   DistributedSimulation& operator=(const DistributedSimulation&) = delete;
 
   const DistConfig& config() const { return cfg_; }
-  const lts::Clustering& clustering() const { return setup_.clustering; }
-  double cycleDt() const { return setup_.cycleDt(); }
+  /// The caller's mesh (global external element order).
+  const mesh::TetMesh& meshRef() const { return mesh_; }
+  const lts::Clustering& clustering() const { return clustering_; }
+  const kernels::AderKernels<Real, W>& kernels() const { return *kernels_; }
+  double cycleDt() const { return clustering_.clusterDt.back(); }
   int_t ranks() const { return numRanks_; }
   /// The transport driving the run (`DistConfig::transport`).
   Transport transport() const { return cfg_.transport; }
@@ -131,7 +145,9 @@ class DistributedSimulation {
   void setInitialCondition(const InitFn& f);
 
   /// Register a point source on the owning rank (located on the global
-  /// mesh); `laneScale` as in `Simulation::addPointSource`.
+  /// mesh); `laneScale` (size W, defaults to all-1) modulates the amplitude
+  /// per fused lane — the paper's "ensembles of forward simulations" differ
+  /// in their sources. Throws `std::invalid_argument` on a size mismatch.
   void addPointSource(const seismo::PointSource& src, std::vector<double> laneScale = {});
 
   /// Register a receiver on the owning rank; returns its global index or
@@ -153,16 +169,56 @@ class DistributedSimulation {
   /// Advance by full LTS cycles until at least `endTime` is covered.
   /// Collective under MPI (all processes call it together); the returned
   /// stats are globally reduced on every rank.
-  DistStats run(double endTime);
+  DistStats run(double endTime) { return runCycles(cyclesFor(endTime)); }
+  /// Number of full LTS cycles `run(endTime)` executes.
+  std::uint64_t cyclesFor(double endTime) const;
+  /// Advance by exactly `cycles` full LTS cycles — the checkpoint driver's
+  /// entry point (batch/checkpoint.*): snapshots are taken at cycle
+  /// boundaries, and `runCycles(a); runCycles(b)` is bitwise-identical to
+  /// `runCycles(a + b)` (step counters persist across calls).
+  DistStats runCycles(std::uint64_t cycles);
+
+  // -- checkpoint/restart surface (batch/checkpoint.*), per rank ------------
+  /// Rank `rank`'s memory arena (cluster-contiguous internal layout, id
+  /// mapping over the rank's halo view — the caller's external ids on one
+  /// rank). The arenas hold the complete time-loop state; everything else
+  /// (mesh, operators, schedule) is rebuilt deterministically from the
+  /// constructor inputs. Throws like `dofs` for a rank of another process.
+  const solver::SolverState<Real, W>& state(int_t rank = 0) const;
+  solver::SolverState<Real, W>& stateMut(int_t rank = 0);
+  /// Rank `rank`'s per-cluster step counters (schedule position).
+  const std::vector<idx_t>& clusterSteps(int_t rank = 0) const;
+  /// Restore rank `rank`'s schedule position; throws `std::invalid_argument`
+  /// on a cluster-count mismatch.
+  void restoreClusterSteps(const std::vector<idx_t>& steps, int_t rank = 0);
+  /// Mutable receiver access for snapshot trace restore; same bounds
+  /// contract as `receiver()`, the receiver must live in this process.
+  seismo::Receiver& receiverMut(idx_t i);
 
   /// DOF access by global external element id (reads the owning rank's
-  /// arena; under MPI throws `std::runtime_error` for remote elements).
+  /// arena). Throws `std::out_of_range` for an id outside the mesh and,
+  /// under MPI, `std::runtime_error` for remote elements.
   const Real* dofs(idx_t element) const;
+  Real* dofs(idx_t element);
+
+  /// Pointwise solution sample (elastic quantities) for verification.
+  /// Throws `std::out_of_range` for a bad element id or a lane outside
+  /// [0, W).
+  std::array<double, kElasticVars> sample(idx_t element, const std::array<double, 3>& xi,
+                                          int_t lane = 0) const;
+
+  /// Total bytes a run would ship per cycle for the configured scheme if
+  /// the mesh were cut along `partition` (Sec. V-C accounting; computed
+  /// analytically, used by the comm-volume bench). `partition` is indexed
+  /// by global external element id; throws `std::invalid_argument` on a size
+  /// mismatch.
+  std::uint64_t cycleCommBytes(const std::vector<int_t>& partition, bool faceLocal) const;
 
  private:
   struct Rank;
 
-  void buildRank(int_t r);
+  void init(const std::vector<physics::Material>& materials);
+  void buildRank(int_t r, const std::vector<physics::Material>& materials);
   void stepOp(Rank& rank, const lts::ScheduleOp& op);
   void stepOpOverlap(Rank& rank, const lts::ScheduleOp& op);
   void packAndSend(Rank& rank, int_t cluster);
@@ -171,11 +227,13 @@ class DistributedSimulation {
 
   DistConfig cfg_;
   int_t localRank_ = -1; ///< -1: all ranks in-process; else the MPI rank
-  mesh::TetMesh mesh_;                        ///< global external order
-  std::vector<physics::Material> materials_;  ///< global external order
-  solver::FacadeSetup<Real, W> setup_;        ///< global geometry, clustering, kernels
+  mesh::TetMesh mesh_;                     ///< global external order
   std::vector<int_t> part_;
   int_t numRanks_ = 1;
+  std::vector<mesh::ElementGeometry> geo_; ///< global external order
+  lts::Clustering clustering_;             ///< global external order
+  std::vector<lts::ScheduleOp> schedule_;
+  std::unique_ptr<kernels::AderKernels<Real, W>> kernels_;
 
   std::unique_ptr<Communicator> comm_;
   std::vector<std::unique_ptr<Rank>> ranks_; ///< indexed by rank id; under MPI

@@ -1,8 +1,8 @@
-// DistributedSimulation: the distributed LTS path on the layered solver
-// engine (see dist_sim.hpp). This file owns the glue the engine does not:
-// per-rank construction over halo views, the send/receive protocol packing
-// (raw 9 x B vs face-local 9 x F, trimmed derivative stacks for the baseline
-// scheme) interleaved between schedule ops, and the run drivers — SeqComm
+// DistributedSimulation: the solver engine on one rank or many (see
+// dist_sim.hpp). This file owns the glue the solver core does not: global
+// setup, per-rank construction over halo views, the send/receive protocol
+// packing (raw 9 x B vs face-local 9 x F, trimmed derivative stacks for the
+// baseline scheme) interleaved between schedule ops, and the run drivers — SeqComm
 // lockstep, ThreadComm per-rank threads, and the MpiComm one-process-per-
 // rank mode where only the local rank's engine is built. The element
 // stepping itself is the shared `StepExecutor` — there is no duplicated
@@ -11,13 +11,17 @@
 #include "parallel/dist_sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "common/float_env.hpp"
 #include "solver/executor.hpp"
+#include "solver/setup.hpp"
 #include "solver/state.hpp"
 
 namespace nglts::parallel {
@@ -48,6 +52,13 @@ std::uint64_t readU64(const std::vector<std::uint8_t>& raw, std::size_t& off) {
   std::uint64_t v = 0;
   readReals(raw, off, &v, 1);
   return v;
+}
+
+/// Throws `std::out_of_range` naming `what` unless 0 <= i < n.
+void checkIndex(const char* what, idx_t i, idx_t n) {
+  if (i < 0 || i >= n)
+    throw std::out_of_range(std::string(what) + " " + std::to_string(i) +
+                            " out of range (have " + std::to_string(n) + ")");
 }
 
 } // namespace
@@ -81,16 +92,45 @@ struct DistributedSimulation<Real, W>::Rank {
 template <typename Real, int W>
 DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
                                                       std::vector<physics::Material> materials,
+                                                      solver::SimConfig config)
+    : mesh_(std::move(mesh)), part_(static_cast<std::size_t>(mesh_.numElements()), 0) {
+  cfg_.sim = std::move(config);
+  init(materials);
+}
+
+template <typename Real, int W>
+DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
+                                                      std::vector<physics::Material> materials,
                                                       std::vector<int_t> partition,
                                                       DistConfig config)
-    : cfg_(config),
-      mesh_(std::move(mesh)),
-      materials_(std::move(materials)),
-      // The same setup as the shared-memory Simulation, so both paths step
-      // the exact same clusters (the invariant behind the bitwise
-      // equivalence).
-      setup_("DistributedSimulation", cfg_.sim, mesh_, materials_),
-      part_(std::move(partition)) {
+    : cfg_(std::move(config)), mesh_(std::move(mesh)), part_(std::move(partition)) {
+  init(materials);
+}
+
+// Global setup — geometry, CFL steps, clustering, schedule and kernels are
+// resolved once on the whole mesh, so every rank steps the exact same
+// clusters with the exact same operators whatever the partition (the
+// invariant behind the bitwise equivalence across rank counts). The global
+// materials are only read here: each rank keeps its halo view's copy.
+template <typename Real, int W>
+void DistributedSimulation<Real, W>::init(const std::vector<physics::Material>& materials) {
+  solver::SimConfig& sim = cfg_.sim;
+  sim.precision = std::is_same_v<Real, float> ? solver::Precision::kF32 : solver::Precision::kF64;
+  solver::validateSimConfig(sim);
+  if (mesh_.faces.empty())
+    throw std::runtime_error("DistributedSimulation: mesh connectivity not built");
+  if (static_cast<idx_t>(materials.size()) != mesh_.numElements())
+    throw std::runtime_error("DistributedSimulation: one material per element required");
+
+  geo_ = mesh::computeGeometry(mesh_);
+  const std::vector<double> dtCfl = lts::cflTimeSteps(geo_, materials, sim.order, sim.cfl);
+  clustering_ = solver::resolveClustering(mesh_, dtCfl, sim);
+  schedule_ = lts::buildSchedule(clustering_.numClusters);
+  lts::checkSchedule(schedule_, clustering_.numClusters);
+  kernels_ = std::make_unique<kernels::AderKernels<Real, W>>(
+      sim.order, sim.mechanisms, sim.sparseKernels, solver::resolveOmega(materials, sim.mechanisms),
+      sim.kernelBackend);
+
   if (static_cast<idx_t>(part_.size()) != mesh_.numElements())
     throw std::invalid_argument("DistributedSimulation: partition size != element count");
 
@@ -127,24 +167,25 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
   rankReceiverCount_.assign(numRanks_, 0);
   ranks_.resize(numRanks_);
   for (int_t r = 0; r < numRanks_; ++r)
-    if (localRank_ < 0 || r == localRank_) buildRank(r);
+    if (localRank_ < 0 || r == localRank_) buildRank(r, materials);
 }
 
 template <typename Real, int W>
 DistributedSimulation<Real, W>::~DistributedSimulation() = default;
 
 template <typename Real, int W>
-void DistributedSimulation<Real, W>::buildRank(int_t r) {
+void DistributedSimulation<Real, W>::buildRank(int_t r,
+                                               const std::vector<physics::Material>& materials) {
   auto rank = std::make_unique<Rank>();
   rank->id = r;
-  rank->view = buildHaloView(mesh_, setup_.geo, materials_, setup_.clustering, part_, r);
+  rank->view = buildHaloView(mesh_, geo_, materials, clustering_, part_, r);
   const HaloView& view = rank->view;
-  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
+  const kernels::AderKernels<Real, W>& kernels = *kernels_;
 
   rank->state = std::make_unique<solver::SolverState<Real, W>>(
       view.mesh, view.materials, view.geo, view.clustering, kernels, cfg_.sim, view.numOwned);
   const double recDt =
-      cfg_.sim.receiverSampleDt > 0.0 ? cfg_.sim.receiverSampleDt : setup_.clustering.dtMin;
+      cfg_.sim.receiverSampleDt > 0.0 ? cfg_.sim.receiverSampleDt : clustering_.dtMin;
   rank->hook = std::make_unique<solver::SeismoHook<Real, W>>(
       view.mesh, view.geo, view.materials, kernels, *rank->state, recDt);
 
@@ -153,7 +194,7 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   // element consumes the remote buffers (receive slot) and produces for the
   // remote consumer (send op) through the same geometric face.
   const solver::SolverState<Real, W>& state = *rank->state;
-  const int_t nc = setup_.clustering.numClusters;
+  const int_t nc = clustering_.numClusters;
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
   const std::size_t bufN = kernels.elasticDofsPerElement();
   const std::size_t faceN = kernels.faceDataSize();
@@ -207,13 +248,18 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->face0.assign(faceN, Real(0));
   rank->face1.assign(faceN, Real(0));
 
-  auto inner = solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, kernels,
-                                                       setup_.clustering.clusterDt);
-  auto policy = std::make_unique<HaloNeighborData<Real, W>>(
-      std::move(inner), *rank->state, kernels, cfg_.sim.scheme, cfg_.compressFaces,
-      setup_.clustering.clusterDt, &rank->ghosts);
+  // Only a rank with ghost slots needs the halo decorator; without any it
+  // would pass every call through, so a single rank keeps the scheme's own
+  // policy (nullptr) and the exact shared-memory face loop.
+  std::unique_ptr<solver::NeighborDataPolicy<Real, W>> policy;
+  if (!rank->ghosts.slots.empty())
+    policy = std::make_unique<HaloNeighborData<Real, W>>(
+        solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, kernels,
+                                                clustering_.clusterDt),
+        *rank->state, kernels, cfg_.sim.scheme, cfg_.compressFaces, clustering_.clusterDt,
+        &rank->ghosts);
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
-      cfg_.sim, kernels, *rank->state, view.clustering, setup_.schedule, rank->hook.get(),
+      cfg_.sim, kernels, *rank->state, view.clustering, schedule_, rank->hook.get(),
       std::move(policy));
   ranks_[r] = std::move(rank);
 }
@@ -221,6 +267,9 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
 template <typename Real, int W>
 typename DistributedSimulation<Real, W>::Rank& DistributedSimulation<Real, W>::ownedRank(
     int_t r) const {
+  if (r < 0 || r >= numRanks_)
+    throw std::out_of_range("DistributedSimulation: rank " + std::to_string(r) +
+                            " out of range (have " + std::to_string(numRanks_) + ")");
   if (!ranks_[r])
     throw std::runtime_error("DistributedSimulation: rank " + std::to_string(r) +
                              " lives in another MPI process (this is rank " +
@@ -232,14 +281,14 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::setInitialCondition(const InitFn& f) {
   for (auto& rank : ranks_)
     if (rank)
-      solver::projectInitialCondition(*setup_.kernels, rank->view.mesh, rank->view.geo, f,
+      solver::projectInitialCondition(*kernels_, rank->view.mesh, rank->view.geo, f,
                                       *rank->state, rank->view.numOwned);
 }
 
 template <typename Real, int W>
 void DistributedSimulation<Real, W>::addPointSource(const seismo::PointSource& src,
                                                     std::vector<double> laneScale) {
-  const idx_t el = mesh::locatePoint(mesh_, setup_.geo, src.position);
+  const idx_t el = mesh::locatePoint(mesh_, geo_, src.position);
   if (el < 0) throw std::runtime_error("addPointSource: source outside the mesh");
   if (!ownsRank(part_[el])) return; // another MPI process owns this element
   Rank& rank = *ranks_[part_[el]];
@@ -248,7 +297,7 @@ void DistributedSimulation<Real, W>::addPointSource(const seismo::PointSource& s
 
 template <typename Real, int W>
 idx_t DistributedSimulation<Real, W>::addReceiver(const std::array<double, 3>& position) {
-  const idx_t el = mesh::locatePoint(mesh_, setup_.geo, position);
+  const idx_t el = mesh::locatePoint(mesh_, geo_, position);
   if (el < 0) return -1;
   // Local index assignment must be deterministic across MPI processes (the
   // owning one binds the receiver; the others only record where it lives),
@@ -268,9 +317,7 @@ idx_t DistributedSimulation<Real, W>::addReceiver(const std::array<double, 3>& p
 
 template <typename Real, int W>
 const seismo::Receiver& DistributedSimulation<Real, W>::receiver(idx_t i) const {
-  if (i < 0 || i >= static_cast<idx_t>(receiverHome_.size()))
-    throw std::out_of_range("receiver: index " + std::to_string(i) + " out of range (have " +
-                            std::to_string(receiverHome_.size()) + ")");
+  checkIndex("receiver: index", i, numReceivers());
   const auto& [rank, local] = receiverHome_[i];
   if (ownsRank(rank)) return ranks_[rank]->hook->receiver(local);
   auto it = gathered_.find(i);
@@ -324,9 +371,105 @@ void DistributedSimulation<Real, W>::gatherReceivers() {
 }
 
 template <typename Real, int W>
+seismo::Receiver& DistributedSimulation<Real, W>::receiverMut(idx_t i) {
+  checkIndex("receiverMut: index", i, numReceivers());
+  const auto& [rank, local] = receiverHome_[i];
+  return ownedRank(rank).hook->mutableReceiver(local);
+}
+
+template <typename Real, int W>
+const solver::SolverState<Real, W>& DistributedSimulation<Real, W>::state(int_t rank) const {
+  return *ownedRank(rank).state;
+}
+
+template <typename Real, int W>
+solver::SolverState<Real, W>& DistributedSimulation<Real, W>::stateMut(int_t rank) {
+  return *ownedRank(rank).state;
+}
+
+template <typename Real, int W>
+const std::vector<idx_t>& DistributedSimulation<Real, W>::clusterSteps(int_t rank) const {
+  return ownedRank(rank).exec->clusterSteps();
+}
+
+template <typename Real, int W>
+void DistributedSimulation<Real, W>::restoreClusterSteps(const std::vector<idx_t>& steps,
+                                                         int_t rank) {
+  ownedRank(rank).exec->restoreClusterSteps(steps);
+}
+
+template <typename Real, int W>
 const Real* DistributedSimulation<Real, W>::dofs(idx_t element) const {
+  checkIndex("dofs: element", element, mesh_.numElements());
   const Rank& rank = ownedRank(part_[element]);
   return rank.state->q(rank.state->toInternal(rank.view.globalToLocal[element]));
+}
+
+template <typename Real, int W>
+Real* DistributedSimulation<Real, W>::dofs(idx_t element) {
+  return const_cast<Real*>(std::as_const(*this).dofs(element));
+}
+
+template <typename Real, int W>
+std::array<double, kElasticVars> DistributedSimulation<Real, W>::sample(
+    idx_t element, const std::array<double, 3>& xi, int_t lane) const {
+  checkIndex("sample: lane", lane, W);
+  const Real* q = dofs(element);
+  const auto phi = kernels_->globalMatrices().tet->evalAll(xi);
+  const int_t nb = kernels_->numBasis();
+  std::array<double, kElasticVars> out{};
+  for (int_t v = 0; v < kElasticVars; ++v)
+    for (int_t b = 0; b < nb; ++b)
+      out[v] += static_cast<double>(q[(static_cast<std::size_t>(v) * nb + b) * W + lane]) * phi[b];
+  return out;
+}
+
+template <typename Real, int W>
+std::uint64_t DistributedSimulation<Real, W>::cycleCommBytes(const std::vector<int_t>& partition,
+                                                             bool faceLocal) const {
+  // Analytic per-cycle byte volume if the mesh were cut along `partition`:
+  // for every face crossing a cut, count the datasets the owning side sends
+  // (Sec. V-C; the "comm_volume" row of docs/ARCHITECTURE.md "Reproducing
+  // paper results"). External ids — the accounting never touches an arena.
+  if (static_cast<idx_t>(partition.size()) != mesh_.numElements())
+    throw std::invalid_argument("cycleCommBytes: partition size != element count");
+  const solver::SimConfig& sim = cfg_.sim;
+  const int_t nc = clustering_.numClusters;
+  const std::size_t realBytes = sizeof(Real);
+  const std::size_t fullBuf = kernels_->elasticDofsPerElement() * realBytes;
+  const std::size_t faceBuf = kernels_->faceDataSize() * realBytes;
+  // Baseline derivative payload: truncated blocks for elastic runs, full
+  // otherwise (the paper's 1,575-value argument).
+  std::size_t derivPayload = 0;
+  for (int_t d = 0; d < sim.order; ++d) {
+    const int_t wid = sim.mechanisms > 0 ? kernels_->numBasis() : numBasis3d(sim.order - d);
+    derivPayload += static_cast<std::size_t>(kElasticVars) * wid * W * realBytes;
+  }
+
+  std::uint64_t bytes = 0;
+  for (idx_t el = 0; el < mesh_.numElements(); ++el)
+    for (int_t f = 0; f < 4; ++f) {
+      const mesh::FaceInfo& fi = mesh_.faces[el][f];
+      if (fi.neighbor < 0 || partition[el] == partition[fi.neighbor]) continue;
+      const int_t cMe = clustering_.cluster[el];
+      const int_t cNb = clustering_.cluster[fi.neighbor];
+      const idx_t mySteps = lts::stepsPerCycle(nc, cMe);
+      if (sim.scheme == solver::TimeScheme::kLtsBaseline) {
+        if (cNb <= cMe)
+          bytes += mySteps * derivPayload; // derivatives once per own step
+        else
+          bytes += mySteps / 2 * fullBuf; // accumulated buffer to larger
+      } else {
+        const std::size_t payload = faceLocal ? faceBuf : fullBuf;
+        if (cNb == cMe)
+          bytes += mySteps * payload; // B1 per step
+        else if (cNb < cMe)
+          bytes += 2 * mySteps * payload; // B2 and B1-B2 per step
+        else
+          bytes += mySteps / 2 * payload; // B3 once per two steps
+      }
+    }
+  return bytes;
 }
 
 template <typename Real, int W>
@@ -334,7 +477,7 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
   const idx_t step = rank.exec->clusterStep(cluster);
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
   const solver::SolverState<Real, W>& state = *rank.state;
-  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
+  const kernels::AderKernels<Real, W>& kernels = *kernels_;
   const std::size_t bufN = kernels.elasticDofsPerElement();
   const std::size_t faceN = kernels.faceDataSize();
   const int_t order = kernels.order();
@@ -400,7 +543,7 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
   const idx_t step = rank.exec->clusterStep(cluster);
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
-  const kernels::AderKernels<Real, W>& kernels = *setup_.kernels;
+  const kernels::AderKernels<Real, W>& kernels = *kernels_;
   const std::size_t bufN = kernels.elasticDofsPerElement();
   const int_t order = kernels.order();
   const int_t nb = kernels.numBasis();
@@ -479,9 +622,13 @@ void DistributedSimulation<Real, W>::stepOpOverlap(Rank& rank, const lts::Schedu
 }
 
 template <typename Real, int W>
-DistStats DistributedSimulation<Real, W>::run(double endTime) {
+std::uint64_t DistributedSimulation<Real, W>::cyclesFor(double endTime) const {
+  return static_cast<std::uint64_t>(std::ceil(endTime / cycleDt() - 1e-9));
+}
+
+template <typename Real, int W>
+DistStats DistributedSimulation<Real, W>::runCycles(std::uint64_t cycles) {
   DistStats stats;
-  const std::uint64_t cycles = setup_.cyclesFor(endTime);
   // Per-run deltas of the communicator-owned counters. Under MPI these are
   // process-local and reduced below; in-process they are already global and
   // allreduceSum is the identity.
@@ -501,13 +648,13 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
     // cross-process synchronization.
     Rank& rank = *ranks_[localRank_];
     for (std::uint64_t c = 0; c < cycles; ++c)
-      for (const lts::ScheduleOp& op : setup_.schedule) stepOp(rank, op);
+      for (const lts::ScheduleOp& op : schedule_) stepOp(rank, op);
   } else if (cfg_.transport == Transport::kSeq) {
     // Deterministic lockstep: all ranks execute schedule op i before any
     // rank starts op i+1 — every SeqComm receive then finds its message
     // (the schedule's write-before-read guarantee, applied across ranks).
     for (std::uint64_t c = 0; c < cycles; ++c)
-      for (const lts::ScheduleOp& op : setup_.schedule)
+      for (const lts::ScheduleOp& op : schedule_)
         for (auto& rank : ranks_) stepOp(*rank, op);
   } else {
     // One std::thread per rank. Each rank thread is an OpenMP *initial*
@@ -524,14 +671,19 @@ DistStats DistributedSimulation<Real, W>::run(double endTime) {
       threads.emplace_back([this, rank, cycles] {
         const ScopedFlushDenormals rankFlush;
         for (std::uint64_t c = 0; c < cycles; ++c)
-          for (const lts::ScheduleOp& op : setup_.schedule) stepOp(*rank, op);
+          for (const lts::ScheduleOp& op : schedule_) stepOp(*rank, op);
       });
     }
     for (auto& t : threads) t.join();
   }
   comm_->barrier(); // MPI: every rank finished before anyone reads stats
   stats.seconds = timer.seconds();
-  setup_.countCycles(stats, cycles);
+  std::uint64_t updatesPerCycle = 0;
+  for (int_t c = 0; c < clustering_.numClusters; ++c)
+    updatesPerCycle += clustering_.clusterSize[c] * lts::stepsPerCycle(clustering_.numClusters, c);
+  stats.cycles = cycles;
+  stats.simulatedTime = cycles * cycleDt();
+  stats.elementUpdates = cycles * updatesPerCycle;
   std::uint64_t flops = 0;
   for (auto& rank : ranks_)
     if (rank) flops += rank->exec->drainFlops();

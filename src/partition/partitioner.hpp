@@ -1,5 +1,6 @@
 #pragma once
-// Balanced k-way graph partitioning (METIS stand-in, see DESIGN.md):
+// Balanced k-way graph partitioning (METIS stand-in, see docs/ARCHITECTURE.md,
+// "Substitutions relative to the paper's production setup"):
 // geometric-seeded greedy growth balancing the weighted load, followed by a
 // boundary Kernighan-Lin refinement pass reducing the weighted edge cut.
 #include <vector>

@@ -64,7 +64,7 @@ std::uint64_t fileContentKey(const std::string& path);
 
 /// In-process memoization of `runPipeline` keyed on `pipelineCacheKey`.
 /// Results are immutable and shared; callers copy what they mutate (the
-/// solver facades take mesh/materials by value). Not thread-safe — the
+/// solver engine takes mesh/materials by value). Not thread-safe — the
 /// batch driver is a single-threaded request loop.
 class PipelineCache {
  public:

@@ -1,7 +1,8 @@
 #pragma once
 // Seismic velocity models: homogeneous, the LOH.3 layer-over-halfspace
 // benchmark (paper Sec. VII-B), and a synthetic "La Habra-like" basin model
-// standing in for CVM-S4.26 + topography (see DESIGN.md substitutions):
+// standing in for CVM-S4.26 + topography (see docs/ARCHITECTURE.md,
+// "Substitutions relative to the paper's production setup"):
 // a smooth low-velocity sedimentary basin embedded in stiff rock with a
 // vertical gradient and undulating (topography-like) modulation, producing
 // the ~decade-wide per-element time-step spread of Fig. 5.

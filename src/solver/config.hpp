@@ -1,7 +1,8 @@
 #pragma once
 // Solver configuration shared by the three layers of the solver core:
 // the SolverState memory arena (state.hpp), the StepExecutor (executor.hpp)
-// and the Simulation facade (simulation.hpp).
+// and the engine driving them (parallel/dist_sim.hpp; `solver::Simulation`,
+// simulation.hpp, is its single-rank name).
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -48,7 +49,7 @@ inline Precision parsePrecision(const std::string& s) {
 inline int_t precisionBytes(Precision p) { return p == Precision::kF32 ? 4 : 8; }
 
 /// Solver configuration shared by all time-stepping schemes. Every field
-/// has a validated range; `Simulation`'s constructor throws
+/// has a validated range; the engine's constructor throws
 /// `std::invalid_argument` on violations.
 struct SimConfig {
   /// Convergence order O of the ADER-DG discretization (polynomial degree
@@ -76,7 +77,7 @@ struct SimConfig {
   linalg::KernelBackend kernelBackend = linalg::KernelBackend::kAuto;
   /// Execution precision (`--precision {f64,f32}`): selects which
   /// `Simulation<Real, W>` instantiation the CLI/batch layers dispatch to.
-  /// The `Simulation` constructor normalizes this field to match its actual
+  /// The engine's constructor normalizes this field to match its actual
   /// scalar type, so `config()` always reports the precision that ran.
   /// fp32 is misfit-gated, not bitwise-gated — see the `Precision` enum.
   Precision precision = Precision::kF64;
@@ -120,7 +121,7 @@ struct SimConfig {
 
 /// Validate the pure-config ranges above; throws `std::invalid_argument`
 /// naming the violated field. Mesh/material consistency is checked
-/// separately by the `Simulation` constructor.
+/// separately by the engine's constructor.
 inline void validateSimConfig(const SimConfig& cfg) {
   if (cfg.order < 1 || cfg.order > 7)
     throw std::invalid_argument("SimConfig: order must be in 1..7");

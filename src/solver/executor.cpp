@@ -92,8 +92,8 @@ class BufferDerivativeNeighborData final : public NeighborDataPolicy<Real, W> {
   std::vector<double> clusterDt_;
 };
 
-/// Validated before `WorkspacePool` sizes anything off it (the facades
-/// validate too; this covers direct executor construction in tests).
+/// Validated before `WorkspacePool` sizes anything off it (the engine
+/// validates too; this covers direct executor construction in tests).
 int_t checkedThreads(int_t numThreads) {
   if (numThreads < 1) throw std::invalid_argument("StepExecutor: numThreads must be >= 1");
   return numThreads;
@@ -210,11 +210,6 @@ void StepExecutor<Real, W>::runOp(const lts::ScheduleOp& op, idx_t begin, idx_t 
     parallelRange(begin, end, [&](idx_t el, int_t tid) { neighborElement(el, step, tid); });
     if (completesOp) ++clusterStep_[cluster];
   }
-}
-
-template <typename Real, int W>
-void StepExecutor<Real, W>::runCycle() {
-  for (const lts::ScheduleOp& op : schedule_) runOp(op);
 }
 
 template <typename Real, int W>

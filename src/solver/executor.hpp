@@ -15,8 +15,9 @@
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in
-// the Simulation facade, which participates through the `LocalHook`
-// extension point (called after the kernel local phase of each element).
+// the engine (parallel/dist_sim.hpp), which participates through the
+// `LocalHook` extension point (called after the kernel local phase of each
+// element).
 // Results are bitwise-identical for every `numThreads`: each element is
 // updated by exactly one chunk in a fixed order, neighbor reads go through
 // the double-buffered policy data, and hook state is only touched from the
@@ -108,12 +109,10 @@ class StepExecutor {
                std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
                std::unique_ptr<NeighborDataPolicy<Real, W>> policy = nullptr);
 
-  /// Execute one full LTS cycle (every cluster advances by the largest
-  /// cluster's step). Step counters persist across calls.
-  void runCycle();
-
-  /// Execute a single schedule op — the distributed driver interleaves
-  /// halo sends/receives between ops. `runCycle()` is a loop over these.
+  /// Execute a single schedule op — the engine interleaves halo
+  /// sends/receives between ops; one full LTS cycle (every cluster advances
+  /// by the largest cluster's step) is `schedule()` run op by op. Step
+  /// counters persist across calls.
   void runOp(const lts::ScheduleOp& op);
 
   /// Execute `op` over only the internal range [begin, end) inside the op's

@@ -1,12 +1,10 @@
 #pragma once
 // Sources and receivers as a `StepExecutor::LocalHook` — the part of the
-// facade that participates in the element loop (source injection after the
+// engine that participates in the element loop (source injection after the
 // local-phase kernels, receiver sampling from the ADER predictor's
-// derivative stack). Shared between the single-process `Simulation` facade
-// and the per-rank engines of `parallel::DistributedSimulation`: both bind
-// sources/receivers to *external* element ids of their state's mesh (the
-// caller's mesh, or a rank-local halo view) and hand the hook to their
-// executor.
+// derivative stack). Every rank of `parallel::DistributedSimulation` owns
+// one, binds sources/receivers to *external* element ids of its rank-local
+// halo view and hands the hook to its executor.
 //
 // Thread-safety under the threaded executor: every mutable object here is
 // keyed by the element that owns it — source coefficients inject into the
@@ -18,8 +16,8 @@
 // deterministic and independent of `SimConfig::numThreads` (asserted
 // bitwise by tests/test_threaded_equivalence).
 //
-// Also hosts the shared L2 initial-condition projection, so single-process
-// and distributed runs start from bitwise-identical modal DOFs.
+// Also hosts the L2 initial-condition projection, so runs on any number of
+// ranks start from bitwise-identical modal DOFs.
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -97,7 +95,7 @@ class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
   std::size_t bufSize() const { return kernels_.elasticDofsPerElement(); }
 };
 
-/// Initial condition callback shared by the facades: fills the 9 elastic
+/// Initial condition callback of the engine: fills the 9 elastic
 /// quantities at a physical point for one fused lane.
 using InitialConditionFn =
     std::function<void(const std::array<double, 3>& x, int_t lane, double* q9)>;

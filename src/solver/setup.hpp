@@ -1,10 +1,10 @@
 #pragma once
 // Shared constructor-time resolution of solver inputs from a `SimConfig`:
 // the clustering (GTS collapse to one cluster, optional auto-lambda sweep)
-// and the anelastic relaxation-frequency vector. `Simulation`, the
-// distributed driver and the CLI all resolve through these helpers so every
-// path steps the exact same clusters — the invariant behind the distributed
-// path's bitwise equivalence to the single-rank run.
+// and the anelastic relaxation-frequency vector. The engine
+// (parallel/dist_sim.hpp) and the CLI both resolve through these helpers so
+// every path steps the exact same clusters — the invariant behind the
+// bitwise equivalence of a run across rank counts.
 #include <vector>
 
 #include "lts/clustering.hpp"

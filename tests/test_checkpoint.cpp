@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "batch/batch_engine.hpp"
 #include "batch/checkpoint.hpp"
+#include "parallel/dist_sim.hpp"
 #include "pre/pipeline.hpp"
 #include "solver/simulation.hpp"
 
@@ -329,6 +331,20 @@ TEST_F(SnapshotDamage, WidthMismatchFails) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("W="), std::string::npos) << e.what();
   }
+}
+
+TEST_F(SnapshotDamage, MultiRankSimulationIsRejected) {
+  // Snapshots hold one rank's arenas: a multi-rank engine must be refused
+  // in both directions instead of saving or restoring rank 0 alone.
+  std::vector<int_t> part(static_cast<std::size_t>(fx_->pipe.mesh.numElements()));
+  for (std::size_t e = 0; e < part.size(); ++e) part[e] = static_cast<int_t>(e % 2);
+  nglts::parallel::DistConfig dcfg;
+  dcfg.sim = fx_->cfg;
+  nsol::Simulation<double, 1> dist(fx_->pipe.mesh, fx_->pipe.materials, part, dcfg);
+  ASSERT_EQ(dist.ranks(), 2);
+  EXPECT_THROW(nbatch::saveSnapshot(snapPath("multirank"), 7, 0, 0, &dist),
+               std::invalid_argument);
+  EXPECT_THROW(nbatch::loadSnapshot(path_, dist), std::invalid_argument);
 }
 
 TEST_F(SnapshotDamage, MissingFileFails) {

@@ -230,6 +230,20 @@ TEST(Cli, RemovedOptionsAreUsageErrors) {
   }
 }
 
+TEST(Cli, MpiTransportOnOneRankNeedsAnMpiBuild) {
+  // `--transport` reaches the engine at --ranks 1 as well: a build without
+  // MPI fails the run (exit 1) instead of silently running in-process.
+  if (nglts::parallel::mpiSupport()) GTEST_SKIP() << "built with real MPI";
+  int status = 0;
+  const std::string err = cliStderr(
+      "-s quickstart --scale 0.3 --end-time 0.01 -q --ranks 1 --transport mpi", status);
+  ASSERT_TRUE(WIFEXITED(status)) << err;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << err;
+  EXPECT_NE(err.find("MPI transport requested but this binary was built without MPI support"),
+            std::string::npos)
+      << err;
+}
+
 TEST(Cli, RunEndingBeforeTheWaveArrivesReportsMisfitAsNotAvailable) {
   // These runs end before the wave reaches the receiver, so the reference
   // trace is all zeros and the energy misfit is undefined: the summary says
@@ -246,9 +260,8 @@ TEST(Cli, RunEndingBeforeTheWaveArrivesReportsMisfitAsNotAvailable) {
 
 namespace {
 
-/// Every scenario's primary run takes one engine path: the same body on
-/// `Simulation` (1 rank) and on `DistributedSimulation` (2 ranks). The two
-/// must agree to the bit in trace, clustering and work done.
+/// Every scenario's primary run takes one engine path, on 1 rank and on 2.
+/// The two must agree to the bit in trace, clustering and work done.
 void expectRanksAgree(const std::string& scenario, std::optional<nglts::int_t> fused = {}) {
   const nc::Scenario* s = registry().find(scenario);
   ASSERT_NE(s, nullptr);

@@ -175,9 +175,16 @@ TEST(FusedMisc, InvalidConfigurationsThrow) {
         std::invalid_argument);
     // Receiver outside reports -1 instead of throwing.
     EXPECT_EQ(sim.addReceiver({9.0, 9.0, 9.0}), -1);
-    // Receiver access is bounds-checked.
+    // Receiver, DOF and sample access is bounds-checked.
     EXPECT_THROW(sim.receiver(0), std::out_of_range);
     EXPECT_THROW(sim.receiver(-1), std::out_of_range);
+    const idx_t n = mesh.numElements();
+    EXPECT_THROW(sim.dofs(n), std::out_of_range);
+    EXPECT_THROW(sim.dofs(-1), std::out_of_range);
+    EXPECT_THROW(sim.sample(n, {0.25, 0.25, 0.25}), std::out_of_range);
+    EXPECT_THROW(sim.sample(0, {0.25, 0.25, 0.25}, 1), std::out_of_range);
+    EXPECT_THROW(sim.sample(0, {0.25, 0.25, 0.25}, -1), std::out_of_range);
+    EXPECT_NO_THROW(sim.sample(n - 1, {0.25, 0.25, 0.25}));
   }
   {
     // Mesh without connectivity.

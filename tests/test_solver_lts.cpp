@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "cli/scenario.hpp"
@@ -205,6 +206,8 @@ TEST(SolverLts, CommBytesFaceLocalSmaller) {
   EXPECT_LT(compressed, full);
   // Ratio is F/B = 6/10 for order 3.
   EXPECT_NEAR(static_cast<double>(compressed) / full, 0.6, 1e-9);
+  part.pop_back();
+  EXPECT_THROW(sim.cycleCommBytes(part, true), std::invalid_argument);
 }
 
 TEST(SolverLts, BaselineCommBytesLarger) {
