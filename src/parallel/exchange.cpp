@@ -282,7 +282,8 @@ void DistributedSimulation<Real, W>::setInitialCondition(const InitFn& f) {
   for (auto& rank : ranks_)
     if (rank)
       solver::projectInitialCondition(*kernels_, rank->view.mesh, rank->view.geo, f,
-                                      *rank->state, rank->view.numOwned);
+                                      *rank->state, rank->view.numOwned,
+                                      rank->view.localToGlobal);
 }
 
 template <typename Real, int W>

@@ -1,5 +1,6 @@
 #include "solver/seismo_hook.hpp"
 
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -140,33 +141,70 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              const mesh::TetMesh& mesh,
                              const std::vector<mesh::ElementGeometry>& geo,
                              const InitialConditionFn& f, SolverState<Real, W>& state,
-                             idx_t numElements) {
+                             idx_t numElements, std::span<const idx_t> globalIds) {
   const auto quad = basis::tetQuadrature(kernels.order() + 2);
   const auto& tet = *kernels.globalMatrices().tet;
   const int_t nb = kernels.numBasis();
   const std::size_t elSize = kernels.dofsPerElement();
-#pragma omp parallel for schedule(static)
-  for (idx_t el = 0; el < numElements; ++el) {
-    Real* q = state.q(state.toInternal(el));
-    linalg::zeroBlock(q, elSize);
-    const auto& v0 = mesh.vertices[mesh.elements[el][0]];
-    for (const auto& qp : quad) {
-      std::array<double, 3> x = v0;
-      for (int_t r = 0; r < 3; ++r)
-        for (int_t c = 0; c < 3; ++c) x[r] += geo[el].jac[r][c] * qp.xi[c];
-      const auto phi = tet.evalAll(qp.xi);
-      for (int_t lane = 0; lane < W; ++lane) {
-        double q9[kElasticVars];
-        f(x, lane, q9);
-        for (int_t v = 0; v < kElasticVars; ++v) {
-          const double wv = qp.weight * q9[v];
-          for (int_t b = 0; b < nb; ++b)
-            q[(static_cast<std::size_t>(v) * nb + b) * W + lane] +=
-                static_cast<Real>(wv * phi[b]);
+  // phi[p * nb + b]: the basis at every quadrature point, evaluated once.
+  std::vector<double> phi(quad.size() * static_cast<std::size_t>(nb));
+  for (std::size_t p = 0; p < quad.size(); ++p)
+    for (int_t b = 0; b < nb; ++b) phi[p * nb + b] = tet.eval(b, quad[p].xi);
+  // An exception leaving the OpenMP region would call std::terminate: keep
+  // the lowest failing element (thread-count independent) and throw after.
+  idx_t bad = -1;
+  std::string what;
+#pragma omp parallel
+  {
+    // wq[v * W + lane] = weight * q9[v] of one quadrature point; lane innermost.
+    std::array<double, kElasticVars * W> wq{};
+#pragma omp for schedule(static)
+    for (idx_t el = 0; el < numElements; ++el) {
+      try {
+        Real* q = state.q(state.toInternal(el));
+        linalg::zeroBlock(q, elSize);
+        const auto& v0 = mesh.vertices[mesh.elements[el][0]];
+        for (std::size_t p = 0; p < quad.size(); ++p) {
+          std::array<double, 3> x = v0;
+          for (int_t r = 0; r < 3; ++r)
+            for (int_t c = 0; c < 3; ++c) x[r] += geo[el].jac[r][c] * quad[p].xi[c];
+          for (int_t lane = 0; lane < W; ++lane) {
+            double q9[kElasticVars];
+            f(x, lane, q9);
+            for (int_t v = 0; v < kElasticVars; ++v) {
+              if (!std::isfinite(q9[v]))
+                throw std::runtime_error("non-finite value " + std::to_string(q9[v]) +
+                                         " at lane " + std::to_string(lane) +
+                                         ", quantity " + std::to_string(v));
+              wq[v * W + lane] = quad[p].weight * q9[v];
+            }
+          }
+          // Each DOF receives Real(wq * phi) once per point, in point order.
+          const double* phiP = phi.data() + p * nb;
+          for (int_t v = 0; v < kElasticVars; ++v) {
+            const double* wv = wq.data() + v * W;
+            Real* qv = q + static_cast<std::size_t>(v) * nb * W;
+            for (int_t b = 0; b < nb; ++b) {
+              Real* qb = qv + static_cast<std::size_t>(b) * W;
+#pragma omp simd
+              for (int_t lane = 0; lane < W; ++lane)
+                qb[lane] += static_cast<Real>(wv[lane] * phiP[b]);
+            }
+          }
+        }
+      } catch (const std::exception& e) {
+#pragma omp critical(nglts_project_initial_condition)
+        if (bad < 0 || el < bad) {
+          bad = el;
+          what = e.what();
         }
       }
     }
   }
+  if (bad >= 0)
+    throw std::runtime_error("projectInitialCondition: element " +
+                             std::to_string(globalIds.empty() ? bad : globalIds[bad]) + ": " +
+                             what);
 }
 
 template class SeismoHook<float, 1>;
@@ -181,38 +219,42 @@ template class SeismoHook<double, 4>;
 template void projectInitialCondition(const kernels::AderKernels<float, 1>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 1>&, idx_t);
+                                      const InitialConditionFn&, SolverState<float, 1>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<float, 2>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 2>&, idx_t);
+                                      const InitialConditionFn&, SolverState<float, 2>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<float, 4>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 4>&, idx_t);
+                                      const InitialConditionFn&, SolverState<float, 4>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<float, 8>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 8>&, idx_t);
+                                      const InitialConditionFn&, SolverState<float, 8>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<float, 16>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 16>&,
-                                      idx_t);
+                                      const InitialConditionFn&, SolverState<float, 16>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<double, 1>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 1>&,
-                                      idx_t);
+                                      const InitialConditionFn&, SolverState<double, 1>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<double, 2>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 2>&,
-                                      idx_t);
+                                      const InitialConditionFn&, SolverState<double, 2>&, idx_t,
+                                      std::span<const idx_t>);
 template void projectInitialCondition(const kernels::AderKernels<double, 4>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 4>&,
-                                      idx_t);
+                                      const InitialConditionFn&, SolverState<double, 4>&, idx_t,
+                                      std::span<const idx_t>);
 
 } // namespace nglts::solver

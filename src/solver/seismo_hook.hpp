@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -104,12 +105,20 @@ using InitialConditionFn =
 /// elements [0, numElements) of `state` (memory variables start at zero).
 /// `numElements` lets the distributed driver stop at its owned prefix —
 /// halo DOFs are never read, their face data arrives through messages.
+///
+/// `f` is called concurrently from OpenMP threads, once per (element,
+/// quadrature point, lane): it must be thread-safe and return finite
+/// values. A callback that throws a std::exception, or returns NaN/Inf,
+/// makes this throw std::runtime_error naming the lowest failing element
+/// (and, for a non-finite value, the lane and quantity index); elements
+/// are named `globalIds[el]` when `globalIds` is given, else `el`. Setup
+/// runs in the caller's floating-point mode.
 template <typename Real, int W>
 void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              const mesh::TetMesh& mesh,
                              const std::vector<mesh::ElementGeometry>& geo,
                              const InitialConditionFn& f, SolverState<Real, W>& state,
-                             idx_t numElements);
+                             idx_t numElements, std::span<const idx_t> globalIds = {});
 
 extern template class SeismoHook<float, 1>;
 extern template class SeismoHook<float, 2>;
@@ -123,34 +132,34 @@ extern template class SeismoHook<double, 4>;
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 1>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 1>&, idx_t);
+    SolverState<float, 1>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 2>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 2>&, idx_t);
+    SolverState<float, 2>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 4>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 4>&, idx_t);
+    SolverState<float, 4>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 8>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 8>&, idx_t);
+    SolverState<float, 8>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 16>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 16>&, idx_t);
+    SolverState<float, 16>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 1>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 1>&, idx_t);
+    SolverState<double, 1>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 2>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 2>&, idx_t);
+    SolverState<double, 2>&, idx_t, std::span<const idx_t>);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 4>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 4>&, idx_t);
+    SolverState<double, 4>&, idx_t, std::span<const idx_t>);
 
 } // namespace nglts::solver
