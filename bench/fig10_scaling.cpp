@@ -51,11 +51,10 @@ int main() {
   json.set("hardware_threads", static_cast<double>(solver::hardwareThreads()));
 
   // One measured (ranks, threads-per-rank) configuration of the hybrid run.
-  // Transport and exchange mode are A/B knobs: every combination is
-  // bitwise-identical, only the wall clock moves.
+  // The transport is an A/B knob: every transport is bitwise-identical, only
+  // the wall clock moves.
   auto runHybrid = [&](int_t ranks, int_t threads,
-                       parallel::Transport transport = parallel::Transport::kThread,
-                       bool overlap = false) {
+                       parallel::Transport transport = parallel::Transport::kThread) {
     const auto parts = partition::partitionGraph(graph, sc.mesh, ranks);
     parallel::DistConfig cfg;
     cfg.sim.order = 4;
@@ -66,7 +65,6 @@ int main() {
     cfg.sim.numThreads = threads;
     cfg.compressFaces = true;
     cfg.transport = ranks > 1 ? transport : parallel::Transport::kSeq;
-    cfg.overlap = overlap;
     parallel::DistributedSimulation<float, 1> sim(sc.mesh, sc.materials, parts.part, cfg);
     sim.setInitialCondition(pulse);
     sim.run(sim.cycleDt()); // warm-up
@@ -95,7 +93,6 @@ int main() {
     json.rowSet("ranks", static_cast<double>(ranks));
     json.rowSet("threads_per_rank", 1.0);
     json.rowSet("transport", ranks > 1 ? "thread" : "seq");
-    json.rowSet("overlap", 0.0);
     json.rowSet("seconds", st.seconds);
     json.rowSet("updates_per_sec", static_cast<double>(st.elementUpdates) / st.seconds);
     json.rowSet("speedup", speedup);
@@ -104,34 +101,28 @@ int main() {
   std::printf("%s\n", table.str().c_str());
   table.writeCsv("fig10_scaling.csv");
 
-  // Transport / exchange-mode A/B at the largest in-process rank count:
-  // lockstep vs overlapped exchange on the seq and thread transports (the
-  // MPI transport runs the same A/B under mpirun in CI — it cannot be
-  // launched from inside this single-process bench).
+  // Transport A/B at the largest in-process rank count: the seq vs the
+  // thread transport (the MPI transport runs under mpirun in CI — it cannot
+  // be launched from inside this single-process bench).
   const int_t abRanks = rankCounts.back();
-  Table ab({"transport", "exchange", "wall s", "updates/s", "speedup vs seq lockstep"});
+  Table ab({"transport", "wall s", "updates/s", "speedup vs seq"});
   double abBase = 0.0;
   for (const auto transport : {parallel::Transport::kSeq, parallel::Transport::kThread}) {
-    for (const bool overlap : {false, true}) {
-      const auto st = runHybrid(abRanks, 1, transport, overlap);
-      if (abBase == 0.0) abBase = st.seconds;
-      const char* exchange = overlap ? "overlap" : "lockstep";
-      ab.addRow({parallel::transportName(transport), exchange,
-                 formatNumber(st.seconds, "%.2f"),
-                 formatNumber(static_cast<double>(st.elementUpdates) / st.seconds, "%.3g"),
-                 formatNumber(abBase / st.seconds, "%.2f")});
-      json.beginRow();
-      json.rowSet("mode", "transport_overlap_ab");
-      json.rowSet("ranks", static_cast<double>(abRanks));
-      json.rowSet("threads_per_rank", 1.0);
-      json.rowSet("transport", parallel::transportName(transport));
-      json.rowSet("overlap", overlap ? 1.0 : 0.0);
-      json.rowSet("seconds", st.seconds);
-      json.rowSet("updates_per_sec", static_cast<double>(st.elementUpdates) / st.seconds);
-      json.rowSet("speedup_vs_seq_lockstep", abBase / st.seconds);
-    }
+    const auto st = runHybrid(abRanks, 1, transport);
+    if (abBase == 0.0) abBase = st.seconds;
+    ab.addRow({parallel::transportName(transport), formatNumber(st.seconds, "%.2f"),
+               formatNumber(static_cast<double>(st.elementUpdates) / st.seconds, "%.3g"),
+               formatNumber(abBase / st.seconds, "%.2f")});
+    json.beginRow();
+    json.rowSet("mode", "transport_ab");
+    json.rowSet("ranks", static_cast<double>(abRanks));
+    json.rowSet("threads_per_rank", 1.0);
+    json.rowSet("transport", parallel::transportName(transport));
+    json.rowSet("seconds", st.seconds);
+    json.rowSet("updates_per_sec", static_cast<double>(st.elementUpdates) / st.seconds);
+    json.rowSet("speedup_vs_seq", abBase / st.seconds);
   }
-  std::printf("transport / exchange A/B at %lld ranks (bitwise-identical results):\n%s\n",
+  std::printf("transport A/B at %lld ranks (bitwise-identical results):\n%s\n",
               static_cast<long long>(abRanks), ab.str().c_str());
 
   // Thread sweep (1 rank) and hybrid ranks x threads combinations: the

@@ -102,9 +102,8 @@ int main() {
   // (both are bitwise-identical — only the wall clock moves).
   const int_t ranks = std::thread::hardware_concurrency() >= 4 ? 2 : 1;
   const int_t threads = 2;
-  std::printf("=== runtime A/B (%lld ranks x %lld threads, overlap %s) ===\n",
-              static_cast<long long>(ranks), static_cast<long long>(threads),
-              ranks > 1 ? "on" : "off");
+  std::printf("=== runtime A/B (%lld ranks x %lld threads) ===\n",
+              static_cast<long long>(ranks), static_cast<long long>(threads));
   Table rt({"partition", "wall s", "updates/s"});
   for (const bool weighted : {false, true}) {
     const auto& graph = weighted ? gw : gu;
@@ -118,7 +117,6 @@ int main() {
     cfg.sim.numThreads = threads;
     cfg.compressFaces = true;
     cfg.transport = ranks > 1 ? parallel::Transport::kThread : parallel::Transport::kSeq;
-    cfg.overlap = ranks > 1;
     parallel::DistributedSimulation<float, 1> sim(sc.mesh, sc.materials, parts.part, cfg);
     sim.setInitialCondition(pulse);
     sim.run(sim.cycleDt()); // warm-up

@@ -43,7 +43,7 @@ cd "$OUT_DIR"
 
 echo "== kernel backend for solver benches: $NGLTS_KERNEL =="
 
-echo "== tab1_performance (Tab. I throughput + reorder A/B + thread sweep) =="
+echo "== tab1_performance (Tab. I throughput + time to solution + thread sweep + raw-vs-compressed A/B) =="
 "$BUILD_DIR/tab1_performance"
 
 echo "== fig10_scaling (rank scaling + hybrid ranks x threads sweep) =="

@@ -12,14 +12,10 @@ namespace nglts::batch {
 namespace {
 
 constexpr char kMagic[8] = {'N', 'G', 'L', 'T', 'S', 'N', 'A', 'P'};
-// Header bytes before the optional state block. v1: magic + 4 u32 + 3 u64;
-// v2 inserted the u32 precision tag after hasState.
-constexpr std::size_t kHeaderBytesV1 = 8 + 4 * 4 + 3 * 8;
-constexpr std::size_t headerBytes(std::uint32_t version) {
-  return version >= 2 ? kHeaderBytesV1 + 4 : kHeaderBytesV1;
-}
+// Header bytes before the optional state block: magic + 5 u32 + 3 u64.
+constexpr std::size_t kHeaderBytes = 8 + 5 * 4 + 3 * 8;
 
-// On-disk precision tags (v2+ headers). Kept as explicit constants rather
+// On-disk precision tags. Kept as explicit constants rather
 // than casts of `solver::Precision` so a reordering of that enum can never
 // silently change the file format.
 constexpr std::uint32_t kPrecTagF64 = 0;
@@ -120,7 +116,7 @@ std::vector<unsigned char> readFile(const std::string& path) {
 /// message, not a checksum one, so version is checked first.
 SnapshotInfo validateAndParseHeader(const std::vector<unsigned char>& buf,
                                     const std::string& path) {
-  if (buf.size() < kHeaderBytesV1 + 8)
+  if (buf.size() < kHeaderBytes + 8)
     throw std::runtime_error("snapshot '" + path + "' is truncated");
   if (std::memcmp(buf.data(), kMagic, 8) != 0)
     throw std::runtime_error("'" + path + "' is not an nglts snapshot (bad magic)");
@@ -128,10 +124,9 @@ SnapshotInfo validateAndParseHeader(const std::vector<unsigned char>& buf,
   char magic[8];
   r.bytes(magic, 8);
   const std::uint32_t version = r.u32();
-  if (version < 1 || version > kSnapshotVersion)
+  if (version != kSnapshotVersion)
     throw std::runtime_error("snapshot '" + path + "' has version " + std::to_string(version) +
-                             ", this build reads versions 1.." +
-                             std::to_string(kSnapshotVersion));
+                             ", this build reads version " + std::to_string(kSnapshotVersion));
   const std::uint64_t expect = fnv1a(buf.data(), buf.size() - 8);
   std::uint64_t trailer = 0;
   for (int i = 0; i < 8; ++i)
@@ -139,19 +134,14 @@ SnapshotInfo validateAndParseHeader(const std::vector<unsigned char>& buf,
   if (trailer != expect)
     throw std::runtime_error("snapshot '" + path + "' is corrupted or truncated (checksum mismatch)");
   SnapshotInfo info;
-  info.version = version;
   info.realSize = r.u32();
   info.width = r.u32();
   info.hasState = r.u32() != 0;
-  // v1 predates fp32 support: every v1 snapshot was written at f64.
-  info.precision = solver::Precision::kF64;
-  if (version >= 2) {
-    const std::uint32_t tag = r.u32();
-    if (tag != kPrecTagF64 && tag != kPrecTagF32)
-      throw std::runtime_error("snapshot '" + path + "' has unknown precision tag " +
-                               std::to_string(tag));
-    info.precision = tag == kPrecTagF32 ? solver::Precision::kF32 : solver::Precision::kF64;
-  }
+  const std::uint32_t tag = r.u32();
+  if (tag != kPrecTagF64 && tag != kPrecTagF32)
+    throw std::runtime_error("snapshot '" + path + "' has unknown precision tag " +
+                             std::to_string(tag));
+  info.precision = tag == kPrecTagF32 ? solver::Precision::kF32 : solver::Precision::kF64;
   info.batchFingerprint = r.u64();
   info.runIndex = r.u64();
   info.cyclesDone = r.u64();
@@ -263,7 +253,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
                              std::to_string(sizeof(Real)) + ", W=" + std::to_string(W));
 
   Reader r(buf, path);
-  std::vector<char> skip(headerBytes(info.version));
+  std::vector<char> skip(kHeaderBytes);
   r.bytes(skip.data(), skip.size());
 
   auto& st = sim.stateMut();

@@ -14,12 +14,12 @@
 //
 // Format (all integers little-endian, reals by IEEE-754 bit pattern):
 //   magic "NGLTSNAP" | u32 version | u32 realSize | u32 width |
-//   u32 hasState | u32 precision (v2+: 0 = f64, 1 = f32) |
+//   u32 hasState | u32 precision (0 = f64, 1 = f32) |
 //   u64 batchFingerprint | u64 runIndex | u64 cyclesDone |
 //   [state block when hasState != 0] | u64 FNV-1a checksum of all prior bytes
-// Version history: v1 had no precision field (every v1 snapshot was written
-// by an f64-only build) — this build still reads v1, inferring f64; it
-// always writes v2.
+// A build reads exactly the version it writes (`kSnapshotVersion`): older
+// snapshots could not restore anyway, because their batch fingerprints
+// differ from every current one (see `kSnapshotVersion`).
 //
 // The state block holds the arena geometry (numElements, elSize, bufSize,
 // stackSize, buffer-presence flags), the cluster step counters, the raw
@@ -42,11 +42,11 @@
 
 namespace nglts::batch {
 
-/// Newest snapshot format this build writes; versions 1..kSnapshotVersion
-/// are readable (v1 files are inferred to be f64, see the header comment).
-/// v3: the pipeline cache key grew `PipelineConfig::partitionWeighting`, so
-/// config fingerprints from older builds no longer match (the format of the
-/// state block itself is unchanged from v2).
+/// The one snapshot format this build writes and reads. v2 added the
+/// precision field. v3: the pipeline cache key grew
+/// `PipelineConfig::partitionWeighting`, so config fingerprints from older
+/// builds no longer match (the format of the state block itself is
+/// unchanged from v2).
 /// v4: the pipeline cache key grew the scenario-ingestion content hashes
 /// (`meshContentHash`, `faultContentHash`) — again a pure fingerprint
 /// invalidation, the state block is unchanged.
@@ -62,9 +62,7 @@ struct SnapshotInfo {
   bool hasState = false;         ///< false = run-boundary marker
   std::uint32_t realSize = 0;    ///< sizeof(Real) of the saved arenas
   std::uint32_t width = 0;       ///< fused width W of the saved run
-  std::uint32_t version = kSnapshotVersion;  ///< format version of the file
-  /// Precision the snapshot was written at (v1 files: kF64 by inference).
-  solver::Precision precision = solver::Precision::kF64;
+  solver::Precision precision = solver::Precision::kF64; ///< precision it was written at
 };
 
 /// Read and validate only the snapshot header (magic, version, full-file

@@ -37,8 +37,6 @@ void printUsage() {
       "                        (default: seq lockstep, lahabra: thread; mpi needs an\n"
       "                        NGLTS_WITH_MPI build under mpirun; bitwise-identical\n"
       "                        results across transports)\n"
-      "      --overlap         overlap halo exchange with interior compute\n"
-      "                        (bitwise-identical to the lockstep exchange)\n"
       "      --kernel B        small-GEMM backend: auto | scalar | vector\n"
       "                        (default auto = CPU detection; an explicit\n"
       "                        vector errors instead of falling back;\n"
@@ -155,8 +153,6 @@ int main(int argc, char** argv) {
       } catch (const std::invalid_argument& e) {
         usageError(e.what());
       }
-    } else if (arg == "--overlap") {
-      opts.overlap = true;
     } else if (arg == "--kernel") {
       try {
         opts.kernelBackend = nglts::linalg::parseKernelBackend(requireValue(argc, argv, i));

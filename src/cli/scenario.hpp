@@ -61,9 +61,6 @@ struct ScenarioOptions {
   /// loh3/fused, thread for lahabra. Results are bitwise-identical across
   /// transports.
   std::optional<parallel::Transport> transport;
-  /// Overlap halo communication with interior-element compute
-  /// (`--overlap`); bitwise-identical to the lockstep exchange (Sec. V-C).
-  bool overlap = false;
   /// Small-GEMM kernel backend (`SimConfig::kernelBackend`, the `--kernel`
   /// flag; docs/KERNELS.md): `auto` (CPU detection), `scalar` (reference
   /// loops) or `vector` (explicit SIMD; hard error when unavailable rather

@@ -204,10 +204,10 @@ std::vector<int_t> weightedPartition(const mesh::TetMesh& mesh,
 }
 
 /// Build the scenario's primary engine over `in.part` and hand it to `body`,
-/// with `--transport` (default `defaultTransport`) and `--overlap`. Without
-/// a given partition one rank owns every element (all zeros; the
-/// partitioner is not called) and several ranks cut a weighted one. Every
-/// rank count gives bitwise-identical results.
+/// with `--transport` (default `defaultTransport`). Without a given
+/// partition one rank owns every element (all zeros; the partitioner is not
+/// called) and several ranks cut a weighted one. Every rank count gives
+/// bitwise-identical results.
 template <typename Real, int W, typename Body>
 void withEngine(EngineInputs in, solver::SimConfig cfg, int_t nRanks, const ScenarioOptions& opts,
                 parallel::Transport defaultTransport, Body&& body) {
@@ -217,7 +217,6 @@ void withEngine(EngineInputs in, solver::SimConfig cfg, int_t nRanks, const Scen
   parallel::DistConfig dcfg;
   dcfg.sim = cfg;
   dcfg.transport = opts.transport.value_or(defaultTransport);
-  dcfg.overlap = opts.overlap;
   parallel::DistributedSimulation<Real, W> sim(std::move(in.mesh), std::move(in.materials),
                                                std::move(in.part), dcfg);
   body(sim);
@@ -252,10 +251,9 @@ bool runPrimary(parallel::DistributedSimulation<Real, W>& sim, double tEnd,
   sim.gatherReceivers();
   if (sim.ranks() > 1)
     appendf(report.summary,
-            "distributed run: %lld ranks, %s transport, %s exchange, %.2f MB in %llu "
-            "messages (%s)\n",
+            "distributed run: %lld ranks, %s transport, %.2f MB in %llu messages (%s)\n",
             static_cast<long long>(sim.ranks()), parallel::transportName(sim.transport()).c_str(),
-            sim.config().overlap ? "overlapped" : "lockstep", st.commBytes / 1e6,
+            st.commBytes / 1e6,
             static_cast<unsigned long long>(st.messages),
             sim.config().compressFaces ? "9xF face-local compression" : "raw 9xB buffers");
   return sim.localRank() <= 0;

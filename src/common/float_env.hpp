@@ -14,7 +14,7 @@
 // (threading.hpp) and around the distributed run loop (exchange.cpp), and it
 // restores the saved state on exit: the host application's FP environment
 // is never left changed. All solver configurations (threads, ranks,
-// transport, overlap) compute under the same mode, which keeps them
+// transport) compute under the same mode, which keeps them
 // bitwise-identical to each other.
 #include <cstdint>
 

@@ -53,7 +53,7 @@ class Communicator {
   /// Opportunistic, non-blocking progress: drain any already-arrived
   /// messages addressed to `to` into the local inbox and retire completed
   /// sends. A no-op for the in-process transports (delivery is immediate);
-  /// MpiComm uses it to progress in-flight exchanges during overlapped
+  /// MpiComm uses it to progress the exchanges that were in flight during
   /// interior compute.
   virtual void pollInbox(int_t to) { (void)to; }
 

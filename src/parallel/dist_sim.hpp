@@ -41,15 +41,16 @@
 // order-deterministic regardless of threading, and every cross-rank payload
 // carries exactly the values the shared-memory policy would have read.
 //
-// `DistConfig::overlap` breaks the op-lockstep exchange: the local phase
+// Every rank hides the exchange behind interior compute: the local phase
 // runs its halo-boundary producers first so their payloads enter the
 // network before the interior bulk computes, and the neighbor phase runs
 // interior consumers first so the exchange is in flight during compute and
 // only the boundary sub-range waits on arrivals (each cluster's arena range
 // is laid out interior | halo boundary, so both halves are contiguous
 // ranges — SolverState::haloBoundaryBegin). Element updates within one
-// schedule op are independent, so the split is bitwise-identical to the
-// lockstep reference it is A/B'd against (see stepOpOverlap).
+// schedule op are independent, so the split is bitwise-identical to one
+// full-range pass over the op (see stepOp). Without a halo the boundary
+// sub-range is empty and costs nothing.
 #include <array>
 #include <cstdint>
 #include <map>
@@ -83,9 +84,6 @@ struct DistConfig {
   /// rank threads, or real MPI — one process per rank, requires a build
   /// with NGLTS_WITH_MPI=ON and `mpiInit` before construction.
   Transport transport = Transport::kSeq;
-  /// Split each schedule op into halo-boundary and interior sub-ranges so the
-  /// exchange overlaps interior compute (bitwise-identical to lockstep).
-  bool overlap = false;
   /// Test/bench seam: construct the communicator yourself (the adversarial
   /// ordering stress tests inject delaying/verifying wrappers here). The
   /// run loop still follows `transport`; the factory overrides only which
@@ -220,7 +218,6 @@ class DistributedSimulation {
   void init(const std::vector<physics::Material>& materials);
   void buildRank(int_t r, const std::vector<physics::Material>& materials);
   void stepOp(Rank& rank, const lts::ScheduleOp& op);
-  void stepOpOverlap(Rank& rank, const lts::ScheduleOp& op);
   void packAndSend(Rank& rank, int_t cluster);
   void receiveHalo(Rank& rank, int_t cluster);
   Rank& ownedRank(int_t r) const;

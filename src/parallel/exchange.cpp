@@ -6,8 +6,8 @@
 // lockstep, ThreadComm per-rank threads, and the MpiComm one-process-per-
 // rank mode where only the local rank's engine is built. The element
 // stepping itself is the shared `StepExecutor` — there is no duplicated
-// update loop here; the overlap mode only splits each op's element range
-// into its interior and halo-boundary sub-ranges around the same exchange.
+// update loop here; stepOp only splits each op's element range into its
+// interior and halo-boundary sub-ranges around the exchange.
 #include "parallel/dist_sim.hpp"
 
 #include <algorithm>
@@ -577,31 +577,17 @@ void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
   }
 }
 
+// The exchange, overlapped with interior compute. Correctness rests on three
+// facts: (1) packAndSend reads only the boundary producers' buffers, all
+// written by the time the boundary sub-range ran; (2) interior consumers
+// read no ghost slot, so they may run before the receives; (3) the
+// executor's step counter advances only on the final sub-range call, so the
+// sub-step parity seen by packAndSend / receiveHalo / the element kernels is
+// that of the op. Send and receive calls keep their per-(src,dst,tag)
+// order, so the payload *values* on the wire are exactly those the
+// shared-memory run reads — bitwise identity follows.
 template <typename Real, int W>
 void DistributedSimulation<Real, W>::stepOp(Rank& rank, const lts::ScheduleOp& op) {
-  if (cfg_.overlap) {
-    stepOpOverlap(rank, op);
-    return;
-  }
-  if (op.kind == lts::PhaseKind::kLocal) {
-    rank.exec->runOp(op);
-    packAndSend(rank, op.cluster);
-  } else {
-    receiveHalo(rank, op.cluster);
-    rank.exec->runOp(op);
-  }
-}
-
-// The overlapped exchange. Correctness rests on three facts: (1) packAndSend
-// reads only the boundary producers' buffers, all written by the time the
-// boundary sub-range ran; (2) interior consumers read no ghost slot, so they
-// may run before the receives; (3) the executor's step counter advances only
-// on the final sub-range call, so the sub-step parity seen by packAndSend /
-// receiveHalo / the element kernels is identical to lockstep. Send and
-// receive calls keep their per-(src,dst,tag) order, so the payload *values*
-// on the wire are exactly the lockstep ones — bitwise identity follows.
-template <typename Real, int W>
-void DistributedSimulation<Real, W>::stepOpOverlap(Rank& rank, const lts::ScheduleOp& op) {
   const int_t c = op.cluster;
   const idx_t begin = rank.state->clusterBegin(c);
   const idx_t split = rank.state->haloBoundaryBegin(c);

@@ -17,8 +17,8 @@
 //    which would deadlock with blocking rendezvous sends. Completed
 //    requests are retired opportunistically on every send/recv/poll.
 //  * recv() drains arrivals (blocking MPI_Probe when the wanted channel is
-//    empty); pollInbox() is the non-blocking variant the overlap path
-//    calls while interior compute runs against the in-flight exchange.
+//    empty); pollInbox() is the non-blocking variant the engine calls
+//    after each neighbor op's interior compute, before the receives.
 #include "parallel/comm.hpp"
 
 #include <cstring>

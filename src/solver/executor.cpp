@@ -142,7 +142,9 @@ void StepExecutor<Real, W>::parallelRange(idx_t begin, idx_t end, Fn&& fn) {
   // cluster range the element→chunk map matches the first-touch pass of
   // SolverState — thread t walks pages it placed. The map depends only on
   // (range, numThreads), so results are bitwise-identical for every thread
-  // count.
+  // count. An empty range (the boundary sub-range of a rank without halo)
+  // returns before opening a parallel region.
+  if (begin == end) return;
   forEachChunk(nThreads_, [&](int_t t) {
     const ChunkRange c = staticChunk(begin, end, nThreads_, t);
     for (idx_t el = c.begin; el < c.end; ++el) fn(el, t);

@@ -6,12 +6,12 @@
 // contiguous chunks (solver/threading.hpp), one per configured thread, and
 // chunk t runs on thread t — the same map the arena's NUMA first-touch
 // pass used, so every thread streams through pages it placed itself. The
-// distributed overlap mode runs an op as two calls over the interior and
-// halo-boundary sub-ranges of the cluster's range. The three neighbor-data
-// paradigms — GTS direct-B1, the paper's next-generation three-buffer
-// scheme, and the buffer+derivative baseline of [15] — are strategy classes
-// behind the `NeighborDataPolicy` interface instead of `if (scheme)`
-// branches in the hot loop.
+// distributed engine runs an op as two calls over the halo-boundary and
+// interior sub-ranges of the cluster's range; an empty sub-range opens no
+// parallel region. The three neighbor-data paradigms — GTS direct-B1, the
+// paper's next-generation three-buffer scheme, and the buffer+derivative
+// baseline of [15] — are strategy classes behind the `NeighborDataPolicy`
+// interface instead of `if (scheme)` branches in the hot loop.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in
@@ -109,14 +109,15 @@ class StepExecutor {
                std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
                std::unique_ptr<NeighborDataPolicy<Real, W>> policy = nullptr);
 
-  /// Execute a single schedule op — the engine interleaves halo
-  /// sends/receives between ops; one full LTS cycle (every cluster advances
-  /// by the largest cluster's step) is `schedule()` run op by op. Step
-  /// counters persist across calls.
+  /// Execute a single schedule op over its whole cluster range; one full
+  /// LTS cycle (every cluster advances by the largest cluster's step) is
+  /// `schedule()` run op by op. Step counters persist across calls. The
+  /// distributed engine uses the sub-range overload below instead, to
+  /// interleave halo sends/receives inside each op.
   void runOp(const lts::ScheduleOp& op);
 
   /// Execute `op` over only the internal range [begin, end) inside the op's
-  /// cluster range — the distributed overlap path splits an op into the
+  /// cluster range — the distributed engine splits an op into the
   /// interior and halo-boundary sub-ranges (`SolverState::haloBoundaryBegin`)
   /// so communication can proceed during the interior compute. Element
   /// updates within one op are independent (each writes only its own data;

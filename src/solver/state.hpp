@@ -9,8 +9,8 @@
 // (partition::buildClusterReordering, paper Sec. VI). In a rank-local halo
 // view each cluster range is further split into an interior sub-range
 // followed by the halo-boundary sub-range [haloBoundaryBegin(c),
-// clusterEnd(c)), so the distributed overlap mode runs both halves of an op
-// as contiguous ranges too. Every element loop of the executor streams
+// clusterEnd(c)), so the distributed engine runs both halves of an op as
+// contiguous ranges too. Every element loop of the executor streams
 // linearly through one such range.
 //
 // All arenas are NUMA first-touch initialized by a parallel per-cluster

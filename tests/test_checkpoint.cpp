@@ -10,6 +10,7 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "batch/batch_engine.hpp"
@@ -311,10 +312,14 @@ TEST_F(SnapshotDamage, BitFlipFailsChecksum) {
 }
 
 TEST_F(SnapshotDamage, VersionMismatchIsDistinctFromCorruption) {
-  bytes_[8] = static_cast<char>(99); // version field (little-endian u32 at offset 8)
-  writeAll(path_, bytes_);
-  // Must mention the version, not fall through to the checksum error.
-  expectLoadError("version");
+  // A newer version and the older formats 1 and 3 are all rejected by their
+  // version, not by the checksum error the changed byte would also cause.
+  for (const int version : {99, 1, 3}) {
+    std::vector<char> bytes = bytes_;
+    bytes[8] = static_cast<char>(version); // version field (little-endian u32 at offset 8)
+    writeAll(path_, bytes);
+    expectLoadError("has version " + std::to_string(version) + ",");
+  }
 }
 
 TEST_F(SnapshotDamage, BadMagicFails) {
@@ -361,54 +366,16 @@ TEST_F(SnapshotDamage, RunBoundaryMarkerCarriesNoState) {
 }
 
 // ---------------------------------------------------------------------------
-// Precision field (snapshot v2) and v1 backward compatibility
+// Precision field
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t fnv1aOf(const std::vector<char>& p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(p[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Rewrite a v2 snapshot as the byte-exact v1 format the f64-only builds
-/// wrote: version 1 at offset 8, no precision u32 (offset 24..28 in v2),
-/// fresh FNV-1a trailer.
-std::vector<char> downgradeToV1(std::vector<char> v2) {
-  v2[8] = 1;
-  v2.erase(v2.begin() + 24, v2.begin() + 28);
-  v2.resize(v2.size() - 8); // drop the stale checksum trailer
-  const std::uint64_t sum = fnv1aOf(v2, v2.size());
-  for (int i = 0; i < 8; ++i)
-    v2.push_back(static_cast<char>((sum >> (8 * i)) & 0xff));
-  return v2;
-}
-
-} // namespace
-
-TEST_F(SnapshotDamage, CurrentSnapshotIsV3F64) {
+TEST_F(SnapshotDamage, CurrentSnapshotIsV4F64) {
   // v3/v4 bumped only the semantic version (the pipeline cache key grew
   // PipelineConfig::partitionWeighting, then the external mesh/fault content
-  // hashes); the header byte layout is unchanged from v2, which is why
-  // downgradeToV1 below still applies.
-  const nbatch::SnapshotInfo info = nbatch::peekSnapshot(path_);
-  EXPECT_EQ(info.version, nbatch::kSnapshotVersion);
-  EXPECT_EQ(info.version, 4u);
-  EXPECT_EQ(info.precision, nsol::Precision::kF64);
-}
-
-TEST_F(SnapshotDamage, V1SnapshotLoadsInferringF64) {
-  writeAll(path_, downgradeToV1(bytes_));
-  const nbatch::SnapshotInfo peeked = nbatch::peekSnapshot(path_);
-  EXPECT_EQ(peeked.version, 1u);
-  EXPECT_EQ(peeked.precision, nsol::Precision::kF64);
-  auto sim = fx_->makeSim<1>();
-  const nbatch::SnapshotInfo info = nbatch::loadSnapshot(path_, *sim);
-  EXPECT_EQ(info.cyclesDone, 2u); // the state block parsed at the v1 offset
+  // hashes); the header byte layout is unchanged from v2.
+  EXPECT_EQ(nbatch::kSnapshotVersion, 4u);
+  EXPECT_EQ(bytes_[8], static_cast<char>(nbatch::kSnapshotVersion));
+  EXPECT_EQ(nbatch::peekSnapshot(path_).precision, nsol::Precision::kF64);
 }
 
 TEST_F(SnapshotDamage, PrecisionMismatchMentionsPrecisionFlag) {

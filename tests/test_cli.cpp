@@ -219,6 +219,7 @@ TEST(Cli, RemovedOptionsAreUsageErrors) {
       {"--kernel specialized",
        "unknown kernel backend 'specialized' (expected auto | scalar | vector)"},
       {"--executor dynamic", "unknown option '--executor'"},
+      {"--overlap", "unknown option '--overlap'"},
   };
   for (const auto& [flag, expected] : cases) {
     int status = 0;

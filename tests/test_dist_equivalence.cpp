@@ -1,15 +1,15 @@
 // Equivalence suite of the distributed path on the layered engine
 // (ISSUE 3 headline, extended by ISSUE 8): for every scheme {gts, lts,
-// baseline} x rank count {1, 2, 4} x fused width {1, 2, 4} x exchange mode
-// {lockstep, overlapped}, the distributed run must be *bitwise identical*
-// to the single-rank `Simulation` — seismograms and DOFs — and the raw
-// 9 x B payloads must agree with the compressed 9 x F payloads to
-// round-off. The distributed engine runs the same kernels over the same
-// schedule with the same neighbor values, so no tolerance is needed
-// against the reference; any drift is a protocol bug. The overlapped
-// exchange splits each cluster op into its interior and halo-boundary
-// sub-ranges (src/parallel/exchange.cpp) — identical element updates in a different
-// issue order, so it must stay bitwise too.
+// baseline} x rank count {1, 2, 4} x fused width {1, 2, 4}, the
+// distributed run must be *bitwise identical* to the single-rank
+// `Simulation` — seismograms and DOFs — and the raw 9 x B payloads must
+// agree with the compressed 9 x F payloads to round-off. The distributed
+// engine runs the same kernels over the same schedule with the same
+// neighbor values, so no tolerance is needed against the reference; any
+// drift is a protocol bug. Every rank splits each cluster op into its
+// halo-boundary and interior sub-ranges around the exchange
+// (src/parallel/exchange.cpp) — identical element updates in a different
+// order, so it must stay bitwise.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -113,12 +113,11 @@ void expectBitwiseSeismograms(const SimA& a, const SimB& b, int_t lanes) {
 
 /// Reference vs distributed run, compressed payloads: bitwise. Templated
 /// on the arithmetic type so the W=4 instantiations are covered in both
-/// precisions (ISSUE 8 satellite), and parameterized on transport and
-/// exchange mode so the overlapped path is held to the same bitwise gate
-/// as the lockstep reference.
+/// precisions, and parameterized on transport so the thread-transport run
+/// is held to the same bitwise gate.
 template <typename Real, int W>
 void runEquivalence(ns::TimeScheme scheme, int_t nRanks, int_t mechanisms,
-                    npar::Transport transport = npar::Transport::kSeq, bool overlap = false) {
+                    npar::Transport transport = npar::Transport::kSeq) {
   const double tEnd = 0.2;
   Fixture f = makeFixture(mechanisms);
   const ns::SimConfig cfg = makeCfg(scheme, mechanisms);
@@ -132,7 +131,6 @@ void runEquivalence(ns::TimeScheme scheme, int_t nRanks, int_t mechanisms,
   dcfg.sim = cfg;
   dcfg.compressFaces = true;
   dcfg.transport = transport;
-  dcfg.overlap = overlap;
   npar::DistributedSimulation<Real, W> dist(f.mesh, f.mats, stripePartition(f.mesh, nRanks),
                                             dcfg);
   ASSERT_EQ(dist.ranks(), nRanks);
@@ -164,15 +162,6 @@ TEST_P(DistEquivalence, BitwiseVsSingleRankFusedW2) {
   runEquivalence<double, 2>(scheme, ranks, /*mechanisms=*/0);
 }
 
-TEST_P(DistEquivalence, OverlapBitwiseVsSingleRank) {
-  // Overlapped exchange (boundary compute -> send -> interior compute /
-  // interior compute -> recv -> boundary compute) against the plain
-  // single-rank solver: the split issue order must not change one bit.
-  const auto [scheme, ranks] = GetParam();
-  runEquivalence<double, 1>(scheme, ranks, /*mechanisms=*/0, npar::Transport::kSeq,
-                            /*overlap=*/true);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     SchemesByRanks, DistEquivalence,
     ::testing::Combine(::testing::Values(ns::TimeScheme::kGts, ns::TimeScheme::kLtsNextGen,
@@ -202,24 +191,22 @@ TEST(DistEquivalenceExtra, FusedW4FloatBitwiseVsSingleRank) {
   runEquivalence<float, 4>(ns::TimeScheme::kLtsNextGen, 2, /*mechanisms=*/0);
 }
 
-TEST(DistEquivalenceExtra, FusedW4FloatOverlapBitwiseVsSingleRank) {
-  runEquivalence<float, 4>(ns::TimeScheme::kLtsNextGen, 4, /*mechanisms=*/0,
-                           npar::Transport::kSeq, /*overlap=*/true);
+TEST(DistEquivalenceExtra, FusedW4FloatFourRanksBitwiseVsSingleRank) {
+  runEquivalence<float, 4>(ns::TimeScheme::kLtsNextGen, 4, /*mechanisms=*/0);
 }
 
-TEST(DistEquivalenceExtra, AnelasticOverlapThreadTransportBitwise) {
+TEST(DistEquivalenceExtra, AnelasticThreadTransportBitwise) {
   // The hardest protocol combination: anelastic payload extension + thread
-  // transport + overlapped exchange, still bitwise against the single-rank
-  // solver.
+  // transport at four ranks, still bitwise against the single-rank solver.
   runEquivalence<double, 1>(ns::TimeScheme::kLtsNextGen, 4, /*mechanisms=*/3,
-                            npar::Transport::kThread, /*overlap=*/true);
+                            npar::Transport::kThread);
 }
 
-TEST(DistEquivalenceExtra, BaselineOverlapThreadTransportBitwise) {
+TEST(DistEquivalenceExtra, BaselineThreadTransportBitwise) {
   // The baseline scheme ships trimmed derivative stacks instead of buffers;
-  // its overlapped thread-transport run must hit the same bitwise gate.
+  // its thread-transport run must hit the same bitwise gate.
   runEquivalence<double, 1>(ns::TimeScheme::kLtsBaseline, 4, /*mechanisms=*/0,
-                            npar::Transport::kThread, /*overlap=*/true);
+                            npar::Transport::kThread);
 }
 
 TEST(DistEquivalenceExtra, RawMatchesCompressedToRoundOff) {

@@ -1,8 +1,8 @@
 // Subnormal flushing of the solver loops (common/float_env.hpp). An f32 box
 // whose Gaussian initial condition underflows into the subnormal range in
 // the far field: the projected initial state holds subnormal DOFs, the run
-// leaves none, every thread count and ranks x transport x overlap
-// configuration stays bitwise-identical to the 1-thread single-rank run
+// leaves none, every thread count and ranks x transport configuration
+// stays bitwise-identical to the 1-thread single-rank run
 // (all of them compute under the same FP mode), and the calling thread's FP
 // control word is unchanged by construction and run().
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <tuple>
 
 #include "common/float_env.hpp"
 #include "mesh/box_gen.hpp"
@@ -196,16 +195,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(info.param) + "threads";
     });
 
-class FloatEnvRanks : public FloatEnv,
-                      public ::testing::WithParamInterface<std::tuple<npar::Transport, bool>> {
-};
+class FloatEnvRanks : public FloatEnv, public ::testing::WithParamInterface<npar::Transport> {};
 
 TEST_P(FloatEnvRanks, TwoRanksBitwiseVsSingleRank) {
-  const auto [transport, overlap] = GetParam();
   npar::DistConfig dcfg;
   dcfg.sim = makeCfg(1);
-  dcfg.transport = transport;
-  dcfg.overlap = overlap;
+  dcfg.transport = GetParam();
   npar::DistributedSimulation<float, 1> dist(fixture_->mesh, fixture_->mats, twoRanks(), dcfg);
   ASSERT_EQ(dist.ranks(), 2);
   attachInputs(dist);
@@ -214,10 +209,7 @@ TEST_P(FloatEnvRanks, TwoRanksBitwiseVsSingleRank) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    TransportByOverlap, FloatEnvRanks,
-    ::testing::Combine(::testing::Values(npar::Transport::kSeq, npar::Transport::kThread),
-                       ::testing::Bool()),
+    Transports, FloatEnvRanks, ::testing::Values(npar::Transport::kSeq, npar::Transport::kThread),
     [](const ::testing::TestParamInfo<FloatEnvRanks::ParamType>& info) {
-      return npar::transportName(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_overlap" : "_lockstep");
+      return npar::transportName(info.param);
     });

@@ -191,11 +191,10 @@ npar::DistConfig makeDistConfig(bool compress = true,
 template <typename Real>
 std::vector<Real> runDistributed(int_t ranks, bool compress, npar::Transport transport,
                                  std::uint64_t* bytes = nullptr,
-                                 std::uint64_t* messages = nullptr, bool overlap = false) {
+                                 std::uint64_t* messages = nullptr) {
   DistFixture f = makeFixture();
   const auto part = stripePartition(f.mesh, ranks, 1000.0);
-  npar::DistConfig cfg = makeDistConfig(compress, transport);
-  cfg.overlap = overlap;
+  const npar::DistConfig cfg = makeDistConfig(compress, transport);
   npar::DistributedSimulation<Real, 1> sim(f.mesh, f.mats, part, cfg);
   sim.setInitialCondition(
       [](const std::array<double, 3>& x, int_t, double* q9) { initWave(450.0, x, q9); });
@@ -213,7 +212,7 @@ std::vector<Real> runDistributed(int_t ranks, bool compress, npar::Transport tra
 // Adversarial wrapper around ThreadComm, injected through
 // DistConfig::commFactory: every send carries a per-channel sequence number
 // and is forwarded only after a pseudo-random backoff, shuffling the global
-// interleaving the overlapped exchange observes; every recv verifies its
+// interleaving the exchange observes; every recv verifies its
 // channel's sequence number. Zero violations means the engine relies only
 // on the per-(src, dst, tag) FIFO the Communicator contract guarantees,
 // never on cross-channel ordering or send/compute timing.
@@ -321,32 +320,38 @@ TEST(DistributedSim, ThreadedMatchesSequential) {
   for (std::size_t i = 0; i < seq.size(); ++i) ASSERT_EQ(seq[i], thr[i]) << "dof " << i;
 }
 
-TEST(DistributedSim, OverlapSendsSameMessagesAsLockstep) {
-  // The overlapped exchange reorders compute against communication but
-  // must post exactly the same messages and bytes on the same channels.
-  std::uint64_t bytesLock = 0, msgLock = 0, bytesOv = 0, msgOv = 0;
-  const auto lock = runDistributed<double>(4, true, npar::Transport::kSeq, &bytesLock, &msgLock);
-  const auto ov = runDistributed<double>(4, true, npar::Transport::kSeq, &bytesOv, &msgOv,
-                                         /*overlap=*/true);
-  EXPECT_EQ(bytesLock, bytesOv);
-  EXPECT_EQ(msgLock, msgOv);
-  EXPECT_GT(msgLock, 0u);
-  ASSERT_EQ(lock.size(), ov.size());
-  for (std::size_t i = 0; i < lock.size(); ++i) ASSERT_EQ(lock[i], ov[i]) << "dof " << i;
+TEST(DistributedSim, MeasuredHaloBytesMatchAnalyticCount) {
+  // The bytes the exchange ships per cycle equal the analytic Sec. V-C
+  // count cycleCommBytes() for every scheme, with and without face
+  // compression (the baseline scheme never compresses).
+  const DistFixture f = makeFixture(6);
+  constexpr std::uint64_t kCycles = 2;
+  for (const ns::TimeScheme scheme :
+       {ns::TimeScheme::kGts, ns::TimeScheme::kLtsNextGen, ns::TimeScheme::kLtsBaseline})
+    for (const bool compress : {true, false})
+      for (const int_t ranks : {2, 4}) {
+        SCOPED_TRACE("scheme " + std::to_string(static_cast<int>(scheme)) + " compress " +
+                     std::to_string(compress) + " ranks " + std::to_string(ranks));
+        npar::DistConfig cfg = makeDistConfig(compress);
+        cfg.sim.scheme = scheme;
+        const auto part = stripePartition(f.mesh, ranks, 1000.0);
+        npar::DistributedSimulation<double, 1> sim(f.mesh, f.mats, part, cfg);
+        const auto st = sim.runCycles(kCycles);
+        EXPECT_GT(st.commBytes, 0u);
+        EXPECT_EQ(st.commBytes, kCycles * sim.cycleCommBytes(part, compress));
+      }
 }
 
-TEST(DistributedSim, OverlapSurvivesAdversarialMessageTiming) {
-  // ISSUE 8 stress gate: run the overlapped thread-transport engine over a
-  // JitterComm that delays sends and scrambles the cross-channel
-  // interleaving, assert zero per-channel FIFO violations, and require the
-  // DOFs to stay bitwise equal to the SeqComm lockstep run.
-  const auto lock = runDistributed<double>(4, true, npar::Transport::kSeq);
+TEST(DistributedSim, SurvivesAdversarialMessageTiming) {
+  // Stress gate: run the thread-transport engine over a JitterComm that
+  // delays sends and scrambles the cross-channel interleaving, assert zero
+  // per-channel FIFO violations, and require the DOFs to stay bitwise equal
+  // to the SeqComm run.
+  const auto seq = runDistributed<double>(4, true, npar::Transport::kSeq);
 
   DistFixture f = makeFixture();
   const auto part = stripePartition(f.mesh, 4, 1000.0);
-  npar::DistConfig cfg = makeDistConfig();
-  cfg.transport = npar::Transport::kThread;
-  cfg.overlap = true;
+  npar::DistConfig cfg = makeDistConfig(true, npar::Transport::kThread);
   JitterComm* probe = nullptr;
   cfg.commFactory = [&probe](int_t ranks) {
     auto comm = std::make_unique<JitterComm>(ranks);
@@ -365,7 +370,7 @@ TEST(DistributedSim, OverlapSurvivesAdversarialMessageTiming) {
   std::size_t i = 0;
   for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
     const double* q = sim.dofs(e);
-    for (int_t j = 0; j < 90; ++j, ++i) ASSERT_EQ(q[j], lock[i]) << "element " << e;
+    for (int_t j = 0; j < 90; ++j, ++i) ASSERT_EQ(q[j], seq[i]) << "element " << e;
   }
 }
 
@@ -405,7 +410,7 @@ TEST(DistributedSim, BadPartitionsThrow) {
 }
 
 TEST(HaloView, OwnedPrefixAndHaloSuffix) {
-  // View invariants, then the arena layout the overlapped exchange runs on:
+  // View invariants, then the arena layout the exchange runs on:
   // each owned cluster range is interior | halo boundary, and
   // [haloBoundaryBegin(c), clusterEnd(c)) holds exactly the owned elements
   // with a face neighbor in the halo suffix. With 3 stripes the middle

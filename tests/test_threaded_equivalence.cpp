@@ -5,8 +5,8 @@
 // schedule op's cluster range into SimConfig::numThreads static chunks and
 // each element is updated by exactly one chunk with chunk-private scratch,
 // so no tolerance is needed; any drift is a chunking/workspace bug. Also
-// covered: the hybrid ranks x threads distributed run (lockstep and
-// overlapped) vs the 1-rank 1-thread reference, the numThreads
+// covered: the hybrid ranks x threads distributed run vs the 1-rank
+// 1-thread reference, the numThreads
 // validation, and the OpenMP initial-condition projection (bitwise against
 // a straightforward reference; throwing and non-finite callbacks).
 #include <gtest/gtest.h>
@@ -184,9 +184,9 @@ TEST(ThreadedEquivalenceExtra, ThreadsExceedingElementsBitwise) {
 
 TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   // The executor's OpenMP teams nested inside ThreadComm rank threads
-  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference,
-  // lockstep and overlapped: under --overlap each op runs as its interior
-  // and halo-boundary sub-ranges, each cut into 2 static chunks.
+  // (--ranks x --threads) vs the 1-rank 1-thread shared-memory reference:
+  // each op runs as its halo-boundary and interior sub-ranges, each cut
+  // into 2 static chunks.
   const double tEnd = 0.2;
   Fixture f = makeFixture(/*mechanisms=*/0);
 
@@ -198,21 +198,17 @@ TEST(ThreadedEquivalenceExtra, HybridRanksTimesThreadsBitwiseVs1x1) {
   std::vector<int_t> part(f.mesh.numElements());
   for (idx_t e = 0; e < f.mesh.numElements(); ++e)
     part[e] = f.mesh.centroid(e)[0] < 500.0 ? 0 : 1;
-  for (const bool overlap : {false, true}) {
-    SCOPED_TRACE(overlap ? "overlap" : "lockstep");
-    npar::DistConfig dcfg;
-    dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
-    dcfg.transport = npar::Transport::kThread; // rank std::threads, each forking a 2-thread team
-    dcfg.overlap = overlap;
-    npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
-    ASSERT_EQ(dist.ranks(), 2);
-    addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
-    dist.setInitialCondition(initWave);
-    dist.run(tEnd);
+  npar::DistConfig dcfg;
+  dcfg.sim = makeCfg(ns::TimeScheme::kLtsNextGen, 0, /*threads=*/2);
+  dcfg.transport = npar::Transport::kThread; // rank std::threads, each forking a 2-thread team
+  npar::DistributedSimulation<double, 1> dist(f.mesh, f.mats, part, dcfg);
+  ASSERT_EQ(dist.ranks(), 2);
+  addSetup<npar::DistributedSimulation<double, 1>, 1>(dist);
+  dist.setInitialCondition(initWave);
+  dist.run(tEnd);
 
-    expectBitwiseSeismograms(ref, dist, 1);
-    expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
-  }
+  expectBitwiseSeismograms(ref, dist, 1);
+  expectBitwiseDofs(ref, dist, f.mesh.numElements(), ref.kernels().dofsPerElement());
 }
 
 TEST(ThreadedConfig, RejectsNonPositiveThreadCounts) {
