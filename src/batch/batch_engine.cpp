@@ -171,7 +171,7 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
 
   // Pin the pipeline's clustering decision into the run config (the lahabra
   // pattern): the engine re-derives the identical clusters from the
-  // reordered mesh instead of sweeping lambda again.
+  // pipeline's mesh instead of sweeping lambda again.
   solver::SimConfig runCfg = cfg_.sim;
   runCfg.lambda = pipe->clustering.lambda;
   runCfg.autoLambda = false;

@@ -187,7 +187,7 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
 
   if (sim) {
     const auto& st = sim->state();
-    const idx_t n = st.numElements();
+    const idx_t n = st.numOwned();
     const bool useStack = sim->config().sim.scheme == solver::TimeScheme::kLtsBaseline;
     w.u64(static_cast<std::uint64_t>(n));
     w.u64(st.elSize());
@@ -263,7 +263,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   const auto bufSize = r.u64();
   const auto stackSize = r.u64();
   const bool hasB2 = r.u32() != 0, hasB3 = r.u32() != 0, hasStack = r.u32() != 0;
-  if (n != static_cast<std::uint64_t>(st.numElements()) || elSize != st.elSize() ||
+  if (n != static_cast<std::uint64_t>(st.numOwned()) || elSize != st.elSize() ||
       bufSize != st.bufSize() || stackSize != st.stackSize() || hasB2 != st.useB2() ||
       hasB3 != st.useB3() || hasStack != useStack)
     throw std::runtime_error("snapshot '" + path +

@@ -1,7 +1,7 @@
 // The `batch` scenario: ensemble batch execution through the BatchEngine
 // (batch/batch_engine.hpp). The base scenario is the quickstart's 1 km^3
 // two-layer box run through the *production preprocessing pipeline*
-// (velocity-aware mesh + clustering + reordering); each request perturbs
+// (velocity-aware mesh + clustering + partition); each request perturbs
 // the source amplitude, the velocity model and/or the receiver position.
 // Requests come from `--batch-manifest FILE` or are synthesized
 // (`--batch-size N`, heterogeneous on purpose: every fourth request

@@ -1,15 +1,17 @@
 #pragma once
 // The solver engine: the clustered LTS schemes on one rank or many (paper
 // Sec. V-C) as a thin layer over the layered solver core. The mesh is
-// partitioned, every rank owns a `SolverState` arena built over its halo
-// view (owned elements cluster-contiguous, halo copies appended after the
-// owned ranges) and runs the same flattened LTS schedule through a
-// `StepExecutor`; a rank with cross-rank faces decorates its neighbor-data
-// policy with `HaloNeighborData` — owned faces read the arena,
-// cross-boundary faces read ghost slots filled from the message-passing
-// layer. All three neighbor-data schemes (GTS, the next-generation
-// three-buffer scheme, the buffer+derivative baseline of [15]) and fused
-// ensembles W > 1 run through it. The single-rank run
+// partitioned; the engine keeps the one global copy of mesh, geometry and
+// materials, and every rank owns a `SolverState` arena built straight from
+// it (owned elements cluster-contiguous, ids for the halo — the remote
+// face-neighbors — after the owned ranges) and runs the same flattened LTS
+// schedule through a `StepExecutor`; a rank with cross-rank faces decorates
+// its neighbor-data policy with `HaloNeighborData` — owned faces read the
+// arena, cross-boundary faces read ghost slots filled from the
+// message-passing layer. Sources, receivers, `dofs` and `sample` speak
+// global element ids on every rank count. All three time schemes (GTS, the
+// next-generation three-buffer scheme, the buffer+derivative baseline of
+// [15]) and fused ensembles W > 1 run through it. The single-rank run
 // (`solver::Simulation`, simulation.hpp) is the same class over an
 // all-zero partition: one rank, no halo, no messages.
 //
@@ -178,10 +180,10 @@ class DistributedSimulation {
 
   // -- checkpoint/restart surface (batch/checkpoint.*), per rank ------------
   /// Rank `rank`'s memory arena (cluster-contiguous internal layout, id
-  /// mapping over the rank's halo view — the caller's external ids on one
-  /// rank). The arenas hold the complete time-loop state; everything else
-  /// (mesh, operators, schedule) is rebuilt deterministically from the
-  /// constructor inputs. Throws like `dofs` for a rank of another process.
+  /// mapping to the caller's global element ids). The arenas hold the
+  /// complete time-loop state; everything else (mesh, operators, schedule)
+  /// is rebuilt deterministically from the constructor inputs. Throws like
+  /// `dofs` for a rank of another process.
   const solver::SolverState<Real, W>& state(int_t rank = 0) const;
   solver::SolverState<Real, W>& stateMut(int_t rank = 0);
   /// Rank `rank`'s per-cluster step counters (schedule position).
@@ -215,8 +217,8 @@ class DistributedSimulation {
  private:
   struct Rank;
 
-  void init(const std::vector<physics::Material>& materials);
-  void buildRank(int_t r, const std::vector<physics::Material>& materials);
+  void init();
+  void buildRank(int_t r);
   void stepOp(Rank& rank, const lts::ScheduleOp& op);
   void packAndSend(Rank& rank, int_t cluster);
   void receiveHalo(Rank& rank, int_t cluster);
@@ -225,6 +227,7 @@ class DistributedSimulation {
   DistConfig cfg_;
   int_t localRank_ = -1; ///< -1: all ranks in-process; else the MPI rank
   mesh::TetMesh mesh_;                     ///< global external order
+  std::vector<physics::Material> materials_; ///< global external order
   std::vector<int_t> part_;
   int_t numRanks_ = 1;
   std::vector<mesh::ElementGeometry> geo_; ///< global external order

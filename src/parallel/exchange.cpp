@@ -1,6 +1,6 @@
 // DistributedSimulation: the solver engine on one rank or many (see
 // dist_sim.hpp). This file owns the glue the solver core does not: global
-// setup, per-rank construction over halo views, the send/receive protocol
+// setup, per-rank construction from the global mesh, the send/receive protocol
 // packing (raw 9 x B vs face-local 9 x F, trimmed derivative stacks for the
 // baseline scheme) interleaved between schedule ops, and the run drivers — SeqComm
 // lockstep, ThreadComm per-rank threads, and the MpiComm one-process-per-
@@ -63,12 +63,11 @@ void checkIndex(const char* what, idx_t i, idx_t n) {
 
 } // namespace
 
-/// Per-rank engine: halo view, arena, hook, executor, ghost slots and the
-/// per-cluster send/receive lists derived from the cross-rank faces.
+/// Per-rank engine: arena, hook, executor, ghost slots and the per-cluster
+/// send/receive lists derived from the cross-rank faces.
 template <typename Real, int W>
 struct DistributedSimulation<Real, W>::Rank {
   int_t id = 0;
-  HaloView view;
   std::unique_ptr<solver::SolverState<Real, W>> state;
   std::unique_ptr<solver::SeismoHook<Real, W>> hook;
   std::unique_ptr<solver::StepExecutor<Real, W>> exec;
@@ -93,9 +92,11 @@ template <typename Real, int W>
 DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
                                                       std::vector<physics::Material> materials,
                                                       solver::SimConfig config)
-    : mesh_(std::move(mesh)), part_(static_cast<std::size_t>(mesh_.numElements()), 0) {
+    : mesh_(std::move(mesh)),
+      materials_(std::move(materials)),
+      part_(static_cast<std::size_t>(mesh_.numElements()), 0) {
   cfg_.sim = std::move(config);
-  init(materials);
+  init();
 }
 
 template <typename Real, int W>
@@ -103,33 +104,37 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
                                                       std::vector<physics::Material> materials,
                                                       std::vector<int_t> partition,
                                                       DistConfig config)
-    : cfg_(std::move(config)), mesh_(std::move(mesh)), part_(std::move(partition)) {
-  init(materials);
+    : cfg_(std::move(config)),
+      mesh_(std::move(mesh)),
+      materials_(std::move(materials)),
+      part_(std::move(partition)) {
+  init();
 }
 
 // Global setup — geometry, CFL steps, clustering, schedule and kernels are
 // resolved once on the whole mesh, so every rank steps the exact same
 // clusters with the exact same operators whatever the partition (the
-// invariant behind the bitwise equivalence across rank counts). The global
-// materials are only read here: each rank keeps its halo view's copy.
+// invariant behind the bitwise equivalence across rank counts). Every rank
+// is built from, and its hook binds against, this one global copy of mesh,
+// geometry and materials.
 template <typename Real, int W>
-void DistributedSimulation<Real, W>::init(const std::vector<physics::Material>& materials) {
+void DistributedSimulation<Real, W>::init() {
   solver::SimConfig& sim = cfg_.sim;
   sim.precision = std::is_same_v<Real, float> ? solver::Precision::kF32 : solver::Precision::kF64;
   solver::validateSimConfig(sim);
   if (mesh_.faces.empty())
     throw std::runtime_error("DistributedSimulation: mesh connectivity not built");
-  if (static_cast<idx_t>(materials.size()) != mesh_.numElements())
+  if (static_cast<idx_t>(materials_.size()) != mesh_.numElements())
     throw std::runtime_error("DistributedSimulation: one material per element required");
 
   geo_ = mesh::computeGeometry(mesh_);
-  const std::vector<double> dtCfl = lts::cflTimeSteps(geo_, materials, sim.order, sim.cfl);
+  const std::vector<double> dtCfl = lts::cflTimeSteps(geo_, materials_, sim.order, sim.cfl);
   clustering_ = solver::resolveClustering(mesh_, dtCfl, sim);
   schedule_ = lts::buildSchedule(clustering_.numClusters);
   lts::checkSchedule(schedule_, clustering_.numClusters);
   kernels_ = std::make_unique<kernels::AderKernels<Real, W>>(
-      sim.order, sim.mechanisms, sim.sparseKernels, solver::resolveOmega(materials, sim.mechanisms),
-      sim.kernelBackend);
+      sim.order, sim.mechanisms, sim.sparseKernels,
+      solver::resolveOmega(materials_, sim.mechanisms), sim.kernelBackend);
 
   if (static_cast<idx_t>(part_.size()) != mesh_.numElements())
     throw std::invalid_argument("DistributedSimulation: partition size != element count");
@@ -167,32 +172,30 @@ void DistributedSimulation<Real, W>::init(const std::vector<physics::Material>& 
   rankReceiverCount_.assign(numRanks_, 0);
   ranks_.resize(numRanks_);
   for (int_t r = 0; r < numRanks_; ++r)
-    if (localRank_ < 0 || r == localRank_) buildRank(r, materials);
+    if (localRank_ < 0 || r == localRank_) buildRank(r);
 }
 
 template <typename Real, int W>
 DistributedSimulation<Real, W>::~DistributedSimulation() = default;
 
 template <typename Real, int W>
-void DistributedSimulation<Real, W>::buildRank(int_t r,
-                                               const std::vector<physics::Material>& materials) {
+void DistributedSimulation<Real, W>::buildRank(int_t r) {
   auto rank = std::make_unique<Rank>();
   rank->id = r;
-  rank->view = buildHaloView(mesh_, geo_, materials, clustering_, part_, r);
-  const HaloView& view = rank->view;
   const kernels::AderKernels<Real, W>& kernels = *kernels_;
 
   rank->state = std::make_unique<solver::SolverState<Real, W>>(
-      view.mesh, view.materials, view.geo, view.clustering, kernels, cfg_.sim, view.numOwned);
+      mesh_, materials_, geo_, clustering_, kernels, cfg_.sim, part_, r);
   const double recDt =
       cfg_.sim.receiverSampleDt > 0.0 ? cfg_.sim.receiverSampleDt : clustering_.dtMin;
-  rank->hook = std::make_unique<solver::SeismoHook<Real, W>>(
-      view.mesh, view.geo, view.materials, kernels, *rank->state, recDt);
+  rank->hook = std::make_unique<solver::SeismoHook<Real, W>>(mesh_, geo_, materials_, kernels,
+                                                             *rank->state, recDt);
 
   // Ghost slots + send/receive lists from the cross-rank faces. One scan of
-  // the owned elements covers each cross face once in both roles: the owned
-  // element consumes the remote buffers (receive slot) and produces for the
-  // remote consumer (send op) through the same geometric face.
+  // the owned elements in ascending global id covers each cross face once
+  // in both roles: the owned element consumes the remote buffers (receive
+  // slot) and produces for the remote consumer (send op) through the same
+  // geometric face.
   const solver::SolverState<Real, W>& state = *rank->state;
   const int_t nc = clustering_.numClusters;
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
@@ -204,21 +207,21 @@ void DistributedSimulation<Real, W>::buildRank(int_t r,
   rank->sendByCluster.assign(nc, {});
   rank->recvByCluster.assign(nc, {});
   rank->ghosts.slotOf.assign(static_cast<std::size_t>(state.numHalo()) * 4, -1);
-  for (idx_t le = 0; le < view.numOwned; ++le) {
-    const int_t cMe = view.clustering.cluster[le];
+  for (idx_t el = 0; el < mesh_.numElements(); ++el) {
+    if (part_[el] != r) continue;
+    const int_t cMe = clustering_.cluster[el];
     for (int_t f = 0; f < 4; ++f) {
-      const mesh::FaceInfo& fi = view.mesh.faces[le][f];
-      if (fi.neighbor < view.numOwned) continue; // boundary or same-rank face
-      const idx_t gNb = view.localToGlobal[fi.neighbor];
-      const int_t cNb = view.clustering.cluster[fi.neighbor];
+      const mesh::FaceInfo& fi = mesh_.faces[el][f];
+      if (fi.neighbor < 0 || part_[fi.neighbor] == r) continue; // boundary or same-rank face
+      const int_t cNb = clustering_.cluster[fi.neighbor];
 
       // Receive slot: the owned element consumes the remote element's data.
       GhostSlot<Real> slot;
       slot.rel = cNb == cMe ? HaloRelation::kEqual
                             : (cNb < cMe ? HaloRelation::kRemoteSmaller
                                          : HaloRelation::kRemoteLarger);
-      slot.srcRank = part_[gNb];
-      slot.tag = gNb * 4 + fi.neighborFace;
+      slot.srcRank = part_[fi.neighbor];
+      slot.tag = fi.neighbor * 4 + fi.neighborFace;
       if (baseline) {
         slot.ds0.assign(slot.rel == HaloRelation::kRemoteSmaller ? bufN : stackN, Real(0));
       } else {
@@ -233,14 +236,14 @@ void DistributedSimulation<Real, W>::buildRank(int_t r,
 
       // Send op: the owned element produces for the remote consumer.
       typename Rank::SendOp op;
-      op.el = state.toInternal(le);
+      op.el = state.toInternal(el);
       op.face = f;
       op.rel = cNb == cMe ? HaloRelation::kEqual
                           : (cNb > cMe ? HaloRelation::kRemoteLarger
                                        : HaloRelation::kRemoteSmaller);
-      op.dstRank = part_[gNb];
-      op.recvPerm = view.mesh.faces[fi.neighbor][fi.neighborFace].perm;
-      op.tag = view.localToGlobal[le] * 4 + f;
+      op.dstRank = part_[fi.neighbor];
+      op.recvPerm = mesh_.faces[fi.neighbor][fi.neighborFace].perm;
+      op.tag = el * 4 + f;
       rank->sendByCluster[cMe].push_back(op);
     }
   }
@@ -259,7 +262,7 @@ void DistributedSimulation<Real, W>::buildRank(int_t r,
         *rank->state, kernels, cfg_.sim.scheme, cfg_.compressFaces, clustering_.clusterDt,
         &rank->ghosts);
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
-      cfg_.sim, kernels, *rank->state, view.clustering, schedule_, rank->hook.get(),
+      cfg_.sim, kernels, *rank->state, clustering_, schedule_, rank->hook.get(),
       std::move(policy));
   ranks_[r] = std::move(rank);
 }
@@ -281,9 +284,8 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::setInitialCondition(const InitFn& f) {
   for (auto& rank : ranks_)
     if (rank)
-      solver::projectInitialCondition(*kernels_, rank->view.mesh, rank->view.geo, f,
-                                      *rank->state, rank->view.numOwned,
-                                      rank->view.localToGlobal);
+      solver::projectInitialCondition(*kernels_, mesh_, geo_, f, *rank->state,
+                                      mesh_.numElements());
 }
 
 template <typename Real, int W>
@@ -293,7 +295,7 @@ void DistributedSimulation<Real, W>::addPointSource(const seismo::PointSource& s
   if (el < 0) throw std::runtime_error("addPointSource: source outside the mesh");
   if (!ownsRank(part_[el])) return; // another MPI process owns this element
   Rank& rank = *ranks_[part_[el]];
-  rank.hook->addPointSource(rank.view.globalToLocal[el], src, std::move(laneScale));
+  rank.hook->addPointSource(el, src, std::move(laneScale));
 }
 
 template <typename Real, int W>
@@ -308,7 +310,7 @@ idx_t DistributedSimulation<Real, W>::addReceiver(const std::array<double, 3>& p
   const idx_t local = rankReceiverCount_[home]++;
   if (ownsRank(home)) {
     Rank& rank = *ranks_[home];
-    const idx_t bound = rank.hook->addReceiver(rank.view.globalToLocal[el], position);
+    const idx_t bound = rank.hook->addReceiver(el, position);
     if (bound != local)
       throw std::logic_error("addReceiver: rank-local index drifted from the global count");
   }
@@ -403,7 +405,7 @@ template <typename Real, int W>
 const Real* DistributedSimulation<Real, W>::dofs(idx_t element) const {
   checkIndex("dofs: element", element, mesh_.numElements());
   const Rank& rank = ownedRank(part_[element]);
-  return rank.state->q(rank.state->toInternal(rank.view.globalToLocal[element]));
+  return rank.state->q(rank.state->toInternal(element));
 }
 
 template <typename Real, int W>

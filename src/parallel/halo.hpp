@@ -1,12 +1,12 @@
 #pragma once
-// Rank-local halo views for the distributed path (paper Sec. V-C) on the
-// layered solver engine: every rank owns a sub-mesh with its owned elements
-// first and *halo* copies of remote face-neighbors appended after, a
-// `SolverState` arena built over that view (owned prefix cluster-contiguous,
-// halo suffix outside every executor range), and a `HaloNeighborData`
-// strategy that decorates the scheme's `NeighborDataPolicy`: owned faces are
-// served by the wrapped policy straight from the arena, cross-rank faces
-// from ghost slots filled by the message-passing layer.
+// The halo of the distributed path (paper Sec. V-C) on the layered solver
+// engine: every rank's `SolverState` is built from the global mesh with its
+// owned elements first (cluster-contiguous) and ids for its *halo* — the
+// remote face-neighbors — after them, outside every executor range and
+// without arena slots. `HaloNeighborData` decorates the scheme's
+// `NeighborDataPolicy`: owned faces are served by the wrapped policy
+// straight from the arena, cross-rank faces from ghost slots filled by the
+// message-passing layer.
 //
 // Ghost slots are written serially between schedule ops (the classic
 // pack/exchange/compute pattern) and read concurrently by the executor's
@@ -18,10 +18,6 @@
 #include "common/aligned.hpp"
 #include "common/types.hpp"
 #include "kernels/ader_kernels.hpp"
-#include "lts/clustering.hpp"
-#include "mesh/geometry.hpp"
-#include "mesh/tet_mesh.hpp"
-#include "physics/material.hpp"
 #include "solver/config.hpp"
 #include "solver/executor.hpp"
 #include "solver/state.hpp"
@@ -36,34 +32,6 @@ enum class HaloRelation : int_t {
   kRemoteSmaller, ///< remote element in a smaller (faster) cluster
   kRemoteLarger   ///< remote element in a larger (slower) cluster
 };
-
-/// One rank's sub-mesh view: owned elements first (in ascending global id),
-/// then halo copies of every remote face-neighbor (in first-encounter
-/// order). "Local external" ids index this view and are what the rank's
-/// `SolverState` treats as external ids.
-struct HaloView {
-  mesh::TetMesh mesh;     ///< owned + halo; faces remapped to local ids
-  idx_t numOwned = 0;     ///< local ids [0, numOwned) are owned
-  std::vector<idx_t> localToGlobal; ///< local external -> global external
-  std::vector<idx_t> globalToLocal; ///< global -> local external, -1 if absent
-  /// Global clustering restricted to local ids (`cluster` is per local
-  /// element; `clusterDt`/`numClusters`/`dtMin` are the global values —
-  /// `clusterSize` keeps the *global* counts and must not be used locally).
-  lts::Clustering clustering;
-  std::vector<physics::Material> materials;  ///< local external order
-  std::vector<mesh::ElementGeometry> geo;    ///< local external order
-};
-
-/// Build rank `rank`'s halo view of the globally clustered mesh. Owned
-/// faces keep their global boundary kinds and neighbor orientation data;
-/// halo elements keep only their faces back into the owned set (everything
-/// else is cut to an absorbing boundary — halo elements are data sources,
-/// never stepped).
-HaloView buildHaloView(const mesh::TetMesh& globalMesh,
-                       const std::vector<mesh::ElementGeometry>& globalGeo,
-                       const std::vector<physics::Material>& globalMaterials,
-                       const lts::Clustering& globalClustering, const std::vector<int_t>& part,
-                       int_t rank);
 
 /// Ghost storage of one cross-rank face, owned by the consuming rank.
 /// `ds0`/`ds1` hold the received datasets: the next-generation scheme keeps
@@ -87,7 +55,7 @@ struct HaloGhosts {
 };
 
 /// Neighbor-data decorator of the distributed path: owned faces delegate to
-/// the wrapped scheme policy (GTS / three-buffer / baseline — identical
+/// the wrapped scheme policy (three-buffer / baseline — identical
 /// arithmetic to the single-process engine), cross-rank faces are served
 /// from the rank's ghost slots. With `compressFaces` the ghost payloads of
 /// the GTS/next-generation schemes are the face-local 9 x F projections

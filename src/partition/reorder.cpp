@@ -2,37 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace nglts::partition {
 
-Reordering buildReordering(const mesh::TetMesh& mesh, const std::vector<int_t>& part,
-                           const std::vector<int_t>& cluster) {
-  const idx_t n = mesh.numElements();
-  std::vector<int_t> commRole(n, 0);
-  for (idx_t e = 0; e < n; ++e)
-    for (int_t f = 0; f < 4; ++f) {
-      const idx_t nb = mesh.faces[e][f].neighbor;
-      if (nb >= 0 && part[nb] != part[e]) commRole[e] = 1;
-    }
-
-  Reordering r;
-  r.oldId.resize(n);
-  std::iota(r.oldId.begin(), r.oldId.end(), idx_t{0});
-  std::stable_sort(r.oldId.begin(), r.oldId.end(), [&](idx_t a, idx_t b) {
-    if (part[a] != part[b]) return part[a] < part[b];
-    if (cluster[a] != cluster[b]) return cluster[a] < cluster[b];
-    return commRole[a] < commRole[b];
-  });
-  r.newId.resize(n);
-  for (idx_t e = 0; e < n; ++e) r.newId[r.oldId[e]] = e;
-  return r;
-}
-
-bool hasHaloFace(const mesh::TetMesh& mesh, idx_t e, idx_t numOwned) {
-  for (int_t f = 0; f < 4; ++f)
-    if (mesh.faces[e][f].neighbor >= numOwned) return true;
+bool hasHaloFace(const mesh::TetMesh& mesh, idx_t e, const std::vector<int_t>& part,
+                 int_t rank) {
+  if (part.empty()) return false;
+  for (int_t f = 0; f < 4; ++f) {
+    const idx_t nb = mesh.faces[e][f].neighbor;
+    if (nb >= 0 && part[nb] != rank) return true;
+  }
   return false;
 }
 
@@ -41,15 +21,15 @@ namespace {
 /// Sum of |newId[e] - newId[nb]| over intra-block faces — the locality
 /// cost the neighbor phase's cache behaviour depends on. `localId` maps a
 /// block's elements to their position within the block.
-double intraBlockDistance(const mesh::TetMesh& mesh, const std::vector<int_t>& block,
-                          const std::vector<idx_t>& order, idx_t owned,
+double intraBlockDistance(const mesh::TetMesh& mesh, const std::vector<int_t>& blockOf,
+                          const std::vector<idx_t>& order,
                           std::vector<idx_t>& localId /* scratch, size n */) {
   for (std::size_t i = 0; i < order.size(); ++i) localId[order[i]] = static_cast<idx_t>(i);
   double sum = 0.0;
   for (idx_t e : order)
     for (int_t f = 0; f < 4; ++f) {
       const idx_t nb = mesh.faces[e][f].neighbor;
-      if (nb >= 0 && nb < owned && block[nb] == block[e])
+      if (nb >= 0 && blockOf[nb] == blockOf[e])
         sum += std::abs(static_cast<double>(localId[e] - localId[nb]));
     }
   return sum;
@@ -58,34 +38,32 @@ double intraBlockDistance(const mesh::TetMesh& mesh, const std::vector<int_t>& b
 } // namespace
 
 Reordering buildClusterReordering(const mesh::TetMesh& mesh, const std::vector<int_t>& cluster,
-                                  bool packNeighbors, idx_t numOwned) {
+                                  const std::vector<int_t>& part, int_t rank) {
   const idx_t n = mesh.numElements();
-  const idx_t owned = numOwned < 0 ? n : numOwned;
-  if (owned > n) throw std::runtime_error("buildClusterReordering: numOwned > numElements");
+  if (!part.empty() && static_cast<idx_t>(part.size()) != n)
+    throw std::invalid_argument("buildClusterReordering: partition size != element count");
   int_t nc = 0;
   for (idx_t e = 0; e < n; ++e) nc = std::max(nc, cluster[e] + 1);
 
-  // Sub-block of each owned element: its cluster, split into interior
-  // (role 0) then halo boundary (role 1, a face neighbor in the halo suffix)
-  // — the interior-then-send order of `buildReordering`. Base ordering is a
+  // Sub-block of each owned element (-1 elsewhere): its cluster, split into
+  // interior (role 0) then halo boundary (role 1). Base ordering is a
   // stable sort by sub-block, preserving the mesh generator's numbering
-  // inside each one (already near-banded for graded boxes). Only the owned
-  // prefix takes part; halo elements stay behind it.
-  std::vector<int_t> blockOf(owned);
+  // inside each one (already near-banded for graded boxes).
+  std::vector<int_t> blockOf(n, -1);
   std::vector<std::vector<idx_t>> blocks(2 * static_cast<std::size_t>(nc));
-  for (idx_t e = 0; e < owned; ++e) {
-    blockOf[e] = 2 * cluster[e] + (hasHaloFace(mesh, e, owned) ? 1 : 0);
+  for (idx_t e = 0; e < n; ++e) {
+    if (!part.empty() && part[e] != rank) continue;
+    blockOf[e] = 2 * cluster[e] + (hasHaloFace(mesh, e, part, rank) ? 1 : 0);
     blocks[blockOf[e]].push_back(e);
   }
 
   Reordering r;
-  r.oldId.reserve(n);
   std::vector<idx_t> localId(n, 0);
   std::vector<char> visited;
   std::vector<idx_t> bfs;
   for (int_t k = 0; k < 2 * nc; ++k) {
     auto& block = blocks[k];
-    if (packNeighbors && block.size() > 2) {
+    if (block.size() > 2) {
       // Candidate: BFS over the intra-block dual graph, seeded from the
       // lowest unvisited id (deterministic) — an element and its
       // same-block face-neighbors end up within a frontier of each other.
@@ -104,23 +82,35 @@ Reordering buildClusterReordering(const mesh::TetMesh& mesh, const std::vector<i
           const idx_t e = bfs[head];
           for (int_t f = 0; f < 4; ++f) {
             const idx_t nb = mesh.faces[e][f].neighbor;
-            if (nb >= 0 && nb < owned && !visited[nb] && blockOf[nb] == k) {
+            if (nb >= 0 && blockOf[nb] == k && !visited[nb]) {
               bfs.push_back(nb);
               visited[nb] = 1;
             }
           }
         }
       }
-      if (intraBlockDistance(mesh, blockOf, bfs, owned, localId) <
-          intraBlockDistance(mesh, blockOf, block, owned, localId))
+      if (intraBlockDistance(mesh, blockOf, bfs, localId) <
+          intraBlockDistance(mesh, blockOf, block, localId))
         block.swap(bfs);
     }
     r.oldId.insert(r.oldId.end(), block.begin(), block.end());
   }
-  for (idx_t e = owned; e < n; ++e) r.oldId.push_back(e); // halo suffix, stable
+  r.numOwned = static_cast<idx_t>(r.oldId.size());
 
-  r.newId.resize(n);
-  for (idx_t e = 0; e < n; ++e) r.newId[r.oldId[e]] = e;
+  // Halo: remote face-neighbors of owned elements, first-encounter order
+  // over ascending owned global id.
+  r.newId.assign(n, -1);
+  for (idx_t i = 0; i < r.numOwned; ++i) r.newId[r.oldId[i]] = i;
+  for (idx_t e = 0; e < n; ++e) {
+    if (blockOf[e] < 0) continue;
+    for (int_t f = 0; f < 4; ++f) {
+      const idx_t nb = mesh.faces[e][f].neighbor;
+      if (nb >= 0 && r.newId[nb] < 0) {
+        r.newId[nb] = static_cast<idx_t>(r.oldId.size());
+        r.oldId.push_back(nb);
+      }
+    }
+  }
   return r;
 }
 
@@ -142,16 +132,24 @@ std::vector<idx_t> clusterRanges(const std::vector<int_t>& clusterNewOrder, int_
 mesh::TetMesh applyReordering(const mesh::TetMesh& mesh, const Reordering& r) {
   mesh::TetMesh out;
   out.vertices = mesh.vertices;
-  const idx_t n = mesh.numElements();
+  const idx_t n = static_cast<idx_t>(r.oldId.size());
   out.elements.resize(n);
   out.faces.resize(n);
   for (idx_t e = 0; e < n; ++e) {
     const idx_t src = r.oldId[e];
     out.elements[e] = mesh.elements[src];
     out.faces[e] = mesh.faces[src];
-    for (int_t f = 0; f < 4; ++f)
-      if (out.faces[e][f].neighbor >= 0)
-        out.faces[e][f].neighbor = r.newId[out.faces[e][f].neighbor];
+    for (mesh::FaceInfo& fi : out.faces[e]) {
+      if (fi.neighbor < 0) continue;
+      const idx_t nb = r.newId[fi.neighbor];
+      if (nb >= 0 && (e < r.numOwned || nb < r.numOwned)) {
+        fi.neighbor = nb;
+      } else {
+        fi.neighbor = -1;
+        fi.neighborFace = -1;
+        fi.kind = FaceKind::kAbsorbing;
+      }
+    }
   }
   return out;
 }

@@ -43,9 +43,9 @@ PipelineResult runPipeline(const seismo::VelocityModel& model, const PipelineCon
   PipelineResult out;
 
   // 1. Velocity-aware mesh — or an external Gmsh import (`--mesh-file`),
-  // which replaces the meshing rule entirely (materials, CFL, clustering,
-  // partitioning and reordering below apply to either the same way).
-  mesh::TetMesh mesh;
+  // which replaces the meshing rule entirely (materials, CFL, clustering
+  // and partitioning below apply to either the same way).
+  mesh::TetMesh& mesh = out.mesh;
   if (cfg.meshFile.empty()) {
     mesh::BoxSpec spec;
     for (int_t a = 0; a < 3; ++a) spec.planes[a] = axisPlanes(model, cfg, a);
@@ -59,10 +59,9 @@ PipelineResult runPipeline(const seismo::VelocityModel& model, const PipelineCon
                  << (cfg.meshFile.empty() ? "" : " (imported from " + cfg.meshFile + ")");
 
   // 2. Materials and CFL steps.
-  std::vector<physics::Material> materials =
-      seismo::materialsForMesh(mesh, model, cfg.mechanisms, cfg.maxFrequency);
+  out.materials = seismo::materialsForMesh(mesh, model, cfg.mechanisms, cfg.maxFrequency);
   const auto geo = mesh::computeGeometry(mesh);
-  out.dtCfl = lts::cflTimeSteps(geo, materials, cfg.order, cfg.cfl);
+  out.dtCfl = lts::cflTimeSteps(geo, out.materials, cfg.order, cfg.cfl);
 
   // 3. Clustering with the lambda sweep.
   double lambda = cfg.lambda;
@@ -76,21 +75,6 @@ PipelineResult runPipeline(const seismo::VelocityModel& model, const PipelineCon
   const auto graph = partition::buildPartitionGraph(mesh, out.clustering, cfg.partitionWeighting);
   out.parts = partition::partitionGraph(graph, mesh, cfg.numPartitions);
 
-  // 5. Reorder by (partition, cluster, communication role).
-  out.reordering = partition::buildReordering(mesh, out.parts.part, out.clustering.cluster);
-  out.mesh = partition::applyReordering(mesh, out.reordering);
-  out.materials = partition::permute(materials, out.reordering);
-  out.dtCfl = partition::permute(out.dtCfl, out.reordering);
-  out.clustering.cluster = partition::permute(out.clustering.cluster, out.reordering);
-  out.parts.part = partition::permute(out.parts.part, out.reordering);
-
-  // 6. Per-partition manifest (contiguous after the reorder).
-  out.partitionRanges.assign(cfg.numPartitions, {out.mesh.numElements(), 0});
-  for (idx_t e = 0; e < out.mesh.numElements(); ++e) {
-    auto& range = out.partitionRanges[out.parts.part[e]];
-    range.first = std::min(range.first, e);
-    range.second = std::max(range.second, e + 1);
-  }
   return out;
 }
 

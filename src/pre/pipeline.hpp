@@ -2,8 +2,9 @@
 // The production preprocessing pipeline of paper Sec. VI / Fig. 8:
 //   velocity model -> velocity-aware target edge lengths -> graded+jittered
 //   mesh -> per-element materials -> CFL steps -> clustering + lambda sweep
-//   -> dual-graph weights -> partitioning -> (partition, cluster, comm-role)
-//   reordering -> per-partition manifest.
+//   -> dual-graph weights -> partitioning. The result stays in mesh
+//   generator order: each rank's solver arena sorts its own elements by
+//   (cluster, communication role) (partition::buildClusterReordering).
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -12,7 +13,6 @@
 #include "lts/clustering.hpp"
 #include "mesh/tet_mesh.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/reorder.hpp"
 #include "physics/material.hpp"
 #include "seismo/velocity_model.hpp"
 
@@ -40,7 +40,7 @@ struct PipelineConfig {
   /// Dual-graph weighting the partitioner balances (`--partition`):
   /// weighted = LTS update frequencies + face-flux share (the default),
   /// unweighted = plain element counts. Cache-relevant: different weightings
-  /// produce different partitions, reorderings and arena layouts.
+  /// produce different partitions and arena layouts.
   partition::PartitionWeighting partitionWeighting = partition::PartitionWeighting::kWeighted;
   /// External mesh ingestion (`--mesh-file`): when non-empty, step 1 of the
   /// pipeline loads this Gmsh `.msh` 4.1 file (mesh/gmsh_io.hpp) instead of
@@ -67,15 +67,12 @@ struct PipelineConfig {
 };
 
 struct PipelineResult {
-  mesh::TetMesh mesh;                      ///< reordered mesh
+  mesh::TetMesh mesh;                      ///< generator (or file) order
   std::vector<physics::Material> materials;
   std::vector<double> dtCfl;
   lts::Clustering clustering;
   lts::LambdaSweep lambdaSweep;            ///< empty if autoLambda = false
   partition::PartitionResult parts;
-  partition::Reordering reordering;
-  /// Per-partition manifest: element ranges in the reordered mesh.
-  std::vector<std::pair<idx_t, idx_t>> partitionRanges;
 
   std::string summary() const;
 };

@@ -1,8 +1,8 @@
 #pragma once
 // Memoization of the preprocessing pipeline (pipeline.hpp) for batch /
 // ensemble execution: the expensive products — velocity-aware mesh,
-// materials, CFL steps, clustering (incl. the lambda sweep), partition and
-// reordering — are cached behind a content-hash of the *cache-relevant*
+// materials, CFL steps, clustering (incl. the lambda sweep) and partition —
+// are cached behind a content-hash of the *cache-relevant*
 // subset of `PipelineConfig` plus a caller-supplied velocity-model key.
 //
 // Cache-relevant means: every field that influences any byte of the

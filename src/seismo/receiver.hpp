@@ -23,7 +23,7 @@ std::vector<double> resample(const Seismogram& s, int_t quantity, double tEnd, i
 
 struct Receiver {
   std::array<double, 3> position;
-  idx_t element = -1;                 ///< containing element (set by the solver)
+  idx_t element = -1;                 ///< containing element, the caller's mesh id
   std::vector<double> basisValues;    ///< basis functions at the receiver point
   std::vector<Seismogram> traces;     ///< one per fused lane
 };

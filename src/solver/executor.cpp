@@ -6,26 +6,11 @@ namespace nglts::solver {
 
 namespace {
 
-/// GTS: one cluster, every neighbor wrote B1 in the same step.
-template <typename Real, int W>
-class GtsNeighborData final : public NeighborDataPolicy<Real, W> {
- public:
-  using Scratch = typename NeighborDataPolicy<Real, W>::Scratch;
-
-  explicit GtsNeighborData(const SolverState<Real, W>& state) : state_(state) {}
-
-  const Real* data(idx_t, const mesh::FaceInfo& fi, idx_t, Scratch&,
-                   std::uint64_t&) const override {
-    return state_.b1(fi.neighbor);
-  }
-
- private:
-  const SolverState<Real, W>& state_;
-};
-
 /// Next-generation three-buffer scheme (paper Sec. V-B / Fig. 6):
 /// equal cluster -> B1, smaller neighbor -> its B3 window accumulator,
 /// larger neighbor -> its B2 on the first half-window, B1 - B2 on the second.
+/// GTS is its one-cluster case: every neighbor serves the B1 it wrote in the
+/// same step.
 template <typename Real, int W>
 class ThreeBufferNeighborData final : public NeighborDataPolicy<Real, W> {
  public:
@@ -107,7 +92,6 @@ std::unique_ptr<NeighborDataPolicy<Real, W>> makeNeighborDataPolicy(
     const kernels::AderKernels<Real, W>& kernels, const std::vector<double>& clusterDt) {
   switch (cfg.scheme) {
     case TimeScheme::kGts:
-      return std::make_unique<GtsNeighborData<Real, W>>(state);
     case TimeScheme::kLtsNextGen:
       return std::make_unique<ThreeBufferNeighborData<Real, W>>(state, state.bufSize());
     case TimeScheme::kLtsBaseline:

@@ -8,10 +8,11 @@
 // pass used, so every thread streams through pages it placed itself. The
 // distributed engine runs an op as two calls over the halo-boundary and
 // interior sub-ranges of the cluster's range; an empty sub-range opens no
-// parallel region. The three neighbor-data paradigms — GTS direct-B1, the
-// paper's next-generation three-buffer scheme, and the buffer+derivative
-// baseline of [15] — are strategy classes behind the `NeighborDataPolicy`
-// interface instead of `if (scheme)` branches in the hot loop.
+// parallel region. The neighbor-data paradigms — the paper's
+// next-generation three-buffer scheme (GTS is its one-cluster case) and the
+// buffer+derivative baseline of [15] — are strategy classes behind the
+// `NeighborDataPolicy` interface instead of `if (scheme)` branches in the
+// hot loop.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in

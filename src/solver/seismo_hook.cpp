@@ -21,8 +21,8 @@ SeismoHook<Real, W>::SeismoHook(const mesh::TetMesh& mesh,
       kernels_(kernels),
       state_(state),
       recDt_(receiverDt) {
-  elementSources_.assign(mesh_.numElements(), {});
-  elementReceivers_.assign(mesh_.numElements(), {});
+  elementSources_.assign(state_.numElements(), {});
+  elementReceivers_.assign(state_.numElements(), {});
 }
 
 template <typename Real, int W>
@@ -141,7 +141,11 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              const mesh::TetMesh& mesh,
                              const std::vector<mesh::ElementGeometry>& geo,
                              const InitialConditionFn& f, SolverState<Real, W>& state,
-                             idx_t numElements, std::span<const idx_t> globalIds) {
+                             idx_t numElements) {
+  if (numElements != mesh.numElements())
+    throw std::invalid_argument("projectInitialCondition: numElements " +
+                                std::to_string(numElements) + " != mesh element count " +
+                                std::to_string(mesh.numElements()));
   const auto quad = basis::tetQuadrature(kernels.order() + 2);
   const auto& tet = *kernels.globalMatrices().tet;
   const int_t nb = kernels.numBasis();
@@ -151,7 +155,7 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
   for (std::size_t p = 0; p < quad.size(); ++p)
     for (int_t b = 0; b < nb; ++b) phi[p * nb + b] = tet.eval(b, quad[p].xi);
   // An exception leaving the OpenMP region would call std::terminate: keep
-  // the lowest failing element (thread-count independent) and throw after.
+  // the lowest failing global id (thread-count independent) and throw after.
   idx_t bad = -1;
   std::string what;
 #pragma omp parallel
@@ -159,9 +163,10 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
     // wq[v * W + lane] = weight * q9[v] of one quadrature point; lane innermost.
     std::array<double, kElasticVars * W> wq{};
 #pragma omp for schedule(static)
-    for (idx_t el = 0; el < numElements; ++el) {
+    for (idx_t in = 0; in < state.numOwned(); ++in) {
+      const idx_t el = state.toExternal(in);
       try {
-        Real* q = state.q(state.toInternal(el));
+        Real* q = state.q(in);
         linalg::zeroBlock(q, elSize);
         const auto& v0 = mesh.vertices[mesh.elements[el][0]];
         for (std::size_t p = 0; p < quad.size(); ++p) {
@@ -202,8 +207,7 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
     }
   }
   if (bad >= 0)
-    throw std::runtime_error("projectInitialCondition: element " +
-                             std::to_string(globalIds.empty() ? bad : globalIds[bad]) + ": " +
+    throw std::runtime_error("projectInitialCondition: element " + std::to_string(bad) + ": " +
                              what);
 }
 
@@ -219,42 +223,34 @@ template class SeismoHook<double, 4>;
 template void projectInitialCondition(const kernels::AderKernels<float, 1>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 1>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<float, 1>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<float, 2>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 2>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<float, 2>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<float, 4>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 4>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<float, 4>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<float, 8>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 8>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<float, 8>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<float, 16>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 16>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<float, 16>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<double, 1>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 1>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<double, 1>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<double, 2>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 2>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<double, 2>&, idx_t);
 template void projectInitialCondition(const kernels::AderKernels<double, 4>&,
                                       const mesh::TetMesh&,
                                       const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 4>&, idx_t,
-                                      std::span<const idx_t>);
+                                      const InitialConditionFn&, SolverState<double, 4>&, idx_t);
 
 } // namespace nglts::solver

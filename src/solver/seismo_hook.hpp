@@ -3,8 +3,9 @@
 // engine that participates in the element loop (source injection after the
 // local-phase kernels, receiver sampling from the ADER predictor's
 // derivative stack). Every rank of `parallel::DistributedSimulation` owns
-// one, binds sources/receivers to *external* element ids of its rank-local
-// halo view and hands the hook to its executor.
+// one over the engine's global mesh, binds the sources and receivers inside
+// its owned elements by global element id and hands the hook to its
+// executor.
 //
 // Thread-safety under the threaded executor: every mutable object here is
 // keyed by the element that owns it — source coefficients inject into the
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/types.hpp"
@@ -40,21 +40,22 @@ namespace nglts::solver {
 template <typename Real, int W>
 class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
  public:
-  /// All references must outlive the hook; `mesh`/`geo`/`materials` are in
-  /// the state's *external* element order. `receiverDt` is the uniform
-  /// receiver sampling interval (see SimConfig::receiverSampleDt).
+  /// All references must outlive the hook; `mesh`/`geo`/`materials` are the
+  /// ones the state was built from (global element ids). `receiverDt` is the
+  /// uniform receiver sampling interval (see SimConfig::receiverSampleDt).
   SeismoHook(const mesh::TetMesh& mesh, const std::vector<mesh::ElementGeometry>& geo,
              const std::vector<physics::Material>& materials,
              const kernels::AderKernels<Real, W>& kernels, const SolverState<Real, W>& state,
              double receiverDt);
 
-  /// Bind a point source inside external element `element` (located by the
-  /// caller). `laneScale` (size W; empty = all-1) modulates the amplitude
+  /// Bind a point source inside owned global element `element` (located by
+  /// the caller). `laneScale` (size W; empty = all-1) modulates the amplitude
   /// per fused lane; throws `std::invalid_argument` on a size mismatch.
   void addPointSource(idx_t element, const seismo::PointSource& src,
                       std::vector<double> laneScale);
 
-  /// Bind a receiver inside external element `element`; returns its index.
+  /// Bind a receiver inside owned global element `element`; returns its
+  /// index. `Receiver::element` is `element`.
   idx_t addReceiver(idx_t element, const std::array<double, 3>& position);
 
   /// Bounds-checked receiver access; throws `std::out_of_range`.
@@ -89,7 +90,7 @@ class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
   };
   std::vector<BoundSource> sources_;
   std::vector<std::vector<idx_t>> elementSources_;   ///< internal el -> source ids
-  std::vector<seismo::Receiver> receivers_;          ///< Receiver::element external
+  std::vector<seismo::Receiver> receivers_;          ///< Receiver::element global
   std::vector<std::vector<idx_t>> elementReceivers_; ///< internal el -> receiver ids
 
   std::size_t elSize() const { return kernels_.dofsPerElement(); }
@@ -101,24 +102,23 @@ class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
 using InitialConditionFn =
     std::function<void(const std::array<double, 3>& x, int_t lane, double* q9)>;
 
-/// L2-project the initial condition onto the modal DOFs of the external
-/// elements [0, numElements) of `state` (memory variables start at zero).
-/// `numElements` lets the distributed driver stop at its owned prefix —
-/// halo DOFs are never read, their face data arrives through messages.
+/// L2-project the initial condition onto the modal DOFs of the owned
+/// elements of `state` (memory variables start at zero). `mesh`/`geo` are
+/// the ones the state was built from; `numElements` is `mesh`'s element
+/// count (std::invalid_argument otherwise).
 ///
 /// `f` is called concurrently from OpenMP threads, once per (element,
 /// quadrature point, lane): it must be thread-safe and return finite
 /// values. A callback that throws a std::exception, or returns NaN/Inf,
-/// makes this throw std::runtime_error naming the lowest failing element
-/// (and, for a non-finite value, the lane and quantity index); elements
-/// are named `globalIds[el]` when `globalIds` is given, else `el`. Setup
-/// runs in the caller's floating-point mode.
+/// makes this throw std::runtime_error naming the lowest failing global
+/// element id (and, for a non-finite value, the lane and quantity index).
+/// Setup runs in the caller's floating-point mode.
 template <typename Real, int W>
 void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              const mesh::TetMesh& mesh,
                              const std::vector<mesh::ElementGeometry>& geo,
                              const InitialConditionFn& f, SolverState<Real, W>& state,
-                             idx_t numElements, std::span<const idx_t> globalIds = {});
+                             idx_t numElements);
 
 extern template class SeismoHook<float, 1>;
 extern template class SeismoHook<float, 2>;
@@ -132,34 +132,34 @@ extern template class SeismoHook<double, 4>;
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 1>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 1>&, idx_t, std::span<const idx_t>);
+    SolverState<float, 1>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 2>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 2>&, idx_t, std::span<const idx_t>);
+    SolverState<float, 2>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 4>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 4>&, idx_t, std::span<const idx_t>);
+    SolverState<float, 4>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 8>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 8>&, idx_t, std::span<const idx_t>);
+    SolverState<float, 8>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<float, 16>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 16>&, idx_t, std::span<const idx_t>);
+    SolverState<float, 16>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 1>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 1>&, idx_t, std::span<const idx_t>);
+    SolverState<double, 1>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 2>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 2>&, idx_t, std::span<const idx_t>);
+    SolverState<double, 2>&, idx_t);
 extern template void projectInitialCondition(
     const kernels::AderKernels<double, 4>&, const mesh::TetMesh&,
     const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 4>&, idx_t, std::span<const idx_t>);
+    SolverState<double, 4>&, idx_t);
 
 } // namespace nglts::solver

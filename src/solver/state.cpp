@@ -6,40 +6,40 @@
 namespace nglts::solver {
 
 template <typename Real, int W>
-SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
-                                  const std::vector<physics::Material>& externalMaterials,
-                                  const std::vector<mesh::ElementGeometry>& externalGeo,
+SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
+                                  const std::vector<physics::Material>& materials,
+                                  const std::vector<mesh::ElementGeometry>& geo,
                                   const lts::Clustering& clustering,
                                   const kernels::AderKernels<Real, W>& kernels,
-                                  const SimConfig& cfg, idx_t numOwned) {
-  const idx_t n = externalMesh.numElements();
-  numOwned_ = numOwned < 0 ? n : numOwned;
-  if (numOwned_ > n) throw std::runtime_error("SolverState: numOwned > numElements");
-  reorder_ = partition::buildClusterReordering(externalMesh, clustering.cluster,
-                                               /*packNeighbors=*/true, numOwned_);
-  mesh_ = partition::applyReordering(externalMesh, reorder_);
+                                  const SimConfig& cfg, const std::vector<int_t>& part,
+                                  int_t rank) {
+  reorder_ = partition::buildClusterReordering(mesh, clustering.cluster, part, rank);
+  mesh_ = partition::applyReordering(mesh, reorder_);
+  const idx_t owned = numOwned();
   numClusters_ = clustering.numClusters;
-  cluster_ = partition::permute(clustering.cluster, reorder_);
+  cluster_.resize(numElements());
+  for (idx_t el = 0; el < numElements(); ++el) cluster_[el] = clustering.cluster[toExternal(el)];
   // Cluster ranges span the owned prefix only; halo elements sit after.
-  const std::vector<int_t> ownedCluster(cluster_.begin(), cluster_.begin() + numOwned_);
-  clusterOffsets_ = partition::clusterRanges(ownedCluster, numClusters_);
+  clusterOffsets_ = partition::clusterRanges({cluster_.begin(), cluster_.begin() + owned},
+                                             numClusters_);
   // The reordering put each cluster's halo-boundary elements last.
   haloBoundaryBegin_.resize(numClusters_);
   for (int_t c = 0; c < numClusters_; ++c) {
     idx_t b = clusterEnd(c);
-    while (b > clusterBegin(c) && partition::hasHaloFace(mesh_, b - 1, numOwned_)) --b;
+    while (b > clusterBegin(c) && partition::hasHaloFace(mesh, toExternal(b - 1), part, rank))
+      --b;
     haloBoundaryBegin_[c] = b;
   }
 
-  const std::vector<mesh::ElementGeometry> geo = partition::permute(externalGeo, reorder_);
-  const std::vector<physics::Material> mats = partition::permute(externalMaterials, reorder_);
   // Operator data only for the owned prefix: halo elements are never
   // stepped and the neighbor update reads the *consuming* element's flux
-  // solvers, so halo entries stay default-constructed.
-  elementData_.resize(n);
+  // solvers. Built from the caller's mesh at the global id, so every rank
+  // assembles exactly the operators a single-rank run would.
+  elementData_.resize(owned);
 #pragma omp parallel for schedule(static)
-  for (idx_t el = 0; el < numOwned_; ++el)
-    elementData_[el] = kernels::buildElementData<Real>(mesh_, geo, mats, el, cfg.mechanisms);
+  for (idx_t el = 0; el < owned; ++el)
+    elementData_[el] =
+        kernels::buildElementData<Real>(mesh, geo, materials, toExternal(el), cfg.mechanisms);
 
   elSize_ = kernels.dofsPerElement();
   bufSize_ = kernels.elasticDofsPerElement();
@@ -53,12 +53,13 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
   // into the *same* cfg.numThreads static chunks the StepExecutor's element
   // loops use (solver/threading.hpp), so every page is first touched — and
   // therefore placed — on the memory node of the thread that later computes
-  // its elements.
-  q_.resize(n * elSize_);
-  b1_.resize(n * bufSize_);
-  if (useB2_) b2_.resize(n * bufSize_);
-  if (useB3_) b3_.resize(n * bufSize_);
-  if (useStack) derivStack_.resize(n * stackSize_);
+  // its elements. Halo elements get no slot: the engine serves every halo
+  // face from its ghost slots.
+  q_.resize(owned * elSize_);
+  b1_.resize(owned * bufSize_);
+  if (useB2_) b2_.resize(owned * bufSize_);
+  if (useB3_) b3_.resize(owned * bufSize_);
+  if (useStack) derivStack_.resize(owned * stackSize_);
 
   // Invalid thread counts are rejected by validateSimConfig / the executor;
   // clamp here so a bare SolverState (tests) never divides by zero.
@@ -77,7 +78,6 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& externalMesh,
     });
   };
   for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
-  zeroRange(numOwned_, n); // halo suffix (filled from messages, never stepped)
 }
 
 template class SolverState<float, 1>;

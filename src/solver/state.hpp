@@ -6,12 +6,12 @@
 // *cluster-contiguous* internal order: the elements of time cluster c occupy
 // the contiguous index range [clusterBegin(c), clusterEnd(c)), and inside a
 // cluster face-neighbors are packed close by a dual-graph BFS
-// (partition::buildClusterReordering, paper Sec. VI). In a rank-local halo
-// view each cluster range is further split into an interior sub-range
-// followed by the halo-boundary sub-range [haloBoundaryBegin(c),
-// clusterEnd(c)), so the distributed engine runs both halves of an op as
-// contiguous ranges too. Every element loop of the executor streams
-// linearly through one such range.
+// (partition::buildClusterReordering, paper Sec. VI). On a rank of a
+// distributed run each cluster range is further split into an interior
+// sub-range followed by the halo-boundary sub-range [haloBoundaryBegin(c),
+// clusterEnd(c)), so the engine runs both halves of an op as contiguous
+// ranges too. Every element loop of the executor streams linearly through
+// one such range.
 //
 // All arenas are NUMA first-touch initialized by a parallel per-cluster
 // zero-fill pass (arena_vector's resize leaves pages untouched) that uses
@@ -21,10 +21,12 @@
 // those elements every step, so the hot loops stream through node-local
 // memory.
 //
-// External element ids (the mesh order the caller built sources, receivers
-// and tests against) are mapped to internal arena slots via
-// toInternal()/toExternal(); everything above this layer speaks external
-// ids, everything inside the time loop speaks internal ids.
+// Two element-id spaces meet here: the caller's global ids (the mesh order
+// sources, receivers and tests are built against) and the internal arena
+// slots, mapped by toInternal()/toExternal(). The state is built straight
+// from the caller's global mesh, materials, geometry and clustering and
+// keeps no copy of them; everything above this layer speaks global ids,
+// everything inside the time loop speaks internal ids.
 #include <memory>
 #include <vector>
 
@@ -44,30 +46,33 @@ namespace nglts::solver {
 template <typename Real, int W>
 class SolverState {
  public:
-  /// Builds the internal (permuted) mesh view, the per-element operator
-  /// data and the solver arenas. All inputs are in *external* order; the
-  /// clustering must already be final (cluster ids + cluster count).
+  /// Builds the internal face adjacency, the per-element operator data and
+  /// the solver arenas of one rank. All inputs are the caller's, indexed by
+  /// global element id; the clustering must already be final (cluster ids +
+  /// cluster count).
   ///
-  /// `numOwned >= 0` declares the mesh a rank-local halo view (distributed
-  /// execution, Sec. V-C): external elements [0, numOwned) are owned and get
-  /// cluster-contiguous internal ranges; [numOwned, n) are halo copies of
-  /// remote elements, appended after the owned ranges in stable order. Halo
-  /// elements have arena slots (so neighbor reads stay uniform) but are
-  /// excluded from every cluster range the executor iterates.
-  SolverState(const mesh::TetMesh& externalMesh,
-              const std::vector<physics::Material>& externalMaterials,
-              const std::vector<mesh::ElementGeometry>& externalGeo,
-              const lts::Clustering& clustering,
+  /// `part` maps every global element to a rank (distributed execution,
+  /// Sec. V-C); empty means one rank owning every element. The elements
+  /// rank `rank` owns get the internal ids [0, numOwned()) in
+  /// cluster-contiguous ranges; its halo — the remote face-neighbors of
+  /// owned elements — gets [numOwned(), numElements()), outside every
+  /// cluster range the executor iterates. Halo elements keep their face
+  /// links back into the owned range but have no arena or operator data:
+  /// their face data arrives through messages.
+  SolverState(const mesh::TetMesh& mesh, const std::vector<physics::Material>& materials,
+              const std::vector<mesh::ElementGeometry>& geo, const lts::Clustering& clustering,
               const kernels::AderKernels<Real, W>& kernels, const SimConfig& cfg,
-              idx_t numOwned = -1);
+              const std::vector<int_t>& part = {}, int_t rank = 0);
 
   // -- layout ---------------------------------------------------------------
+  /// Owned plus halo elements.
   idx_t numElements() const { return mesh_.numElements(); }
-  /// Owned elements (== numElements() unless this is a halo view). The
-  /// internal ids [0, numOwned()) are owned, [numOwned(), n) are halo.
-  idx_t numOwned() const { return numOwned_; }
-  idx_t numHalo() const { return mesh_.numElements() - numOwned_; }
-  bool isHalo(idx_t internal) const { return internal >= numOwned_; }
+  /// Owned elements (== numElements() without a halo). The internal ids
+  /// [0, numOwned()) are owned, [numOwned(), n) are halo; only owned
+  /// elements have arena slots and operator data.
+  idx_t numOwned() const { return reorder_.numOwned; }
+  idx_t numHalo() const { return numElements() - numOwned(); }
+  bool isHalo(idx_t internal) const { return internal >= numOwned(); }
   int_t numClusters() const { return numClusters_; }
   /// Internal index range of cluster c: [clusterBegin(c), clusterEnd(c)).
   idx_t clusterBegin(int_t c) const { return clusterOffsets_[c]; }
@@ -78,16 +83,19 @@ class SolverState {
   idx_t haloBoundaryBegin(int_t c) const { return haloBoundaryBegin_[c]; }
   int_t clusterOf(idx_t internal) const { return cluster_[internal]; }
 
+  /// Internal id of global element `external`, -1 if this rank has no slot.
   idx_t toInternal(idx_t external) const { return reorder_.newId[external]; }
+  /// Global id of internal element `internal`.
   idx_t toExternal(idx_t internal) const { return reorder_.oldId[internal]; }
 
-  /// The permuted mesh the executor iterates (face adjacency in internal ids).
+  /// The permuted mesh the executor iterates (face adjacency in internal
+  /// ids; see partition::applyReordering for the halo rows).
   const mesh::TetMesh& internalMesh() const { return mesh_; }
   const kernels::ElementData<Real>& elementData(idx_t internal) const {
     return elementData_[internal];
   }
 
-  // -- arenas (internal element ids) ---------------------------------------
+  // -- arenas (owned internal element ids) ---------------------------------
   Real* q(idx_t internal) { return q_.data() + internal * elSize_; }
   const Real* q(idx_t internal) const { return q_.data() + internal * elSize_; }
   Real* b1(idx_t internal) { return b1_.data() + internal * bufSize_; }
@@ -112,12 +120,11 @@ class SolverState {
  private:
   partition::Reordering reorder_;
   mesh::TetMesh mesh_;                       ///< internal order
-  idx_t numOwned_ = 0;
   int_t numClusters_ = 1;
-  std::vector<int_t> cluster_;               ///< internal order
+  std::vector<int_t> cluster_;               ///< internal order, owned + halo
   std::vector<idx_t> clusterOffsets_;        ///< numClusters + 1 prefix offsets
   std::vector<idx_t> haloBoundaryBegin_;     ///< per cluster
-  std::vector<kernels::ElementData<Real>> elementData_;
+  std::vector<kernels::ElementData<Real>> elementData_; ///< owned only
 
   std::size_t elSize_ = 0, bufSize_ = 0, stackSize_ = 0;
   bool useB2_ = false, useB3_ = false;

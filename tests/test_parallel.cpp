@@ -15,7 +15,6 @@
 #include "mesh/box_gen.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/dist_sim.hpp"
-#include "parallel/halo.hpp"
 #include "physics/attenuation.hpp"
 #include "solver/simulation.hpp"
 
@@ -409,13 +408,15 @@ TEST(DistributedSim, BadPartitionsThrow) {
       std::invalid_argument);
 }
 
-TEST(HaloView, OwnedPrefixAndHaloSuffix) {
-  // View invariants, then the arena layout the exchange runs on:
-  // each owned cluster range is interior | halo boundary, and
-  // [haloBoundaryBegin(c), clusterEnd(c)) holds exactly the owned elements
-  // with a face neighbor in the halo suffix. With 3 stripes the middle
-  // rank's boundary faces two neighbor ranks.
+TEST(RankArena, OwnedPrefixAndHaloSuffix) {
+  // A rank's arena built from the global mesh, its invariants stated in
+  // global ids: owned vs halo by `part`, halo faces only link back into the
+  // owned set, per-element cluster, and each owned cluster range laid out
+  // interior | halo boundary — [haloBoundaryBegin(c), clusterEnd(c)) holds
+  // exactly the owned elements with a face neighbor on another rank. With
+  // 3 stripes the middle rank's boundary faces two neighbor ranks.
   DistFixture f = makeFixture(5);
+  const idx_t n = f.mesh.numElements();
   const auto geo = nm::computeGeometry(f.mesh);
   const auto dt = nglts::lts::cflTimeSteps(geo, f.mats, 3);
   const auto clustering = nglts::lts::buildClustering(f.mesh, dt, 3, 1.0);
@@ -426,32 +427,50 @@ TEST(HaloView, OwnedPrefixAndHaloSuffix) {
   cfg.scheme = ns::TimeScheme::kLtsNextGen;
   const auto part = stripePartition(f.mesh, 3, 1000.0);
   for (int_t r = 0; r < 3; ++r) {
-    const auto view = npar::buildHaloView(f.mesh, geo, f.mats, clustering, part, r);
-    ASSERT_GT(view.numOwned, 0);
-    ASSERT_GT(static_cast<idx_t>(view.localToGlobal.size()), view.numOwned)
-        << "stripe cut must produce halo elements";
-    for (idx_t le = 0; le < static_cast<idx_t>(view.localToGlobal.size()); ++le) {
-      const idx_t ge = view.localToGlobal[le];
-      EXPECT_EQ(view.globalToLocal[ge], le);
-      EXPECT_EQ(part[ge] == r, le < view.numOwned);
-      EXPECT_EQ(view.clustering.cluster[le], clustering.cluster[ge]);
-      // Owned faces keep every locally-present neighbor; halo faces keep
-      // only links back into the owned set.
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const ns::SolverState<double, 1> st(f.mesh, f.mats, geo, clustering, kernels, cfg, part, r);
+    ASSERT_GT(st.numOwned(), 0);
+    ASSERT_GT(st.numHalo(), 0) << "stripe cut must produce halo elements";
+    auto remoteFace = [&](idx_t g) {
       for (int_t fc = 0; fc < 4; ++fc) {
-        const idx_t nb = view.mesh.faces[le][fc].neighbor;
-        if (le >= view.numOwned && nb >= 0) EXPECT_LT(nb, view.numOwned);
-        if (nb >= 0) EXPECT_LT(nb, static_cast<idx_t>(view.localToGlobal.size()));
+        const idx_t nb = f.mesh.faces[g][fc].neighbor;
+        if (nb >= 0 && part[nb] != r) return true;
       }
-    }
-
-    const ns::SolverState<double, 1> st(view.mesh, view.materials, view.geo, view.clustering,
-                                        kernels, cfg, view.numOwned);
-    const auto& m = st.internalMesh();
-    auto touchesHalo = [&](idx_t el) {
-      for (int_t fc = 0; fc < 4; ++fc)
-        if (m.faces[el][fc].neighbor >= st.numOwned()) return true;
       return false;
     };
+    std::vector<char> inHalo(n, 0);
+    for (idx_t g = 0; g < n; ++g)
+      if (part[g] == r)
+        for (int_t fc = 0; fc < 4; ++fc) {
+          const idx_t nb = f.mesh.faces[g][fc].neighbor;
+          if (nb >= 0 && part[nb] != r) inHalo[nb] = 1;
+        }
+
+    const auto& m = st.internalMesh();
+    idx_t owned = 0, halo = 0;
+    for (idx_t g = 0; g < n; ++g) {
+      const idx_t in = st.toInternal(g);
+      if (part[g] != r && !inHalo[g]) {
+        EXPECT_EQ(in, -1) << "element " << g << " has no slot on this rank";
+        continue;
+      }
+      ASSERT_GE(in, 0) << "element " << g;
+      EXPECT_EQ(part[g] == r, !st.isHalo(in)) << "element " << g;
+      ++(part[g] == r ? owned : halo);
+      EXPECT_EQ(st.toExternal(in), g);
+      EXPECT_EQ(st.clusterOf(in), clustering.cluster[g]) << "element " << g;
+      // Owned faces keep every neighbor; halo faces keep only the links
+      // back into the owned set.
+      for (int_t fc = 0; fc < 4; ++fc) {
+        const idx_t gNb = f.mesh.faces[g][fc].neighbor;
+        const idx_t nb = m.faces[in][fc].neighbor;
+        const bool kept = gNb >= 0 && (part[g] == r || part[gNb] == r);
+        EXPECT_EQ(nb, kept ? st.toInternal(gNb) : -1) << "element " << g << " face " << fc;
+      }
+    }
+    EXPECT_EQ(owned, st.numOwned());
+    EXPECT_EQ(halo, st.numHalo());
+
     // The cluster ranges tile the owned prefix, so checking every element of
     // every range covers each owned element exactly once.
     ASSERT_EQ(st.clusterEnd(st.numClusters() - 1), st.numOwned());
@@ -460,15 +479,48 @@ TEST(HaloView, OwnedPrefixAndHaloSuffix) {
       ASSERT_LE(st.clusterBegin(c), st.haloBoundaryBegin(c));
       ASSERT_LE(st.haloBoundaryBegin(c), st.clusterEnd(c));
       for (idx_t el = st.clusterBegin(c); el < st.clusterEnd(c); ++el)
-        EXPECT_EQ(touchesHalo(el), el >= st.haloBoundaryBegin(c))
-            << "rank " << r << " cluster " << c << " element " << el;
+        EXPECT_EQ(remoteFace(st.toExternal(el)), el >= st.haloBoundaryBegin(c))
+            << "cluster " << c << " element " << st.toExternal(el);
       boundary += st.clusterEnd(c) - st.haloBoundaryBegin(c);
     }
     EXPECT_GT(boundary, 0) << "stripe cut must produce halo-boundary elements";
   }
 
-  // A single-rank arena has no halo: every boundary sub-range is empty.
+  // One rank, by an empty partition or an all-zero one (the same code
+  // path): no halo, every boundary sub-range empty, the same layout.
   const ns::SolverState<double, 1> single(f.mesh, f.mats, geo, clustering, kernels, cfg);
+  const ns::SolverState<double, 1> zero(f.mesh, f.mats, geo, clustering, kernels, cfg,
+                                        std::vector<int_t>(n, 0), 0);
+  EXPECT_EQ(single.numOwned(), n);
+  EXPECT_EQ(single.numHalo(), 0);
   for (int_t c = 0; c < single.numClusters(); ++c)
     EXPECT_EQ(single.haloBoundaryBegin(c), single.clusterEnd(c)) << "cluster " << c;
+  for (idx_t g = 0; g < n; ++g) EXPECT_EQ(single.toInternal(g), zero.toInternal(g));
+}
+
+TEST(DistributedSim, ReceiverElementIsTheCallersId) {
+  // `Receiver::element` is the caller's element id on every rank count and
+  // transport, for receivers placed on every rank of the stripe cut.
+  const DistFixture f = makeFixture();
+  const auto geo = nm::computeGeometry(f.mesh);
+  const std::vector<std::array<double, 3>> positions = {
+      {130.0, 430.0, 470.0}, {480.0, 610.0, 380.0}, {870.0, 270.0, 720.0}};
+  for (const int_t ranks : {1, 2, 3})
+    for (const npar::Transport transport : {npar::Transport::kSeq, npar::Transport::kThread}) {
+      SCOPED_TRACE(std::to_string(ranks) + " ranks, " +
+                   std::string(npar::transportName(transport)));
+      const auto part = stripePartition(f.mesh, ranks, 1000.0);
+      npar::DistributedSimulation<double, 1> sim(f.mesh, f.mats, part,
+                                                 makeDistConfig(true, transport));
+      std::vector<char> rankHit(ranks, 0);
+      for (std::size_t i = 0; i < positions.size(); ++i) {
+        const idx_t want = nm::locatePoint(f.mesh, geo, positions[i]);
+        ASSERT_GE(want, 0);
+        rankHit[part[want]] = 1;
+        ASSERT_EQ(sim.addReceiver(positions[i]), static_cast<idx_t>(i));
+        EXPECT_EQ(sim.receiver(static_cast<idx_t>(i)).element, want) << "receiver " << i;
+      }
+      EXPECT_EQ(std::count(rankHit.begin(), rankHit.end(), 1), ranks)
+          << "every rank must hold a receiver";
+    }
 }

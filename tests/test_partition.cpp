@@ -7,7 +7,6 @@
 #include "mesh/geometry.hpp"
 #include "partition/dual_graph.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/reorder.hpp"
 #include "physics/attenuation.hpp"
 
 namespace npart = nglts::partition;
@@ -127,37 +126,4 @@ TEST(Partition, ClusterHistogramSums) {
     for (idx_t c : hist[p]) s += c;
     EXPECT_EQ(s, res.elements[p]);
   }
-}
-
-TEST(Reorder, PermutationIsValidAndSorted) {
-  const Fixture f = makeFixture(5);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
-  const auto res = npart::partitionGraph(g, f.mesh, 3);
-  const auto r = npart::buildReordering(f.mesh, res.part, f.clustering.cluster);
-  // Valid permutation.
-  std::vector<bool> seen(f.mesh.numElements(), false);
-  for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
-    EXPECT_EQ(r.newId[r.oldId[e]], e);
-    EXPECT_FALSE(seen[r.oldId[e]]);
-    seen[r.oldId[e]] = true;
-  }
-  // Sorted by (partition, cluster).
-  const auto part = npart::permute(res.part, r);
-  const auto clus = npart::permute(f.clustering.cluster, r);
-  for (idx_t e = 1; e < f.mesh.numElements(); ++e) {
-    EXPECT_GE(part[e], part[e - 1]);
-    if (part[e] == part[e - 1]) EXPECT_GE(clus[e], clus[e - 1]);
-  }
-}
-
-TEST(Reorder, AdjacencyPreserved) {
-  const Fixture f = makeFixture(4);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
-  const auto res = npart::partitionGraph(g, f.mesh, 2);
-  const auto r = npart::buildReordering(f.mesh, res.part, f.clustering.cluster);
-  const auto reordered = npart::applyReordering(f.mesh, r);
-  EXPECT_NO_THROW(nm::checkConnectivity(reordered));
-  // Element geometry is unchanged under relabeling.
-  for (idx_t e = 0; e < f.mesh.numElements(); ++e)
-    EXPECT_EQ(reordered.elements[e], f.mesh.elements[r.oldId[e]]);
 }
