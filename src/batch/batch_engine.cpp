@@ -50,7 +50,7 @@ void BatchEngine::add(const std::vector<ScenarioRequest>& reqs) {
   for (const ScenarioRequest& r : reqs) add(r);
 }
 
-pre::PipelineConfig BatchEngine::groupPipelineConfig(const PlannedRun& pr) const {
+pre::PipelineConfig BatchEngine::pipelineConfig() const {
   // Mirror the discretization/clustering knobs from the solver config so the
   // two halves of the base scenario cannot drift apart. GTS collapses to one
   // cluster with the sweep off — matching solver::resolveClustering — so
@@ -65,13 +65,6 @@ pre::PipelineConfig BatchEngine::groupPipelineConfig(const PlannedRun& pr) const
   p.lambda = cfg_.sim.lambda;
   p.numPartitions = 1; // the batch engine is a shared-memory driver
   p.partitionWeighting = cfg_.sim.partitionWeighting;
-  p.receivers.clear();
-  for (idx_t i : pr.requests) {
-    const ScenarioRequest& req = requests_[i];
-    p.receivers.push_back({cfg_.receiverPosition[0] + req.receiverOffset[0],
-                           cfg_.receiverPosition[1] + req.receiverOffset[1],
-                           cfg_.receiverPosition[2] + req.receiverOffset[2]});
-  }
   return p;
 }
 
@@ -80,10 +73,9 @@ const std::vector<BatchEngine::PlannedRun>& BatchEngine::plan() {
   plan_.clear();
 
   // Group requests by pipeline key, stable in submission order. Receivers
-  // are absent from the grouping config — they are excluded from the key by
-  // design, so receiver-only perturbations land in the same group.
-  PlannedRun probe; // empty request list -> mirrored base config, no receivers
-  const pre::PipelineConfig base = groupPipelineConfig(probe);
+  // are bound after preprocessing, so receiver-only perturbations land in
+  // the same group.
+  const pre::PipelineConfig base = pipelineConfig();
   std::vector<std::pair<std::uint64_t, std::vector<idx_t>>> groups;
   for (idx_t i = 0; i < numRequests(); ++i) {
     const std::uint64_t key =
@@ -131,13 +123,8 @@ std::uint64_t BatchEngine::fingerprint() const {
   h.boolean(cfg_.sim.autoLambda);
   h.f64(cfg_.sim.attenuationFreq);
   h.f64(cfg_.sim.receiverSampleDt);
-  // Precision changes every result bit, so it belongs in the fingerprint —
-  // but it is hashed only when it differs from f64, keeping every
-  // fingerprint written by the f64-only era (snapshot v1) valid.
-  if (cfg_.sim.precision != solver::Precision::kF64)
-    h.i32(static_cast<int_t>(cfg_.sim.precision));
-  PlannedRun probe;
-  h.u64(pre::pipelineCacheKey(groupPipelineConfig(probe), modelKey_));
+  h.i32(static_cast<int_t>(cfg_.sim.precision)); // changes every result bit
+  h.u64(pre::pipelineCacheKey(pipelineConfig(), modelKey_));
   h.f64(cfg_.endTime);
   for (double v : cfg_.sourcePosition) h.f64(v);
   for (double v : cfg_.sourceMoment) h.f64(v);
@@ -164,7 +151,7 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
   const double materialScale = requests_[pr.requests[0]].materialScale;
 
   Timer setup;
-  const pre::PipelineConfig pcfg = groupPipelineConfig(pr);
+  const pre::PipelineConfig pcfg = pipelineConfig();
   const ScaledVelocityModel scaled(model_, materialScale);
   const std::shared_ptr<const pre::PipelineResult> pipe =
       cache_.get(scaled, pcfg, combinedModelKey(modelKey_, materialScale));
@@ -200,11 +187,12 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
 
   std::vector<idx_t> recIdx(W);
   for (int lane = 0; lane < W; ++lane) {
-    const idx_t idx = sim.addReceiver(pcfg.receivers[static_cast<std::size_t>(lane)]);
+    const ScenarioRequest& req = requests_[pr.requests[static_cast<std::size_t>(lane)]];
+    std::array<double, 3> pos{};
+    for (int d = 0; d < 3; ++d) pos[d] = cfg_.receiverPosition[d] + req.receiverOffset[d];
+    const idx_t idx = sim.addReceiver(pos);
     if (idx < 0)
-      throw std::runtime_error("batch request '" +
-                               requests_[pr.requests[static_cast<std::size_t>(lane)]].id +
-                               "': receiver lies outside the mesh");
+      throw std::runtime_error("batch request '" + req.id + "': receiver lies outside the mesh");
     recIdx[static_cast<std::size_t>(lane)] = idx;
   }
   stats.setupSeconds += setup.seconds();
@@ -283,8 +271,8 @@ BatchStats BatchEngine::run(const ResultCallback& onResult) {
   if (cfg_.restore) {
     const SnapshotInfo info = peekSnapshot(cfg_.checkpointPath);
     // Checked before the fingerprint: a precision flip also changes the
-    // fingerprint (when f32 is involved), but "--precision differs" is the
-    // actionable diagnosis, not "different batch".
+    // fingerprint, but "--precision differs" is the actionable diagnosis,
+    // not "different batch".
     if (info.precision != cfg_.sim.precision)
       throw std::runtime_error(
           "snapshot '" + cfg_.checkpointPath + "' was saved at precision " +

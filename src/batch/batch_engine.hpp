@@ -166,7 +166,9 @@ class BatchEngine {
   bool runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool loadState,
                   const ResultCallback& onResult, BatchStats& stats, int_t& snapshotsWritten);
 
-  pre::PipelineConfig groupPipelineConfig(const PlannedRun& pr) const;
+  /// The pipeline config every run shares (the solver's discretization and
+  /// clustering knobs mirrored in); runs differ only in their model key.
+  pre::PipelineConfig pipelineConfig() const;
 
   const seismo::VelocityModel& model_;
   BatchConfig cfg_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 #include <vector>
@@ -161,6 +162,15 @@ void writeAtomically(const std::string& path, const std::vector<unsigned char>& 
     throw std::runtime_error("cannot rename snapshot '" + tmp + "' -> '" + path + "'");
 }
 
+/// Snapshots read and write DOFs through the engine's global-id accessors,
+/// which under MPI reach only this process's elements; there is no gather.
+template <typename Real, int W>
+void rejectMpi(const solver::Simulation<Real, W>& sim, const char* what) {
+  if (sim.localRank() >= 0 && sim.ranks() > 1)
+    throw std::invalid_argument(std::string(what) +
+                                ": checkpoints of a multi-rank MPI run are not supported");
+}
+
 } // namespace
 
 SnapshotInfo peekSnapshot(const std::string& path) {
@@ -170,8 +180,7 @@ SnapshotInfo peekSnapshot(const std::string& path) {
 template <typename Real, int W>
 void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::uint64_t runIndex,
                   std::uint64_t cyclesDone, const solver::Simulation<Real, W>* sim) {
-  if (sim && sim->ranks() != 1)
-    throw std::invalid_argument("saveSnapshot: checkpoints cover single-rank runs only");
+  if (sim) rejectMpi(*sim, "saveSnapshot");
   Writer w;
   w.bytes(kMagic, 8);
   w.u32(kSnapshotVersion);
@@ -186,29 +195,12 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
   w.u64(cyclesDone);
 
   if (sim) {
-    const auto& st = sim->state();
-    const idx_t n = st.numOwned();
-    const bool useStack = sim->config().sim.scheme == solver::TimeScheme::kLtsBaseline;
+    const idx_t n = sim->meshRef().numElements();
+    const std::size_t elSize = sim->kernels().dofsPerElement();
     w.u64(static_cast<std::uint64_t>(n));
-    w.u64(st.elSize());
-    w.u64(st.bufSize());
-    w.u64(st.stackSize());
-    w.u32(st.useB2() ? 1 : 0);
-    w.u32(st.useB3() ? 1 : 0);
-    w.u32(useStack ? 1 : 0);
-
-    const auto& steps = sim->clusterSteps();
-    w.u64(steps.size());
-    for (idx_t s : steps) w.u64(static_cast<std::uint64_t>(s));
-
-    // Arenas are contiguous per-element blocks at stride elSize/bufSize/
-    // stackSize; element 0's pointer is the arena base.
-    w.bytes(st.q(0), static_cast<std::size_t>(n) * st.elSize() * sizeof(Real));
-    w.bytes(st.b1(0), static_cast<std::size_t>(n) * st.bufSize() * sizeof(Real));
-    if (st.useB2()) w.bytes(st.b2(0), static_cast<std::size_t>(n) * st.bufSize() * sizeof(Real));
-    if (st.useB3()) w.bytes(st.b3(0), static_cast<std::size_t>(n) * st.bufSize() * sizeof(Real));
-    if (useStack)
-      w.bytes(st.derivStack(0), static_cast<std::size_t>(n) * st.stackSize() * sizeof(Real));
+    w.u64(elSize);
+    w.u64(static_cast<std::uint64_t>(sim->clustering().numClusters));
+    for (idx_t e = 0; e < n; ++e) w.bytes(sim->dofs(e), elSize * sizeof(Real));
 
     w.u64(static_cast<std::uint64_t>(sim->numReceivers()));
     for (idx_t r = 0; r < sim->numReceivers(); ++r) {
@@ -229,8 +221,7 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
 
 template <typename Real, int W>
 SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& sim) {
-  if (sim.ranks() != 1)
-    throw std::invalid_argument("loadSnapshot: checkpoints cover single-rank runs only");
+  rejectMpi(sim, "loadSnapshot");
   const std::vector<unsigned char> buf = readFile(path);
   const SnapshotInfo info = validateAndParseHeader(buf, path);
   if (!info.hasState)
@@ -256,30 +247,22 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   std::vector<char> skip(kHeaderBytes);
   r.bytes(skip.data(), skip.size());
 
-  auto& st = sim.stateMut();
-  const bool useStack = sim.config().sim.scheme == solver::TimeScheme::kLtsBaseline;
-  const auto n = r.u64();
-  const auto elSize = r.u64();
-  const auto bufSize = r.u64();
-  const auto stackSize = r.u64();
-  const bool hasB2 = r.u32() != 0, hasB3 = r.u32() != 0, hasStack = r.u32() != 0;
-  if (n != static_cast<std::uint64_t>(st.numOwned()) || elSize != st.elSize() ||
-      bufSize != st.bufSize() || stackSize != st.stackSize() || hasB2 != st.useB2() ||
-      hasB3 != st.useB3() || hasStack != useStack)
+  const idx_t n = sim.meshRef().numElements();
+  const std::size_t elSize = sim.kernels().dofsPerElement();
+  const int_t nc = sim.clustering().numClusters;
+  const auto savedN = r.u64();
+  const auto savedElSize = r.u64();
+  const auto savedClusters = r.u64();
+  if (savedN != static_cast<std::uint64_t>(n) || savedElSize != elSize ||
+      savedClusters != static_cast<std::uint64_t>(nc))
     throw std::runtime_error("snapshot '" + path +
-                             "' does not match this simulation's arena layout "
-                             "(different mesh, scheme or configuration)");
-
-  const auto numSteps = r.u64();
-  std::vector<idx_t> steps(numSteps);
-  for (auto& s : steps) s = static_cast<idx_t>(r.u64());
-  sim.restoreClusterSteps(steps); // throws on a cluster-count mismatch
-
-  r.bytes(st.q(0), static_cast<std::size_t>(n) * elSize * sizeof(Real));
-  r.bytes(st.b1(0), static_cast<std::size_t>(n) * bufSize * sizeof(Real));
-  if (hasB2) r.bytes(st.b2(0), static_cast<std::size_t>(n) * bufSize * sizeof(Real));
-  if (hasB3) r.bytes(st.b3(0), static_cast<std::size_t>(n) * bufSize * sizeof(Real));
-  if (hasStack) r.bytes(st.derivStack(0), static_cast<std::size_t>(n) * stackSize * sizeof(Real));
+                             "' does not match this simulation's element count, DOFs per "
+                             "element or cluster count (different mesh or configuration)");
+  // Cluster 0 steps cyclesDone * 2^(nc - 1) times; that count must fit idx_t.
+  if (info.cyclesDone > static_cast<std::uint64_t>(std::numeric_limits<idx_t>::max() >> (nc - 1)))
+    throw std::runtime_error("snapshot '" + path + "' has an out-of-range cycle count " +
+                             std::to_string(info.cyclesDone));
+  for (idx_t e = 0; e < n; ++e) r.bytes(sim.dofs(e), elSize * sizeof(Real));
 
   const auto numReceivers = r.u64();
   if (numReceivers != static_cast<std::uint64_t>(sim.numReceivers()))
@@ -301,6 +284,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
         for (auto& x : v) x = r.f64();
     }
   }
+  sim.resumeAtCycle(info.cyclesDone);
   return info;
 }
 

@@ -31,14 +31,6 @@
 
 namespace nglts::kernels {
 
-/// Which neighbor-data variant a face consumer needs (see Sec. V-B).
-enum class BufferKind : int_t {
-  kB1 = 0,       ///< T(t, dt): equal time step neighbors
-  kB2,           ///< T(t, dt/2): first half-interval of a smaller neighbor
-  kB1MinusB2,    ///< T(t + dt/2, dt/2): second half-interval
-  kB3            ///< T(t, 2 dt): accumulated, for larger neighbors
-};
-
 template <typename Real, int W>
 class AderKernels {
  public:

@@ -178,22 +178,23 @@ class DistributedSimulation {
   /// `runCycles(a + b)` (step counters persist across calls).
   DistStats runCycles(std::uint64_t cycles);
 
-  // -- checkpoint/restart surface (batch/checkpoint.*), per rank ------------
-  /// Rank `rank`'s memory arena (cluster-contiguous internal layout, id
-  /// mapping to the caller's global element ids). The arenas hold the
-  /// complete time-loop state; everything else (mesh, operators, schedule)
-  /// is rebuilt deterministically from the constructor inputs. Throws like
-  /// `dofs` for a rank of another process.
-  const solver::SolverState<Real, W>& state(int_t rank = 0) const;
-  solver::SolverState<Real, W>& stateMut(int_t rank = 0);
-  /// Rank `rank`'s per-cluster step counters (schedule position).
-  const std::vector<idx_t>& clusterSteps(int_t rank = 0) const;
-  /// Restore rank `rank`'s schedule position; throws `std::invalid_argument`
-  /// on a cluster-count mismatch.
-  void restoreClusterSteps(const std::vector<idx_t>& steps, int_t rank = 0);
+  // -- checkpoint/restart surface (batch/checkpoint.*) ---------------------
+  // At a cycle boundary the complete time-loop state is the DOFs (`dofs`,
+  // by global element id), the cycle count and the receiver traces: every
+  // local phase recomputes B1/B2/B3 and the baseline derivative stack before
+  // anything reads them. A snapshot therefore never sees the arena layout.
+  /// Put every rank at the boundary after `cycles` full LTS cycles (the
+  /// step counters a run of `runCycles(cycles)` from construction leaves
+  /// behind). Call after restoring the DOFs and traces.
+  void resumeAtCycle(std::uint64_t cycles);
   /// Mutable receiver access for snapshot trace restore; same bounds
   /// contract as `receiver()`, the receiver must live in this process.
   seismo::Receiver& receiverMut(idx_t i);
+
+  /// Rank `rank`'s memory arena (cluster-contiguous internal layout, id
+  /// mapping to the caller's global element ids), read by the layout tests.
+  /// Throws like `dofs` for a rank of another process.
+  const solver::SolverState<Real, W>& state(int_t rank = 0) const;
 
   /// DOF access by global external element id (reads the owning rank's
   /// arena). Throws `std::out_of_range` for an id outside the mesh and,

@@ -386,19 +386,9 @@ const solver::SolverState<Real, W>& DistributedSimulation<Real, W>::state(int_t 
 }
 
 template <typename Real, int W>
-solver::SolverState<Real, W>& DistributedSimulation<Real, W>::stateMut(int_t rank) {
-  return *ownedRank(rank).state;
-}
-
-template <typename Real, int W>
-const std::vector<idx_t>& DistributedSimulation<Real, W>::clusterSteps(int_t rank) const {
-  return ownedRank(rank).exec->clusterSteps();
-}
-
-template <typename Real, int W>
-void DistributedSimulation<Real, W>::restoreClusterSteps(const std::vector<idx_t>& steps,
-                                                         int_t rank) {
-  ownedRank(rank).exec->restoreClusterSteps(steps);
+void DistributedSimulation<Real, W>::resumeAtCycle(std::uint64_t cycles) {
+  for (auto& rank : ranks_)
+    if (rank) rank->exec->resumeAtCycle(cycles);
 }
 
 template <typename Real, int W>

@@ -51,19 +51,12 @@ struct PipelineConfig {
   std::string meshFile;
   std::uint64_t meshContentHash = 0;
   /// Kinematic finite-fault source file (`--fault-file`, seismo/fault.hpp)
-  /// the caller binds after preprocessing. Like receivers, sources influence
-  /// no pipeline product — but unlike receivers the content hash IS folded
-  /// into the key: the key doubles as the checkpoint-fingerprint ingredient
-  /// (batch/checkpoint.hpp), and a changed kinematic source must invalidate
-  /// snapshots.
+  /// the caller binds after preprocessing. Sources influence no pipeline
+  /// product, but the content hash IS folded into the key: the key doubles
+  /// as the checkpoint-fingerprint ingredient (batch/checkpoint.hpp), and a
+  /// changed kinematic source must invalidate snapshots.
   std::string faultFile;
   std::uint64_t faultContentHash = 0;
-  /// Receiver positions the caller binds *after* preprocessing. Receivers
-  /// are passive observers: they never influence the mesh, materials,
-  /// clustering or partition, so this field is deliberately EXCLUDED from
-  /// the memoization key (`pipelineCacheKey`, pipeline_cache.hpp) — two
-  /// configs differing only here share one cached `PipelineResult`.
-  std::vector<std::array<double, 3>> receivers;
 };
 
 struct PipelineResult {

@@ -56,8 +56,6 @@ std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey
   h.f64(cfg.autoLambda ? 0.0 : cfg.lambda);
   h.i32(cfg.numPartitions);
   h.boolean(cfg.freeSurfaceTop);
-  // cfg.receivers deliberately NOT hashed: receivers are bound after
-  // preprocessing and never influence the pipeline products.
   h.u64(modelKey);
   h.i32(static_cast<std::int32_t>(cfg.partitionWeighting));
   // Scenario-ingestion content hashes (both 0 for built-in meshes/sources;

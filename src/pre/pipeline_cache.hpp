@@ -6,10 +6,9 @@
 // subset of `PipelineConfig` plus a caller-supplied velocity-model key.
 //
 // Cache-relevant means: every field that influences any byte of the
-// `PipelineResult`. Receiver positions (`PipelineConfig::receivers`) are the
-// deliberate exception — receivers are passive observers bound after
-// preprocessing, so perturbing only them must be a cache HIT. The converse
-// bug class (a hash that silently ignores a relevant field) is cache
+// `PipelineResult`. Receivers are not part of the config at all — they are
+// passive observers the caller binds after preprocessing. The bug class
+// to avoid (a hash that silently ignores a relevant field) is cache
 // poisoning: two different configs would share one result. tests/
 // test_pipeline.cpp pins golden key values and asserts every relevant field
 // perturbs the key.
@@ -52,8 +51,7 @@ std::uint64_t hashDouble(double v);
 /// (numClusters, autoLambda, lambda), partitioning (numPartitions,
 /// freeSurfaceTop, partitionWeighting) and the scenario-ingestion content
 /// hashes (meshContentHash, faultContentHash) — combined with `modelKey`,
-/// the caller's hash of the velocity-model parameters. `cfg.receivers` is
-/// excluded by design (see file comment).
+/// the caller's hash of the velocity-model parameters.
 std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey = 0);
 
 /// FNV-1a 64 over a file's raw bytes — the value callers put into

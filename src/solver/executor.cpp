@@ -199,12 +199,10 @@ void StepExecutor<Real, W>::runOp(const lts::ScheduleOp& op, idx_t begin, idx_t 
 }
 
 template <typename Real, int W>
-void StepExecutor<Real, W>::restoreClusterSteps(const std::vector<idx_t>& steps) {
-  if (steps.size() != clusterStep_.size())
-    throw std::invalid_argument("restoreClusterSteps: got " + std::to_string(steps.size()) +
-                                " counters for " + std::to_string(clusterStep_.size()) +
-                                " clusters");
-  clusterStep_ = steps;
+void StepExecutor<Real, W>::resumeAtCycle(std::uint64_t cycles) {
+  const auto nc = static_cast<int_t>(clusterStep_.size());
+  for (int_t c = 0; c < nc; ++c)
+    clusterStep_[c] = static_cast<idx_t>(cycles) * lts::stepsPerCycle(nc, c);
 }
 
 template <typename Real, int W>

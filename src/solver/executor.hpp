@@ -131,14 +131,12 @@ class StepExecutor {
   void runOp(const lts::ScheduleOp& op, idx_t begin, idx_t end, bool completesOp);
 
   idx_t clusterStep(int_t cluster) const { return clusterStep_[cluster]; }
-  /// All per-cluster step counters — the executor's schedule position
-  /// (serialized by batch/checkpoint.*).
-  const std::vector<idx_t>& clusterSteps() const { return clusterStep_; }
-  /// Restore the schedule position from a snapshot. The counters feed the
-  /// sub-step parity and the element-local time t0 = step * dt, so a resumed
-  /// run replays the exact op sequence of an uninterrupted one. Throws
-  /// `std::invalid_argument` on a cluster-count mismatch.
-  void restoreClusterSteps(const std::vector<idx_t>& steps);
+  /// Move the schedule position to the boundary after `cycles` full LTS
+  /// cycles: cluster c at `cycles * lts::stepsPerCycle(nc, c)` steps. The
+  /// counters feed the sub-step parity and the element-local time
+  /// t0 = step * dt, so a run restored from a snapshot replays the exact op
+  /// sequence of an uninterrupted one.
+  void resumeAtCycle(std::uint64_t cycles);
   const std::vector<lts::ScheduleOp>& schedule() const { return schedule_; }
 
   /// Sum the per-thread flop counters and reset them.

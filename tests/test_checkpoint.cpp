@@ -1,8 +1,9 @@
 // Checkpoint/restart hardening: kill-and-restore mid-schedule must be
-// bitwise-identical to an uninterrupted run (at the Simulation level and
-// through the BatchEngine's kill/resume path), and damaged snapshots —
-// truncated, bit-flipped, wrong version, wrong batch — must fail with
-// clear `std::runtime_error`s, never resume silently into wrong state.
+// bitwise-identical to an uninterrupted run (at the Simulation level, across
+// rank counts and transports, and through the BatchEngine's kill/resume
+// path), and damaged snapshots — truncated, bit-flipped, wrong version,
+// wrong batch — must fail with clear `std::runtime_error`s, never resume
+// silently into wrong state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "batch/batch_engine.hpp"
@@ -20,6 +22,7 @@
 #include "solver/simulation.hpp"
 
 namespace nbatch = nglts::batch;
+namespace npar = nglts::parallel;
 namespace npre = nglts::pre;
 namespace nsol = nglts::solver;
 namespace nsei = nglts::seismo;
@@ -54,9 +57,26 @@ struct Fixture {
     cfg.autoLambda = false;
   }
 
+  /// The fixture's run: the single-rank engine by default, else `ranks`
+  /// x-stripes of the box under `transport` with `threads` threads per rank.
   template <int W, typename Real = double>
-  std::unique_ptr<nsol::Simulation<Real, W>> makeSim() const {
-    auto sim = std::make_unique<nsol::Simulation<Real, W>>(pipe.mesh, pipe.materials, cfg);
+  std::unique_ptr<nsol::Simulation<Real, W>> makeSim(
+      int_t ranks = 0, npar::Transport transport = npar::Transport::kSeq,
+      int_t threads = 1) const {
+    std::unique_ptr<nsol::Simulation<Real, W>> sim;
+    if (ranks == 0) {
+      sim = std::make_unique<nsol::Simulation<Real, W>>(pipe.mesh, pipe.materials, cfg);
+    } else {
+      std::vector<int_t> part(static_cast<std::size_t>(pipe.mesh.numElements()));
+      for (idx_t e = 0; e < pipe.mesh.numElements(); ++e)
+        part[e] =
+            std::min(ranks - 1, static_cast<int_t>(pipe.mesh.centroid(e)[0] / 1000.0 * ranks));
+      npar::DistConfig dcfg;
+      dcfg.sim = cfg;
+      dcfg.sim.numThreads = threads;
+      dcfg.transport = transport;
+      sim = std::make_unique<nsol::Simulation<Real, W>>(pipe.mesh, pipe.materials, part, dcfg);
+    }
     std::vector<double> laneScale(W);
     for (int w = 0; w < W; ++w) laneScale[static_cast<std::size_t>(w)] = 1.0 + 0.5 * w;
     sim->addPointSource(
@@ -71,12 +91,13 @@ struct Fixture {
 template <typename Real, int W>
 void expectSimsBitwiseEqual(const nsol::Simulation<Real, W>& a,
                             const nsol::Simulation<Real, W>& b) {
-  const auto& sa = a.state();
-  ASSERT_EQ(sa.numElements(), b.state().numElements());
-  for (idx_t el = 0; el < sa.numElements(); ++el) {
+  const idx_t n = a.meshRef().numElements();
+  ASSERT_EQ(n, b.meshRef().numElements());
+  const std::size_t elSize = a.kernels().dofsPerElement();
+  for (idx_t el = 0; el < n; ++el) {
     const Real* qa = a.dofs(el);
     const Real* qb = b.dofs(el);
-    for (std::size_t i = 0; i < sa.elSize(); ++i)
+    for (std::size_t i = 0; i < elSize; ++i)
       ASSERT_EQ(qa[i], qb[i]) << "element " << el << " dof " << i;
   }
   ASSERT_EQ(a.numReceivers(), b.numReceivers());
@@ -109,8 +130,9 @@ void writeAll(const std::string& path, const std::vector<char>& bytes) {
 
 // ---------------------------------------------------------------------------
 // Simulation-level round trip: save mid-run, restore into a fresh solver,
-// finish — bitwise-identical to the uninterrupted run. LTS covers the
-// B1/B2/B3 arenas, the baseline scheme covers the derivative stack.
+// finish — bitwise-identical to the uninterrupted run. The snapshot holds
+// no B1/B2/B3 or derivative stack: LTS and the baseline scheme check that
+// both are dead at a cycle boundary.
 // ---------------------------------------------------------------------------
 
 class CheckpointRoundTrip : public ::testing::TestWithParam<nsol::TimeScheme> {};
@@ -151,6 +173,73 @@ INSTANTIATE_TEST_SUITE_P(Schemes, CheckpointRoundTrip,
                              default: return "LtsBaseline";
                            }
                          });
+
+// ---------------------------------------------------------------------------
+// Cross-rank snapshots: the format is layout-free, so a run saved at R ranks
+// restores at any R', and the file bytes at one cycle are the same for every
+// rank count, transport and thread count — a whole-state determinism oracle.
+// ---------------------------------------------------------------------------
+
+class SnapshotAcrossRanks
+    : public ::testing::TestWithParam<std::tuple<nsol::TimeScheme, npar::Transport>> {};
+
+TEST_P(SnapshotAcrossRanks, SaveAtAnyRankCountRestoresAtAny) {
+  const auto [scheme, transport] = GetParam();
+  const Fixture fx(scheme);
+  constexpr int W = 2;
+  const std::uint64_t total = 6, cut = 3;
+
+  auto uninterrupted = fx.makeSim<W>();
+  if (scheme != nsol::TimeScheme::kGts) {
+    const auto& sizes = uninterrupted->clustering().clusterSize;
+    ASSERT_GE(std::count_if(sizes.begin(), sizes.end(), [](idx_t s) { return s > 0; }), 2);
+  }
+  uninterrupted->runCycles(total);
+
+  const std::string refPath = snapPath("ranks_ref");
+  {
+    auto first = fx.makeSim<W>();
+    first->runCycles(cut);
+    nbatch::saveSnapshot(refPath, 42, 0, cut, first.get());
+  }
+  const std::vector<char> want = readAll(refPath);
+  std::remove(refPath.c_str());
+
+  const auto pathAt = [](int_t ranks) { return snapPath("ranks" + std::to_string(ranks)); };
+  for (int_t ranks = 1; ranks <= 3; ++ranks)
+    for (int_t threads = 1; threads <= 2; ++threads) {
+      auto first = fx.makeSim<W>(ranks, transport, threads);
+      ASSERT_EQ(first->ranks(), ranks);
+      first->runCycles(cut);
+      nbatch::saveSnapshot(pathAt(ranks), 42, 0, cut, first.get());
+      EXPECT_TRUE(readAll(pathAt(ranks)) == want)
+          << "snapshot bytes differ at " << ranks << " ranks, " << threads << " threads";
+    }
+
+  for (int_t saved = 1; saved <= 3; ++saved)
+    for (int_t ranks = 1; ranks <= 3; ++ranks) {
+      SCOPED_TRACE("saved at " + std::to_string(saved) + " ranks, restored at " +
+                   std::to_string(ranks));
+      auto resumed = fx.makeSim<W>(ranks, transport);
+      EXPECT_EQ(nbatch::loadSnapshot(pathAt(saved), *resumed).cyclesDone, cut);
+      resumed->runCycles(total - cut);
+      expectSimsBitwiseEqual(*resumed, *uninterrupted);
+    }
+  for (int_t ranks = 1; ranks <= 3; ++ranks) std::remove(pathAt(ranks).c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesTransports, SnapshotAcrossRanks,
+    ::testing::Combine(::testing::Values(nsol::TimeScheme::kGts, nsol::TimeScheme::kLtsNextGen,
+                                         nsol::TimeScheme::kLtsBaseline),
+                       ::testing::Values(npar::Transport::kSeq, npar::Transport::kThread)),
+    [](const auto& info) {
+      const nsol::TimeScheme scheme = std::get<0>(info.param);
+      const std::string s = scheme == nsol::TimeScheme::kGts          ? "Gts"
+                            : scheme == nsol::TimeScheme::kLtsNextGen ? "LtsNextGen"
+                                                                      : "LtsBaseline";
+      return s + (std::get<1>(info.param) == npar::Transport::kSeq ? "Seq" : "Thread");
+    });
 
 // ---------------------------------------------------------------------------
 // Batch-level kill/restore: abort after the first snapshot, resume with
@@ -312,9 +401,10 @@ TEST_F(SnapshotDamage, BitFlipFailsChecksum) {
 }
 
 TEST_F(SnapshotDamage, VersionMismatchIsDistinctFromCorruption) {
-  // A newer version and the older formats 1 and 3 are all rejected by their
-  // version, not by the checksum error the changed byte would also cause.
-  for (const int version : {99, 1, 3}) {
+  // A newer version and the older formats 1, 3 and 4 are all rejected by
+  // their version, not by the checksum error the changed byte would also
+  // cause.
+  for (const int version : {99, 1, 3, 4}) {
     std::vector<char> bytes = bytes_;
     bytes[8] = static_cast<char>(version); // version field (little-endian u32 at offset 8)
     writeAll(path_, bytes);
@@ -338,18 +428,39 @@ TEST_F(SnapshotDamage, WidthMismatchFails) {
   }
 }
 
-TEST_F(SnapshotDamage, MultiRankSimulationIsRejected) {
-  // Snapshots hold one rank's arenas: a multi-rank engine must be refused
-  // in both directions instead of saving or restoring rank 0 alone.
-  std::vector<int_t> part(static_cast<std::size_t>(fx_->pipe.mesh.numElements()));
-  for (std::size_t e = 0; e < part.size(); ++e) part[e] = static_cast<int_t>(e % 2);
-  nglts::parallel::DistConfig dcfg;
-  dcfg.sim = fx_->cfg;
-  nsol::Simulation<double, 1> dist(fx_->pipe.mesh, fx_->pipe.materials, part, dcfg);
-  ASSERT_EQ(dist.ranks(), 2);
-  EXPECT_THROW(nbatch::saveSnapshot(snapPath("multirank"), 7, 0, 0, &dist),
-               std::invalid_argument);
-  EXPECT_THROW(nbatch::loadSnapshot(path_, dist), std::invalid_argument);
+TEST_F(SnapshotDamage, FileHoldsOnlyDofsAndTraces) {
+  // The exact size: header, state prelude, every element's DOFs, the traces
+  // and the checksum. A buffer or counter sneaking back into the format
+  // changes it.
+  auto sim = fx_->makeSim<1>();
+  sim->runCycles(2);
+  const std::size_t header = 8 + 5 * 4 + 3 * 8;
+  const std::size_t prelude = 3 * 8; // numElements, elSize, numClusters
+  const std::size_t dofs = static_cast<std::size_t>(sim->meshRef().numElements()) *
+                           sim->kernels().dofsPerElement() * sizeof(double);
+  std::size_t traces = 8; // receiver count
+  for (idx_t r = 0; r < sim->numReceivers(); ++r) {
+    traces += 8; // lane count
+    for (const auto& lane : sim->receiver(r).traces)
+      traces += 8 + lane.times.size() * (1 + nglts::kElasticVars) * 8;
+  }
+  EXPECT_EQ(bytes_.size(), header + prelude + dofs + traces + 8);
+}
+
+TEST_F(SnapshotDamage, OutOfRangeCycleCountFails) {
+  // A file with a valid checksum whose cycle count would overflow the step
+  // counters is rejected, not resumed.
+  constexpr std::size_t cyclesDoneAt = 8 + 5 * 4 + 2 * 8;
+  for (std::size_t i = 0; i < 8; ++i) bytes_[cyclesDoneAt + i] = static_cast<char>(0xff);
+  std::uint64_t h = 1469598103934665603ull; // FNV-1a over everything but the trailer
+  for (std::size_t i = 0; i + 8 < bytes_.size(); ++i) {
+    h ^= static_cast<unsigned char>(bytes_[i]);
+    h *= 1099511628211ull;
+  }
+  for (std::size_t i = 0; i < 8; ++i)
+    bytes_[bytes_.size() - 8 + i] = static_cast<char>((h >> (8 * i)) & 0xff);
+  writeAll(path_, bytes_);
+  expectLoadError("out-of-range cycle count");
 }
 
 TEST_F(SnapshotDamage, MissingFileFails) {
@@ -369,11 +480,8 @@ TEST_F(SnapshotDamage, RunBoundaryMarkerCarriesNoState) {
 // Precision field
 // ---------------------------------------------------------------------------
 
-TEST_F(SnapshotDamage, CurrentSnapshotIsV4F64) {
-  // v3/v4 bumped only the semantic version (the pipeline cache key grew
-  // PipelineConfig::partitionWeighting, then the external mesh/fault content
-  // hashes); the header byte layout is unchanged from v2.
-  EXPECT_EQ(nbatch::kSnapshotVersion, 4u);
+TEST_F(SnapshotDamage, CurrentSnapshotIsV5F64) {
+  EXPECT_EQ(nbatch::kSnapshotVersion, 5u);
   EXPECT_EQ(bytes_[8], static_cast<char>(nbatch::kSnapshotVersion));
   EXPECT_EQ(nbatch::peekSnapshot(path_).precision, nsol::Precision::kF64);
 }

@@ -190,17 +190,6 @@ TEST(PipelineCacheKey, LambdaIsFoldedOutWhileTheSweepIsOn) {
   EXPECT_EQ(npre::pipelineCacheKey(a, 0), npre::pipelineCacheKey(b, 0));
 }
 
-TEST(PipelineCacheKey, ReceiversAreExcludedByDesign) {
-  // Receivers are bound after preprocessing; a receiver-only delta must be
-  // a cache hit (the batch engine relies on this to share one pipeline
-  // across an ensemble with per-request receiver offsets).
-  npre::PipelineConfig a = smallConfig();
-  npre::PipelineConfig b = smallConfig();
-  b.receivers.push_back({1500.0, 1500.0, -100.0});
-  b.receivers.push_back({800.0, 750.0, -20.0});
-  EXPECT_EQ(npre::pipelineCacheKey(a, 0), npre::pipelineCacheKey(b, 0));
-}
-
 TEST(PipelineCacheKey, NegativeZeroFoldsToPositiveZero) {
   npre::PipelineConfig a = smallConfig();
   npre::PipelineConfig b = smallConfig();
@@ -209,7 +198,7 @@ TEST(PipelineCacheKey, NegativeZeroFoldsToPositiveZero) {
   EXPECT_EQ(npre::pipelineCacheKey(a, 0), npre::pipelineCacheKey(b, 0));
 }
 
-TEST(PipelineCache, ReceiverOnlyDeltaHitsRelevantDeltaMisses) {
+TEST(PipelineCache, RepeatedConfigHitsRelevantDeltaMisses) {
   const nsei::Loh3Model model(0.0);
   npre::PipelineCache cache;
 
@@ -217,10 +206,8 @@ TEST(PipelineCache, ReceiverOnlyDeltaHitsRelevantDeltaMisses) {
   EXPECT_EQ(cache.builds(), 1);
   EXPECT_EQ(cache.hits(), 0);
 
-  // Receiver-only change: served from the cache, same shared artifact.
-  npre::PipelineConfig recOnly = smallConfig();
-  recOnly.receivers.push_back({1500.0, 1500.0, -100.0});
-  const auto second = cache.get(model, recOnly);
+  // Same config again: served from the cache, same shared artifact.
+  const auto second = cache.get(model, smallConfig());
   EXPECT_EQ(cache.builds(), 1);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(second.get(), first.get());
