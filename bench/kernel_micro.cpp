@@ -31,7 +31,6 @@
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
-#include "physics/jacobians.hpp"
 
 using namespace nglts;
 
@@ -129,37 +128,14 @@ void compress(benchmark::State& state) {
 
 // ---------------------------------------------------------------------------
 // Raw dispatched small-GEMM kernels, scalar vs vector backend A/B: the two
-// operator shapes (star / right) in dense and CSR form at the real DG
-// operand shapes — an element star Jacobian (9 x 9, static zero blocks) and
-// the order's stiffness operator (B x B, modal sparsity). The W = 4 rows of
-// smallGemmStar{Dense,Csr} / smallGemmRight{Dense,Csr} are the backend
-// acceptance gate (vector >= 1.3x scalar, docs/KERNELS.md).
+// operator shapes at the real DG operand shapes — the star shape over an
+// element's compact elastic star block (24 of 81 entries, the fixed
+// Jacobian pattern) and over a dense flux solver (the full 9 x 9 pattern),
+// and the right shape in dense and CSR form over the order's stiffness
+// operator (B x B, modal sparsity). The W = 4 rows of smallGemmRight{Dense,
+// Csr} are the backend acceptance gate (vector >= 1.3x scalar,
+// docs/KERNELS.md).
 // ---------------------------------------------------------------------------
-
-template <typename Real>
-linalg::Matrix starMatrix(const kernels::ElementData<Real>& ed) {
-  linalg::Matrix m(9, 9);
-  for (int_t r = 0; r < 9; ++r)
-    for (int_t c = 0; c < 9; ++c) m(r, c) = ed.starE[0][r * 9 + c];
-  return m;
-}
-
-/// The elastic star-operator *family* pattern (union of the three direction
-/// Jacobians) with pattern-preserving random values, so the scalar and
-/// vector CSR star rows measure the identical operator.
-linalg::Matrix starUnionMatrix() {
-  const physics::Material mat = physics::elasticMaterial(2700.0, 6000.0, 3464.0);
-  linalg::Matrix u(9, 9);
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<double> uni(0.1, 2.0);
-  for (int_t d = 0; d < 3; ++d) {
-    const linalg::Matrix j = physics::elasticJacobian(mat, d);
-    for (int_t r = 0; r < 9; ++r)
-      for (int_t c = 0; c < 9; ++c)
-        if (j(r, c) != 0.0 && u(r, c) == 0.0) u(r, c) = uni(rng);
-  }
-  return u;
-}
 
 template <typename Real>
 aligned_vector<Real> randomOperand(std::size_t n, unsigned seed) {
@@ -170,39 +146,39 @@ aligned_vector<Real> randomOperand(std::size_t n, unsigned seed) {
   return v;
 }
 
-// The raw smallGemm* benches are Real-templated: the <float, W> vs
-// <double, W> registrations at matching W are the fp32-vs-f64 throughput
-// A/B (per-row precision is the template type in the benchmark name).
+/// One star product per iteration: `values` in `pattern` applied to a
+/// 9 x nb x W operand.
 template <typename Real, int W>
-void smallGemmStarDense(benchmark::State& state) {
+void runStar(benchmark::State& state, const linalg::StarPattern& pattern, const Real* values,
+             unsigned seed) {
   const int_t nb = numBasis3d(state.range(0));
   const auto& ops = linalg::smallGemmOps<Real, W>(backendArg(state, 1));
-  const linalg::SmallOp<Real> star(starMatrix(fixture(3).ed[0]));
-  const auto d = randomOperand<Real>(static_cast<std::size_t>(9) * nb * W, 21);
+  const auto d = randomOperand<Real>(static_cast<std::size_t>(9) * nb * W, seed);
   aligned_vector<Real> o(d.size(), Real(0));
   std::uint64_t flops = 0;
   for (auto _ : state) {
-    flops += ops.starDense(9, 9, nb, nb, star.dense.data(), d.data(), o.data());
+    flops += ops.star(pattern, values, nb, nb, d.data(), o.data());
     benchmark::DoNotOptimize(o.data());
   }
   state.counters["GFLOPS"] =
       benchmark::Counter(static_cast<double>(flops) * 1e-9, benchmark::Counter::kIsRate);
 }
 
+// The raw smallGemm* benches are Real-templated: the <float, W> vs
+// <double, W> registrations at matching W are the fp32-vs-f64 throughput
+// A/B (per-row precision is the template type in the benchmark name).
 template <typename Real, int W>
-void smallGemmStarCsr(benchmark::State& state) {
-  const int_t nb = numBasis3d(state.range(0));
-  const auto& ops = linalg::smallGemmOps<Real, W>(backendArg(state, 1));
-  const linalg::SmallOp<Real> star(starUnionMatrix());
-  const auto d = randomOperand<Real>(static_cast<std::size_t>(9) * nb * W, 22);
-  aligned_vector<Real> o(d.size(), Real(0));
-  std::uint64_t flops = 0;
-  for (auto _ : state) {
-    flops += ops.starCsr(star.csr, nb, nb, d.data(), o.data());
-    benchmark::DoNotOptimize(o.data());
-  }
-  state.counters["GFLOPS"] =
-      benchmark::Counter(static_cast<double>(flops) * 1e-9, benchmark::Counter::kIsRate);
+void smallGemmStar(benchmark::State& state) {
+  const auto ed = kernels::buildElementData<Real>(fixture(3).mesh, fixture(3).geo,
+                                                  fixture(3).mats, 0, 3);
+  runStar<Real, W>(state, kernels::starEPattern(), ed.starE[0].data(), 21);
+}
+
+template <typename Real, int W>
+void smallGemmStarFull(benchmark::State& state) {
+  const auto ed = kernels::buildElementData<Real>(fixture(3).mesh, fixture(3).geo,
+                                                  fixture(3).mats, 0, 3);
+  runStar<Real, W>(state, linalg::densePattern(9, 9), ed.fluxSolveE[0].data(), 22);
 }
 
 template <typename Real, int W>
@@ -259,30 +235,30 @@ BENCHMARK(neighborUpdate<16>)
 BENCHMARK(compress)->ArgsProduct({{4, 5}, {0, 1}})->ArgNames({"order", "backend"});
 
 // Raw small-GEMM backend A/B rows (scalar vs vector per shape; the W = 4
-// dense + CSR rows are the acceptance gate for the vector backend, and the
+// right dense + CSR rows are the acceptance gate for the vector backend, and the
 // <double, 4> vs <float, 4> pairs are the fp32-vs-f64 throughput A/B).
-BENCHMARK_TEMPLATE(smallGemmStarDense, float, 1)
+BENCHMARK_TEMPLATE(smallGemmStar, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarDense, float, 4)
+BENCHMARK_TEMPLATE(smallGemmStar, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarDense, float, 16)
+BENCHMARK_TEMPLATE(smallGemmStar, float, 16)
     ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarDense, double, 4)
+BENCHMARK_TEMPLATE(smallGemmStar, double, 4)
     ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 1)
+BENCHMARK_TEMPLATE(smallGemmStarFull, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 4)
+BENCHMARK_TEMPLATE(smallGemmStarFull, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarCsr, float, 16)
+BENCHMARK_TEMPLATE(smallGemmStarFull, float, 16)
     ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
-BENCHMARK_TEMPLATE(smallGemmStarCsr, double, 4)
+BENCHMARK_TEMPLATE(smallGemmStarFull, double, 4)
     ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 1)

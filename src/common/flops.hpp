@@ -43,7 +43,7 @@ struct FlopCounter {
 
 /// FLOPs of a dense M x K times K x N matrix product with W fused values:
 /// 2 * M * N * K * W (one mul + one add per term — the analytic dense
-/// count, matching what `rightMulDense`/`starMulDense` return).
+/// count, matching what `rightMulDense`/`starMul` return).
 inline std::uint64_t gemmFlops(std::uint64_t m, std::uint64_t n, std::uint64_t k,
                                std::uint64_t w = 1) {
   return 2ull * m * n * k * w;

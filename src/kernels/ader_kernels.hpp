@@ -47,8 +47,8 @@ class AderKernels {
   };
 
   /// `sparse` selects the CSR kernels for the global matrices (the paper's
-  /// fused-mode "all sparsity" path); dense mode still trims static zero
-  /// blocks of the star matrices and the derivative degrees. `backend`
+  /// fused-mode "all sparsity" path); dense mode still trims the derivative
+  /// degrees. Both apply the star blocks over their fixed patterns. `backend`
   /// requests the small-GEMM implementation (`SimConfig::kernelBackend` /
   /// `--kernel`); it is resolved here via `linalg::resolveKernelBackend`,
   /// which hard-errors on an explicit `kVector` request the build or host
@@ -92,6 +92,19 @@ class AderKernels {
   std::uint64_t timePredict(const ElementData<Real>& ed, const Real* q, Real dt, Real* timeInt,
                             Real* b1, Real* b2, Real* b3, bool b3Accumulate, Scratch& s,
                             Real* derivStack = nullptr) const;
+
+  /// The flops `timePredict` spends on the B2 writes (`b2`) and on the B3
+  /// accumulation of an odd step (`b3Accumulate`). The executor counts them
+  /// for an element whose B2/B3 no neighbor reads (solver/state.hpp), so
+  /// the flop counter keeps the scheme's analytic count whichever buffers
+  /// the storage keeps.
+  std::uint64_t bufferFlops(bool b2, bool b3Accumulate) const {
+    std::uint64_t flops = b3Accumulate ? elasticDofsPerElement() : 0;
+    if (b2)
+      for (int_t d = 0; d < order_; ++d)
+        flops += 2ull * kElasticVars * (mechs_ > 0 ? nb_ : degWidth_[d]) * W;
+    return flops;
+  }
 
   /// Time-integrate a derivative stack over [t0 + a, t0 + a + delta] (the
   /// receiver-side evaluation of the buffer-derivative baseline scheme).
@@ -144,6 +157,14 @@ class AderKernels {
   std::array<std::array<linalg::SmallOp<Real>, 6>, 4> fluxNeigh_; // B x F
 
   std::array<int_t, 16> degWidth_{}; // B(order - d) widths for elastic CK
+
+  // Patterns of the per-element operator blocks (element_data.hpp). The
+  // flux solvers are dense: their star products walk full patterns.
+  linalg::StarPattern starE_ = starEPattern();
+  linalg::StarPattern starA_ = starAPattern();
+  linalg::StarPattern couple_ = couplePattern();
+  linalg::StarPattern fluxE_ = linalg::densePattern(kElasticVars, kElasticVars);
+  linalg::StarPattern fluxA_ = linalg::densePattern(6, kElasticVars);
 
   std::size_t varStride() const { return static_cast<std::size_t>(nb_) * W; }
 
@@ -267,19 +288,17 @@ std::uint64_t AderKernels<Real, W>::timePredict(const ElementData<Real>& ed, con
     for (int_t c = 0; c < 3; ++c) {
       linalg::zeroBlock(s.sc.data(), el9);
       flops += applyRight(gXiNeg_[c], kElasticVars, widIn, widOut, cur, s.sc.data(), nb_, nb_);
-      flops += ops_->starDense(kElasticVars, kElasticVars, widOut, nb_,
-                                             ed.starE[c].data(), s.sc.data(), next);
+      flops += ops_->star(starE_, ed.starE[c].data(), widOut, nb_, s.sc.data(), next);
       if (anel)
-        flops += ops_->starDense(6, kElasticVars, widOut, nb_,
-                                               ed.starA[c].data(), s.sc.data(), s.anAcc.data());
+        flops += ops_->star(starA_, ed.starA[c].data(), widOut, nb_, s.sc.data(),
+                            s.anAcc.data());
     }
     if (anel) {
       // Elastic rows: reactive source sum_l E_l theta^l.
       for (int_t l = 0; l < mechs_; ++l) {
         const Real* thetaCur = cur + (kElasticVars + 6 * l) * vs;
-        flops += ops_->starDense(kElasticVars, 6, nb_, nb_,
-                                               ed.couple.data() + static_cast<std::size_t>(l) * 54,
-                                               thetaCur, next);
+        const Real* eBlock = ed.couple.data() + static_cast<std::size_t>(l) * kCoupleNnz;
+        flops += ops_->star(couple_, eBlock, nb_, nb_, thetaCur, next);
       }
       // Memory-variable rows: omega_l * (anAcc - theta^l).
       for (int_t l = 0; l < mechs_; ++l) {
@@ -343,12 +362,10 @@ std::uint64_t AderKernels<Real, W>::volumeAndLocalSurface(const ElementData<Real
   for (int_t c = 0; c < 3; ++c) {
     linalg::zeroBlock(s.sc.data(), elasticDofsPerElement());
     flops += applyRight(kXi_[c], kElasticVars, nb_, nb_, timeInt, s.sc.data(), nb_, nb_);
-    flops +=
-        ops_->starDense(kElasticVars, kElasticVars, nb_, nb_, ed.starE[c].data(),
-                                      s.sc.data(), q);
+    flops += ops_->star(starE_, ed.starE[c].data(), nb_, nb_, s.sc.data(), q);
     if (anel)
-      flops += ops_->starDense(6, kElasticVars, nb_, nb_, ed.starA[c].data(),
-                                             s.sc.data(), s.anAcc.data());
+      flops += ops_->star(starA_, ed.starA[c].data(), nb_, nb_, s.sc.data(),
+                          s.anAcc.data());
   }
 
   // Local surface kernel.
@@ -363,9 +380,8 @@ std::uint64_t AderKernels<Real, W>::volumeAndLocalSurface(const ElementData<Real
     // Reactive source on the elastic rows: sum_l E_l T_a,l.
     for (int_t l = 0; l < mechs_; ++l) {
       const Real* thetaT = timeInt + (kElasticVars + 6 * l) * vs;
-      flops += ops_->starDense(kElasticVars, 6, nb_, nb_,
-                                             ed.couple.data() + static_cast<std::size_t>(l) * 54,
-                                             thetaT, q);
+      const Real* eBlock = ed.couple.data() + static_cast<std::size_t>(l) * kCoupleNnz;
+      flops += ops_->star(couple_, eBlock, nb_, nb_, thetaT, q);
     }
     // Memory-variable rows: q_a,l += omega_l * (anAcc - T_a,l).
     for (int_t l = 0; l < mechs_; ++l) {
@@ -392,14 +408,12 @@ std::uint64_t AderKernels<Real, W>::surfaceFromFaceLocal(const ElementData<Real>
   const auto& fsa = neighborSide ? ed.fluxSolveANeigh[face] : ed.fluxSolveA[face];
 
   linalg::zeroBlock(s.faceSolved.data(), faceDataSize());
-  flops += ops_->starDense(kElasticVars, kElasticVars, nf_, nf_, fse.data(),
-                                         proj, s.faceSolved.data());
+  flops += ops_->star(fluxE_, fse.data(), nf_, nf_, proj, s.faceSolved.data());
   flops += applyRight(fluxLift_[face], kElasticVars, nf_, nb_, s.faceSolved.data(), q, nf_, nb_);
 
   if (anel) {
     linalg::zeroBlock(s.faceAn.data(), static_cast<std::size_t>(6) * nf_ * W);
-    flops += ops_->starDense(6, kElasticVars, nf_, nf_, fsa.data(), proj,
-                                           s.faceAn.data());
+    flops += ops_->star(fluxA_, fsa.data(), nf_, nf_, proj, s.faceAn.data());
     linalg::zeroBlock(s.anLift.data(), static_cast<std::size_t>(6) * nb_ * W);
     flops += applyRight(fluxLift_[face], 6, nf_, nb_, s.faceAn.data(), s.anLift.data(), nf_, nb_);
     for (int_t l = 0; l < mechs_; ++l) {

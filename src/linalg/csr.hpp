@@ -1,6 +1,6 @@
 #pragma once
 // Compressed sparse row storage for the small, *static* DG operator matrices
-// (stiffness, flux, star matrices). The sparsity patterns are fixed at setup
+// (stiffness, flux matrices). The sparsity patterns are fixed at setup
 // time, mirroring EDGE's manual exploitation of (block-)sparsity (Sec. IV-A).
 #include <vector>
 

@@ -16,10 +16,10 @@
 // Two operator application shapes cover every DG kernel:
 //   star :  O[m][b][w] += A[m][k]   * D[k][b][w]   (Jacobians, flux solvers)
 //   right:  O[i][n][w] += D[i][k][w] * B[k][n]     (stiffness, flux matrices)
-// Both exist in dense and CSR form; all kernels accumulate (+=) into their
-// output and return the number of useful (non-zero) floating point
-// operations performed — the analytic count of Tab. I's accounting, never
-// a hardware counter (see common/flops.hpp).
+// star takes its operator as the values of a fixed pattern; right exists in
+// dense and CSR form. All kernels accumulate (+=) into their output and
+// return the analytic flop count of Tab. I's accounting, never a hardware
+// counter (see common/flops.hpp).
 #include <cstdint>
 #include <cstring>
 
@@ -52,47 +52,69 @@ inline void axpyBlock(Real s, const Real* src, Real* dst, std::size_t n) {
 // star: O[m][b][w] += A[m][k] * D[k][b][w]
 // ---------------------------------------------------------------------------
 
-/// O[m][nCols][W] += A[m][k] * D[k][nCols][W] with a dense, row-major
-/// A (m x k) — the star-matrix shape applying element-local operators
-/// (Jacobians A*/B*/C* of Eq. 8-9, Godunov flux solvers of Eq. 10-13) from
-/// the left. `ld` is the leading (basis) dimension of the d/o tensors;
-/// `nCols <= ld` restricts the columns actually touched (block-sparsity
-/// trimming of the Cauchy-Kowalevski recursion). Accumulates (+=); entries
-/// with A[r][c] == 0 are skipped and not counted. Returns
-/// 2 * m * k * nCols * W flops (the dense analytic count; the zero-skip is
-/// a static-structure optimization, not a flop-count change).
-template <typename Real, int W>
-std::uint64_t starMulDense(int_t m, int_t k, int_t nCols, int_t ld, const Real* a, const Real* d,
-                           Real* o) {
-  for (int_t r = 0; r < m; ++r) {
-    Real* orow = o + static_cast<std::size_t>(r) * ld * W;
-    for (int_t c = 0; c < k; ++c) {
-      const Real av = a[r * k + c];
-      if (av == Real(0)) continue; // static zero blocks of the Jacobians
-      const Real* drow = d + static_cast<std::size_t>(c) * ld * W;
-#pragma omp simd
-      for (int_t j = 0; j < nCols * W; ++j) orow[j] += av * drow[j];
-    }
+/// Fixed sparsity pattern of a small row-major operator A (rows x cols):
+/// row r stores the entries colIdx[rowPtr[r] .. rowPtr[r + 1]), columns
+/// ascending. Each per-element star block keeps only its values in this
+/// order (kernels/element_data.hpp); the pattern is shared by every element.
+struct StarPattern {
+  int_t rows = 0, cols = 0;
+  std::vector<int_t> rowPtr;  // rows + 1 entries
+  std::vector<int_t> colIdx;  // nnz entries
+
+  int_t nnz() const { return rowPtr.empty() ? 0 : rowPtr.back(); }
+};
+
+/// The union of the nonzero positions of `blocks` (all of one shape).
+inline StarPattern unionPattern(const std::vector<Matrix>& blocks) {
+  StarPattern p;
+  p.rows = blocks.front().rows();
+  p.cols = blocks.front().cols();
+  p.rowPtr.assign(1, 0);
+  for (int_t r = 0; r < p.rows; ++r) {
+    for (int_t c = 0; c < p.cols; ++c)
+      for (const Matrix& b : blocks)
+        if (b(r, c) != 0.0) {
+          p.colIdx.push_back(c);
+          break;
+        }
+    p.rowPtr.push_back(static_cast<int_t>(p.colIdx.size()));
   }
-  return 2ull * m * k * nCols * W;
+  return p;
 }
 
-/// CSR variant of `starMulDense`: O[rows][nCols][W] += A * D for a sparse
-/// A — the fused-mode "exploit all sparsity" path of Sec. IV-A. Same
-/// accumulate semantics and operand layout; returns 2 * nnz * nCols * W
-/// flops (only the stored nonzeros are real operations).
+/// Every entry of a rows x cols block (the dense flux solvers).
+inline StarPattern densePattern(int_t rows, int_t cols) {
+  Matrix ones(rows, cols);
+  for (int_t r = 0; r < rows; ++r)
+    for (int_t c = 0; c < cols; ++c) ones(r, c) = 1.0;
+  return unionPattern({ones});
+}
+
+/// O[rows][nCols][W] += A * D for an operator A stored as the values `a` of
+/// pattern `p` — the star shape applying element-local operators (Jacobians
+/// A*/B*/C* of Eq. 8-9, Godunov flux solvers of Eq. 10-13) from the left.
+/// `ld` is the leading (basis) dimension of the d/o tensors; `nCols <= ld`
+/// restricts the columns actually touched (block-sparsity trimming of the
+/// Cauchy-Kowalevski recursion). Walks the stored entries in row-major order
+/// and skips values == 0; accumulates (+=). Returns the dense analytic count
+/// 2 * rows * cols * nCols * W: neither the pattern nor the zero skip
+/// changes it. Declared inline so the vector backend's W == 1 entries, which
+/// delegate here from their AVX2/AVX-512 clones, inline it and run it at the
+/// clone's vector width (GCC does not inline it otherwise).
 template <typename Real, int W>
-std::uint64_t starMulCsr(const Csr<Real>& a, int_t nCols, int_t ld, const Real* d, Real* o) {
-  for (int_t r = 0; r < a.rows; ++r) {
+inline std::uint64_t starMul(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
+                             const Real* d, Real* o) {
+  for (int_t r = 0; r < p.rows; ++r) {
     Real* orow = o + static_cast<std::size_t>(r) * ld * W;
-    for (int_t i = a.rowPtr[r]; i < a.rowPtr[r + 1]; ++i) {
-      const Real av = a.values[i];
-      const Real* drow = d + static_cast<std::size_t>(a.colIdx[i]) * ld * W;
+    for (int_t i = p.rowPtr[r]; i < p.rowPtr[r + 1]; ++i) {
+      const Real av = a[i];
+      if (av == Real(0)) continue;
+      const Real* drow = d + static_cast<std::size_t>(p.colIdx[i]) * ld * W;
 #pragma omp simd
       for (int_t j = 0; j < nCols * W; ++j) orow[j] += av * drow[j];
     }
   }
-  return 2ull * a.nnz() * nCols * W;
+  return 2ull * p.rows * p.cols * nCols * W;
 }
 
 // ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@
 namespace nglts::linalg {
 
 /// The dispatchable kernel set (see small_gemm.hpp for operand shapes):
-/// the two operator shapes (star / right) in dense and CSR form, plus the
-/// elementwise axpy (the ADER time-integral accumulation).
+/// the star shape over a fixed pattern, the right shape in dense and CSR
+/// form, plus the elementwise axpy (the ADER time-integral accumulation).
 template <typename Real, int W>
 struct SmallGemmOps {
-  std::uint64_t (*starDense)(int_t m, int_t k, int_t nCols, int_t ld, const Real* a,
-                             const Real* d, Real* o);
-  std::uint64_t (*starCsr)(const Csr<Real>& a, int_t nCols, int_t ld, const Real* d, Real* o);
+  std::uint64_t (*star)(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
+                        const Real* d, Real* o);
   std::uint64_t (*rightDense)(int_t nVars, int_t kEff, int_t nEff, int_t ldb, const Real* d,
                               const Real* b, Real* o, int_t ldd, int_t ldo);
   std::uint64_t (*rightCsr)(int_t nVars, int_t kEff, const Csr<Real>& b, const Real* d, Real* o,
@@ -47,31 +46,31 @@ struct SmallGemmOps {
 template <typename Real, int W>
 inline const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved) {
   static constexpr SmallGemmOps<Real, W> scalar = {
-      &starMulDense<Real, W>, &starMulCsr<Real, W>,  &rightMulDense<Real, W>,
-      &rightMulCsr<Real, W>,  &axpyBlock<Real>,      KernelBackend::kScalar,
+      &starMul<Real, W>,   &rightMulDense<Real, W>, &rightMulCsr<Real, W>,
+      &axpyBlock<Real>,    KernelBackend::kScalar,
   };
 #if NGLTS_HAVE_VECTOR_KERNELS
   if constexpr (vecdetail::isPow2(W)) {
     if (resolved == KernelBackend::kVector) {
 #if NGLTS_HAVE_AVX512_CLONES
       static constexpr SmallGemmOps<Real, W> vectorAvx512 = {
-          &starMulDenseVecAvx512<Real, W>, &starMulCsrVecAvx512<Real, W>,
-          &rightMulDenseVecAvx512<Real, W>, &rightMulCsrVecAvx512<Real, W>,
-          &axpyBlockVecAvx512<Real>,        KernelBackend::kVector,
+          &starMulVecAvx512<Real, W>,   &rightMulDenseVecAvx512<Real, W>,
+          &rightMulCsrVecAvx512<Real, W>, &axpyBlockVecAvx512<Real>,
+          KernelBackend::kVector,
       };
       if (detectCpuSimd().avx512f) return vectorAvx512;
 #endif
 #if NGLTS_HAVE_AVX2_CLONES
       static constexpr SmallGemmOps<Real, W> vectorAvx2 = {
-          &starMulDenseVecAvx2<Real, W>, &starMulCsrVecAvx2<Real, W>,
-          &rightMulDenseVecAvx2<Real, W>, &rightMulCsrVecAvx2<Real, W>,
-          &axpyBlockVecAvx2<Real>,        KernelBackend::kVector,
+          &starMulVecAvx2<Real, W>,   &rightMulDenseVecAvx2<Real, W>,
+          &rightMulCsrVecAvx2<Real, W>, &axpyBlockVecAvx2<Real>,
+          KernelBackend::kVector,
       };
       if (detectCpuSimd().avx2) return vectorAvx2;
 #endif
       static constexpr SmallGemmOps<Real, W> vector = {
-          &starMulDenseVec<Real, W>, &starMulCsrVec<Real, W>, &rightMulDenseVec<Real, W>,
-          &rightMulCsrVec<Real, W>,  &axpyBlockVec<Real>,     KernelBackend::kVector,
+          &starMulVec<Real, W>,     &rightMulDenseVec<Real, W>, &rightMulCsrVec<Real, W>,
+          &axpyBlockVec<Real>,      KernelBackend::kVector,
       };
       return vector;
     }

@@ -191,79 +191,32 @@ struct VecKernels {
   /// Jacobian blocks); the compacted term lists live on the stack.
   static constexpr int_t kMaxStarTerms = 32;
 
-  NGLTS_VEC_INLINE static std::uint64_t starDense(int_t m, int_t k, int_t nCols, int_t ld,
-                                                  const Real* a, const Real* d, Real* o) {
+  NGLTS_VEC_INLINE static std::uint64_t star(const StarPattern& p, const Real* a, int_t nCols,
+                                             int_t ld, const Real* d, Real* o) {
     const int_t len = nCols * W;
     const std::size_t stride = static_cast<std::size_t>(ld) * W;
     const Real* src[kMaxStarTerms];
     Real val[kMaxStarTerms];
-    for (int_t r = 0; r < m; ++r) {
+    for (int_t r = 0; r < p.rows; ++r) {
       Real* orow = o + static_cast<std::size_t>(r) * stride;
-      const Real* arow = a + static_cast<std::size_t>(r) * k;
+      const int_t rowEnd = p.rowPtr[r + 1];
       // Longer rows than the list capacity take several passes over the
       // output; term order (and bitwise behavior) is unchanged.
-      for (int_t c0 = 0; c0 < k; c0 += kMaxStarTerms) {
-        const int_t cEnd = c0 + kMaxStarTerms < k ? c0 + kMaxStarTerms : k;
+      for (int_t i0 = p.rowPtr[r]; i0 < rowEnd; i0 += kMaxStarTerms) {
+        const int_t iEnd = i0 + kMaxStarTerms < rowEnd ? i0 + kMaxStarTerms : rowEnd;
         int_t nnz = 0;
-        for (int_t c = c0; c < cEnd; ++c) {
-          if (arow[c] == Real(0)) continue; // static zero blocks, as in the reference
-          src[nnz] = d + static_cast<std::size_t>(c) * stride;
-          val[nnz++] = arow[c];
+        for (int_t i = i0; i < iEnd; ++i) {
+          if (a[i] == Real(0)) continue; // zero values, as in the reference
+          src[nnz] = d + static_cast<std::size_t>(p.colIdx[i]) * stride;
+          val[nnz++] = a[i];
         }
-        // All-zero operator rows (e.g. the velocity rows of the anelastic
-        // coupling blocks): skip the row pass entirely — re-writing the
-        // row unchanged would be bitwise-neutral but wastes bandwidth the
-        // scalar reference doesn't spend.
+        // Rows without a nonzero term: skip the row pass entirely —
+        // re-writing the row unchanged would be bitwise-neutral but wastes
+        // bandwidth the scalar reference doesn't spend.
         if (nnz > 0) accumulateRow(orow, len, nnz, src, val);
       }
     }
-    return 2ull * m * k * nCols * W;
-  }
-
-  NGLTS_VEC_INLINE static std::uint64_t starCsr(const Csr<Real>& a, int_t nCols, int_t ld,
-                                                const Real* d, Real* o) {
-    // CSR rows are already compact — iterate (values, colIdx) directly in
-    // the register-blocked chunk loops (no term lists to build).
-    const int_t len = nCols * W;
-    const std::size_t stride = static_cast<std::size_t>(ld) * W;
-    for (int_t r = 0; r < a.rows; ++r) {
-      Real* orow = o + static_cast<std::size_t>(r) * stride;
-      const int_t p0 = a.rowPtr[r], p1 = a.rowPtr[r + 1];
-      int_t j = 0;
-      for (; j + 4 * VL <= len; j += 4 * VL) {
-        V acc0 = loadu<V>(orow + j);
-        V acc1 = loadu<V>(orow + j + VL);
-        V acc2 = loadu<V>(orow + j + 2 * VL);
-        V acc3 = loadu<V>(orow + j + 3 * VL);
-        for (int_t p = p0; p < p1; ++p) {
-          const Real* dr = d + static_cast<std::size_t>(a.colIdx[p]) * stride + j;
-          const V avv = splat<V, Real>(a.values[p]);
-          acc0 += avv * loadu<V>(dr);
-          acc1 += avv * loadu<V>(dr + VL);
-          acc2 += avv * loadu<V>(dr + 2 * VL);
-          acc3 += avv * loadu<V>(dr + 3 * VL);
-        }
-        storeu(orow + j, acc0);
-        storeu(orow + j + VL, acc1);
-        storeu(orow + j + 2 * VL, acc2);
-        storeu(orow + j + 3 * VL, acc3);
-      }
-      for (; j + VL <= len; j += VL) {
-        V acc = loadu<V>(orow + j);
-        for (int_t p = p0; p < p1; ++p)
-          acc += splat<V, Real>(a.values[p]) *
-                 loadu<V>(d + static_cast<std::size_t>(a.colIdx[p]) * stride + j);
-        storeu(orow + j, acc);
-      }
-      for (; j < len; ++j) {
-        V1 acc = loadu<V1>(orow + j);
-        for (int_t p = p0; p < p1; ++p)
-          acc += splat<V1, Real>(a.values[p]) *
-                 loadu<V1>(d + static_cast<std::size_t>(a.colIdx[p]) * stride + j);
-        storeu(orow + j, acc);
-      }
-    }
-    return 2ull * a.nnz() * nCols * W;
+    return 2ull * p.rows * p.cols * nCols * W;
   }
 
   NGLTS_VEC_INLINE static std::uint64_t rightDense(int_t nVars, int_t kEff, int_t nEff,
@@ -447,22 +400,12 @@ struct VecKernels {
 // ---------------------------------------------------------------------------
 
 template <typename Real, int W>
-std::uint64_t starMulDenseVec(int_t m, int_t k, int_t nCols, int_t ld, const Real* a,
-                              const Real* d, Real* o) {
+std::uint64_t starMulVec(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
+                         const Real* d, Real* o) {
   if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
+    return starMul<Real, 1>(p, a, nCols, ld, d, o);
   else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::starDense(m, k, nCols, ld,
-                                                                               a, d, o);
-}
-
-template <typename Real, int W>
-std::uint64_t starMulCsrVec(const Csr<Real>& a, int_t nCols, int_t ld, const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMulCsr<Real, 1>(a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::starCsr(a, nCols, ld, d,
-                                                                             o);
+    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>
@@ -500,21 +443,12 @@ void axpyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
 #if NGLTS_HAVE_AVX2_CLONES
 
 template <typename Real, int W>
-NGLTS_TARGET_AVX2 std::uint64_t starMulDenseVecAvx2(int_t m, int_t k, int_t nCols, int_t ld,
-                                                    const Real* a, const Real* d, Real* o) {
+NGLTS_TARGET_AVX2 std::uint64_t starMulVecAvx2(const StarPattern& p, const Real* a, int_t nCols,
+                                               int_t ld, const Real* d, Real* o) {
   if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
+    return starMul<Real, 1>(p, a, nCols, ld, d, o);
   else
-    return vecdetail::VecKernels<Real, W, 32>::starDense(m, k, nCols, ld, a, d, o);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX2 std::uint64_t starMulCsrVecAvx2(const Csr<Real>& a, int_t nCols, int_t ld,
-                                                  const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMulCsr<Real, 1>(a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::starCsr(a, nCols, ld, d, o);
+    return vecdetail::VecKernels<Real, W, 32>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>
@@ -556,22 +490,13 @@ NGLTS_TARGET_AVX2 void axpyBlockVecAvx2(Real s, const Real* src, Real* dst, std:
 #if NGLTS_HAVE_AVX512_CLONES
 
 template <typename Real, int W>
-NGLTS_TARGET_AVX512 std::uint64_t starMulDenseVecAvx512(int_t m, int_t k, int_t nCols,
-                                                        int_t ld, const Real* a, const Real* d,
-                                                        Real* o) {
+NGLTS_TARGET_AVX512 std::uint64_t starMulVecAvx512(const StarPattern& p, const Real* a,
+                                                   int_t nCols, int_t ld, const Real* d,
+                                                   Real* o) {
   if constexpr (W == 1)
-    return starMulDense<Real, 1>(m, k, nCols, ld, a, d, o);
+    return starMul<Real, 1>(p, a, nCols, ld, d, o);
   else
-    return vecdetail::VecKernels<Real, W, 64>::starDense(m, k, nCols, ld, a, d, o);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX512 std::uint64_t starMulCsrVecAvx512(const Csr<Real>& a, int_t nCols,
-                                                      int_t ld, const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMulCsr<Real, 1>(a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::starCsr(a, nCols, ld, d, o);
+    return vecdetail::VecKernels<Real, W, 64>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>

@@ -244,6 +244,14 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
       op.dstRank = part_[fi.neighbor];
       op.recvPerm = mesh_.faces[fi.neighbor][fi.neighborFace].perm;
       op.tag = el * 4 + f;
+      // The op must read buffers the producer keeps: B3 for a larger
+      // consumer, B2 for a smaller next-gen one (B1 and the baseline's
+      // derivative stack exist for every owned element).
+      if ((op.rel == HaloRelation::kRemoteLarger && !state.b3(op.el)) ||
+          (op.rel == HaloRelation::kRemoteSmaller && !baseline && !state.b2(op.el)))
+        throw std::logic_error("DistributedSimulation: rank " + std::to_string(r) +
+                               " sends element " + std::to_string(el) + " face " +
+                               std::to_string(f) + " from a buffer its arena does not keep");
       rank->sendByCluster[cMe].push_back(op);
     }
   }

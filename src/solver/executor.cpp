@@ -142,8 +142,8 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
   std::uint64_t flops = 0;
   Real* q = state_.q(el);
   Real* b1 = state_.b1(el);
-  Real* b2 = state_.useB2() ? state_.b2(el) : nullptr;
-  Real* b3 = state_.useB3() ? state_.b3(el) : nullptr;
+  Real* b2 = state_.b2(el); // nullptr where no neighbor reads it
+  Real* b3 = state_.b3(el);
   const bool arenaStack = policy_->needsDerivStack();
   const bool hookStack = hook_ && hook_->wantsStack(el);
   Real* stack = arenaStack ? state_.derivStack(el)
@@ -151,6 +151,9 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
 
   flops += kernels_.timePredict(state_.elementData(el), q, static_cast<Real>(dt),
                                 s.timeInt.data(), b1, b2, b3, odd, s, stack);
+  // The counter keeps the scheme's analytic count, as if every element
+  // wrote the B2/B3 its scheme keeps (like the star's dense count).
+  flops += kernels_.bufferFlops(state_.useB2() && !b2, state_.useB3() && !b3 && odd);
   flops += kernels_.volumeAndLocalSurface(state_.elementData(el), s.timeInt.data(), q, s);
 
   if (hook_) hook_->afterLocal(el, q, stack, t0, dt, flops);

@@ -35,11 +35,9 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   // stepped and the neighbor update reads the *consuming* element's flux
   // solvers. Built from the caller's mesh at the global id, so every rank
   // assembles exactly the operators a single-rank run would.
-  elementData_.resize(owned);
-#pragma omp parallel for schedule(static)
-  for (idx_t el = 0; el < owned; ++el)
-    elementData_[el] =
-        kernels::buildElementData<Real>(mesh, geo, materials, toExternal(el), cfg.mechanisms);
+  elementData_ = kernels::buildElementData<Real>(
+      mesh, geo, materials, {reorder_.oldId.begin(), reorder_.oldId.begin() + owned},
+      cfg.mechanisms);
 
   elSize_ = kernels.dofsPerElement();
   bufSize_ = kernels.elasticDofsPerElement();
@@ -48,17 +46,35 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   useB3_ = clustering.numClusters > 1; // both LTS schemes accumulate a window buffer
   const bool useStack = cfg.scheme == TimeScheme::kLtsBaseline;
 
+  // B2 is read only by a smaller-cluster neighbor (B2 and B1 - B2 serve its
+  // two half-window steps), B3 only by a larger-cluster one (the window
+  // accumulator). Halo neighbors count: their cluster is the global one.
+  b2Slot_.assign(owned, -1);
+  b3Slot_.assign(owned, -1);
+  idx_t numB2 = 0, numB3 = 0;
+  for (idx_t el = 0; el < owned; ++el) {
+    bool smaller = false, larger = false;
+    for (const mesh::FaceInfo& fi : mesh_.faces[el]) {
+      if (fi.neighbor < 0) continue;
+      smaller = smaller || cluster_[fi.neighbor] < cluster_[el];
+      larger = larger || cluster_[fi.neighbor] > cluster_[el];
+    }
+    if (useB2_ && smaller) b2Slot_[el] = numB2++;
+    if (useB3_ && larger) b3Slot_[el] = numB3++;
+  }
+
   // resize() leaves arena_vector pages untouched (FirstTouchAllocator); the
   // zero-fill below is the NUMA first-touch pass. Each cluster range is cut
   // into the *same* cfg.numThreads static chunks the StepExecutor's element
   // loops use (solver/threading.hpp), so every page is first touched — and
   // therefore placed — on the memory node of the thread that later computes
-  // its elements. Halo elements get no slot: the engine serves every halo
-  // face from its ghost slots.
+  // its elements. The side-arena slots ascend with the internal id, so each
+  // chunk zeroes a contiguous run of them too. Halo elements get no slot:
+  // the engine serves every halo face from its ghost slots.
   q_.resize(owned * elSize_);
   b1_.resize(owned * bufSize_);
-  if (useB2_) b2_.resize(owned * bufSize_);
-  if (useB3_) b3_.resize(owned * bufSize_);
+  b2_.resize(numB2 * bufSize_);
+  b3_.resize(numB3 * bufSize_);
   if (useStack) derivStack_.resize(owned * stackSize_);
 
   // Invalid thread counts are rejected by validateSimConfig / the executor;
@@ -67,8 +83,8 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   auto zeroElement = [&](idx_t el) {
     linalg::zeroBlock(q(el), elSize_);
     linalg::zeroBlock(b1(el), bufSize_);
-    if (useB2_) linalg::zeroBlock(b2(el), bufSize_);
-    if (useB3_) linalg::zeroBlock(b3(el), bufSize_);
+    if (Real* p = b2(el)) linalg::zeroBlock(p, bufSize_);
+    if (Real* p = b3(el)) linalg::zeroBlock(p, bufSize_);
     if (useStack) linalg::zeroBlock(derivStack(el), stackSize_);
   };
   auto zeroRange = [&](idx_t begin, idx_t end) {

@@ -13,6 +13,12 @@
 // ranges too. Every element loop of the executor streams linearly through
 // one such range.
 //
+// B2 and B3 live in compact side arenas: an element gets a B2 slot only if
+// a face neighbor (owned or halo) has a smaller cluster, and a B3 slot only
+// if one has a larger cluster — the only consumers that read them (Sec.
+// V-B). Slots ascend with the internal id, so the side arenas keep the
+// cluster-contiguous order.
+//
 // All arenas are NUMA first-touch initialized by a parallel per-cluster
 // zero-fill pass (arena_vector's resize leaves pages untouched) that uses
 // the *same* static chunking as the executor's element loops
@@ -100,18 +106,24 @@ class SolverState {
   const Real* q(idx_t internal) const { return q_.data() + internal * elSize_; }
   Real* b1(idx_t internal) { return b1_.data() + internal * bufSize_; }
   const Real* b1(idx_t internal) const { return b1_.data() + internal * bufSize_; }
-  Real* b2(idx_t internal) { return b2_.data() + internal * bufSize_; }
-  const Real* b2(idx_t internal) const { return b2_.data() + internal * bufSize_; }
-  Real* b3(idx_t internal) { return b3_.data() + internal * bufSize_; }
-  const Real* b3(idx_t internal) const { return b3_.data() + internal * bufSize_; }
+  /// B2/B3 of an owned element; nullptr where the element has no slot (no
+  /// neighbor reads it, or the scheme keeps no such buffer).
+  Real* b2(idx_t internal) { return slot(b2_, b2Slot_[internal]); }
+  const Real* b2(idx_t internal) const { return slot(b2_, b2Slot_[internal]); }
+  Real* b3(idx_t internal) { return slot(b3_, b3Slot_[internal]); }
+  const Real* b3(idx_t internal) const { return slot(b3_, b3Slot_[internal]); }
   Real* derivStack(idx_t internal) { return derivStack_.data() + internal * stackSize_; }
   const Real* derivStack(idx_t internal) const {
     return derivStack_.data() + internal * stackSize_;
   }
 
-  /// Which buffers this scheme/clustering combination allocates.
+  /// Which buffers this scheme/clustering combination keeps (for the
+  /// elements that have a slot).
   bool useB2() const { return useB2_; }
   bool useB3() const { return useB3_; }
+  /// Number of B2/B3 slots: the elements whose b2()/b3() is not nullptr.
+  idx_t numB2Slots() const { return static_cast<idx_t>(b2_.size() / bufSize_); }
+  idx_t numB3Slots() const { return static_cast<idx_t>(b3_.size() / bufSize_); }
 
   std::size_t elSize() const { return elSize_; }     ///< nq x nb x W
   std::size_t bufSize() const { return bufSize_; }   ///< 9 x nb x W
@@ -128,10 +140,17 @@ class SolverState {
 
   std::size_t elSize_ = 0, bufSize_ = 0, stackSize_ = 0;
   bool useB2_ = false, useB3_ = false;
+  std::vector<idx_t> b2Slot_, b3Slot_;       ///< owned only; -1 = no slot
 
   arena_vector<Real> q_;
-  arena_vector<Real> b1_, b2_, b3_;
+  arena_vector<Real> b1_;
+  arena_vector<Real> b2_, b3_;               ///< side arenas, one block per slot
   arena_vector<Real> derivStack_; ///< baseline scheme only
+
+  template <typename Arena>
+  auto slot(Arena& arena, idx_t s) const -> decltype(arena.data()) {
+    return s < 0 ? nullptr : arena.data() + s * bufSize_;
+  }
 };
 
 extern template class SolverState<float, 1>;

@@ -3,7 +3,8 @@
 // dispatched kernel — the documented tolerance policy is zero — and must
 // return identical analytic flop counts. Covered here:
 //   * per-kernel randomized-operand exactness for {W = 1, 2, 4} x
-//     {dense, CSR} x {star, right} (double and float),
+//     {star over a full and a sparse pattern, right dense and CSR}
+//     (double and float),
 //   * axpy helper exactness,
 //   * flop-count parity across backends,
 //   * backend registry / resolution / parsing behavior,
@@ -82,30 +83,29 @@ void checkBackendsAgree(unsigned seed) {
   ASSERT_EQ(scalar.backend, KernelBackend::kScalar);
   ASSERT_EQ(vector.backend, KernelBackend::kVector);
 
-  // star: O[m][nCols][W] += A[m][k] * D[k][nCols][W], ld > nCols (padding).
-  // Both an even shape and an odd one (nCols = 13): the odd rows end in
-  // partial-vector tails, where a contraction asymmetry between the
-  // backends' codegen would surface (the single-lane-tail rule of
-  // small_gemm_vector.hpp exists because of exactly this).
+  // star: O[m][nCols][W] += A[m][k] * D[k][nCols][W], ld > nCols (padding),
+  // over a full pattern (zero values inside it) and the operator's own
+  // nonzero pattern. Both an even shape and an odd one (nCols = 13): the
+  // odd rows end in partial-vector tails, where a contraction asymmetry
+  // between the backends' codegen would surface (the single-lane-tail rule
+  // of small_gemm_vector.hpp exists because of exactly this).
   for (const int_t nCols : {int_t(20), int_t(13)}) {
     const int_t m = 9, k = 9, ld = nCols + 4;
-    const auto aDense = randomVec<double>(static_cast<std::size_t>(m) * k, seed, 0.5);
-    std::vector<Real> a(aDense.begin(), aDense.end());
+    const nl::Matrix a =
+        toMatrix(randomVec<double>(static_cast<std::size_t>(m) * k, seed, 0.5), m, k);
     const auto d = randomVec<Real>(static_cast<std::size_t>(k) * ld * W, seed + 1);
-    auto o1 = randomVec<Real>(static_cast<std::size_t>(m) * ld * W, seed + 2);
-    auto o2 = o1;  // accumulate onto identical nonzero outputs
-    const auto f1 = scalar.starDense(m, k, nCols, ld, a.data(), d.data(), o1.data());
-    const auto f2 = vector.starDense(m, k, nCols, ld, a.data(), d.data(), o2.data());
-    EXPECT_EQ(f1, f2) << "starDense flop parity";
-    EXPECT_TRUE(bitwiseEqual(o1, o2)) << "starDense W=" << W;
-
-    const auto csr = nl::toCsr<Real>(toMatrix(aDense, m, k));
-    auto c1 = randomVec<Real>(static_cast<std::size_t>(m) * ld * W, seed + 3);
-    auto c2 = c1;
-    const auto g1 = scalar.starCsr(csr, nCols, ld, d.data(), c1.data());
-    const auto g2 = vector.starCsr(csr, nCols, ld, d.data(), c2.data());
-    EXPECT_EQ(g1, g2) << "starCsr flop parity";
-    EXPECT_TRUE(bitwiseEqual(c1, c2)) << "starCsr W=" << W;
+    for (const nl::StarPattern& p : {nl::densePattern(m, k), nl::unionPattern({a})}) {
+      std::vector<Real> values;
+      for (int_t r = 0; r < m; ++r)
+        for (int_t i = p.rowPtr[r]; i < p.rowPtr[r + 1]; ++i)
+          values.push_back(static_cast<Real>(a(r, p.colIdx[i])));
+      auto o1 = randomVec<Real>(static_cast<std::size_t>(m) * ld * W, seed + 2);
+      auto o2 = o1;  // accumulate onto identical nonzero outputs
+      const auto f1 = scalar.star(p, values.data(), nCols, ld, d.data(), o1.data());
+      const auto f2 = vector.star(p, values.data(), nCols, ld, d.data(), o2.data());
+      EXPECT_EQ(f1, f2) << "star flop parity";
+      EXPECT_TRUE(bitwiseEqual(o1, o2)) << "star W=" << W << " nnz=" << p.nnz();
+    }
   }
 
   // right: O[nVars][nEff][W] += D[nVars][kEff][W] * B[kEff][nEff], with the
@@ -147,7 +147,7 @@ void checkBackendsAgree(unsigned seed) {
 
 } // namespace
 
-// -- per-kernel exactness: {W=1,2,4} x {dense,CSR}, double and float --------
+// -- per-kernel exactness: {W=1,2,4} x {star, dense, CSR}, double and float --
 
 TEST(KernelBackends, BitwiseAgreementDoubleW1) { checkBackendsAgree<double, 1>(11); }
 TEST(KernelBackends, BitwiseAgreementDoubleW2) { checkBackendsAgree<double, 2>(12); }

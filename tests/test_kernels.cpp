@@ -1,19 +1,32 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/aligned.hpp"
 #include "kernels/ader_kernels.hpp"
 #include "kernels/kernel_setup.hpp"
+#include "linalg/small_gemm_dispatch.hpp"
+#include "lts/clustering.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
+#include "physics/jacobians.hpp"
+#include "solver/state.hpp"
 
 namespace nk = nglts::kernels;
+namespace nl = nglts::linalg;
 namespace nm = nglts::mesh;
 namespace np = nglts::physics;
+namespace ns = nglts::solver;
 using nglts::idx_t;
 using nglts::int_t;
 
@@ -252,4 +265,288 @@ TEST(AderKernels, FlopCountsPositiveAndSparseSmaller) {
   EXPECT_GT(fd, 0u);
   EXPECT_GT(fs, 0u);
   EXPECT_LT(fs, fd); // sparse kernels drop the zero operations
+}
+
+// -- compact operator blocks -------------------------------------------------
+
+namespace {
+
+template <typename Real>
+struct OperatorFixture {
+  nm::TetMesh mesh;
+  std::vector<nm::ElementGeometry> geo;
+  std::vector<np::Material> mats;
+  std::vector<nk::ElementData<Real>> ed;
+};
+
+/// A 3-mechanism box, jittered or with axis-aligned tets (whose inverse
+/// Jacobians have zero entries, so the star values hold zeros inside their
+/// patterns).
+template <typename Real>
+OperatorFixture<Real> makeOperators(bool jitter) {
+  OperatorFixture<Real> f;
+  nm::BoxSpec spec;
+  for (int_t d = 0; d < 3; ++d) spec.planes[d] = nm::uniformPlanes(0.0, 1.0, 3);
+  spec.periodic = {true, true, true};
+  spec.jitter = jitter ? 0.15 : 0.0;
+  f.mesh = nm::generateBox(spec);
+  f.geo = nm::computeGeometry(f.mesh);
+  f.mats.assign(f.mesh.numElements(),
+                np::viscoElasticMaterial(2600.0, 4.0, 2.0, 120.0, 40.0, 3, 1.0));
+  f.ed = nk::buildAllElementData<Real>(f.mesh, f.geo, f.mats, 3);
+  return f;
+}
+
+/// The star and coupling blocks as full row-major arrays, built the way the
+/// dense layout built them: the reference the compact blocks must match.
+template <typename Real>
+struct DenseBlocks {
+  std::array<std::array<Real, 81>, 3> starE{};
+  std::array<std::array<Real, 54>, 3> starA{};
+  std::vector<Real> couple;
+};
+
+template <typename Real>
+void castInto(const nl::Matrix& m, Real* dst) {
+  for (int_t r = 0; r < m.rows(); ++r)
+    for (int_t c = 0; c < m.cols(); ++c)
+      dst[static_cast<std::size_t>(r) * m.cols() + c] = static_cast<Real>(m(r, c));
+}
+
+template <typename Real>
+DenseBlocks<Real> denseBlocks(const OperatorFixture<Real>& f, idx_t el, int_t mechs) {
+  DenseBlocks<Real> b;
+  const np::Material& mat = f.mats[el];
+  for (int_t c = 0; c < 3; ++c) {
+    nl::Matrix se(9, 9), sa(6, 9);
+    for (int_t d = 0; d < 3; ++d) {
+      const double s = f.geo[el].invJac[c][d];
+      if (s == 0.0) continue;
+      se = se + np::elasticJacobian(mat, d).scaled(s);
+      sa = sa + np::anelasticJacobian(d).scaled(s);
+    }
+    castInto(se, b.starE[c].data());
+    castInto(sa, b.starA[c].data());
+  }
+  b.couple.assign(static_cast<std::size_t>(mechs) * 54, Real(0));
+  for (int_t l = 0; l < mechs && l < mat.mechanisms(); ++l)
+    castInto(np::couplingE(mat, l), b.couple.data() + static_cast<std::size_t>(l) * 54);
+  return b;
+}
+
+/// The dense star product the pattern kernel replaced: every entry of the
+/// row-major m x k block in order, skipping zeros, with the dense count.
+template <typename Real, int W>
+std::uint64_t starMulDense(int_t m, int_t k, int_t nCols, int_t ld, const Real* a,
+                           const Real* d, Real* o) {
+  for (int_t r = 0; r < m; ++r) {
+    Real* orow = o + static_cast<std::size_t>(r) * ld * W;
+    for (int_t c = 0; c < k; ++c) {
+      const Real av = a[r * k + c];
+      if (av == Real(0)) continue;
+      const Real* drow = d + static_cast<std::size_t>(c) * ld * W;
+#pragma omp simd
+      for (int_t j = 0; j < nCols * W; ++j) orow[j] += av * drow[j];
+    }
+  }
+  return 2ull * m * k * nCols * W;
+}
+
+template <typename Real>
+std::vector<Real> expand(const nl::StarPattern& p, const Real* values) {
+  std::vector<Real> dense(static_cast<std::size_t>(p.rows) * p.cols, Real(0));
+  for (int_t r = 0; r < p.rows; ++r)
+    for (int_t i = p.rowPtr[r]; i < p.rowPtr[r + 1]; ++i)
+      dense[static_cast<std::size_t>(r) * p.cols + p.colIdx[i]] = values[i];
+  return dense;
+}
+
+template <typename Real>
+bool sameBits(const Real* a, const Real* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(Real)) == 0;
+}
+
+template <typename Real>
+std::vector<Real> randomReals(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  std::vector<Real> v(n);
+  for (auto& x : v) x = static_cast<Real>(uni(rng));
+  return v;
+}
+
+/// One block of one element: the compact values, their pattern and the
+/// dense reference array.
+template <typename Real>
+struct BlockCase {
+  const nl::StarPattern* pattern;
+  const Real* values;
+  const Real* dense;
+};
+
+template <typename Real>
+std::vector<BlockCase<Real>> blockCases(const nk::ElementData<Real>& ed,
+                                        const DenseBlocks<Real>& ref, int_t mechs) {
+  std::vector<BlockCase<Real>> out;
+  for (int_t c = 0; c < 3; ++c) {
+    out.push_back({&nk::starEPattern(), ed.starE[c].data(), ref.starE[c].data()});
+    out.push_back({&nk::starAPattern(), ed.starA[c].data(), ref.starA[c].data()});
+  }
+  for (int_t l = 0; l < mechs; ++l)
+    out.push_back({&nk::couplePattern(), ed.couple.data() + l * nk::kCoupleNnz,
+                   ref.couple.data() + l * 54});
+  return out;
+}
+
+template <typename Real>
+void checkCompactBlocksExpandToDense(bool jitter) {
+  const auto f = makeOperators<Real>(jitter);
+  int_t zerosInPattern = 0;
+  for (idx_t el = 0; el < f.mesh.numElements(); ++el) {
+    const DenseBlocks<Real> ref = denseBlocks(f, el, 3);
+    ASSERT_EQ(f.ed[el].couple.size(), static_cast<std::size_t>(3 * nk::kCoupleNnz));
+    for (const BlockCase<Real>& b : blockCases(f.ed[el], ref, 3)) {
+      const auto dense = expand(*b.pattern, b.values);
+      ASSERT_TRUE(sameBits(dense.data(), b.dense, dense.size())) << "element " << el;
+      for (int_t i = 0; i < b.pattern->nnz(); ++i) zerosInPattern += b.values[i] == Real(0);
+    }
+  }
+  // Axis-aligned tets leave zeros inside the star patterns.
+  if (!jitter) EXPECT_GT(zerosInPattern, 0);
+}
+
+/// `star` against the dense reference for every block of a few elements,
+/// at two column counts (full and trimmed) with padded leading dimension.
+template <typename Real, int W>
+void checkStarMatchesDense(nl::KernelBackend backend, bool jitter) {
+  const auto f = makeOperators<Real>(jitter);
+  const auto& ops = nl::smallGemmOps<Real, W>(backend);
+  ASSERT_EQ(ops.backend, backend);
+  const int_t ld = 23;
+  unsigned seed = 1;
+  for (idx_t el = 0; el < 6; ++el) {
+    const DenseBlocks<Real> ref = denseBlocks(f, el, 3);
+    for (const BlockCase<Real>& b : blockCases(f.ed[el], ref, 3))
+      for (const int_t nCols : {int_t(20), int_t(13)}) {
+        const nl::StarPattern& p = *b.pattern;
+        const auto d = randomReals<Real>(static_cast<std::size_t>(p.cols) * ld * W, ++seed);
+        auto want = randomReals<Real>(static_cast<std::size_t>(p.rows) * ld * W, ++seed);
+        auto got = want;
+        const auto fWant =
+            starMulDense<Real, W>(p.rows, p.cols, nCols, ld, b.dense, d.data(), want.data());
+        const auto fGot = ops.star(p, b.values, nCols, ld, d.data(), got.data());
+        EXPECT_EQ(fGot, fWant) << "element " << el;
+        EXPECT_TRUE(sameBits(got.data(), want.data(), got.size()))
+            << "element " << el << " " << p.rows << "x" << p.cols << " nCols " << nCols;
+      }
+  }
+}
+
+template <typename Real, int W>
+void checkStarAllBackends() {
+  for (const bool jitter : {true, false}) {
+    checkStarMatchesDense<Real, W>(nl::KernelBackend::kScalar, jitter);
+    if (nl::vectorBackendCompiled() && nl::detectCpuSimd().any())
+      checkStarMatchesDense<Real, W>(nl::KernelBackend::kVector, jitter);
+  }
+}
+
+} // namespace
+
+TEST(CompactOperators, PatternsAreTheJacobianUnions) {
+  EXPECT_EQ(nk::starEPattern().nnz(), nk::kStarENnz);
+  EXPECT_EQ(nk::starAPattern().nnz(), nk::kStarANnz);
+  EXPECT_EQ(nk::couplePattern().nnz(), nk::kCoupleNnz);
+  // The coupling blocks' velocity rows hold no entry.
+  const nl::StarPattern& e = nk::couplePattern();
+  for (int_t r = nglts::kVelU; r <= nglts::kVelW; ++r) EXPECT_EQ(e.rowPtr[r], e.rowPtr[r + 1]);
+  for (const nl::StarPattern* p : {&nk::starEPattern(), &nk::starAPattern(), &e})
+    for (int_t r = 0; r < p->rows; ++r)
+      for (int_t i = p->rowPtr[r] + 1; i < p->rowPtr[r + 1]; ++i)
+        EXPECT_LT(p->colIdx[i - 1], p->colIdx[i]) << "columns ascend within a row";
+}
+
+TEST(CompactOperators, ExpandToTheDenseBlocksBitwise) {
+  for (const bool jitter : {true, false}) {
+    SCOPED_TRACE(jitter ? "jittered" : "axis-aligned");
+    checkCompactBlocksExpandToDense<double>(jitter);
+    checkCompactBlocksExpandToDense<float>(jitter);
+  }
+}
+
+TEST(CompactOperators, StarMatchesDenseReferenceDoubleW1) { checkStarAllBackends<double, 1>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceDoubleW4) { checkStarAllBackends<double, 4>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceDoubleW16) { checkStarAllBackends<double, 16>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceFloatW1) { checkStarAllBackends<float, 1>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceFloatW4) { checkStarAllBackends<float, 4>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceFloatW16) { checkStarAllBackends<float, 16>(); }
+
+// -- operator setup failures -------------------------------------------------
+
+namespace {
+
+/// Sets the OpenMP team size for one scope (a no-op in serial builds).
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int n) {
+#ifdef _OPENMP
+    prev_ = omp_get_max_threads();
+    omp_set_num_threads(n);
+#else
+    (void)n;
+#endif
+  }
+  ~ScopedOmpThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(prev_);
+#endif
+  }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  int prev_ = 1;
+};
+
+template <typename Fn>
+std::string errorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+} // namespace
+
+TEST(CompactOperators, NonFiniteOperatorNamesTheLowestFailingElement) {
+  KernelFixture s = makeSetup(0);
+  const idx_t bad = 13;
+  s.mats[bad].rho = std::numeric_limits<double>::quiet_NaN();
+  // The face neighbors' interface flux solvers read the NaN material too,
+  // so the lowest failing element is the lowest of `bad` and its neighbors.
+  idx_t lowest = bad;
+  for (const auto& fi : s.mesh.faces[bad])
+    if (fi.neighbor >= 0) lowest = std::min(lowest, fi.neighbor);
+  const std::string where = "element " + std::to_string(lowest) + ": ";
+
+  const nk::AderKernels<double, 1> kernels(3, 0, false);
+  const auto clustering = nglts::lts::buildClustering(
+      s.mesh, std::vector<double>(s.mesh.numElements(), 1.0), 1, 1.0);
+  ns::SimConfig cfg;
+  cfg.order = 3;
+  cfg.scheme = ns::TimeScheme::kGts;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const ScopedOmpThreads scope(threads);
+    const std::string all =
+        errorOf([&] { nk::buildAllElementData<double>(s.mesh, s.geo, s.mats, 0); });
+    EXPECT_NE(all.find(where), std::string::npos) << all;
+    EXPECT_NE(all.find("not finite"), std::string::npos) << all;
+    const std::string state = errorOf([&] {
+      ns::SolverState<double, 1>(s.mesh, s.mats, s.geo, clustering, kernels, cfg);
+    });
+    EXPECT_EQ(state, all);
+  }
 }

@@ -106,8 +106,10 @@ TEST(Csr, DropTolerance) {
 
 // -- fused small-GEMM kernels ------------------------------------------------
 
+/// `starMul` over a full pattern (zeros inside it exercise the skip) and
+/// over the matrix's own nonzero pattern, against a plain triple loop.
 template <int W>
-void checkStarAgainstReference(bool useCsr) {
+void checkStarAgainstReference(bool fullPattern) {
   const int_t m = 9, k = 9, nCols = 20;
   const nl::Matrix a = randomMatrix(m, k, 7, 0.5);
   std::vector<double> d(static_cast<std::size_t>(k) * nCols * W);
@@ -115,16 +117,15 @@ void checkStarAgainstReference(bool useCsr) {
   std::uniform_real_distribution<double> uni(-1.0, 1.0);
   for (auto& v : d) v = uni(rng);
 
+  const nl::StarPattern p = fullPattern ? nl::densePattern(m, k) : nl::unionPattern({a});
+  EXPECT_EQ(p.nnz(), fullPattern ? m * k : a.countNonZeros());
+  std::vector<double> values;
+  for (int_t i = 0; i < m; ++i)
+    for (int_t j = p.rowPtr[i]; j < p.rowPtr[i + 1]; ++j) values.push_back(a(i, p.colIdx[j]));
   std::vector<double> out(static_cast<std::size_t>(m) * nCols * W, 0.0);
-  if (useCsr) {
-    const auto csr = nl::toCsr<double>(a);
-    nl::starMulCsr<double, W>(csr, nCols, nCols, d.data(), out.data());
-  } else {
-    std::vector<double> adense(m * k);
-    for (int_t i = 0; i < m; ++i)
-      for (int_t j = 0; j < k; ++j) adense[i * k + j] = a(i, j);
-    nl::starMulDense<double, W>(m, k, nCols, nCols, adense.data(), d.data(), out.data());
-  }
+  const std::uint64_t flops =
+      nl::starMul<double, W>(p, values.data(), nCols, nCols, d.data(), out.data());
+  EXPECT_EQ(flops, 2ull * m * k * nCols * W);
   for (int_t i = 0; i < m; ++i)
     for (int_t n = 0; n < nCols; ++n)
       for (int_t w = 0; w < W; ++w) {
@@ -135,9 +136,9 @@ void checkStarAgainstReference(bool useCsr) {
       }
 }
 
-TEST(SmallGemm, StarDenseW1) { checkStarAgainstReference<1>(false); }
-TEST(SmallGemm, StarDenseW8) { checkStarAgainstReference<8>(false); }
-TEST(SmallGemm, StarCsrW1) { checkStarAgainstReference<1>(true); }
+TEST(SmallGemm, StarFullPatternW1) { checkStarAgainstReference<1>(true); }
+TEST(SmallGemm, StarFullPatternW8) { checkStarAgainstReference<8>(true); }
+TEST(SmallGemm, StarSparsePatternW1) { checkStarAgainstReference<1>(false); }
 TEST(SmallGemm, StarCsrW16) { checkStarAgainstReference<16>(true); }
 
 template <int W>

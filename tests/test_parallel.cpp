@@ -498,6 +498,62 @@ TEST(RankArena, OwnedPrefixAndHaloSuffix) {
   for (idx_t g = 0; g < n; ++g) EXPECT_EQ(single.toInternal(g), zero.toInternal(g));
 }
 
+TEST(RankArena, B2B3SlotsOnlyWhereANeighborReadsThem) {
+  // An owned element keeps a B2 exactly when a face neighbor — on this rank
+  // or another, judged by the global clustering — has a smaller cluster
+  // (next-gen scheme only), and a B3 exactly when one has a larger cluster
+  // (both LTS schemes). The side arenas hold exactly those slots, and
+  // buildRank's send-op check (every op reads a buffer that exists) passes.
+  const DistFixture f = makeFixture(5);
+  for (const ns::TimeScheme scheme :
+       {ns::TimeScheme::kGts, ns::TimeScheme::kLtsNextGen, ns::TimeScheme::kLtsBaseline})
+    for (const int_t ranks : {1, 2, 3}) {
+      SCOPED_TRACE("scheme " + std::to_string(static_cast<int>(scheme)) + ", " +
+                   std::to_string(ranks) + " ranks");
+      npar::DistConfig cfg = makeDistConfig();
+      cfg.sim.scheme = scheme;
+      const npar::DistributedSimulation<double, 1> sim(
+          f.mesh, f.mats, stripePartition(f.mesh, ranks, 1000.0), cfg);
+      const auto& cl = sim.clustering();
+      const bool lts = scheme != ns::TimeScheme::kGts;
+      ASSERT_EQ(cl.numClusters, lts ? 3 : 1);
+      idx_t b2Total = 0, b3Total = 0;
+      for (int_t r = 0; r < ranks; ++r) {
+        const auto& st = sim.state(r);
+        idx_t b2 = 0, b3 = 0;
+        for (idx_t el = 0; el < st.numOwned(); ++el) {
+          const idx_t g = st.toExternal(el);
+          bool smaller = false, larger = false;
+          for (const auto& fi : f.mesh.faces[g]) {
+            if (fi.neighbor < 0) continue;
+            smaller = smaller || cl.cluster[fi.neighbor] < cl.cluster[g];
+            larger = larger || cl.cluster[fi.neighbor] > cl.cluster[g];
+          }
+          const bool wantB2 = scheme == ns::TimeScheme::kLtsNextGen && smaller;
+          const bool wantB3 = lts && larger;
+          EXPECT_EQ(st.b2(el) != nullptr, wantB2) << "rank " << r << " element " << g;
+          EXPECT_EQ(st.b3(el) != nullptr, wantB3) << "rank " << r << " element " << g;
+          b2 += wantB2;
+          b3 += wantB3;
+        }
+        EXPECT_EQ(st.numB2Slots(), b2) << "rank " << r;
+        EXPECT_EQ(st.numB3Slots(), b3) << "rank " << r;
+        b2Total += b2;
+        b3Total += b3;
+      }
+      // The fixture's clustering leaves both kinds of slot in use, and
+      // neither on every element.
+      if (scheme == ns::TimeScheme::kLtsNextGen) {
+        EXPECT_GT(b2Total, 0);
+        EXPECT_LT(b2Total, f.mesh.numElements());
+      }
+      if (lts) {
+        EXPECT_GT(b3Total, 0);
+        EXPECT_LT(b3Total, f.mesh.numElements());
+      }
+    }
+}
+
 TEST(DistributedSim, ReceiverElementIsTheCallersId) {
   // `Receiver::element` is the caller's element id on every rank count and
   // transport, for receivers placed on every rank of the stripe cut.
