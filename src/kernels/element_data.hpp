@@ -32,6 +32,10 @@ const linalg::StarPattern& couplePattern();
 
 template <typename Real>
 struct ElementData {
+  /// Leaves the arrays unset: buildElementData writes every entry in place,
+  /// so a vector of them is not zero-filled first.
+  ElementData() {}
+
   /// Elastic star matrices \bar A^e_c, c = xi_1..xi_3: starEPattern() values.
   std::array<std::array<Real, kStarENnz>, 3> starE;
   /// Anelastic star matrices \bar A^a_c (omega-free): starAPattern() values.

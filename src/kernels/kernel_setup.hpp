@@ -1,8 +1,10 @@
 #pragma once
 // Assembly of the per-element operator data (star matrices, coupling blocks,
 // Godunov flux solvers) from mesh geometry and materials. Runs in double
-// precision and casts to the kernel scalar type; the star and coupling
-// blocks keep only the values of their fixed patterns (element_data.hpp).
+// precision on fixed-size stack blocks (linalg/block.hpp), bitwise equal to
+// the dense linalg::Matrix products, and casts to the kernel scalar type;
+// the star and coupling blocks keep only the values of their fixed patterns
+// (element_data.hpp).
 #include <vector>
 
 #include "kernels/element_data.hpp"

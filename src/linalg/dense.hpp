@@ -1,7 +1,9 @@
 #pragma once
-// Dense double-precision matrices used in *setup* code: global DG matrices,
-// Jacobians, flux solvers, attenuation fits. The hot kernel path uses the
-// fused small-GEMM routines in small_gemm.hpp instead.
+// Dense double-precision matrices used in *setup* code: the global DG
+// matrices and the attenuation fit. The per-element operator blocks
+// (Jacobians, Godunov selectors, flux solvers) are fixed-size stack blocks
+// (block.hpp); the hot kernel path uses the fused small-GEMM routines in
+// small_gemm.hpp.
 #include <cassert>
 #include <cstddef>
 #include <initializer_list>

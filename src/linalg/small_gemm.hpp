@@ -64,15 +64,17 @@ struct StarPattern {
   int_t nnz() const { return rowPtr.empty() ? 0 : rowPtr.back(); }
 };
 
-/// The union of the nonzero positions of `blocks` (all of one shape).
-inline StarPattern unionPattern(const std::vector<Matrix>& blocks) {
+/// The union of the nonzero positions of `blocks`: a container of `Matrix`
+/// or fixed-size `Block`, all of one shape.
+template <typename Blocks = std::vector<Matrix>>
+StarPattern unionPattern(const Blocks& blocks) {
   StarPattern p;
   p.rows = blocks.front().rows();
   p.cols = blocks.front().cols();
   p.rowPtr.assign(1, 0);
   for (int_t r = 0; r < p.rows; ++r) {
     for (int_t c = 0; c < p.cols; ++c)
-      for (const Matrix& b : blocks)
+      for (const auto& b : blocks)
         if (b(r, c) != 0.0) {
           p.colIdx.push_back(c);
           break;

@@ -5,29 +5,43 @@
 //           u, v, w, theta^1_xx .. theta^m_xz].
 // We build the 9x9 elastic blocks, the material-independent 6x9 anelastic
 // blocks (the relaxation frequency omega_l is factored out, Eq. 7), and the
-// 9x6 coupling blocks E_l.
+// 9x6 coupling blocks E_l, as fixed-size blocks that mark their structure
+// (linalg/block.hpp).
 #include <array>
 
-#include "linalg/dense.hpp"
+#include "linalg/block.hpp"
 #include "physics/material.hpp"
 
 namespace nglts::physics {
 
+/// 9x9 elastic block: Jacobians, face rotations, Godunov selectors.
+using ElasticBlock = linalg::Block<kElasticVars, kElasticVars>;
+/// 6x9 anelastic block: the omega-free Jacobians.
+using AnelasticBlock = linalg::Block<kAnelasticVarsPerMech, kElasticVars>;
+/// 9x6 coupling block E_l.
+using CouplingBlock = linalg::Block<kElasticVars, kAnelasticVarsPerMech>;
+
 /// Elastic Jacobian block A_e (dir=0), B_e (dir=1) or C_e (dir=2).
-linalg::Matrix elasticJacobian(const Material& mat, int_t dir);
+ElasticBlock elasticJacobian(const Material& mat, int_t dir);
+
+/// {A_e, B_e, C_e} of one material.
+std::array<ElasticBlock, 3> elasticJacobians(const Material& mat);
 
 /// Anelastic block for one direction, *without* the omega_l factor; rows are
 /// the strain-rate extraction operators (material independent).
-linalg::Matrix anelasticJacobian(int_t dir);
+AnelasticBlock anelasticJacobian(int_t dir);
+
+/// {A_a, B_a, C_a}, built once.
+const std::array<AnelasticBlock, 3>& anelasticJacobians();
 
 /// Elastic Jacobian in direction n: A n_x + B n_y + C n_z.
-linalg::Matrix elasticJacobianNormal(const Material& mat, const std::array<double, 3>& n);
+ElasticBlock elasticJacobianNormal(const Material& mat, const std::array<double, 3>& n);
 
 /// Anelastic Jacobian in direction n (omega-free).
-linalg::Matrix anelasticJacobianNormal(const std::array<double, 3>& n);
+AnelasticBlock anelasticJacobianNormal(const std::array<double, 3>& n);
 
 /// Coupling block E_l mapping mechanism-l memory variables into the nine
 /// elastic equations (velocity rows are zero).
-linalg::Matrix couplingE(const Material& mat, int_t mech);
+CouplingBlock couplingE(const Material& mat, int_t mech);
 
 } // namespace nglts::physics

@@ -9,25 +9,26 @@
 // with c_i = 2|S_i| / |J_k| (assembled in kernels/kernel_setup).
 #include <array>
 
-#include "linalg/dense.hpp"
+#include "physics/jacobians.hpp"
 #include "physics/material.hpp"
 
 namespace nglts::physics {
 
 /// 9x9 rotation of (stress, velocity) into the face-aligned frame spanned by
-/// (n, t1, t2): q_face = T * q_global.
-linalg::Matrix faceRotation(const std::array<double, 3>& n, const std::array<double, 3>& t1,
-                            const std::array<double, 3>& t2);
+/// (n, t1, t2): q_face = T * q_global. Block diagonal (6x6 stress, 3x3
+/// velocity), and marked so.
+ElasticBlock faceRotation(const std::array<double, 3>& n, const std::array<double, 3>& t1,
+                          const std::array<double, 3>& t2);
 
 /// Inverse rotation (face -> global). Exactly the rotation built from the
 /// transposed frame; returned explicitly for clarity.
-linalg::Matrix faceRotationInverse(const std::array<double, 3>& n,
-                                   const std::array<double, 3>& t1,
-                                   const std::array<double, 3>& t2);
+ElasticBlock faceRotationInverse(const std::array<double, 3>& n,
+                                 const std::array<double, 3>& t1,
+                                 const std::array<double, 3>& t2);
 
 struct GodunovSelectors {
-  linalg::Matrix minus; ///< 9x9, weight of the interior (minus) state
-  linalg::Matrix plus;  ///< 9x9, weight of the neighboring (plus) state
+  ElasticBlock minus; ///< weight of the interior (minus) state
+  ElasticBlock plus;  ///< weight of the neighboring (plus) state
 };
 
 /// Interior face between two (possibly different) materials; the normal
@@ -39,14 +40,14 @@ GodunovSelectors godunovInterface(const Material& matMinus, const Material& matP
 
 /// Free surface: traction components of q* vanish, velocities take the
 /// mirrored-ghost values. Only the minus selector is nonzero.
-linalg::Matrix freeSurfaceSelector(const Material& mat, const std::array<double, 3>& n,
-                                   const std::array<double, 3>& t1,
-                                   const std::array<double, 3>& t2);
+ElasticBlock freeSurfaceSelector(const Material& mat, const std::array<double, 3>& n,
+                                 const std::array<double, 3>& t1,
+                                 const std::array<double, 3>& t2);
 
 /// First-order absorbing boundary: only outgoing characteristics contribute
 /// (matched-impedance zero exterior state).
-linalg::Matrix absorbingSelector(const Material& mat, const std::array<double, 3>& n,
-                                 const std::array<double, 3>& t1,
-                                 const std::array<double, 3>& t2);
+ElasticBlock absorbingSelector(const Material& mat, const std::array<double, 3>& n,
+                               const std::array<double, 3>& t1,
+                               const std::array<double, 3>& t2);
 
 } // namespace nglts::physics

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include "physics/attenuation.hpp"
 
@@ -51,16 +53,30 @@ std::vector<physics::Material> materialsForMesh(const mesh::TetMesh& mesh,
                                                 const VelocityModel& model, int_t mechanisms,
                                                 double centralFrequency, double frequencyRatio) {
   std::vector<physics::Material> mats(mesh.numElements());
+  // An exception leaving the OpenMP region would call std::terminate: keep
+  // the lowest failing element (thread-count independent) and throw after.
+  idx_t bad = -1;
+  std::string what;
 #pragma omp parallel for schedule(static)
   for (idx_t el = 0; el < mesh.numElements(); ++el) {
-    const MaterialSample s = model.at(mesh.centroid(el));
-    if (mechanisms > 0 && std::isfinite(s.qp) && std::isfinite(s.qs)) {
-      mats[el] = physics::viscoElasticMaterial(s.rho, s.vp, s.vs, s.qp, s.qs, mechanisms,
-                                               centralFrequency, frequencyRatio);
-    } else {
-      mats[el] = physics::elasticMaterial(s.rho, s.vp, s.vs);
+    try {
+      const MaterialSample s = model.at(mesh.centroid(el));
+      if (mechanisms > 0 && std::isfinite(s.qp) && std::isfinite(s.qs)) {
+        mats[el] = physics::viscoElasticMaterial(s.rho, s.vp, s.vs, s.qp, s.qs, mechanisms,
+                                                 centralFrequency, frequencyRatio);
+      } else {
+        mats[el] = physics::elasticMaterial(s.rho, s.vp, s.vs);
+      }
+    } catch (const std::exception& e) {
+#pragma omp critical(nglts_materials_for_mesh)
+      if (bad < 0 || el < bad) {
+        bad = el;
+        what = e.what();
+      }
     }
   }
+  if (bad >= 0)
+    throw std::runtime_error("materialsForMesh: element " + std::to_string(bad) + ": " + what);
   return mats;
 }
 

@@ -95,7 +95,10 @@ class LaHabraLikeModel final : public VelocityModel {
 };
 
 /// Sample a model at element centroids and build per-element materials.
-/// `mechanisms = 0` ignores Q and builds elastic materials.
+/// `mechanisms = 0` ignores Q and builds elastic materials. Runs
+/// OpenMP-parallel; if the model or the attenuation fit throws for any
+/// element, throws std::runtime_error naming the lowest failing element id
+/// and its error, whatever the thread count.
 std::vector<physics::Material> materialsForMesh(const mesh::TetMesh& mesh,
                                                 const VelocityModel& model, int_t mechanisms,
                                                 double centralFrequency, double frequencyRatio = 100.0);

@@ -1,5 +1,6 @@
 #include "solver/seismo_hook.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
@@ -148,28 +149,34 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                                 std::to_string(mesh.numElements()));
   const auto quad = basis::tetQuadrature(kernels.order() + 2);
   const auto& tet = *kernels.globalMatrices().tet;
+  const std::size_t nq = quad.size();
   const int_t nb = kernels.numBasis();
   const std::size_t elSize = kernels.dofsPerElement();
-  // phi[p * nb + b]: the basis at every quadrature point, evaluated once.
-  std::vector<double> phi(quad.size() * static_cast<std::size_t>(nb));
-  for (std::size_t p = 0; p < quad.size(); ++p)
-    for (int_t b = 0; b < nb; ++b) phi[p * nb + b] = tet.eval(b, quad[p].xi);
+  const std::size_t elasticSize = static_cast<std::size_t>(kElasticVars) * nb * W;
+  // Each DOF row sums over the points in a register block of kB basis
+  // functions x W lanes; phi rows are padded with zeros to a multiple of kB.
+  constexpr int_t kB = W >= 8 ? 1 : 8 / W;
+  const int_t nbPad = (nb + kB - 1) / kB * kB;
+  // phi[p * nbPad + b]: the basis at every quadrature point, evaluated once.
+  std::vector<double> phi(nq * nbPad, 0.0);
+  for (std::size_t p = 0; p < nq; ++p)
+    for (int_t b = 0; b < nb; ++b) phi[p * nbPad + b] = tet.eval(b, quad[p].xi);
   // An exception leaving the OpenMP region would call std::terminate: keep
   // the lowest failing global id (thread-count independent) and throw after.
   idx_t bad = -1;
   std::string what;
 #pragma omp parallel
   {
-    // wq[v * W + lane] = weight * q9[v] of one quadrature point; lane innermost.
-    std::array<double, kElasticVars * W> wq{};
+    // wq[(v * nq + p) * W + lane] = weight_p * q9[v] at point p; lane innermost.
+    std::vector<double> wq(static_cast<std::size_t>(kElasticVars) * nq * W);
 #pragma omp for schedule(static)
     for (idx_t in = 0; in < state.numOwned(); ++in) {
       const idx_t el = state.toExternal(in);
       try {
-        Real* q = state.q(in);
-        linalg::zeroBlock(q, elSize);
+        // All points first, in the callback order (point, lane).
+        std::array<bool, kElasticVars> nonzero{};
         const auto& v0 = mesh.vertices[mesh.elements[el][0]];
-        for (std::size_t p = 0; p < quad.size(); ++p) {
+        for (std::size_t p = 0; p < nq; ++p) {
           std::array<double, 3> x = v0;
           for (int_t r = 0; r < 3; ++r)
             for (int_t c = 0; c < 3; ++c) x[r] += geo[el].jac[r][c] * quad[p].xi[c];
@@ -181,22 +188,39 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                 throw std::runtime_error("non-finite value " + std::to_string(q9[v]) +
                                          " at lane " + std::to_string(lane) +
                                          ", quantity " + std::to_string(v));
-              wq[v * W + lane] = quad[p].weight * q9[v];
-            }
-          }
-          // Each DOF receives Real(wq * phi) once per point, in point order.
-          const double* phiP = phi.data() + p * nb;
-          for (int_t v = 0; v < kElasticVars; ++v) {
-            const double* wv = wq.data() + v * W;
-            Real* qv = q + static_cast<std::size_t>(v) * nb * W;
-            for (int_t b = 0; b < nb; ++b) {
-              Real* qb = qv + static_cast<std::size_t>(b) * W;
-#pragma omp simd
-              for (int_t lane = 0; lane < W; ++lane)
-                qb[lane] += static_cast<Real>(wv[lane] * phiP[b]);
+              const double w = quad[p].weight * q9[v];
+              wq[(v * nq + p) * W + lane] = w;
+              nonzero[v] = nonzero[v] || w != 0.0;
             }
           }
         }
+        // Each DOF is the sum of Real(wq * phi) over the points, in point
+        // order, from +0. A quantity that is +-0 at every point and lane
+        // would only add +-0 terms: it stays +0 and is not summed.
+        Real* q = state.q(in);
+        for (int_t v = 0; v < kElasticVars; ++v) {
+          Real* qv = q + static_cast<std::size_t>(v) * nb * W;
+          if (!nonzero[v]) {
+            linalg::zeroBlock(qv, static_cast<std::size_t>(nb) * W);
+            continue;
+          }
+          const double* wv = wq.data() + v * nq * W;
+          for (int_t b0 = 0; b0 < nb; b0 += kB) {
+            Real acc[kB * W] = {};
+            for (std::size_t p = 0; p < nq; ++p) {
+              const double* phiP = phi.data() + p * nbPad + b0;
+              const double* wp = wv + p * W;
+              for (int_t bb = 0; bb < kB; ++bb)
+#pragma omp simd
+                for (int_t lane = 0; lane < W; ++lane)
+                  acc[bb * W + lane] += static_cast<Real>(wp[lane] * phiP[bb]);
+            }
+            const int_t n = std::min(kB, nb - b0);
+            linalg::copyBlock(qv + static_cast<std::size_t>(b0) * W, acc,
+                              static_cast<std::size_t>(n) * W);
+          }
+        }
+        linalg::zeroBlock(q + elasticSize, elSize - elasticSize); // memory variables
       } catch (const std::exception& e) {
 #pragma omp critical(nglts_project_initial_condition)
         if (bad < 0 || el < bad) {

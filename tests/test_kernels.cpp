@@ -306,6 +306,15 @@ struct DenseBlocks {
   std::vector<Real> couple;
 };
 
+/// A fixed-size physics block as a dense setup matrix.
+template <int_t R, int_t C>
+nl::Matrix dense(const nl::Block<R, C>& b) {
+  nl::Matrix m(R, C);
+  for (int_t r = 0; r < R; ++r)
+    for (int_t c = 0; c < C; ++c) m(r, c) = b(r, c);
+  return m;
+}
+
 template <typename Real>
 void castInto(const nl::Matrix& m, Real* dst) {
   for (int_t r = 0; r < m.rows(); ++r)
@@ -322,15 +331,15 @@ DenseBlocks<Real> denseBlocks(const OperatorFixture<Real>& f, idx_t el, int_t me
     for (int_t d = 0; d < 3; ++d) {
       const double s = f.geo[el].invJac[c][d];
       if (s == 0.0) continue;
-      se = se + np::elasticJacobian(mat, d).scaled(s);
-      sa = sa + np::anelasticJacobian(d).scaled(s);
+      se = se + dense(np::elasticJacobian(mat, d)).scaled(s);
+      sa = sa + dense(np::anelasticJacobian(d)).scaled(s);
     }
     castInto(se, b.starE[c].data());
     castInto(sa, b.starA[c].data());
   }
   b.couple.assign(static_cast<std::size_t>(mechs) * 54, Real(0));
   for (int_t l = 0; l < mechs && l < mat.mechanisms(); ++l)
-    castInto(np::couplingE(mat, l), b.couple.data() + static_cast<std::size_t>(l) * 54);
+    castInto(dense(np::couplingE(mat, l)), b.couple.data() + static_cast<std::size_t>(l) * 54);
   return b;
 }
 

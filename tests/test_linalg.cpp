@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 
+#include "linalg/block.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/small_gemm.hpp"
@@ -202,4 +205,73 @@ TEST(SmallGemm, DenseCsrAgree) {
   const auto csr = nl::toCsr<double>(b);
   nl::rightMulCsr<double, 1>(nVars, kEff, csr, d.data(), o2.data(), kDim, nDim);
   for (std::size_t i = 0; i < o1.size(); ++i) EXPECT_NEAR(o1[i], o2[i], 1e-12);
+}
+
+namespace {
+
+/// A random 9x9 block and its dense twin: every fourth row empty, about a
+/// third of the other entries marked, a fifth of those +0 or -0 and, with
+/// `special`, some inf or NaN.
+struct BlockPair {
+  nl::Block<9, 9> block;
+  nl::Matrix dense{9, 9};
+};
+
+BlockPair randomBlockPair(unsigned seed, bool special) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  std::uniform_real_distribution<double> pick(0.0, 1.0);
+  BlockPair p;
+  for (int_t i = 0; i < 9; ++i)
+    for (int_t j = 0; j < 9; ++j) {
+      if ((seed + i) % 4 == 0 || pick(rng) < 0.65) continue;
+      const double roll = pick(rng);
+      double v = uni(rng);
+      if (roll < 0.1) v = 0.0;
+      else if (roll < 0.2) v = -0.0;
+      else if (special && roll < 0.23) v = -std::numeric_limits<double>::infinity();
+      else if (special && roll < 0.26) v = std::numeric_limits<double>::quiet_NaN();
+      p.block.at(i, j) = v;
+      p.dense(i, j) = v;
+    }
+  return p;
+}
+
+/// Every entry bitwise equal, or NaN on both sides: which NaN an operation
+/// on two NaNs returns depends on the operand order the compiler picks.
+bool sameEntries(const nl::Block<9, 9>& b, const nl::Matrix& m) {
+  for (int_t i = 0; i < 81; ++i) {
+    const double x = b.data()[i], y = m.data()[i];
+    if (std::memcmp(&x, &y, sizeof(double)) != 0 && !(std::isnan(x) && std::isnan(y)))
+      return false;
+  }
+  return true;
+}
+
+} // namespace
+
+TEST(Block, ProductsAndCombinationsMatchDenseBitwise) {
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> uni(-1.0, 1.0);
+  for (unsigned seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const bool special = seed % 2 == 0;
+    const BlockPair a = randomBlockPair(3 * seed, special);
+    const BlockPair b = randomBlockPair(3 * seed + 1, special);
+    const BlockPair c = randomBlockPair(3 * seed + 2, special);
+    // A chain whose middle result is a left factor again, as in Ti * G * T.
+    EXPECT_TRUE(sameEntries(a.block * b.block * c.block, a.dense * b.dense * c.dense));
+    // Weights with a zero, a negative zero and, with `special`, an infinity.
+    const std::array<double, 3> w = {uni(rng), seed % 3 == 0 ? -0.0 : 0.0,
+                                     special ? std::numeric_limits<double>::infinity()
+                                             : uni(rng)};
+    nl::Matrix want(9, 9);
+    for (std::size_t d = 0; d < 3; ++d) {
+      if (w[d] == 0.0) continue;
+      want = want + std::array{a.dense, b.dense, c.dense}[d].scaled(w[d]);
+    }
+    const nl::Block<9, 9> got = nl::linearCombination(std::array{a.block, b.block, c.block}, w);
+    EXPECT_TRUE(sameEntries(got, want));
+    EXPECT_TRUE(sameEntries(got * a.block, want * a.dense));
+  }
 }

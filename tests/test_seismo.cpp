@@ -2,6 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "mesh/box_gen.hpp"
 #include "seismo/misfit.hpp"
@@ -143,5 +149,82 @@ TEST(VelocityModels, MaterialsForMeshRespectsMechanisms) {
     EXPECT_EQ(elas[e].mechanisms(), 0);
     // Unrelaxed moduli exceed the elastic ones.
     EXPECT_GT(visc[e].mu, elas[e].mu);
+  }
+}
+
+namespace {
+
+/// Sets the OpenMP team size for one scope (a no-op in serial builds).
+class ScopedOmpThreads {
+ public:
+  explicit ScopedOmpThreads(int n) {
+#ifdef _OPENMP
+    prev_ = omp_get_max_threads();
+    omp_set_num_threads(n);
+#else
+    (void)n;
+#endif
+  }
+  ~ScopedOmpThreads() {
+#ifdef _OPENMP
+    omp_set_num_threads(prev_);
+#endif
+  }
+  ScopedOmpThreads(const ScopedOmpThreads&) = delete;
+  ScopedOmpThreads& operator=(const ScopedOmpThreads&) = delete;
+
+ private:
+  int prev_ = 1;
+};
+
+/// LOH.3 everywhere, but throws below `zThrow` and samples Q_p = -1 (a
+/// singular one-mechanism constant-Q fit) right of `xSingular`.
+class FailingModel final : public nsei::VelocityModel {
+ public:
+  FailingModel(double zThrow, double xSingular) : zThrow_(zThrow), xSingular_(xSingular) {}
+  nsei::MaterialSample at(const std::array<double, 3>& x) const override {
+    if (x[2] < zThrow_) throw std::runtime_error("no sample at z = " + std::to_string(x[2]));
+    nsei::MaterialSample s = loh3_.at(x);
+    if (x[0] > xSingular_) s.qp = -1.0;
+    return s;
+  }
+
+ private:
+  nsei::Loh3Model loh3_{0.0};
+  double zThrow_, xSingular_;
+};
+
+} // namespace
+
+TEST(VelocityModels, MaterialsForMeshNamesTheLowestFailingElement) {
+  nm::BoxSpec spec;
+  spec.planes[0] = nm::uniformPlanes(0, 1000, 3);
+  spec.planes[1] = nm::uniformPlanes(0, 1000, 3);
+  spec.planes[2] = nm::uniformPlanes(-2000, 0, 4);
+  const auto mesh = nm::generateBox(spec);
+  struct Case {
+    double zThrow, xSingular;
+    std::string error; ///< empty: either error may come first
+  };
+  for (const Case& c : {Case{-1500.0, 2000.0, "no sample at z = "},
+                        Case{-3000.0, 600.0, "fitConstantQ: singular"},
+                        Case{-1500.0, 600.0, ""}}) {
+    const FailingModel model(c.zThrow, c.xSingular);
+    idx_t lowest = 0;
+    while (mesh.centroid(lowest)[2] >= c.zThrow && mesh.centroid(lowest)[0] <= c.xSingular)
+      ++lowest;
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      const ScopedOmpThreads scope(threads);
+      std::string what = "no exception";
+      try {
+        nsei::materialsForMesh(mesh, model, 1, 1.0);
+      } catch (const std::runtime_error& e) {
+        what = e.what();
+      }
+      EXPECT_EQ(what.rfind("materialsForMesh: element " + std::to_string(lowest) + ": ", 0), 0u)
+          << what;
+      EXPECT_NE(what.find(c.error), std::string::npos) << what;
+    }
   }
 }

@@ -415,3 +415,107 @@ TEST(ThreadedInitialCondition, NonFiniteValueNamesElementLaneQuantity) {
     }
   }
 }
+
+// -- the projection against its point-order loop -----------------------------
+
+namespace {
+
+/// The projection loop that evaluated and summed one quadrature point at a
+/// time: zero the element, then per point the weighted callback values of
+/// all lanes, and each DOF += Real(w * phi) in point order. Throws like the
+/// engine on a non-finite value (without the element prefix).
+template <typename Real, int W>
+std::vector<Real> pointOrderProjection(const ns::Simulation<Real, W>& sim,
+                                       const std::vector<nm::ElementGeometry>& geo, idx_t el,
+                                       const ns::InitialConditionFn& f) {
+  const auto& kernels = sim.kernels();
+  const auto& mesh = sim.meshRef();
+  const auto quad = nglts::basis::tetQuadrature(kernels.order() + 2);
+  const auto& tet = *kernels.globalMatrices().tet;
+  const int_t nb = kernels.numBasis();
+  std::vector<double> phi(quad.size() * static_cast<std::size_t>(nb));
+  for (std::size_t p = 0; p < quad.size(); ++p)
+    for (int_t b = 0; b < nb; ++b) phi[p * nb + b] = tet.eval(b, quad[p].xi);
+  std::vector<Real> q(kernels.dofsPerElement(), Real(0));
+  std::array<double, nglts::kElasticVars * W> wq{};
+  const auto& v0 = mesh.vertices[mesh.elements[el][0]];
+  for (std::size_t p = 0; p < quad.size(); ++p) {
+    std::array<double, 3> x = v0;
+    for (int_t r = 0; r < 3; ++r)
+      for (int_t c = 0; c < 3; ++c) x[r] += geo[el].jac[r][c] * quad[p].xi[c];
+    for (int_t lane = 0; lane < W; ++lane) {
+      double q9[nglts::kElasticVars];
+      f(x, lane, q9);
+      for (int_t v = 0; v < nglts::kElasticVars; ++v) {
+        if (!std::isfinite(q9[v]))
+          throw std::runtime_error("non-finite value " + std::to_string(q9[v]) + " at lane " +
+                                   std::to_string(lane) + ", quantity " + std::to_string(v));
+        wq[v * W + lane] = quad[p].weight * q9[v];
+      }
+    }
+    const double* phiP = phi.data() + p * nb;
+    for (int_t v = 0; v < nglts::kElasticVars; ++v)
+      for (int_t b = 0; b < nb; ++b)
+        for (int_t lane = 0; lane < W; ++lane)
+          q[(static_cast<std::size_t>(v) * nb + b) * W + lane] +=
+              static_cast<Real>(wq[v * W + lane] * phiP[b]);
+  }
+  return q;
+}
+
+/// Zero in the even lanes for quantities 0..4 (in every lane at W = 1),
+/// the narrow pulse elsewhere.
+void zeroInEvenLanes(const std::array<double, 3>& x, int_t lane, double* q9) {
+  narrowGaussian(x, lane, q9);
+  if (lane % 2 == 0)
+    for (int_t v = 0; v < 5; ++v) q9[v] = 0.0;
+}
+
+template <typename Real, int W>
+void expectProjectionMatchesPointOrder() {
+  SCOPED_TRACE(std::string(std::is_same_v<Real, float> ? "f32" : "f64") +
+               ", W=" + std::to_string(W));
+  const Fixture f = makeFixture(/*mechanisms=*/3);
+  const auto geo = nm::computeGeometry(f.mesh);
+  ns::SimConfig cfg = projectionCfg();
+  cfg.mechanisms = 3;
+  ns::Simulation<Real, W> sim(f.mesh, f.mats, cfg);
+  const std::size_t bytes = sim.kernels().dofsPerElement() * sizeof(Real);
+  // All 9 quantities; one quantity (initWave sets u only); zero in some lanes.
+  for (const ns::InitialConditionFn& ic :
+       {ns::InitialConditionFn(narrowGaussian), ns::InitialConditionFn(initWave),
+        ns::InitialConditionFn(zeroInEvenLanes)}) {
+    sim.setInitialCondition(ic);
+    for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
+      const std::vector<Real> ref = pointOrderProjection(sim, geo, e, ic);
+      ASSERT_EQ(std::memcmp(ref.data(), sim.dofs(e), bytes), 0) << "element " << e;
+    }
+  }
+
+  // A non-finite value names the same element, lane and quantity.
+  const idx_t target = f.mesh.numElements() / 3;
+  const int_t lane = W - 1;
+  const auto cb = failingInside(f.mesh, geo, {target}, [lane](int_t l, double* q9) {
+    if (l == lane) q9[nglts::kVelV] = std::nan("");
+  });
+  std::string want = "no exception";
+  for (idx_t e = 0; e < f.mesh.numElements() && want == "no exception"; ++e) {
+    try {
+      pointOrderProjection(sim, geo, e, cb);
+    } catch (const std::runtime_error& err) {
+      want = "projectInitialCondition: element " + std::to_string(e) + ": " + err.what();
+    }
+  }
+  EXPECT_NE(want.find("element " + std::to_string(target) + ":"), std::string::npos) << want;
+  EXPECT_EQ(projectionError(sim, cb, 1), want);
+}
+
+} // namespace
+
+TEST(InitialCondition, ProjectionBitwiseEqualToPointOrderReference) {
+  expectProjectionMatchesPointOrder<float, 1>();
+  expectProjectionMatchesPointOrder<float, 4>();
+  expectProjectionMatchesPointOrder<float, 16>();
+  expectProjectionMatchesPointOrder<double, 1>();
+  expectProjectionMatchesPointOrder<double, 4>();
+}
