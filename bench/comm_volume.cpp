@@ -65,7 +65,7 @@ int main() {
   vol.writeCsv("comm_volume.csv");
 
   // Cross-check the analytic accounting against the bytes actually shipped
-  // by the unified distributed driver (layered engine + HaloNeighborData):
+  // by the distributed engine (its ghost-slot exchange):
   // raw 9 x B vs face-local 9 x F payloads, same partition, same run.
   std::uint64_t measured[2] = {0, 0}; // [raw, compressed] bytes per cycle
   for (int mode = 0; mode < 2; ++mode) {

@@ -249,13 +249,16 @@ bool runPrimary(parallel::DistributedSimulation<Real, W>& sim, double tEnd,
           static_cast<unsigned long long>(st.cycles), st.simulatedTime, st.seconds,
           st.elementUpdatesPerSecond(), st.gflops());
   sim.gatherReceivers();
+  // What went over the wire: the baseline scheme never compresses.
+  const char* payload = report.config.scheme == solver::TimeScheme::kLtsBaseline
+                            ? "trimmed derivative stacks and raw B3"
+                            : (sim.config().compressFaces ? "9xF face-local compression"
+                                                          : "raw 9xB buffers");
   if (sim.ranks() > 1)
     appendf(report.summary,
             "distributed run: %lld ranks, %s transport, %.2f MB in %llu messages (%s)\n",
             static_cast<long long>(sim.ranks()), parallel::transportName(sim.transport()).c_str(),
-            st.commBytes / 1e6,
-            static_cast<unsigned long long>(st.messages),
-            sim.config().compressFaces ? "9xF face-local compression" : "raw 9xB buffers");
+            st.commBytes / 1e6, static_cast<unsigned long long>(st.messages), payload);
   return sim.localRank() <= 0;
 }
 
@@ -569,8 +572,8 @@ class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 
   std::string name() const override { return "lahabra"; }
   std::string description() const override {
     return "La Habra-like basin through the full preprocessing pipeline, then "
-           "a distributed run (any scheme, fused widths 1|8|16) with "
-           "face-local compression";
+           "a distributed run (any scheme, fused widths 1|8|16); GTS and LTS "
+           "ship face-local compressed data";
   }
 
   solver::SimConfig resolveConfig(const ScenarioOptions& opts) const override {
@@ -676,18 +679,24 @@ class FusedScenario final : public BuiltinScenario<FusedScenario, false, 16, 1, 
 
       // Verify lane linearity against lane 0.
       const idx_t samples = 300;
-      report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
+      std::vector<std::vector<double>> lanes(W);
+      std::string header = "time";
+      for (int w = 0; w < W; ++w) {
+        lanes[w] = seismo::resample(sim.receiver(0).traces[w], kVelU, tEnd, samples);
+        header += ",vx" + std::to_string(w);
+      }
+      report.trace = lanes[0];
       std::optional<double> worstMisfit = 0.0;
       for (int w = 1; w < W && worstMisfit; ++w) {
-        auto lane = seismo::resample(sim.receiver(0).traces[w], kVelU, tEnd, samples);
         std::vector<double> expect(report.trace.size());
         for (std::size_t i = 0; i < expect.size(); ++i) expect[i] = scales[w] * report.trace[i];
-        const std::optional<double> m = misfitIfDefined(lane, expect);
+        const std::optional<double> m = misfitIfDefined(lanes[w], expect);
         worstMisfit = m ? std::max(*worstMisfit, *m) : m;
       }
       if (W > 1)
         appendf(report.summary, "worst lane-linearity misfit: %s (must be ~fp32 round-off)\n",
                 misfitText(worstMisfit).c_str());
+      writeCsv(opts, "fused_seismograms.csv", tEnd, lanes, header, report);
     });
 
     // Compare against a single-rank, single-simulation run for the

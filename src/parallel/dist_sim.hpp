@@ -5,10 +5,10 @@
 // materials, and every rank owns a `SolverState` arena built straight from
 // it (owned elements cluster-contiguous, ids for the halo — the remote
 // face-neighbors — after the owned ranges) and runs the same flattened LTS
-// schedule through a `StepExecutor`; a rank with cross-rank faces decorates
-// its neighbor-data policy with `HaloNeighborData` — owned faces read the
-// arena, cross-boundary faces read ghost slots filled from the
-// message-passing layer. Sources, receivers, `dofs` and `sample` speak
+// schedule through a `StepExecutor`, whose one neighbor-data rule reads
+// owned faces from the arena and cross-rank faces from the rank's ghost
+// slots (`solver::HaloGhosts`), filled here from the message-passing layer
+// between schedule ops. Sources, receivers, `dofs` and `sample` speak
 // global element ids on every rank count. All three time schemes (GTS, the
 // next-generation three-buffer scheme, the buffer+derivative baseline of
 // [15]) and fused ensembles W > 1 run through it. The single-rank run
@@ -41,7 +41,7 @@
 // without configuration). All combinations are bitwise-reproducible and
 // bitwise-identical to the single-rank run: per-element updates are
 // order-deterministic regardless of threading, and every cross-rank payload
-// carries exactly the values the shared-memory policy would have read.
+// carries exactly the values a single-rank run reads from its arena.
 //
 // Every rank hides the exchange behind interior compute: the local phase
 // runs its halo-boundary producers first so their payloads enter the
@@ -66,7 +66,6 @@
 #include "mesh/geometry.hpp"
 #include "mesh/tet_mesh.hpp"
 #include "parallel/comm.hpp"
-#include "parallel/halo.hpp"
 #include "physics/material.hpp"
 #include "seismo/receiver.hpp"
 #include "seismo/source.hpp"

@@ -71,12 +71,12 @@ struct DistributedSimulation<Real, W>::Rank {
   std::unique_ptr<solver::SolverState<Real, W>> state;
   std::unique_ptr<solver::SeismoHook<Real, W>> hook;
   std::unique_ptr<solver::StepExecutor<Real, W>> exec;
-  HaloGhosts<Real> ghosts;
+  solver::HaloGhosts<Real> ghosts;
 
   struct SendOp {
     idx_t el = 0;       ///< internal id of the owned producer element
     int_t face = 0;     ///< producer's local face
-    HaloRelation rel = HaloRelation::kEqual; ///< consumer's cluster vs producer's
+    int_t remoteCluster = 0; ///< time cluster of the remote consumer
     int_t dstRank = 0;
     int_t recvPerm = 0; ///< consumer-side orientation (sender compression)
     std::int64_t tag = 0;
@@ -216,17 +216,15 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
       const int_t cNb = clustering_.cluster[fi.neighbor];
 
       // Receive slot: the owned element consumes the remote element's data.
-      GhostSlot<Real> slot;
-      slot.rel = cNb == cMe ? HaloRelation::kEqual
-                            : (cNb < cMe ? HaloRelation::kRemoteSmaller
-                                         : HaloRelation::kRemoteLarger);
+      solver::GhostSlot<Real> slot;
+      slot.remoteCluster = cNb;
       slot.srcRank = part_[fi.neighbor];
       slot.tag = fi.neighbor * 4 + fi.neighborFace;
       if (baseline) {
-        slot.ds0.assign(slot.rel == HaloRelation::kRemoteSmaller ? bufN : stackN, Real(0));
+        slot.ds0.assign(cNb < cMe ? bufN : stackN, Real(0));
       } else {
         slot.ds0.assign(dataN, Real(0));
-        if (slot.rel == HaloRelation::kRemoteLarger) slot.ds1.assign(dataN, Real(0));
+        if (cNb > cMe) slot.ds1.assign(dataN, Real(0));
       }
       const idx_t haloInternal = state.toInternal(fi.neighbor);
       rank->ghosts.slotOf[(haloInternal - state.numOwned()) * 4 + fi.neighborFace] =
@@ -238,17 +236,14 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
       typename Rank::SendOp op;
       op.el = state.toInternal(el);
       op.face = f;
-      op.rel = cNb == cMe ? HaloRelation::kEqual
-                          : (cNb > cMe ? HaloRelation::kRemoteLarger
-                                       : HaloRelation::kRemoteSmaller);
+      op.remoteCluster = cNb;
       op.dstRank = part_[fi.neighbor];
       op.recvPerm = mesh_.faces[fi.neighbor][fi.neighborFace].perm;
       op.tag = el * 4 + f;
       // The op must read buffers the producer keeps: B3 for a larger
       // consumer, B2 for a smaller next-gen one (B1 and the baseline's
       // derivative stack exist for every owned element).
-      if ((op.rel == HaloRelation::kRemoteLarger && !state.b3(op.el)) ||
-          (op.rel == HaloRelation::kRemoteSmaller && !baseline && !state.b2(op.el)))
+      if ((cNb > cMe && !state.b3(op.el)) || (cNb < cMe && !baseline && !state.b2(op.el)))
         throw std::logic_error("DistributedSimulation: rank " + std::to_string(r) +
                                " sends element " + std::to_string(el) + " face " +
                                std::to_string(f) + " from a buffer its arena does not keep");
@@ -258,20 +253,12 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->combo.assign(bufN, Real(0));
   rank->face0.assign(faceN, Real(0));
   rank->face1.assign(faceN, Real(0));
+  // The baseline scheme always ships raw data: its equal/larger-neighbor
+  // payload is a derivative stack the consumer re-integrates first.
+  rank->ghosts.faceLocal = cfg_.compressFaces && !baseline;
 
-  // Only a rank with ghost slots needs the halo decorator; without any it
-  // would pass every call through, so a single rank keeps the scheme's own
-  // policy (nullptr) and the exact shared-memory face loop.
-  std::unique_ptr<solver::NeighborDataPolicy<Real, W>> policy;
-  if (!rank->ghosts.slots.empty())
-    policy = std::make_unique<HaloNeighborData<Real, W>>(
-        solver::makeNeighborDataPolicy<Real, W>(cfg_.sim, *rank->state, kernels,
-                                                clustering_.clusterDt),
-        *rank->state, kernels, cfg_.sim.scheme, cfg_.compressFaces, clustering_.clusterDt,
-        &rank->ghosts);
   rank->exec = std::make_unique<solver::StepExecutor<Real, W>>(
-      cfg_.sim, kernels, *rank->state, clustering_, schedule_, rank->hook.get(),
-      std::move(policy));
+      cfg_.sim, kernels, *rank->state, clustering_, schedule_, rank->hook.get(), &rank->ghosts);
   ranks_[r] = std::move(rank);
 }
 
@@ -489,11 +476,12 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
   for (const typename Rank::SendOp& op : rank.sendByCluster[cluster]) {
     // A larger-cluster consumer reads the B3 window accumulator (or the raw
     // B3 of the baseline scheme), complete only after odd producer steps.
-    if (op.rel == HaloRelation::kRemoteLarger && step % 2 == 0) continue;
+    const bool toLarger = op.remoteCluster > cluster;
+    if (toLarger && step % 2 == 0) continue;
 
     std::vector<std::uint8_t> payload;
     if (baseline) {
-      if (op.rel == HaloRelation::kRemoteLarger) {
+      if (toLarger) {
         appendReals(payload, state.b3(op.el), bufN);
       } else {
         // Trimmed derivative stack: elastic runs truncate degree d to the
@@ -508,7 +496,7 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
                         stack + static_cast<std::size_t>(d) * bufN + v * nbW, wid * W);
         }
       }
-    } else if (op.rel == HaloRelation::kRemoteSmaller) {
+    } else if (op.remoteCluster < cluster) {
       // Smaller-cluster consumer: B2 and B1 - B2 in one combined message
       // (its two sub-steps inside the producer's step).
       const Real* b1 = state.b1(op.el);
@@ -527,8 +515,7 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
       }
     } else {
       // Equal cluster ships B1 every step; a larger consumer ships B3.
-      const Real* data =
-          op.rel == HaloRelation::kEqual ? state.b1(op.el) : state.b3(op.el);
+      const Real* data = toLarger ? state.b3(op.el) : state.b1(op.el);
       if (cfg_.compressFaces) {
         kernels.compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
         appendReals(payload, rank.face0.data(), faceN);
@@ -552,14 +539,15 @@ void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
   const std::size_t nbW = static_cast<std::size_t>(nb) * W;
 
   for (idx_t si : rank.recvByCluster[cluster]) {
-    GhostSlot<Real>& g = rank.ghosts.slots[si];
+    solver::GhostSlot<Real>& g = rank.ghosts.slots[si];
     // A larger remote producer sends once per its own step; the odd local
     // sub-step reuses the datasets received on the even one.
-    if (g.rel == HaloRelation::kRemoteLarger && step % 2 == 1) continue;
+    const bool fromLarger = g.remoteCluster > cluster;
+    if (fromLarger && step % 2 == 1) continue;
 
     const std::vector<std::uint8_t> raw = comm_->recv(rank.id, g.srcRank, g.tag);
     std::size_t off = 0;
-    if (baseline && g.rel != HaloRelation::kRemoteSmaller) {
+    if (baseline && g.remoteCluster >= cluster) {
       // Trimmed stack -> full stack layout (padding stays zero from setup).
       for (int_t d = 0; d < order; ++d) {
         const std::size_t wid = anel ? nb : numBasis3d(order - d);
@@ -569,8 +557,7 @@ void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
       }
     } else {
       readReals(raw, off, g.ds0.data(), g.ds0.size());
-      if (g.rel == HaloRelation::kRemoteLarger)
-        readReals(raw, off, g.ds1.data(), g.ds1.size());
+      if (fromLarger) readReals(raw, off, g.ds1.data(), g.ds1.size());
     }
     if (off != raw.size())
       throw std::runtime_error("DistributedSimulation: unexpected message payload size");

@@ -6,77 +6,6 @@ namespace nglts::solver {
 
 namespace {
 
-/// Next-generation three-buffer scheme (paper Sec. V-B / Fig. 6):
-/// equal cluster -> B1, smaller neighbor -> its B3 window accumulator,
-/// larger neighbor -> its B2 on the first half-window, B1 - B2 on the second.
-/// GTS is its one-cluster case: every neighbor serves the B1 it wrote in the
-/// same step.
-template <typename Real, int W>
-class ThreeBufferNeighborData final : public NeighborDataPolicy<Real, W> {
- public:
-  using Scratch = typename NeighborDataPolicy<Real, W>::Scratch;
-
-  ThreeBufferNeighborData(const SolverState<Real, W>& state, std::size_t bufSize)
-      : state_(state), bufSize_(bufSize) {}
-
-  const Real* data(idx_t el, const mesh::FaceInfo& fi, idx_t myStep, Scratch& s,
-                   std::uint64_t& flops) const override {
-    const int_t cMe = state_.clusterOf(el);
-    const int_t cNb = state_.clusterOf(fi.neighbor);
-    const Real* b1 = state_.b1(fi.neighbor);
-    if (cNb == cMe) return b1;
-    if (cNb < cMe) return state_.b3(fi.neighbor);
-    // Larger neighbor: first half-window uses B2, second B1 - B2 (Fig. 6).
-    const Real* b2 = state_.b2(fi.neighbor);
-    if (myStep % 2 == 0) return b2;
-    Real* combo = s.bufCombo.data();
-#pragma omp simd
-    for (std::size_t i = 0; i < bufSize_; ++i) combo[i] = b1[i] - b2[i];
-    flops += bufSize_;
-    return combo;
-  }
-
- private:
-  const SolverState<Real, W>& state_;
-  std::size_t bufSize_;
-};
-
-/// Buffer+derivative baseline of [15]: equal-or-larger neighbors re-integrate
-/// the neighbor's ADER derivative stack over the consuming element's
-/// interval; smaller neighbors are served by the B3 accumulator.
-template <typename Real, int W>
-class BufferDerivativeNeighborData final : public NeighborDataPolicy<Real, W> {
- public:
-  using Scratch = typename NeighborDataPolicy<Real, W>::Scratch;
-
-  BufferDerivativeNeighborData(const SolverState<Real, W>& state,
-                               const kernels::AderKernels<Real, W>& kernels,
-                               std::vector<double> clusterDt)
-      : state_(state), kernels_(kernels), clusterDt_(std::move(clusterDt)) {}
-
-  const Real* data(idx_t el, const mesh::FaceInfo& fi, idx_t myStep, Scratch& s,
-                   std::uint64_t& flops) const override {
-    const int_t cMe = state_.clusterOf(el);
-    const int_t cNb = state_.clusterOf(fi.neighbor);
-    if (cNb < cMe) return state_.b3(fi.neighbor);
-    // Equal or larger: integrate the neighbor's derivative stack over this
-    // element's interval (the receiver-side evaluations of [15]).
-    const double dtMe = clusterDt_[cMe];
-    const double a = (cNb > cMe && (myStep % 2)) ? dtMe : 0.0;
-    flops += kernels_.integrateDerivStack(state_.derivStack(fi.neighbor),
-                                          static_cast<Real>(a), static_cast<Real>(dtMe),
-                                          s.bufCombo.data());
-    return s.bufCombo.data();
-  }
-
-  bool needsDerivStack() const override { return true; }
-
- private:
-  const SolverState<Real, W>& state_;
-  const kernels::AderKernels<Real, W>& kernels_;
-  std::vector<double> clusterDt_;
-};
-
 /// Validated before `WorkspacePool` sizes anything off it (the engine
 /// validates too; this covers direct executor construction in tests).
 int_t checkedThreads(int_t numThreads) {
@@ -87,36 +16,25 @@ int_t checkedThreads(int_t numThreads) {
 } // namespace
 
 template <typename Real, int W>
-std::unique_ptr<NeighborDataPolicy<Real, W>> makeNeighborDataPolicy(
-    const SimConfig& cfg, const SolverState<Real, W>& state,
-    const kernels::AderKernels<Real, W>& kernels, const std::vector<double>& clusterDt) {
-  switch (cfg.scheme) {
-    case TimeScheme::kGts:
-    case TimeScheme::kLtsNextGen:
-      return std::make_unique<ThreeBufferNeighborData<Real, W>>(state, state.bufSize());
-    case TimeScheme::kLtsBaseline:
-      return std::make_unique<BufferDerivativeNeighborData<Real, W>>(state, kernels, clusterDt);
-  }
-  throw std::invalid_argument("makeNeighborDataPolicy: unknown scheme");
-}
-
-template <typename Real, int W>
 StepExecutor<Real, W>::StepExecutor(const SimConfig& cfg,
                                     const kernels::AderKernels<Real, W>& kernels,
                                     SolverState<Real, W>& state,
                                     const lts::Clustering& clustering,
                                     std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
-                                    std::unique_ptr<NeighborDataPolicy<Real, W>> policy)
+                                    const HaloGhosts<Real>* ghosts)
     : kernels_(kernels),
       state_(state),
       clusterDt_(clustering.clusterDt),
       schedule_(std::move(schedule)),
       clusterStep_(clustering.numClusters, 0),
       hook_(hook),
-      policy_(policy ? std::move(policy)
-                     : makeNeighborDataPolicy<Real, W>(cfg, state, kernels, clusterDt_)),
+      ghosts_(ghosts),
+      baseline_(cfg.scheme == TimeScheme::kLtsBaseline),
       nThreads_(checkedThreads(cfg.numThreads)),
-      pool_(kernels, state.stackSize(), nThreads_) {}
+      pool_(kernels, state.stackSize(), nThreads_) {
+  if (state.numHalo() > 0 && !ghosts)
+    throw std::invalid_argument("StepExecutor: a state with a halo needs ghost slots");
+}
 
 template <typename Real, int W>
 template <typename Fn>
@@ -144,9 +62,8 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
   Real* b1 = state_.b1(el);
   Real* b2 = state_.b2(el); // nullptr where no neighbor reads it
   Real* b3 = state_.b3(el);
-  const bool arenaStack = policy_->needsDerivStack();
   const bool hookStack = hook_ && hook_->wantsStack(el);
-  Real* stack = arenaStack ? state_.derivStack(el)
+  Real* stack = baseline_ ? state_.derivStack(el)
                            : (hookStack ? w.recStack.data() : nullptr);
 
   flops += kernels_.timePredict(state_.elementData(el), q, static_cast<Real>(dt),
@@ -161,6 +78,48 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
 }
 
 template <typename Real, int W>
+typename StepExecutor<Real, W>::FaceData StepExecutor<Real, W>::neighborData(
+    idx_t el, const mesh::FaceInfo& fi, idx_t step, Scratch& s, std::uint64_t& flops) const {
+  const int_t cMe = state_.clusterOf(el);
+  const int_t cNb = state_.clusterOf(fi.neighbor); // the global cluster, halo ids too
+  // The second half-window of a larger neighbor (odd sub-step).
+  const bool oddLarger = cNb > cMe && step % 2 != 0;
+  const GhostSlot<Real>* g =
+      state_.isHalo(fi.neighbor)
+          ? &ghosts_->slots[ghosts_->slotOf[(fi.neighbor - state_.numOwned()) * 4 +
+                                            fi.neighborFace]]
+          : nullptr;
+  if (baseline_) {
+    // Buffer+derivative baseline of [15]: a smaller neighbor serves its B3
+    // window accumulator; an equal or larger one's derivative stack is
+    // re-integrated over this element's interval.
+    if (cNb < cMe) return {g ? g->ds0.data() : state_.b3(fi.neighbor), false};
+    const double dtMe = clusterDt_[cMe];
+    const double a = oddLarger ? dtMe : 0.0;
+    flops += kernels_.integrateDerivStack(g ? g->ds0.data() : state_.derivStack(fi.neighbor),
+                                          static_cast<Real>(a), static_cast<Real>(dtMe),
+                                          s.bufCombo.data());
+    return {s.bufCombo.data(), false};
+  }
+  // Next-generation three-buffer scheme (Sec. V-B / Fig. 6): equal cluster
+  // -> B1, smaller neighbor -> B3, larger neighbor -> B2 on the first
+  // half-window and B1 - B2 on the second. A ghost slot holds the same data,
+  // with B1 - B2 already combined by the producer in ds1.
+  if (g) return {oddLarger ? g->ds1.data() : g->ds0.data(), ghosts_->faceLocal};
+  const Real* b1 = state_.b1(fi.neighbor);
+  if (cNb == cMe) return {b1, false};
+  if (cNb < cMe) return {state_.b3(fi.neighbor), false};
+  const Real* b2 = state_.b2(fi.neighbor);
+  if (!oddLarger) return {b2, false};
+  Real* combo = s.bufCombo.data();
+  const std::size_t n = state_.bufSize();
+#pragma omp simd
+  for (std::size_t i = 0; i < n; ++i) combo[i] = b1[i] - b2[i];
+  flops += n;
+  return {combo, false};
+}
+
+template <typename Real, int W>
 void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t tid) {
   auto& w = pool_[tid];
   auto& s = w.scratch;
@@ -170,12 +129,12 @@ void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t tid) {
   for (int_t f = 0; f < 4; ++f) {
     const mesh::FaceInfo& fi = faces[f];
     if (fi.neighbor < 0) continue;
-    const Real* data = policy_->data(el, fi, step, s, flops);
-    if (policy_->faceLocal(el, fi))
-      flops += kernels_.neighborContributionFaceLocal(state_.elementData(el), f, data, q, s);
+    const FaceData d = neighborData(el, fi, step, s, flops);
+    if (d.faceLocal)
+      flops += kernels_.neighborContributionFaceLocal(state_.elementData(el), f, d.data, q, s);
     else
       flops += kernels_.neighborContribution(state_.elementData(el), f, fi.neighborFace,
-                                             fi.perm, data, q, s);
+                                             fi.perm, d.data, q, s);
   }
   w.flops += flops;
 }
@@ -221,30 +180,5 @@ template class StepExecutor<float, 16>;
 template class StepExecutor<double, 1>;
 template class StepExecutor<double, 2>;
 template class StepExecutor<double, 4>;
-
-template std::unique_ptr<NeighborDataPolicy<float, 1>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<float, 1>&, const kernels::AderKernels<float, 1>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<float, 2>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<float, 2>&, const kernels::AderKernels<float, 2>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<float, 4>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<float, 4>&, const kernels::AderKernels<float, 4>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<float, 8>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<float, 8>&, const kernels::AderKernels<float, 8>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<float, 16>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<float, 16>&, const kernels::AderKernels<float, 16>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<double, 1>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<double, 1>&, const kernels::AderKernels<double, 1>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<double, 2>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<double, 2>&, const kernels::AderKernels<double, 2>&,
-    const std::vector<double>&);
-template std::unique_ptr<NeighborDataPolicy<double, 4>> makeNeighborDataPolicy(
-    const SimConfig&, const SolverState<double, 4>&, const kernels::AderKernels<double, 4>&,
-    const std::vector<double>&);
 
 } // namespace nglts::solver

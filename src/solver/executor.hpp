@@ -8,11 +8,11 @@
 // pass used, so every thread streams through pages it placed itself. The
 // distributed engine runs an op as two calls over the halo-boundary and
 // interior sub-ranges of the cluster's range; an empty sub-range opens no
-// parallel region. The neighbor-data paradigms — the paper's
-// next-generation three-buffer scheme (GTS is its one-cluster case) and the
-// buffer+derivative baseline of [15] — are strategy classes behind the
-// `NeighborDataPolicy` interface instead of `if (scheme)` branches in the
-// hot loop.
+// parallel region. One function, `neighborData`, holds the neighbor-data
+// rule of both paradigms — the paper's next-generation three-buffer scheme
+// (GTS is its one-cluster case) and the buffer+derivative baseline of [15]
+// — for owned neighbors, read from the arena, and halo neighbors, read from
+// the ghost slots the distributed engine fills, side by side.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers stay in
@@ -21,10 +21,9 @@
 // element).
 // Results are bitwise-identical for every `numThreads`: each element is
 // updated by exactly one chunk in a fixed order, neighbor reads go through
-// the double-buffered policy data, and hook state is only touched from the
-// element that owns it.
+// the double-buffered B1/B2/B3 data and ghost slots, and hook state is only
+// touched from the element that owns it.
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -38,42 +37,33 @@
 
 namespace nglts::solver {
 
-/// Strategy interface: where the neighbor phase of an element reads the
-/// neighbor's time-integrated elastic data from (paper Sec. V-B). Internal
-/// element ids throughout.
-template <typename Real, int W>
-class NeighborDataPolicy {
- public:
-  using Scratch = typename kernels::AderKernels<Real, W>::Scratch;
-
-  virtual ~NeighborDataPolicy() = default;
-
-  /// Data (9 x nb x W) consumed by face `fi` of element `el` at sub-step
-  /// `myStep` of its cluster; may stage a combination into `s.bufCombo`.
-  virtual const Real* data(idx_t el, const mesh::FaceInfo& fi, idx_t myStep, Scratch& s,
-                           std::uint64_t& flops) const = 0;
-
-  /// Whether `data()` for this face returns the *face-local* 9 x nf x W
-  /// projection (the neighboring-flux-matrix product already applied on the
-  /// producing side — the compressed message payload of Sec. V-C) instead
-  /// of the element-local 9 x nb x W representation. The executor then
-  /// consumes it via `neighborContributionFaceLocal`.
-  virtual bool faceLocal(idx_t el, const mesh::FaceInfo& fi) const {
-    (void)el;
-    (void)fi;
-    return false;
-  }
-
-  /// Whether the local phase must persist the full ADER derivative stack of
-  /// every element (the baseline scheme's neighbor-data representation).
-  virtual bool needsDerivStack() const { return false; }
+/// Ghost storage of one cross-rank face, owned by the consuming rank and
+/// filled by the distributed engine's receives (parallel/exchange.cpp).
+/// `ds0`/`ds1` hold the received datasets: the next-generation scheme keeps
+/// B2 in ds0 and B1 - B2 in ds1 for a larger remote neighbor (one message
+/// serves two local sub-steps), everything else lives in ds0 (B1 or B3 —
+/// raw 9 x B or face-local 9 x F — or the baseline scheme's trimmed
+/// derivative stack, unpacked to full layout).
+template <typename Real>
+struct GhostSlot {
+  int_t remoteCluster = 0; ///< time cluster of the remote producer
+  int_t srcRank = 0;
+  std::int64_t tag = 0;    ///< producer's global element id * 4 + face
+  aligned_vector<Real> ds0, ds1;
 };
 
-/// Build the policy matching `cfg.scheme` over a state's buffers.
-template <typename Real, int W>
-std::unique_ptr<NeighborDataPolicy<Real, W>> makeNeighborDataPolicy(
-    const SimConfig& cfg, const SolverState<Real, W>& state,
-    const kernels::AderKernels<Real, W>& kernels, const std::vector<double>& clusterDt);
+/// A rank's ghost slots. Written serially between schedule ops, read
+/// concurrently by the executor's neighbor loop.
+template <typename Real>
+struct HaloGhosts {
+  /// (internal halo id - numOwned) * 4 + producerFace -> slot index or -1.
+  std::vector<idx_t> slotOf;
+  std::vector<GhostSlot<Real>> slots;
+  /// The payloads are face-local 9 x F projections (the neighboring-flux
+  /// product already applied by the producer, Sec. V-C), consumed through
+  /// `neighborContributionFaceLocal`, instead of element-local 9 x B data.
+  bool faceLocal = false;
+};
 
 template <typename Real, int W>
 class StepExecutor {
@@ -102,13 +92,12 @@ class StepExecutor {
                             double dt, std::uint64_t& flops) = 0;
   };
 
-  /// `policy` overrides the scheme-derived neighbor-data strategy (nullptr
-  /// = `makeNeighborDataPolicy(cfg, ...)`); the distributed driver injects
-  /// its halo decorator here.
+  /// `ghosts` serves the faces to the state's halo elements; it must
+  /// outlive the executor and is required iff the state has a halo.
   StepExecutor(const SimConfig& cfg, const kernels::AderKernels<Real, W>& kernels,
                SolverState<Real, W>& state, const lts::Clustering& clustering,
                std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
-               std::unique_ptr<NeighborDataPolicy<Real, W>> policy = nullptr);
+               const HaloGhosts<Real>* ghosts = nullptr);
 
   /// Execute a single schedule op over its whole cluster range; one full
   /// LTS cycle (every cluster advances by the largest cluster's step) is
@@ -145,6 +134,16 @@ class StepExecutor {
  private:
   void localElement(idx_t el, double dt, double t0, bool odd, int_t tid);
   void neighborElement(idx_t el, idx_t step, int_t tid);
+  /// What face `fi` of element `el` consumes at sub-step `step` of its
+  /// cluster (paper Sec. V-B): 9 x nb x W element-local data, or the 9 x F
+  /// face-local projection when `faceLocal`. May stage a combination into
+  /// `s.bufCombo`.
+  struct FaceData {
+    const Real* data;
+    bool faceLocal;
+  };
+  FaceData neighborData(idx_t el, const mesh::FaceInfo& fi, idx_t step, Scratch& s,
+                        std::uint64_t& flops) const;
   /// Run `fn(el, tid)` over [begin, end) in nThreads_ chunks of the pure
   /// `staticChunk` map, chunk t on thread t (threading.hpp). `tid` is the
   /// chunk id.
@@ -157,7 +156,8 @@ class StepExecutor {
   std::vector<lts::ScheduleOp> schedule_;
   std::vector<idx_t> clusterStep_;
   LocalHook* hook_ = nullptr;
-  std::unique_ptr<NeighborDataPolicy<Real, W>> policy_;
+  const HaloGhosts<Real>* ghosts_ = nullptr;
+  bool baseline_ = false; ///< buffer+derivative scheme: keeps every derivative stack
 
   int_t nThreads_ = 1;           ///< SimConfig::numThreads (validated >= 1)
   WorkspacePool<Real, W> pool_;  ///< per-chunk scratch/recStack/flops

@@ -7,7 +7,7 @@
 // executor.hpp; sources and receivers, seismo_hook.hpp) runs every
 // scenario, on one rank or many.
 //
-// Supported schemes (see executor.hpp's NeighborDataPolicy strategies):
+// Supported schemes (see StepExecutor::neighborData, executor.hpp):
 //  * global time stepping (GTS == LTS with one cluster),
 //  * the next-generation clustered LTS scheme (paper Sec. V), and
 //  * the buffer+derivative baseline scheme of [15] (for the Tab. I

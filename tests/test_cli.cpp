@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -257,6 +258,77 @@ TEST(Cli, RunEndingBeforeTheWaveArrivesReportsMisfitAsNotAvailable) {
     EXPECT_EQ(WEXITSTATUS(status), 0) << flags << "\n" << out;
     EXPECT_NE(out.find("n/a (zero reference trace)"), std::string::npos) << out;
   }
+}
+
+TEST(Cli, BaselineRunsReportTheirRawPayload) {
+  // The baseline scheme ships trimmed derivative stacks and raw B3 whatever
+  // the face-compression setting; the exchange line must say so.
+  int status = 0;
+  const std::string out = cliStderr(
+      "-s quickstart --scheme baseline --ranks 2 --scale 0.35 --order 3 --end-time 0.05", status,
+      /*withStdout=*/true);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << out;
+  EXPECT_NE(out.find("messages (trimmed derivative stacks and raw B3)"), std::string::npos) << out;
+  EXPECT_EQ(out.find("face-local compression"), std::string::npos) << out;
+}
+
+namespace {
+
+std::string readFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (!f) return {};
+  std::string data;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;) data.append(buf, n);
+  std::fclose(f);
+  return data;
+}
+
+} // namespace
+
+TEST(Cli, FusedWritesEveryLaneAndRankCountsAgreeBitwise) {
+  // `--output` writes receiver 0's vx for all W lanes; the file does not
+  // depend on the rank count.
+  const std::string dir = ::testing::TempDir();
+  std::string files[2];
+  for (int ranks = 1; ranks <= 2; ++ranks) {
+    const std::string prefix = dir + "nglts_fused_r" + std::to_string(ranks) + "_";
+    const std::string path = prefix + "fused_seismograms.csv";
+    std::remove(path.c_str());
+    int status = 0;
+    const std::string out =
+        cliStderr("-s fused --fused 8 --scale 0.35 --end-time 0.3 -q --ranks " +
+                      std::to_string(ranks) + " --output '" + prefix + "'",
+                  status, /*withStdout=*/true);
+    ASSERT_TRUE(WIFEXITED(status)) << out;
+    ASSERT_EQ(WEXITSTATUS(status), 0) << out;
+    files[ranks - 1] = readFile(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(files[ranks - 1].empty()) << path << " not written\n" << out;
+  }
+  EXPECT_EQ(files[0], files[1]) << "2-rank lane traces differ from the 1-rank ones";
+
+  // Header plus 300 samples, each row time + 8 lanes, with signal.
+  std::size_t rows = 0, pos = 0;
+  bool signal = false;
+  while (pos < files[0].size()) {
+    const std::size_t eol = files[0].find('\n', pos);
+    ASSERT_NE(eol, std::string::npos);
+    const std::string row = files[0].substr(pos, eol - pos);
+    EXPECT_EQ(std::count(row.begin(), row.end(), ','), 8) << "row " << rows << ": " << row;
+    if (rows == 0) EXPECT_EQ(row, "time,vx0,vx1,vx2,vx3,vx4,vx5,vx6,vx7");
+    for (std::size_t c = row.find(','); rows > 0 && c != std::string::npos;) {
+      const std::size_t next = row.find(',', c + 1);
+      const std::string v = row.substr(c + 1, next - c - 1);
+      signal = signal || (v != "0" && v != "-0");
+      c = next;
+    }
+    ++rows;
+    pos = eol + 1;
+  }
+  EXPECT_EQ(rows, 301u);
+  EXPECT_TRUE(signal) << "every lane trace is zero";
 }
 
 namespace {

@@ -12,6 +12,7 @@
 // order, so it must stay bitwise.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <tuple>
 
@@ -111,6 +112,28 @@ void expectBitwiseSeismograms(const SimA& a, const SimB& b, int_t lanes) {
   }
 }
 
+/// Cross-rank faces of every rank, by the cluster of the remote (halo)
+/// element relative to the consuming owned one: {equal, remote smaller,
+/// remote larger}. Under the next-generation scheme they read a ghost B1,
+/// B3, and B2 / B1 - B2 on even / odd sub-steps; under the baseline scheme
+/// a ghost B3 for a smaller remote and a re-integrated derivative stack
+/// otherwise.
+template <typename Real, int W>
+std::array<idx_t, 3> crossRankClusterPairs(const npar::DistributedSimulation<Real, W>& sim) {
+  std::array<idx_t, 3> n{};
+  for (int_t r = 0; r < sim.ranks(); ++r) {
+    const ns::SolverState<Real, W>& st = sim.state(r);
+    for (idx_t el = 0; el < st.numOwned(); ++el)
+      for (const nm::FaceInfo& fi : st.internalMesh().faces[el]) {
+        if (fi.neighbor < 0 || !st.isHalo(fi.neighbor)) continue;
+        const int_t cMe = st.clusterOf(el);
+        const int_t cNb = st.clusterOf(fi.neighbor);
+        ++n[cNb == cMe ? 0 : (cNb < cMe ? 1 : 2)];
+      }
+  }
+  return n;
+}
+
 /// Reference vs distributed run, compressed payloads: bitwise. Templated
 /// on the arithmetic type so the W=4 instantiations are covered in both
 /// precisions, and parameterized on transport so the thread-transport run
@@ -137,6 +160,15 @@ void runEquivalence(ns::TimeScheme scheme, int_t nRanks, int_t mechanisms,
   addSetup<npar::DistributedSimulation<Real, W>, W>(dist);
   dist.setInitialCondition(initWave);
   dist.run(tEnd);
+
+  // Every halo branch of the executor's neighbor-data rule is exercised:
+  // an LTS run on several ranks has cross-rank faces of all three pairings.
+  if (scheme != ns::TimeScheme::kGts && nRanks > 1) {
+    const std::array<idx_t, 3> pairs = crossRankClusterPairs(dist);
+    EXPECT_GT(pairs[0], 0) << "no equal-cluster cross-rank face";
+    EXPECT_GT(pairs[1], 0) << "no cross-rank face with a smaller remote cluster";
+    EXPECT_GT(pairs[2], 0) << "no cross-rank face with a larger remote cluster";
+  }
 
   expectBitwiseSeismograms(ref, dist, W);
   for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
