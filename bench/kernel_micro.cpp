@@ -235,9 +235,13 @@ BENCHMARK(neighborUpdate<16>)
 BENCHMARK(compress)->ArgsProduct({{4, 5}, {0, 1}})->ArgNames({"order", "backend"});
 
 // Raw small-GEMM backend A/B rows (scalar vs vector per shape; the W = 4
-// right dense + CSR rows are the acceptance gate for the vector backend, and the
-// <double, 4> vs <float, 4> pairs are the fp32-vs-f64 throughput A/B).
+// right dense + CSR rows are the acceptance gate for the vector backend, the
+// <double, 1> star and right dense rows are the shapes loh3_lts runs, and the
+// <double, W> vs <float, W> pairs are the fp32-vs-f64 throughput A/B).
 BENCHMARK_TEMPLATE(smallGemmStar, float, 1)
+    ->ArgsProduct({{4, 5}, {0, 1}})
+    ->ArgNames({"order", "backend"});
+BENCHMARK_TEMPLATE(smallGemmStar, double, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmStar, float, 4)
@@ -252,6 +256,9 @@ BENCHMARK_TEMPLATE(smallGemmStar, double, 4)
 BENCHMARK_TEMPLATE(smallGemmStarFull, float, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
+BENCHMARK_TEMPLATE(smallGemmStarFull, double, 1)
+    ->ArgsProduct({{4, 5}, {0, 1}})
+    ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmStarFull, float, 4)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
@@ -262,6 +269,9 @@ BENCHMARK_TEMPLATE(smallGemmStarFull, double, 4)
     ->ArgsProduct({{4}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 1)
+    ->ArgsProduct({{4, 5}, {0, 1}})
+    ->ArgNames({"order", "backend"});
+BENCHMARK_TEMPLATE(smallGemmRightDense, double, 1)
     ->ArgsProduct({{4, 5}, {0, 1}})
     ->ArgNames({"order", "backend"});
 BENCHMARK_TEMPLATE(smallGemmRightDense, float, 4)

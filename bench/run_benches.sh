@@ -57,8 +57,9 @@ echo "== fig7_partitions (weighted vs unweighted partition imbalance + runtime A
 
 if [[ -x "$BUILD_DIR/kernel_micro" ]]; then
   echo "== kernel_micro (Sec. IV per-kernel throughput) =="
-  # Writes BENCH_kernel.json by default (see the custom main in kernel_micro.cpp).
-  "$BUILD_DIR/kernel_micro"
+  # Writes BENCH_kernel.json by default (see the custom main in kernel_micro.cpp):
+  # each row's mean, median, stddev and cv over 5 repetitions.
+  "$BUILD_DIR/kernel_micro" --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 else
   echo "== kernel_micro skipped (Google Benchmark not available at configure time) =="
 fi

@@ -100,9 +100,9 @@ inline StarPattern densePattern(int_t rows, int_t cols) {
 /// Cauchy-Kowalevski recursion). Walks the stored entries in row-major order
 /// and skips values == 0; accumulates (+=). Returns the dense analytic count
 /// 2 * rows * cols * nCols * W: neither the pattern nor the zero skip
-/// changes it. Declared inline so the vector backend's W == 1 entries, which
-/// delegate here from their AVX2/AVX-512 clones, inline it and run it at the
-/// clone's vector width (GCC does not inline it otherwise).
+/// changes it. Declared inline so the vector backend, which delegates rows
+/// of a single value here from its AVX2/AVX-512 clones, inlines it and runs
+/// it at the clone's vector width (GCC does not inline it otherwise).
 template <typename Real, int W>
 inline std::uint64_t starMul(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
                              const Real* d, Real* o) {

@@ -23,20 +23,21 @@
 //   (1) vector lanes only span *independent output elements* — there is
 //       never a reduction across lanes,
 //   (2) each output element accumulates its terms in exactly the scalar
-//       reference's order (k ascending), with the same zero-skip tests
-//       (compacting the nonzero terms of a row up front preserves both),
+//       reference's order (k ascending), with the same zero-skip tests,
 //   (3) both backends compile under the same floating-point flags and the
 //       same FMA availability, so mul+add contraction applies to the same
 //       pairs in both.
 // What differs is purely the *schedule*: register blocking keeps a chunk of
 // the output row in registers across the whole k loop, where the scalar
-// reference re-streams the row through memory once per k term.
+// reference re-streams the row through memory once per k term. A row that
+// is not a whole number of vectors ends in an *overlapped* last full vector
+// rather than a scalar tail (`VecKernels::vecOffset`).
 //
 // Width specialization: kernels are templated on the fused width W like the
 // scalar reference; W-blocks map onto vectors of min(W, native) lanes so
-// W = 2/4/8/16 runs stay W-fused in registers. The compile-time B/F block
-// sizes of the DG operators enter through the chunked row loops — chunk
-// widths are compile-time, only trip counts depend on the order.
+// W = 2/4/8/16 runs stay W-fused in registers. At W = 1 the rows run along
+// the basis dimension (nb = 20 at order 4): column blocks of up to 4
+// vectors, the next narrower vector width for rows shorter than one vector.
 #include <cstdint>
 #include <cstring>
 
@@ -119,10 +120,18 @@ NGLTS_VEC_INLINE void storeu(Real* p, const V& v) {
   __builtin_memcpy(p, &v, sizeof(V));
 }
 
+// Broadcast through a filled stack array: in context this compiles to one
+// `vbroadcasts[sd]`. The element-wise `v[i] = s` loop (and `{s, s, ...}` or
+// index-sequence initializers) compile, inside the target("avx512f")
+// clones, to a chain of 8/16 dependent masked broadcasts; `V{} + s` is one
+// broadcast but turns -0.0 into +0.0. The copy is a memcpy, not `loadu`:
+// a vector-returning call here trips -Wpsabi at the end of every includer.
 template <typename V, typename Real>
 NGLTS_VEC_INLINE V splat(Real s) {
+  Real lanes[sizeof(V) / sizeof(Real)];
+  for (Real& x : lanes) x = s;
   V v;
-  for (int i = 0; i < static_cast<int>(sizeof(V) / sizeof(Real)); ++i) v[i] = s;
+  __builtin_memcpy(&v, lanes, sizeof(V));
   return v;
 }
 
@@ -136,96 +145,156 @@ template <typename Real, int W, int VecBytes>
 struct VecKernels {
   using V = typename VecT<Real, VecBytes>::type;
   static constexpr int_t VL = VecBytes / static_cast<int>(sizeof(Real));
-  // Single-lane vector for row tails: keeps the tail's per-term expression
-  // in the exact same (contractible) form as the packed chunks, so the
-  // compiler's FMA-contraction decision matches the scalar reference's
-  // vectorized loops element for element. A plain scalar tail loop is NOT
-  // safe: GCC partially vectorizes it with separate mul/add chains while
-  // contracting the reference to FMAs — a 1-ulp bitwise break (caught by
-  // tests/test_kernel_backends.cpp on tail-bearing shapes).
+  // Single-lane vector for the axpy tail: keeps the tail's expression in
+  // the same (contractible) form as the packed chunks. A plain scalar tail
+  // loop is NOT safe: GCC may compile it with another mul/add contraction
+  // than the reference's vectorized loop — a 1-ulp bitwise break.
   using V1 = typename VecT<Real, static_cast<int>(sizeof(Real))>::type;
   // Fused W-block vectors: min(W, VL) lanes, NV of them per block.
   static constexpr int_t VWL = W < VL ? W : VL;
   using VW = typename VecT<Real, VWL * static_cast<int>(sizeof(Real))>::type;
   static constexpr int_t NV = W / (W < VL ? W : VL);
 
-  /// Accumulate `nnz` compacted terms (value, source-row pointer) into one
-  /// output row of `len` contiguous elements, 4 vectors (then 1, then
-  /// scalars) at a time; the output chunk stays in registers across all
-  /// terms. Term order is the caller's list order == ascending k:
-  /// bitwise-equal to the scalar reference's per-term row passes.
-  NGLTS_VEC_INLINE static void accumulateRow(Real* orow, int_t len, int_t nnz,
-                                             const Real* const* src, const Real* val) {
-    int_t j = 0;
-    for (; j + 4 * VL <= len; j += 4 * VL) {
-      V acc0 = loadu<V>(orow + j);
-      V acc1 = loadu<V>(orow + j + VL);
-      V acc2 = loadu<V>(orow + j + 2 * VL);
-      V acc3 = loadu<V>(orow + j + 3 * VL);
-      for (int_t t = 0; t < nnz; ++t) {
-        const Real* dr = src[t] + j;
-        const V avv = splat<V, Real>(val[t]);
-        acc0 += avv * loadu<V>(dr);
-        acc1 += avv * loadu<V>(dr + VL);
-        acc2 += avv * loadu<V>(dr + 2 * VL);
-        acc3 += avv * loadu<V>(dr + 3 * VL);
-      }
-      storeu(orow + j, acc0);
-      storeu(orow + j + VL, acc1);
-      storeu(orow + j + 2 * VL, acc2);
-      storeu(orow + j + 3 * VL, acc3);
-    }
-    for (; j + VL <= len; j += VL) {
-      V acc = loadu<V>(orow + j);
-      for (int_t t = 0; t < nnz; ++t) acc += splat<V, Real>(val[t]) * loadu<V>(src[t] + j);
-      storeu(orow + j, acc);
-    }
-    for (; j < len; ++j) {
-      V1 acc = loadu<V1>(orow + j);
-      for (int_t t = 0; t < nnz; ++t) acc += splat<V1, Real>(val[t]) * loadu<V1>(src[t] + j);
-      storeu(orow + j, acc);
-    }
+  // Rows shorter than one vector run at half the width, down to 2 lanes;
+  // only rows narrower than that take the scalar reference.
+  static constexpr bool kHasNarrower = VecBytes / 2 >= 2 * static_cast<int>(sizeof(Real));
+  using Narrower = VecKernels<Real, W, (kHasNarrower ? VecBytes / 2 : VecBytes)>;
+
+  /// Width of the next column block of a row with `rest` (>= VL) elements
+  /// left: disjoint blocks of at most 4 vectors, none narrower than one
+  /// vector (a 4VL..5VL rest leaves 3 vectors, so the last block keeps 1+).
+  static constexpr int_t blockWidth(int_t rest) {
+    return rest <= 4 * VL ? rest : rest - 4 * VL >= VL ? 4 * VL : 3 * VL;
   }
 
-  /// Star rows have k <= 9 terms by construction (elastic/anelastic
-  /// Jacobian blocks); the compacted term lists live on the stack.
-  static constexpr int_t kMaxStarTerms = 32;
+  /// Offset of vector v in a block of `width` (VL <= width <= N * VL)
+  /// elements: full vectors, the last one overlapping its predecessor
+  /// instead of a scalar tail. Every kernel loads a whole block before it
+  /// stores any of it, so the shared lanes start from the same values, add
+  /// the same terms in the same order, and store identical bits.
+  static constexpr int_t vecOffset(int_t v, int_t width) {
+    return v * VL < width - VL ? v * VL : width - VL;
+  }
 
+  /// One column block of a star row, in registers across all pattern terms
+  /// (k ascending, `a == 0` skipped — the scalar reference's order and
+  /// skips). `d` points at the block's column in source row 0.
+  template <int N>
+  NGLTS_VEC_INLINE static void starBlock(Real* orow, int_t width, const int_t* col,
+                                         const Real* a, int_t nTerms, const Real* d,
+                                         std::size_t stride) {
+    int_t off[N];
+    V acc[N];
+    for (int v = 0; v < N; ++v) {
+      off[v] = vecOffset(v, width);
+      acc[v] = loadu<V>(orow + off[v]);
+    }
+    for (int_t t = 0; t < nTerms; ++t) {
+      const Real av = a[t];
+      if (av == Real(0)) continue;  // zero values, as in the reference
+      const Real* drow = d + static_cast<std::size_t>(col[t]) * stride;
+      const V avv = splat<V, Real>(av);
+      for (int v = 0; v < N; ++v) acc[v] += avv * loadu<V>(drow + off[v]);
+    }
+    for (int v = 0; v < N; ++v) storeu(orow + off[v], acc[v]);
+  }
+
+  /// Every W: a row is nCols * W contiguous outputs, walked in column blocks
+  /// of up to 4 register-held vectors.
   NGLTS_VEC_INLINE static std::uint64_t star(const StarPattern& p, const Real* a, int_t nCols,
                                              int_t ld, const Real* d, Real* o) {
     const int_t len = nCols * W;
+    if (len < VL) {
+      if constexpr (kHasNarrower)
+        return Narrower::star(p, a, nCols, ld, d, o);
+      else
+        return starMul<Real, W>(p, a, nCols, ld, d, o);
+    }
     const std::size_t stride = static_cast<std::size_t>(ld) * W;
-    const Real* src[kMaxStarTerms];
-    Real val[kMaxStarTerms];
     for (int_t r = 0; r < p.rows; ++r) {
+      const int_t i0 = p.rowPtr[r];
+      const int_t nTerms = p.rowPtr[r + 1] - i0;
+      if (nTerms == 0) continue;  // e.g. the coupling blocks' velocity rows
       Real* orow = o + static_cast<std::size_t>(r) * stride;
-      const int_t rowEnd = p.rowPtr[r + 1];
-      // Longer rows than the list capacity take several passes over the
-      // output; term order (and bitwise behavior) is unchanged.
-      for (int_t i0 = p.rowPtr[r]; i0 < rowEnd; i0 += kMaxStarTerms) {
-        const int_t iEnd = i0 + kMaxStarTerms < rowEnd ? i0 + kMaxStarTerms : rowEnd;
-        int_t nnz = 0;
-        for (int_t i = i0; i < iEnd; ++i) {
-          if (a[i] == Real(0)) continue; // zero values, as in the reference
-          src[nnz] = d + static_cast<std::size_t>(p.colIdx[i]) * stride;
-          val[nnz++] = a[i];
+      const int_t* col = p.colIdx.data() + i0;
+      for (int_t j = 0; j < len;) {
+        const int_t w = blockWidth(len - j);
+        switch ((w + VL - 1) / VL) {
+          case 1: starBlock<1>(orow + j, w, col, a + i0, nTerms, d + j, stride); break;
+          case 2: starBlock<2>(orow + j, w, col, a + i0, nTerms, d + j, stride); break;
+          case 3: starBlock<3>(orow + j, w, col, a + i0, nTerms, d + j, stride); break;
+          default: starBlock<4>(orow + j, w, col, a + i0, nTerms, d + j, stride); break;
         }
-        // Rows without a nonzero term: skip the row pass entirely —
-        // re-writing the row unchanged would be bitwise-neutral but wastes
-        // bandwidth the scalar reference doesn't spend.
-        if (nnz > 0) accumulateRow(orow, len, nnz, src, val);
+        j += w;
       }
     }
     return 2ull * p.rows * p.cols * nCols * W;
+  }
+
+  /// W = 1 right shape, one column block of IB variables' output rows, in
+  /// registers across the whole kEff loop: each B row chunk is loaded once
+  /// and serves the IB variables, and the reference's per-(variable, k)
+  /// `d == 0` skip stays inline. `b` and `o` point at the block's column.
+  template <int IB, int N>
+  NGLTS_VEC_INLINE static void rightBlockW1(int_t kEff, int_t ldb, const Real* d, int_t ldd,
+                                            const Real* b, Real* o, int_t ldo, int_t width) {
+    int_t off[N];
+    V acc[IB][N];
+    for (int v = 0; v < N; ++v) off[v] = vecOffset(v, width);
+    for (int ii = 0; ii < IB; ++ii)
+      for (int v = 0; v < N; ++v)
+        acc[ii][v] = loadu<V>(o + static_cast<std::size_t>(ii) * ldo + off[v]);
+    for (int_t kk = 0; kk < kEff; ++kk) {
+      const Real* brow = b + static_cast<std::size_t>(kk) * ldb;
+      V bv[N];
+      for (int v = 0; v < N; ++v) bv[v] = loadu<V>(brow + off[v]);
+      for (int ii = 0; ii < IB; ++ii) {
+        const Real dv = d[static_cast<std::size_t>(ii) * ldd + kk];
+        if (dv == Real(0)) continue;  // as in the reference
+        const V dvv = splat<V, Real>(dv);
+        for (int v = 0; v < N; ++v) acc[ii][v] += dvv * bv[v];
+      }
+    }
+    for (int ii = 0; ii < IB; ++ii)
+      for (int v = 0; v < N; ++v)
+        storeu(o + static_cast<std::size_t>(ii) * ldo + off[v], acc[ii][v]);
+  }
+
+  /// All variables of one W = 1 column block, 3 (2 at 4 vectors) at a time.
+  template <int N>
+  NGLTS_VEC_INLINE static void rightColsW1(int_t nVars, int_t kEff, int_t ldb, const Real* d,
+                                           const Real* b, Real* o, int_t ldd, int_t ldo,
+                                           int_t width) {
+    constexpr int IB = N <= 3 ? 3 : 2;
+    int_t i = 0;
+    for (; i + IB <= nVars; i += IB)
+      rightBlockW1<IB, N>(kEff, ldb, d + static_cast<std::size_t>(i) * ldd, ldd, b,
+                          o + static_cast<std::size_t>(i) * ldo, ldo, width);
+    for (; i < nVars; ++i)
+      rightBlockW1<1, N>(kEff, ldb, d + static_cast<std::size_t>(i) * ldd, ldd, b,
+                         o + static_cast<std::size_t>(i) * ldo, ldo, width);
   }
 
   NGLTS_VEC_INLINE static std::uint64_t rightDense(int_t nVars, int_t kEff, int_t nEff,
                                                    int_t ldb, const Real* d, const Real* b,
                                                    Real* o, int_t ldd, int_t ldo) {
     if constexpr (W == 1) {
-      // Unreachable: the W == 1 entry points delegate to the scalar
-      // reference (see below).
-      return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+      if (nEff < VL) {
+        if constexpr (kHasNarrower)
+          return Narrower::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+        else
+          return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+      }
+      for (int_t j = 0; j < nEff;) {
+        const int_t w = blockWidth(nEff - j);
+        switch ((w + VL - 1) / VL) {
+          case 1: rightColsW1<1>(nVars, kEff, ldb, d, b + j, o + j, ldd, ldo, w); break;
+          case 2: rightColsW1<2>(nVars, kEff, ldb, d, b + j, o + j, ldd, ldo, w); break;
+          case 3: rightColsW1<3>(nVars, kEff, ldb, d, b + j, o + j, ldd, ldo, w); break;
+          default: rightColsW1<4>(nVars, kEff, ldb, d, b + j, o + j, ldd, ldo, w); break;
+        }
+        j += w;
+      }
     } else {
       // Register-block IB variables x NB fused output columns across the
       // whole kEff loop: the output block and the IB variables' D entries
@@ -390,32 +459,23 @@ struct VecKernels {
 // operand shapes and accumulate semantics; flop returns are identical to
 // the scalar reference by construction).
 //
-// W == 1 GEMM shapes delegate to the scalar reference: without a fused
-// dimension the loops run over the long contiguous basis dimension, which
-// the reference's `omp simd` loops already vectorize optimally — explicit
-// lanes only add call and setup overhead there (measured in
-// bench/kernel_micro.cpp). This is a documented per-shape choice of the
-// vector backend, not a dispatch fallback (docs/KERNELS.md): the backend's
-// value is the fused W > 1 layouts, exactly the paper's Sec. IV-A claim.
+// W = 1: `star` and `rightDense` run their own register schedules (one
+// output row chunk per register across all terms, overlapped last vector;
+// see `VecKernels`). `rightCsr` at W = 1 is a scatter into the output row
+// with nothing to keep in registers and delegates to the scalar reference.
 // ---------------------------------------------------------------------------
 
 template <typename Real, int W>
 std::uint64_t starMulVec(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
                          const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMul<Real, 1>(p, a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::star(p, a, nCols, ld, d, o);
+  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>
 std::uint64_t rightMulDenseVec(int_t nVars, int_t kEff, int_t nEff, int_t ldb, const Real* d,
                                const Real* b, Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightDense(
-        nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
+  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightDense(
+      nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
 }
 
 template <typename Real, int W>
@@ -445,21 +505,15 @@ void axpyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
 template <typename Real, int W>
 NGLTS_TARGET_AVX2 std::uint64_t starMulVecAvx2(const StarPattern& p, const Real* a, int_t nCols,
                                                int_t ld, const Real* d, Real* o) {
-  if constexpr (W == 1)
-    return starMul<Real, 1>(p, a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::star(p, a, nCols, ld, d, o);
+  return vecdetail::VecKernels<Real, W, 32>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>
 NGLTS_TARGET_AVX2 std::uint64_t rightMulDenseVecAvx2(int_t nVars, int_t kEff, int_t nEff,
                                                      int_t ldb, const Real* d, const Real* b,
                                                      Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                          ldo);
+  return vecdetail::VecKernels<Real, W, 32>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
+                                                        ldo);
 }
 
 template <typename Real, int W>
@@ -493,10 +547,7 @@ template <typename Real, int W>
 NGLTS_TARGET_AVX512 std::uint64_t starMulVecAvx512(const StarPattern& p, const Real* a,
                                                    int_t nCols, int_t ld, const Real* d,
                                                    Real* o) {
-  if constexpr (W == 1)
-    return starMul<Real, 1>(p, a, nCols, ld, d, o);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::star(p, a, nCols, ld, d, o);
+  return vecdetail::VecKernels<Real, W, 64>::star(p, a, nCols, ld, d, o);
 }
 
 template <typename Real, int W>
@@ -504,11 +555,8 @@ NGLTS_TARGET_AVX512 std::uint64_t rightMulDenseVecAvx512(int_t nVars, int_t kEff
                                                          int_t ldb, const Real* d,
                                                          const Real* b, Real* o, int_t ldd,
                                                          int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulDense<Real, 1>(nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                          ldo);
+  return vecdetail::VecKernels<Real, W, 64>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
+                                                        ldo);
 }
 
 template <typename Real, int W>
