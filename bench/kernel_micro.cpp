@@ -13,10 +13,9 @@
 // updates. Both backends produce bitwise-identical results — these rows
 // measure throughput only.
 //
-// The JSON context records the resolved ISA ("kernel_isa") and precision
-// ("precision": kernel_micro measures the f32 kernels, the precision the
-// fused production runs use; f64 solver rows come from the scenario
-// benches via NGLTS_PRECISION) so every row is attributable.
+// The JSON context records the resolved ISA ("kernel_isa"), and each row's
+// precision is the <float|double, W> template type in its name, so every
+// row is attributable.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Run the perf-trajectory benches and collect their machine-readable
-# artifacts (BENCH_*.json) in one output directory.
+# Run the perf-trajectory benches (tab1_performance, kernel_micro) and
+# collect their machine-readable artifacts (BENCH_*.json) in one output
+# directory. The paper's deterministic figure numbers are ctest cases, not
+# benches: `ctest -L paper` (tests/test_paper.cpp).
 #
 # usage: bench/run_benches.sh [BUILD_DIR] [OUT_DIR]
 #   BUILD_DIR  cmake build tree containing the bench binaries (default: build)
@@ -9,28 +11,18 @@
 # environment:
 #   NGLTS_BENCH_SCALE   mesh/time scale multiplier (default 1.0); >= 1 for
 #                       meaningful numbers, < 1 for smoke runs.
-#   KERNEL              small-GEMM backend the solver benches pin
+#   KERNEL              small-GEMM backend tab1_performance pins
 #                       (auto | scalar | vector; default auto).
-#                       Exported as NGLTS_KERNEL to the bench
-#                       binaries, which record the resolved backend in
-#                       their BENCH_*.json ("kernel_backend" key) so rows
-#                       are attributable. kernel_micro always measures
+#                       Exported as NGLTS_KERNEL; tab1_performance records
+#                       the resolved backend in BENCH_tab1.json
+#                       ("kernel_backend" key) so rows are attributable. kernel_micro always measures
 #                       *every* backend (its per-row `backend` argument)
 #                       regardless of KERNEL.
-#   PRECISION           arithmetic precision the precision-dispatching
-#                       solver benches pin (f64 | f32; default f64).
-#                       Exported as NGLTS_PRECISION; recorded as the
-#                       "precision" key in BENCH_*.json. tab1_performance
-#                       reproduces the paper's single-precision Tab. I and
-#                       is always f32; kernel_micro always measures both
-#                       precisions (the <float|double, W> template type in
-#                       each row name) regardless of PRECISION.
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench-out}
 export NGLTS_KERNEL=${KERNEL:-${NGLTS_KERNEL:-auto}}
-export NGLTS_PRECISION=${PRECISION:-${NGLTS_PRECISION:-f64}}
 
 if [[ ! -x "$BUILD_DIR/tab1_performance" ]]; then
   echo "run_benches.sh: $BUILD_DIR/tab1_performance not found — build with -DNGLTS_BUILD_BENCHES=ON" >&2
@@ -41,19 +33,10 @@ BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 mkdir -p "$OUT_DIR"
 cd "$OUT_DIR"
 
-echo "== kernel backend for solver benches: $NGLTS_KERNEL =="
+echo "== kernel backend for tab1_performance: $NGLTS_KERNEL =="
 
-echo "== tab1_performance (Tab. I throughput + time to solution + thread sweep + raw-vs-compressed A/B) =="
+echo "== tab1_performance (Tab. I throughput + time to solution) =="
 "$BUILD_DIR/tab1_performance"
-
-echo "== fig10_scaling (rank scaling + hybrid ranks x threads sweep) =="
-"$BUILD_DIR/fig10_scaling"
-
-echo "== batch_throughput (ensemble setup amortization: independent vs memoized/fused) =="
-"$BUILD_DIR/batch_throughput"
-
-echo "== fig7_partitions (weighted vs unweighted partition imbalance + runtime A/B) =="
-"$BUILD_DIR/fig7_partitions"
 
 if [[ -x "$BUILD_DIR/kernel_micro" ]]; then
   echo "== kernel_micro (Sec. IV per-kernel throughput) =="

@@ -1,22 +1,15 @@
 // Reproduces Tab. I: single-socket time-to-solution of the LOH.3-like
-// setting for GTS, next-generation LTS (lambda = 1.0 and 0.8) and the
-// buffer+derivative baseline scheme of [15] ("SeisSol" row), each as a
-// single forward simulation (dense block-trimmed kernels) and as sixteen
+// setting for GTS, next-generation LTS (lambda = 1.0 and the swept lambda)
+// and the buffer+derivative baseline scheme of [15] ("SeisSol" row), each as
+// a single forward simulation (dense block-trimmed kernels) and as sixteen
 // fused simulations (fully sparse kernels). Reported: element updates per
 // second, GFLOPS-equivalents (useful ops), and speedups over single-run GTS
 // — per fused lane in the fused columns, matching the paper's
-// per-simulation accounting. The main rows run on all hardware threads;
-// a dedicated sweep section measures the threaded StepExecutor at
-// 1/2/4/8 threads (bitwise-identical results, throughput only).
-#include <algorithm>
+// per-simulation accounting. Every row runs on all hardware threads.
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
-#include "lts/clustering.hpp"
-#include "parallel/dist_sim.hpp"
-#include "partition/dual_graph.hpp"
-#include "partition/partitioner.hpp"
 #include "solver/simulation.hpp"
 #include "solver/threading.hpp"
 
@@ -32,7 +25,7 @@ struct RowResult {
 
 template <int W>
 RowResult runCase(solver::TimeScheme scheme, double lambda, bool sparse, double scale,
-                  double tEnd, int_t threads = -1) {
+                  double tEnd) {
   bench::Loh3Scenario sc(scale);
   solver::SimConfig cfg;
   cfg.order = 4;
@@ -45,7 +38,7 @@ RowResult runCase(solver::TimeScheme scheme, double lambda, bool sparse, double 
   if (cfg.autoLambda) cfg.lambda = 1.0;
   cfg.sparseKernels = sparse;
   cfg.kernelBackend = bench::benchKernelBackend();
-  cfg.numThreads = threads > 0 ? threads : solver::hardwareThreads();
+  cfg.numThreads = solver::hardwareThreads();
   solver::Simulation<float, W> sim(std::move(sc.mesh), std::move(sc.materials), cfg);
   sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
     for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
@@ -89,8 +82,7 @@ int main() {
   json.set("bench", "tab1_performance");
   json.set("kernel_backend", bench::benchKernelLabel());
   // Tab. I is the paper's *single-precision* production table; the runs
-  // here are Simulation<float, W> by construction (NGLTS_PRECISION does
-  // not apply — see bench/run_benches.sh).
+  // here are Simulation<float, W> by construction.
   json.set("precision", "f32");
   json.set("scale", scale);
   json.set("t_end", tEnd);
@@ -118,76 +110,6 @@ int main() {
   }
   std::printf("%s\n", table.str().c_str());
   table.writeCsv("tab1_performance.csv");
-
-  // Thread-count sweep of the threaded StepExecutor (static chunks over the
-  // cluster-contiguous ranges, first-touch-matched): the same LTS setting at
-  // 1/2/4/8 threads. Results are bitwise-identical across the sweep — only
-  // throughput moves.
-  {
-    std::printf("\nLTS thread sweep (%lld hardware threads):\n",
-                static_cast<long long>(solver::hardwareThreads()));
-    double oneThread = 0.0;
-    for (int_t t : {1, 2, 4, 8}) {
-      const auto r =
-          runCase<1>(solver::TimeScheme::kLtsNextGen, 1.0, false, scale, tEnd, t);
-      if (t == 1) oneThread = r.updatesPerSec;
-      std::printf("  %lld threads: %.3g element updates/s (%.2fx vs 1 thread)\n",
-                  static_cast<long long>(t), r.updatesPerSec, r.updatesPerSec / oneThread);
-      json.beginRow();
-      json.rowSet("configuration", "EDGE LTS (1.0) thread sweep");
-      json.rowSet("threads", static_cast<double>(t));
-      json.rowSet("updates_per_sec", r.updatesPerSec);
-      json.rowSet("speedup_vs_1thread", r.updatesPerSec / oneThread);
-    }
-  }
-
-  // Distributed LTS on the unified engine (Sec. V-C): 2-rank ThreadComm run
-  // of the same LOH.3-like setting, raw 9xB vs face-local 9xF payloads.
-  {
-    bench::Loh3Scenario sc(scale);
-    const auto geo = mesh::computeGeometry(sc.mesh);
-    const auto dtCfl = lts::cflTimeSteps(geo, sc.materials, 4);
-    const auto clustering = lts::buildClustering(sc.mesh, dtCfl, 3, 1.0);
-    const auto graph = partition::buildDualGraph(sc.mesh, clustering);
-    const auto parts = partition::partitionGraph(graph, sc.mesh, 2);
-    double updates[2] = {0, 0};
-    std::uint64_t bytes[2] = {0, 0};
-    for (int mode = 0; mode < 2; ++mode) {
-      parallel::DistConfig dcfg;
-      dcfg.sim.order = 4;
-      dcfg.sim.mechanisms = 3;
-      dcfg.sim.attenuationFreq = 1.0;
-      dcfg.sim.scheme = solver::TimeScheme::kLtsNextGen;
-      dcfg.sim.numClusters = 3;
-      dcfg.sim.lambda = 1.0;
-      dcfg.sim.kernelBackend = bench::benchKernelBackend();
-      dcfg.sim.numThreads = std::max<int_t>(1, solver::hardwareThreads() / 2);
-      dcfg.compressFaces = mode == 1;
-      dcfg.transport = parallel::Transport::kThread;
-      parallel::DistributedSimulation<float, 1> dist(sc.mesh, sc.materials, parts.part, dcfg);
-      dist.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
-        for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
-        const double r2 = (x[0] - 4000.0) * (x[0] - 4000.0) +
-                          (x[1] - 4000.0) * (x[1] - 4000.0) +
-                          (x[2] + 2000.0) * (x[2] + 2000.0);
-        q9[kVelW] = std::exp(-r2 / 640000.0);
-      });
-      dist.run(dist.cycleDt()); // warm-up cycle
-      const auto st = dist.run(tEnd);
-      updates[mode] = static_cast<double>(st.elementUpdates) / st.seconds;
-      bytes[mode] = st.commBytes / st.cycles;
-    }
-    std::printf("distributed LTS (2 ranks): raw %.3g updates/s (%.3g B/cycle), "
-                "compressed %.3g updates/s (%.3g B/cycle)\n",
-                updates[0], static_cast<double>(bytes[0]), updates[1],
-                static_cast<double>(bytes[1]));
-    json.beginRow();
-    json.rowSet("configuration", "distributed LTS 2-rank raw-vs-compressed A/B");
-    json.rowSet("updates_per_sec_raw", updates[0]);
-    json.rowSet("updates_per_sec_compressed", updates[1]);
-    json.rowSet("bytes_per_cycle_raw", static_cast<double>(bytes[0]));
-    json.rowSet("bytes_per_cycle_compressed", static_cast<double>(bytes[1]));
-  }
 
   std::printf("paper Tab. I speedups over single-sim GTS:\n");
   std::printf("  EDGE: GTS 1.00/1.80, LTS(1.0) 2.14/3.91, LTS(0.8) 2.51/4.51\n");

@@ -417,8 +417,9 @@ std::uint64_t DistributedSimulation<Real, W>::cycleCommBytes(const std::vector<i
                                                              bool faceLocal) const {
   // Analytic per-cycle byte volume if the mesh were cut along `partition`:
   // for every face crossing a cut, count the datasets the owning side sends
-  // (Sec. V-C; the "comm_volume" row of docs/ARCHITECTURE.md "Reproducing
-  // paper results"). External ids — the accounting never touches an arena.
+  // (Sec. V-C; tests/test_paper.cpp pins the LOH.3 values, listed in
+  // docs/ARCHITECTURE.md "Reproducing paper results"). External ids — the
+  // accounting never touches an arena.
   if (static_cast<idx_t>(partition.size()) != mesh_.numElements())
     throw std::invalid_argument("cycleCommBytes: partition size != element count");
   const solver::SimConfig& sim = cfg_.sim;

@@ -220,7 +220,8 @@ TEST(WeightedPartition, GoldenPinnedPartitionOnFixedSeedMesh) {
   // weighted graph must reproduce this exact partition (assignment hash and
   // per-part element counts). A change here means the mesh generator, the
   // weighting formula, or the partitioner heuristics changed — all of which
-  // silently invalidate recorded BENCH_fig7 A/Bs and must be deliberate.
+  // move the Fig. 7 values PaperFig7 (tests/test_paper.cpp) pins and must be
+  // deliberate.
   const nm::TetMesh mesh = makeMesh(4);
   const auto cl = makeClustering(mesh, 3, thinSlabRule);
   const auto g = npart::buildPartitionGraph(mesh, cl, npart::PartitionWeighting::kWeighted);
