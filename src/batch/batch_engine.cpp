@@ -64,7 +64,6 @@ pre::PipelineConfig BatchEngine::pipelineConfig() const {
   p.autoLambda = gts ? false : cfg_.sim.autoLambda;
   p.lambda = cfg_.sim.lambda;
   p.numPartitions = 1; // the batch engine is a shared-memory driver
-  p.partitionWeighting = cfg_.sim.partitionWeighting;
   return p;
 }
 

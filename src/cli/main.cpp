@@ -26,7 +26,8 @@ void printUsage() {
       "      --order N         convergence order, 1..7 (scenario default: usually 4)\n"
       "      --scheme S        time stepping: gts | lts | baseline\n"
       "      --clusters N      number of LTS clusters (>= 1)\n"
-      "      --fused W         fused-simulation width (1|2 double, 1|8|16 float scenarios)\n"
+      "      --fused W         fused-simulation width (1|2 double, 1|8|16 float scenarios;\n"
+      "                        batch: max fused-lane packing width 1|2|4)\n"
       "      --end-time T      simulated end time [s]\n"
       "      --ranks N         engine ranks (default 1, lahabra: 4; under\n"
       "                        --transport mpi: the mpirun world size)\n"
@@ -44,10 +45,6 @@ void printUsage() {
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
       "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
-      "      --partition W     rank-partitioner weighting: weighted | unweighted\n"
-      "                        (default weighted = LTS update frequency + face-flux\n"
-      "                        share; affects rank balance only, results are\n"
-      "                        bitwise-identical to single-rank either way)\n"
       "      --lambda X        fixed cluster-growth lambda (disables the auto sweep)\n"
       "      --scale S         mesh-resolution multiplier (default 1.0)\n"
       "      --mesh-file F     run on an external Gmsh .msh 4.1 tet mesh instead of\n"
@@ -64,7 +61,6 @@ void printUsage() {
       "                        per line: id [source_scale [material_scale [dx dy dz]]])\n"
       "      --batch-size N    batch scenario: synthesize N perturbed requests when\n"
       "                        no manifest is given (default 4)\n"
-      "      --batch-width W   alias for --fused on the batch scenario (1|2|4)\n"
       "      --checkpoint F    snapshot file for checkpoint/restore\n"
       "      --checkpoint-every N  write a snapshot every N LTS cycles (0 = off)\n"
       "      --restore         resume the batch from the --checkpoint file\n"
@@ -165,12 +161,6 @@ int main(int argc, char** argv) {
       } catch (const std::invalid_argument& e) {
         usageError(e.what());
       }
-    } else if (arg == "--partition") {
-      try {
-        opts.partition = nglts::partition::parsePartitionWeighting(requireValue(argc, argv, i));
-      } catch (const std::invalid_argument& e) {
-        usageError(e.what());
-      }
     } else if (arg == "--lambda") {
       opts.lambda = parseDouble(arg, requireValue(argc, argv, i));
     } else if (arg == "--scale") {
@@ -187,8 +177,6 @@ int main(int argc, char** argv) {
       opts.batchManifest = requireValue(argc, argv, i);
     } else if (arg == "--batch-size") {
       opts.batchSize = parseInt(arg, requireValue(argc, argv, i));
-    } else if (arg == "--batch-width") {
-      opts.fusedWidth = parseInt(arg, requireValue(argc, argv, i));
     } else if (arg == "--checkpoint") {
       opts.checkpointFile = requireValue(argc, argv, i);
     } else if (arg == "--checkpoint-every") {

@@ -38,7 +38,8 @@ struct ScenarioOptions {
   /// Fused-simulation width W (Sec. IV-A): number of forward simulations
   /// advanced in one solver execution. Valid: 1 or 2 for quickstart/loh1/
   /// loh3 (at either --precision), 1, 8 or 16 for the single-precision
-  /// fused/lahabra scenarios (the instantiated kernel widths).
+  /// fused/lahabra scenarios (the instantiated kernel widths); for `batch`
+  /// the max fused-lane packing width, 1, 2 or 4 (default 4).
   std::optional<int_t> fusedWidth;
   /// Simulated end time [s] (> 0). Scenarios run full LTS cycles until at
   /// least this much physical time is covered.
@@ -46,8 +47,9 @@ struct ScenarioOptions {
   /// Number of distributed ranks (>= 1). Every scenario but `batch` runs
   /// its primary simulation through `parallel::DistributedSimulation` on
   /// this many ranks — over the pipeline's partition (loh1, lahabra), a
-  /// weighted dual-graph partition, or on one rank an all-zero one; results
-  /// are bitwise-identical for every rank count (Sec. V-C).
+  /// partition of the LTS-weighted dual graph (Sec. VI), or on one rank an
+  /// all-zero one; results are bitwise-identical for every rank count
+  /// (Sec. V-C).
   std::optional<int_t> ranks;
   /// OpenMP threads per rank for the executor's element loops
   /// (`SimConfig::numThreads`, >= 1; 1 = serial). Unset = all hardware
@@ -73,12 +75,6 @@ struct ScenarioOptions {
   /// bitwise identity — see docs/KERNELS.md). The fused and lahabra
   /// scenarios are single-precision by design and reject an explicit f64.
   std::optional<solver::Precision> precision;
-  /// Dual-graph weighting of the rank partitioner
-  /// (`SimConfig::partitionWeighting`, the `--partition` flag): `weighted`
-  /// (LTS update frequency + face-flux share, the default) or `unweighted`
-  /// (plain element counts). Changes which elements land on which rank —
-  /// results stay bitwise-identical to single-rank either way.
-  std::optional<partition::PartitionWeighting> partition;
   /// Fixed cluster-growth control parameter lambda (>= 0); setting it
   /// disables the scenario's automatic lambda sweep (Sec. V-A).
   std::optional<double> lambda;
@@ -128,9 +124,10 @@ struct ScenarioReport {
   /// The `SimConfig` the primary simulation actually ran with (defaults
   /// plus flag overrides) — tests validate this.
   solver::SimConfig config;
-  /// Performance counters of the primary run (for LOH.3 this is the LTS
-  /// run, the GTS reference is reported in `summary`).
-  solver::PerfStats stats;
+  /// Performance and exchange counters of the primary run (for LOH.3 this
+  /// is the LTS run, the GTS reference is reported in `summary`). On one
+  /// rank, and for `batch`, `messages` and `commBytes` are 0.
+  parallel::DistStats stats;
   /// Uniformly resampled x-velocity of lane 0 at the scenario's first
   /// receiver; empty for scenarios without receivers.
   std::vector<double> trace;

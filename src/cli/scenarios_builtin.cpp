@@ -49,11 +49,6 @@ void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
   appendf(out, "precision: %s\n", solver::precisionName(cfg.precision));
   appendf(out, "denormals: %s\n", kFlushDenormals ? "flush-to-zero" : "ieee");
-  // A non-default partition weighting is worth a summary line (CI greps it
-  // to confirm the flag reached the engine); the default stays silent so
-  // existing summary expectations hold.
-  if (cfg.partitionWeighting != partition::PartitionWeighting::kWeighted)
-    appendf(out, "partition: %s\n", partition::partitionWeightingName(cfg.partitionWeighting));
 }
 
 /// `seismo::energyMisfit(signal, reference)`, or nullopt when the reference
@@ -199,7 +194,8 @@ std::vector<int_t> weightedPartition(const mesh::TetMesh& mesh,
   const auto clustering = solver::resolveClustering(mesh, dtCfl, cfg);
   cfg.lambda = clustering.lambda;
   cfg.autoLambda = false;
-  const auto graph = partition::buildPartitionGraph(mesh, clustering, cfg.partitionWeighting);
+  const auto graph =
+      partition::buildPartitionGraph(mesh, clustering, partition::PartitionWeighting::kWeighted);
   return partition::partitionGraph(graph, mesh, nRanks).part;
 }
 
@@ -290,7 +286,6 @@ EngineInputs runScenarioPipeline(const seismo::VelocityModel& model, pre::Pipeli
   pcfg.autoLambda = cfg.autoLambda && cfg.scheme != solver::TimeScheme::kGts;
   pcfg.lambda = cfg.lambda;
   pcfg.numPartitions = nRanks;
-  pcfg.partitionWeighting = cfg.partitionWeighting;
   applyIngestionOverrides(pcfg, opts);
 
   progressf(opts, "running preprocessing pipeline...\n");
@@ -754,7 +749,6 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   // build/host fails at config time (never a silent fallback mid-run).
   linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;
-  if (opts.partition) cfg.partitionWeighting = *opts.partition;
   if (opts.lambda) {
     cfg.lambda = *opts.lambda;
     cfg.autoLambda = false;

@@ -136,10 +136,6 @@ class AderKernels {
   std::uint64_t compressBuffer(int_t ownFace, int_t recvPerm, const Real* data,
                                Real* faceOut) const;
 
-  /// Evaluate the Taylor expansion of the solution at offset tau in [0, dt]
-  /// from a derivative stack (receiver seismogram sampling).
-  void evalTaylorElastic(const Real* derivStack, Real tau, Real* out) const;
-
  private:
   int_t order_, mechs_, nq_, nb_, nf_;
   bool sparse_;
@@ -454,17 +450,6 @@ std::uint64_t AderKernels<Real, W>::compressBuffer(int_t ownFace, int_t recvPerm
   linalg::zeroBlock(faceOut, faceDataSize());
   return applyRight(fluxNeigh_[ownFace][recvPerm], kElasticVars, nb_, nf_, data, faceOut, nb_,
                     nf_);
-}
-
-template <typename Real, int W>
-void AderKernels<Real, W>::evalTaylorElastic(const Real* derivStack, Real tau, Real* out) const {
-  const std::size_t el9 = elasticDofsPerElement();
-  linalg::zeroBlock(out, el9);
-  Real coef = 1.0;
-  for (int_t d = 0; d < order_; ++d) {
-    ops_->axpy(coef, derivStack + static_cast<std::size_t>(d) * el9, out, el9);
-    coef *= tau / Real(d + 1);
-  }
 }
 
 } // namespace nglts::kernels

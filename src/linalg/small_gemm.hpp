@@ -19,7 +19,7 @@
 // star takes its operator as the values of a fixed pattern; right exists in
 // dense and CSR form. All kernels accumulate (+=) into their output and
 // return the analytic flop count of Tab. I's accounting, never a hardware
-// counter (see common/flops.hpp).
+// counter (see docs/KERNELS.md, "Flop accounting").
 #include <cstdint>
 #include <cstring>
 

@@ -86,12 +86,13 @@ double theoreticalSpeedup(const std::vector<double>& dtCfl, const Clustering& cl
 }
 
 LambdaSweep optimizeLambda(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
-                           int_t numClusters, double increment, bool normalize) {
+                           int_t numClusters) {
+  constexpr double kIncrement = 0.01;
   LambdaSweep sweep;
   sweep.bestSpeedup = 0.0;
-  for (double lambda = 0.5 + increment; lambda <= 1.0 + 1e-12; lambda += increment) {
+  for (double lambda = 0.5 + kIncrement; lambda <= 1.0 + 1e-12; lambda += kIncrement) {
     const double lam = std::min(lambda, 1.0);
-    const Clustering c = buildClustering(mesh, dtCfl, numClusters, lam, normalize);
+    const Clustering c = buildClustering(mesh, dtCfl, numClusters, lam);
     sweep.lambdas.push_back(lam);
     sweep.speedups.push_back(c.theoreticalSpeedup);
     if (c.theoreticalSpeedup > sweep.bestSpeedup) {

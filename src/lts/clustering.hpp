@@ -32,8 +32,9 @@ struct Clustering {
 };
 
 /// Assign clusters from per-element CFL steps; normalizes so neighbors differ
-/// by at most one cluster (paper Sec. V-A). `normalize = false` is exposed
-/// for the ablation quantifying the (sub-1.5%) normalization loss.
+/// by at most one cluster (paper Sec. V-A). `normalize = false` is the
+/// reference `Clustering.NormalizationLossIsSmall` (tests/test_lts.cpp)
+/// measures the paper's sub-1.5% normalization loss against.
 Clustering buildClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
                            int_t numClusters, double lambda, bool normalize = true);
 
@@ -49,8 +50,9 @@ struct LambdaSweep {
 };
 
 /// The paper's preprocessing sweep: test lambda = 0.51 .. 1.00 with a 0.01
-/// increment and keep the best theoretical speedup.
+/// increment over normalized clusterings and keep the best theoretical
+/// speedup.
 LambdaSweep optimizeLambda(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
-                           int_t numClusters, double increment = 0.01, bool normalize = true);
+                           int_t numClusters);
 
 } // namespace nglts::lts

@@ -209,7 +209,7 @@ class DistributedSimulation {
 
   /// Total bytes a run would ship per cycle for the configured scheme if
   /// the mesh were cut along `partition` (Sec. V-C accounting; computed
-  /// analytically, used by the comm-volume bench). `partition` is indexed
+  /// analytically, pinned by `PaperSecVC`). `partition` is indexed
   /// by global external element id; throws `std::invalid_argument` on a size
   /// mismatch.
   std::uint64_t cycleCommBytes(const std::vector<int_t>& partition, bool faceLocal) const;

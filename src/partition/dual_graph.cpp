@@ -10,70 +10,43 @@ double DualGraph::totalVertexWeight() const {
   return s;
 }
 
-namespace {
-
-DualGraph buildImpl(const mesh::TetMesh& mesh, const lts::Clustering* clustering,
-                    bool faceFluxTerm = false) {
+DualGraph buildPartitionGraph(const mesh::TetMesh& mesh, const lts::Clustering& clustering,
+                              PartitionWeighting weighting) {
+  const bool weighted = weighting == PartitionWeighting::kWeighted;
   DualGraph g;
   g.numVertices = mesh.numElements();
   g.adjPtr.assign(g.numVertices + 1, 0);
   g.vertexWeight.resize(g.numVertices);
-
-  const int_t nc = clustering ? clustering->numClusters : 1;
+  g.adjList.reserve(4 * static_cast<std::size_t>(g.numVertices));
+  g.edgeWeight.reserve(4 * static_cast<std::size_t>(g.numVertices));
   for (idx_t e = 0; e < g.numVertices; ++e) {
-    const int_t cl = clustering ? clustering->cluster[e] : 0;
-    double w = static_cast<double>(lts::stepsPerCycle(nc, cl));
-    if (faceFluxTerm) {
-      int_t interiorFaces = 0;
-      for (int_t f = 0; f < 4; ++f)
-        if (mesh.faces[e][f].neighbor >= 0) ++interiorFaces;
-      w *= kAderCostShare + kFaceFluxCostShare * interiorFaces / 4.0;
-    }
-    g.vertexWeight[e] = w;
-    for (int_t f = 0; f < 4; ++f)
-      if (mesh.faces[e][f].neighbor >= 0) ++g.adjPtr[e + 1];
-  }
-  for (idx_t e = 0; e < g.numVertices; ++e) g.adjPtr[e + 1] += g.adjPtr[e];
-
-  g.adjList.resize(g.adjPtr.back());
-  g.edgeWeight.resize(g.adjPtr.back());
-  std::vector<idx_t> fill(g.numVertices, 0);
-  for (idx_t e = 0; e < g.numVertices; ++e)
+    const int_t cMe = weighted ? clustering.cluster[e] : 0;
+    const idx_t steps = weighted ? lts::stepsPerCycle(clustering.numClusters, cMe) : 1;
+    int_t interiorFaces = 0;
     for (int_t f = 0; f < 4; ++f) {
       const idx_t nb = mesh.faces[e][f].neighbor;
       if (nb < 0) continue;
+      ++interiorFaces;
       // Datasets per cycle this side would send if the edge were cut.
       double w = 1.0;
-      if (clustering) {
-        const int_t cMe = clustering->cluster[e];
-        const int_t cNb = clustering->cluster[nb];
-        const idx_t mySteps = lts::stepsPerCycle(nc, cMe);
+      if (weighted) {
+        const int_t cNb = clustering.cluster[nb];
         if (cNb == cMe)
-          w = static_cast<double>(mySteps);
+          w = static_cast<double>(steps);
         else if (cNb > cMe)
-          w = 2.0 * mySteps; // B2 and B1-B2 per own step
+          w = 2.0 * steps; // B2 and B1-B2 per own step
         else
-          w = mySteps / 2.0; // B3 once per two steps
+          w = steps / 2.0; // B3 once per two steps
       }
-      const idx_t slot = g.adjPtr[e] + fill[e]++;
-      g.adjList[slot] = nb;
-      g.edgeWeight[slot] = w;
+      g.adjList.push_back(nb);
+      g.edgeWeight.push_back(w);
     }
+    g.adjPtr[e + 1] = g.adjPtr[e] + interiorFaces;
+    g.vertexWeight[e] = weighted ? static_cast<double>(steps) *
+                                       (kAderCostShare + kFaceFluxCostShare * interiorFaces / 4.0)
+                                 : 1.0;
+  }
   return g;
-}
-
-} // namespace
-
-DualGraph buildDualGraph(const mesh::TetMesh& mesh, const lts::Clustering& clustering) {
-  return buildImpl(mesh, &clustering);
-}
-
-DualGraph buildDualGraphUniform(const mesh::TetMesh& mesh) { return buildImpl(mesh, nullptr); }
-
-DualGraph buildPartitionGraph(const mesh::TetMesh& mesh, const lts::Clustering& clustering,
-                              PartitionWeighting weighting) {
-  if (weighting == PartitionWeighting::kUnweighted) return buildDualGraphUniform(mesh);
-  return buildImpl(mesh, &clustering, /*faceFluxTerm=*/true);
 }
 
 } // namespace nglts::partition

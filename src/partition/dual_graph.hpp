@@ -8,9 +8,18 @@
 #include "common/types.hpp"
 #include "lts/clustering.hpp"
 #include "mesh/tet_mesh.hpp"
-#include "partition/weighting.hpp"
 
 namespace nglts::partition {
+
+/// Which weights the k-way partitioner balances. `kWeighted` is the paper's
+/// LTS cost model and the one every run partitions with; `kUnweighted`
+/// (every vertex and edge weight 1, plain element counts — the GTS
+/// assumption) is the reference the weighted partition is scored against
+/// (PaperFig7, tests/test_weighted_partition.cpp).
+enum class PartitionWeighting : int {
+  kUnweighted = 0,
+  kWeighted
+};
 
 struct DualGraph {
   idx_t numVertices = 0;
@@ -22,15 +31,6 @@ struct DualGraph {
   double totalVertexWeight() const;
 };
 
-/// Build the dual graph with the paper's LTS weights. Elements of cluster l
-/// get weight 2^(Nc-1-l) (update frequency); a face's weight is the number
-/// of datasets shipped across it per cycle (B1 per step for equal clusters,
-/// B2 + (B1-B2) per smaller-side step, B3 once per two steps).
-DualGraph buildDualGraph(const mesh::TetMesh& mesh, const lts::Clustering& clustering);
-
-/// Uniform-weight variant (GTS partitioning).
-DualGraph buildDualGraphUniform(const mesh::TetMesh& mesh);
-
 /// Share of an element update spent in the ADER predictor + volume/local
 /// phase vs. the per-face neighbor-flux phase — the cost model behind the
 /// face-flux vertex term of `buildPartitionGraph(kWeighted)`. A 4-face
@@ -40,9 +40,12 @@ inline constexpr double kAderCostShare = 0.6;
 inline constexpr double kFaceFluxCostShare = 0.4;
 
 /// Build the graph the rank partitioner balances, selected by `weighting`:
-///   kUnweighted -> `buildDualGraphUniform` (vertex/edge weights 1);
-///   kWeighted   -> LTS edge weights as in `buildDualGraph`, vertex weights
-///                  extended by the face-flux term
+///   kUnweighted -> vertex and edge weights 1;
+///   kWeighted   -> a face's weight is the number of datasets shipped across
+///                  it per cycle (B1 per step for equal clusters, B2 +
+///                  (B1-B2) per smaller-side step, B3 once per two steps);
+///                  an element's weight is its update frequency
+///                  2^(Nc-1-cluster) times the face-flux cost term
 ///                    w(e) = stepsPerCycle(Nc, cl(e)) *
 ///                           (kAderCostShare +
 ///                            kFaceFluxCostShare * interiorFaces(e) / 4).

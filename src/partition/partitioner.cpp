@@ -38,7 +38,7 @@ std::uint64_t mortonCode(const std::array<double, 3>& x, const std::array<double
 } // namespace
 
 PartitionResult partitionGraph(const DualGraph& graph, const mesh::TetMesh& mesh,
-                               int_t numParts, int_t refinementPasses) {
+                               int_t numParts) {
   if (numParts < 1) throw std::runtime_error("partitionGraph: numParts >= 1");
   const idx_t n = graph.numVertices;
   PartitionResult out;
@@ -116,9 +116,9 @@ PartitionResult partitionGraph(const DualGraph& graph, const mesh::TetMesh& mesh
     assign(e, p);
   }
 
-  // Boundary Kernighan-Lin refinement.
+  // Boundary Kernighan-Lin refinement, at most 8 passes.
   const double maxLoad = 1.03 * targetLoad;
-  for (int_t pass = 0; pass < refinementPasses; ++pass) {
+  for (int_t pass = 0; pass < 8; ++pass) {
     idx_t moves = 0;
     for (idx_t e = 0; e < n; ++e) {
       const int_t a = out.part[e];

@@ -25,7 +25,7 @@ struct PartitionResult {
 /// Partition the dual graph into `numParts` parts. Seeds are spread along a
 /// space-filling-curve-like ordering of element centroids.
 PartitionResult partitionGraph(const DualGraph& graph, const mesh::TetMesh& mesh,
-                               int_t numParts, int_t refinementPasses = 8);
+                               int_t numParts);
 
 /// Per-part per-cluster element counts (the stacked bars of Fig. 7).
 std::vector<std::vector<idx_t>> clusterHistogram(const PartitionResult& parts,
@@ -34,7 +34,7 @@ std::vector<std::vector<idx_t>> clusterHistogram(const PartitionResult& parts,
 
 /// Max-over-average load of an existing assignment `part`, re-measured under
 /// `graph`'s vertex weights. This is how an *unweighted* partition is scored
-/// against the weighted LTS cost model (bench/fig7, weighted-partition
+/// against the weighted LTS cost model (PaperFig7, weighted-partition
 /// tests): partitionGraph's own `imbalance` only reflects the weights it
 /// balanced. Returns 1.0 (perfect) when the total weight is zero.
 double measureImbalance(const DualGraph& graph, const std::vector<int_t>& part,

@@ -71,8 +71,9 @@ PipelineResult runPipeline(const seismo::VelocityModel& model, const PipelineCon
   }
   out.clustering = lts::buildClustering(mesh, out.dtCfl, cfg.numClusters, lambda);
 
-  // 4. Partitioning over the dual graph (weighting selected by config).
-  const auto graph = partition::buildPartitionGraph(mesh, out.clustering, cfg.partitionWeighting);
+  // 4. Partitioning over the LTS-weighted dual graph.
+  const auto graph =
+      partition::buildPartitionGraph(mesh, out.clustering, partition::PartitionWeighting::kWeighted);
   out.parts = partition::partitionGraph(graph, mesh, cfg.numPartitions);
 
   return out;

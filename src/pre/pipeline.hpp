@@ -37,11 +37,6 @@ struct PipelineConfig {
   double lambda = 1.0;
   int_t numPartitions = 1;
   bool freeSurfaceTop = true;
-  /// Dual-graph weighting the partitioner balances (`--partition`):
-  /// weighted = LTS update frequencies + face-flux share (the default),
-  /// unweighted = plain element counts. Cache-relevant: different weightings
-  /// produce different partitions and arena layouts.
-  partition::PartitionWeighting partitionWeighting = partition::PartitionWeighting::kWeighted;
   /// External mesh ingestion (`--mesh-file`): when non-empty, step 1 of the
   /// pipeline loads this Gmsh `.msh` 4.1 file (mesh/gmsh_io.hpp) instead of
   /// generating the velocity-aware box; the meshing-rule fields above then

@@ -57,7 +57,6 @@ std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey
   h.i32(cfg.numPartitions);
   h.boolean(cfg.freeSurfaceTop);
   h.u64(modelKey);
-  h.i32(static_cast<std::int32_t>(cfg.partitionWeighting));
   // Scenario-ingestion content hashes (both 0 for built-in meshes/sources;
   // see the PipelineConfig field docs). The mesh hash IS the mesh identity
   // when an external .msh replaces the meshing rule; the fault hash shapes

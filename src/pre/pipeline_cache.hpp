@@ -49,7 +49,7 @@ std::uint64_t hashDouble(double v);
 /// extents, meshing rule (elements/wavelength, frequency, edge bounds,
 /// jitter), discretization (order, mechanisms, cfl), clustering
 /// (numClusters, autoLambda, lambda), partitioning (numPartitions,
-/// freeSurfaceTop, partitionWeighting) and the scenario-ingestion content
+/// freeSurfaceTop) and the scenario-ingestion content
 /// hashes (meshContentHash, faultContentHash) — combined with `modelKey`,
 /// the caller's hash of the velocity-model parameters.
 std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey = 0);

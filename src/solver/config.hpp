@@ -9,7 +9,6 @@
 
 #include "common/types.hpp"
 #include "linalg/kernel_backend.hpp"
-#include "partition/weighting.hpp"
 
 namespace nglts::solver {
 
@@ -110,13 +109,6 @@ struct SimConfig {
   /// so this is purely a performance knob. The CLI defaults it to the
   /// hardware thread count divided by `--ranks`.
   int_t numThreads = 1;
-  /// Dual-graph weighting the rank partitioner balances
-  /// (`--partition {unweighted,weighted}`). Weighted is the default: LTS
-  /// update frequencies plus a face-flux share (partition/dual_graph.hpp).
-  /// Affects only *which elements land on which rank* — results are bitwise
-  /// against single-rank either way; this knob trades element-count balance
-  /// for work balance. Ignored by single-rank non-pipeline runs.
-  partition::PartitionWeighting partitionWeighting = partition::PartitionWeighting::kWeighted;
 };
 
 /// Validate the pure-config ranges above; throws `std::invalid_argument`

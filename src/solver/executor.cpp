@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "solver/seismo_hook.hpp"
+
 namespace nglts::solver {
 
 namespace {
@@ -20,7 +22,8 @@ StepExecutor<Real, W>::StepExecutor(const SimConfig& cfg,
                                     const kernels::AderKernels<Real, W>& kernels,
                                     SolverState<Real, W>& state,
                                     const lts::Clustering& clustering,
-                                    std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
+                                    std::vector<lts::ScheduleOp> schedule,
+                                    SeismoHook<Real, W>* hook,
                                     const HaloGhosts<Real>* ghosts)
     : kernels_(kernels),
       state_(state),

@@ -15,10 +15,9 @@
 // the ghost slots the distributed engine fills, side by side.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
-// receiver derivative stacks, flop counters); sources and receivers stay in
-// the engine (parallel/dist_sim.hpp), which participates through the
-// `LocalHook` extension point (called after the kernel local phase of each
-// element).
+// receiver derivative stacks, flop counters); sources and receivers live in
+// the rank's `SeismoHook` (solver/seismo_hook.hpp), which the executor
+// calls after the kernel local phase of each element.
 // Results are bitwise-identical for every `numThreads`: each element is
 // updated by exactly one chunk in a fixed order, neighbor reads go through
 // the double-buffered B1/B2/B3 data and ghost slots, and hook state is only
@@ -66,37 +65,23 @@ struct HaloGhosts {
 };
 
 template <typename Real, int W>
+class SeismoHook;
+
+template <typename Real, int W>
 class StepExecutor {
  public:
   using Scratch = typename kernels::AderKernels<Real, W>::Scratch;
 
-  /// Facade extension point, invoked inside the local-phase element loop
-  /// after the kernels ran (source injection, receiver sampling). Internal
-  /// element ids. Thread-safety contract: an op's element range is
-  /// partitioned across threads, so `afterLocal` runs concurrently for
-  /// *different* elements but never twice for the same element within an
-  /// op — implementations may freely mutate state keyed by `internalEl`
-  /// (per-source, per-receiver accumulators) and must not mutate anything
-  /// shared across elements. Accumulation order per element-bound object is
-  /// then deterministic regardless of the thread count.
-  class LocalHook {
-   public:
-    virtual ~LocalHook() = default;
-    /// Whether `internalEl` needs the predictor's derivative stack kept
-    /// (receiver elements); ignored under the baseline scheme, which keeps
-    /// every element's stack in the state arena anyway.
-    virtual bool wantsStack(idx_t internalEl) const = 0;
-    /// Called for every element after its local phase. `stack` is the
-    /// element's derivative stack or nullptr if not requested/kept.
-    virtual void afterLocal(idx_t internalEl, Real* q, const Real* stack, double t0,
-                            double dt, std::uint64_t& flops) = 0;
-  };
-
+  /// `hook` (may be null) injects sources and samples receivers inside the
+  /// local-phase element loop, after the kernels ran, by internal element
+  /// id; it must outlive the executor. An op's element range is split
+  /// across threads, so the hook runs concurrently for different elements
+  /// but never twice for the same element within an op (seismo_hook.hpp).
   /// `ghosts` serves the faces to the state's halo elements; it must
   /// outlive the executor and is required iff the state has a halo.
   StepExecutor(const SimConfig& cfg, const kernels::AderKernels<Real, W>& kernels,
                SolverState<Real, W>& state, const lts::Clustering& clustering,
-               std::vector<lts::ScheduleOp> schedule, LocalHook* hook,
+               std::vector<lts::ScheduleOp> schedule, SeismoHook<Real, W>* hook,
                const HaloGhosts<Real>* ghosts = nullptr);
 
   /// Execute a single schedule op over its whole cluster range; one full
@@ -155,7 +140,7 @@ class StepExecutor {
   std::vector<double> clusterDt_;
   std::vector<lts::ScheduleOp> schedule_;
   std::vector<idx_t> clusterStep_;
-  LocalHook* hook_ = nullptr;
+  SeismoHook<Real, W>* hook_ = nullptr;
   const HaloGhosts<Real>* ghosts_ = nullptr;
   bool baseline_ = false; ///< buffer+derivative scheme: keeps every derivative stack
 

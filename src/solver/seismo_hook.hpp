@@ -1,11 +1,10 @@
 #pragma once
-// Sources and receivers as a `StepExecutor::LocalHook` — the part of the
-// engine that participates in the element loop (source injection after the
-// local-phase kernels, receiver sampling from the ADER predictor's
-// derivative stack). Every rank of `parallel::DistributedSimulation` owns
-// one over the engine's global mesh, binds the sources and receivers inside
-// its owned elements by global element id and hands the hook to its
-// executor.
+// Sources and receivers — the part of the engine that participates in the
+// `StepExecutor`'s element loop (source injection after the local-phase
+// kernels, receiver sampling from the ADER predictor's derivative stack).
+// Every rank of `parallel::DistributedSimulation` owns one over the
+// engine's global mesh, binds the sources and receivers inside its owned
+// elements by global element id and hands the hook to its executor.
 //
 // Thread-safety under the threaded executor: every mutable object here is
 // keyed by the element that owns it — source coefficients inject into the
@@ -32,13 +31,12 @@
 #include "physics/material.hpp"
 #include "seismo/receiver.hpp"
 #include "seismo/source.hpp"
-#include "solver/executor.hpp"
 #include "solver/state.hpp"
 
 namespace nglts::solver {
 
 template <typename Real, int W>
-class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
+class SeismoHook {
  public:
   /// All references must outlive the hook; `mesh`/`geo`/`materials` are the
   /// ones the state was built from (global element ids). `receiverDt` is the
@@ -65,12 +63,15 @@ class SeismoHook final : public StepExecutor<Real, W>::LocalHook {
   seismo::Receiver& mutableReceiver(idx_t i);
   idx_t numReceivers() const { return static_cast<idx_t>(receivers_.size()); }
 
-  // -- StepExecutor<Real, W>::LocalHook (internal element ids) --------------
-  bool wantsStack(idx_t internalEl) const override {
-    return !elementReceivers_[internalEl].empty();
-  }
+  // -- called by StepExecutor (internal element ids) ------------------------
+  /// Whether `internalEl` needs the predictor's derivative stack kept
+  /// (receiver elements); ignored under the baseline scheme, which keeps
+  /// every element's stack in the state arena anyway.
+  bool wantsStack(idx_t internalEl) const { return !elementReceivers_[internalEl].empty(); }
+  /// Called for every element after its local phase. `stack` is the
+  /// element's derivative stack or nullptr if not requested/kept.
   void afterLocal(idx_t internalEl, Real* q, const Real* stack, double t0, double dt,
-                  std::uint64_t& flops) override;
+                  std::uint64_t& flops);
 
  private:
   /// Dense receiver sampling from the predictor's derivative stack.

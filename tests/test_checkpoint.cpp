@@ -480,8 +480,8 @@ TEST_F(SnapshotDamage, RunBoundaryMarkerCarriesNoState) {
 // Precision field
 // ---------------------------------------------------------------------------
 
-TEST_F(SnapshotDamage, CurrentSnapshotIsV5F64) {
-  EXPECT_EQ(nbatch::kSnapshotVersion, 5u);
+TEST_F(SnapshotDamage, CurrentSnapshotIsV6F64) {
+  EXPECT_EQ(nbatch::kSnapshotVersion, 6u);
   EXPECT_EQ(bytes_[8], static_cast<char>(nbatch::kSnapshotVersion));
   EXPECT_EQ(nbatch::peekSnapshot(path_).precision, nsol::Precision::kF64);
 }

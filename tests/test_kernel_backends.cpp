@@ -426,7 +426,6 @@ std::pair<std::vector<Real>, std::uint64_t> runAderPipeline(const BackendFixture
   flops += kern.compressBuffer(0, fi.perm, neigh.data(), face.data());
   flops += kern.neighborContributionFaceLocal(ed, 0, face.data(), q.data(), s);
   flops += kern.integrateDerivStack(stack.data(), Real(1e-4), Real(2e-4), b2.data());
-  kern.evalTaylorElastic(stack.data(), Real(5e-4), b1.data());
 
   std::vector<Real> all;
   for (const auto* v : {&q, &ti, &b1, &b2, &b3, &face})

@@ -227,11 +227,13 @@ namespace {
 struct Counts {
   std::uint64_t cycles, elementUpdates, flops;
   std::vector<idx_t> clusterHistogram;
+  std::uint64_t messages, commBytes; ///< halo exchange; 0 on one rank
 };
 
 /// Run a registered scenario at smoke scale on one thread per rank and
-/// compare its deterministic work counters. A schedule, clustering,
-/// partition or flop-accounting change shows up here as an exact diff.
+/// compare its deterministic work and exchange counters. A schedule,
+/// clustering, partition, payload or flop-accounting change shows up here
+/// as an exact diff.
 void expectCounts(const std::string& name, nc::ScenarioOptions opts, const Counts& want) {
   nc::registerBuiltinScenarios();
   const nc::Scenario* s = nc::ScenarioRegistry::instance().find(name);
@@ -243,6 +245,8 @@ void expectCounts(const std::string& name, nc::ScenarioOptions opts, const Count
   EXPECT_EQ(r.stats.elementUpdates, want.elementUpdates) << name;
   EXPECT_EQ(r.stats.flops, want.flops) << name;
   EXPECT_EQ(r.clusterHistogram, want.clusterHistogram) << name;
+  EXPECT_EQ(r.stats.messages, want.messages) << name;
+  EXPECT_EQ(r.stats.commBytes, want.commBytes) << name;
 }
 
 } // namespace
@@ -252,14 +256,14 @@ TEST(PaperCounters, Quickstart) {
   opts.meshScale = 0.4;
   opts.order = 3;
   opts.endTime = 0.3;
-  expectCounts("quickstart", opts, {62, 43586, 3255681690u, {14, 277, 93}});
+  expectCounts("quickstart", opts, {62, 43586, 3255681690u, {14, 277, 93}, 0, 0});
 }
 
 TEST(PaperCounters, Loh1TwoRanks) {
   nc::ScenarioOptions opts;
   opts.ranks = 2;
   opts.endTime = 0.05;
-  expectCounts("loh1", opts, {3, 5376, 632069136u, {16, 416, 0, 0}});
+  expectCounts("loh1", opts, {3, 5376, 632069136u, {16, 416, 0, 0}, 2904, 2134080});
 }
 
 TEST(PaperCounters, FusedEight) {
@@ -267,7 +271,7 @@ TEST(PaperCounters, FusedEight) {
   opts.fusedWidth = 8;
   opts.meshScale = 0.45;
   opts.endTime = 0.1;
-  expectCounts("fused", opts, {9, 12087, 14385346128u, {288, 95, 1}});
+  expectCounts("fused", opts, {9, 12087, 14385346128u, {288, 95, 1}, 0, 0});
 }
 
 TEST(PaperCounters, LaHabraTwoRanks) {
@@ -275,5 +279,5 @@ TEST(PaperCounters, LaHabraTwoRanks) {
   opts.ranks = 2;
   opts.meshScale = 0.5;
   opts.endTime = 0.05;
-  expectCounts("lahabra", opts, {2, 27060, 6097870200u, {106, 1122, 713, 3, 0}});
+  expectCounts("lahabra", opts, {2, 27060, 6097870200u, {106, 1122, 713, 3, 0}, 4352, 1820160});
 }

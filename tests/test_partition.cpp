@@ -43,11 +43,15 @@ Fixture makeFixture(idx_t n = 8, int_t nc = 3) {
   return f;
 }
 
+npart::DualGraph weightedGraph(const Fixture& f) {
+  return npart::buildPartitionGraph(f.mesh, f.clustering, npart::PartitionWeighting::kWeighted);
+}
+
 } // namespace
 
 TEST(DualGraph, StructureMatchesMesh) {
   const Fixture f = makeFixture(4);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
+  const auto g = weightedGraph(f);
   ASSERT_EQ(g.numVertices, f.mesh.numElements());
   for (idx_t e = 0; e < g.numVertices; ++e) {
     idx_t interior = 0;
@@ -57,20 +61,31 @@ TEST(DualGraph, StructureMatchesMesh) {
   }
 }
 
-TEST(DualGraph, VertexWeightsAreUpdateFrequencies) {
+TEST(DualGraph, EdgeWeightsAreDatasetsPerCycle) {
+  // A face ships B1 once per own step to an equal neighbor, B2 and B1 - B2
+  // per own step to a larger one and B3 once per two steps to a smaller one.
   const Fixture f = makeFixture(4);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
-  for (idx_t e = 0; e < g.numVertices; ++e) {
-    const int_t cl = f.clustering.cluster[e];
-    EXPECT_DOUBLE_EQ(g.vertexWeight[e],
-                     static_cast<double>(idx_t{1} << (f.clustering.numClusters - 1 - cl)));
-  }
+  const auto g = weightedGraph(f);
+  const int_t nc = f.clustering.numClusters;
+  idx_t crossCluster = 0;
+  for (idx_t e = 0; e < g.numVertices; ++e)
+    for (idx_t i = g.adjPtr[e]; i < g.adjPtr[e + 1]; ++i) {
+      const int_t me = f.clustering.cluster[e];
+      const int_t nb = f.clustering.cluster[g.adjList[i]];
+      const double steps = static_cast<double>(idx_t{1} << (nc - 1 - me));
+      const double expect = nb == me ? steps : (nb > me ? 2.0 * steps : steps / 2.0);
+      EXPECT_DOUBLE_EQ(g.edgeWeight[i], expect) << "element " << e;
+      if (nb != me) ++crossCluster;
+    }
+  EXPECT_GT(crossCluster, 0); // the fixture exercises all three cases
 }
 
 TEST(DualGraph, UniformVariant) {
   const Fixture f = makeFixture(3);
-  const auto g = npart::buildDualGraphUniform(f.mesh);
+  const auto g =
+      npart::buildPartitionGraph(f.mesh, f.clustering, npart::PartitionWeighting::kUnweighted);
   for (double w : g.vertexWeight) EXPECT_DOUBLE_EQ(w, 1.0);
+  for (double w : g.edgeWeight) EXPECT_DOUBLE_EQ(w, 1.0);
 }
 
 class PartitionP : public ::testing::TestWithParam<int_t> {};
@@ -78,7 +93,7 @@ class PartitionP : public ::testing::TestWithParam<int_t> {};
 TEST_P(PartitionP, CoversAllElementsAndBalances) {
   const int_t parts = GetParam();
   const Fixture f = makeFixture(8);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
+  const auto g = weightedGraph(f);
   const auto res = npart::partitionGraph(g, f.mesh, parts);
   ASSERT_EQ(res.numParts, parts);
   idx_t total = 0;
@@ -97,7 +112,7 @@ TEST_P(PartitionP, CutIsLocal) {
   const int_t parts = GetParam();
   if (parts == 1) return;
   const Fixture f = makeFixture(8);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
+  const auto g = weightedGraph(f);
   const auto res = npart::partitionGraph(g, f.mesh, parts);
   double totalEdge = 0.0;
   for (double w : g.edgeWeight) totalEdge += w;
@@ -111,14 +126,14 @@ TEST(Partition, LtsWeightsCauseElementImbalance) {
   // Fig. 7's observation: balancing *weighted* load makes partitions with
   // many large-time-step elements hold more elements in total.
   const Fixture f = makeFixture(10);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
+  const auto g = weightedGraph(f);
   const auto res = npart::partitionGraph(g, f.mesh, 8);
   EXPECT_GT(res.elementSpread(), 1.05);
 }
 
 TEST(Partition, ClusterHistogramSums) {
   const Fixture f = makeFixture(6);
-  const auto g = npart::buildDualGraph(f.mesh, f.clustering);
+  const auto g = weightedGraph(f);
   const auto res = npart::partitionGraph(g, f.mesh, 4);
   const auto hist = npart::clusterHistogram(res, f.clustering.cluster, f.clustering.numClusters);
   for (int_t p = 0; p < 4; ++p) {

@@ -116,10 +116,10 @@ TEST(Pipeline, OutputRunsInSolver) {
 
 TEST(PipelineCacheKey, GoldenValuesArePinned) {
   const npre::PipelineConfig def;
-  EXPECT_EQ(npre::pipelineCacheKey(def, 0), UINT64_C(17245360428562204140));
+  EXPECT_EQ(npre::pipelineCacheKey(def, 0), UINT64_C(4425698662607820973));
   EXPECT_EQ(npre::pipelineCacheKey(def, UINT64_C(0x9e3779b97f4a7c15)),
-            UINT64_C(137924704827711325));
-  EXPECT_EQ(npre::pipelineCacheKey(smallConfig(), 0), UINT64_C(6780753511139514275));
+            UINT64_C(7133846268004543868));
+  EXPECT_EQ(npre::pipelineCacheKey(smallConfig(), 0), UINT64_C(18024219906884663554));
   EXPECT_EQ(npre::hashDouble(1.0), UINT64_C(5355952580483250426));
 }
 
@@ -152,10 +152,6 @@ TEST(PipelineCacheKey, EveryCacheRelevantFieldPerturbsTheKey) {
        }},
       {"numPartitions", [](auto& c) { c.numPartitions = 2; }},
       {"freeSurfaceTop", [](auto& c) { c.freeSurfaceTop = false; }},
-      {"partitionWeighting",
-       [](auto& c) {
-         c.partitionWeighting = nglts::partition::PartitionWeighting::kUnweighted;
-       }},
       // External-file ingestion: the *content* hashes are cache-relevant
       // (the path strings are deliberately not — moving a file must not
       // invalidate, editing it must).

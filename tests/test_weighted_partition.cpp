@@ -1,6 +1,6 @@
-// Property and golden suite of the cluster-weighted partitioner (ISSUE 9).
+// Property and golden suite of the cluster-weighted partitioner.
 // The LTS cost model (update frequency 2^(Nc-1-cluster) times a face-flux
-// share, dual_graph.hpp) is what `--partition weighted` balances; these
+// share, dual_graph.hpp) is what every multi-rank run balances; these
 // tests pin the weighting formula, the partition cover/assignment
 // invariants, the degenerate cases (1 rank, empty cluster, all-one-cluster)
 // and — on skewed synthetic cluster distributions — that the weighted
@@ -18,7 +18,6 @@
 #include "mesh/box_gen.hpp"
 #include "partition/dual_graph.hpp"
 #include "partition/partitioner.hpp"
-#include "partition/weighting.hpp"
 
 namespace npart = nglts::partition;
 namespace nm = nglts::mesh;
