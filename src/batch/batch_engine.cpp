@@ -31,8 +31,7 @@ BatchEngine::BatchEngine(const seismo::VelocityModel& model, BatchConfig cfg,
                          std::uint64_t modelKey)
     : model_(model), cfg_(std::move(cfg)), modelKey_(modelKey) {
   solver::validateSimConfig(cfg_.sim);
-  if (cfg_.maxFusedWidth != 1 && cfg_.maxFusedWidth != 2 && cfg_.maxFusedWidth != 4)
-    throw std::invalid_argument("BatchConfig: maxFusedWidth must be 1, 2 or 4");
+  solver::checkEngineType(cfg_.sim.precision, cfg_.maxFusedWidth);
   if (!(cfg_.endTime > 0.0)) throw std::invalid_argument("BatchConfig: endTime must be > 0");
   if (cfg_.checkpointEveryCycles < 0)
     throw std::invalid_argument("BatchConfig: checkpointEveryCycles must be >= 0");
@@ -85,14 +84,18 @@ const std::vector<BatchEngine::PlannedRun>& BatchEngine::plan() {
     else it->second.push_back(i);
   }
 
-  // Greedy packing inside each group: largest width from {4, 2, 1} that is
-  // <= min(maxFusedWidth, remaining). Every run is exactly `width` lanes.
+  // Greedy packing inside each group: the largest width the engine-type
+  // table lists at the batch's precision that is <= min(maxFusedWidth,
+  // remaining). Every run is exactly `width` lanes.
+  const std::vector<int_t> widths = solver::fusedWidths(cfg_.sim.precision);
   for (const auto& [key, members] : groups) {
     std::size_t at = 0;
     while (at < members.size()) {
       const auto remaining = static_cast<int_t>(members.size() - at);
-      int_t width = std::min(cfg_.maxFusedWidth, remaining);
-      while (width != 4 && width != 2 && width != 1) --width; // 3 -> 2
+      const int_t cap = std::min(cfg_.maxFusedWidth, remaining);
+      int_t width = 1; // listed at every precision
+      for (int_t w : widths)
+        if (w <= cap) width = w;
       PlannedRun run;
       run.pipelineKey = key;
       run.width = width;
@@ -294,22 +297,11 @@ BatchStats BatchEngine::run(const ResultCallback& onResult) {
   for (idx_t r = startRun; r < static_cast<idx_t>(plan_.size()); ++r) {
     const bool resume = loadState && r == startRun;
     const std::uint64_t cycles = resume ? resumeCycles : 0;
-    bool cont = false;
-    const bool f32 = cfg_.sim.precision == solver::Precision::kF32;
-    switch (plan_[static_cast<std::size_t>(r)].width) {
-      case 4:
-        cont = f32 ? runPlanned<float, 4>(r, cycles, resume, onResult, stats, snapshotsWritten)
-                   : runPlanned<double, 4>(r, cycles, resume, onResult, stats, snapshotsWritten);
-        break;
-      case 2:
-        cont = f32 ? runPlanned<float, 2>(r, cycles, resume, onResult, stats, snapshotsWritten)
-                   : runPlanned<double, 2>(r, cycles, resume, onResult, stats, snapshotsWritten);
-        break;
-      default:
-        cont = f32 ? runPlanned<float, 1>(r, cycles, resume, onResult, stats, snapshotsWritten)
-                   : runPlanned<double, 1>(r, cycles, resume, onResult, stats, snapshotsWritten);
-        break;
-    }
+    const bool cont = solver::dispatchEngineType(
+        cfg_.sim.precision, plan_[static_cast<std::size_t>(r)].width,
+        [&]<typename Real, int W>() {
+          return runPlanned<Real, W>(r, cycles, resume, onResult, stats, snapshotsWritten);
+        });
     if (!cont) break;
   }
 

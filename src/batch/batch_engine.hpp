@@ -8,10 +8,11 @@
 //    differ only in fusable or cache-neutral perturbations reuse one cached
 //    `PipelineResult` instead of re-running mesh/clustering/partitioning;
 //  * packs compatible requests into fused-simulation lanes automatically
-//    (greedy, submission order, widths from {4, 2, 1} capped by
-//    `maxFusedWidth`): requests are *compatible* when they share a pipeline
-//    key — source scales ride in `laneScale`, receiver offsets are passive —
-//    while material perturbations change the operators and must split;
+//    (greedy, submission order, the engine-type table's widths at the
+//    batch's precision capped by `maxFusedWidth`, see common/types.hpp):
+//    requests are *compatible* when they share a pipeline key — source
+//    scales ride in `laneScale`, receiver offsets are passive — while
+//    material perturbations change the operators and must split;
 //  * streams results back incrementally: the per-request seismogram is
 //    handed to the caller's callback as soon as its fused run completes,
 //    not when the whole batch drains;
@@ -90,7 +91,9 @@ struct BatchConfig {
   double sourceFrequency = 2.0;     ///< Ricker central frequency [Hz]
   double sourceDelay = 0.6;
   std::array<double, 3> receiverPosition = {800.0, 750.0, -20.0};
-  int_t maxFusedWidth = 4;          ///< lane-packing cap, one of {1, 2, 4}
+  /// Lane-packing cap: a fused width the engine-type table lists at
+  /// `sim.precision` (common/types.hpp).
+  int_t maxFusedWidth = 4;
   /// Checkpoint cadence in LTS cycles; 0 disables checkpointing.
   idx_t checkpointEveryCycles = 0;
   std::string checkpointPath;       ///< snapshot file (required if above > 0)
@@ -160,8 +163,8 @@ class BatchEngine {
   const pre::PipelineCache& cache() const { return cache_; }
 
  private:
-  /// One fused run at the batch's precision (`cfg_.sim.precision`) — `run()`
-  /// dispatches Real in {double, float} x W in {1, 2, 4}.
+  /// One fused run at the batch's precision (`cfg_.sim.precision`); `run()`
+  /// dispatches each planned width through `solver::dispatchEngineType`.
   template <typename Real, int W>
   bool runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool loadState,
                   const ResultCallback& onResult, BatchStats& stats, int_t& snapshotsWritten);

@@ -229,8 +229,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   // Precision is checked before the raw sizeof(Real)/W geometry so a user
   // who flipped --precision between save and restore gets told exactly that
   // (realSize would also mismatch, but with a far less actionable message).
-  const auto want = std::is_same_v<Real, float> ? solver::Precision::kF32
-                                                : solver::Precision::kF64;
+  const auto want = solver::precisionOf<Real>();
   if (info.precision != want)
     throw std::runtime_error(
         "snapshot '" + path + "' was saved at precision " +
@@ -288,23 +287,6 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   return info;
 }
 
-template void saveSnapshot<float, 1>(const std::string&, std::uint64_t, std::uint64_t,
-                                     std::uint64_t, const solver::Simulation<float, 1>*);
-template void saveSnapshot<float, 2>(const std::string&, std::uint64_t, std::uint64_t,
-                                     std::uint64_t, const solver::Simulation<float, 2>*);
-template void saveSnapshot<float, 4>(const std::string&, std::uint64_t, std::uint64_t,
-                                     std::uint64_t, const solver::Simulation<float, 4>*);
-template SnapshotInfo loadSnapshot<float, 1>(const std::string&, solver::Simulation<float, 1>&);
-template SnapshotInfo loadSnapshot<float, 2>(const std::string&, solver::Simulation<float, 2>&);
-template SnapshotInfo loadSnapshot<float, 4>(const std::string&, solver::Simulation<float, 4>&);
-template void saveSnapshot<double, 1>(const std::string&, std::uint64_t, std::uint64_t,
-                                      std::uint64_t, const solver::Simulation<double, 1>*);
-template void saveSnapshot<double, 2>(const std::string&, std::uint64_t, std::uint64_t,
-                                      std::uint64_t, const solver::Simulation<double, 2>*);
-template void saveSnapshot<double, 4>(const std::string&, std::uint64_t, std::uint64_t,
-                                      std::uint64_t, const solver::Simulation<double, 4>*);
-template SnapshotInfo loadSnapshot<double, 1>(const std::string&, solver::Simulation<double, 1>&);
-template SnapshotInfo loadSnapshot<double, 2>(const std::string&, solver::Simulation<double, 2>&);
-template SnapshotInfo loadSnapshot<double, 4>(const std::string&, solver::Simulation<double, 4>&);
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_SNAPSHOT_IO, )
 
 } // namespace nglts::batch

@@ -85,29 +85,15 @@ void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::
 template <typename Real, int W>
 SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& sim);
 
-extern template void saveSnapshot<float, 1>(const std::string&, std::uint64_t, std::uint64_t,
-                                            std::uint64_t, const solver::Simulation<float, 1>*);
-extern template void saveSnapshot<float, 2>(const std::string&, std::uint64_t, std::uint64_t,
-                                            std::uint64_t, const solver::Simulation<float, 2>*);
-extern template void saveSnapshot<float, 4>(const std::string&, std::uint64_t, std::uint64_t,
-                                            std::uint64_t, const solver::Simulation<float, 4>*);
-extern template void saveSnapshot<double, 1>(const std::string&, std::uint64_t, std::uint64_t,
-                                             std::uint64_t, const solver::Simulation<double, 1>*);
-extern template void saveSnapshot<double, 2>(const std::string&, std::uint64_t, std::uint64_t,
-                                             std::uint64_t, const solver::Simulation<double, 2>*);
-extern template void saveSnapshot<double, 4>(const std::string&, std::uint64_t, std::uint64_t,
-                                             std::uint64_t, const solver::Simulation<double, 4>*);
-extern template SnapshotInfo loadSnapshot<float, 1>(const std::string&,
-                                                    solver::Simulation<float, 1>&);
-extern template SnapshotInfo loadSnapshot<float, 2>(const std::string&,
-                                                    solver::Simulation<float, 2>&);
-extern template SnapshotInfo loadSnapshot<float, 4>(const std::string&,
-                                                    solver::Simulation<float, 4>&);
-extern template SnapshotInfo loadSnapshot<double, 1>(const std::string&,
-                                                     solver::Simulation<double, 1>&);
-extern template SnapshotInfo loadSnapshot<double, 2>(const std::string&,
-                                                     solver::Simulation<double, 2>&);
-extern template SnapshotInfo loadSnapshot<double, 4>(const std::string&,
-                                                     solver::Simulation<double, 4>&);
+/// Declares (`Extern` = extern) or instantiates (`Extern` empty) the
+/// snapshot I/O of one engine type.
+#define NGLTS_SNAPSHOT_IO(Real, W, Extern)                                                 \
+  Extern template void saveSnapshot<Real, W>(const std::string&, std::uint64_t,            \
+                                             std::uint64_t, std::uint64_t,                 \
+                                             const solver::Simulation<Real, W>*);          \
+  Extern template SnapshotInfo loadSnapshot<Real, W>(const std::string&,                   \
+                                                     solver::Simulation<Real, W>&);
+
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_SNAPSHOT_IO, extern)
 
 } // namespace nglts::batch

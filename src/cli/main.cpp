@@ -16,6 +16,13 @@ namespace {
 using namespace nglts;
 using namespace nglts::cli;
 
+/// The fused widths the engine-type table lists at `p`, as " 1 2 4".
+std::string widthList(nglts::solver::Precision p) {
+  std::string out;
+  for (nglts::int_t w : nglts::solver::fusedWidths(p)) out += ' ' + std::to_string(w);
+  return out;
+}
+
 void printUsage() {
   std::printf(
       "usage: nglts [--scenario NAME] [options]\n"
@@ -26,8 +33,8 @@ void printUsage() {
       "      --order N         convergence order, 1..7 (scenario default: usually 4)\n"
       "      --scheme S        time stepping: gts | lts | baseline\n"
       "      --clusters N      number of LTS clusters (>= 1)\n"
-      "      --fused W         fused-simulation width (1|2 double, 1|8|16 float scenarios;\n"
-      "                        batch: max fused-lane packing width 1|2|4)\n"
+      "      --fused W         fused-simulation width, f32:%s, f64:%s\n"
+      "                        (batch: max fused-lane packing width)\n"
       "      --end-time T      simulated end time [s]\n"
       "      --ranks N         engine ranks (default 1, lahabra: 4; under\n"
       "                        --transport mpi: the mpirun world size)\n"
@@ -65,7 +72,9 @@ void printUsage() {
       "      --checkpoint-every N  write a snapshot every N LTS cycles (0 = off)\n"
       "      --restore         resume the batch from the --checkpoint file\n"
       "  -q, --quiet           suppress progress output and INFO log lines\n"
-      "  -h, --help            show this help\n");
+      "  -h, --help            show this help\n",
+      widthList(nglts::solver::Precision::kF32).c_str(),
+      widthList(nglts::solver::Precision::kF64).c_str());
 }
 
 [[noreturn]] void usageError(const std::string& message) {

@@ -36,10 +36,10 @@ struct ScenarioOptions {
   /// Paper symbol: number of clusters in Figs. 4/5.
   std::optional<int_t> numClusters;
   /// Fused-simulation width W (Sec. IV-A): number of forward simulations
-  /// advanced in one solver execution. Valid: 1 or 2 for quickstart/loh1/
-  /// loh3 (at either --precision), 1, 8 or 16 for the single-precision
-  /// fused/lahabra scenarios (the instantiated kernel widths); for `batch`
-  /// the max fused-lane packing width, 1, 2 or 4 (default 4).
+  /// advanced in one solver execution; for `batch` the max fused-lane
+  /// packing width (default 4). Valid: any width the engine-type table
+  /// (common/types.hpp) lists at the scenario's resolved precision; other
+  /// values throw `std::invalid_argument` naming the listed ones.
   std::optional<int_t> fusedWidth;
   /// Simulated end time [s] (> 0). Scenarios run full LTS cycles until at
   /// least this much physical time is covered.

@@ -44,20 +44,19 @@ class BatchScenario final : public Scenario {
            "preprocessing, automatic lane packing, checkpoint/restart";
   }
 
+  /// `--fused` is the lane-packing cap; it must be a width the engine-type
+  /// table lists at the batch's precision.
   solver::SimConfig resolveConfig(const ScenarioOptions& opts) const override {
     batch::BatchConfig cfg = batch::quickstartBatchConfig();
     applyScenarioOverrides(cfg.sim, opts);
+    solver::checkEngineType(cfg.sim.precision, opts.fusedWidth.value_or(cfg.maxFusedWidth));
     return cfg.sim;
   }
 
   ScenarioReport run(const ScenarioOptions& opts) const override {
     batch::BatchConfig cfg = batch::quickstartBatchConfig();
-    applyScenarioOverrides(cfg.sim, opts);
-    const int_t width = opts.fusedWidth.value_or(4);
-    if (width != 1 && width != 2 && width != 4)
-      throw std::invalid_argument("scenario 'batch' supports fused widths 1 2 4, got " +
-                                  std::to_string(width));
-    cfg.maxFusedWidth = width;
+    cfg.sim = resolveConfig(opts);
+    cfg.maxFusedWidth = opts.fusedWidth.value_or(cfg.maxFusedWidth);
     cfg.endTime = opts.endTime.value_or(cfg.endTime);
     // meshScale > 1 = finer: the edge-length bounds shrink accordingly.
     cfg.pipeline.minEdge /= opts.meshScale;
@@ -84,7 +83,7 @@ class BatchScenario final : public Scenario {
               static_cast<long long>(engine.numRequests()), plan.size());
 
     ScenarioReport report;
-    report.config = resolveConfig(opts);
+    report.config = cfg.sim;
     const idx_t samples = 101;
     const batch::BatchStats stats = engine.run([&](const batch::RequestResult& res) {
       const std::vector<double> vx = seismo::resample(res.trace, kVelU, tEnd, samples);

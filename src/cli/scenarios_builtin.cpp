@@ -10,6 +10,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "cli/scenario.hpp"
 #include "common/float_env.hpp"
@@ -70,51 +71,46 @@ std::string misfitText(std::optional<double> misfit) {
   return out;
 }
 
-/// Base of the built-in scenarios. It states once which fused widths a
-/// scenario instantiates (`DefaultW` when `--fused` is unset) and whether it
-/// runs in double precision as well as single, and `run` is the one
-/// precision × width dispatch onto `Derived::runW<Real, W>(cfg, opts)`.
-template <typename Derived, bool kF64, int DefaultW, int... Ws>
+/// Base of the built-in scenarios. It states a scenario's default fused
+/// width (when `--fused` is unset) and whether it runs in double precision
+/// as well as single; every width the engine-type table (common/types.hpp)
+/// lists at the resolved precision is accepted. `run` hands the pair to
+/// `solver::dispatchEngineType`, which calls `Derived::runW<Real, W>(cfg,
+/// opts)`.
+template <typename Derived, bool kF64, int DefaultW>
 class BuiltinScenario : public Scenario {
  public:
   ScenarioReport run(const ScenarioOptions& opts) const final {
     const solver::SimConfig cfg = resolveConfig(opts);
-    const int_t w = resolveWidth(opts);
     const auto& self = static_cast<const Derived&>(*this);
-    const auto runWidth = [&]<int W>() {
-      if constexpr (kF64)
-        if (cfg.precision == solver::Precision::kF64)
-          return self.template runW<double, W>(cfg, opts);
-      return self.template runW<float, W>(cfg, opts);
-    };
-    ScenarioReport report;
-    (void)((w == Ws && (report = runWidth.template operator()<Ws>(), true)) || ...);
-    return report;
+    return solver::dispatchEngineType(
+        cfg.precision, fusedWidth(opts), [&]<typename Real, int W>() -> ScenarioReport {
+          // `checked` pins a single-precision scenario to f32, so its double
+          // bodies are never reached and not compiled.
+          if constexpr (kF64 || std::is_same_v<Real, float>)
+            return self.template runW<Real, W>(cfg, opts);
+          else
+            throw std::logic_error("scenario '" + name() + "' runs single-precision only");
+        });
   }
 
  protected:
-  /// The configured fused width; throws `std::invalid_argument` naming the
-  /// valid ones (the one runtime width check).
-  int_t resolveWidth(const ScenarioOptions& opts) const {
-    const int_t w = opts.fusedWidth.value_or(DefaultW);
-    if (((w != Ws) && ...)) {
-      std::string msg = "scenario '" + name() + "' supports fused widths";
-      ((msg += ' ' + std::to_string(Ws)), ...);
-      throw std::invalid_argument(msg + ", got " + std::to_string(w));
-    }
-    return w;
+  int_t fusedWidth(const ScenarioOptions& opts) const {
+    return opts.fusedWidth.value_or(DefaultW);
   }
 
-  /// Check the fused width and, for a single-precision scenario, reject an
-  /// explicit f64 and pin the precision to f32. Ends every `resolveConfig`.
+  /// For a single-precision scenario, reject an explicit f64 and pin the
+  /// precision to f32; then check the fused width at the resolved precision
+  /// (`std::invalid_argument` naming the listed widths). Ends every
+  /// `resolveConfig`.
   solver::SimConfig checked(solver::SimConfig cfg, const ScenarioOptions& opts) const {
-    resolveWidth(opts);
     if constexpr (!kF64) {
       if (opts.precision && *opts.precision != solver::Precision::kF32)
         throw std::invalid_argument("scenario '" + name() +
                                     "' runs single-precision only (drop --precision or pass f32)");
       cfg.precision = solver::Precision::kF32;
     }
+    solver::checkEngineType(cfg.precision, fusedWidth(opts));
     return cfg;
   }
 };
@@ -302,7 +298,7 @@ EngineInputs runScenarioPipeline(const seismo::VelocityModel& model, pre::Pipeli
 // quickstart — 1 km^3 two-layer box (the minimal end-to-end workflow)
 // ---------------------------------------------------------------------------
 
-class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true, 1, 1, 2> {
+class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true, 1> {
  public:
   std::string name() const override { return "quickstart"; }
   std::string description() const override {
@@ -371,7 +367,7 @@ class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true
 // loh3 — layer over halfspace with constant-Q attenuation (paper Sec. VII-B)
 // ---------------------------------------------------------------------------
 
-class Loh3Scenario final : public BuiltinScenario<Loh3Scenario, true, 1, 1, 2> {
+class Loh3Scenario final : public BuiltinScenario<Loh3Scenario, true, 1> {
  public:
   std::string name() const override { return "loh3"; }
   std::string description() const override {
@@ -486,7 +482,7 @@ class Loh3Scenario final : public BuiltinScenario<Loh3Scenario, true, 1, 1, 2> {
 // loh1 — SCEC LOH.1 elastic layer over halfspace through the pipeline
 // ---------------------------------------------------------------------------
 
-class Loh1Scenario final : public BuiltinScenario<Loh1Scenario, true, 1, 1, 2> {
+class Loh1Scenario final : public BuiltinScenario<Loh1Scenario, true, 1> {
  public:
   std::string name() const override { return "loh1"; }
   std::string description() const override {
@@ -558,7 +554,7 @@ class Loh1Scenario final : public BuiltinScenario<Loh1Scenario, true, 1, 1, 2> {
 // lahabra — production pipeline + distributed LTS run (paper Sec. VI)
 // ---------------------------------------------------------------------------
 
-class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 1, 8, 16> {
+class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1> {
  public:
   /// Distributed by default: partition count when `--ranks` is unset (also
   /// the rank count the `--threads` default divides by).
@@ -567,7 +563,7 @@ class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 
   std::string name() const override { return "lahabra"; }
   std::string description() const override {
     return "La Habra-like basin through the full preprocessing pipeline, then "
-           "a distributed run (any scheme, fused widths 1|8|16); GTS and LTS "
+           "a distributed run (any scheme, any listed f32 fused width); GTS and LTS "
            "ship face-local compressed data";
   }
 
@@ -578,7 +574,7 @@ class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 
     cfg.scheme = solver::TimeScheme::kLtsNextGen;
     cfg.numClusters = 5;
     cfg.autoLambda = true;
-    cfg.sparseKernels = resolveWidth(opts) > 1; // fused => all-sparse kernels
+    cfg.sparseKernels = fusedWidth(opts) > 1; // fused => all-sparse kernels
     applyScenarioOverrides(cfg, opts, kDefaultRanks); // distributed by default
     // GTS in the distributed driver is LTS with a single cluster.
     if (cfg.scheme == solver::TimeScheme::kGts) cfg.numClusters = 1;
@@ -625,7 +621,7 @@ class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1, 
 // fused — ensemble of forward simulations in one execution (paper Sec. IV-A)
 // ---------------------------------------------------------------------------
 
-class FusedScenario final : public BuiltinScenario<FusedScenario, false, 16, 1, 8, 16> {
+class FusedScenario final : public BuiltinScenario<FusedScenario, false, 16> {
  public:
   std::string name() const override { return "fused"; }
   std::string description() const override {

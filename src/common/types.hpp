@@ -46,7 +46,28 @@ enum class FaceKind : std::uint8_t {
   kPeriodic        ///< periodic partner face (treated as interior)
 };
 
-/// Fused-simulation widths supported by the kernel instantiations.
-inline constexpr int_t kMaxFusedWidth = 16;
-
 } // namespace nglts
+
+/// The engine-type table: every (scalar, fused width W) pair the solver
+/// engine is compiled for (Sec. IV-A fuses W forward simulations into one
+/// execution). `X(Real, W, ...)` is expanded once per pair, in this order,
+/// with the extra arguments passed through. The explicit instantiations of
+/// the engine layers and the snapshot I/O, the runtime dispatch
+/// `solver::dispatchEngineType` (solver/simulation.hpp) and the batch
+/// packer's widths all come from it; adding a width is one line here.
+/// Widths ascend within a precision, and W = 1 is listed at both.
+#define NGLTS_FOR_EACH_ENGINE_TYPE(X, ...) \
+  X(float, 1, __VA_ARGS__)                 \
+  X(float, 2, __VA_ARGS__)                 \
+  X(float, 4, __VA_ARGS__)                 \
+  X(float, 8, __VA_ARGS__)                 \
+  X(float, 16, __VA_ARGS__)                \
+  X(double, 1, __VA_ARGS__)                \
+  X(double, 2, __VA_ARGS__)                \
+  X(double, 4, __VA_ARGS__)
+
+/// `NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, extern, Name)` declares
+/// the class template `Name` for every engine type (in its header);
+/// `NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, , Name)` instantiates it
+/// (in its .cpp).
+#define NGLTS_ENGINE_CLASS(Real, W, Extern, Name) Extern template class Name<Real, W>;

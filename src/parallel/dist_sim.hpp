@@ -77,8 +77,8 @@ namespace nglts::parallel {
 
 struct DistConfig {
   /// Solver configuration of every rank's engine — scheme, order,
-  /// mechanisms, clusters, fused kernels, cluster reordering, receiver
-  /// sampling: the full `SimConfig` surface of the shared-memory path.
+  /// mechanisms, clusters, sparse kernels, kernel backend, threads,
+  /// receiver sampling; `precision` is overwritten to match `Real`.
   solver::SimConfig sim;
   bool compressFaces = true; ///< ship 9 x F instead of 9 x B (Sec. V-C)
   /// Halo transport: SeqComm lockstep (the bitwise reference), ThreadComm
@@ -243,13 +243,6 @@ class DistributedSimulation {
   std::map<idx_t, seismo::Receiver> gathered_; ///< rank 0: remote traces
 };
 
-extern template class DistributedSimulation<float, 1>;
-extern template class DistributedSimulation<float, 2>;
-extern template class DistributedSimulation<float, 4>;
-extern template class DistributedSimulation<float, 8>;
-extern template class DistributedSimulation<float, 16>;
-extern template class DistributedSimulation<double, 1>;
-extern template class DistributedSimulation<double, 2>;
-extern template class DistributedSimulation<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, extern, DistributedSimulation)
 
 } // namespace nglts::parallel

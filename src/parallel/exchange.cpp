@@ -16,7 +16,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
 #include "common/float_env.hpp"
@@ -120,7 +119,7 @@ DistributedSimulation<Real, W>::DistributedSimulation(mesh::TetMesh mesh,
 template <typename Real, int W>
 void DistributedSimulation<Real, W>::init() {
   solver::SimConfig& sim = cfg_.sim;
-  sim.precision = std::is_same_v<Real, float> ? solver::Precision::kF32 : solver::Precision::kF64;
+  sim.precision = solver::precisionOf<Real>();
   solver::validateSimConfig(sim);
   if (mesh_.faces.empty())
     throw std::runtime_error("DistributedSimulation: mesh connectivity not built");
@@ -668,13 +667,6 @@ DistStats DistributedSimulation<Real, W>::runCycles(std::uint64_t cycles) {
   return stats;
 }
 
-template class DistributedSimulation<float, 1>;
-template class DistributedSimulation<float, 2>;
-template class DistributedSimulation<float, 4>;
-template class DistributedSimulation<float, 8>;
-template class DistributedSimulation<float, 16>;
-template class DistributedSimulation<double, 1>;
-template class DistributedSimulation<double, 2>;
-template class DistributedSimulation<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, , DistributedSimulation)
 
 } // namespace nglts::parallel

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 #include "linalg/kernel_backend.hpp"
@@ -29,6 +30,13 @@ enum class Precision : int_t {
   kF64 = 0,  ///< double everywhere (the default and accuracy reference)
   kF32       ///< float arenas + kernels, misfit-gated against f64 goldens
 };
+
+/// The precision whose scalar type is `Real` (float or double).
+template <typename Real>
+constexpr Precision precisionOf() {
+  static_assert(std::is_same_v<Real, float> || std::is_same_v<Real, double>);
+  return std::is_same_v<Real, float> ? Precision::kF32 : Precision::kF64;
+}
 
 /// Stable name of a precision value: "f64" | "f32" (CLI/bench/artifacts).
 inline const char* precisionName(Precision p) {

@@ -175,13 +175,6 @@ std::uint64_t StepExecutor<Real, W>::drainFlops() {
   return pool_.drainFlops();
 }
 
-template class StepExecutor<float, 1>;
-template class StepExecutor<float, 2>;
-template class StepExecutor<float, 4>;
-template class StepExecutor<float, 8>;
-template class StepExecutor<float, 16>;
-template class StepExecutor<double, 1>;
-template class StepExecutor<double, 2>;
-template class StepExecutor<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, , StepExecutor)
 
 } // namespace nglts::solver

@@ -148,13 +148,6 @@ class StepExecutor {
   WorkspacePool<Real, W> pool_;  ///< per-chunk scratch/recStack/flops
 };
 
-extern template class StepExecutor<float, 1>;
-extern template class StepExecutor<float, 2>;
-extern template class StepExecutor<float, 4>;
-extern template class StepExecutor<float, 8>;
-extern template class StepExecutor<float, 16>;
-extern template class StepExecutor<double, 1>;
-extern template class StepExecutor<double, 2>;
-extern template class StepExecutor<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, extern, StepExecutor)
 
 } // namespace nglts::solver

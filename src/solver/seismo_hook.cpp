@@ -235,46 +235,7 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              what);
 }
 
-template class SeismoHook<float, 1>;
-template class SeismoHook<float, 2>;
-template class SeismoHook<float, 4>;
-template class SeismoHook<float, 8>;
-template class SeismoHook<float, 16>;
-template class SeismoHook<double, 1>;
-template class SeismoHook<double, 2>;
-template class SeismoHook<double, 4>;
-
-template void projectInitialCondition(const kernels::AderKernels<float, 1>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 1>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<float, 2>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 2>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<float, 4>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 4>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<float, 8>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 8>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<float, 16>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<float, 16>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<double, 1>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 1>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<double, 2>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 2>&, idx_t);
-template void projectInitialCondition(const kernels::AderKernels<double, 4>&,
-                                      const mesh::TetMesh&,
-                                      const std::vector<mesh::ElementGeometry>&,
-                                      const InitialConditionFn&, SolverState<double, 4>&, idx_t);
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, , SeismoHook)
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_PROJECT_INITIAL_CONDITION, )
 
 } // namespace nglts::solver

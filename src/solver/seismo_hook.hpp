@@ -121,46 +121,15 @@ void projectInitialCondition(const kernels::AderKernels<Real, W>& kernels,
                              const InitialConditionFn& f, SolverState<Real, W>& state,
                              idx_t numElements);
 
-extern template class SeismoHook<float, 1>;
-extern template class SeismoHook<float, 2>;
-extern template class SeismoHook<float, 4>;
-extern template class SeismoHook<float, 8>;
-extern template class SeismoHook<float, 16>;
-extern template class SeismoHook<double, 1>;
-extern template class SeismoHook<double, 2>;
-extern template class SeismoHook<double, 4>;
+/// Declares (`Extern` = extern) or instantiates (`Extern` empty)
+/// `projectInitialCondition` for one engine type.
+#define NGLTS_PROJECT_INITIAL_CONDITION(Real, W, Extern)                      \
+  Extern template void projectInitialCondition(                              \
+      const kernels::AderKernels<Real, W>&, const mesh::TetMesh&,            \
+      const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,  \
+      SolverState<Real, W>&, idx_t);
 
-extern template void projectInitialCondition(
-    const kernels::AderKernels<float, 1>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 1>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<float, 2>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 2>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<float, 4>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 4>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<float, 8>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 8>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<float, 16>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<float, 16>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<double, 1>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 1>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<double, 2>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 2>&, idx_t);
-extern template void projectInitialCondition(
-    const kernels::AderKernels<double, 4>&, const mesh::TetMesh&,
-    const std::vector<mesh::ElementGeometry>&, const InitialConditionFn&,
-    SolverState<double, 4>&, idx_t);
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, extern, SeismoHook)
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_PROJECT_INITIAL_CONDITION, extern)
 
 } // namespace nglts::solver

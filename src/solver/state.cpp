@@ -96,13 +96,6 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   for (int_t c = 0; c < numClusters_; ++c) zeroRange(clusterBegin(c), clusterEnd(c));
 }
 
-template class SolverState<float, 1>;
-template class SolverState<float, 2>;
-template class SolverState<float, 4>;
-template class SolverState<float, 8>;
-template class SolverState<float, 16>;
-template class SolverState<double, 1>;
-template class SolverState<double, 2>;
-template class SolverState<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, , SolverState)
 
 } // namespace nglts::solver

@@ -153,13 +153,6 @@ class SolverState {
   }
 };
 
-extern template class SolverState<float, 1>;
-extern template class SolverState<float, 2>;
-extern template class SolverState<float, 4>;
-extern template class SolverState<float, 8>;
-extern template class SolverState<float, 16>;
-extern template class SolverState<double, 1>;
-extern template class SolverState<double, 2>;
-extern template class SolverState<double, 4>;
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_ENGINE_CLASS, extern, SolverState)
 
 } // namespace nglts::solver

@@ -253,6 +253,22 @@ TEST(BatchEngine, PlanRespectsMaxFusedWidth) {
   EXPECT_EQ(plan[0].width, 2);
   EXPECT_EQ(plan[1].width, 2);
   EXPECT_EQ(plan[2].width, 1);
+
+  // f32 lists widths up to 16: 11 compatible requests under a cap of 16
+  // pack as the largest listed width that fits, 8 + 2 + 1.
+  cfg.sim.precision = nsol::Precision::kF32;
+  cfg.maxFusedWidth = 16;
+  nbatch::BatchEngine f32(model, cfg, nbatch::quickstartBatchModelKey());
+  for (int i = 0; i < 11; ++i)
+    f32.add({"r" + std::to_string(i), 1.0 + 0.1 * i, 1.0, {0.0, 0.0, 0.0}});
+  const auto& f32Plan = f32.plan();
+  ASSERT_EQ(f32Plan.size(), 3u);
+  EXPECT_EQ(f32Plan[0].width, 8);
+  EXPECT_EQ(f32Plan[1].width, 2);
+  EXPECT_EQ(f32Plan[2].width, 1);
+  // The same cap is not a width f64 lists.
+  cfg.sim.precision = nsol::Precision::kF64;
+  EXPECT_THROW((nbatch::BatchEngine(model, cfg)), std::invalid_argument);
 }
 
 TEST(BatchEngine, RejectsInvalidConfig) {

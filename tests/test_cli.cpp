@@ -13,8 +13,11 @@
 #include <vector>
 
 #include "cli/scenario.hpp"
+#include "mesh/box_gen.hpp"
+#include "physics/material.hpp"
 
 namespace nc = nglts::cli;
+namespace ns = nglts::solver;
 using nglts::solver::TimeScheme;
 
 namespace {
@@ -136,10 +139,6 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   bad.meshScale = 0.0;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
   bad = {};
-  bad.fusedWidth = 5;
-  EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
-  EXPECT_THROW(s->run(bad), std::invalid_argument);
-  bad = {};
   bad.endTime = std::nan("");
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
   bad = {};
@@ -153,6 +152,64 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   bad = {};
   bad.threads = -4;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
+
+  // 5 is in neither precision's row of the engine-type table. Every
+  // scenario, batch included, rejects it in resolveConfig and in run, and
+  // names the widths listed at its own precision.
+  bad = {};
+  bad.fusedWidth = 5;
+  for (const nc::Scenario* sc : registry().list()) {
+    const bool f32 = sc->resolveConfig({}).precision == ns::Precision::kF32;
+    const std::string widths = f32 ? "f32 widths: 1 2 4 8 16" : "f64 widths: 1 2 4";
+    for (const bool run : {false, true}) {
+      try {
+        if (run) sc->run(bad);
+        else sc->resolveConfig(bad);
+        ADD_FAILURE() << sc->name() << (run ? " run" : " resolveConfig") << " accepted --fused 5";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_TRUE(std::string(e.what()).ends_with(widths)) << sc->name() << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(EngineTypes, EveryPairRuns) {
+  // One tiny one-rank engine per listed (precision, width) pair, one cycle
+  // each: the dispatch reaches the pair it was asked for.
+  nglts::mesh::BoxSpec spec;
+  for (auto& planes : spec.planes) planes = nglts::mesh::uniformPlanes(0.0, 400.0, 2);
+  const nglts::mesh::TetMesh mesh = nglts::mesh::generateBox(spec);
+  const std::vector<nglts::physics::Material> mats(
+      mesh.numElements(), nglts::physics::elasticMaterial(2600.0, 3000.0, 1700.0));
+  for (const ns::Precision p : {ns::Precision::kF32, ns::Precision::kF64}) {
+    for (const nglts::int_t w : ns::fusedWidths(p)) {
+      SCOPED_TRACE(std::string(ns::precisionName(p)) + " W = " + std::to_string(w));
+      ns::SimConfig cfg;
+      cfg.order = 2;
+      cfg.precision = p;
+      ns::dispatchEngineType(p, w, [&]<typename Real, int W>() {
+        ns::Simulation<Real, W> sim(mesh, mats, cfg);
+        EXPECT_EQ(sim.runCycles(1).cycles, 1u);
+        EXPECT_EQ(sizeof(Real), static_cast<std::size_t>(ns::precisionBytes(p)));
+        EXPECT_EQ(W, w);
+      });
+    }
+  }
+}
+
+TEST(EngineTypes, RejectsUnlistedPairs) {
+  const auto message = [](ns::Precision p, nglts::int_t w) -> std::string {
+    try {
+      ns::checkEngineType(p, w);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_TRUE(message(ns::Precision::kF64, 8).ends_with("f64 widths: 1 2 4"))
+      << message(ns::Precision::kF64, 8);
+  EXPECT_TRUE(message(ns::Precision::kF32, 3).ends_with("f32 widths: 1 2 4 8 16"))
+      << message(ns::Precision::kF32, 3);
 }
 
 TEST(Scenarios, ParseSchemeRoundTrips) {
