@@ -43,7 +43,7 @@ struct Fixture {
   mesh::TetMesh mesh;
   std::vector<mesh::ElementGeometry> geo;
   std::vector<physics::Material> mats;
-  std::vector<kernels::ElementData<float>> ed;
+  kernels::OperatorData<float> ed;
 
   explicit Fixture(int_t mechanisms) {
     mesh::BoxSpec spec;
@@ -170,14 +170,14 @@ template <typename Real, int W>
 void smallGemmStar(benchmark::State& state) {
   const auto ed = kernels::buildElementData<Real>(fixture(3).mesh, fixture(3).geo,
                                                   fixture(3).mats, 0, 3);
-  runStar<Real, W>(state, kernels::starEPattern(), ed.starE[0].data(), 21);
+  runStar<Real, W>(state, kernels::starEPattern(), ed[0].elastic->starE[0].data(), 21);
 }
 
 template <typename Real, int W>
 void smallGemmStarFull(benchmark::State& state) {
   const auto ed = kernels::buildElementData<Real>(fixture(3).mesh, fixture(3).geo,
                                                   fixture(3).mats, 0, 3);
-  runStar<Real, W>(state, linalg::densePattern(9, 9), ed.fluxSolveE[0].data(), 22);
+  runStar<Real, W>(state, linalg::densePattern(9, 9), ed[0].elastic->fluxSolveE[0].data(), 22);
 }
 
 template <typename Real, int W>

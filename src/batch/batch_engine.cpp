@@ -166,6 +166,9 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
   runCfg.autoLambda = false;
 
   solver::Simulation<Real, W> sim(pipe->mesh, pipe->materials, runCfg);
+  const solver::OperatorBytes ob = sim.operatorBytes();
+  if (ob.elastic + ob.anelastic > stats.operatorBytes.elastic + stats.operatorBytes.anelastic)
+    stats.operatorBytes = ob;
 
   std::vector<double> laneScale(W);
   for (int lane = 0; lane < W; ++lane)

@@ -74,6 +74,8 @@ struct BatchStats {
   double solveSeconds = 0.0;        ///< time loop
   std::uint64_t cycles = 0;
   std::uint64_t flops = 0;
+  /// Operator memory of the largest fused run (the runs live one at a time).
+  solver::OperatorBytes operatorBytes;
   bool interrupted = false;         ///< stopped by `abortAfterCheckpoints`
 };
 

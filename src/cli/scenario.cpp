@@ -66,6 +66,11 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+void appendOperatorLine(std::string& out, const solver::OperatorBytes& bytes) {
+  appendf(out, "operator data: %.1f MB elastic + %.1f MB anelastic\n", bytes.elastic / 1e6,
+          bytes.anelastic / 1e6);
+}
+
 void progressf(const ScenarioOptions& opts, const char* fmt, ...) {
   if (opts.quiet) return;
   char buf[512];

@@ -135,6 +135,9 @@ struct ScenarioReport {
   /// them (filled by every scenario but `batch`, on one rank or several).
   /// Tests assert benchmark scenarios actually populate multiple clusters.
   std::vector<idx_t> clusterHistogram;
+  /// Operator memory of the primary engine, summed over its ranks (for
+  /// `batch`, of its largest fused run).
+  solver::OperatorBytes operatorBytes;
   /// Human-readable multi-line result summary (always printed).
   std::string summary;
 };
@@ -218,6 +221,10 @@ std::string schemeName(solver::TimeScheme scheme);
 
 /// printf-style append to `out`.
 void appendf(std::string& out, const char* fmt, ...);
+
+/// Record the operator memory in a summary ("operator data: 19.9 MB
+/// elastic + 0.0 MB anelastic").
+void appendOperatorLine(std::string& out, const solver::OperatorBytes& bytes);
 
 /// printf-style progress message on stdout; silent under `opts.quiet`.
 void progressf(const ScenarioOptions& opts, const char* fmt, ...);

@@ -103,6 +103,7 @@ class BatchScenario final : public Scenario {
     report.stats.simulatedTime = tEnd;
     report.stats.cycles = stats.cycles;
     report.stats.flops = stats.flops;
+    report.operatorBytes = stats.operatorBytes;
 
     appendf(report.summary,
             "batch: %lld/%lld requests in %lld fused runs — pipeline built %lldx, "
@@ -111,6 +112,7 @@ class BatchScenario final : public Scenario {
             static_cast<long long>(stats.requests), static_cast<long long>(stats.runs),
             static_cast<long long>(stats.pipelineBuilds),
             static_cast<long long>(stats.pipelineHits));
+    appendOperatorLine(report.summary, stats.operatorBytes);
     if (stats.completedRequests > 0)
       appendf(report.summary, "setup %.2f s (%.3f s/request amortized), solve %.2f s\n",
               stats.setupSeconds, stats.setupSeconds / stats.completedRequests,

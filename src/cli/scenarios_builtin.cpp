@@ -230,6 +230,8 @@ bool runPrimary(parallel::DistributedSimulation<Real, W>& sim, double tEnd,
   appendf(report.summary, "  (%lld elements, lambda %.2f, theoretical speedup %.2fx)\n",
           static_cast<long long>(clustering.cluster.size()), clustering.lambda,
           clustering.theoreticalSpeedup);
+  report.operatorBytes = sim.operatorBytes();
+  appendOperatorLine(report.summary, report.operatorBytes);
   report.config = sim.config().sim;
   progressf(opts, "running %s on %lld rank%s...\n", schemeName(report.config.scheme).c_str(),
             static_cast<long long>(sim.ranks()), sim.ranks() == 1 ? "" : "s");

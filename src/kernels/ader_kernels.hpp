@@ -284,16 +284,16 @@ std::uint64_t AderKernels<Real, W>::timePredict(const ElementData<Real>& ed, con
     for (int_t c = 0; c < 3; ++c) {
       linalg::zeroBlock(s.sc.data(), el9);
       flops += applyRight(gXiNeg_[c], kElasticVars, widIn, widOut, cur, s.sc.data(), nb_, nb_);
-      flops += ops_->star(starE_, ed.starE[c].data(), widOut, nb_, s.sc.data(), next);
+      flops += ops_->star(starE_, ed.elastic->starE[c].data(), widOut, nb_, s.sc.data(), next);
       if (anel)
-        flops += ops_->star(starA_, ed.starA[c].data(), widOut, nb_, s.sc.data(),
+        flops += ops_->star(starA_, ed.anelastic->starA[c].data(), widOut, nb_, s.sc.data(),
                             s.anAcc.data());
     }
     if (anel) {
       // Elastic rows: reactive source sum_l E_l theta^l.
       for (int_t l = 0; l < mechs_; ++l) {
         const Real* thetaCur = cur + (kElasticVars + 6 * l) * vs;
-        const Real* eBlock = ed.couple.data() + static_cast<std::size_t>(l) * kCoupleNnz;
+        const Real* eBlock = ed.couple + static_cast<std::size_t>(l) * kCoupleNnz;
         flops += ops_->star(couple_, eBlock, nb_, nb_, thetaCur, next);
       }
       // Memory-variable rows: omega_l * (anAcc - theta^l).
@@ -358,9 +358,9 @@ std::uint64_t AderKernels<Real, W>::volumeAndLocalSurface(const ElementData<Real
   for (int_t c = 0; c < 3; ++c) {
     linalg::zeroBlock(s.sc.data(), elasticDofsPerElement());
     flops += applyRight(kXi_[c], kElasticVars, nb_, nb_, timeInt, s.sc.data(), nb_, nb_);
-    flops += ops_->star(starE_, ed.starE[c].data(), nb_, nb_, s.sc.data(), q);
+    flops += ops_->star(starE_, ed.elastic->starE[c].data(), nb_, nb_, s.sc.data(), q);
     if (anel)
-      flops += ops_->star(starA_, ed.starA[c].data(), nb_, nb_, s.sc.data(),
+      flops += ops_->star(starA_, ed.anelastic->starA[c].data(), nb_, nb_, s.sc.data(),
                           s.anAcc.data());
   }
 
@@ -376,7 +376,7 @@ std::uint64_t AderKernels<Real, W>::volumeAndLocalSurface(const ElementData<Real
     // Reactive source on the elastic rows: sum_l E_l T_a,l.
     for (int_t l = 0; l < mechs_; ++l) {
       const Real* thetaT = timeInt + (kElasticVars + 6 * l) * vs;
-      const Real* eBlock = ed.couple.data() + static_cast<std::size_t>(l) * kCoupleNnz;
+      const Real* eBlock = ed.couple + static_cast<std::size_t>(l) * kCoupleNnz;
       flops += ops_->star(couple_, eBlock, nb_, nb_, thetaT, q);
     }
     // Memory-variable rows: q_a,l += omega_l * (anAcc - T_a,l).
@@ -400,14 +400,16 @@ std::uint64_t AderKernels<Real, W>::surfaceFromFaceLocal(const ElementData<Real>
   std::uint64_t flops = 0;
   const std::size_t vs = varStride();
   const bool anel = mechs_ > 0;
-  const auto& fse = neighborSide ? ed.fluxSolveENeigh[face] : ed.fluxSolveE[face];
-  const auto& fsa = neighborSide ? ed.fluxSolveANeigh[face] : ed.fluxSolveA[face];
+  const auto& fse =
+      neighborSide ? ed.elastic->fluxSolveENeigh[face] : ed.elastic->fluxSolveE[face];
 
   linalg::zeroBlock(s.faceSolved.data(), faceDataSize());
   flops += ops_->star(fluxE_, fse.data(), nf_, nf_, proj, s.faceSolved.data());
   flops += applyRight(fluxLift_[face], kElasticVars, nf_, nb_, s.faceSolved.data(), q, nf_, nb_);
 
   if (anel) {
+    const auto& fsa =
+        neighborSide ? ed.anelastic->fluxSolveANeigh[face] : ed.anelastic->fluxSolveA[face];
     linalg::zeroBlock(s.faceAn.data(), static_cast<std::size_t>(6) * nf_ * W);
     flops += ops_->star(fluxA_, fsa.data(), nf_, nf_, proj, s.faceAn.data());
     linalg::zeroBlock(s.anLift.data(), static_cast<std::size_t>(6) * nb_ * W);

@@ -1,5 +1,6 @@
 #include "kernels/kernel_setup.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <limits>
@@ -146,10 +147,12 @@ void storePattern(const linalg::Block<R, C>& m, const PatternLayout<R, C>& layou
     dst[s] = static_cast<Real>(m.data()[layout.offset[s]]);
 }
 
-/// Writes every field of `ed` (in place, no zero fill first).
+/// Writes every entry of element `el`'s operators (in place, no zero fill
+/// first). `a` and `couple` are null in an elastic run (no mechanisms):
+/// the anelastic blocks are then not assembled at all.
 template <typename Real>
-void buildInto(ElementData<Real>& ed, const mesh::TetMesh& mesh,
-               const std::vector<mesh::ElementGeometry>& geo,
+void buildInto(ElasticOperators<Real>& e, AnelasticOperators<Real>* a, Real* couple,
+               const mesh::TetMesh& mesh, const std::vector<mesh::ElementGeometry>& geo,
                const std::vector<physics::Material>& materials, idx_t el, int_t mechanisms) {
   const mesh::ElementGeometry& g = geo[el];
   const physics::Material& mat = materials[el];
@@ -158,18 +161,19 @@ void buildInto(ElementData<Real>& ed, const mesh::TetMesh& mesh,
   const std::array<physics::ElasticBlock, 3> je = physics::elasticJacobians(mat);
   const std::array<physics::AnelasticBlock, 3>& ja = physics::anelasticJacobians();
   for (int_t c = 0; c < 3; ++c) {
-    storePattern(linalg::linearCombination(je, g.invJac[c]), starELayout(), ed.starE[c].data(),
+    storePattern(linalg::linearCombination(je, g.invJac[c]), starELayout(), e.starE[c].data(),
                  el, "starE", c);
-    storePattern(linalg::linearCombination(ja, g.invJac[c]), starALayout(), ed.starA[c].data(),
-                 el, "starA", c);
+    if (a)
+      storePattern(linalg::linearCombination(ja, g.invJac[c]), starALayout(),
+                   a->starA[c].data(), el, "starA", c);
   }
 
   // Coupling blocks. Elements whose material carries fewer mechanisms than
   // the run (e.g. effectively elastic regions) get zero coupling.
-  ed.couple.assign(static_cast<std::size_t>(mechanisms) * kCoupleNnz, Real(0));
+  std::fill_n(couple, static_cast<std::size_t>(mechanisms) * kCoupleNnz, Real(0));
   for (int_t l = 0; l < mechanisms && l < mat.mechanisms(); ++l)
     storePattern(physics::couplingE(mat, l), coupleLayout(),
-                 ed.couple.data() + static_cast<std::size_t>(l) * kCoupleNnz, el, "couple", l);
+                 couple + static_cast<std::size_t>(l) * kCoupleNnz, el, "couple", l);
 
   // Flux solvers per face: -c_i A_n G(+/-).
   for (int_t f = 0; f < 4; ++f) {
@@ -177,7 +181,6 @@ void buildInto(ElementData<Real>& ed, const mesh::TetMesh& mesh,
     const mesh::FaceGeometry& fg = g.face[f];
     const double ci = g.fluxScale[f];
     const physics::ElasticBlock an = linalg::linearCombination(je, fg.normal);
-    const physics::AnelasticBlock aa = linalg::linearCombination(ja, fg.normal);
 
     physics::ElasticBlock gMinus, gPlus;
     switch (fi.kind) {
@@ -196,33 +199,25 @@ void buildInto(ElementData<Real>& ed, const mesh::TetMesh& mesh,
         gMinus = physics::absorbingSelector(mat, fg.normal, fg.tangent1, fg.tangent2);
         break;
     }
-    storeDense(an * gMinus, -ci, ed.fluxSolveE[f].data(), el, "fluxSolveE", f);
-    storeDense(an * gPlus, -ci, ed.fluxSolveENeigh[f].data(), el, "fluxSolveENeigh", f);
-    storeDense(aa * gMinus, -ci, ed.fluxSolveA[f].data(), el, "fluxSolveA", f);
-    storeDense(aa * gPlus, -ci, ed.fluxSolveANeigh[f].data(), el, "fluxSolveANeigh", f);
+    storeDense(an * gMinus, -ci, e.fluxSolveE[f].data(), el, "fluxSolveE", f);
+    storeDense(an * gPlus, -ci, e.fluxSolveENeigh[f].data(), el, "fluxSolveENeigh", f);
+    if (a) {
+      const physics::AnelasticBlock aa = linalg::linearCombination(ja, fg.normal);
+      storeDense(aa * gMinus, -ci, a->fluxSolveA[f].data(), el, "fluxSolveA", f);
+      storeDense(aa * gPlus, -ci, a->fluxSolveANeigh[f].data(), el, "fluxSolveANeigh", f);
+    }
   }
 }
 
 } // namespace
 
 template <typename Real>
-ElementData<Real> buildElementData(const mesh::TetMesh& mesh,
-                                   const std::vector<mesh::ElementGeometry>& geo,
-                                   const std::vector<physics::Material>& materials, idx_t el,
-                                   int_t mechanisms) {
-  ElementData<Real> ed;
-  buildInto(ed, mesh, geo, materials, el, mechanisms);
-  return ed;
-}
-
-template <typename Real>
-std::vector<ElementData<Real>> buildElementData(const mesh::TetMesh& mesh,
-                                                const std::vector<mesh::ElementGeometry>& geo,
-                                                const std::vector<physics::Material>& materials,
-                                                const std::vector<idx_t>& elements,
-                                                int_t mechanisms) {
+OperatorData<Real> buildElementData(const mesh::TetMesh& mesh,
+                                    const std::vector<mesh::ElementGeometry>& geo,
+                                    const std::vector<physics::Material>& materials,
+                                    const std::vector<idx_t>& elements, int_t mechanisms) {
   const auto n = static_cast<idx_t>(elements.size());
-  std::vector<ElementData<Real>> out(elements.size()); // not zero-filled: built in place
+  OperatorData<Real> out(n, mechanisms); // not touched: built in place below
   // An exception leaving the OpenMP region would call std::terminate: keep
   // the lowest failing global element (thread-count independent) and throw
   // after.
@@ -231,7 +226,8 @@ std::vector<ElementData<Real>> buildElementData(const mesh::TetMesh& mesh,
 #pragma omp parallel for schedule(static)
   for (idx_t i = 0; i < n; ++i) {
     try {
-      buildInto(out[i], mesh, geo, materials, elements[i], mechanisms);
+      buildInto(out.elastic(i), out.anelastic(i), out.couple(i), mesh, geo, materials,
+                elements[i], mechanisms);
     } catch (const std::exception& e) {
 #pragma omp critical(nglts_build_element_data)
       if (bad < 0 || elements[i] < bad) {
@@ -245,33 +241,27 @@ std::vector<ElementData<Real>> buildElementData(const mesh::TetMesh& mesh,
 }
 
 template <typename Real>
-std::vector<ElementData<Real>> buildAllElementData(
-    const mesh::TetMesh& mesh, const std::vector<mesh::ElementGeometry>& geo,
-    const std::vector<physics::Material>& materials, int_t mechanisms) {
+OperatorData<Real> buildElementData(const mesh::TetMesh& mesh,
+                                    const std::vector<mesh::ElementGeometry>& geo,
+                                    const std::vector<physics::Material>& materials, idx_t el,
+                                    int_t mechanisms) {
+  OperatorData<Real> out(1, mechanisms);
+  buildInto(out.elastic(0), out.anelastic(0), out.couple(0), mesh, geo, materials, el,
+            mechanisms);
+  return out;
+}
+
+template <typename Real>
+OperatorData<Real> buildAllElementData(const mesh::TetMesh& mesh,
+                                       const std::vector<mesh::ElementGeometry>& geo,
+                                       const std::vector<physics::Material>& materials,
+                                       int_t mechanisms) {
   std::vector<idx_t> all(static_cast<std::size_t>(mesh.numElements()));
   std::iota(all.begin(), all.end(), idx_t(0));
   return buildElementData<Real>(mesh, geo, materials, all, mechanisms);
 }
 
-template ElementData<float> buildElementData<float>(const mesh::TetMesh&,
-                                                    const std::vector<mesh::ElementGeometry>&,
-                                                    const std::vector<physics::Material>&, idx_t,
-                                                    int_t);
-template ElementData<double> buildElementData<double>(const mesh::TetMesh&,
-                                                      const std::vector<mesh::ElementGeometry>&,
-                                                      const std::vector<physics::Material>&,
-                                                      idx_t, int_t);
-template std::vector<ElementData<float>> buildElementData<float>(
-    const mesh::TetMesh&, const std::vector<mesh::ElementGeometry>&,
-    const std::vector<physics::Material>&, const std::vector<idx_t>&, int_t);
-template std::vector<ElementData<double>> buildElementData<double>(
-    const mesh::TetMesh&, const std::vector<mesh::ElementGeometry>&,
-    const std::vector<physics::Material>&, const std::vector<idx_t>&, int_t);
-template std::vector<ElementData<float>> buildAllElementData<float>(
-    const mesh::TetMesh&, const std::vector<mesh::ElementGeometry>&,
-    const std::vector<physics::Material>&, int_t);
-template std::vector<ElementData<double>> buildAllElementData<double>(
-    const mesh::TetMesh&, const std::vector<mesh::ElementGeometry>&,
-    const std::vector<physics::Material>&, int_t);
+NGLTS_OPERATOR_DATA_BUILDERS(, float)
+NGLTS_OPERATOR_DATA_BUILDERS(, double)
 
 } // namespace nglts::kernels

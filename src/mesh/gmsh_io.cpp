@@ -323,10 +323,22 @@ TetMesh readGmsh(std::istream& in, const std::string& name) {
   // After the flips every valid tet has det > 0; a flat one (four coplanar
   // nodes, or non-finite coordinates) would fail geometry setup later with
   // no file position.
-  for (idx_t el = 0; el < mesh.numElements(); ++el)
+  // A sliver passes that check but its CFL time step is tiny, and the run
+  // it sits in would take effectively forever.
+  for (idx_t el = 0; el < mesh.numElements(); ++el) {
+    const idx_t line = st.tetLine[static_cast<std::size_t>(el)];
     if (!(orientationDet(mesh, el) > 0.0))
-      p.failAt(st.tetLine[static_cast<std::size_t>(el)],
-               "degenerate tetrahedron (four coplanar nodes, zero volume)");
+      p.failAt(line, "degenerate tetrahedron (four coplanar nodes, zero volume)");
+    const double quality = shapeQuality(mesh, el);
+    if (!(quality >= kMinShapeQuality)) {
+      char msg[160];
+      std::snprintf(msg, sizeof msg,
+                    "sliver tetrahedron: shape quality %.3g is below %g (2 sqrt(6) inradius / "
+                    "longest edge, 1 for a regular tetrahedron)",
+                    quality, kMinShapeQuality);
+      p.failAt(line, msg);
+    }
+  }
   buildConnectivity(mesh, {}, FaceKind::kAbsorbing);
   // Boundary triangles override the default absorbing kind; triangles that
   // match interior faces (conforming internal interfaces) are ignored.

@@ -1,6 +1,7 @@
 #include "mesh/tet_mesh.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -45,6 +46,37 @@ double orientationDet(const TetMesh& m, idx_t el) {
   return a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1]) -
          a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0]) +
          a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]);
+}
+
+double shapeQuality(const TetMesh& m, idx_t el) {
+  const auto& e = m.elements[el];
+  auto sub = [&](int_t i, int_t j) {
+    const auto& a = m.vertices[e[i]];
+    const auto& b = m.vertices[e[j]];
+    return std::array<double, 3>{a[0] - b[0], a[1] - b[1], a[2] - b[2]};
+  };
+  auto dot = [](const std::array<double, 3>& a, const std::array<double, 3>& b) {
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+  };
+  double longest2 = 0.0;
+  for (int_t i = 0; i < 4; ++i)
+    for (int_t j = i + 1; j < 4; ++j) {
+      const auto d = sub(j, i);
+      longest2 = std::max(longest2, dot(d, d));
+    }
+  // inradius = 3 volume / surface area, with 6 volume = |det| and each face
+  // area half the norm of an edge cross product.
+  double area2 = 0.0; // twice the surface area
+  for (int_t f = 0; f < 4; ++f) {
+    const auto& fv = basis::kFaceVertices[f];
+    const auto u = sub(fv[1], fv[0]);
+    const auto v = sub(fv[2], fv[0]);
+    const std::array<double, 3> n = {u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                                     u[0] * v[1] - u[1] * v[0]};
+    area2 += std::sqrt(dot(n, n));
+  }
+  const double inradius = std::fabs(orientationDet(m, el)) / area2;
+  return 2.0 * std::sqrt(6.0) * inradius / std::sqrt(longest2);
 }
 
 idx_t fixOrientation(TetMesh& mesh) {

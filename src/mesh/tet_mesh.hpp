@@ -36,6 +36,11 @@ struct TetMesh {
 /// [v1 - v0, v2 - v0, v3 - v0] = 6 x signed volume; 0 for a flat tet.
 double orientationDet(const TetMesh& mesh, idx_t el);
 
+/// Normalized shape quality of element `el`: 2 sqrt(6) x inradius over the
+/// longest edge. 1 for a regular tetrahedron, towards 0 for a sliver or a
+/// needle, 0 for a flat one, NaN for non-finite coordinates.
+double shapeQuality(const TetMesh& mesh, idx_t el);
+
 /// Ensure every element has positive orientation (det of edge matrix > 0);
 /// swaps two vertices where needed. Returns the number of flips.
 idx_t fixOrientation(TetMesh& mesh);

@@ -194,6 +194,9 @@ class DistributedSimulation {
   /// mapping to the caller's global element ids), read by the layout tests.
   /// Throws like `dofs` for a rank of another process.
   const solver::SolverState<Real, W>& state(int_t rank = 0) const;
+  /// Operator memory (`SolverState::operatorBytes`) summed over every rank.
+  /// Collective under MPI.
+  solver::OperatorBytes operatorBytes() const;
 
   /// DOF access by global external element id (reads the owning rank's
   /// arena). Throws `std::out_of_range` for an id outside the mesh and,

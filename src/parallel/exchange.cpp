@@ -380,6 +380,18 @@ const solver::SolverState<Real, W>& DistributedSimulation<Real, W>::state(int_t 
 }
 
 template <typename Real, int W>
+solver::OperatorBytes DistributedSimulation<Real, W>::operatorBytes() const {
+  solver::OperatorBytes sum;
+  for (const auto& rank : ranks_)
+    if (rank) {
+      const solver::OperatorBytes b = rank->state->operatorBytes();
+      sum.elastic += b.elastic;
+      sum.anelastic += b.anelastic;
+    }
+  return {comm_->allreduceSum(sum.elastic), comm_->allreduceSum(sum.anelastic)};
+}
+
+template <typename Real, int W>
 void DistributedSimulation<Real, W>::resumeAtCycle(std::uint64_t cycles) {
   for (auto& rank : ranks_)
     if (rank) rank->exec->resumeAtCycle(cycles);

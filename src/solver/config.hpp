@@ -153,4 +153,12 @@ struct PerfStats {
   double gflops() const { return seconds > 0 ? flops / seconds * 1e-9 : 0.0; }
 };
 
+/// Bytes of the per-element operator data (`SolverState::operatorBytes`):
+/// the elastic arena every run holds, and the anelastic one, 0 without
+/// mechanisms.
+struct OperatorBytes {
+  std::uint64_t elastic = 0;
+  std::uint64_t anelastic = 0;
+};
+
 } // namespace nglts::solver

@@ -69,12 +69,13 @@ void StepExecutor<Real, W>::localElement(idx_t el, double dt, double t0, bool od
   Real* stack = baseline_ ? state_.derivStack(el)
                            : (hookStack ? w.recStack.data() : nullptr);
 
-  flops += kernels_.timePredict(state_.elementData(el), q, static_cast<Real>(dt),
-                                s.timeInt.data(), b1, b2, b3, odd, s, stack);
+  const kernels::ElementData<Real> ed = state_.elementData(el);
+  flops += kernels_.timePredict(ed, q, static_cast<Real>(dt), s.timeInt.data(), b1, b2, b3, odd,
+                                s, stack);
   // The counter keeps the scheme's analytic count, as if every element
   // wrote the B2/B3 its scheme keeps (like the star's dense count).
   flops += kernels_.bufferFlops(state_.useB2() && !b2, state_.useB3() && !b3 && odd);
-  flops += kernels_.volumeAndLocalSurface(state_.elementData(el), s.timeInt.data(), q, s);
+  flops += kernels_.volumeAndLocalSurface(ed, s.timeInt.data(), q, s);
 
   if (hook_) hook_->afterLocal(el, q, stack, t0, dt, flops);
   w.flops += flops;
@@ -129,15 +130,15 @@ void StepExecutor<Real, W>::neighborElement(idx_t el, idx_t step, int_t tid) {
   std::uint64_t flops = 0;
   Real* q = state_.q(el);
   const auto& faces = state_.internalMesh().faces[el];
+  const kernels::ElementData<Real> ed = state_.elementData(el);
   for (int_t f = 0; f < 4; ++f) {
     const mesh::FaceInfo& fi = faces[f];
     if (fi.neighbor < 0) continue;
     const FaceData d = neighborData(el, fi, step, s, flops);
     if (d.faceLocal)
-      flops += kernels_.neighborContributionFaceLocal(state_.elementData(el), f, d.data, q, s);
+      flops += kernels_.neighborContributionFaceLocal(ed, f, d.data, q, s);
     else
-      flops += kernels_.neighborContribution(state_.elementData(el), f, fi.neighborFace,
-                                             fi.perm, d.data, q, s);
+      flops += kernels_.neighborContribution(ed, f, fi.neighborFace, fi.perm, d.data, q, s);
   }
   w.flops += flops;
 }

@@ -35,7 +35,7 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   // stepped and the neighbor update reads the *consuming* element's flux
   // solvers. Built from the caller's mesh at the global id, so every rank
   // assembles exactly the operators a single-rank run would.
-  elementData_ = kernels::buildElementData<Real>(
+  operators_ = kernels::buildElementData<Real>(
       mesh, geo, materials, {reorder_.oldId.begin(), reorder_.oldId.begin() + owned},
       cfg.mechanisms);
 

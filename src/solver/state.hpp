@@ -2,7 +2,8 @@
 // Layer 1 of the solver core: the memory arena. `SolverState` owns every
 // per-element array the time loop touches — DOFs `q`, the elastic buffers
 // B1/B2/B3 of the next-generation LTS scheme, the baseline scheme's
-// derivative stack, and the per-element operator data — laid out in a
+// derivative stack, and the per-element operator data (an elastic arena,
+// plus an anelastic one only when the run has mechanisms) — laid out in a
 // *cluster-contiguous* internal order: the elements of time cluster c occupy
 // the contiguous index range [clusterBegin(c), clusterEnd(c)), and inside a
 // cluster face-neighbors are packed close by a dual-graph BFS
@@ -25,7 +26,8 @@
 // (solver/threading.hpp, SimConfig::numThreads): the thread that zeroes —
 // and thereby places — a cluster chunk's pages is the thread that computes
 // those elements every step, so the hot loops stream through node-local
-// memory.
+// memory. The operator arenas are first touched by their OpenMP-parallel
+// assembly (kernels::buildElementData), in element order.
 //
 // Two element-id spaces meet here: the caller's global ids (the mesh order
 // sources, receivers and tests are built against) and the internal arena
@@ -97,8 +99,11 @@ class SolverState {
   /// The permuted mesh the executor iterates (face adjacency in internal
   /// ids; see partition::applyReordering for the halo rows).
   const mesh::TetMesh& internalMesh() const { return mesh_; }
-  const kernels::ElementData<Real>& elementData(idx_t internal) const {
-    return elementData_[internal];
+  /// The operators of an owned element: a view into the operator arenas.
+  kernels::ElementData<Real> elementData(idx_t internal) const { return operators_[internal]; }
+  /// Bytes of this rank's elastic and anelastic operator arenas.
+  OperatorBytes operatorBytes() const {
+    return {operators_.elasticBytes(), operators_.anelasticBytes()};
   }
 
   // -- arenas (owned internal element ids) ---------------------------------
@@ -136,7 +141,7 @@ class SolverState {
   std::vector<int_t> cluster_;               ///< internal order, owned + halo
   std::vector<idx_t> clusterOffsets_;        ///< numClusters + 1 prefix offsets
   std::vector<idx_t> haloBoundaryBegin_;     ///< per cluster
-  std::vector<kernels::ElementData<Real>> elementData_; ///< owned only
+  kernels::OperatorData<Real> operators_;   ///< owned only
 
   std::size_t elSize_ = 0, bufSize_ = 0, stackSize_ = 0;
   bool useB2_ = false, useB3_ = false;

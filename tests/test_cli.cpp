@@ -240,6 +240,38 @@ TEST(Scenarios, QuickstartRunsAndProducesFiniteSeismogram) {
   EXPECT_FALSE(report.summary.empty());
 }
 
+TEST(Scenarios, OperatorDataIsSizedByThePhysics) {
+  // Every owned element stores 5,760 B of elastic operators at f64; only an
+  // anelastic run adds its 3,672 B of anelastic blocks plus 12 coupling
+  // values per mechanism. Summed over ranks, so a 2-rank run counts each
+  // element once.
+  nc::ScenarioOptions opts;
+  opts.ranks = 2;
+  opts.endTime = 0.05;
+  opts.threads = 1;
+  opts.quiet = true;
+  const nc::ScenarioReport loh1 = registry().find("loh1")->run(opts);
+  ASSERT_EQ(loh1.config.mechanisms, 0);
+  EXPECT_EQ(loh1.operatorBytes.elastic, 432u * 5760);
+  EXPECT_EQ(loh1.operatorBytes.anelastic, 0u);
+  EXPECT_NE(loh1.summary.find("operator data: 2.5 MB elastic + 0.0 MB anelastic\n"),
+            std::string::npos)
+      << loh1.summary;
+
+  opts = {};
+  opts.meshScale = 0.35;
+  opts.endTime = 0.03;
+  opts.threads = 1;
+  opts.quiet = true;
+  const nc::ScenarioReport loh3 = registry().find("loh3")->run(opts);
+  ASSERT_EQ(loh3.config.mechanisms, 3);
+  EXPECT_EQ(loh3.operatorBytes.elastic, 450u * 5760);
+  EXPECT_EQ(loh3.operatorBytes.anelastic, 450u * (3672 + 3 * 12 * 8));
+  EXPECT_NE(loh3.summary.find("operator data: 2.6 MB elastic + 1.8 MB anelastic\n"),
+            std::string::npos)
+      << loh3.summary;
+}
+
 TEST(Cli, QuietSilencesCoreInfoLinesOnLahabra) {
   // The λ-sweep and pipeline INFO lines come from the core logger, not the
   // scenario progress output; -q must silence both. Only stderr is captured.

@@ -373,8 +373,8 @@ struct BackendFixture {
   nm::TetMesh mesh;
   std::vector<nm::ElementGeometry> geo;
   std::vector<np::Material> mats;
-  std::vector<nk::ElementData<double>> ed;
-  std::vector<nk::ElementData<float>> edF;
+  nk::OperatorData<double> ed;
+  nk::OperatorData<float> edF;
 
   BackendFixture() {
     nm::BoxSpec spec;
@@ -392,7 +392,7 @@ struct BackendFixture {
   }
 
   template <typename Real>
-  const nk::ElementData<Real>& element0() const {
+  nk::ElementData<Real> element0() const {
     if constexpr (std::is_same_v<Real, float>)
       return edF[0];
     else
@@ -407,7 +407,7 @@ std::pair<std::vector<Real>, std::uint64_t> runAderPipeline(const BackendFixture
                                                             bool sparse, KernelBackend backend) {
   nk::AderKernels<Real, W> kern(order, 3, sparse, f.mats[0].omega, backend);
   EXPECT_NE(kern.backend(), KernelBackend::kAuto);
-  const nk::ElementData<Real>& ed = f.element0<Real>();
+  const nk::ElementData<Real> ed = f.element0<Real>();
   auto s = kern.makeScratch();
   std::mt19937 rng(77);
   std::uniform_real_distribution<double> uni(-1.0, 1.0);

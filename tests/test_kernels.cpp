@@ -36,7 +36,7 @@ struct KernelFixture {
   nm::TetMesh mesh;
   std::vector<nm::ElementGeometry> geo;
   std::vector<np::Material> mats;
-  std::vector<nk::ElementData<double>> ed;
+  nk::OperatorData<double> ed;
   int_t mechs;
 };
 
@@ -276,7 +276,7 @@ struct OperatorFixture {
   nm::TetMesh mesh;
   std::vector<nm::ElementGeometry> geo;
   std::vector<np::Material> mats;
-  std::vector<nk::ElementData<Real>> ed;
+  nk::OperatorData<Real> ed;
 };
 
 /// A 3-mechanism box, jittered or with axis-aligned tets (whose inverse
@@ -398,11 +398,11 @@ std::vector<BlockCase<Real>> blockCases(const nk::ElementData<Real>& ed,
                                         const DenseBlocks<Real>& ref, int_t mechs) {
   std::vector<BlockCase<Real>> out;
   for (int_t c = 0; c < 3; ++c) {
-    out.push_back({&nk::starEPattern(), ed.starE[c].data(), ref.starE[c].data()});
-    out.push_back({&nk::starAPattern(), ed.starA[c].data(), ref.starA[c].data()});
+    out.push_back({&nk::starEPattern(), ed.elastic->starE[c].data(), ref.starE[c].data()});
+    out.push_back({&nk::starAPattern(), ed.anelastic->starA[c].data(), ref.starA[c].data()});
   }
   for (int_t l = 0; l < mechs; ++l)
-    out.push_back({&nk::couplePattern(), ed.couple.data() + l * nk::kCoupleNnz,
+    out.push_back({&nk::couplePattern(), ed.couple + l * nk::kCoupleNnz,
                    ref.couple.data() + l * 54});
   return out;
 }
@@ -411,9 +411,11 @@ template <typename Real>
 void checkCompactBlocksExpandToDense(bool jitter) {
   const auto f = makeOperators<Real>(jitter);
   int_t zerosInPattern = 0;
+  ASSERT_EQ(f.ed.anelasticBytes(),
+            f.mesh.numElements() *
+                (sizeof(nk::AnelasticOperators<Real>) + 3 * nk::kCoupleNnz * sizeof(Real)));
   for (idx_t el = 0; el < f.mesh.numElements(); ++el) {
     const DenseBlocks<Real> ref = denseBlocks(f, el, 3);
-    ASSERT_EQ(f.ed[el].couple.size(), static_cast<std::size_t>(3 * nk::kCoupleNnz));
     for (const BlockCase<Real>& b : blockCases(f.ed[el], ref, 3)) {
       const auto dense = expand(*b.pattern, b.values);
       ASSERT_TRUE(sameBits(dense.data(), b.dense, dense.size())) << "element " << el;

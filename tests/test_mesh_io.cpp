@@ -7,6 +7,7 @@
 // the seismogram bitwise, under GTS and LTS alike.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -365,6 +366,45 @@ TEST(GmshConformance, RejectsDegenerateTets) {
       "0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 0\n$EndNodes\n"
       "$Elements\n1 2 1 2\n3 1 4 2\n1 1 2 3 4\n2 1 2 3 5\n$EndElements\n",
       "degenerate tetrahedron (four coplanar nodes", 22);
+}
+
+TEST(GmshConformance, RejectsSliverTets) {
+  // One coordinate set to 2^32 + 1 (a hostile-input probe): the tet keeps a
+  // positive volume, but as a needle its CFL step would make the run take
+  // effectively forever. The error points at its element line.
+  std::string content(kSingleTet);
+  const auto pos = content.find("0 0 1\n");
+  ASSERT_NE(pos, std::string::npos);
+  content.replace(pos, 6, "0 0 4294967297\n");
+  expectParseError(content, "sliver tetrahedron", 19);
+
+  // The same mutation on one node of an exported jittered box names the
+  // first tet in file order that uses the node.
+  const nm::TetMesh box = makeJitteredBox();
+  std::ostringstream out;
+  nm::writeGmsh(box, out);
+  std::vector<std::string> lines;
+  std::istringstream in(out.str());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const idx_t nv = box.numVertices(), node = nv / 2;
+  const auto nodes = std::find(lines.begin(), lines.end(), "$Nodes") - lines.begin();
+  std::string& coords = lines[static_cast<std::size_t>(nodes + 3 + nv + node)];
+  coords = "4294967297" + coords.substr(coords.find(' '));
+  const auto tets =
+      std::find(lines.begin(), lines.end(), "3 1 4 " + std::to_string(box.numElements())) -
+      lines.begin();
+  idx_t first = -1;
+  for (auto k = tets + 1; first < 0 && k <= tets + box.numElements(); ++k) {
+    std::istringstream tet(lines[static_cast<std::size_t>(k)]);
+    idx_t tag = 0, v = 0;
+    tet >> tag;
+    while (tet >> v)
+      if (v == node + 1) first = k + 1; // 1-based line number
+  }
+  ASSERT_GT(first, 0);
+  std::string mutated;
+  for (const std::string& line : lines) mutated += line + "\n";
+  expectParseError(mutated, "sliver tetrahedron", first);
 }
 
 TEST(GmshConformance, RejectsMeshWithoutNodes) {

@@ -1,6 +1,7 @@
 // Per-element operator assembly (kernels::buildElementData) against the dense
-// `linalg::Matrix` assembly it replaced: every byte of every ElementData
-// field, and every error message, must match.
+// `linalg::Matrix` assembly it replaced: every byte of both operator arenas
+// (the anelastic one exists only with mechanisms), and every error message,
+// must match.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -213,14 +214,24 @@ void storeBlock(const nl::Matrix& m, double scale, const nl::StarPattern& p, Rea
     }
 }
 
+/// One element's operators as the reference assembles them; the anelastic
+/// blocks stay unset, and `couple` empty, in an elastic run.
 template <typename Real>
-nk::ElementData<Real> buildElementData(const nm::TetMesh& mesh,
-                                       const std::vector<nm::ElementGeometry>& geo,
-                                       const std::vector<np::Material>& materials, idx_t el,
-                                       int_t mechanisms) {
+struct Element {
+  nk::ElasticOperators<Real> e{};
+  nk::AnelasticOperators<Real> a{};
+  std::vector<Real> couple;
+};
+
+template <typename Real>
+Element<Real> buildElementData(const nm::TetMesh& mesh,
+                               const std::vector<nm::ElementGeometry>& geo,
+                               const std::vector<np::Material>& materials, idx_t el,
+                               int_t mechanisms) {
   static const nl::StarPattern fluxE = nl::densePattern(kElasticVars, kElasticVars);
   static const nl::StarPattern fluxA = nl::densePattern(kAnelasticVarsPerMech, kElasticVars);
-  nk::ElementData<Real> ed;
+  const bool anel = mechanisms > 0;
+  Element<Real> ed;
   const nm::ElementGeometry& g = geo[el];
   const np::Material& mat = materials[el];
   for (int_t c = 0; c < 3; ++c) {
@@ -232,8 +243,8 @@ nk::ElementData<Real> buildElementData(const nm::TetMesh& mesh,
       se = se + elasticJacobian(mat, d).scaled(f);
       sa = sa + anelasticJacobian(d).scaled(f);
     }
-    storeBlock(se, 1.0, nk::starEPattern(), ed.starE[c].data(), el, "starE", c);
-    storeBlock(sa, 1.0, nk::starAPattern(), ed.starA[c].data(), el, "starA", c);
+    storeBlock(se, 1.0, nk::starEPattern(), ed.e.starE[c].data(), el, "starE", c);
+    if (anel) storeBlock(sa, 1.0, nk::starAPattern(), ed.a.starA[c].data(), el, "starA", c);
   }
   ed.couple.assign(static_cast<std::size_t>(mechanisms) * nk::kCoupleNnz, Real(0));
   for (int_t l = 0; l < mechanisms && l < mat.mechanisms(); ++l)
@@ -248,10 +259,11 @@ nk::ElementData<Real> buildElementData(const nm::TetMesh& mesh,
     const nl::Matrix aa = anelasticJacobianNormal(fg.normal);
     const auto [gMinus, gPlus] =
         selectors(mat, fi.neighbor >= 0 ? &materials[fi.neighbor] : nullptr, fi.kind, fg);
-    storeBlock(an * gMinus, -ci, fluxE, ed.fluxSolveE[f].data(), el, "fluxSolveE", f);
-    storeBlock(an * gPlus, -ci, fluxE, ed.fluxSolveENeigh[f].data(), el, "fluxSolveENeigh", f);
-    storeBlock(aa * gMinus, -ci, fluxA, ed.fluxSolveA[f].data(), el, "fluxSolveA", f);
-    storeBlock(aa * gPlus, -ci, fluxA, ed.fluxSolveANeigh[f].data(), el, "fluxSolveANeigh", f);
+    storeBlock(an * gMinus, -ci, fluxE, ed.e.fluxSolveE[f].data(), el, "fluxSolveE", f);
+    storeBlock(an * gPlus, -ci, fluxE, ed.e.fluxSolveENeigh[f].data(), el, "fluxSolveENeigh", f);
+    if (!anel) continue;
+    storeBlock(aa * gMinus, -ci, fluxA, ed.a.fluxSolveA[f].data(), el, "fluxSolveA", f);
+    storeBlock(aa * gPlus, -ci, fluxA, ed.a.fluxSolveANeigh[f].data(), el, "fluxSolveANeigh", f);
   }
   return ed;
 }
@@ -292,17 +304,14 @@ Case makeCase(bool periodic, bool jitter, int_t mechanisms) {
   return c;
 }
 
+/// Every stored byte of the view `a` equals the reference `b`; an elastic
+/// run (empty `b.couple`) has no anelastic storage at all.
 template <typename Real>
-bool sameBytes(const nk::ElementData<Real>& a, const nk::ElementData<Real>& b) {
-  return std::memcmp(&a.starE, &b.starE, sizeof(a.starE)) == 0 &&
-         std::memcmp(&a.starA, &b.starA, sizeof(a.starA)) == 0 &&
-         a.couple.size() == b.couple.size() &&
-         (a.couple.empty() ||
-          std::memcmp(a.couple.data(), b.couple.data(), a.couple.size() * sizeof(Real)) == 0) &&
-         std::memcmp(&a.fluxSolveE, &b.fluxSolveE, sizeof(a.fluxSolveE)) == 0 &&
-         std::memcmp(&a.fluxSolveENeigh, &b.fluxSolveENeigh, sizeof(a.fluxSolveENeigh)) == 0 &&
-         std::memcmp(&a.fluxSolveA, &b.fluxSolveA, sizeof(a.fluxSolveA)) == 0 &&
-         std::memcmp(&a.fluxSolveANeigh, &b.fluxSolveANeigh, sizeof(a.fluxSolveANeigh)) == 0;
+bool sameBytes(const nk::ElementData<Real>& a, const ref::Element<Real>& b) {
+  const bool elastic = std::memcmp(a.elastic, &b.e, sizeof(b.e)) == 0;
+  if (b.couple.empty()) return elastic && !a.anelastic && !a.couple;
+  return elastic && a.anelastic && std::memcmp(a.anelastic, &b.a, sizeof(b.a)) == 0 &&
+         std::memcmp(a.couple, b.couple.data(), b.couple.size() * sizeof(Real)) == 0;
 }
 
 template <typename Fn>
@@ -318,6 +327,13 @@ std::string errorOf(Fn&& fn) {
 template <typename Real>
 void expectBitwiseEqual(const Case& c, int_t mechanisms) {
   const auto all = nk::buildAllElementData<Real>(c.mesh, c.geo, c.mats, mechanisms);
+  const std::size_t perElement =
+      mechanisms == 0
+          ? 0
+          : sizeof(nk::AnelasticOperators<Real>) + mechanisms * nk::kCoupleNnz * sizeof(Real);
+  ASSERT_EQ(all.size(), c.mesh.numElements());
+  ASSERT_EQ(all.elasticBytes(), c.mesh.numElements() * sizeof(nk::ElasticOperators<Real>));
+  ASSERT_EQ(all.anelasticBytes(), c.mesh.numElements() * perElement);
   for (idx_t e = 0; e < c.mesh.numElements(); ++e)
     ASSERT_TRUE(sameBytes(all[e], ref::buildElementData<Real>(c.mesh, c.geo, c.mats, e,
                                                               mechanisms)))

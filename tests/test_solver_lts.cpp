@@ -1,79 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 
 #include "cli/scenario.hpp"
-#include "mesh/box_gen.hpp"
 #include "seismo/misfit.hpp"
-#include "physics/attenuation.hpp"
 #include "seismo/velocity_model.hpp"
 #include "solver/simulation.hpp"
+#include "solver_fixtures.hpp"
 
 namespace ns = nglts::solver;
-namespace nm = nglts::mesh;
-namespace np = nglts::physics;
 namespace nsei = nglts::seismo;
 using nglts::idx_t;
 using nglts::int_t;
 
-namespace {
-
-/// Small two-velocity-layer box with a point source and one receiver — a
-/// miniature LOH-style setting with genuine multi-cluster LTS behaviour.
-template <typename Real, int W>
-ns::Simulation<Real, W> makeLayeredSim(ns::TimeScheme scheme, int_t numClusters,
-                                       int_t mechanisms, double lambda = 1.0,
-                                       idx_t n = 5, bool sparse = false) {
-  nm::BoxSpec spec;
-  spec.planes[0] = nm::uniformPlanes(0.0, 1000.0, n);
-  spec.planes[1] = nm::uniformPlanes(0.0, 1000.0, n);
-  spec.planes[2] = nm::uniformPlanes(0.0, 1000.0, n);
-  spec.jitter = 0.18;
-  spec.freeSurfaceTop = true;
-  auto mesh = nm::generateBox(spec);
-
-  std::vector<np::Material> mats(mesh.numElements());
-  for (idx_t e = 0; e < mesh.numElements(); ++e) {
-    const auto c = mesh.centroid(e);
-    const double vs = c[2] > 500.0 ? 400.0 : 1600.0;
-    if (mechanisms > 0)
-      mats[e] = np::viscoElasticMaterial(2600.0, vs * std::sqrt(3.0), vs, 120.0, 40.0,
-                                         mechanisms, 0.6);
-    else
-      mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
-  }
-
-  ns::SimConfig cfg;
-  cfg.order = 3;
-  cfg.mechanisms = mechanisms;
-  cfg.scheme = scheme;
-  cfg.numClusters = numClusters;
-  cfg.lambda = lambda;
-  cfg.sparseKernels = sparse;
-  cfg.attenuationFreq = 0.6;
-  return ns::Simulation<Real, W>(std::move(mesh), std::move(mats), cfg);
-}
-
-template <typename Real, int W>
-void addStandardSourceAndReceiver(ns::Simulation<Real, W>& sim,
-                                  std::vector<double> laneScale = {}) {
-  // 0.6 Hz: the slow layer (vs = 400) has a ~670 m wavelength on the ~200 m
-  // mesh -- resolved at order 3, so GTS and LTS must agree closely.
-  auto stf = std::make_shared<nsei::RickerWavelet>(0.6, 2.0);
-  sim.addPointSource(
-      nsei::momentTensorSource({510.0, 480.0, 350.0}, {0, 0, 0, 1e9, 0, 0}, stf), laneScale);
-  ASSERT_GE(sim.addReceiver({760.0, 730.0, 930.0}), 0);
-}
-
-std::vector<double> traceOf(const nsei::Receiver& r, double tEnd, int_t lane = 0,
-                            int_t quantity = nglts::kVelU) {
-  return nsei::resample(r.traces[lane], quantity, tEnd, 400);
-}
-
-} // namespace
+using namespace nglts::test;
 
 TEST(SolverLts, SingleClusterLtsIsExactlyGts) {
   auto gts = makeLayeredSim<double, 1>(ns::TimeScheme::kGts, 1, 0);
@@ -98,75 +42,6 @@ TEST(SolverLts, MultiClusterUsed) {
   for (idx_t s : c.clusterSize) populated += (s > 0);
   EXPECT_GE(populated, 2) << "fixture must exercise multiple clusters";
   EXPECT_GT(c.theoreticalSpeedup, 1.2);
-}
-
-TEST(SolverLts, LtsSeismogramMatchesGts) {
-  // Fig. 9's claim: LTS and GTS seismograms nearly identical (E small).
-  auto gts = makeLayeredSim<double, 1>(ns::TimeScheme::kGts, 1, 0);
-  auto lts = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 0);
-  addStandardSourceAndReceiver(gts);
-  addStandardSourceAndReceiver(lts);
-  const auto sg = gts.run(5.0);
-  const auto sl = lts.run(5.0);
-  const double tEnd = std::min(sg.simulatedTime, sl.simulatedTime);
-  const auto a = traceOf(gts.receiver(0), tEnd);
-  const auto b = traceOf(lts.receiver(0), tEnd);
-  ASSERT_GT(nsei::peakAmplitude(a), 0.0) << "source did not radiate";
-  EXPECT_LT(nsei::energyMisfit(b, a), 2e-3);
-}
-
-TEST(SolverLts, LtsSeismogramMatchesGtsAnelastic) {
-  auto gts = makeLayeredSim<double, 1>(ns::TimeScheme::kGts, 1, 3);
-  auto lts = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 3);
-  addStandardSourceAndReceiver(gts);
-  addStandardSourceAndReceiver(lts);
-  const auto sg = gts.run(5.0);
-  const auto sl = lts.run(5.0);
-  const double tEnd = std::min(sg.simulatedTime, sl.simulatedTime);
-  const auto a = traceOf(gts.receiver(0), tEnd);
-  const auto b = traceOf(lts.receiver(0), tEnd);
-  ASSERT_GT(nsei::peakAmplitude(a), 0.0);
-  EXPECT_LT(nsei::energyMisfit(b, a), 2e-3);
-}
-
-TEST(SolverLts, LambdaBelowOneStillAccurate) {
-  auto gts = makeLayeredSim<double, 1>(ns::TimeScheme::kGts, 1, 0);
-  auto lts = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 0, 0.8);
-  addStandardSourceAndReceiver(gts);
-  addStandardSourceAndReceiver(lts);
-  const auto sg = gts.run(5.0);
-  const auto sl = lts.run(5.0);
-  const double tEnd = std::min(sg.simulatedTime, sl.simulatedTime);
-  EXPECT_LT(nsei::energyMisfit(traceOf(lts.receiver(0), tEnd), traceOf(gts.receiver(0), tEnd)),
-            2e-3);
-}
-
-TEST(SolverLts, BaselineSchemeMatchesNextGen) {
-  // Both LTS schemes integrate the same math; only the neighbor-data
-  // paradigm differs. Solutions agree to round-off-ish levels.
-  auto a = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 3);
-  auto b = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsBaseline, 3, 3);
-  addStandardSourceAndReceiver(a);
-  addStandardSourceAndReceiver(b);
-  const auto sa = a.run(3.0);
-  b.run(3.0);
-  const double tEnd = sa.simulatedTime;
-  const auto ta = traceOf(a.receiver(0), tEnd);
-  const auto tb = traceOf(b.receiver(0), tEnd);
-  ASSERT_GT(nsei::peakAmplitude(ta), 0.0);
-  EXPECT_LT(nsei::energyMisfit(tb, ta), 1e-10);
-}
-
-TEST(SolverLts, SparseKernelsMatchDense) {
-  auto a = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 3, 1.0, 4, false);
-  auto b = makeLayeredSim<double, 1>(ns::TimeScheme::kLtsNextGen, 3, 3, 1.0, 4, true);
-  addStandardSourceAndReceiver(a);
-  addStandardSourceAndReceiver(b);
-  const auto sa = a.run(3.0);
-  b.run(3.0);
-  const auto ta = traceOf(a.receiver(0), sa.simulatedTime);
-  const auto tb = traceOf(b.receiver(0), sa.simulatedTime);
-  EXPECT_LT(nsei::energyMisfit(tb, ta), 1e-12);
 }
 
 TEST(SolverLts, FusedLanesAreLinearInSource) {
