@@ -9,6 +9,7 @@
 #include "common/timer.hpp"
 #include "seismo/fault.hpp"
 #include "seismo/source.hpp"
+#include "solver/setup.hpp"
 #include "solver/simulation.hpp"
 
 namespace nglts::batch {
@@ -52,16 +53,16 @@ void BatchEngine::add(const std::vector<ScenarioRequest>& reqs) {
 pre::PipelineConfig BatchEngine::pipelineConfig() const {
   // Mirror the discretization/clustering knobs from the solver config so the
   // two halves of the base scenario cannot drift apart. GTS collapses to one
-  // cluster with the sweep off — matching solver::resolveClustering — so
-  // a GTS batch does not pay (or cache-key) a meaningless lambda sweep.
+  // cluster with the sweep off (solver::clusterRule), so a GTS batch does
+  // not pay (or cache-key) a meaningless lambda sweep.
   pre::PipelineConfig p = cfg_.pipeline;
   p.order = cfg_.sim.order;
   p.mechanisms = cfg_.sim.mechanisms;
   p.cfl = cfg_.sim.cfl;
-  const bool gts = cfg_.sim.scheme == solver::TimeScheme::kGts;
-  p.numClusters = gts ? 1 : cfg_.sim.numClusters;
-  p.autoLambda = gts ? false : cfg_.sim.autoLambda;
-  p.lambda = cfg_.sim.lambda;
+  const solver::ClusterRule rule = solver::clusterRule(cfg_.sim);
+  p.numClusters = rule.numClusters;
+  p.autoLambda = rule.autoLambda;
+  p.lambda = rule.lambda;
   p.numPartitions = 1; // the batch engine is a shared-memory driver
   return p;
 }

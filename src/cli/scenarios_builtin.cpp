@@ -280,9 +280,10 @@ EngineInputs runScenarioPipeline(const seismo::VelocityModel& model, pre::Pipeli
   pcfg.order = cfg.order;
   pcfg.mechanisms = cfg.mechanisms;
   pcfg.cfl = cfg.cfl;
-  pcfg.numClusters = cfg.numClusters;
-  pcfg.autoLambda = cfg.autoLambda && cfg.scheme != solver::TimeScheme::kGts;
-  pcfg.lambda = cfg.lambda;
+  const solver::ClusterRule rule = solver::clusterRule(cfg);
+  pcfg.numClusters = rule.numClusters;
+  pcfg.autoLambda = rule.autoLambda;
+  pcfg.lambda = rule.lambda;
   pcfg.numPartitions = nRanks;
   applyIngestionOverrides(pcfg, opts);
 

@@ -85,6 +85,10 @@ struct DistributedSimulation<Real, W>::Rank {
 
   // Serial packing staging (one producer face at a time).
   aligned_vector<Real> combo, face0, face1;
+  /// Flops of packAndSend: the B1 - B2 combination and the face compression
+  /// a single-rank consumer computes itself (only this rank's thread writes
+  /// it; runCycles sums it).
+  std::uint64_t packFlops = 0;
 };
 
 template <typename Real, int W>
@@ -516,9 +520,10 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
       Real* combo = rank.combo.data();
 #pragma omp simd
       for (std::size_t i = 0; i < bufN; ++i) combo[i] = b1[i] - b2[i];
+      rank.packFlops += bufN;
       if (cfg_.compressFaces) {
-        kernels.compressBuffer(op.face, op.recvPerm, b2, rank.face0.data());
-        kernels.compressBuffer(op.face, op.recvPerm, combo, rank.face1.data());
+        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, b2, rank.face0.data());
+        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, combo, rank.face1.data());
         appendReals(payload, rank.face0.data(), faceN);
         appendReals(payload, rank.face1.data(), faceN);
       } else {
@@ -529,7 +534,7 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
       // Equal cluster ships B1 every step; a larger consumer ships B3.
       const Real* data = toLarger ? state.b3(op.el) : state.b1(op.el);
       if (cfg_.compressFaces) {
-        kernels.compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
+        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
         appendReals(payload, rank.face0.data(), faceN);
       } else {
         appendReals(payload, data, bufN);
@@ -621,7 +626,10 @@ DistStats DistributedSimulation<Real, W>::runCycles(std::uint64_t cycles) {
   const std::uint64_t bytes0 = comm_->bytesSent();
   const std::uint64_t msg0 = comm_->messagesSent();
   for (auto& rank : ranks_)
-    if (rank) rank->exec->drainFlops(); // reset counters for this run
+    if (rank) { // reset counters for this run
+      rank->exec->drainFlops();
+      rank->packFlops = 0;
+    }
 
   comm_->barrier(); // MPI: don't time another process's setup
   Timer timer;
@@ -672,7 +680,7 @@ DistStats DistributedSimulation<Real, W>::runCycles(std::uint64_t cycles) {
   stats.elementUpdates = cycles * updatesPerCycle;
   std::uint64_t flops = 0;
   for (auto& rank : ranks_)
-    if (rank) flops += rank->exec->drainFlops();
+    if (rank) flops += rank->exec->drainFlops() + rank->packFlops;
   stats.flops = comm_->allreduceSum(flops);
   stats.messages = comm_->allreduceSum(comm_->messagesSent() - msg0);
   stats.commBytes = comm_->allreduceSum(comm_->bytesSent() - bytes0);

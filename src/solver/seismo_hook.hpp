@@ -14,7 +14,7 @@
 // concurrently without sharing state, and each receiver's samples are
 // appended in the element's fixed step order: the merge order is
 // deterministic and independent of `SimConfig::numThreads` (asserted
-// bitwise by tests/test_threaded_equivalence).
+// bitwise by the determinism matrix, tests/test_determinism.cpp).
 //
 // Also hosts the L2 initial-condition projection, so runs on any number of
 // ranks start from bitwise-identical modal DOFs.

@@ -6,17 +6,21 @@
 
 namespace nglts::solver {
 
+ClusterRule clusterRule(const SimConfig& cfg) {
+  if (cfg.scheme == TimeScheme::kGts) return {};
+  return {cfg.numClusters, cfg.lambda, cfg.autoLambda};
+}
+
 lts::Clustering resolveClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
                                   const SimConfig& cfg) {
-  const bool gts = cfg.scheme == TimeScheme::kGts;
-  const int_t nc = gts ? 1 : cfg.numClusters;
-  double lambda = gts ? 1.0 : cfg.lambda;
-  if (!gts && cfg.autoLambda) {
-    const lts::LambdaSweep sweep = lts::optimizeLambda(mesh, dtCfl, nc);
+  const ClusterRule rule = clusterRule(cfg);
+  double lambda = rule.lambda;
+  if (rule.autoLambda) {
+    const lts::LambdaSweep sweep = lts::optimizeLambda(mesh, dtCfl, rule.numClusters);
     lambda = sweep.bestLambda;
     NGLTS_LOG_INFO << "lambda sweep: best lambda " << lambda << " speedup " << sweep.bestSpeedup;
   }
-  return lts::buildClustering(mesh, dtCfl, nc, lambda);
+  return lts::buildClustering(mesh, dtCfl, rule.numClusters, lambda);
 }
 
 std::vector<double> resolveOmega(const std::vector<physics::Material>& materials,

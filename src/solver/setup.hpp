@@ -14,10 +14,20 @@
 
 namespace nglts::solver {
 
-/// Resolve the clustering `cfg` asks for from per-element CFL steps:
-/// GTS collapses to one cluster at lambda 1, otherwise `cfg.numClusters`
-/// rate-2 clusters with a fixed lambda or the Sec. V-A sweep
-/// (`cfg.autoLambda`, logged at info level).
+/// The clustering knobs `cfg` asks for: GTS collapses to one cluster at
+/// lambda 1 with the sweep off, otherwise `cfg.numClusters` rate-2 clusters
+/// with `cfg.lambda` or the Sec. V-A sweep (`cfg.autoLambda`). The
+/// preprocessing pipeline's callers copy these, so a pipeline clusters and
+/// partitions exactly as the engine steps.
+struct ClusterRule {
+  int_t numClusters = 1;
+  double lambda = 1.0;
+  bool autoLambda = false;
+};
+ClusterRule clusterRule(const SimConfig& cfg);
+
+/// Resolve the clustering `clusterRule(cfg)` asks for from per-element CFL
+/// steps (the sweep logged at info level).
 lts::Clustering resolveClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
                                   const SimConfig& cfg);
 

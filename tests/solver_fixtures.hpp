@@ -1,7 +1,8 @@
 #pragma once
 // Simulation fixtures shared by the solver suites (test_solver_lts,
-// test_fused) and by test_slow, which runs their multi-second cases under
-// the `slow` ctest label.
+// test_fused, test_threaded_equivalence), by test_slow, which runs their
+// multi-second cases under the `slow` ctest label, and by the determinism
+// matrix (test_determinism).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,31 +19,35 @@
 
 namespace nglts::test {
 
-/// Small two-velocity-layer box with a point source and one receiver — a
-/// miniature LOH-style setting with genuine multi-cluster LTS behaviour.
-template <typename Real, int W>
-solver::Simulation<Real, W> makeLayeredSim(solver::TimeScheme scheme, int_t numClusters,
-                                           int_t mechanisms, double lambda = 1.0, idx_t n = 5,
-                                           bool sparse = false) {
+/// Small two-velocity-layer box (vs 400 above z = 500 m, 1600 below) on
+/// [0, 1000]^3, jittered, free surface on top — a miniature LOH-style
+/// setting with genuine multi-cluster LTS behaviour.
+struct LayeredBox {
+  mesh::TetMesh mesh;
+  std::vector<physics::Material> mats;
+};
+
+inline LayeredBox makeLayeredBox(int_t mechanisms, idx_t n) {
   mesh::BoxSpec spec;
-  spec.planes[0] = mesh::uniformPlanes(0.0, 1000.0, n);
-  spec.planes[1] = mesh::uniformPlanes(0.0, 1000.0, n);
-  spec.planes[2] = mesh::uniformPlanes(0.0, 1000.0, n);
+  for (auto& planes : spec.planes) planes = mesh::uniformPlanes(0.0, 1000.0, n);
   spec.jitter = 0.18;
   spec.freeSurfaceTop = true;
-  auto mesh = mesh::generateBox(spec);
-
-  std::vector<physics::Material> mats(mesh.numElements());
-  for (idx_t e = 0; e < mesh.numElements(); ++e) {
-    const auto c = mesh.centroid(e);
-    const double vs = c[2] > 500.0 ? 400.0 : 1600.0;
-    if (mechanisms > 0)
-      mats[e] = physics::viscoElasticMaterial(2600.0, vs * std::sqrt(3.0), vs, 120.0, 40.0,
-                                              mechanisms, 0.6);
-    else
-      mats[e] = physics::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
+  LayeredBox box{mesh::generateBox(spec), {}};
+  box.mats.resize(box.mesh.numElements());
+  for (idx_t e = 0; e < box.mesh.numElements(); ++e) {
+    const double vs = box.mesh.centroid(e)[2] > 500.0 ? 400.0 : 1600.0;
+    box.mats[e] = mechanisms > 0 ? physics::viscoElasticMaterial(2600.0, vs * std::sqrt(3.0), vs,
+                                                                 120.0, 40.0, mechanisms, 0.6)
+                                 : physics::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
   }
+  return box;
+}
 
+/// Order 3, `numClusters` rate-2 clusters at `lambda`, the box's 0.6 Hz
+/// attenuation band.
+inline solver::SimConfig layeredConfig(solver::TimeScheme scheme, int_t numClusters,
+                                       int_t mechanisms, double lambda = 1.0,
+                                       bool sparse = false) {
   solver::SimConfig cfg;
   cfg.order = 3;
   cfg.mechanisms = mechanisms;
@@ -51,15 +56,35 @@ solver::Simulation<Real, W> makeLayeredSim(solver::TimeScheme scheme, int_t numC
   cfg.lambda = lambda;
   cfg.sparseKernels = sparse;
   cfg.attenuationFreq = 0.6;
-  return solver::Simulation<Real, W>(std::move(mesh), std::move(mats), cfg);
+  return cfg;
 }
 
 template <typename Real, int W>
+solver::Simulation<Real, W> makeLayeredSim(solver::TimeScheme scheme, int_t numClusters,
+                                           int_t mechanisms, double lambda = 1.0, idx_t n = 5,
+                                           bool sparse = false) {
+  LayeredBox box = makeLayeredBox(mechanisms, n);
+  return solver::Simulation<Real, W>(std::move(box.mesh), std::move(box.mats),
+                                     layeredConfig(scheme, numClusters, mechanisms, lambda,
+                                                   sparse));
+}
+
+/// Gaussian pulse in u, centred in the box (sigma 200 m).
+inline void layeredWave(const std::array<double, 3>& x, int_t, double* q9) {
+  for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
+  const double r2 = (x[0] - 450.0) * (x[0] - 450.0) + (x[1] - 500.0) * (x[1] - 500.0) +
+                    (x[2] - 500.0) * (x[2] - 500.0);
+  q9[kVelU] = std::exp(-r2 / (200.0 * 200.0));
+}
+
+/// A 0.6 Hz Ricker double couple delayed by `delay` seconds and one
+/// receiver near the surface.
+template <typename Real, int W>
 void addStandardSourceAndReceiver(solver::Simulation<Real, W>& sim,
-                                  std::vector<double> laneScale = {}) {
+                                  std::vector<double> laneScale = {}, double delay = 2.0) {
   // 0.6 Hz: the slow layer (vs = 400) has a ~670 m wavelength on the ~200 m
   // mesh -- resolved at order 3, so GTS and LTS must agree closely.
-  auto stf = std::make_shared<seismo::RickerWavelet>(0.6, 2.0);
+  auto stf = std::make_shared<seismo::RickerWavelet>(0.6, delay);
   sim.addPointSource(
       seismo::momentTensorSource({510.0, 480.0, 350.0}, {0, 0, 0, 1e9, 0, 0}, stf), laneScale);
   ASSERT_GE(sim.addReceiver({760.0, 730.0, 930.0}), 0);

@@ -420,6 +420,20 @@ TEST(Cli, FusedWritesEveryLaneAndRankCountsAgreeBitwise) {
   EXPECT_TRUE(signal) << "every lane trace is zero";
 }
 
+TEST(Scenarios, GtsPipelineClustersAndPartitionsOneCluster) {
+  // Under GTS the pipeline scenarios cluster (and weight their partition)
+  // by the one cluster the engine steps, not by the LTS cluster count.
+  nc::ScenarioOptions opts;
+  opts.scheme = TimeScheme::kGts;
+  opts.ranks = 2;
+  opts.endTime = 0.02;
+  opts.quiet = true;
+  const nc::ScenarioReport r = registry().find("loh1")->run(opts);
+  EXPECT_NE(r.summary.find("clusters (lambda 1): C1=432\n"), std::string::npos) << r.summary;
+  EXPECT_NE(r.summary.find("theoretical LTS speedup: 1\n"), std::string::npos) << r.summary;
+  EXPECT_EQ(r.clusterHistogram, std::vector<nglts::idx_t>{432});
+}
+
 namespace {
 
 /// Every scenario's primary run takes one engine path, on 1 rank and on 2.
@@ -449,6 +463,7 @@ void expectRanksAgree(const std::string& scenario, std::optional<nglts::int_t> f
   EXPECT_EQ(one.clusterHistogram, two.clusterHistogram) << scenario;
   EXPECT_GT(one.stats.elementUpdates, 0u) << scenario;
   EXPECT_EQ(one.stats.elementUpdates, two.stats.elementUpdates) << scenario;
+  EXPECT_EQ(one.stats.flops, two.stats.flops) << scenario;
   EXPECT_EQ(one.summary.find("distributed run:"), std::string::npos) << one.summary;
   EXPECT_NE(two.summary.find("distributed run: 2 ranks"), std::string::npos) << two.summary;
 }

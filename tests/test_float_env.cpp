@@ -12,18 +12,17 @@
 #include <cstdint>
 
 #include "common/float_env.hpp"
-#include "mesh/box_gen.hpp"
 #include "parallel/dist_sim.hpp"
-#include "physics/material.hpp"
-#include "solver/simulation.hpp"
+#include "solver_fixtures.hpp"
 
 namespace ns = nglts::solver;
 namespace npar = nglts::parallel;
-namespace nm = nglts::mesh;
-namespace np = nglts::physics;
 namespace nsei = nglts::seismo;
 using nglts::idx_t;
 using nglts::int_t;
+using nglts::test::LayeredBox;
+using nglts::test::layeredConfig;
+using nglts::test::makeLayeredBox;
 
 namespace {
 
@@ -31,33 +30,9 @@ namespace {
 /// below FLT_MIN, which an unflushed run leaves as subnormal DOFs.
 constexpr double kEndTime = 0.01;
 
-struct Fixture {
-  nm::TetMesh mesh;
-  std::vector<np::Material> mats;
-};
-
-/// Two-velocity-layer box (multi-cluster LTS at test size).
-Fixture makeFixture() {
-  Fixture f;
-  nm::BoxSpec spec;
-  for (int_t a = 0; a < 3; ++a) spec.planes[a] = nm::uniformPlanes(0.0, 1000.0, 4);
-  spec.jitter = 0.18;
-  spec.freeSurfaceTop = true;
-  f.mesh = nm::generateBox(spec);
-  f.mats.resize(f.mesh.numElements());
-  for (idx_t e = 0; e < f.mesh.numElements(); ++e) {
-    const double vs = f.mesh.centroid(e)[2] > 500.0 ? 400.0 : 1600.0;
-    f.mats[e] = np::elasticMaterial(2600.0, vs * std::sqrt(3.0), vs);
-  }
-  return f;
-}
-
+/// The shared two-layer box, elastic, next-gen LTS at 3 clusters.
 ns::SimConfig makeCfg(int_t threads) {
-  ns::SimConfig cfg;
-  cfg.order = 3;
-  cfg.scheme = ns::TimeScheme::kLtsNextGen;
-  cfg.numClusters = 3;
-  cfg.lambda = 1.0;
+  ns::SimConfig cfg = layeredConfig(ns::TimeScheme::kLtsNextGen, 3, /*mechanisms=*/0);
   cfg.numThreads = threads;
   return cfg;
 }
@@ -117,7 +92,7 @@ void expectBitwise(const SimA& a, const SimB& b, idx_t elements, std::size_t dof
 class FloatEnv : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    fixture_ = new Fixture(makeFixture());
+    fixture_ = new LayeredBox(makeLayeredBox(/*mechanisms=*/0, 4));
     reference_ = new ns::Simulation<float, 1>(fixture_->mesh, fixture_->mats, makeCfg(1));
     attachInputs(*reference_);
     subnormalsBefore_ = countSubnormal(*reference_, elements(), dofs());
@@ -135,7 +110,7 @@ class FloatEnv : public ::testing::Test {
   }
   static std::size_t dofs() { return reference_->kernels().dofsPerElement(); }
 
-  static inline Fixture* fixture_ = nullptr;
+  static inline LayeredBox* fixture_ = nullptr;
   static inline ns::Simulation<float, 1>* reference_ = nullptr;
   static inline std::size_t subnormalsBefore_ = 0;
 };
