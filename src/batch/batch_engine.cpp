@@ -1,47 +1,56 @@
 #include "batch/batch_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "batch/checkpoint.hpp"
 #include "common/log.hpp"
 #include "common/timer.hpp"
+#include "pre/config_hash.hpp"
 #include "seismo/fault.hpp"
-#include "seismo/source.hpp"
 #include "solver/setup.hpp"
 #include "solver/simulation.hpp"
 
 namespace nglts::batch {
 
-namespace {
+namespace quickstart {
 
-/// Combine the base model key with a request's material perturbation — the
-/// `modelKey` handed to the pipeline cache, so perturbed materials occupy
-/// distinct cache slots.
-std::uint64_t combinedModelKey(std::uint64_t baseKey, double materialScale) {
-  pre::ConfigHasher h;
-  h.u64(baseKey);
-  h.f64(materialScale);
-  return h.digest();
+seismo::LayeredModel model() {
+  return seismo::LayeredModel({{-250.0, {2600.0, 950.0, 500.0, 100.0, 50.0}},
+                               {-1000.0, {2600.0, 3800.0, 2000.0, 100.0, 50.0}}});
 }
 
-} // namespace
+seismo::PointSource source() {
+  return seismo::momentTensorSource(
+      kSourcePosition, kSourceMoment,
+      std::make_shared<seismo::RickerWavelet>(kRickerFrequency, kRickerDelay));
+}
 
-BatchEngine::BatchEngine(const seismo::VelocityModel& model, BatchConfig cfg,
-                         std::uint64_t modelKey)
-    : model_(model), cfg_(std::move(cfg)), modelKey_(modelKey) {
+} // namespace quickstart
+
+BatchEngine::BatchEngine(BatchConfig cfg) : cfg_(std::move(cfg)) {
   solver::validateSimConfig(cfg_.sim);
   solver::checkEngineType(cfg_.sim.precision, cfg_.maxFusedWidth);
-  if (!(cfg_.endTime > 0.0)) throw std::invalid_argument("BatchConfig: endTime must be > 0");
+  if (!std::isfinite(cfg_.endTime) || !(cfg_.endTime > 0.0))
+    throw std::invalid_argument("BatchConfig: endTime must be finite and > 0");
   if (cfg_.checkpointEveryCycles < 0)
     throw std::invalid_argument("BatchConfig: checkpointEveryCycles must be >= 0");
   if ((cfg_.checkpointEveryCycles > 0 || cfg_.restore) && cfg_.checkpointPath.empty())
     throw std::invalid_argument("BatchConfig: checkpointing/restore needs a checkpointPath");
+  // One shared-memory process: the pipeline cuts a single partition.
+  cfg_.pipeline = solver::pipelineConfigFor(std::move(cfg_.pipeline), cfg_.sim, 1);
+  if (!cfg_.pipeline.meshFile.empty()) meshFileKey_ = pre::fileContentKey(cfg_.pipeline.meshFile);
+  if (!cfg_.faultFile.empty()) faultFileKey_ = pre::fileContentKey(cfg_.faultFile);
 }
 
 void BatchEngine::add(ScenarioRequest req) {
   if (ran_) throw std::logic_error("BatchEngine: cannot add requests after run()");
+  if (!std::isfinite(req.materialScale) || !(req.materialScale > 0.0))
+    throw std::invalid_argument("batch request '" + req.id + "': material scale " +
+                                std::to_string(req.materialScale) + " must be finite and > 0");
   requests_.push_back(std::move(req));
   planned_ = false;
 }
@@ -50,35 +59,16 @@ void BatchEngine::add(const std::vector<ScenarioRequest>& reqs) {
   for (const ScenarioRequest& r : reqs) add(r);
 }
 
-pre::PipelineConfig BatchEngine::pipelineConfig() const {
-  // Mirror the discretization/clustering knobs from the solver config so the
-  // two halves of the base scenario cannot drift apart. GTS collapses to one
-  // cluster with the sweep off (solver::clusterRule), so a GTS batch does
-  // not pay (or cache-key) a meaningless lambda sweep.
-  pre::PipelineConfig p = cfg_.pipeline;
-  p.order = cfg_.sim.order;
-  p.mechanisms = cfg_.sim.mechanisms;
-  p.cfl = cfg_.sim.cfl;
-  const solver::ClusterRule rule = solver::clusterRule(cfg_.sim);
-  p.numClusters = rule.numClusters;
-  p.autoLambda = rule.autoLambda;
-  p.lambda = rule.lambda;
-  p.numPartitions = 1; // the batch engine is a shared-memory driver
-  return p;
-}
-
 const std::vector<BatchEngine::PlannedRun>& BatchEngine::plan() {
   if (planned_) return plan_;
   plan_.clear();
 
-  // Group requests by pipeline key, stable in submission order. Receivers
-  // are bound after preprocessing, so receiver-only perturbations land in
-  // the same group.
-  const pre::PipelineConfig base = pipelineConfig();
-  std::vector<std::pair<std::uint64_t, std::vector<idx_t>>> groups;
+  // Group requests by material scale, stable in submission order.
+  // Receivers are bound after preprocessing, so receiver-only perturbations
+  // land in the same group.
+  std::vector<std::pair<double, std::vector<idx_t>>> groups;
   for (idx_t i = 0; i < numRequests(); ++i) {
-    const std::uint64_t key =
-        pre::pipelineCacheKey(base, combinedModelKey(modelKey_, requests_[i].materialScale));
+    const double key = requests_[i].materialScale;
     auto it = std::find_if(groups.begin(), groups.end(),
                            [&](const auto& g) { return g.first == key; });
     if (it == groups.end()) groups.push_back({key, {i}});
@@ -98,7 +88,7 @@ const std::vector<BatchEngine::PlannedRun>& BatchEngine::plan() {
       for (int_t w : widths)
         if (w <= cap) width = w;
       PlannedRun run;
-      run.pipelineKey = key;
+      run.materialScale = key;
       run.width = width;
       run.requests.assign(members.begin() + static_cast<std::ptrdiff_t>(at),
                           members.begin() + static_cast<std::ptrdiff_t>(at + width));
@@ -114,7 +104,8 @@ std::uint64_t BatchEngine::fingerprint() const {
   // Everything that shapes the batch schedule or its results — performance
   // knobs (threads, kernel backend, layout, checkpoint cadence) excluded:
   // they are bitwise-neutral, and a restore under a different thread count
-  // or cadence must still be accepted.
+  // or cadence must still be accepted. `sim.attenuationFreq` is excluded
+  // too: the batch fits Q at `pipeline.maxFrequency`.
   pre::ConfigHasher h;
   h.i32(cfg_.sim.order);
   h.i32(cfg_.sim.mechanisms);
@@ -124,16 +115,26 @@ std::uint64_t BatchEngine::fingerprint() const {
   h.i32(cfg_.sim.numClusters);
   h.f64(cfg_.sim.lambda);
   h.boolean(cfg_.sim.autoLambda);
-  h.f64(cfg_.sim.attenuationFreq);
   h.f64(cfg_.sim.receiverSampleDt);
   h.i32(static_cast<int_t>(cfg_.sim.precision)); // changes every result bit
-  h.u64(pre::pipelineCacheKey(pipelineConfig(), modelKey_));
+  h.u64(pre::pipelineConfigKey(cfg_.pipeline));
+  h.u64(meshFileKey_);
+  h.u64(faultFileKey_);
+  // The quickstart problem: the layer table the materials come from, the
+  // double couple (replaced by the fault file's subfaults when one is set)
+  // and the receiver.
+  const seismo::LayeredModel model = quickstart::model();
+  h.u64(model.layers().size());
+  for (const seismo::LayeredModel::Layer& l : model.layers()) {
+    h.f64(l.zBottom);
+    for (double v : {l.sample.rho, l.sample.vp, l.sample.vs, l.sample.qp, l.sample.qs}) h.f64(v);
+  }
+  for (double v : quickstart::kSourcePosition) h.f64(v);
+  for (double v : quickstart::kSourceMoment) h.f64(v);
+  h.f64(quickstart::kRickerFrequency);
+  h.f64(quickstart::kRickerDelay);
+  for (double v : quickstart::kReceiverPosition) h.f64(v);
   h.f64(cfg_.endTime);
-  for (double v : cfg_.sourcePosition) h.f64(v);
-  for (double v : cfg_.sourceMoment) h.f64(v);
-  h.f64(cfg_.sourceFrequency);
-  h.f64(cfg_.sourceDelay);
-  for (double v : cfg_.receiverPosition) h.f64(v);
   h.i32(cfg_.maxFusedWidth);
   h.u64(static_cast<std::uint64_t>(requests_.size()));
   for (const ScenarioRequest& r : requests_) {
@@ -146,27 +147,38 @@ std::uint64_t BatchEngine::fingerprint() const {
   return h.digest();
 }
 
+const pre::PipelineResult& BatchEngine::pipeline(double materialScale, BatchStats& stats) {
+  if (auto it = pipelines_.find(materialScale); it != pipelines_.end()) {
+    ++stats.pipelineHits;
+    return it->second;
+  }
+  ++stats.pipelineBuilds;
+  const seismo::LayeredModel base = quickstart::model();
+  const ScaledVelocityModel scaled(base, materialScale);
+  const pre::PipelineResult& built =
+      pipelines_.emplace(materialScale, pre::runPipeline(scaled, cfg_.pipeline)).first->second;
+  NGLTS_LOG_INFO << "batch: built the pipeline of material scale " << materialScale << " ("
+                 << built.mesh.numElements() << " elements)";
+  return built;
+}
+
 template <typename Real, int W>
 bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool loadState,
                              const ResultCallback& onResult, BatchStats& stats,
                              int_t& snapshotsWritten) {
   const PlannedRun& pr = plan_[static_cast<std::size_t>(runIndex)];
-  const double materialScale = requests_[pr.requests[0]].materialScale;
 
   Timer setup;
-  const pre::PipelineConfig pcfg = pipelineConfig();
-  const ScaledVelocityModel scaled(model_, materialScale);
-  const std::shared_ptr<const pre::PipelineResult> pipe =
-      cache_.get(scaled, pcfg, combinedModelKey(modelKey_, materialScale));
+  const pre::PipelineResult& pipe = pipeline(pr.materialScale, stats);
 
   // Pin the pipeline's clustering decision into the run config (the lahabra
   // pattern): the engine re-derives the identical clusters from the
   // pipeline's mesh instead of sweeping lambda again.
   solver::SimConfig runCfg = cfg_.sim;
-  runCfg.lambda = pipe->clustering.lambda;
+  runCfg.lambda = pipe.clustering.lambda;
   runCfg.autoLambda = false;
 
-  solver::Simulation<Real, W> sim(pipe->mesh, pipe->materials, runCfg);
+  solver::Simulation<Real, W> sim(pipe.mesh, pipe.materials, runCfg);
   const solver::OperatorBytes ob = sim.operatorBytes();
   if (ob.elastic + ob.anelastic > stats.operatorBytes.elastic + stats.operatorBytes.anelastic)
     stats.operatorBytes = ob;
@@ -175,18 +187,14 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
   for (int lane = 0; lane < W; ++lane)
     laneScale[static_cast<std::size_t>(lane)] =
         requests_[pr.requests[static_cast<std::size_t>(lane)]].sourceScale;
-  if (pcfg.faultFile.empty()) {
-    sim.addPointSource(
-        seismo::momentTensorSource(cfg_.sourcePosition, cfg_.sourceMoment,
-                                   std::make_shared<seismo::RickerWavelet>(cfg_.sourceFrequency,
-                                                                           cfg_.sourceDelay)),
-        laneScale);
+  if (cfg_.faultFile.empty()) {
+    sim.addPointSource(quickstart::source(), laneScale);
   } else {
     // Kinematic finite-fault override: every subfault is injected as a point
     // source; the per-request sourceScale still scales each lane linearly.
-    // The file's content hash sits in the pipeline key (and therefore in the
-    // batch fingerprint), so an edited fault file invalidates snapshots.
-    const seismo::FiniteFault fault = seismo::parseFaultFile(pcfg.faultFile);
+    // The file's bytes sit in the batch fingerprint, so an edited fault file
+    // invalidates snapshots.
+    const seismo::FiniteFault fault = seismo::parseFaultFile(cfg_.faultFile);
     for (const seismo::PointSource& src : fault.pointSources())
       sim.addPointSource(src, laneScale);
   }
@@ -195,7 +203,8 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
   for (int lane = 0; lane < W; ++lane) {
     const ScenarioRequest& req = requests_[pr.requests[static_cast<std::size_t>(lane)]];
     std::array<double, 3> pos{};
-    for (int d = 0; d < 3; ++d) pos[d] = cfg_.receiverPosition[d] + req.receiverOffset[d];
+    for (int d = 0; d < 3; ++d)
+      pos[d] = quickstart::kReceiverPosition[d] + req.receiverOffset[d];
     const idx_t idx = sim.addReceiver(pos);
     if (idx < 0)
       throw std::runtime_error("batch request '" + req.id + "': receiver lies outside the mesh");
@@ -243,7 +252,7 @@ bool BatchEngine::runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool lo
                     .traces[static_cast<std::size_t>(lane)];
     res.lane = lane;
     res.fusedWidth = W;
-    res.pipelineKey = pr.pipelineKey;
+    res.materialScale = pr.materialScale;
     ++stats.completedRequests;
     if (onResult) onResult(res);
   }
@@ -309,25 +318,7 @@ BatchStats BatchEngine::run(const ResultCallback& onResult) {
     if (!cont) break;
   }
 
-  stats.pipelineBuilds = cache_.builds();
-  stats.pipelineHits = cache_.hits();
   return stats;
-}
-
-seismo::LayeredModel quickstartBatchModel() {
-  // The quickstart scenario's materials as a model: vs 500 above z = -250,
-  // vs 2000 below, vp = 1.9 vs, rho 2600, Qp 100, Qs 50.
-  return seismo::LayeredModel({{-250.0, {2600.0, 950.0, 500.0, 100.0, 50.0}},
-                               {-1000.0, {2600.0, 3800.0, 2000.0, 100.0, 50.0}}});
-}
-
-std::uint64_t quickstartBatchModelKey() {
-  pre::ConfigHasher h;
-  h.bytes("quickstart-two-layer", 20);
-  h.f64(-250.0);
-  h.f64(500.0);
-  h.f64(2000.0);
-  return h.digest();
 }
 
 BatchConfig quickstartBatchConfig() {

@@ -1,16 +1,17 @@
 #pragma once
 // The ensemble batch engine (ROADMAP item: ensemble-as-a-service on the
-// layered core). Accepts a queue of `ScenarioRequest`s — one base scenario
-// plus per-request source / material / receiver perturbations — and:
+// layered core). Accepts a queue of `ScenarioRequest`s — perturbations of
+// the quickstart problem (`quickstart::` below): source amplitude, material
+// scale and receiver offset per request — and:
 //
-//  * memoizes the expensive preprocessing products behind a content-hash of
-//    the cache-relevant config subset (`pre::PipelineCache`): requests that
-//    differ only in fusable or cache-neutral perturbations reuse one cached
-//    `PipelineResult` instead of re-running mesh/clustering/partitioning;
+//  * memoizes the expensive preprocessing products by material scale: the
+//    pipeline config is fixed per engine, so requests that share a
+//    `materialScale` share one `PipelineResult` instead of re-running
+//    mesh/clustering/partitioning;
 //  * packs compatible requests into fused-simulation lanes automatically
 //    (greedy, submission order, the engine-type table's widths at the
 //    batch's precision capped by `maxFusedWidth`, see common/types.hpp):
-//    requests are *compatible* when they share a pipeline key — source
+//    requests are *compatible* when they share a material scale — source
 //    scales ride in `laneScale`, receiver offsets are passive — while
 //    material perturbations change the operators and must split;
 //  * streams results back incrementally: the per-request seismogram is
@@ -25,32 +26,50 @@
 // of a fused run bitwise-equals an independent W = 1 run of the same
 // request — a batch of N requests produces seismograms bitwise-identical to
 // N independent runs while executing the preprocessing pipeline once per
-// distinct (material, domain) configuration.
+// distinct material scale.
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
-#include "pre/pipeline_cache.hpp"
+#include "pre/pipeline.hpp"
 #include "seismo/receiver.hpp"
+#include "seismo/source.hpp"
 #include "seismo/velocity_model.hpp"
 #include "solver/config.hpp"
 
 namespace nglts::batch {
+
+/// The quickstart problem, defined once for `nglts -s quickstart` and for
+/// every batch request: the 1 km^3 box's two layers (vs 500 above
+/// z = -250, vs 2000 below; vp = 1.9 vs, rho 2600, Qp 100, Qs 50), a Ricker
+/// double couple and one surface receiver.
+namespace quickstart {
+seismo::LayeredModel model();
+inline constexpr std::array<double, 3> kSourcePosition = {500.0, 500.0, -400.0};
+inline constexpr std::array<double, 6> kSourceMoment = {0.0, 0.0, 0.0, 1e9, 0.0, 0.0};
+inline constexpr double kRickerFrequency = 2.0; ///< central frequency [Hz]
+inline constexpr double kRickerDelay = 0.6;     ///< [s]
+inline constexpr std::array<double, 3> kReceiverPosition = {800.0, 750.0, -20.0};
+/// The Ricker double couple at `kSourcePosition`.
+seismo::PointSource source();
+} // namespace quickstart
 
 /// One ensemble member: the base scenario perturbed per request.
 struct ScenarioRequest {
   std::string id;                   ///< caller's label, reported back
   /// Source amplitude factor — fusable (rides in the solver's `laneScale`).
   double sourceScale = 1.0;
-  /// Velocity perturbation factor on vp/vs — cache-relevant (changes
-  /// materials, CFL steps and clustering), splits the fused group.
+  /// Velocity perturbation factor on vp/vs (finite, > 0) — changes
+  /// materials, CFL steps and clustering, so it selects the memoized
+  /// pipeline product and splits the fused group.
   double materialScale = 1.0;
-  /// Offset added to the base receiver position — cache-neutral AND
-  /// fusable: receivers are passive, each request records its own lane.
+  /// Offset added to the base receiver position — shares the pipeline
+  /// product AND fusable: receivers are passive, each request records its
+  /// own lane.
   std::array<double, 3> receiverOffset = {0.0, 0.0, 0.0};
 };
 
@@ -61,7 +80,7 @@ struct RequestResult {
   seismo::Seismogram trace;         ///< this request's receiver, its lane
   int_t lane = 0;                   ///< lane inside the fused run
   int_t fusedWidth = 1;             ///< width of the run that produced it
-  std::uint64_t pipelineKey = 0;    ///< memoization key the run used
+  double materialScale = 1.0;       ///< the memoized pipeline product it ran on
 };
 
 struct BatchStats {
@@ -79,20 +98,19 @@ struct BatchStats {
   bool interrupted = false;         ///< stopped by `abortAfterCheckpoints`
 };
 
-/// The base scenario every request perturbs.
+/// How the quickstart problem is discretized and run for every request.
 struct BatchConfig {
   solver::SimConfig sim;            ///< discretization + scheme knobs
-  /// Domain / meshing knobs. Discretization and clustering fields (order,
-  /// mechanisms, cfl, numClusters, lambda, autoLambda) are mirrored from
-  /// `sim` by the engine so the two cannot drift apart; receivers are
-  /// threaded per-request by the engine.
+  /// Domain / meshing knobs, or an external `meshFile`. Discretization and
+  /// clustering fields (order, mechanisms, cfl, numClusters, lambda,
+  /// autoLambda) are mirrored from `sim` by the engine
+  /// (`solver::pipelineConfigFor`) so the two cannot drift apart.
   pre::PipelineConfig pipeline;
-  double endTime = 1.0;
-  std::array<double, 3> sourcePosition = {500.0, 500.0, -400.0};
-  std::array<double, 6> sourceMoment = {0.0, 0.0, 0.0, 1e9, 0.0, 0.0};
-  double sourceFrequency = 2.0;     ///< Ricker central frequency [Hz]
-  double sourceDelay = 0.6;
-  std::array<double, 3> receiverPosition = {800.0, 750.0, -20.0};
+  /// Kinematic finite-fault file (`--fault-file`, seismo/fault.hpp) whose
+  /// subfaults replace the quickstart's Ricker double couple; empty = the
+  /// double couple.
+  std::string faultFile;
+  double endTime = 1.0;             ///< finite, > 0
   /// Lane-packing cap: a fused width the engine-type table lists at
   /// `sim.precision` (common/types.hpp).
   int_t maxFusedWidth = 4;
@@ -129,19 +147,20 @@ class BatchEngine {
   using ResultCallback = std::function<void(const RequestResult&)>;
 
   /// A fused solver run the planner scheduled: `requests.size()` lanes of
-  /// width `width` sharing the pipeline product under `pipelineKey`.
+  /// width `width` sharing the pipeline product of `materialScale`.
   struct PlannedRun {
-    std::uint64_t pipelineKey = 0;
+    double materialScale = 1.0;
     int_t width = 1;
     std::vector<idx_t> requests;    ///< submission indices, lane order
   };
 
-  /// `model` is the base velocity model; it must outlive the engine.
-  /// `modelKey` is the caller's content-hash of the model parameters
-  /// (combined with each request's materialScale into the pipeline key).
-  /// Throws `std::invalid_argument` on invalid `sim` or `maxFusedWidth`.
-  BatchEngine(const seismo::VelocityModel& model, BatchConfig cfg, std::uint64_t modelKey = 0);
+  /// Hashes the bytes of `cfg.pipeline.meshFile` and `cfg.faultFile` (when
+  /// set) into the fingerprint, once. Throws `std::invalid_argument` on
+  /// invalid `sim`, `maxFusedWidth` or `endTime`, or an unreadable file.
+  explicit BatchEngine(BatchConfig cfg);
 
+  /// Throws `std::invalid_argument` unless `req.materialScale` is finite
+  /// and > 0.
   void add(ScenarioRequest req);
   void add(const std::vector<ScenarioRequest>& reqs);
   idx_t numRequests() const { return static_cast<idx_t>(requests_.size()); }
@@ -156,13 +175,11 @@ class BatchEngine {
   /// mesh. Safe to call once per engine.
   BatchStats run(const ResultCallback& onResult);
 
-  /// Content-hash of the batch definition (base config + request list);
-  /// snapshots carry it so a restore against a different batch fails
-  /// loudly instead of resuming into the wrong schedule.
+  /// Content-hash of the batch definition (config, the quickstart problem,
+  /// the mesh- and fault-file bytes, the request list); snapshots carry it
+  /// so a restore against a different batch fails loudly instead of
+  /// resuming into the wrong schedule.
   std::uint64_t fingerprint() const;
-
-  /// The memoization cache (tests assert builds()/hits()).
-  const pre::PipelineCache& cache() const { return cache_; }
 
  private:
   /// One fused run at the batch's precision (`cfg_.sim.precision`); `run()`
@@ -171,27 +188,22 @@ class BatchEngine {
   bool runPlanned(idx_t runIndex, std::uint64_t resumeCycles, bool loadState,
                   const ResultCallback& onResult, BatchStats& stats, int_t& snapshotsWritten);
 
-  /// The pipeline config every run shares (the solver's discretization and
-  /// clustering knobs mirrored in); runs differ only in their model key.
-  pre::PipelineConfig pipelineConfig() const;
+  /// The pipeline product of `materialScale`, built on first use.
+  const pre::PipelineResult& pipeline(double materialScale, BatchStats& stats);
 
-  const seismo::VelocityModel& model_;
-  BatchConfig cfg_;
-  std::uint64_t modelKey_ = 0;
+  BatchConfig cfg_;                 ///< `pipeline` with the solver knobs mirrored in
+  std::uint64_t meshFileKey_ = 0;   ///< bytes of `cfg_.pipeline.meshFile`, 0 if unset
+  std::uint64_t faultFileKey_ = 0;  ///< bytes of `cfg_.faultFile`, 0 if unset
   std::vector<ScenarioRequest> requests_;
   std::vector<PlannedRun> plan_;
   bool planned_ = false;
   bool ran_ = false;
-  pre::PipelineCache cache_;
+  std::map<double, pre::PipelineResult> pipelines_; ///< by material scale
 };
 
-/// The quickstart scenario's 1 km^3 two-layer box as a batch base: soft
-/// layer (vs 500) over stiff halfspace (vs 2000, boundary z = -250), Ricker
-/// moment source, one receiver — the `nglts batch` default and the
-/// equivalence tests' fixture.
-seismo::LayeredModel quickstartBatchModel();
+/// The quickstart discretization as a batch base (order 4, 3 mechanisms,
+/// auto-lambda LTS, the velocity-aware pipeline mesh at 2 Hz) — the
+/// `nglts batch` default and the equivalence tests' fixture.
 BatchConfig quickstartBatchConfig();
-/// Hash of `quickstartBatchModel`'s parameters for `BatchEngine`'s modelKey.
-std::uint64_t quickstartBatchModelKey();
 
 } // namespace nglts::batch

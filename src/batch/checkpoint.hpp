@@ -48,7 +48,7 @@ namespace nglts::batch {
 
 /// The one snapshot format this build writes and reads; a build reads
 /// exactly the version it writes.
-inline constexpr std::uint32_t kSnapshotVersion = 6;
+inline constexpr std::uint32_t kSnapshotVersion = 7;
 
 /// Header of a snapshot file; `peekSnapshot` reads it without touching the
 /// (much larger) state block, so the batch driver can pick the fused width

@@ -15,10 +15,6 @@
 #include "parallel/comm.hpp"
 #include "solver/simulation.hpp"
 
-namespace nglts::pre {
-struct PipelineConfig;
-}
-
 namespace nglts::cli {
 
 /// Flag overrides applied on top of a scenario's built-in defaults. Every
@@ -201,13 +197,6 @@ std::unique_ptr<Scenario> makeBatchScenario();
 /// `defaultRanks` only feeds the `--threads` default.
 void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
                             int_t defaultRanks = 1);
-
-/// Fold `--mesh-file` / `--fault-file` into a pipeline config: the path plus
-/// its content hash (`pre::fileContentKey`), so the pipeline memoization key
-/// and the batch/checkpoint fingerprints stay content-addressed. No-op for
-/// unset options. Shared by the pipeline-driven scenarios (lahabra, loh1)
-/// and the batch scenario.
-void applyIngestionOverrides(pre::PipelineConfig& cfg, const ScenarioOptions& opts);
 
 /// Parse a `--scheme` value: "gts", "lts" (next-generation clustered LTS)
 /// or "baseline" (buffer+derivative scheme of [15]).

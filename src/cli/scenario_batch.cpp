@@ -31,7 +31,7 @@ std::vector<batch::ScenarioRequest> synthesizeRequests(int_t n) {
     r.id = id;
     r.sourceScale = 1.0 + 0.25 * i;                    // fusable perturbation
     r.materialScale = (i % 4 == 3) ? 1.1 : 1.0;        // splits the fused group
-    r.receiverOffset = {5.0 * i, 0.0, 0.0};            // cache-neutral
+    r.receiverOffset = {5.0 * i, 0.0, 0.0};            // shares the pipeline
   }
   return reqs;
 }
@@ -62,9 +62,10 @@ class BatchScenario final : public Scenario {
     cfg.pipeline.minEdge /= opts.meshScale;
     cfg.pipeline.maxEdge /= opts.meshScale;
     // --mesh-file/--fault-file: every request runs on the external mesh
-    // and/or kinematic source; the content hashes keep the memoized pipeline
-    // and the checkpoint fingerprint honest across file edits.
-    applyIngestionOverrides(cfg.pipeline, opts);
+    // and/or kinematic source; the engine hashes their bytes into the
+    // checkpoint fingerprint.
+    cfg.pipeline.meshFile = opts.meshFile;
+    cfg.faultFile = opts.faultFile;
     cfg.checkpointEveryCycles = opts.checkpointEvery;
     cfg.checkpointPath = opts.checkpointFile;
     cfg.restore = opts.restore;
@@ -74,8 +75,7 @@ class BatchScenario final : public Scenario {
         opts.batchManifest.empty() ? synthesizeRequests(opts.batchSize)
                                    : batch::parseManifestFile(opts.batchManifest);
 
-    const seismo::LayeredModel model = batch::quickstartBatchModel();
-    batch::BatchEngine engine(model, cfg, batch::quickstartBatchModelKey());
+    batch::BatchEngine engine(cfg);
     engine.add(requests);
 
     const auto& plan = engine.plan();

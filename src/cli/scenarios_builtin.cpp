@@ -12,6 +12,7 @@
 #include <string>
 #include <type_traits>
 
+#include "batch/batch_engine.hpp"
 #include "cli/scenario.hpp"
 #include "common/float_env.hpp"
 #include "lts/clustering.hpp"
@@ -23,7 +24,6 @@
 #include "partition/partitioner.hpp"
 #include "physics/attenuation.hpp"
 #include "pre/pipeline.hpp"
-#include "pre/pipeline_cache.hpp"
 #include "seismo/fault.hpp"
 #include "seismo/misfit.hpp"
 #include "seismo/receiver.hpp"
@@ -277,15 +277,8 @@ void reportReceiver0(const Sim& sim, double tEnd, idx_t samples, const ScenarioO
 EngineInputs runScenarioPipeline(const seismo::VelocityModel& model, pre::PipelineConfig pcfg,
                                  solver::SimConfig& cfg, int_t nRanks,
                                  const ScenarioOptions& opts, ScenarioReport& report) {
-  pcfg.order = cfg.order;
-  pcfg.mechanisms = cfg.mechanisms;
-  pcfg.cfl = cfg.cfl;
-  const solver::ClusterRule rule = solver::clusterRule(cfg);
-  pcfg.numClusters = rule.numClusters;
-  pcfg.autoLambda = rule.autoLambda;
-  pcfg.lambda = rule.lambda;
-  pcfg.numPartitions = nRanks;
-  applyIngestionOverrides(pcfg, opts);
+  pcfg = solver::pipelineConfigFor(std::move(pcfg), cfg, nRanks);
+  pcfg.meshFile = opts.meshFile;
 
   progressf(opts, "running preprocessing pipeline...\n");
   pre::PipelineResult pipe = pre::runPipeline(model, pcfg);
@@ -340,12 +333,8 @@ class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true
     progressf(opts, "mesh: %lld tetrahedra\n", static_cast<long long>(in.mesh.numElements()));
 
     // A soft near-surface layer over stiffer rock (drives the clustering).
-    in.materials.resize(in.mesh.numElements());
-    for (idx_t e = 0; e < in.mesh.numElements(); ++e) {
-      const double vs = in.mesh.centroid(e)[2] > -250.0 ? 500.0 : 2000.0;
-      in.materials[e] = physics::viscoElasticMaterial(2600.0, vs * 1.9, vs, 100.0, 50.0,
-                                                      cfg.mechanisms, cfg.attenuationFreq);
-    }
+    in.materials = seismo::materialsForMesh(in.mesh, batch::quickstart::model(), cfg.mechanisms,
+                                            cfg.attenuationFreq);
 
     ScenarioReport report;
     appendKernelLine(report.summary, cfg);
@@ -353,12 +342,9 @@ class QuickstartScenario final : public BuiltinScenario<QuickstartScenario, true
                         parallel::Transport::kSeq, [&](auto& sim) {
       // A double-couple point source (or the --fault-file subfaults) and a
       // surface receiver.
-      addConfiguredSources(sim, opts, [](auto& s) {
-        auto stf = std::make_shared<seismo::RickerWavelet>(2.0, 0.6);
-        s.addPointSource(
-            seismo::momentTensorSource({500.0, 500.0, -400.0}, {0, 0, 0, 1e9, 0, 0}, stf));
-      });
-      requireReceiver(sim, {800.0, 750.0, -20.0}, name());
+      addConfiguredSources(sim, opts,
+                           [](auto& s) { s.addPointSource(batch::quickstart::source()); });
+      requireReceiver(sim, batch::quickstart::kReceiverPosition, name());
       if (runPrimary(sim, tEnd, opts, report))
         reportReceiver0(sim, tEnd, 101, opts, "quickstart_seismogram.csv", report);
     });
@@ -774,17 +760,6 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
     throw std::invalid_argument("threads must be >= 1, got " +
                                 std::to_string(cfg.numThreads) +
                                 " (--threads 0 is not a serial run; use --threads 1)");
-}
-
-void applyIngestionOverrides(pre::PipelineConfig& cfg, const ScenarioOptions& opts) {
-  if (!opts.meshFile.empty()) {
-    cfg.meshFile = opts.meshFile;
-    cfg.meshContentHash = pre::fileContentKey(opts.meshFile);
-  }
-  if (!opts.faultFile.empty()) {
-    cfg.faultFile = opts.faultFile;
-    cfg.faultContentHash = pre::fileContentKey(opts.faultFile);
-  }
 }
 
 void registerBuiltinScenarios() {

@@ -169,7 +169,9 @@ class DistributedSimulation {
   /// Collective under MPI (all processes call it together); the returned
   /// stats are globally reduced on every rank.
   DistStats run(double endTime) { return runCycles(cyclesFor(endTime)); }
-  /// Number of full LTS cycles `run(endTime)` executes.
+  /// Number of full LTS cycles `run(endTime)` executes. Throws
+  /// `std::invalid_argument` naming `endTime` when it is not finite, is
+  /// negative, or needs more cluster-0 steps than `idx_t` holds.
   std::uint64_t cyclesFor(double endTime) const;
   /// Advance by exactly `cycles` full LTS cycles — the checkpoint driver's
   /// entry point (batch/checkpoint.*): snapshots are taken at cycle

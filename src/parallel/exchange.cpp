@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -614,7 +616,19 @@ void DistributedSimulation<Real, W>::stepOp(Rank& rank, const lts::ScheduleOp& o
 
 template <typename Real, int W>
 std::uint64_t DistributedSimulation<Real, W>::cyclesFor(double endTime) const {
-  return static_cast<std::uint64_t>(std::ceil(endTime / cycleDt() - 1e-9));
+  const double cycles = std::ceil(endTime / cycleDt() - 1e-9);
+  // Cluster 0 steps cycles * 2^(nc - 1) times; that count must fit idx_t
+  // (the bound loadSnapshot applies to a restored cycle count).
+  const int_t nc = clustering().numClusters;
+  const double limit = std::ldexp(1.0, std::numeric_limits<idx_t>::digits - (nc - 1));
+  if (!std::isfinite(endTime) || endTime < 0.0 || !(cycles < limit)) {
+    char value[32];
+    std::snprintf(value, sizeof value, "%.17g", endTime);
+    throw std::invalid_argument(std::string("end time ") + value +
+                                " is not a finite, non-negative time whose cycle count fits "
+                                "the step counters");
+  }
+  return static_cast<std::uint64_t>(cycles);
 }
 
 template <typename Real, int W>

@@ -1,10 +1,8 @@
-#include "pre/pipeline_cache.hpp"
+#include "pre/config_hash.hpp"
 
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-
-#include "common/log.hpp"
 
 namespace nglts::pre {
 
@@ -29,16 +27,10 @@ void ConfigHasher::f64(double v) {
   u64(bits);
 }
 
-std::uint64_t hashDouble(double v) {
-  ConfigHasher h;
-  h.f64(v);
-  return h.digest();
-}
-
-std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey) {
+std::uint64_t pipelineConfigKey(const PipelineConfig& cfg) {
   ConfigHasher h;
   // Field order is part of the golden contract pinned by test_pipeline.cpp —
-  // append new cache-relevant fields at the END and update the golden rows.
+  // append new fields at the END and update the golden rows.
   for (double v : cfg.lo) h.f64(v);
   for (double v : cfg.hi) h.f64(v);
   h.f64(cfg.elementsPerWavelength);
@@ -52,17 +44,10 @@ std::uint64_t pipelineCacheKey(const PipelineConfig& cfg, std::uint64_t modelKey
   h.i32(cfg.numClusters);
   h.boolean(cfg.autoLambda);
   // A fixed lambda only matters when the sweep is off; folding it out keeps
-  // autoLambda runs from fragmenting the cache over an ignored field.
+  // two autoLambda configs that differ only in an ignored field equal.
   h.f64(cfg.autoLambda ? 0.0 : cfg.lambda);
   h.i32(cfg.numPartitions);
   h.boolean(cfg.freeSurfaceTop);
-  h.u64(modelKey);
-  // Scenario-ingestion content hashes (both 0 for built-in meshes/sources;
-  // see the PipelineConfig field docs). The mesh hash IS the mesh identity
-  // when an external .msh replaces the meshing rule; the fault hash shapes
-  // no pipeline product but must invalidate checkpoint fingerprints.
-  h.u64(cfg.meshContentHash);
-  h.u64(cfg.faultContentHash);
   return h.digest();
 }
 
@@ -74,22 +59,6 @@ std::uint64_t fileContentKey(const std::string& path) {
   while (in.read(buf, sizeof buf) || in.gcount() > 0)
     h.bytes(buf, static_cast<std::size_t>(in.gcount()));
   return h.digest();
-}
-
-std::shared_ptr<const PipelineResult> PipelineCache::get(const seismo::VelocityModel& model,
-                                                         const PipelineConfig& cfg,
-                                                         std::uint64_t modelKey) {
-  const std::uint64_t key = pipelineCacheKey(cfg, modelKey);
-  if (auto it = cache_.find(key); it != cache_.end()) {
-    ++hits_;
-    return it->second;
-  }
-  ++builds_;
-  auto result = std::make_shared<PipelineResult>(runPipeline(model, cfg));
-  NGLTS_LOG_INFO << "pipeline cache: built key " << key << " (" << result->mesh.numElements()
-                 << " elements, " << builds_ << " builds / " << hits_ << " hits)";
-  cache_.emplace(key, result);
-  return result;
 }
 
 } // namespace nglts::pre

@@ -40,18 +40,8 @@ struct PipelineConfig {
   /// External mesh ingestion (`--mesh-file`): when non-empty, step 1 of the
   /// pipeline loads this Gmsh `.msh` 4.1 file (mesh/gmsh_io.hpp) instead of
   /// generating the velocity-aware box; the meshing-rule fields above then
-  /// no longer shape the mesh. `meshContentHash` must be set to the FNV-1a
-  /// hash of the file bytes (`fileContentKey`, pipeline_cache.hpp) — the
-  /// memoization key is content-addressed, never path-addressed.
+  /// no longer shape the mesh.
   std::string meshFile;
-  std::uint64_t meshContentHash = 0;
-  /// Kinematic finite-fault source file (`--fault-file`, seismo/fault.hpp)
-  /// the caller binds after preprocessing. Sources influence no pipeline
-  /// product, but the content hash IS folded into the key: the key doubles
-  /// as the checkpoint-fingerprint ingredient (batch/checkpoint.hpp), and a
-  /// changed kinematic source must invalidate snapshots.
-  std::string faultFile;
-  std::uint64_t faultContentHash = 0;
 };
 
 struct PipelineResult {

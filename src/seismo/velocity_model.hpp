@@ -1,5 +1,5 @@
 #pragma once
-// Seismic velocity models: homogeneous, the LOH.3 layer-over-halfspace
+// Seismic velocity models: horizontally layered, the LOH.3 layer-over-halfspace
 // benchmark (paper Sec. VII-B), and a synthetic "La Habra-like" basin model
 // standing in for CVM-S4.26 + topography (see docs/ARCHITECTURE.md,
 // "Substitutions relative to the paper's production setup"):
@@ -30,15 +30,6 @@ class VelocityModel {
   virtual MaterialSample at(const std::array<double, 3>& x) const = 0;
 };
 
-class HomogeneousModel final : public VelocityModel {
- public:
-  explicit HomogeneousModel(MaterialSample s) : s_(s) {}
-  MaterialSample at(const std::array<double, 3>&) const override { return s_; }
-
- private:
-  MaterialSample s_;
-};
-
 /// Horizontally layered model: layers listed top-down, each extending from
 /// the previous layer's bottom to its own `zBottom`; the last layer is the
 /// halfspace (its zBottom is ignored). Covers the quickstart-style
@@ -52,7 +43,10 @@ class LayeredModel final : public VelocityModel {
   };
   /// Throws `std::invalid_argument` when `layers` is empty.
   explicit LayeredModel(std::vector<Layer> layers);
+  /// The first layer with `zBottom <= x[2]`: a point on a boundary belongs
+  /// to the layer above it.
   MaterialSample at(const std::array<double, 3>& x) const override;
+  const std::vector<Layer>& layers() const { return layers_; }
 
  private:
   std::vector<Layer> layers_;

@@ -104,6 +104,10 @@ struct SimConfig {
   bool autoLambda = false;
   /// Central frequency [Hz] of the constant-Q fit band for the anelastic
   /// relaxation mechanisms (Sec. II). Valid: > 0 when mechanisms > 0.
+  /// The engine never reads it: only callers that build the materials do
+  /// (quickstart, loh3, fused via `materialsForMesh`/`viscoElasticMaterial`).
+  /// Pipeline-driven runs (loh1, lahabra, batch) fit Q at
+  /// `pre::PipelineConfig::maxFrequency` instead.
   double attenuationFreq = 1.0;
   /// Receiver sampling interval [s]; receivers are sampled on this uniform
   /// grid by evaluating the ADER predictor's Taylor expansion inside each

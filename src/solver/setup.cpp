@@ -6,9 +6,33 @@
 
 namespace nglts::solver {
 
+namespace {
+
+/// The clustering knobs `cfg` asks for (see `pipelineConfigFor`).
+struct ClusterRule {
+  int_t numClusters = 1;
+  double lambda = 1.0;
+  bool autoLambda = false;
+};
+
 ClusterRule clusterRule(const SimConfig& cfg) {
   if (cfg.scheme == TimeScheme::kGts) return {};
   return {cfg.numClusters, cfg.lambda, cfg.autoLambda};
+}
+
+} // namespace
+
+pre::PipelineConfig pipelineConfigFor(pre::PipelineConfig domain, const SimConfig& cfg,
+                                      int_t numPartitions) {
+  domain.order = cfg.order;
+  domain.mechanisms = cfg.mechanisms;
+  domain.cfl = cfg.cfl;
+  const ClusterRule rule = clusterRule(cfg);
+  domain.numClusters = rule.numClusters;
+  domain.autoLambda = rule.autoLambda;
+  domain.lambda = rule.lambda;
+  domain.numPartitions = numPartitions;
+  return domain;
 }
 
 lts::Clustering resolveClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,

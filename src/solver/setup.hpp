@@ -1,7 +1,8 @@
 #pragma once
 // Shared constructor-time resolution of solver inputs from a `SimConfig`:
-// the clustering (GTS collapse to one cluster, optional auto-lambda sweep)
-// and the anelastic relaxation-frequency vector. The engine
+// the clustering (GTS collapse to one cluster, optional auto-lambda sweep),
+// the preprocessing config it implies and the anelastic
+// relaxation-frequency vector. The engine
 // (parallel/dist_sim.hpp) and the CLI both resolve through these helpers so
 // every path steps the exact same clusters — the invariant behind the
 // bitwise equivalence of a run across rank counts.
@@ -10,24 +11,23 @@
 #include "lts/clustering.hpp"
 #include "mesh/tet_mesh.hpp"
 #include "physics/material.hpp"
+#include "pre/pipeline.hpp"
 #include "solver/config.hpp"
 
 namespace nglts::solver {
 
-/// The clustering knobs `cfg` asks for: GTS collapses to one cluster at
-/// lambda 1 with the sweep off, otherwise `cfg.numClusters` rate-2 clusters
-/// with `cfg.lambda` or the Sec. V-A sweep (`cfg.autoLambda`). The
-/// preprocessing pipeline's callers copy these, so a pipeline clusters and
-/// partitions exactly as the engine steps.
-struct ClusterRule {
-  int_t numClusters = 1;
-  double lambda = 1.0;
-  bool autoLambda = false;
-};
-ClusterRule clusterRule(const SimConfig& cfg);
+/// `domain` (the extents, meshing rule and `meshFile` of a preprocessing
+/// run) with the solver knobs of `cfg` mirrored in — order, mechanisms,
+/// cfl and the clustering — and `numPartitions` parts. The clustering is
+/// the one the engine steps: GTS collapses to one cluster at lambda 1 with
+/// the sweep off, otherwise `cfg.numClusters` rate-2 clusters with
+/// `cfg.lambda` or the Sec. V-A sweep (`cfg.autoLambda`). So a pipeline
+/// clusters and partitions exactly as the engine steps.
+pre::PipelineConfig pipelineConfigFor(pre::PipelineConfig domain, const SimConfig& cfg,
+                                      int_t numPartitions);
 
-/// Resolve the clustering `clusterRule(cfg)` asks for from per-element CFL
-/// steps (the sweep logged at info level).
+/// Resolve the clustering `cfg` asks for (the rule of `pipelineConfigFor`)
+/// from per-element CFL steps (the sweep logged at info level).
 lts::Clustering resolveClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,
                                   const SimConfig& cfg);
 

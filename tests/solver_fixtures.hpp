@@ -1,16 +1,18 @@
 #pragma once
 // Simulation fixtures shared by the solver suites (test_solver_lts,
-// test_fused, test_threaded_equivalence), by test_slow, which runs their
-// multi-second cases under the `slow` ctest label, and by the determinism
-// matrix (test_determinism).
+// test_fused, test_threaded_equivalence, test_precision), by test_slow,
+// which runs their multi-second cases under the `slow` ctest label, and by
+// the determinism matrix (test_determinism).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli/scenario.hpp"
 #include "mesh/box_gen.hpp"
 #include "physics/attenuation.hpp"
 #include "seismo/receiver.hpp"
@@ -161,6 +163,38 @@ inline void checkLtsAnelasticStable(int_t order) {
 /// so a case keeps its name in whichever binary runs it.
 inline std::string orderSweepName(const ::testing::TestParamInfo<int_t>& info) {
   return std::to_string(info.param - 2);
+}
+
+/// The x-velocity column of a committed golden seismogram fixture
+/// (tests/golden/*.csv: a header line, then `time,vx` rows); empty when the
+/// file is missing.
+inline std::vector<double> readGoldenTrace(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<double> vx;
+  if (!in) return vx;
+  std::string line;
+  std::getline(in, line); // header
+  while (std::getline(in, line)) {
+    const auto comma = line.find(',');
+    if (comma == std::string::npos) continue;
+    vx.push_back(std::stod(line.substr(comma + 1)));
+  }
+  return vx;
+}
+
+/// The exact quickstart options the golden fixtures were generated with
+/// (regeneration commands in test_solver_lts.cpp), at `precision`.
+inline cli::ScenarioOptions goldenQuickstartOptions(
+    solver::TimeScheme scheme, solver::Precision precision = solver::Precision::kF64) {
+  cli::ScenarioOptions opts;
+  opts.order = 3;
+  opts.scheme = scheme;
+  opts.meshScale = 0.4;
+  opts.endTime = 0.8;
+  opts.lambda = 0.9;
+  opts.quiet = true;
+  opts.precision = precision;
+  return opts;
 }
 
 } // namespace nglts::test

@@ -2,17 +2,22 @@
 // requests must produce seismograms *bitwise-identical* to N independent
 // runs (per-lane arithmetic is independent and identically ordered for
 // every fused width), while executing the preprocessing pipeline once per
-// distinct material configuration. Covers {GTS, next-gen LTS} x fused
-// widths {1, 2, 4}, cache hit/miss accounting, lane-packing plans for
-// heterogeneous perturbations, and the manifest parser.
+// distinct material scale. Covers {GTS, next-gen LTS} x fused widths
+// {1, 2, 4}, pipeline build/reuse accounting, lane-packing plans for
+// heterogeneous perturbations, the batch fingerprint, and the manifest
+// parser.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <map>
 #include <sstream>
 
 #include "batch/batch_engine.hpp"
 #include "batch/manifest.hpp"
 #include "pre/pipeline.hpp"
-#include "pre/pipeline_cache.hpp"
 #include "solver/simulation.hpp"
 
 namespace nbatch = nglts::batch;
@@ -36,8 +41,8 @@ nbatch::BatchConfig smallBatchConfig(nsol::TimeScheme scheme) {
 }
 
 /// A deliberately heterogeneous ensemble: fusable source scales, one
-/// material perturbation (splits the fused group), cache-neutral receiver
-/// offsets.
+/// material perturbation (splits the fused group), receiver offsets that
+/// share the pipeline product.
 std::vector<nbatch::ScenarioRequest> mixedRequests() {
   return {
       {"a", 1.0, 1.0, {0.0, 0.0, 0.0}},
@@ -63,7 +68,7 @@ nsei::Seismogram independentRun(const nbatch::BatchConfig& cfg,
   p.lambda = cfg.sim.lambda;
   p.numPartitions = 1;
 
-  const nsei::LayeredModel base = nbatch::quickstartBatchModel();
+  const nsei::LayeredModel base = nbatch::quickstart::model();
   const nbatch::ScaledVelocityModel scaled(base, req.materialScale);
   const npre::PipelineResult pipe = npre::runPipeline(scaled, p);
 
@@ -71,14 +76,10 @@ nsei::Seismogram independentRun(const nbatch::BatchConfig& cfg,
   rc.lambda = pipe.clustering.lambda;
   rc.autoLambda = false;
   nsol::Simulation<double, 1> sim(pipe.mesh, pipe.materials, rc);
-  sim.addPointSource(
-      nsei::momentTensorSource(cfg.sourcePosition, cfg.sourceMoment,
-                               std::make_shared<nsei::RickerWavelet>(cfg.sourceFrequency,
-                                                                     cfg.sourceDelay)),
-      {req.sourceScale});
-  const idx_t rec = sim.addReceiver({cfg.receiverPosition[0] + req.receiverOffset[0],
-                                     cfg.receiverPosition[1] + req.receiverOffset[1],
-                                     cfg.receiverPosition[2] + req.receiverOffset[2]});
+  sim.addPointSource(nbatch::quickstart::source(), {req.sourceScale});
+  const auto& at = nbatch::quickstart::kReceiverPosition;
+  const idx_t rec = sim.addReceiver({at[0] + req.receiverOffset[0], at[1] + req.receiverOffset[1],
+                                     at[2] + req.receiverOffset[2]});
   EXPECT_GE(rec, 0);
   sim.run(cfg.endTime);
   return sim.receiver(rec).traces[0];
@@ -98,8 +99,7 @@ void expectBitwiseEqual(const nsei::Seismogram& got, const nsei::Seismogram& wan
 std::vector<nbatch::RequestResult> runBatch(const nbatch::BatchConfig& cfg,
                                             const std::vector<nbatch::ScenarioRequest>& reqs,
                                             nbatch::BatchStats* statsOut = nullptr) {
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
-  nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine engine(cfg);
   engine.add(reqs);
   std::vector<nbatch::RequestResult> results;
   const nbatch::BatchStats stats = engine.run(
@@ -131,7 +131,7 @@ TEST_P(BatchEquivalence, MatchesIndependentRunsAtEveryWidth) {
     const auto results = runBatch(wcfg, reqs, &stats);
     ASSERT_EQ(results.size(), reqs.size()) << "width " << width;
     EXPECT_EQ(stats.completedRequests, static_cast<idx_t>(reqs.size()));
-    // Two distinct material configurations -> exactly two pipeline builds,
+    // Two distinct material scales -> exactly two pipeline builds,
     // independent of the request count and the packing width.
     EXPECT_EQ(stats.pipelineBuilds, 2) << "width " << width;
     for (const auto& res : results) {
@@ -164,23 +164,19 @@ TEST(BatchEngine, EightRequestsOnePipelineBuild) {
     nbatch::ScenarioRequest r;
     r.id = "req" + std::to_string(i);
     r.sourceScale = 1.0 + 0.25 * i;          // fusable
-    r.receiverOffset = {5.0 * i, 0.0, 0.0};  // cache-neutral
+    r.receiverOffset = {5.0 * i, 0.0, 0.0};  // shares the pipeline
     reqs.push_back(r);                       // materialScale 1.0 everywhere
   }
 
   std::vector<nsei::Seismogram> want;
   for (const auto& r : reqs) want.push_back(independentRun(cfg, r));
 
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
-  nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
-  engine.add(reqs);
-  std::vector<nbatch::RequestResult> results;
-  const nbatch::BatchStats stats =
-      engine.run([&](const nbatch::RequestResult& r) { results.push_back(r); });
+  nbatch::BatchStats stats;
+  const auto results = runBatch(cfg, reqs, &stats);
 
   ASSERT_EQ(results.size(), 8u);
-  EXPECT_EQ(engine.cache().builds(), 1);  // preprocessing executed once...
-  EXPECT_EQ(stats.pipelineBuilds, 1);
+  EXPECT_EQ(stats.pipelineBuilds, 1);     // preprocessing executed once...
+  EXPECT_EQ(stats.pipelineHits, 1);
   EXPECT_EQ(stats.runs, 2);               // ...for two fused W = 4 runs
   for (const auto& res : results) {
     EXPECT_EQ(res.fusedWidth, 4);
@@ -190,12 +186,12 @@ TEST(BatchEngine, EightRequestsOnePipelineBuild) {
 }
 
 // ---------------------------------------------------------------------------
-// Cache hit/miss accounting on config-hash deltas
+// Pipeline build/reuse accounting on per-request deltas
 // ---------------------------------------------------------------------------
 
 TEST(BatchEngine, CacheHitsOnReceiverOnlyAndSourceOnlyDeltas) {
   nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kLtsNextGen);
-  cfg.maxFusedWidth = 1; // every request becomes its own run -> hits visible
+  cfg.maxFusedWidth = 1; // every request becomes its own run -> reuses visible
   const std::vector<nbatch::ScenarioRequest> reqs = {
       {"base", 1.0, 1.0, {0.0, 0.0, 0.0}},
       {"recv", 1.0, 1.0, {25.0, 0.0, 0.0}},   // receiver-only delta: HIT
@@ -217,8 +213,7 @@ TEST(BatchEngine, CacheHitsOnReceiverOnlyAndSourceOnlyDeltas) {
 TEST(BatchEngine, PlanPacksCompatibleRequestsGreedily) {
   nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kLtsNextGen);
   cfg.maxFusedWidth = 4;
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
-  nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine engine(cfg);
   // 5 base-material requests (indices 0, 1, 2, 4, 6) + 2 perturbed-material
   // requests (3, 5): expect runs [4, 1] for the first group and [2] for the
   // second, submission order preserved inside each run.
@@ -237,15 +232,15 @@ TEST(BatchEngine, PlanPacksCompatibleRequestsGreedily) {
   EXPECT_EQ(plan[1].requests, (std::vector<idx_t>{6}));
   EXPECT_EQ(plan[2].width, 2);
   EXPECT_EQ(plan[2].requests, (std::vector<idx_t>{3, 5}));
-  EXPECT_EQ(plan[0].pipelineKey, plan[1].pipelineKey);
-  EXPECT_NE(plan[0].pipelineKey, plan[2].pipelineKey);
+  EXPECT_EQ(plan[0].materialScale, 1.0);
+  EXPECT_EQ(plan[1].materialScale, 1.0);
+  EXPECT_EQ(plan[2].materialScale, 1.1);
 }
 
 TEST(BatchEngine, PlanRespectsMaxFusedWidth) {
   nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kLtsNextGen);
   cfg.maxFusedWidth = 2;
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
-  nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine engine(cfg);
   for (int i = 0; i < 5; ++i)
     engine.add({"r" + std::to_string(i), 1.0 + 0.1 * i, 1.0, {0.0, 0.0, 0.0}});
   const auto& plan = engine.plan();
@@ -258,7 +253,7 @@ TEST(BatchEngine, PlanRespectsMaxFusedWidth) {
   // pack as the largest listed width that fits, 8 + 2 + 1.
   cfg.sim.precision = nsol::Precision::kF32;
   cfg.maxFusedWidth = 16;
-  nbatch::BatchEngine f32(model, cfg, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine f32(cfg);
   for (int i = 0; i < 11; ++i)
     f32.add({"r" + std::to_string(i), 1.0 + 0.1 * i, 1.0, {0.0, 0.0, 0.0}});
   const auto& f32Plan = f32.plan();
@@ -268,21 +263,167 @@ TEST(BatchEngine, PlanRespectsMaxFusedWidth) {
   EXPECT_EQ(f32Plan[2].width, 1);
   // The same cap is not a width f64 lists.
   cfg.sim.precision = nsol::Precision::kF64;
-  EXPECT_THROW((nbatch::BatchEngine(model, cfg)), std::invalid_argument);
+  EXPECT_THROW(nbatch::BatchEngine{cfg}, std::invalid_argument);
 }
 
 TEST(BatchEngine, RejectsInvalidConfig) {
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
   {
     nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kGts);
     cfg.maxFusedWidth = 3;
-    EXPECT_THROW((nbatch::BatchEngine(model, cfg)), std::invalid_argument);
+    EXPECT_THROW(nbatch::BatchEngine{cfg}, std::invalid_argument);
   }
   {
     nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kGts);
     cfg.checkpointEveryCycles = 4; // cadence without a path
-    EXPECT_THROW((nbatch::BatchEngine(model, cfg)), std::invalid_argument);
+    EXPECT_THROW(nbatch::BatchEngine{cfg}, std::invalid_argument);
   }
+  for (const double endTime : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kGts);
+    cfg.endTime = endTime;
+    EXPECT_THROW(nbatch::BatchEngine{cfg}, std::invalid_argument) << "endTime " << endTime;
+  }
+  {
+    nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kGts);
+    cfg.faultFile = "does_not_exist.fault"; // hashed at construction
+    EXPECT_THROW(nbatch::BatchEngine{cfg}, std::invalid_argument);
+  }
+}
+
+TEST(BatchEngine, AddRejectsMaterialScalesThatAreNotFiniteAndPositive) {
+  nbatch::BatchEngine engine(smallBatchConfig(nsol::TimeScheme::kGts));
+  for (const double scale : {0.0, -1.1, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()})
+    EXPECT_THROW(engine.add({"bad", 1.0, scale, {0.0, 0.0, 0.0}}), std::invalid_argument)
+        << "material scale " << scale;
+  EXPECT_EQ(engine.numRequests(), 0);
+  engine.add({"ok", 1.0, 0.9, {0.0, 0.0, 0.0}});
+  EXPECT_EQ(engine.numRequests(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Batch fingerprint: every input that shapes a result changes it, the
+// performance knobs do not. A value it silently ignored would let a
+// snapshot restore into a different problem.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+void writeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+std::uint64_t fingerprintOf(const nbatch::BatchConfig& cfg) {
+  nbatch::BatchEngine engine(cfg);
+  engine.add({"a", 1.0, 1.0, {0.0, 0.0, 0.0}});
+  return engine.fingerprint();
+}
+
+} // namespace
+
+TEST(BatchFingerprint, EveryResultShapingInputPerturbsIt) {
+  using Mut = std::function<void(nbatch::BatchConfig&)>;
+  const std::string meshPath = "test_batch_engine_fp.msh";
+  const std::string faultPath = "test_batch_engine_fp.fault";
+  const std::vector<std::pair<std::string, Mut>> mutations = {
+      // The mesh-shaping PipelineConfig fields.
+      {"pipeline.lo[0]", [](auto& c) { c.pipeline.lo[0] = 1.0; }},
+      {"pipeline.lo[1]", [](auto& c) { c.pipeline.lo[1] = 1.0; }},
+      {"pipeline.lo[2]", [](auto& c) { c.pipeline.lo[2] = -999.0; }},
+      {"pipeline.hi[0]", [](auto& c) { c.pipeline.hi[0] = 999.0; }},
+      {"pipeline.hi[1]", [](auto& c) { c.pipeline.hi[1] = 999.0; }},
+      {"pipeline.hi[2]", [](auto& c) { c.pipeline.hi[2] = -1.0; }},
+      {"pipeline.elementsPerWavelength", [](auto& c) { c.pipeline.elementsPerWavelength = 2.5; }},
+      {"pipeline.maxFrequency", [](auto& c) { c.pipeline.maxFrequency = 1.5; }},
+      {"pipeline.minEdge", [](auto& c) { c.pipeline.minEdge = 20.0; }},
+      {"pipeline.maxEdge", [](auto& c) { c.pipeline.maxEdge = 1e8; }},
+      {"pipeline.jitter", [](auto& c) { c.pipeline.jitter = 0.05; }},
+      {"pipeline.freeSurfaceTop", [](auto& c) { c.pipeline.freeSurfaceTop = false; }},
+      // The external files, by their bytes.
+      {"mesh-file bytes",
+       [&](auto& c) {
+         writeFile(meshPath, "mesh A\n");
+         c.pipeline.meshFile = meshPath;
+       }},
+      {"fault-file bytes",
+       [&](auto& c) {
+         writeFile(faultPath, "fault A\n");
+         c.faultFile = faultPath;
+       }},
+      // The solver knobs (mirrored into the pipeline, or stepping it).
+      {"sim.order", [](auto& c) { c.sim.order = 3; }},
+      {"sim.mechanisms", [](auto& c) { c.sim.mechanisms = 2; }},
+      {"sim.cfl", [](auto& c) { c.sim.cfl = 0.4; }},
+      {"sim.scheme", [](auto& c) { c.sim.scheme = nsol::TimeScheme::kLtsBaseline; }},
+      {"sim.numClusters", [](auto& c) { c.sim.numClusters = 2; }},
+      {"sim.autoLambda", [](auto& c) { c.sim.autoLambda = false; }},
+      {"sim.receiverSampleDt", [](auto& c) { c.sim.receiverSampleDt = 0.01; }},
+      {"sim.sparseKernels", [](auto& c) { c.sim.sparseKernels = true; }},
+      {"sim.precision", [](auto& c) { c.sim.precision = nsol::Precision::kF32; }},
+      {"endTime", [](auto& c) { c.endTime = 0.3; }},
+      {"maxFusedWidth", [](auto& c) { c.maxFusedWidth = 2; }},
+  };
+
+  const nbatch::BatchConfig base = smallBatchConfig(nsol::TimeScheme::kLtsNextGen);
+  const std::uint64_t baseKey = fingerprintOf(base);
+  std::map<std::uint64_t, std::string> seen{{baseKey, "base"}};
+  for (const auto& [name, mutate] : mutations) {
+    nbatch::BatchConfig cfg = base;
+    mutate(cfg);
+    const std::uint64_t key = fingerprintOf(cfg);
+    EXPECT_NE(key, baseKey) << "ignored by the fingerprint: " << name;
+    const auto [it, inserted] = seen.emplace(key, name);
+    EXPECT_TRUE(inserted) << name << " collides with " << it->second;
+  }
+
+  // Editing a file changes the fingerprint; moving it does not.
+  const auto withFile = [&](bool mesh, const std::string& path, const std::string& bytes) {
+    writeFile(path, bytes);
+    nbatch::BatchConfig cfg = base;
+    (mesh ? cfg.pipeline.meshFile : cfg.faultFile) = path;
+    return fingerprintOf(cfg);
+  };
+  for (const bool mesh : {true, false}) {
+    const std::string& moved = faultPath; // the same bytes under another name
+    const std::uint64_t v1 = withFile(mesh, meshPath, "version 1\n");
+    EXPECT_NE(withFile(mesh, meshPath, "version 2\n"), v1) << "mesh " << mesh;
+    EXPECT_EQ(withFile(mesh, moved, "version 1\n"), v1) << "mesh " << mesh;
+  }
+  std::remove(meshPath.c_str());
+  std::remove(faultPath.c_str());
+
+  // Performance knobs and the Q band the batch does not read keep it.
+  for (const auto& [name, mutate] : std::vector<std::pair<std::string, Mut>>{
+           {"sim.numThreads", [](auto& c) { c.sim.numThreads = 3; }},
+           {"sim.kernelBackend",
+            [](auto& c) { c.sim.kernelBackend = nglts::linalg::KernelBackend::kScalar; }},
+           {"sim.attenuationFreq", [](auto& c) { c.sim.attenuationFreq = 5.0; }},
+           {"checkpointEveryCycles",
+            [](auto& c) {
+              c.checkpointEveryCycles = 3;
+              c.checkpointPath = "unused.snap";
+            }},
+       }) {
+    nbatch::BatchConfig cfg = base;
+    mutate(cfg);
+    EXPECT_EQ(fingerprintOf(cfg), baseKey) << name << " changed the fingerprint";
+  }
+}
+
+TEST(BatchFingerprint, CoversTheRequestList) {
+  const nbatch::BatchConfig cfg = smallBatchConfig(nsol::TimeScheme::kLtsNextGen);
+  const auto fp = [&](const std::vector<nbatch::ScenarioRequest>& reqs) {
+    nbatch::BatchEngine engine(cfg);
+    engine.add(reqs);
+    return engine.fingerprint();
+  };
+  const std::uint64_t base = fp({{"a", 1.0, 1.0, {0.0, 0.0, 0.0}}});
+  EXPECT_NE(fp({{"b", 1.0, 1.0, {0.0, 0.0, 0.0}}}), base);
+  EXPECT_NE(fp({{"a", 2.0, 1.0, {0.0, 0.0, 0.0}}}), base);
+  EXPECT_NE(fp({{"a", 1.0, 1.1, {0.0, 0.0, 0.0}}}), base);
+  EXPECT_NE(fp({{"a", 1.0, 1.0, {0.0, 0.0, 5.0}}}), base);
+  EXPECT_NE(fp({{"a", 1.0, 1.0, {0.0, 0.0, 0.0}}, {"a", 1.0, 1.0, {0.0, 0.0, 0.0}}}), base);
 }
 
 // ---------------------------------------------------------------------------

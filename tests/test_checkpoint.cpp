@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "batch/batch_engine.hpp"
 #include "batch/checkpoint.hpp"
+#include "mesh/gmsh_io.hpp"
 #include "parallel/dist_sim.hpp"
 #include "pre/pipeline.hpp"
 #include "solver/simulation.hpp"
@@ -34,6 +37,16 @@ namespace {
 /// Unique-ish per-test snapshot path under the build dir's cwd.
 std::string snapPath(const std::string& tag) { return "test_checkpoint_" + tag + ".snap"; }
 
+/// The coarse quickstart batch of the kill/restore cases (~0.4x
+/// resolution, short end time).
+nbatch::BatchConfig smallBatch() {
+  nbatch::BatchConfig cfg = nbatch::quickstartBatchConfig();
+  cfg.endTime = 0.2;
+  cfg.pipeline.minEdge /= 0.4;
+  cfg.pipeline.maxEdge /= 0.4;
+  return cfg;
+}
+
 struct Fixture {
   npre::PipelineResult pipe;
   nsol::SimConfig cfg;
@@ -47,7 +60,7 @@ struct Fixture {
     p.mechanisms = base.sim.mechanisms;
     p.numClusters = scheme == nsol::TimeScheme::kGts ? 1 : 3;
     p.autoLambda = false;
-    const nsei::LayeredModel model = nbatch::quickstartBatchModel();
+    const nsei::LayeredModel model = nbatch::quickstart::model();
     pipe = npre::runPipeline(model, p);
     cfg = base.sim;
     cfg.order = 3;
@@ -79,11 +92,8 @@ struct Fixture {
     }
     std::vector<double> laneScale(W);
     for (int w = 0; w < W; ++w) laneScale[static_cast<std::size_t>(w)] = 1.0 + 0.5 * w;
-    sim->addPointSource(
-        nsei::momentTensorSource({500.0, 500.0, -400.0}, {0, 0, 0, 1e9, 0, 0},
-                                 std::make_shared<nsei::RickerWavelet>(2.0, 0.6)),
-        laneScale);
-    EXPECT_GE(sim->addReceiver({800.0, 750.0, -20.0}), 0);
+    sim->addPointSource(nbatch::quickstart::source(), laneScale);
+    EXPECT_GE(sim->addReceiver(nbatch::quickstart::kReceiverPosition), 0);
     return sim;
   }
 };
@@ -248,22 +258,18 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(BatchCheckpoint, KilledBatchResumesBitwiseIdentical) {
-  nbatch::BatchConfig cfg = nbatch::quickstartBatchConfig();
-  cfg.endTime = 0.2;
-  cfg.pipeline.minEdge /= 0.4;
-  cfg.pipeline.maxEdge /= 0.4;
+  nbatch::BatchConfig cfg = smallBatch();
   cfg.maxFusedWidth = 2;
   const std::vector<nbatch::ScenarioRequest> reqs = {
       {"a", 1.0, 1.0, {0.0, 0.0, 0.0}},
       {"b", 1.5, 1.0, {10.0, 0.0, 0.0}},
       {"c", 0.75, 1.1, {0.0, 0.0, 0.0}},
   };
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
 
   // Reference: the uninterrupted batch.
   std::vector<nbatch::RequestResult> want;
   {
-    nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(cfg);
     engine.add(reqs);
     engine.run([&](const nbatch::RequestResult& r) { want.push_back(r); });
   }
@@ -278,7 +284,7 @@ TEST(BatchCheckpoint, KilledBatchResumesBitwiseIdentical) {
   ckCfg.abortAfterCheckpoints = 1;
   std::vector<nbatch::RequestResult> collected;
   {
-    nbatch::BatchEngine engine(model, ckCfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(ckCfg);
     engine.add(reqs);
     const nbatch::BatchStats stats =
         engine.run([&](const nbatch::RequestResult& r) { collected.push_back(r); });
@@ -291,7 +297,7 @@ TEST(BatchCheckpoint, KilledBatchResumesBitwiseIdentical) {
   reCfg.abortAfterCheckpoints = 0;
   reCfg.restore = true;
   {
-    nbatch::BatchEngine engine(model, reCfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(reCfg);
     engine.add(reqs);
     const nbatch::BatchStats stats =
         engine.run([&](const nbatch::RequestResult& r) { collected.push_back(r); });
@@ -316,17 +322,13 @@ TEST(BatchCheckpoint, KilledBatchResumesBitwiseIdentical) {
 }
 
 TEST(BatchCheckpoint, RestoreRejectsDifferentBatch) {
-  nbatch::BatchConfig cfg = nbatch::quickstartBatchConfig();
-  cfg.endTime = 0.2;
-  cfg.pipeline.minEdge /= 0.4;
-  cfg.pipeline.maxEdge /= 0.4;
+  nbatch::BatchConfig cfg = smallBatch();
   const std::string path = snapPath("fingerprint");
   cfg.checkpointEveryCycles = 2;
   cfg.checkpointPath = path;
   cfg.abortAfterCheckpoints = 1;
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
   {
-    nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(cfg);
     engine.add({{"a", 1.0, 1.0, {0.0, 0.0, 0.0}}});
     engine.run(nullptr);
   }
@@ -334,7 +336,7 @@ TEST(BatchCheckpoint, RestoreRejectsDifferentBatch) {
   nbatch::BatchConfig other = cfg;
   other.abortAfterCheckpoints = 0;
   other.restore = true;
-  nbatch::BatchEngine engine(model, other, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine engine(other);
   engine.add({{"a", 2.0, 1.0, {0.0, 0.0, 0.0}}});
   try {
     engine.run(nullptr);
@@ -343,6 +345,97 @@ TEST(BatchCheckpoint, RestoreRejectsDifferentBatch) {
     EXPECT_NE(std::string(e.what()).find("different batch"), std::string::npos) << e.what();
   }
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Input files are part of the batch: a restore after an edit of the
+// --fault-file or the --mesh-file is refused, and accepted again once the
+// original bytes are back.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Interrupt a one-request checkpointed batch after its first snapshot,
+/// overwrite `file` with `edited` and restore: refused as a different
+/// batch. With the original bytes back the same restore runs to completion.
+void expectRestoreRefusedAfterEdit(nbatch::BatchConfig cfg, const std::string& file,
+                                   const std::vector<char>& edited) {
+  const std::vector<char> original = readAll(file);
+  ASSERT_FALSE(original.empty()) << file;
+  ASSERT_NE(original, edited);
+  const nbatch::ScenarioRequest req{"a", 1.0, 1.0, {0.0, 0.0, 0.0}};
+  cfg.checkpointEveryCycles = 2;
+  cfg.checkpointPath = snapPath("edited_input");
+  cfg.abortAfterCheckpoints = 1;
+  {
+    nbatch::BatchEngine engine(cfg);
+    engine.add(req);
+    ASSERT_TRUE(engine.run(nullptr).interrupted);
+  }
+  cfg.abortAfterCheckpoints = 0;
+  cfg.restore = true;
+
+  writeAll(file, edited);
+  {
+    nbatch::BatchEngine engine(cfg);
+    engine.add(req);
+    try {
+      engine.run(nullptr);
+      ADD_FAILURE() << "restore after editing " << file << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("different batch"), std::string::npos) << e.what();
+    }
+  }
+
+  writeAll(file, original);
+  nbatch::BatchEngine engine(cfg);
+  engine.add(req);
+  const nbatch::BatchStats stats = engine.run(nullptr);
+  EXPECT_FALSE(stats.interrupted);
+  EXPECT_EQ(stats.completedRequests, 1);
+  std::remove(cfg.checkpointPath.c_str());
+}
+
+std::vector<char> bytesOf(const std::string& text) { return {text.begin(), text.end()}; }
+
+} // namespace
+
+TEST(BatchCheckpoint, RestoreRejectsEditedFaultFile) {
+  const std::string fault = "test_checkpoint_batch.fault";
+  const std::string stanza =
+      "subfault\nposition 450 500 -350\nmoment 0 0 0 MOMENT 0 0\n"
+      "stf 0.0 0.0\nstf 0.1 1.0\nstf 0.4 0.0\n";
+  const auto withMoment = [&](const std::string& m) {
+    std::string text = stanza;
+    text.replace(text.find("MOMENT"), 6, m);
+    return bytesOf(text);
+  };
+  writeAll(fault, withMoment("1e9"));
+  nbatch::BatchConfig cfg = smallBatch();
+  cfg.faultFile = fault;
+  expectRestoreRefusedAfterEdit(cfg, fault, withMoment("2e9"));
+  std::remove(fault.c_str());
+}
+
+TEST(BatchCheckpoint, RestoreRejectsEditedMeshFile) {
+  // The batch's own pipeline mesh, exported; the edit is the same box at a
+  // different jitter.
+  nbatch::BatchConfig cfg = smallBatch();
+  const auto meshBytes = [generated = cfg.pipeline](double jitter) {
+    npre::PipelineConfig p = generated;
+    p.jitter = jitter;
+    p.autoLambda = false;
+    const std::string tmp = "test_checkpoint_batch_tmp.msh";
+    nglts::mesh::writeGmshFile(npre::runPipeline(nbatch::quickstart::model(), p).mesh, tmp);
+    std::vector<char> bytes = readAll(tmp);
+    std::remove(tmp.c_str());
+    return bytes;
+  };
+  const std::string mesh = "test_checkpoint_batch.msh";
+  writeAll(mesh, meshBytes(cfg.pipeline.jitter));
+  cfg.pipeline.meshFile = mesh;
+  expectRestoreRefusedAfterEdit(cfg, mesh, meshBytes(0.1));
+  std::remove(mesh.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -401,10 +494,10 @@ TEST_F(SnapshotDamage, BitFlipFailsChecksum) {
 }
 
 TEST_F(SnapshotDamage, VersionMismatchIsDistinctFromCorruption) {
-  // A newer version and the older formats 1, 3 and 4 are all rejected by
-  // their version, not by the checksum error the changed byte would also
-  // cause.
-  for (const int version : {99, 1, 3, 4}) {
+  // A newer version and the older formats 1, 3, 4 and 6 are all rejected
+  // by their version, not by the checksum error the changed byte would
+  // also cause.
+  for (const int version : {99, 1, 3, 4, 6}) {
     std::vector<char> bytes = bytes_;
     bytes[8] = static_cast<char>(version); // version field (little-endian u32 at offset 8)
     writeAll(path_, bytes);
@@ -463,6 +556,38 @@ TEST_F(SnapshotDamage, OutOfRangeCycleCountFails) {
   expectLoadError("out-of-range cycle count");
 }
 
+TEST(RunEndTime, RejectsTimesWithoutAValidCycleCount) {
+  // `run(endTime)` applies the step-counter bound a restored cycle count
+  // meets above, and rejects times with no cycle count at all (-1 and NaN
+  // would otherwise cast to ~2^64 and 2^63 cycles, inf to 0).
+  const Fixture fx(nsol::TimeScheme::kLtsNextGen);
+  auto sim = fx.makeSim<1>();
+  const double dt = sim->cycleDt();
+  EXPECT_EQ(sim->cyclesFor(0.0), 0u);
+  EXPECT_EQ(sim->cyclesFor(dt), 1u);
+  EXPECT_EQ(sim->cyclesFor(2.5 * dt), 3u);
+  // Cluster 0 steps cycles * 2^(nc - 1) times, and that must fit idx_t.
+  const int_t nc = sim->clustering().numClusters;
+  ASSERT_EQ(nc, 3);
+  const double limit = std::ldexp(1.0, std::numeric_limits<idx_t>::digits - (nc - 1));
+  EXPECT_EQ(sim->cyclesFor(0.5 * limit * dt), static_cast<std::uint64_t>(0.5 * limit));
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, const char*> bad[] = {
+      {-1.0, "end time -1 "}, {-0.5 * dt, "end time -"},
+      {std::nan(""), "nan"},  {inf, "end time inf "},
+      {-inf, "end time -inf "}, {2.0 * limit * dt, "end time "},
+      {1e300, "end time 1.0000000000000001e+300 "}};
+  for (const auto& [endTime, needle] : bad) {
+    try {
+      sim->run(endTime);
+      ADD_FAILURE() << "run(" << endTime << ") was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(sim->receiver(0).traces[0].times.size(), 0u) << "a rejected run stepped";
+}
+
 TEST_F(SnapshotDamage, MissingFileFails) {
   EXPECT_THROW(nbatch::peekSnapshot("does_not_exist.snap"), std::runtime_error);
 }
@@ -480,8 +605,8 @@ TEST_F(SnapshotDamage, RunBoundaryMarkerCarriesNoState) {
 // Precision field
 // ---------------------------------------------------------------------------
 
-TEST_F(SnapshotDamage, CurrentSnapshotIsV6F64) {
-  EXPECT_EQ(nbatch::kSnapshotVersion, 6u);
+TEST_F(SnapshotDamage, CurrentSnapshotIsV7F64) {
+  EXPECT_EQ(nbatch::kSnapshotVersion, 7u);
   EXPECT_EQ(bytes_[8], static_cast<char>(nbatch::kSnapshotVersion));
   EXPECT_EQ(nbatch::peekSnapshot(path_).precision, nsol::Precision::kF64);
 }
@@ -516,17 +641,13 @@ TEST_F(SnapshotDamage, F32RoundTripIsBitwiseIdentical) {
 }
 
 TEST(BatchCheckpoint, RestoreRejectsPrecisionFlip) {
-  nbatch::BatchConfig cfg = nbatch::quickstartBatchConfig();
-  cfg.endTime = 0.2;
-  cfg.pipeline.minEdge /= 0.4;
-  cfg.pipeline.maxEdge /= 0.4;
+  nbatch::BatchConfig cfg = smallBatch();
   const std::string path = snapPath("precision");
   cfg.checkpointEveryCycles = 2;
   cfg.checkpointPath = path;
   cfg.abortAfterCheckpoints = 1;
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
   {
-    nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(cfg);
     engine.add({{"a", 1.0, 1.0, {0.0, 0.0, 0.0}}});
     engine.run(nullptr);
   }
@@ -536,7 +657,7 @@ TEST(BatchCheckpoint, RestoreRejectsPrecisionFlip) {
   other.abortAfterCheckpoints = 0;
   other.restore = true;
   other.sim.precision = nsol::Precision::kF32;
-  nbatch::BatchEngine engine(model, other, nbatch::quickstartBatchModelKey());
+  nbatch::BatchEngine engine(other);
   engine.add({{"a", 1.0, 1.0, {0.0, 0.0, 0.0}}});
   try {
     engine.run(nullptr);
@@ -550,20 +671,16 @@ TEST(BatchCheckpoint, RestoreRejectsPrecisionFlip) {
 TEST(BatchCheckpoint, F32BatchCheckpointRoundTrip) {
   // The full kill/resume path at f32: interrupted + restored results must
   // bitwise-match the uninterrupted f32 batch.
-  nbatch::BatchConfig cfg = nbatch::quickstartBatchConfig();
-  cfg.endTime = 0.2;
-  cfg.pipeline.minEdge /= 0.4;
-  cfg.pipeline.maxEdge /= 0.4;
+  nbatch::BatchConfig cfg = smallBatch();
   cfg.maxFusedWidth = 2;
   cfg.sim.precision = nsol::Precision::kF32;
   const std::vector<nbatch::ScenarioRequest> reqs = {
       {"a", 1.0, 1.0, {0.0, 0.0, 0.0}},
       {"b", 1.5, 1.0, {10.0, 0.0, 0.0}},
   };
-  const nsei::LayeredModel model = nbatch::quickstartBatchModel();
   std::vector<nbatch::RequestResult> want;
   {
-    nbatch::BatchEngine engine(model, cfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(cfg);
     engine.add(reqs);
     engine.run([&](const nbatch::RequestResult& r) { want.push_back(r); });
   }
@@ -576,7 +693,7 @@ TEST(BatchCheckpoint, F32BatchCheckpointRoundTrip) {
   ckCfg.abortAfterCheckpoints = 1;
   std::vector<nbatch::RequestResult> collected;
   {
-    nbatch::BatchEngine engine(model, ckCfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(ckCfg);
     engine.add(reqs);
     EXPECT_TRUE(engine.run([&](const nbatch::RequestResult& r) {
       collected.push_back(r);
@@ -586,7 +703,7 @@ TEST(BatchCheckpoint, F32BatchCheckpointRoundTrip) {
   reCfg.abortAfterCheckpoints = 0;
   reCfg.restore = true;
   {
-    nbatch::BatchEngine engine(model, reCfg, nbatch::quickstartBatchModelKey());
+    nbatch::BatchEngine engine(reCfg);
     engine.add(reqs);
     engine.run([&](const nbatch::RequestResult& r) { collected.push_back(r); });
   }

@@ -302,6 +302,22 @@ TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
+TEST(Cli, EndTimeWithoutAValidCycleCountIsAUsageError) {
+  // inf passes the "> 0" flag check; the engine (and the batch config)
+  // reject it with a message naming the value instead of running 0 cycles.
+  const std::pair<const char*, const char*> cases[] = {
+      {"-s quickstart --scale 0.3 -q --end-time inf", "end time inf"},
+      {"-s batch --batch-size 1 --scale 0.3 -q --end-time inf", "endTime must be finite"},
+  };
+  for (const auto& [flags, expected] : cases) {
+    int status = 0;
+    const std::string err = cliStderr(flags, status);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << "\n" << err;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags << "\n" << err;
+    EXPECT_NE(err.find(expected), std::string::npos) << err;
+  }
+}
+
 TEST(Cli, RemovedOptionsAreUsageErrors) {
   // Deleted variants fail as usage errors instead of silently running the
   // remaining one: a removed value of a kept flag, and a removed flag.

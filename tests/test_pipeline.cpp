@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "pre/config_hash.hpp"
 #include "pre/pipeline.hpp"
-#include "pre/pipeline_cache.hpp"
 #include "solver/simulation.hpp"
 
 namespace npre = nglts::pre;
@@ -106,27 +106,23 @@ TEST(Pipeline, OutputRunsInSolver) {
 }
 
 // ---------------------------------------------------------------------------
-// Memoization key (pre/pipeline_cache.hpp). The key is the batch engine's
-// cache identity AND the checkpoint fingerprint ingredient, so its value is
-// a golden contract: the rows below pin the exact FNV-1a digests. If one of
-// these changes, either the hash algorithm or the field order changed —
-// both invalidate persisted snapshots and must be deliberate (bump
-// batch::kSnapshotVersion and re-pin).
+// Config key (pre/config_hash.hpp). The key is the pipeline's ingredient of
+// the batch checkpoint fingerprint, so its value is a golden contract: the
+// rows below pin the exact FNV-1a digests. If one of these changes, either
+// the hash algorithm or the field order changed — both invalidate persisted
+// snapshots and must be deliberate (bump batch::kSnapshotVersion and
+// re-pin).
 // ---------------------------------------------------------------------------
 
-TEST(PipelineCacheKey, GoldenValuesArePinned) {
-  const npre::PipelineConfig def;
-  EXPECT_EQ(npre::pipelineCacheKey(def, 0), UINT64_C(4425698662607820973));
-  EXPECT_EQ(npre::pipelineCacheKey(def, UINT64_C(0x9e3779b97f4a7c15)),
-            UINT64_C(7133846268004543868));
-  EXPECT_EQ(npre::pipelineCacheKey(smallConfig(), 0), UINT64_C(18024219906884663554));
-  EXPECT_EQ(npre::hashDouble(1.0), UINT64_C(5355952580483250426));
+TEST(PipelineConfigKey, GoldenValuesArePinned) {
+  EXPECT_EQ(npre::pipelineConfigKey(npre::PipelineConfig{}), UINT64_C(13763504399294597581));
+  EXPECT_EQ(npre::pipelineConfigKey(smallConfig()), UINT64_C(9462174098186013762));
 }
 
-TEST(PipelineCacheKey, EveryCacheRelevantFieldPerturbsTheKey) {
-  // One mutator per cache-relevant field. Each must produce a key different
-  // from the base AND from every other mutation (a field the hash silently
-  // ignores would poison the cache: two configs sharing one result).
+TEST(PipelineConfigKey, EveryResultShapingFieldPerturbsTheKey) {
+  // One mutator per field that shapes a PipelineResult. Each must produce a
+  // key different from the base AND from every other mutation (a field the
+  // hash silently ignored would let two configs share one identity).
   using Mut = std::function<void(npre::PipelineConfig&)>;
   const std::vector<std::pair<std::string, Mut>> mutations = {
       {"lo[0]", [](auto& c) { c.lo[0] = 1.0; }},
@@ -152,67 +148,39 @@ TEST(PipelineCacheKey, EveryCacheRelevantFieldPerturbsTheKey) {
        }},
       {"numPartitions", [](auto& c) { c.numPartitions = 2; }},
       {"freeSurfaceTop", [](auto& c) { c.freeSurfaceTop = false; }},
-      // External-file ingestion: the *content* hashes are cache-relevant
-      // (the path strings are deliberately not — moving a file must not
-      // invalidate, editing it must).
-      {"meshContentHash", [](auto& c) { c.meshContentHash = 1; }},
-      {"faultContentHash", [](auto& c) { c.faultContentHash = 1; }},
   };
 
   const npre::PipelineConfig base;
-  const std::uint64_t baseKey = npre::pipelineCacheKey(base, 0);
+  const std::uint64_t baseKey = npre::pipelineConfigKey(base);
   std::map<std::uint64_t, std::string> seen{{baseKey, "base"}};
   for (const auto& [name, mutate] : mutations) {
     npre::PipelineConfig cfg = base;
     mutate(cfg);
-    const std::uint64_t key = npre::pipelineCacheKey(cfg, 0);
-    EXPECT_NE(key, baseKey) << "field ignored by the cache key: " << name;
+    const std::uint64_t key = npre::pipelineConfigKey(cfg);
+    EXPECT_NE(key, baseKey) << "field ignored by the config key: " << name;
     const auto [it, inserted] = seen.emplace(key, name);
     EXPECT_TRUE(inserted) << name << " collides with " << it->second;
   }
-  // The velocity-model key is cache-relevant too.
-  const std::uint64_t modelPerturbed = npre::pipelineCacheKey(base, 7);
-  EXPECT_NE(modelPerturbed, baseKey) << "modelKey ignored by the cache key";
-  EXPECT_TRUE(seen.emplace(modelPerturbed, "modelKey").second);
+  // The mesh file enters by its bytes (`fileContentKey`), never by its path.
+  npre::PipelineConfig withFile = base;
+  withFile.meshFile = "some/path.msh";
+  EXPECT_EQ(npre::pipelineConfigKey(withFile), baseKey);
 }
 
-TEST(PipelineCacheKey, LambdaIsFoldedOutWhileTheSweepIsOn) {
+TEST(PipelineConfigKey, LambdaIsFoldedOutWhileTheSweepIsOn) {
   // With autoLambda on, the fixed lambda is ignored by the pipeline — two
-  // configs differing only there must share a cache slot.
+  // configs differing only there must share an identity.
   npre::PipelineConfig a, b;
   a.autoLambda = b.autoLambda = true;
   a.lambda = 0.7;
   b.lambda = 0.9;
-  EXPECT_EQ(npre::pipelineCacheKey(a, 0), npre::pipelineCacheKey(b, 0));
+  EXPECT_EQ(npre::pipelineConfigKey(a), npre::pipelineConfigKey(b));
 }
 
-TEST(PipelineCacheKey, NegativeZeroFoldsToPositiveZero) {
+TEST(PipelineConfigKey, NegativeZeroFoldsToPositiveZero) {
   npre::PipelineConfig a = smallConfig();
   npre::PipelineConfig b = smallConfig();
   a.hi[2] = 0.0;
   b.hi[2] = -0.0;
-  EXPECT_EQ(npre::pipelineCacheKey(a, 0), npre::pipelineCacheKey(b, 0));
-}
-
-TEST(PipelineCache, RepeatedConfigHitsRelevantDeltaMisses) {
-  const nsei::Loh3Model model(0.0);
-  npre::PipelineCache cache;
-
-  const auto first = cache.get(model, smallConfig());
-  EXPECT_EQ(cache.builds(), 1);
-  EXPECT_EQ(cache.hits(), 0);
-
-  // Same config again: served from the cache, same shared artifact.
-  const auto second = cache.get(model, smallConfig());
-  EXPECT_EQ(cache.builds(), 1);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(second.get(), first.get());
-
-  // Cache-relevant change: rebuilt.
-  npre::PipelineConfig finer = smallConfig();
-  finer.minEdge = 150.0;
-  const auto third = cache.get(model, finer);
-  EXPECT_EQ(cache.builds(), 2);
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_NE(third.get(), first.get());
+  EXPECT_EQ(npre::pipelineConfigKey(a), npre::pipelineConfigKey(b));
 }

@@ -8,17 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cli/scenario.hpp"
 #include "seismo/misfit.hpp"
+#include "solver_fixtures.hpp"
 
 namespace nc = nglts::cli;
 namespace ns = nglts::solver;
 namespace nsei = nglts::seismo;
+using nglts::test::goldenQuickstartOptions;
+using nglts::test::readGoldenTrace;
 
 namespace {
 
@@ -41,41 +43,11 @@ const nc::Scenario* scenario(const std::string& name) {
   return nc::ScenarioRegistry::instance().find(name);
 }
 
-/// Same parser as the golden section of test_solver_lts.cpp: x-velocity
-/// column of the committed quickstart fixture.
-std::vector<double> readGoldenTrace(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<double> vx;
-  if (!in) return vx;
-  std::string line;
-  std::getline(in, line); // header
-  while (std::getline(in, line)) {
-    const auto comma = line.find(',');
-    if (comma == std::string::npos) continue;
-    vx.push_back(std::stod(line.substr(comma + 1)));
-  }
-  return vx;
-}
-
-/// The exact options the golden fixtures were generated with (see
-/// test_solver_lts.cpp), plus the precision under test.
-nc::ScenarioOptions goldenOpts(ns::TimeScheme scheme, ns::Precision precision) {
-  nc::ScenarioOptions opts;
-  opts.order = 3;
-  opts.scheme = scheme;
-  opts.meshScale = 0.4;
-  opts.endTime = 0.8;
-  opts.lambda = 0.9;
-  opts.quiet = true;
-  opts.precision = precision;
-  return opts;
-}
-
 /// Run quickstart at f32 and gate against the committed f64 golden trace.
 void checkQuickstartF32Golden(ns::TimeScheme scheme, const std::string& file) {
   const nc::Scenario* s = scenario("quickstart");
   ASSERT_NE(s, nullptr);
-  const nc::ScenarioReport report = s->run(goldenOpts(scheme, ns::Precision::kF32));
+  const nc::ScenarioReport report = s->run(goldenQuickstartOptions(scheme, ns::Precision::kF32));
   EXPECT_EQ(report.config.precision, ns::Precision::kF32);
   EXPECT_NE(report.summary.find("precision: f32"), std::string::npos) << report.summary;
 
@@ -155,9 +127,9 @@ TEST(PrecisionMisfit, QuickstartBaselineF32MatchesF64) {
   const nc::Scenario* s = scenario("quickstart");
   ASSERT_NE(s, nullptr);
   const nc::ScenarioReport f64 =
-      s->run(goldenOpts(ns::TimeScheme::kLtsBaseline, ns::Precision::kF64));
+      s->run(goldenQuickstartOptions(ns::TimeScheme::kLtsBaseline, ns::Precision::kF64));
   const nc::ScenarioReport f32 =
-      s->run(goldenOpts(ns::TimeScheme::kLtsBaseline, ns::Precision::kF32));
+      s->run(goldenQuickstartOptions(ns::TimeScheme::kLtsBaseline, ns::Precision::kF32));
   EXPECT_NE(f64.summary.find("precision: f64"), std::string::npos) << f64.summary;
   EXPECT_NE(f32.summary.find("precision: f32"), std::string::npos) << f32.summary;
   ASSERT_EQ(f32.trace.size(), f64.trace.size());
@@ -197,7 +169,8 @@ TEST(PrecisionMisfit, Loh3F32MatchesF64) {
 TEST(PrecisionMisfit, QuickstartF32FusedWidth2MatchesGolden) {
   const nc::Scenario* s = scenario("quickstart");
   ASSERT_NE(s, nullptr);
-  nc::ScenarioOptions opts = goldenOpts(ns::TimeScheme::kLtsNextGen, ns::Precision::kF32);
+  nc::ScenarioOptions opts =
+      goldenQuickstartOptions(ns::TimeScheme::kLtsNextGen, ns::Precision::kF32);
   opts.fusedWidth = 2;
   const nc::ScenarioReport report = s->run(opts);
   const auto golden =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -113,32 +112,11 @@ namespace {
 #define NGLTS_GOLDEN_DIR "tests/golden"
 #endif
 
-std::vector<double> readGoldenTrace(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<double> vx;
-  if (!in) return vx;
-  std::string line;
-  std::getline(in, line); // header
-  while (std::getline(in, line)) {
-    const auto comma = line.find(',');
-    if (comma == std::string::npos) continue;
-    vx.push_back(std::stod(line.substr(comma + 1)));
-  }
-  return vx;
-}
-
 void checkGoldenQuickstart(ns::TimeScheme scheme, const std::string& file) {
   nglts::cli::registerBuiltinScenarios();
   const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find("quickstart");
   ASSERT_NE(s, nullptr);
-  nglts::cli::ScenarioOptions opts;
-  opts.order = 3;
-  opts.scheme = scheme;
-  opts.meshScale = 0.4;
-  opts.endTime = 0.8;
-  opts.lambda = 0.9;
-  opts.quiet = true;
-  const nglts::cli::ScenarioReport report = s->run(opts);
+  const nglts::cli::ScenarioReport report = s->run(goldenQuickstartOptions(scheme));
 
   const auto golden = readGoldenTrace(std::string(NGLTS_GOLDEN_DIR) + "/" + file);
   ASSERT_FALSE(golden.empty()) << "missing golden fixture " << file;
