@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "common/table.hpp"
 #include "solver/simulation.hpp"
 #include "solver/threading.hpp"
 
@@ -76,8 +75,8 @@ int main() {
       {"baseline [15] LTS (1.0)", solver::TimeScheme::kLtsBaseline, 1.0},
   };
 
-  Table table({"configuration", "1-sim GFLOPS", "1-sim speedup", "16-fused GFLOPS",
-               "16-fused speedup/sim"});
+  std::printf("%-24s %13s %14s %16s %21s\n", "configuration", "1-sim GFLOPS", "1-sim speedup",
+              "16-fused GFLOPS", "16-fused speedup/sim");
   bench::JsonReport json;
   json.set("bench", "tab1_performance");
   json.set("kernel_backend", bench::benchKernelLabel());
@@ -97,8 +96,8 @@ int main() {
     if (gtsCost1 == 0.0) gtsCost1 = c1;
     costs.push_back({c1, c16});
     gflops.push_back({p1.gflops, p16.gflops});
-    table.addRow({r.name, formatNumber(p1.gflops, "%.1f"), formatNumber(gtsCost1 / c1, "%.2f"),
-                  formatNumber(p16.gflops, "%.1f"), formatNumber(gtsCost1 / c16, "%.2f")});
+    std::printf("%-24s %13.1f %14.2f %16.1f %21.2f\n", r.name, p1.gflops, gtsCost1 / c1,
+                p16.gflops, gtsCost1 / c16);
     json.beginRow();
     json.rowSet("configuration", r.name);
     json.rowSet("gflops_1sim", p1.gflops);
@@ -108,10 +107,7 @@ int main() {
     json.rowSet("updates_per_sec_16fused", p16.updatesPerSec);
     json.rowSet("speedup_per_sim_16fused", gtsCost1 / c16);
   }
-  std::printf("%s\n", table.str().c_str());
-  table.writeCsv("tab1_performance.csv");
-
-  std::printf("paper Tab. I speedups over single-sim GTS:\n");
+  std::printf("\npaper Tab. I speedups over single-sim GTS:\n");
   std::printf("  EDGE: GTS 1.00/1.80, LTS(1.0) 2.14/3.91, LTS(0.8) 2.51/4.51\n");
   std::printf("  SeisSol(GTS/LTS single): 0.92 / 1.70\n");
   std::printf("measured next-gen over baseline (single, lambda 1.0): %.2fx (paper: >1.26x)\n",

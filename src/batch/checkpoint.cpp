@@ -8,6 +8,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "pre/config_hash.hpp"
+
 namespace nglts::batch {
 
 namespace {
@@ -28,13 +30,11 @@ constexpr std::uint32_t precisionTagOf() {
   return std::is_same_v<Real, float> ? kPrecTagF32 : kPrecTagF64;
 }
 
-std::uint64_t fnv1a(const unsigned char* p, std::size_t n) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+/// The trailer: FNV-1a 64 over the bytes before it.
+std::uint64_t checksum(const unsigned char* p, std::size_t n) {
+  pre::ConfigHasher h;
+  h.bytes(p, n);
+  return h.digest();
 }
 
 class Writer {
@@ -60,7 +60,7 @@ class Writer {
   }
 
   const std::vector<unsigned char>& data() const { return buf_; }
-  void appendChecksum() { u64(fnv1a(buf_.data(), buf_.size())); }
+  void appendChecksum() { u64(checksum(buf_.data(), buf_.size())); }
 
  private:
   std::vector<unsigned char> buf_;
@@ -128,7 +128,7 @@ SnapshotInfo validateAndParseHeader(const std::vector<unsigned char>& buf,
   if (version != kSnapshotVersion)
     throw std::runtime_error("snapshot '" + path + "' has version " + std::to_string(version) +
                              ", this build reads version " + std::to_string(kSnapshotVersion));
-  const std::uint64_t expect = fnv1a(buf.data(), buf.size() - 8);
+  const std::uint64_t expect = checksum(buf.data(), buf.size() - 8);
   std::uint64_t trailer = 0;
   for (int i = 0; i < 8; ++i)
     trailer |= static_cast<std::uint64_t>(buf[buf.size() - 8 + i]) << (8 * i);

@@ -2,11 +2,13 @@
 // scenarios with flag overrides for order, scheme, cluster count, fused
 // width, end time and mesh scale. See src/cli/scenario.hpp for the
 // scenario/registry API and scenarios_builtin.cpp for the workloads.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "cli/scenario.hpp"
 #include "common/log.hpp"
@@ -124,9 +126,11 @@ int main(int argc, char** argv) {
   std::string scenarioName = "quickstart";
   ScenarioOptions opts;
   bool list = false;
+  std::vector<std::string> given; // every flag on the command line
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    given.push_back(arg);
     if (arg == "-h" || arg == "--help") {
       printUsage();
       return 0;
@@ -213,6 +217,12 @@ int main(int argc, char** argv) {
     for (const auto& n : registry.names()) std::fprintf(stderr, "  %s\n", n.c_str());
     return 2;
   }
+  const std::vector<std::string> unreadFlags = scenario->unreadFlags();
+  std::string unread;
+  for (const std::string& flag : given)
+    if (std::find(unreadFlags.begin(), unreadFlags.end(), flag) != unreadFlags.end())
+      unread += (unread.empty() ? "" : ", ") + flag;
+  if (!unread.empty()) usageError("scenario '" + scenarioName + "' does not read " + unread);
 
   // MPI transport: one nglts process per rank under mpirun. Rank count
   // defaults to the world size (`mpirun -n 4 nglts ... --transport mpi`

@@ -154,6 +154,11 @@ class Scenario {
   /// must throw `std::invalid_argument` on out-of-range overrides.
   virtual solver::SimConfig resolveConfig(const ScenarioOptions& opts) const = 0;
 
+  /// The `nglts` flags this scenario does not read (long form, e.g.
+  /// "--restore"). The driver rejects each as a usage error naming the flag
+  /// and the scenario, instead of running without it.
+  virtual std::vector<std::string> unreadFlags() const = 0;
+
   /// Build the scenario (mesh, materials, sources, receivers), run it and
   /// report. Throws `std::invalid_argument` on bad options and
   /// `std::runtime_error` on setup failures (e.g. receiver outside mesh).

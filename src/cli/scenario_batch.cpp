@@ -39,6 +39,10 @@ std::vector<batch::ScenarioRequest> synthesizeRequests(int_t n) {
 class BatchScenario final : public Scenario {
  public:
   std::string name() const override { return "batch"; }
+  /// Every request runs on one rank, on the pipeline's own mesh.
+  std::vector<std::string> unreadFlags() const override {
+    return {"--ranks", "--transport", "--write-mesh"};
+  }
   std::string description() const override {
     return "ensemble batch of perturbed quickstart requests: memoized "
            "preprocessing, automatic lane packing, checkpoint/restart";

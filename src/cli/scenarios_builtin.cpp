@@ -80,6 +80,12 @@ std::string misfitText(std::optional<double> misfit) {
 template <typename Derived, bool kF64, int DefaultW>
 class BuiltinScenario : public Scenario {
  public:
+  /// The batch scenario's flags.
+  std::vector<std::string> unreadFlags() const override {
+    return {"--batch-manifest", "--batch-size", "--checkpoint", "--checkpoint-every",
+            "--restore"};
+  }
+
   ScenarioReport run(const ScenarioOptions& opts) const final {
     const solver::SimConfig cfg = resolveConfig(opts);
     const auto& self = static_cast<const Derived&>(*this);
@@ -550,6 +556,12 @@ class LaHabraScenario final : public BuiltinScenario<LaHabraScenario, false, 1> 
   static constexpr int_t kDefaultRanks = 4;
 
   std::string name() const override { return "lahabra"; }
+  /// lahabra has no receivers, so `--output` has nothing to write.
+  std::vector<std::string> unreadFlags() const override {
+    std::vector<std::string> flags = BuiltinScenario::unreadFlags();
+    flags.push_back("--output");
+    return flags;
+  }
   std::string description() const override {
     return "La Habra-like basin through the full preprocessing pipeline, then "
            "a distributed run (any scheme, any listed f32 fused width); GTS and LTS "

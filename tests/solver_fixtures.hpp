@@ -1,15 +1,19 @@
 #pragma once
 // Simulation fixtures shared by the solver suites (test_solver_lts,
 // test_fused, test_threaded_equivalence, test_precision), by test_slow,
-// which runs their multi-second cases under the `slow` ctest label, and by
-// the determinism matrix (test_determinism).
+// which runs their multi-second cases under the `slow` ctest label, by
+// the determinism matrix (test_determinism), and the one memo every suite
+// keeps its reference runs in (`memoized`).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "cli/scenario.hpp"
@@ -20,6 +24,25 @@
 #include "solver/simulation.hpp"
 
 namespace nglts::test {
+
+/// The table behind `memoized`: one per (key type, value type) pair.
+template <typename Key, typename Value>
+std::map<Key, Value>& memoTable() {
+  static std::map<Key, Value> table;
+  return table;
+}
+
+/// The value `make()` returns for `key`, computed on the first call with
+/// that key and kept for the rest of the test process, so every gate that
+/// compares against the same reference run shares one run. `key` must name
+/// the whole configuration the value depends on.
+template <typename Key, typename Make>
+const auto& memoized(const Key& key, Make&& make) {
+  auto& table = memoTable<Key, std::invoke_result_t<Make&>>();
+  auto it = table.find(key);
+  if (it == table.end()) it = table.emplace(key, make()).first;
+  return it->second;
+}
 
 /// Small two-velocity-layer box (vs 400 above z = 500 m, 1600 below) on
 /// [0, 1000]^3, jittered, free surface on top — a miniature LOH-style
@@ -125,34 +148,41 @@ solver::Simulation<Real, W> makeSmallSim(
   return solver::Simulation<Real, W>(std::move(mesh), std::move(mats), cfg);
 }
 
-/// Run a pulse and return the final-state energy-like norm of lane `lane`.
+/// Every lane's final state after the Gaussian pulse run of
+/// `makeSmallSim<Real, W>(order, mechs, sparse)` to t = 0.25 s: lane `w`
+/// holds all element DOFs in element, quantity, basis order. Run once per
+/// configuration and process.
 template <typename Real, int W>
-std::vector<double> runPulse(solver::Simulation<Real, W>& sim, int_t lane) {
-  sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
-    for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
-    const double r2 = (x[0] - 400.0) * (x[0] - 400.0) + (x[1] - 400.0) * (x[1] - 400.0) +
-                      (x[2] + 400.0) * (x[2] + 400.0);
-    q9[kVelU] = std::exp(-r2 / 22500.0);
+const std::vector<std::vector<double>>& pulseLanes(int_t order, int_t mechs, bool sparse) {
+  const auto key = std::make_tuple(sizeof(Real), W, order, mechs, sparse);
+  return memoized(key, [&] {
+    auto sim = makeSmallSim<Real, W>(order, mechs, sparse);
+    sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
+      for (int_t v = 0; v < 9; ++v) q9[v] = 0.0;
+      const double r2 = (x[0] - 400.0) * (x[0] - 400.0) + (x[1] - 400.0) * (x[1] - 400.0) +
+                        (x[2] + 400.0) * (x[2] + 400.0);
+      q9[kVelU] = std::exp(-r2 / 22500.0);
+    });
+    sim.run(0.25);
+    std::vector<std::vector<double>> lanes(W);
+    const int_t nb = sim.kernels().numBasis();
+    for (idx_t e = 0; e < sim.meshRef().numElements(); ++e) {
+      const Real* q = sim.dofs(e);
+      for (int_t v = 0; v < 9; ++v)
+        for (int_t b = 0; b < nb; ++b)
+          for (int w = 0; w < W; ++w)
+            lanes[w].push_back(
+                static_cast<double>(q[(static_cast<std::size_t>(v) * nb + b) * W + w]));
+    }
+    return lanes;
   });
-  sim.run(0.25);
-  std::vector<double> out;
-  const int_t nb = sim.kernels().numBasis();
-  for (idx_t e = 0; e < sim.meshRef().numElements(); ++e) {
-    const Real* q = sim.dofs(e);
-    for (int_t v = 0; v < 9; ++v)
-      for (int_t b = 0; b < nb; ++b)
-        out.push_back(static_cast<double>(q[(static_cast<std::size_t>(v) * nb + b) * W + lane]));
-  }
-  return out;
 }
 
 /// The full LTS anelastic stack at one order (smoke-level integration
 /// property: finite, nonzero, stable output).
 inline void checkLtsAnelasticStable(int_t order) {
-  auto sim = makeSmallSim<double, 1>(order, 3, order >= 4);
-  const auto q = runPulse(sim, 0);
   double norm = 0.0;
-  for (double v : q) {
+  for (double v : pulseLanes<double, 1>(order, 3, order >= 4)[0]) {
     ASSERT_TRUE(std::isfinite(v));
     norm += v * v;
   }

@@ -19,6 +19,7 @@
 #include "batch/manifest.hpp"
 #include "pre/pipeline.hpp"
 #include "solver/simulation.hpp"
+#include "solver_fixtures.hpp"
 
 namespace nbatch = nglts::batch;
 namespace npre = nglts::pre;
@@ -53,36 +54,47 @@ std::vector<nbatch::ScenarioRequest> mixedRequests() {
   };
 }
 
-/// Ground truth: run one request through the *non-batched* path — the
-/// production pipeline plus a W = 1 `Simulation` — mirroring what a user
-/// script would do per ensemble member. No BatchEngine involvement.
-nsei::Seismogram independentRun(const nbatch::BatchConfig& cfg,
-                                const nbatch::ScenarioRequest& req) {
-  npre::PipelineConfig p = cfg.pipeline;
-  p.order = cfg.sim.order;
-  p.mechanisms = cfg.sim.mechanisms;
-  p.cfl = cfg.sim.cfl;
-  const bool gts = cfg.sim.scheme == nsol::TimeScheme::kGts;
-  p.numClusters = gts ? 1 : cfg.sim.numClusters;
-  p.autoLambda = gts ? false : cfg.sim.autoLambda;
-  p.lambda = cfg.sim.lambda;
-  p.numPartitions = 1;
-
-  const nsei::LayeredModel base = nbatch::quickstart::model();
-  const nbatch::ScaledVelocityModel scaled(base, req.materialScale);
-  const npre::PipelineResult pipe = npre::runPipeline(scaled, p);
-
-  nsol::SimConfig rc = cfg.sim;
-  rc.lambda = pipe.clustering.lambda;
-  rc.autoLambda = false;
-  nsol::Simulation<double, 1> sim(pipe.mesh, pipe.materials, rc);
-  sim.addPointSource(nbatch::quickstart::source(), {req.sourceScale});
-  const auto& at = nbatch::quickstart::kReceiverPosition;
-  const idx_t rec = sim.addReceiver({at[0] + req.receiverOffset[0], at[1] + req.receiverOffset[1],
-                                     at[2] + req.receiverOffset[2]});
-  EXPECT_GE(rec, 0);
-  sim.run(cfg.endTime);
-  return sim.receiver(rec).traces[0];
+/// Ground truth: run one request of `smallBatchConfig(scheme)` through the
+/// *non-batched* path — the production pipeline plus a W = 1 `Simulation` —
+/// mirroring what a user script would do per ensemble member. No
+/// BatchEngine involvement. The pipeline runs once per (scheme, material
+/// scale) and the solve once per distinct request content, in each test
+/// process.
+const nsei::Seismogram& independentRun(nsol::TimeScheme scheme,
+                                       const nbatch::ScenarioRequest& req) {
+  const nbatch::BatchConfig cfg = smallBatchConfig(scheme);
+  const npre::PipelineResult& pipe =
+      nglts::test::memoized(std::make_tuple(scheme, req.materialScale), [&] {
+        npre::PipelineConfig p = cfg.pipeline;
+        p.order = cfg.sim.order;
+        p.mechanisms = cfg.sim.mechanisms;
+        p.cfl = cfg.sim.cfl;
+        const bool gts = scheme == nsol::TimeScheme::kGts;
+        p.numClusters = gts ? 1 : cfg.sim.numClusters;
+        p.autoLambda = gts ? false : cfg.sim.autoLambda;
+        p.lambda = cfg.sim.lambda;
+        p.numPartitions = 1;
+        const nsei::LayeredModel base = nbatch::quickstart::model();
+        const nbatch::ScaledVelocityModel scaled(base, req.materialScale);
+        return npre::runPipeline(scaled, p);
+      });
+  const auto key = std::make_tuple(scheme, req.materialScale, req.sourceScale,
+                                   req.receiverOffset[0], req.receiverOffset[1],
+                                   req.receiverOffset[2]);
+  return nglts::test::memoized(key, [&] {
+    nsol::SimConfig rc = cfg.sim;
+    rc.lambda = pipe.clustering.lambda;
+    rc.autoLambda = false;
+    nsol::Simulation<double, 1> sim(pipe.mesh, pipe.materials, rc);
+    sim.addPointSource(nbatch::quickstart::source(), {req.sourceScale});
+    const auto& at = nbatch::quickstart::kReceiverPosition;
+    const idx_t rec = sim.addReceiver({at[0] + req.receiverOffset[0],
+                                       at[1] + req.receiverOffset[1],
+                                       at[2] + req.receiverOffset[2]});
+    EXPECT_GE(rec, 0);
+    sim.run(cfg.endTime);
+    return sim.receiver(rec).traces[0];
+  });
 }
 
 void expectBitwiseEqual(const nsei::Seismogram& got, const nsei::Seismogram& want,
@@ -120,9 +132,9 @@ TEST_P(BatchEquivalence, MatchesIndependentRunsAtEveryWidth) {
   const nbatch::BatchConfig cfg = smallBatchConfig(GetParam());
   const std::vector<nbatch::ScenarioRequest> reqs = mixedRequests();
 
-  // Independent references, one pipeline + W = 1 solve per request.
+  // Independent references, one W = 1 solve per request.
   std::vector<nsei::Seismogram> want;
-  for (const auto& r : reqs) want.push_back(independentRun(cfg, r));
+  for (const auto& r : reqs) want.push_back(independentRun(GetParam(), r));
 
   for (const int_t width : {int_t{1}, int_t{2}, int_t{4}}) {
     nbatch::BatchConfig wcfg = cfg;
@@ -169,7 +181,7 @@ TEST(BatchEngine, EightRequestsOnePipelineBuild) {
   }
 
   std::vector<nsei::Seismogram> want;
-  for (const auto& r : reqs) want.push_back(independentRun(cfg, r));
+  for (const auto& r : reqs) want.push_back(independentRun(nsol::TimeScheme::kLtsNextGen, r));
 
   nbatch::BatchStats stats;
   const auto results = runBatch(cfg, reqs, &stats);

@@ -23,6 +23,7 @@
 #include "parallel/dist_sim.hpp"
 #include "pre/pipeline.hpp"
 #include "solver/simulation.hpp"
+#include "solver_fixtures.hpp"
 
 namespace nbatch = nglts::batch;
 namespace npar = nglts::parallel;
@@ -31,6 +32,7 @@ namespace nsol = nglts::solver;
 namespace nsei = nglts::seismo;
 using nglts::idx_t;
 using nglts::int_t;
+using nglts::test::memoized;
 
 namespace {
 
@@ -98,6 +100,11 @@ struct Fixture {
   }
 };
 
+/// The fixture of `scheme`, built once per test process.
+const Fixture& fixture(nsol::TimeScheme scheme) {
+  return memoized(scheme, [&] { return Fixture(scheme); });
+}
+
 template <typename Real, int W>
 void expectSimsBitwiseEqual(const nsol::Simulation<Real, W>& a,
                             const nsol::Simulation<Real, W>& b) {
@@ -140,100 +147,79 @@ void writeAll(const std::string& path, const std::vector<char>& bytes) {
 
 // ---------------------------------------------------------------------------
 // Simulation-level round trip: save mid-run, restore into a fresh solver,
-// finish — bitwise-identical to the uninterrupted run. The snapshot holds
-// no B1/B2/B3 or derivative stack: LTS and the baseline scheme check that
-// both are dead at a cycle boundary.
+// finish — bitwise-identical to the uninterrupted run. The format is
+// layout-free, so a run saved at R ranks restores at any R' and into the
+// single-rank constructor, and the file bytes at one cycle are the same for
+// every rank count, transport and thread count — a whole-state determinism
+// oracle. The snapshot holds no B1/B2/B3 or derivative stack: LTS and the
+// baseline scheme check that both are dead at a cycle boundary.
 // ---------------------------------------------------------------------------
 
-class CheckpointRoundTrip : public ::testing::TestWithParam<nsol::TimeScheme> {};
+namespace {
 
-TEST_P(CheckpointRoundTrip, KillAndRestoreMidScheduleIsBitwiseIdentical) {
-  const Fixture fx(GetParam());
-  const std::string path = snapPath("roundtrip");
-  constexpr int W = 2;
-  const std::uint64_t total = 8, cut = 3;
+constexpr std::uint64_t kTotalCycles = 6, kCutCycle = 3;
 
-  auto uninterrupted = fx.makeSim<W>();
-  uninterrupted->runCycles(total);
+/// The uninterrupted W = 2 run of `scheme` and the bytes of the snapshot
+/// the single-rank constructor saves at the cut, built once per scheme and
+/// shared by its transport rows.
+struct SnapshotReference {
+  std::unique_ptr<nsol::Simulation<double, 2>> uninterrupted;
+  std::vector<char> bytes;
+};
 
-  {
-    auto first = fx.makeSim<W>();
-    first->runCycles(cut);
-    nbatch::saveSnapshot(path, /*fingerprint=*/42, /*runIndex=*/0, cut, first.get());
-  } // "kill": the first solver is destroyed here
-
-  auto resumed = fx.makeSim<W>();
-  const nbatch::SnapshotInfo info = nbatch::loadSnapshot(path, *resumed);
-  EXPECT_EQ(info.cyclesDone, cut);
-  EXPECT_EQ(info.batchFingerprint, 42u);
-  resumed->runCycles(total - cut);
-
-  expectSimsBitwiseEqual(*resumed, *uninterrupted);
-  std::remove(path.c_str());
+const SnapshotReference& snapshotReference(nsol::TimeScheme scheme) {
+  return memoized(scheme, [&] {
+    const Fixture& fx = fixture(scheme);
+    SnapshotReference ref;
+    ref.uninterrupted = fx.makeSim<2>();
+    ref.uninterrupted->runCycles(kTotalCycles);
+    auto first = fx.makeSim<2>();
+    first->runCycles(kCutCycle);
+    const std::string path = snapPath("ranks_ref");
+    nbatch::saveSnapshot(path, /*fingerprint=*/42, /*runIndex=*/0, kCutCycle, first.get());
+    ref.bytes = readAll(path);
+    std::remove(path.c_str());
+    return ref;
+  });
 }
 
-INSTANTIATE_TEST_SUITE_P(Schemes, CheckpointRoundTrip,
-                         ::testing::Values(nsol::TimeScheme::kGts,
-                                           nsol::TimeScheme::kLtsNextGen,
-                                           nsol::TimeScheme::kLtsBaseline),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case nsol::TimeScheme::kGts: return "Gts";
-                             case nsol::TimeScheme::kLtsNextGen: return "LtsNextGen";
-                             default: return "LtsBaseline";
-                           }
-                         });
-
-// ---------------------------------------------------------------------------
-// Cross-rank snapshots: the format is layout-free, so a run saved at R ranks
-// restores at any R', and the file bytes at one cycle are the same for every
-// rank count, transport and thread count — a whole-state determinism oracle.
-// ---------------------------------------------------------------------------
+} // namespace
 
 class SnapshotAcrossRanks
     : public ::testing::TestWithParam<std::tuple<nsol::TimeScheme, npar::Transport>> {};
 
 TEST_P(SnapshotAcrossRanks, SaveAtAnyRankCountRestoresAtAny) {
   const auto [scheme, transport] = GetParam();
-  const Fixture fx(scheme);
+  const Fixture& fx = fixture(scheme);
+  const SnapshotReference& ref = snapshotReference(scheme);
   constexpr int W = 2;
-  const std::uint64_t total = 6, cut = 3;
-
-  auto uninterrupted = fx.makeSim<W>();
   if (scheme != nsol::TimeScheme::kGts) {
-    const auto& sizes = uninterrupted->clustering().clusterSize;
+    const auto& sizes = ref.uninterrupted->clustering().clusterSize;
     ASSERT_GE(std::count_if(sizes.begin(), sizes.end(), [](idx_t s) { return s > 0; }), 2);
   }
-  uninterrupted->runCycles(total);
-
-  const std::string refPath = snapPath("ranks_ref");
-  {
-    auto first = fx.makeSim<W>();
-    first->runCycles(cut);
-    nbatch::saveSnapshot(refPath, 42, 0, cut, first.get());
-  }
-  const std::vector<char> want = readAll(refPath);
-  std::remove(refPath.c_str());
 
   const auto pathAt = [](int_t ranks) { return snapPath("ranks" + std::to_string(ranks)); };
   for (int_t ranks = 1; ranks <= 3; ++ranks)
     for (int_t threads = 1; threads <= 2; ++threads) {
       auto first = fx.makeSim<W>(ranks, transport, threads);
       ASSERT_EQ(first->ranks(), ranks);
-      first->runCycles(cut);
-      nbatch::saveSnapshot(pathAt(ranks), 42, 0, cut, first.get());
-      EXPECT_TRUE(readAll(pathAt(ranks)) == want)
+      first->runCycles(kCutCycle);
+      nbatch::saveSnapshot(pathAt(ranks), 42, 0, kCutCycle, first.get());
+      EXPECT_TRUE(readAll(pathAt(ranks)) == ref.bytes)
           << "snapshot bytes differ at " << ranks << " ranks, " << threads << " threads";
     }
 
+  // Restoring at rank count 0 is restoring into the single-rank constructor.
   for (int_t saved = 1; saved <= 3; ++saved)
-    for (int_t ranks = 1; ranks <= 3; ++ranks) {
+    for (int_t ranks = 0; ranks <= 3; ++ranks) {
       SCOPED_TRACE("saved at " + std::to_string(saved) + " ranks, restored at " +
                    std::to_string(ranks));
       auto resumed = fx.makeSim<W>(ranks, transport);
-      EXPECT_EQ(nbatch::loadSnapshot(pathAt(saved), *resumed).cyclesDone, cut);
-      resumed->runCycles(total - cut);
-      expectSimsBitwiseEqual(*resumed, *uninterrupted);
+      const nbatch::SnapshotInfo info = nbatch::loadSnapshot(pathAt(saved), *resumed);
+      EXPECT_EQ(info.cyclesDone, kCutCycle);
+      EXPECT_EQ(info.batchFingerprint, 42u);
+      resumed->runCycles(kTotalCycles - kCutCycle);
+      expectSimsBitwiseEqual(*resumed, *ref.uninterrupted);
     }
   for (int_t ranks = 1; ranks <= 3; ++ranks) std::remove(pathAt(ranks).c_str());
 }
@@ -442,16 +428,32 @@ TEST(BatchCheckpoint, RestoreRejectsEditedMeshFile) {
 // Damaged snapshots fail loudly and distinctly
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The intact snapshot the damage cases start from: the LTS fixture's
+/// W = 1 run saved after 2 cycles, built once per test process.
+const std::vector<char>& intactSnapshot() {
+  return memoized(nsol::TimeScheme::kLtsNextGen, [] {
+    auto sim = fixture(nsol::TimeScheme::kLtsNextGen).makeSim<1>();
+    sim->runCycles(2);
+    const std::string path = snapPath("intact");
+    nbatch::saveSnapshot(path, 7, 0, 2, sim.get());
+    std::vector<char> bytes = readAll(path);
+    std::remove(path.c_str());
+    return bytes;
+  });
+}
+
+} // namespace
+
 class SnapshotDamage : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = snapPath("damage");
-    fx_ = std::make_unique<Fixture>(nsol::TimeScheme::kLtsNextGen);
-    auto sim = fx_->makeSim<1>();
-    sim->runCycles(2);
-    nbatch::saveSnapshot(path_, 7, 0, 2, sim.get());
-    bytes_ = readAll(path_);
+    fx_ = &fixture(nsol::TimeScheme::kLtsNextGen);
+    bytes_ = intactSnapshot();
     ASSERT_GT(bytes_.size(), 32u);
+    writeAll(path_, bytes_);
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
@@ -466,7 +468,7 @@ class SnapshotDamage : public ::testing::Test {
   }
 
   std::string path_;
-  std::unique_ptr<Fixture> fx_;
+  const Fixture* fx_ = nullptr;
   std::vector<char> bytes_;
 };
 
@@ -560,8 +562,7 @@ TEST(RunEndTime, RejectsTimesWithoutAValidCycleCount) {
   // `run(endTime)` applies the step-counter bound a restored cycle count
   // meets above, and rejects times with no cycle count at all (-1 and NaN
   // would otherwise cast to ~2^64 and 2^63 cycles, inf to 0).
-  const Fixture fx(nsol::TimeScheme::kLtsNextGen);
-  auto sim = fx.makeSim<1>();
+  auto sim = fixture(nsol::TimeScheme::kLtsNextGen).makeSim<1>();
   const double dt = sim->cycleDt();
   EXPECT_EQ(sim->cyclesFor(0.0), 0u);
   EXPECT_EQ(sim->cyclesFor(dt), 1u);

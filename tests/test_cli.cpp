@@ -74,6 +74,7 @@ TEST(ScenarioRegistry, RejectsDuplicateNames) {
    public:
     std::string name() const override { return "quickstart"; }
     std::string description() const override { return "dup"; }
+    std::vector<std::string> unreadFlags() const override { return {}; }
     nglts::solver::SimConfig resolveConfig(const nc::ScenarioOptions&) const override {
       return {};
     }
@@ -333,6 +334,31 @@ TEST(Cli, RemovedOptionsAreUsageErrors) {
         cliStderr(std::string("-s quickstart --scale 0.3 --end-time 0.01 -q ") + flag, status);
     ASSERT_TRUE(WIFEXITED(status)) << flag << "\n" << err;
     EXPECT_EQ(WEXITSTATUS(status), 2) << flag << "\n" << err;
+    EXPECT_NE(err.find(expected), std::string::npos) << err;
+  }
+}
+
+TEST(Cli, FlagsTheScenarioDoesNotReadAreUsageErrors) {
+  // A flag the chosen scenario never reads fails before anything runs,
+  // naming the scenario and every such flag, instead of running without it
+  // (no snapshot, no manifest check, no exported mesh, no CSV).
+  const std::pair<const char*, const char*> cases[] = {
+      {"-s quickstart --scale 0.3 --end-time 0.05 -q --checkpoint-every 3 --restore "
+       "--batch-size 9",
+       "scenario 'quickstart' does not read --checkpoint-every, --restore, --batch-size"},
+      {"-s loh1 --scale 0.3 --end-time 0.05 -q --batch-manifest /nonexistent",
+       "scenario 'loh1' does not read --batch-manifest"},
+      {"-s batch --batch-size 1 --scale 0.3 --end-time 0.05 -q --ranks 3 --transport thread "
+       "--write-mesh test_cli_unread.msh",
+       "scenario 'batch' does not read --ranks, --transport, --write-mesh"},
+      {"-s lahabra --scale 0.3 --end-time 0.01 -q --output test_cli_unread_",
+       "scenario 'lahabra' does not read --output"},
+  };
+  for (const auto& [flags, expected] : cases) {
+    int status = 0;
+    const std::string err = cliStderr(flags, status);
+    ASSERT_TRUE(WIFEXITED(status)) << flags << "\n" << err;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags << "\n" << err;
     EXPECT_NE(err.find(expected), std::string::npos) << err;
   }
 }

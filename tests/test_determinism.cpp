@@ -1,25 +1,29 @@
-// The determinism matrix: every rank, thread, transport and payload layout
-// of a run must reproduce the one-rank, one-thread run bit for bit. Each
-// row names one configuration — scheme, precision, fused width W,
-// mechanisms, ranks, partition, executor threads per rank, transport and
-// halo payload — and is compared against the reference of its (scheme,
-// precision, W, mechanisms): every element's DOFs, every receiver lane
+// The determinism matrix: every rank, thread, transport, payload and input
+// element order of a run must reproduce the one-rank, one-thread run bit
+// for bit. Each row names one configuration — scheme, precision, fused
+// width W, mechanisms, ranks, partition, executor threads per rank,
+// transport, halo payload and whether the elements come in a shuffled
+// order — and is compared against the reference of its (scheme, precision,
+// W, mechanisms): every element's LTS cluster and DOFs, every receiver lane
 // (times and values) and the work counters (cycles, element updates,
-// flops). Each reference runs once per test process.
+// flops). Each reference runs once per test process (`memoized`,
+// solver_fixtures.hpp).
 //
 // Why no tolerance: the executor cuts each schedule op into static chunks
 // and updates every element exactly once with chunk-private scratch; every
 // rank runs the same kernels over the same schedule, splitting each op
 // around the exchange, and every cross-rank payload carries the values the
 // one-rank run reads from its arena (raw 9 x B buffers, or 9 x F face-local
-// projections that apply the consumer's own flux product sender-side). Any
-// drift is a chunking, protocol or payload bug.
+// projections that apply the consumer's own flux product sender-side). The
+// arena permutation is a BFS reorder of whatever order the elements come
+// in, so a shuffled input changes the memory layout, never the math; its
+// rows are compared element by element through the shuffle's id map. Any
+// drift is a chunking, protocol, payload or ordering bug.
 //
 // Rows that start rank threads or more than one executor thread form the
-// `Concurrent` group (CI runs it under TSan); the rest form `Serial`.
-// Other determinism axes keep their own suites: input element order
-// (test_state_reorder), kernel backend (test_kernel_backends) and the
-// subnormal flush (test_float_env).
+// `Concurrent` group (CI runs it under TSan); the rest form `Serial`. The
+// kernel backend (test_kernel_backends) and the subnormal flush
+// (test_float_env) keep their own suites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +35,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <ostream>
+#include <random>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -42,12 +48,14 @@
 #include "parallel/dist_sim.hpp"
 #include "partition/dual_graph.hpp"
 #include "partition/partitioner.hpp"
+#include "partition/reorder.hpp"
 #include "solver/setup.hpp"
 #include "solver_fixtures.hpp"
 
 namespace ns = nglts::solver;
 namespace npar = nglts::parallel;
 namespace nsei = nglts::seismo;
+namespace npart = nglts::partition;
 using nglts::idx_t;
 using nglts::int_t;
 using namespace nglts::test;
@@ -71,6 +79,8 @@ struct Row {
   int_t threads;
   Transport transport;
   bool compressed;
+  /// The elements come in a seeded random order instead of the generator's.
+  bool shuffled = false;
 
   bool concurrent() const { return threads > 1 || transport != Transport::kSeq; }
 };
@@ -87,7 +97,7 @@ std::string rowName(const Row& r) {
          std::to_string(r.ranks) + "_" +
          (r.partition == Partition::kStripe ? "stripe" : "weighted") + "_t" +
          std::to_string(r.threads) + "_" + transport + "_" +
-         (r.compressed ? "compressed" : "raw");
+         (r.compressed ? "compressed" : "raw") + (r.shuffled ? "_shuffled" : "");
 }
 
 /// gtest prints a failing row by its name.
@@ -155,6 +165,10 @@ const Row kRows[] = {
     {kLts,      kF64, 1, 0, 2, kStripe, 2, kThread, true},
     // Adversarial message timing.
     {kLts,      kF64, 1, 0, 4, kStripe, 1, Transport::kJitter, true},
+    // Input element order.
+    {kGts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
+    {kLts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
+    {kBaseline, kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
 };
 // clang-format on
 
@@ -224,6 +238,7 @@ class JitterComm final : public npar::Communicator {
 
 /// What a run leaves behind, independent of its engine type.
 struct Outcome {
+  std::vector<int_t> cluster;     ///< every element's LTS cluster, by global id
   std::vector<std::uint8_t> dofs; ///< every element's DOF bytes, by global id
   std::size_t dofBytesPerElement = 0;
   std::vector<nsei::Seismogram> traces; ///< receiver 0, one per lane
@@ -235,9 +250,31 @@ struct Outcome {
 };
 
 const LayeredBox& box(int_t mechanisms) {
-  static const LayeredBox elastic = makeLayeredBox(0, kBoxCells);
-  static const LayeredBox anelastic = makeLayeredBox(3, kBoxCells);
-  return mechanisms > 0 ? anelastic : elastic;
+  return memoized(mechanisms, [&] { return makeLayeredBox(mechanisms, kBoxCells); });
+}
+
+/// The box in a seeded random element order, and its id map: generator
+/// element `e` is element `ids.newId[e]` of the shuffled box.
+struct ShuffledBox {
+  LayeredBox box;
+  npart::Reordering ids;
+};
+
+const ShuffledBox& shuffledBox(int_t mechanisms) {
+  return memoized(mechanisms, [&] {
+    const LayeredBox& b = box(mechanisms);
+    const idx_t n = b.mesh.numElements();
+    ShuffledBox s;
+    s.ids.oldId.resize(n);
+    std::iota(s.ids.oldId.begin(), s.ids.oldId.end(), idx_t{0});
+    std::shuffle(s.ids.oldId.begin(), s.ids.oldId.end(), std::mt19937(20261017u));
+    s.ids.newId.resize(n);
+    for (idx_t e = 0; e < n; ++e) s.ids.newId[s.ids.oldId[e]] = e;
+    s.ids.numOwned = n;
+    s.box.mesh = npart::applyReordering(b.mesh, s.ids);
+    for (idx_t e = 0; e < n; ++e) s.box.mats.push_back(b.mats[s.ids.oldId[e]]);
+    return s;
+  });
 }
 
 std::vector<int_t> stripePartition(const nglts::mesh::TetMesh& mesh, int_t parts) {
@@ -261,15 +298,23 @@ std::vector<int_t> weightedPartition(const LayeredBox& b, const ns::SimConfig& c
 }
 
 template <typename Real, int W>
-Outcome collect(npar::DistributedSimulation<Real, W>& sim, const npar::DistStats& stats) {
+Outcome collect(npar::DistributedSimulation<Real, W>& sim, const npar::DistStats& stats,
+                const npart::Reordering* shuffle = nullptr) {
   Outcome out;
   out.stats = stats;
   out.dofBytesPerElement = sim.kernels().dofsPerElement() * sizeof(Real);
   const idx_t n = sim.meshRef().numElements();
+  out.cluster.resize(n);
   out.dofs.resize(out.dofBytesPerElement * n);
-  for (idx_t e = 0; e < n; ++e)
-    std::memcpy(out.dofs.data() + out.dofBytesPerElement * e, sim.dofs(e),
+  // Element `e` of the generator order is element `shuffle->newId[e]` of a
+  // shuffled run: the outcome is always in generator order.
+  const std::vector<int_t>& cluster = sim.clustering().cluster;
+  for (idx_t e = 0; e < n; ++e) {
+    const idx_t own = shuffle ? shuffle->newId[e] : e;
+    out.cluster[e] = cluster[own];
+    std::memcpy(out.dofs.data() + out.dofBytesPerElement * e, sim.dofs(own),
                 out.dofBytesPerElement);
+  }
   out.traces = sim.receiver(0).traces;
   for (int_t r = 0; r < sim.ranks(); ++r) {
     const ns::SolverState<Real, W>& st = sim.state(r);
@@ -310,7 +355,7 @@ Outcome runReference(const Row& row) {
 
 template <typename Real, int W>
 Outcome runRow(const Row& row) {
-  const LayeredBox& b = box(row.mechanisms);
+  const LayeredBox& b = row.shuffled ? shuffledBox(row.mechanisms).box : box(row.mechanisms);
   npar::DistConfig dcfg;
   dcfg.sim = rowConfig(row);
   dcfg.sim.numThreads = row.threads;
@@ -331,7 +376,7 @@ Outcome runRow(const Row& row) {
   EXPECT_EQ(sim.ranks(), row.ranks);
   attachInputs(sim);
   const npar::DistStats stats = sim.run(kEndTime);
-  Outcome out = collect(sim, stats);
+  Outcome out = collect(sim, stats, row.shuffled ? &shuffledBox(row.mechanisms).ids : nullptr);
   if (row.transport == Transport::kJitter)
     out.fifoViolations = jitter ? jitter->violations() : -1;
   return out;
@@ -340,20 +385,20 @@ Outcome runRow(const Row& row) {
 /// The reference of `row`'s (scheme, precision, W, mechanisms), run on first
 /// use and kept for the rest of the process.
 const Outcome& reference(const Row& row) {
-  using Key = std::tuple<ns::TimeScheme, ns::Precision, int_t, int_t>;
-  static std::map<Key, Outcome> memo;
-  const Key key{row.scheme, row.precision, row.width, row.mechanisms};
-  auto it = memo.find(key);
-  if (it == memo.end())
-    it = memo.emplace(key, ns::dispatchEngineType(row.precision, row.width,
-                                                  [&]<typename Real, int W>() {
-                                                    return runReference<Real, W>(row);
-                                                  }))
-             .first;
-  return it->second;
+  return memoized(std::make_tuple(row.scheme, row.precision, row.width, row.mechanisms), [&] {
+    return ns::dispatchEngineType(row.precision, row.width, [&]<typename Real, int W>() {
+      return runReference<Real, W>(row);
+    });
+  });
 }
 
 void expectBitwise(const Outcome& ref, const Outcome& got, int_t lanes) {
+  // The clustering must not depend on the layout or the input order, or
+  // the runs would step different schedules.
+  ASSERT_EQ(got.cluster.size(), ref.cluster.size());
+  for (std::size_t e = 0; e < ref.cluster.size(); ++e)
+    ASSERT_EQ(got.cluster[e], ref.cluster[e]) << "element " << e << " cluster differs";
+
   EXPECT_EQ(got.stats.cycles, ref.stats.cycles);
   EXPECT_EQ(got.stats.elementUpdates, ref.stats.elementUpdates);
   EXPECT_EQ(got.stats.flops, ref.stats.flops);

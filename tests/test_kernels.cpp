@@ -487,7 +487,7 @@ TEST(CompactOperators, ExpandToTheDenseBlocksBitwise) {
 
 TEST(CompactOperators, StarMatchesDenseReferenceDoubleW1) { checkStarAllBackends<double, 1>(); }
 TEST(CompactOperators, StarMatchesDenseReferenceDoubleW4) { checkStarAllBackends<double, 4>(); }
-TEST(CompactOperators, StarMatchesDenseReferenceDoubleW16) { checkStarAllBackends<double, 16>(); }
+TEST(CompactOperators, StarMatchesDenseReferenceDoubleW2) { checkStarAllBackends<double, 2>(); }
 TEST(CompactOperators, StarMatchesDenseReferenceFloatW1) { checkStarAllBackends<float, 1>(); }
 TEST(CompactOperators, StarMatchesDenseReferenceFloatW4) { checkStarAllBackends<float, 4>(); }
 TEST(CompactOperators, StarMatchesDenseReferenceFloatW16) { checkStarAllBackends<float, 16>(); }
