@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "linalg/kernel_backend.hpp"
 #include "mesh/box_gen.hpp"
 #include "mesh/geometry.hpp"
 #include "physics/attenuation.hpp"
@@ -34,32 +33,6 @@ inline double benchScale() {
     std::exit(2);
   }
   return v;
-}
-
-/// Kernel backend the solver benches pin (`SimConfig::kernelBackend`): the
-/// `NGLTS_KERNEL` environment variable — auto | scalar | vector, plumbed
-/// through `KERNEL=` in bench/run_benches.sh — default auto. Record
-/// `benchKernelLabel()` in the JSON artifact so every BENCH row names the
-/// backend that produced it. A bad value (or an explicit `vector` this
-/// build/host cannot honor) exits with a clear message instead of letting
-/// the exception abort the bench mid-run.
-inline linalg::KernelBackend benchKernelBackend() {
-  const char* s = std::getenv("NGLTS_KERNEL");
-  if (!s) return linalg::KernelBackend::kAuto;
-  try {
-    const linalg::KernelBackend b = linalg::parseKernelBackend(s);
-    linalg::resolveKernelBackend(b);  // explicit-vector availability check
-    return b;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "NGLTS_KERNEL: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-/// Resolved human-readable label of `benchKernelBackend()`, e.g.
-/// "vector(avx2)".
-inline std::string benchKernelLabel() {
-  return linalg::resolvedKernelBackendLabel(benchKernelBackend());
 }
 
 /// Machine-readable bench artifact (BENCH_*.json): a flat object of run

@@ -11,18 +11,14 @@
 # environment:
 #   NGLTS_BENCH_SCALE   mesh/time scale multiplier (default 1.0); >= 1 for
 #                       meaningful numbers, < 1 for smoke runs.
-#   KERNEL              small-GEMM backend tab1_performance pins
-#                       (auto | scalar | vector; default auto).
-#                       Exported as NGLTS_KERNEL; tab1_performance records
-#                       the resolved backend in BENCH_tab1.json
-#                       ("kernel_backend" key) so rows are attributable. kernel_micro always measures
-#                       *every* backend (its per-row `backend` argument)
-#                       regardless of KERNEL.
+#
+# tab1_performance runs the backend CPU detection picks and records it in
+# BENCH_tab1.json ("kernel_backend" key); kernel_micro measures every
+# backend (its per-row `backend` argument).
 set -euo pipefail
 
 BUILD_DIR=${1:-build}
 OUT_DIR=${2:-bench-out}
-export NGLTS_KERNEL=${KERNEL:-${NGLTS_KERNEL:-auto}}
 
 if [[ ! -x "$BUILD_DIR/tab1_performance" ]]; then
   echo "run_benches.sh: $BUILD_DIR/tab1_performance not found — build with -DNGLTS_BUILD_BENCHES=ON" >&2
@@ -32,8 +28,6 @@ fi
 BUILD_DIR=$(cd "$BUILD_DIR" && pwd)
 mkdir -p "$OUT_DIR"
 cd "$OUT_DIR"
-
-echo "== kernel backend for tab1_performance: $NGLTS_KERNEL =="
 
 echo "== tab1_performance (Tab. I throughput + time to solution) =="
 "$BUILD_DIR/tab1_performance"

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "linalg/kernel_backend.hpp"
 #include "solver/simulation.hpp"
 #include "solver/threading.hpp"
 
@@ -36,7 +37,6 @@ RowResult runCase(solver::TimeScheme scheme, double lambda, bool sparse, double 
   cfg.autoLambda = lambda < 0; // negative lambda encodes "use the Sec. V-A sweep"
   if (cfg.autoLambda) cfg.lambda = 1.0;
   cfg.sparseKernels = sparse;
-  cfg.kernelBackend = bench::benchKernelBackend();
   cfg.numThreads = solver::hardwareThreads();
   solver::Simulation<float, W> sim(std::move(sc.mesh), std::move(sc.materials), cfg);
   sim.setInitialCondition([](const std::array<double, 3>& x, int_t, double* q9) {
@@ -79,7 +79,8 @@ int main() {
               "16-fused GFLOPS", "16-fused speedup/sim");
   bench::JsonReport json;
   json.set("bench", "tab1_performance");
-  json.set("kernel_backend", bench::benchKernelLabel());
+  json.set("kernel_backend",
+           linalg::resolvedKernelBackendLabel(linalg::KernelBackend::kAuto));
   // Tab. I is the paper's *single-precision* production table; the runs
   // here are Simulation<float, W> by construction.
   json.set("precision", "f32");

@@ -125,11 +125,13 @@ struct BatchConfig {
 };
 
 /// Wraps a velocity model, scaling vp and vs by a factor (density and Q
-/// unchanged) — the batch engine's material perturbation.
+/// unchanged) — the batch engine's material perturbation. It refers to
+/// `base`, which must outlive it: a temporary is a compile error.
 class ScaledVelocityModel final : public seismo::VelocityModel {
  public:
   ScaledVelocityModel(const seismo::VelocityModel& base, double scale)
       : base_(base), scale_(scale) {}
+  ScaledVelocityModel(const seismo::VelocityModel&& base, double scale) = delete;
   seismo::MaterialSample at(const std::array<double, 3>& x) const override {
     seismo::MaterialSample s = base_.at(x);
     s.vp *= scale_;

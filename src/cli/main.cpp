@@ -47,10 +47,6 @@ void printUsage() {
       "                        (default: seq lockstep, lahabra: thread; mpi needs an\n"
       "                        NGLTS_WITH_MPI build under mpirun; bitwise-identical\n"
       "                        results across transports)\n"
-      "      --kernel B        small-GEMM backend: auto | scalar | vector\n"
-      "                        (default auto = CPU detection; an explicit\n"
-      "                        vector errors instead of falling back;\n"
-      "                        bitwise-identical results)\n"
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
       "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
@@ -159,12 +155,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--transport") {
       try {
         opts.transport = nglts::parallel::parseTransport(requireValue(argc, argv, i));
-      } catch (const std::invalid_argument& e) {
-        usageError(e.what());
-      }
-    } else if (arg == "--kernel") {
-      try {
-        opts.kernelBackend = nglts::linalg::parseKernelBackend(requireValue(argc, argv, i));
       } catch (const std::invalid_argument& e) {
         usageError(e.what());
       }

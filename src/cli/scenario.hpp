@@ -59,12 +59,6 @@ struct ScenarioOptions {
   /// loh3/fused, thread for lahabra. Results are bitwise-identical across
   /// transports.
   std::optional<parallel::Transport> transport;
-  /// Small-GEMM kernel backend (`SimConfig::kernelBackend`, the `--kernel`
-  /// flag; docs/KERNELS.md): `auto` (CPU detection), `scalar` (reference
-  /// loops) or `vector` (explicit SIMD; hard error when unavailable rather
-  /// than a silent fallback). Bitwise-identical results across backends —
-  /// a pure performance knob.
-  std::optional<linalg::KernelBackend> kernelBackend;
   /// Arithmetic precision (`SimConfig::precision`, the `--precision` flag):
   /// f64 (the default for quickstart/loh1/loh3) or f32 (accuracy guarded by the
   /// golden-seismogram misfit gates in tests/test_solver_lts.cpp, not by
@@ -197,7 +191,7 @@ void registerBuiltinScenarios();
 std::unique_ptr<Scenario> makeBatchScenario();
 
 /// Apply the generic `SimConfig` overrides (order, scheme, clusters,
-/// kernel backend, lambda, threads) and range-check them. Shared by the
+/// precision, lambda, threads) and range-check them. Shared by the
 /// scenario implementations (scenarios_builtin.cpp, scenario_batch.cpp);
 /// `defaultRanks` only feeds the `--threads` default.
 void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,

@@ -42,9 +42,10 @@ namespace {
 /// Record the small-GEMM backend the run's kernels dispatch to, the
 /// arithmetic precision and the solver threads' subnormal mode in the
 /// scenario summary ("kernel backend: vector(avx2)" / "precision: f64" /
-/// "denormals: flush-to-zero"); CI greps these lines to assert an explicit
-/// --kernel vector never silently degrades, that --precision f32
-/// actually took effect, and that f32 runs compute with subnormals flushed.
+/// "denormals: flush-to-zero"); CI greps these lines to assert that CPU
+/// detection picks the vector kernels on SIMD hardware, that --precision
+/// f32 actually took effect, and that f32 runs compute with subnormals
+/// flushed.
 void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
@@ -741,10 +742,6 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
   if (opts.order) cfg.order = *opts.order;
   if (opts.scheme) cfg.scheme = *opts.scheme;
   if (opts.numClusters) cfg.numClusters = *opts.numClusters;
-  if (opts.kernelBackend) cfg.kernelBackend = *opts.kernelBackend;
-  // Resolve now so an explicit --kernel vector on an unsupported
-  // build/host fails at config time (never a silent fallback mid-run).
-  linalg::resolveKernelBackend(cfg.kernelBackend);
   if (opts.precision) cfg.precision = *opts.precision;
   if (opts.lambda) {
     cfg.lambda = *opts.lambda;

@@ -49,10 +49,11 @@ class AderKernels {
   /// `sparse` selects the CSR kernels for the global matrices (the paper's
   /// fused-mode "all sparsity" path); dense mode still trims the derivative
   /// degrees. Both apply the star blocks over their fixed patterns. `backend`
-  /// requests the small-GEMM implementation (`SimConfig::kernelBackend` /
-  /// `--kernel`); it is resolved here via `linalg::resolveKernelBackend`,
-  /// which hard-errors on an explicit `kVector` request the build or host
-  /// cannot honor (never a silent fallback).
+  /// requests the small-GEMM implementation (`SimConfig::kernelBackend`:
+  /// CPU detection unless a test asks for one); it is resolved here via
+  /// `linalg::resolveKernelBackend`, which hard-errors on an explicit
+  /// `kVector` request the build or host cannot honor (never a silent
+  /// fallback).
   AderKernels(int_t order, int_t mechanisms, bool sparse,
               std::vector<double> relaxationFrequencies = {},
               linalg::KernelBackend backend = linalg::KernelBackend::kAuto);

@@ -65,17 +65,6 @@ const CpuSimd& detectCpuSimd() {
   return simd;
 }
 
-const std::vector<KernelBackendInfo>& kernelBackendRegistry() {
-  static const std::vector<KernelBackendInfo> registry = {
-      {KernelBackend::kScalar, "scalar",
-       "reference triple loops (omp simd hints, auto-vectorization)", true},
-      {KernelBackend::kVector, "vector",
-       "explicit register-blocked SIMD micro-kernels (GCC/Clang vector extensions)",
-       vectorBackendCompiled() && detectCpuSimd().any()},
-  };
-  return registry;
-}
-
 KernelBackend resolveKernelBackend(KernelBackend requested) {
   const bool vectorOk = vectorBackendCompiled() && detectCpuSimd().any();
   switch (requested) {
@@ -87,7 +76,7 @@ KernelBackend resolveKernelBackend(KernelBackend requested) {
             std::string("kernel backend 'vector' requested but unavailable (") +
             (vectorBackendCompiled() ? "CPU reports no SIMD features"
                                      : "build has no vector kernels") +
-            "); an explicit request never falls back — use '--kernel auto'");
+            "); an explicit request never falls back — leave the backend at auto");
       return KernelBackend::kVector;
     case KernelBackend::kAuto:
       return vectorOk ? KernelBackend::kVector : KernelBackend::kScalar;
@@ -95,28 +84,10 @@ KernelBackend resolveKernelBackend(KernelBackend requested) {
   throw std::invalid_argument("unknown KernelBackend value");
 }
 
-std::string kernelBackendName(KernelBackend b) {
-  switch (b) {
-    case KernelBackend::kAuto: return "auto";
-    case KernelBackend::kScalar: return "scalar";
-    case KernelBackend::kVector: return "vector";
-  }
-  return "?";
-}
-
-KernelBackend parseKernelBackend(const std::string& s) {
-  if (s == "auto") return KernelBackend::kAuto;
-  for (const KernelBackendInfo& info : kernelBackendRegistry())
-    if (s == info.name) return info.id;
-  throw std::invalid_argument("unknown kernel backend '" + s +
-                              "' (expected auto | scalar | vector)");
-}
-
 std::string resolvedKernelBackendLabel(KernelBackend requested) {
-  const KernelBackend resolved = resolveKernelBackend(requested);
-  if (resolved == KernelBackend::kVector)
+  if (resolveKernelBackend(requested) == KernelBackend::kVector)
     return "vector(" + std::string(vectorKernelIsa()) + ")";
-  return kernelBackendName(resolved);
+  return "scalar";
 }
 
 } // namespace nglts::linalg

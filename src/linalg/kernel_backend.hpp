@@ -7,19 +7,20 @@
 //   * vector — the explicit register-blocked SIMD micro-kernels of
 //     linalg/small_gemm_vector.hpp (GCC/Clang vector extensions).
 //
-// The backend is a *runtime* choice: `resolveKernelBackend` maps the
-// requested backend (`SimConfig::kernelBackend`, the `--kernel` CLI flag,
-// or the `NGLTS_KERNEL` bench environment variable) to a concrete one,
-// using compile-time availability plus CPU feature detection for `auto`.
-// An *explicit* `vector` request never silently falls back — it throws if
-// the build or host cannot honor it (CI asserts this).
+// The machine picks the backend: `kAuto` (the default of
+// `SimConfig::kernelBackend`, which no scenario, CLI flag or environment
+// variable changes) resolves by compile-time availability plus CPU feature
+// detection. The scalar backend is the reference the tests compare the
+// dispatched one against (test_kernel_backends, the scalar rows of
+// test_determinism), requested through `SimConfig::kernelBackend`. An
+// *explicit* `vector` request never silently falls back — it throws if the
+// build or host cannot honor it.
 //
 // Both backends are bitwise-identical by construction: they vectorize only
 // across independent output elements and preserve the scalar reference's
 // summation order and zero-skip tests (see docs/KERNELS.md, "Why the
 // backends agree bitwise").
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -62,20 +63,6 @@ constexpr bool vectorBackendCompiled() {
 #endif
 }
 
-/// One registry entry per backend: stable name (CLI/`NGLTS_KERNEL` value),
-/// availability on this build+host, and a one-line description.
-struct KernelBackendInfo {
-  KernelBackend id;
-  const char* name;
-  const char* description;
-  bool available;
-};
-
-/// The backend registry (scalar, vector — `auto` is a
-/// resolution rule, not an implementation, so it is not listed). Order is
-/// stable.
-const std::vector<KernelBackendInfo>& kernelBackendRegistry();
-
 /// Map a requested backend to a concrete one:
 ///   * kScalar      -> kScalar (always available),
 ///   * kVector      -> kVector, or `std::runtime_error` when the build has
@@ -84,14 +71,6 @@ const std::vector<KernelBackendInfo>& kernelBackendRegistry();
 ///   * kAuto        -> kVector when compiled in and the CPU has SIMD, else
 ///     kScalar.
 KernelBackend resolveKernelBackend(KernelBackend requested);
-
-/// Stable name of a backend value:
-/// "auto" | "scalar" | "vector".
-std::string kernelBackendName(KernelBackend b);
-
-/// Inverse of `kernelBackendName`; throws `std::invalid_argument` on
-/// anything else (the CLI's `--kernel` error path).
-KernelBackend parseKernelBackend(const std::string& s);
 
 /// Human-readable label of what `requested` resolves to, e.g. "scalar",
 /// "vector(avx512f)" or "vector(avx2)" — printed in scenario summaries

@@ -74,13 +74,14 @@ struct SimConfig {
   /// instead of dense block-trimmed ones. Profitable for fused simulations
   /// (W > 1), where the ensemble dimension vectorizes perfectly (Sec. IV).
   bool sparseKernels = false;
-  /// Small-GEMM kernel backend (docs/KERNELS.md): `kAuto` picks the
-  /// explicit-SIMD vector kernels when build and CPU support them,
-  /// `kScalar`/`kVector` force one implementation (an explicit `kVector` on
-  /// an unsupported build/host throws instead of falling back). Orthogonal
-  /// to `sparseKernels` (which picks the operator *image*, not the
-  /// implementation). Results are bitwise-identical across backends — a
-  /// pure performance knob, exposed as `--kernel` on every scenario.
+  /// Small-GEMM kernel backend (docs/KERNELS.md): `kAuto`, the CPU
+  /// detection every scenario runs, picks the explicit-SIMD vector kernels
+  /// when build and CPU support them. `kScalar` (the reference) and
+  /// `kVector` force one implementation for the tests that compare them; an
+  /// explicit `kVector` on an unsupported build/host throws instead of
+  /// falling back. No CLI flag sets it. Orthogonal to `sparseKernels`
+  /// (which picks the operator *image*, not the implementation). Results
+  /// are bitwise-identical across backends.
   linalg::KernelBackend kernelBackend = linalg::KernelBackend::kAuto;
   /// Execution precision (`--precision {f64,f32}`): selects which
   /// `Simulation<Real, W>` instantiation the CLI/batch layers dispatch to.

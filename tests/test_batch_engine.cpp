@@ -14,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "batch/batch_engine.hpp"
 #include "batch/manifest.hpp"
@@ -27,6 +28,11 @@ namespace nsol = nglts::solver;
 namespace nsei = nglts::seismo;
 using nglts::idx_t;
 using nglts::int_t;
+
+// The scaled model refers to its base: a temporary base would dangle.
+static_assert(!std::is_constructible_v<nbatch::ScaledVelocityModel, nsei::LayeredModel, double>);
+static_assert(std::is_constructible_v<nbatch::ScaledVelocityModel, const nsei::LayeredModel&,
+                                      double>);
 
 namespace {
 

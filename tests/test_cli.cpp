@@ -320,11 +320,10 @@ TEST(Cli, EndTimeWithoutAValidCycleCountIsAUsageError) {
 }
 
 TEST(Cli, RemovedOptionsAreUsageErrors) {
-  // Deleted variants fail as usage errors instead of silently running the
-  // remaining one: a removed value of a kept flag, and a removed flag.
+  // Removed flags fail as usage errors instead of silently running the
+  // remaining variant.
   const std::pair<const char*, const char*> cases[] = {
-      {"--kernel specialized",
-       "unknown kernel backend 'specialized' (expected auto | scalar | vector)"},
+      {"--kernel scalar", "unknown option '--kernel'"},
       {"--executor dynamic", "unknown option '--executor'"},
       {"--overlap", "unknown option '--overlap'"},
   };

@@ -1,13 +1,14 @@
-// The determinism matrix: every rank, thread, transport, payload and input
-// element order of a run must reproduce the one-rank, one-thread run bit
-// for bit. Each row names one configuration — scheme, precision, fused
-// width W, mechanisms, ranks, partition, executor threads per rank,
-// transport, halo payload and whether the elements come in a shuffled
-// order — and is compared against the reference of its (scheme, precision,
-// W, mechanisms): every element's LTS cluster and DOFs, every receiver lane
-// (times and values) and the work counters (cycles, element updates,
-// flops). Each reference runs once per test process (`memoized`,
-// solver_fixtures.hpp).
+// The determinism matrix: every rank, thread, transport, payload, input
+// element order and small-GEMM backend of a run must reproduce the
+// one-rank, one-thread run on the dispatched backend bit for bit. Each row
+// names one configuration — scheme, precision, fused width W, mechanisms,
+// ranks, partition, executor threads per rank, transport, halo payload,
+// whether the elements come in a shuffled order, the kernel backend and
+// the operator image (dense or CSR) — and is compared against the reference
+// of its (scheme, precision, W, mechanisms, image): every element's LTS
+// cluster and DOFs, every receiver lane (times and values) and the work
+// counters (cycles, element updates, flops). Each reference runs once per
+// test process (`memoized`, solver_fixtures.hpp).
 //
 // Why no tolerance: the executor cuts each schedule op into static chunks
 // and updates every element exactly once with chunk-private scratch; every
@@ -17,12 +18,16 @@
 // projections that apply the consumer's own flux product sender-side). The
 // arena permutation is a BFS reorder of whatever order the elements come
 // in, so a shuffled input changes the memory layout, never the math; its
-// rows are compared element by element through the shuffle's id map. Any
-// drift is a chunking, protocol, payload or ordering bug.
+// rows are compared element by element through the shuffle's id map. The
+// backends vectorize only across independent outputs and keep the scalar
+// reference's term order and zero skips (docs/KERNELS.md), so the `scalar`
+// rows — the reference loops against whatever CPU detection dispatches —
+// hold bitwise too. Any drift is a chunking, protocol, payload, ordering or
+// kernel bug.
 //
 // Rows that start rank threads or more than one executor thread form the
 // `Concurrent` group (CI runs it under TSan); the rest form `Serial`. The
-// kernel backend (test_kernel_backends) and the subnormal flush
+// per-kernel backend checks (test_kernel_backends) and the subnormal flush
 // (test_float_env) keep their own suites.
 #include <gtest/gtest.h>
 
@@ -43,6 +48,7 @@
 #include <tuple>
 #include <vector>
 
+#include "linalg/kernel_backend.hpp"
 #include "lts/clustering.hpp"
 #include "mesh/geometry.hpp"
 #include "parallel/dist_sim.hpp"
@@ -56,6 +62,7 @@ namespace ns = nglts::solver;
 namespace npar = nglts::parallel;
 namespace nsei = nglts::seismo;
 namespace npart = nglts::partition;
+namespace nl = nglts::linalg;
 using nglts::idx_t;
 using nglts::int_t;
 using namespace nglts::test;
@@ -68,6 +75,9 @@ constexpr idx_t kBoxCells = 4;
 enum class Partition { kStripe, kWeighted };
 /// kJitter: thread transport over `JitterComm`.
 enum class Transport { kSeq, kThread, kJitter };
+/// kDispatched: the backend CPU detection picks (every reference's);
+/// kScalar: the reference loops.
+enum class Backend { kDispatched, kScalar };
 
 struct Row {
   ns::TimeScheme scheme;
@@ -81,6 +91,9 @@ struct Row {
   bool compressed;
   /// The elements come in a seeded random order instead of the generator's.
   bool shuffled = false;
+  Backend backend = Backend::kDispatched;
+  /// The fully sparse CSR operator image instead of the dense one.
+  bool sparse = false;
 
   bool concurrent() const { return threads > 1 || transport != Transport::kSeq; }
 };
@@ -97,7 +110,8 @@ std::string rowName(const Row& r) {
          std::to_string(r.ranks) + "_" +
          (r.partition == Partition::kStripe ? "stripe" : "weighted") + "_t" +
          std::to_string(r.threads) + "_" + transport + "_" +
-         (r.compressed ? "compressed" : "raw") + (r.shuffled ? "_shuffled" : "");
+         (r.compressed ? "compressed" : "raw") + (r.shuffled ? "_shuffled" : "") +
+         (r.backend == Backend::kScalar ? "_scalar" : "") + (r.sparse ? "_sparse" : "");
 }
 
 /// gtest prints a failing row by its name.
@@ -113,6 +127,7 @@ constexpr auto kF32 = ns::Precision::kF32;
 constexpr auto kStripe = Partition::kStripe;
 constexpr auto kSeq = Transport::kSeq;
 constexpr auto kThread = Transport::kThread;
+constexpr auto kScalar = Backend::kScalar;
 
 // clang-format off
 const Row kRows[] = {
@@ -169,6 +184,18 @@ const Row kRows[] = {
     {kGts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
     {kLts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
     {kBaseline, kF64, 1, 0, 1, kStripe, 1, kSeq, true, true},
+    // The scalar reference kernels against the dispatched ones: every
+    // scheme, elastic and anelastic; f32; the fully sparse W = 8 f32 image
+    // of the fused ensembles; and the compressed halo payload.
+    {kGts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kLts,      kF64, 1, 0, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kBaseline, kF64, 1, 0, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kGts,      kF64, 1, 3, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kLts,      kF64, 1, 3, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kBaseline, kF64, 1, 3, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kLts,      kF32, 1, 3, 1, kStripe, 1, kSeq, true, false, kScalar},
+    {kLts,      kF32, 8, 3, 1, kStripe, 1, kSeq, true, false, kScalar, true},
+    {kLts,      kF64, 1, 3, 2, kStripe, 1, kSeq, true, false, kScalar},
 };
 // clang-format on
 
@@ -340,7 +367,8 @@ void attachInputs(npar::DistributedSimulation<Real, W>& sim) {
 }
 
 ns::SimConfig rowConfig(const Row& row) {
-  return layeredConfig(row.scheme, /*numClusters=*/3, row.mechanisms);
+  return layeredConfig(row.scheme, /*numClusters=*/3, row.mechanisms, /*lambda=*/1.0,
+                       row.sparse);
 }
 
 /// The one-rank, one-thread reference through the single-rank constructor.
@@ -359,6 +387,7 @@ Outcome runRow(const Row& row) {
   npar::DistConfig dcfg;
   dcfg.sim = rowConfig(row);
   dcfg.sim.numThreads = row.threads;
+  if (row.backend == Backend::kScalar) dcfg.sim.kernelBackend = nl::KernelBackend::kScalar;
   dcfg.compressFaces = row.compressed;
   dcfg.transport = row.transport == Transport::kSeq ? npar::Transport::kSeq
                                                     : npar::Transport::kThread;
@@ -382,10 +411,12 @@ Outcome runRow(const Row& row) {
   return out;
 }
 
-/// The reference of `row`'s (scheme, precision, W, mechanisms), run on first
-/// use and kept for the rest of the process.
+/// The reference of `row`'s (scheme, precision, W, mechanisms, image), run
+/// on first use and kept for the rest of the process.
 const Outcome& reference(const Row& row) {
-  return memoized(std::make_tuple(row.scheme, row.precision, row.width, row.mechanisms), [&] {
+  const auto key =
+      std::make_tuple(row.scheme, row.precision, row.width, row.mechanisms, row.sparse);
+  return memoized(key, [&] {
     return ns::dispatchEngineType(row.precision, row.width, [&]<typename Real, int W>() {
       return runReference<Real, W>(row);
     });
@@ -432,6 +463,11 @@ class Determinism : public ::testing::TestWithParam<Row> {};
 
 TEST_P(Determinism, BitwiseVsOneRankOneThread) {
   const Row& row = GetParam();
+  // Without the vector kernels the dispatched backend is the scalar one,
+  // and the row would compare it with itself.
+  if (row.backend == Backend::kScalar &&
+      nl::resolveKernelBackend(nl::KernelBackend::kAuto) == nl::KernelBackend::kScalar)
+    GTEST_SKIP() << "the dispatched backend is the scalar reference on this build/host";
   const Outcome& ref = reference(row);
   const Outcome got = ns::dispatchEngineType(
       row.precision, row.width, [&]<typename Real, int W>() { return runRow<Real, W>(row); });
