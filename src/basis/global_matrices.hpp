@@ -58,11 +58,6 @@ struct GlobalMatrices {
   std::array<linalg::Matrix, 4> fluxLocal; // B x F
   std::array<linalg::Matrix, 4> fluxLift;  // F x B
   std::array<std::array<linalg::Matrix, 6>, 4> fluxNeigh; // B x F
-
-  /// Basis values at a reference point (receiver sampling / source setup).
-  std::vector<double> evalBasis(const std::array<double, 3>& xi) const {
-    return tet->evalAll(xi);
-  }
 };
 
 /// Build (and cache) the matrices for a given order; thread-safe.

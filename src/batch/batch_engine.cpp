@@ -285,16 +285,9 @@ BatchStats BatchEngine::run(const ResultCallback& onResult) {
   bool loadState = false;
   if (cfg_.restore) {
     const SnapshotInfo info = peekSnapshot(cfg_.checkpointPath);
-    // Checked before the fingerprint: a precision flip also changes the
-    // fingerprint, but "--precision differs" is the actionable diagnosis,
-    // not "different batch".
-    if (info.precision != cfg_.sim.precision)
-      throw std::runtime_error(
-          "snapshot '" + cfg_.checkpointPath + "' was saved at precision " +
-          std::string(solver::precisionName(info.precision)) + " but this batch uses " +
-          std::string(solver::precisionName(cfg_.sim.precision)) + "; re-run with --precision " +
-          std::string(solver::precisionName(info.precision)) +
-          " or start fresh without --restore");
+    // Run-boundary markers never reach loadSnapshot, so the precision is
+    // checked here as well.
+    checkSnapshotPrecision(cfg_.checkpointPath, info, cfg_.sim.precision);
     if (info.batchFingerprint != fingerprint())
       throw std::runtime_error("snapshot '" + cfg_.checkpointPath +
                                "' belongs to a different batch (fingerprint mismatch)");

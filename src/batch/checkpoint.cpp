@@ -177,6 +177,16 @@ SnapshotInfo peekSnapshot(const std::string& path) {
   return validateAndParseHeader(readFile(path), path);
 }
 
+void checkSnapshotPrecision(const std::string& path, const SnapshotInfo& info,
+                            solver::Precision want) {
+  if (info.precision != want)
+    throw std::runtime_error(
+        "snapshot '" + path + "' was saved at precision " +
+        std::string(solver::precisionName(info.precision)) + " but this run uses " +
+        std::string(solver::precisionName(want)) + "; re-run with --precision " +
+        std::string(solver::precisionName(info.precision)) + " or start fresh without --restore");
+}
+
 template <typename Real, int W>
 void saveSnapshot(const std::string& path, std::uint64_t batchFingerprint, std::uint64_t runIndex,
                   std::uint64_t cyclesDone, const solver::Simulation<Real, W>* sim) {
@@ -226,16 +236,7 @@ SnapshotInfo loadSnapshot(const std::string& path, solver::Simulation<Real, W>& 
   const SnapshotInfo info = validateAndParseHeader(buf, path);
   if (!info.hasState)
     throw std::runtime_error("snapshot '" + path + "' is a run-boundary marker, carries no state");
-  // Precision is checked before the raw sizeof(Real)/W geometry so a user
-  // who flipped --precision between save and restore gets told exactly that
-  // (realSize would also mismatch, but with a far less actionable message).
-  const auto want = solver::precisionOf<Real>();
-  if (info.precision != want)
-    throw std::runtime_error(
-        "snapshot '" + path + "' was saved at precision " +
-        std::string(solver::precisionName(info.precision)) + " but this run uses " +
-        std::string(solver::precisionName(want)) + "; re-run with --precision " +
-        std::string(solver::precisionName(info.precision)) + " or start fresh without --restore");
+  checkSnapshotPrecision(path, info, solver::precisionOf<Real>());
   if (info.realSize != sizeof(Real) || info.width != static_cast<std::uint32_t>(W))
     throw std::runtime_error("snapshot '" + path + "' was saved with sizeof(Real)=" +
                              std::to_string(info.realSize) + ", W=" + std::to_string(info.width) +

@@ -68,6 +68,14 @@ struct SnapshotInfo {
 /// version mismatch, or a corrupted/truncated file.
 SnapshotInfo peekSnapshot(const std::string& path);
 
+/// Throws `std::runtime_error` when the snapshot at `path`, whose header is
+/// `info`, was saved at a precision other than `want`, naming the
+/// `--precision` value it was saved at. Both restore paths run it before
+/// any other check: a precision flip also changes the batch fingerprint and
+/// the saved scalar size, but those messages would not name the flag.
+void checkSnapshotPrecision(const std::string& path, const SnapshotInfo& info,
+                            solver::Precision want);
+
 /// Write a snapshot atomically (temp file + rename). `sim == nullptr`
 /// writes a run-boundary marker (hasState = 0). The simulation must be at a
 /// cycle boundary, `cyclesDone` cycles into its run. Throws

@@ -1,7 +1,7 @@
-// `nglts` — the unified scenario driver. Lists and runs registered
+// `nglts` — the unified scenario driver. Lists and runs the built-in
 // scenarios with flag overrides for order, scheme, cluster count, fused
 // width, end time and mesh scale. See src/cli/scenario.hpp for the
-// scenario/registry API and scenarios_builtin.cpp for the workloads.
+// scenario API and scenarios_builtin.cpp for the workloads.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +34,7 @@ void printUsage() {
       "  -l, --list-scenarios  list registered scenarios and exit\n"
       "      --order N         convergence order, 1..7 (scenario default: usually 4)\n"
       "      --scheme S        time stepping: gts | lts | baseline\n"
-      "      --clusters N      number of LTS clusters (>= 1)\n"
+      "      --clusters N      number of LTS clusters, 1..%d\n"
       "      --fused W         fused-simulation width, f32:%s, f64:%s\n"
       "                        (batch: max fused-lane packing width)\n"
       "      --end-time T      simulated end time [s]\n"
@@ -50,7 +50,8 @@ void printUsage() {
       "      --precision P     arithmetic precision: f64 | f32 (default f64 for\n"
       "                        quickstart/loh1/loh3; fused/lahabra are f32-only;\n"
       "                        f32 accuracy is misfit-gated, see docs/KERNELS.md)\n"
-      "      --lambda X        fixed cluster-growth lambda (disables the auto sweep)\n"
+      "      --lambda X        fixed cluster-growth lambda in (0.5, 1] (disables the\n"
+      "                        auto sweep)\n"
       "      --scale S         mesh-resolution multiplier (default 1.0)\n"
       "      --mesh-file F     run on an external Gmsh .msh 4.1 tet mesh instead of\n"
       "                        the scenario's built-in mesh (supersedes --scale;\n"
@@ -71,6 +72,7 @@ void printUsage() {
       "      --restore         resume the batch from the --checkpoint file\n"
       "  -q, --quiet           suppress progress output and INFO log lines\n"
       "  -h, --help            show this help\n",
+      static_cast<int>(nglts::solver::kMaxClusters),
       widthList(nglts::solver::Precision::kF32).c_str(),
       widthList(nglts::solver::Precision::kF64).c_str());
 }
@@ -116,9 +118,6 @@ int_t parseInt(const std::string& flag, const std::string& value) {
 } // namespace
 
 int main(int argc, char** argv) {
-  registerBuiltinScenarios();
-  auto& registry = ScenarioRegistry::instance();
-
   std::string scenarioName = "quickstart";
   ScenarioOptions opts;
   bool list = false;
@@ -196,15 +195,15 @@ int main(int argc, char** argv) {
 
   if (list) {
     std::printf("registered scenarios:\n");
-    for (const Scenario* s : registry.list())
+    for (const Scenario* s : scenarios())
       std::printf("  %-12s %s\n", s->name().c_str(), s->description().c_str());
     return 0;
   }
 
-  const Scenario* scenario = registry.find(scenarioName);
+  const Scenario* scenario = findScenario(scenarioName);
   if (!scenario) {
     std::fprintf(stderr, "nglts: unknown scenario '%s'; registered:\n", scenarioName.c_str());
-    for (const auto& n : registry.names()) std::fprintf(stderr, "  %s\n", n.c_str());
+    for (const Scenario* s : scenarios()) std::fprintf(stderr, "  %s\n", s->name().c_str());
     return 2;
   }
   const std::vector<std::string> unreadFlags = scenario->unreadFlags();

@@ -1,6 +1,5 @@
 #include "cli/scenario.hpp"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <fstream>
@@ -8,37 +7,10 @@
 
 namespace nglts::cli {
 
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry registry;
-  return registry;
-}
-
-void ScenarioRegistry::add(std::unique_ptr<Scenario> scenario) {
-  if (!scenario) throw std::invalid_argument("null scenario");
-  if (find(scenario->name()))
-    throw std::invalid_argument("duplicate scenario name: " + scenario->name());
-  scenarios_.push_back(std::move(scenario));
-}
-
-const Scenario* ScenarioRegistry::find(const std::string& name) const {
-  for (const auto& s : scenarios_)
-    if (s->name() == name) return s.get();
+const Scenario* findScenario(const std::string& name) {
+  for (const Scenario* s : scenarios())
+    if (s->name() == name) return s;
   return nullptr;
-}
-
-std::vector<const Scenario*> ScenarioRegistry::list() const {
-  std::vector<const Scenario*> out;
-  out.reserve(scenarios_.size());
-  for (const auto& s : scenarios_) out.push_back(s.get());
-  std::sort(out.begin(), out.end(),
-            [](const Scenario* a, const Scenario* b) { return a->name() < b->name(); });
-  return out;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  for (const Scenario* s : list()) out.push_back(s->name());
-  return out;
 }
 
 solver::TimeScheme parseScheme(const std::string& s) {

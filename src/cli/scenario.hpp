@@ -1,10 +1,10 @@
 #pragma once
 // Unified scenario CLI (the `nglts` driver): every workload — the box
 // quickstart, the LOH.3 seismogram comparison, the La Habra-like production
-// pipeline, the fused ensemble — is a `Scenario` registered in a global
-// `ScenarioRegistry`. The driver binary resolves one registry entry from
-// `--scenario NAME`, applies flag overrides (`ScenarioOptions`) on top of
-// the scenario's defaults and runs it. New workloads are one registry entry
+// pipeline, the fused ensemble, the batch — is a `Scenario` in the fixed
+// list `scenarios()`. The driver binary looks one up by `--scenario NAME`,
+// applies flag overrides (`ScenarioOptions`) on top of the scenario's
+// defaults and runs it. A new workload is one more entry in that list
 // instead of a new main().
 #include <memory>
 #include <optional>
@@ -28,7 +28,8 @@ struct ScenarioOptions {
   /// Time-stepping scheme: GTS, the paper's next-generation clustered LTS
   /// (Sec. V), or the buffer+derivative baseline of [15] (Tab. I).
   std::optional<solver::TimeScheme> scheme;
-  /// Number of rate-2 LTS clusters N_c >= 1 (ignored under GTS).
+  /// Number of rate-2 LTS clusters N_c, 1..solver::kMaxClusters (ignored
+  /// under GTS).
   /// Paper symbol: number of clusters in Figs. 4/5.
   std::optional<int_t> numClusters;
   /// Fused-simulation width W (Sec. IV-A): number of forward simulations
@@ -65,7 +66,7 @@ struct ScenarioOptions {
   /// bitwise identity — see docs/KERNELS.md). The fused and lahabra
   /// scenarios are single-precision by design and reject an explicit f64.
   std::optional<solver::Precision> precision;
-  /// Fixed cluster-growth control parameter lambda (>= 0); setting it
+  /// Fixed cluster-growth control parameter lambda in (0.5, 1]; setting it
   /// disables the scenario's automatic lambda sweep (Sec. V-A).
   std::optional<double> lambda;
   /// Mesh-resolution multiplier (> 0): 1 = the scenario's canonical mesh,
@@ -132,13 +133,13 @@ struct ScenarioReport {
   std::string summary;
 };
 
-/// One registered workload. Implementations live in scenarios_builtin.cpp
-/// and scenario_batch.cpp.
+/// One workload of `scenarios()`. Implementations live in
+/// scenarios_builtin.cpp and scenario_batch.cpp.
 class Scenario {
  public:
   virtual ~Scenario() = default;
 
-  /// Unique registry key (what `--scenario` matches), e.g. "quickstart".
+  /// Unique name (what `--scenario` matches), e.g. "quickstart".
   virtual std::string name() const = 0;
   /// One-line description shown by `--list-scenarios`.
   virtual std::string description() const = 0;
@@ -159,40 +160,21 @@ class Scenario {
   virtual ScenarioReport run(const ScenarioOptions& opts) const = 0;
 };
 
-/// Process-global scenario registry. Thread-compatible (registration happens
-/// once up front; lookups afterwards are const).
-class ScenarioRegistry {
- public:
-  static ScenarioRegistry& instance();
+/// The built-in scenarios (batch, fused, lahabra, loh1, loh3, quickstart),
+/// sorted by name.
+const std::vector<const Scenario*>& scenarios();
 
-  /// Register a scenario; throws `std::invalid_argument` on a duplicate name.
-  void add(std::unique_ptr<Scenario> scenario);
-
-  /// Look up by name; nullptr if absent.
-  const Scenario* find(const std::string& name) const;
-
-  /// All scenarios, sorted by name.
-  std::vector<const Scenario*> list() const;
-
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-
- private:
-  std::vector<std::unique_ptr<Scenario>> scenarios_;
-};
-
-/// Register the built-in scenarios (quickstart, loh1, loh3, lahabra, fused,
-/// batch) into the global registry. Idempotent — safe to call from multiple
-/// entry points (driver main, tests).
-void registerBuiltinScenarios();
+/// The built-in scenario called `name`; nullptr if there is none.
+const Scenario* findScenario(const std::string& name);
 
 /// The `batch` scenario (scenario_batch.cpp): ensemble batch execution of
 /// perturbed quickstart requests through the `BatchEngine`.
 std::unique_ptr<Scenario> makeBatchScenario();
 
 /// Apply the generic `SimConfig` overrides (order, scheme, clusters,
-/// precision, lambda, threads) and range-check them. Shared by the
-/// scenario implementations (scenarios_builtin.cpp, scenario_batch.cpp);
+/// precision, lambda, threads) and range-check them, the resulting config
+/// through `solver::validateSimConfig`. Shared by the scenario
+/// implementations (scenarios_builtin.cpp, scenario_batch.cpp);
 /// `defaultRanks` only feeds the `--threads` default.
 void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
                             int_t defaultRanks = 1);

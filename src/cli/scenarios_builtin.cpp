@@ -42,10 +42,10 @@ namespace {
 /// Record the small-GEMM backend the run's kernels dispatch to, the
 /// arithmetic precision and the solver threads' subnormal mode in the
 /// scenario summary ("kernel backend: vector(avx2)" / "precision: f64" /
-/// "denormals: flush-to-zero"); CI greps these lines to assert that CPU
-/// detection picks the vector kernels on SIMD hardware, that --precision
-/// f32 actually took effect, and that f32 runs compute with subnormals
-/// flushed.
+/// "denormals: flush-to-zero"); test_cli and test_precision check these
+/// lines to assert that CPU detection picks the vector kernels on SIMD
+/// hardware, that --precision f32 actually took effect, and that f32 runs
+/// compute with subnormals flushed.
 void appendKernelLine(std::string& out, const solver::SimConfig& cfg) {
   appendf(out, "kernel backend: %s\n",
           linalg::resolvedKernelBackendLabel(cfg.kernelBackend).c_str());
@@ -747,12 +747,6 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
     cfg.lambda = *opts.lambda;
     cfg.autoLambda = false;
   }
-  if (cfg.order < 1 || cfg.order > 7)
-    throw std::invalid_argument("order must be in 1..7");
-  if (cfg.numClusters < 1)
-    throw std::invalid_argument("clusters must be >= 1");
-  if (cfg.lambda < 0.0)
-    throw std::invalid_argument("lambda must be >= 0");
   if (opts.endTime && !(*opts.endTime > 0.0))
     throw std::invalid_argument("end time must be > 0");
   if (!(opts.meshScale > 0.0))
@@ -769,20 +763,21 @@ void applyScenarioOverrides(solver::SimConfig& cfg, const ScenarioOptions& opts,
     throw std::invalid_argument("threads must be >= 1, got " +
                                 std::to_string(cfg.numThreads) +
                                 " (--threads 0 is not a serial run; use --threads 1)");
+  // Order, cluster count, lambda, ...: the engine's own ranges, checked
+  // here so a bad value fails before any meshing.
+  solver::validateSimConfig(cfg);
 }
 
-void registerBuiltinScenarios() {
-  static const bool registered = [] {
-    auto& reg = ScenarioRegistry::instance();
-    reg.add(std::make_unique<QuickstartScenario>());
-    reg.add(std::make_unique<Loh1Scenario>());
-    reg.add(std::make_unique<Loh3Scenario>());
-    reg.add(std::make_unique<LaHabraScenario>());
-    reg.add(std::make_unique<FusedScenario>());
-    reg.add(makeBatchScenario());
-    return true;
-  }();
-  (void)registered;
+const std::vector<const Scenario*>& scenarios() {
+  static const QuickstartScenario quickstart{};
+  static const Loh1Scenario loh1{};
+  static const Loh3Scenario loh3{};
+  static const LaHabraScenario lahabra{};
+  static const FusedScenario fused{};
+  static const std::unique_ptr<Scenario> batch = makeBatchScenario();
+  static const std::vector<const Scenario*> all = {batch.get(), &fused, &lahabra,
+                                                   &loh1,       &loh3,  &quickstart};
+  return all;
 }
 
 } // namespace nglts::cli

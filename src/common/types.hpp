@@ -29,9 +29,6 @@ constexpr int_t numBasis3d(int_t order) { return order * (order + 1) * (order + 
 /// Number of 2D (triangle) basis functions: F(O) = O(O+1)/2.
 constexpr int_t numBasis2d(int_t order) { return order * (order + 1) / 2; }
 
-/// Number of 1D basis functions of degree < O.
-constexpr int_t numBasis1d(int_t order) { return order; }
-
 /// Variable ordering inside the elastic block.
 enum ElasticVar : int_t {
   kSxx = 0, kSyy = 1, kSzz = 2, kSxy = 3, kSyz = 4, kSxz = 5,

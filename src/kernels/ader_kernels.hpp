@@ -64,7 +64,6 @@ class AderKernels {
 
   int_t order() const { return order_; }
   int_t numBasis() const { return nb_; }
-  int_t numFaceBasis() const { return nf_; }
   int_t numQuantities() const { return nq_; }
   int_t mechanisms() const { return mechs_; }
   const std::vector<Real>& omega() const { return omega_; }

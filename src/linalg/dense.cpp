@@ -11,20 +11,6 @@ Matrix Matrix::identity(int_t n) {
   return m;
 }
 
-Matrix Matrix::fromRows(std::initializer_list<std::initializer_list<double>> rows) {
-  const int_t nr = static_cast<int_t>(rows.size());
-  const int_t nc = nr ? static_cast<int_t>(rows.begin()->size()) : 0;
-  Matrix m(nr, nc);
-  int_t r = 0;
-  for (const auto& row : rows) {
-    assert(static_cast<int_t>(row.size()) == nc);
-    int_t c = 0;
-    for (double v : row) m(r, c++) = v;
-    ++r;
-  }
-  return m;
-}
-
 Matrix Matrix::transposed() const {
   Matrix t(cols_, rows_);
   for (int_t r = 0; r < rows_; ++r)

@@ -6,7 +6,6 @@
 // small_gemm.hpp.
 #include <cassert>
 #include <cstddef>
-#include <initializer_list>
 #include <vector>
 
 #include "common/types.hpp"
@@ -21,8 +20,6 @@ class Matrix {
       : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows) * cols, fill) {}
 
   static Matrix identity(int_t n);
-  /// Build from nested initializer list (row-wise).
-  static Matrix fromRows(std::initializer_list<std::initializer_list<double>> rows);
 
   int_t rows() const { return rows_; }
   int_t cols() const { return cols_; }

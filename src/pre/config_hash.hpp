@@ -26,7 +26,6 @@ class ConfigHasher {
  public:
   void bytes(const void* data, std::size_t n);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void i32(std::int32_t v) { u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v))); }
   void boolean(bool v) { u64(v ? 1 : 0); }
   void f64(double v);

@@ -51,9 +51,13 @@ inline Precision parsePrecision(const std::string& s) {
   throw std::invalid_argument("unknown precision '" + s + "' (expected f64 | f32)");
 }
 
-/// Bytes of the scalar type a precision selects (checkpoint headers,
-/// snapshot validation).
-inline int_t precisionBytes(Precision p) { return p == Precision::kF32 ? 4 : 8; }
+/// Largest accepted `SimConfig::numClusters`. The paper uses at most 5
+/// clusters and no run here uses more than 6. The LTS schedule holds
+/// 2^(N_c+1) - 2 ops and every run steps whole cycles of 2^(N_c-1) cluster-0
+/// steps, so each cluster beyond the populated ones doubles the work of the
+/// shortest run: at 16 clusters a 162-element box took 37 s for its one
+/// cycle, at 10 it is 512 steps.
+inline constexpr int_t kMaxClusters = 10;
 
 /// Solver configuration shared by all time-stepping schemes. Every field
 /// has a validated range; the engine's constructor throws
@@ -93,12 +97,12 @@ struct SimConfig {
   /// (Sec. V), or the buffer+derivative baseline of [15].
   TimeScheme scheme = TimeScheme::kGts;
   /// Number of rate-2 LTS clusters N_c (cluster c steps at 2^c * dt_min).
-  /// Valid: >= 1; ignored for GTS (which behaves as N_c = 1). The paper
+  /// Valid: 1..kMaxClusters; ignored for GTS (which behaves as N_c = 1). The paper
   /// uses 3 for LOH.3 (Fig. 4) and 5 for La Habra (Fig. 5).
   int_t numClusters = 3;
   /// Cluster-growth control parameter lambda of the clustering criterion
   /// (Sec. V-A): elements with dt < (1 + lambda) * 2^c * dt_min may stay
-  /// in cluster c. Valid: >= 0; ignored when `autoLambda` is set.
+  /// in cluster c. Valid: (0.5, 1]; ignored when `autoLambda` is set.
   double lambda = 1.0;
   /// Sweep lambda over a grid and keep the value maximizing the
   /// theoretical speedup (the paper's auto-tuning of Sec. V-A).
@@ -134,10 +138,11 @@ inline void validateSimConfig(const SimConfig& cfg) {
     throw std::invalid_argument("SimConfig: mechanisms must be >= 0");
   if (!(cfg.cfl > 0.0) || cfg.cfl > 1.0)
     throw std::invalid_argument("SimConfig: cfl must be in (0, 1]");
-  if (cfg.numClusters < 1)
-    throw std::invalid_argument("SimConfig: numClusters must be >= 1");
-  if (cfg.lambda < 0.0)
-    throw std::invalid_argument("SimConfig: lambda must be >= 0");
+  if (cfg.numClusters < 1 || cfg.numClusters > kMaxClusters)
+    throw std::invalid_argument("SimConfig: numClusters must be in 1.." +
+                                std::to_string(kMaxClusters));
+  if (!(cfg.lambda > 0.5 && cfg.lambda <= 1.0))
+    throw std::invalid_argument("SimConfig: lambda must be in (0.5, 1]");
   if (cfg.mechanisms > 0 && !(cfg.attenuationFreq > 0.0))
     throw std::invalid_argument("SimConfig: attenuationFreq must be > 0 for anelastic runs");
   if (cfg.receiverSampleDt < 0.0)

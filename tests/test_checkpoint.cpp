@@ -289,6 +289,17 @@ TEST(BatchCheckpoint, KilledBatchResumesBitwiseIdentical) {
         engine.run([&](const nbatch::RequestResult& r) { collected.push_back(r); });
     EXPECT_FALSE(stats.interrupted);
   }
+  // The completed batch left a run-boundary marker past its last run:
+  // restoring it again is accepted and runs nothing.
+  {
+    nbatch::BatchEngine engine(reCfg);
+    engine.add(reqs);
+    const nbatch::BatchStats stats =
+        engine.run([](const nbatch::RequestResult& r) { ADD_FAILURE() << r.id << " re-ran"; });
+    EXPECT_FALSE(stats.interrupted);
+    EXPECT_EQ(stats.runs, 0);
+    EXPECT_EQ(stats.completedRequests, 0);
+  }
 
   ASSERT_EQ(collected.size(), 3u);
   for (const auto& got : collected) {

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -13,6 +12,8 @@
 #include <vector>
 
 #include "cli/scenario.hpp"
+#include "common/float_env.hpp"
+#include "linalg/kernel_backend.hpp"
 #include "mesh/box_gen.hpp"
 #include "physics/material.hpp"
 
@@ -21,11 +22,6 @@ namespace ns = nglts::solver;
 using nglts::solver::TimeScheme;
 
 namespace {
-
-nc::ScenarioRegistry& registry() {
-  nc::registerBuiltinScenarios();
-  return nc::ScenarioRegistry::instance();
-}
 
 /// Run the `nglts` binary with `flags`; returns what it wrote to stderr
 /// (and to stdout if `withStdout`, else stdout is discarded) and stores the
@@ -46,45 +42,30 @@ std::string cliStderr(const std::string& flags, int& status, bool withStdout = f
 
 } // namespace
 
-TEST(ScenarioRegistry, ListsAllBuiltinScenarios) {
-  const auto names = registry().names();
+TEST(Scenarios, ListsAllBuiltinScenarios) {
+  std::vector<std::string> names;
+  for (const nc::Scenario* s : nc::scenarios()) {
+    names.push_back(s->name());
+    EXPECT_EQ(nc::findScenario(s->name()), s);
+    EXPECT_FALSE(s->description().empty());
+  }
   const std::vector<std::string> expected = {"batch",   "fused", "lahabra",
                                              "loh1",    "loh3",  "quickstart"};
   EXPECT_EQ(names, expected);
-  for (const auto& n : names) {
-    const nc::Scenario* s = registry().find(n);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->name(), n);
-    EXPECT_FALSE(s->description().empty());
-  }
+  // `nglts --list-scenarios` prints the same list.
+  int status = 0;
+  const std::string listed = cliStderr("--list-scenarios", status, /*withStdout=*/true);
+  EXPECT_EQ(status, 0) << listed;
+  for (const std::string& name : expected)
+    EXPECT_NE(listed.find("  " + name + " "), std::string::npos) << name << "\n" << listed;
 }
 
-TEST(ScenarioRegistry, RegistrationIsIdempotent) {
-  const auto before = registry().names();
-  nc::registerBuiltinScenarios();
-  EXPECT_EQ(registry().names(), before);
-}
-
-TEST(ScenarioRegistry, FindUnknownReturnsNull) {
-  EXPECT_EQ(registry().find("no-such-scenario"), nullptr);
-}
-
-TEST(ScenarioRegistry, RejectsDuplicateNames) {
-  class Dup final : public nc::Scenario {
-   public:
-    std::string name() const override { return "quickstart"; }
-    std::string description() const override { return "dup"; }
-    std::vector<std::string> unreadFlags() const override { return {}; }
-    nglts::solver::SimConfig resolveConfig(const nc::ScenarioOptions&) const override {
-      return {};
-    }
-    nc::ScenarioReport run(const nc::ScenarioOptions&) const override { return {}; }
-  };
-  EXPECT_THROW(registry().add(std::make_unique<Dup>()), std::invalid_argument);
+TEST(Scenarios, FindUnknownReturnsNull) {
+  EXPECT_EQ(nc::findScenario("no-such-scenario"), nullptr);
 }
 
 TEST(Scenarios, EachConfiguresValidSimConfig) {
-  for (const nc::Scenario* s : registry().list()) {
+  for (const nc::Scenario* s : nc::scenarios()) {
     const nglts::solver::SimConfig cfg = s->resolveConfig({});
     EXPECT_GE(cfg.order, 1) << s->name();
     EXPECT_LE(cfg.order, 7) << s->name();
@@ -97,7 +78,7 @@ TEST(Scenarios, EachConfiguresValidSimConfig) {
 }
 
 TEST(Scenarios, FlagOverridesApply) {
-  const nc::Scenario* s = registry().find("quickstart");
+  const nc::Scenario* s = nc::findScenario("quickstart");
   ASSERT_NE(s, nullptr);
   nc::ScenarioOptions opts;
   opts.order = 3;
@@ -116,7 +97,7 @@ TEST(Scenarios, FlagOverridesApply) {
 
 TEST(Scenarios, ThreadsDefaultIsPositiveOnEveryScenario) {
   // Unset --threads resolves to hardware threads / ranks, never below 1.
-  for (const nc::Scenario* s : registry().list()) {
+  for (const nc::Scenario* s : nc::scenarios()) {
     EXPECT_GE(s->resolveConfig({}).numThreads, 1) << s->name();
     nc::ScenarioOptions manyRanks;
     manyRanks.ranks = 1024; // more ranks than cores must still give >= 1
@@ -125,7 +106,7 @@ TEST(Scenarios, ThreadsDefaultIsPositiveOnEveryScenario) {
 }
 
 TEST(Scenarios, OutOfRangeOverridesThrow) {
-  const nc::Scenario* s = registry().find("quickstart");
+  const nc::Scenario* s = nc::findScenario("quickstart");
   ASSERT_NE(s, nullptr);
   nc::ScenarioOptions bad;
   bad.order = 0;
@@ -134,8 +115,15 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   bad.numClusters = 0;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
   bad = {};
-  bad.lambda = -1.0;
+  bad.numClusters = ns::kMaxClusters + 1;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
+  // lambda lives in (0.5, 1]: both ends are checked here, not by the
+  // clustering after the mesh is built.
+  for (const double lambda : {-1.0, 0.3, 0.5, 1.5}) {
+    bad = {};
+    bad.lambda = lambda;
+    EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument) << lambda;
+  }
   bad = {};
   bad.meshScale = 0.0;
   EXPECT_THROW(s->resolveConfig(bad), std::invalid_argument);
@@ -159,7 +147,7 @@ TEST(Scenarios, OutOfRangeOverridesThrow) {
   // names the widths listed at its own precision.
   bad = {};
   bad.fusedWidth = 5;
-  for (const nc::Scenario* sc : registry().list()) {
+  for (const nc::Scenario* sc : nc::scenarios()) {
     const bool f32 = sc->resolveConfig({}).precision == ns::Precision::kF32;
     const std::string widths = f32 ? "f32 widths: 1 2 4 8 16" : "f64 widths: 1 2 4";
     for (const bool run : {false, true}) {
@@ -191,7 +179,7 @@ TEST(EngineTypes, EveryPairRuns) {
       ns::dispatchEngineType(p, w, [&]<typename Real, int W>() {
         ns::Simulation<Real, W> sim(mesh, mats, cfg);
         EXPECT_EQ(sim.runCycles(1).cycles, 1u);
-        EXPECT_EQ(sizeof(Real), static_cast<std::size_t>(ns::precisionBytes(p)));
+        EXPECT_EQ(ns::precisionOf<Real>(), p);
         EXPECT_EQ(W, w);
       });
     }
@@ -223,7 +211,7 @@ TEST(Scenarios, ParseSchemeRoundTrips) {
 }
 
 TEST(Scenarios, QuickstartRunsAndProducesFiniteSeismogram) {
-  const nc::Scenario* s = registry().find("quickstart");
+  const nc::Scenario* s = nc::findScenario("quickstart");
   ASSERT_NE(s, nullptr);
   // Coarse mesh + short end time: a few LTS cycles, seconds of runtime.
   nc::ScenarioOptions opts;
@@ -238,7 +226,11 @@ TEST(Scenarios, QuickstartRunsAndProducesFiniteSeismogram) {
   EXPECT_GT(report.stats.elementUpdates, 0u);
   ASSERT_FALSE(report.trace.empty());
   for (double v : report.trace) EXPECT_TRUE(std::isfinite(v));
-  EXPECT_FALSE(report.summary.empty());
+  // CPU detection picks the vector kernels wherever build and CPU run them.
+  if (nglts::linalg::resolveKernelBackend(nglts::linalg::KernelBackend::kAuto) ==
+      nglts::linalg::KernelBackend::kVector)
+    EXPECT_NE(report.summary.find("kernel backend: vector("), std::string::npos)
+        << report.summary;
 }
 
 TEST(Scenarios, OperatorDataIsSizedByThePhysics) {
@@ -251,7 +243,7 @@ TEST(Scenarios, OperatorDataIsSizedByThePhysics) {
   opts.endTime = 0.05;
   opts.threads = 1;
   opts.quiet = true;
-  const nc::ScenarioReport loh1 = registry().find("loh1")->run(opts);
+  const nc::ScenarioReport loh1 = nc::findScenario("loh1")->run(opts);
   ASSERT_EQ(loh1.config.mechanisms, 0);
   EXPECT_EQ(loh1.operatorBytes.elastic, 432u * 5760);
   EXPECT_EQ(loh1.operatorBytes.anelastic, 0u);
@@ -264,7 +256,7 @@ TEST(Scenarios, OperatorDataIsSizedByThePhysics) {
   opts.endTime = 0.03;
   opts.threads = 1;
   opts.quiet = true;
-  const nc::ScenarioReport loh3 = registry().find("loh3")->run(opts);
+  const nc::ScenarioReport loh3 = nc::findScenario("loh3")->run(opts);
   ASSERT_EQ(loh3.config.mechanisms, 3);
   EXPECT_EQ(loh3.operatorBytes.elastic, 450u * 5760);
   EXPECT_EQ(loh3.operatorBytes.anelastic, 450u * (3672 + 3 * 12 * 8));
@@ -275,18 +267,25 @@ TEST(Scenarios, OperatorDataIsSizedByThePhysics) {
 
 TEST(Cli, QuietSilencesCoreInfoLinesOnLahabra) {
   // The λ-sweep and pipeline INFO lines come from the core logger, not the
-  // scenario progress output; -q must silence both. Only stderr is captured.
-  auto stderrOf = [](const std::string& flags) {
+  // scenario progress output; -q must silence both. The summary (stdout)
+  // has none either.
+  auto outputOf = [](const std::string& flags) {
     int status = 0;
     const std::string out =
-        cliStderr("-s lahabra --scale 0.3 --ranks 2 --threads 1 --end-time 0.01 " + flags, status);
+        cliStderr("-s lahabra --scale 0.3 --ranks 2 --threads 1 --end-time 0.01 " + flags, status,
+                  /*withStdout=*/true);
     EXPECT_EQ(status, 0) << flags << "\n" << out;
     return out;
   };
-  EXPECT_NE(stderrOf("").find("[nglts INFO "), std::string::npos)
+  EXPECT_NE(outputOf("").find("[nglts INFO "), std::string::npos)
       << "precondition: without -q the run logs INFO lines";
-  const std::string quiet = stderrOf("-q");
+  const std::string quiet = outputOf("-q");
   EXPECT_EQ(quiet.find("[nglts INFO "), std::string::npos) << quiet;
+  // lahabra is single-precision; its solver threads (rank threads here)
+  // flush subnormals wherever the platform can.
+  EXPECT_NE(quiet.find("precision: f32\n"), std::string::npos) << quiet;
+  if (nglts::kFlushDenormals)
+    EXPECT_NE(quiet.find("denormals: flush-to-zero\n"), std::string::npos) << quiet;
 }
 
 TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
@@ -303,12 +302,40 @@ TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
   }
 }
 
-TEST(Cli, EndTimeWithoutAValidCycleCountIsAUsageError) {
-  // inf passes the "> 0" flag check; the engine (and the batch config)
-  // reject it with a message naming the value instead of running 0 cycles.
-  const std::pair<const char*, const char*> cases[] = {
+TEST(Cli, BadValuesAndInputFilesAreUsageErrors) {
+  // Each run exits 2 with a message naming what is wrong, before it runs.
+  const std::string dir = ::testing::TempDir();
+  // A .msh cut off inside its $Nodes section, and a fault stanza without
+  // its moment: both errors name file:line.
+  const std::string truncatedMesh = dir + "test_cli_truncated.msh";
+  const std::string badFault = dir + "test_cli_bad_fault.txt";
+  for (const auto& [path, text] :
+       {std::pair{truncatedMesh, "$MeshFormat\n4.1 0 8\n$EndMeshFormat\n$Nodes\n1 4 1 4\n"
+                                 "3 1 0 4\n1\n2\n"},
+        std::pair{badFault, "subfault\nposition 0 0 0\n"}}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr) << path;
+    std::fputs(text, f);
+    std::fclose(f);
+  }
+  const std::string tooManyClusters = std::to_string(ns::kMaxClusters + 1);
+  const std::pair<std::string, std::string> cases[] = {
+      // inf passes the "> 0" flag check; the engine (and the batch config)
+      // reject it with a message naming the value instead of running 0
+      // cycles.
       {"-s quickstart --scale 0.3 -q --end-time inf", "end time inf"},
       {"-s batch --batch-size 1 --scale 0.3 -q --end-time inf", "endTime must be finite"},
+      // Ranges are checked before the mesh: the missing mesh file is never
+      // opened.
+      {"-s quickstart --end-time 0.01 -q --lambda 0.3 --mesh-file /nonexistent.msh",
+       "lambda must be in (0.5, 1]"},
+      {"-s quickstart --scale 0.3 --end-time 0.01 -q --lambda 1.5", "lambda must be in (0.5, 1]"},
+      {"-s quickstart --scale 0.3 --end-time 0.01 -q --clusters " + tooManyClusters,
+       "numClusters must be in 1.." + std::to_string(ns::kMaxClusters)},
+      {"-s quickstart --end-time 0.01 -q --mesh-file '" + truncatedMesh + "'",
+       truncatedMesh + ":8: unexpected end of file inside $Nodes"},
+      {"-s quickstart --scale 0.3 --end-time 0.01 -q --fault-file '" + badFault + "'",
+       badFault + ":1: subfault missing 'moment'"},
   };
   for (const auto& [flags, expected] : cases) {
     int status = 0;
@@ -317,6 +344,8 @@ TEST(Cli, EndTimeWithoutAValidCycleCountIsAUsageError) {
     EXPECT_EQ(WEXITSTATUS(status), 2) << flags << "\n" << err;
     EXPECT_NE(err.find(expected), std::string::npos) << err;
   }
+  std::remove(truncatedMesh.c_str());
+  std::remove(badFault.c_str());
 }
 
 TEST(Cli, RemovedOptionsAreUsageErrors) {
@@ -469,7 +498,7 @@ TEST(Scenarios, GtsPipelineClustersAndPartitionsOneCluster) {
   opts.ranks = 2;
   opts.endTime = 0.02;
   opts.quiet = true;
-  const nc::ScenarioReport r = registry().find("loh1")->run(opts);
+  const nc::ScenarioReport r = nc::findScenario("loh1")->run(opts);
   EXPECT_NE(r.summary.find("clusters (lambda 1): C1=432\n"), std::string::npos) << r.summary;
   EXPECT_NE(r.summary.find("theoretical LTS speedup: 1\n"), std::string::npos) << r.summary;
   EXPECT_EQ(r.clusterHistogram, std::vector<nglts::idx_t>{432});
@@ -480,7 +509,7 @@ namespace {
 /// Every scenario's primary run takes one engine path, on 1 rank and on 2.
 /// The two must agree to the bit in trace, clustering and work done.
 void expectRanksAgree(const std::string& scenario, std::optional<nglts::int_t> fused = {}) {
-  const nc::Scenario* s = registry().find(scenario);
+  const nc::Scenario* s = nc::findScenario(scenario);
   ASSERT_NE(s, nullptr);
   nc::ScenarioOptions opts;
   opts.meshScale = 0.35;

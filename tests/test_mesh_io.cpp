@@ -458,8 +458,7 @@ TEST(GmshExport, RejectsEmptyMesh) {
 namespace {
 
 std::vector<double> runQuickstart(const nglts::cli::ScenarioOptions& opts) {
-  nglts::cli::registerBuiltinScenarios();
-  const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find("quickstart");
+  const nglts::cli::Scenario* s = nglts::cli::findScenario("quickstart");
   EXPECT_NE(s, nullptr);
   const nglts::cli::ScenarioReport report = s->run(opts);
   EXPECT_FALSE(report.trace.empty());
@@ -523,12 +522,11 @@ TEST(GmshScenarioRoundTrip, BuiltinReceiversOutsideAnImportedMeshAreErrors) {
     int_t ranks;
     const char* receiver;
   };
-  nglts::cli::registerBuiltinScenarios();
   for (const Case& c : {Case{"quickstart", 1, "(800, 750, -20)"},
                         Case{"loh3", 1, "(4800, 4200, -20)"},
                         Case{"loh1", 2, "(4800, 4200, -20)"},
                         Case{"fused", 2, "(1600, 1500, -30)"}}) {
-    const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find(c.scenario);
+    const nglts::cli::Scenario* s = nglts::cli::findScenario(c.scenario);
     ASSERT_NE(s, nullptr);
     nglts::cli::ScenarioOptions opts;
     opts.meshFile = meshPath;

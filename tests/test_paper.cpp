@@ -231,10 +231,9 @@ struct Counts {
   std::uint64_t messages, commBytes; ///< halo exchange; 0 on one rank
 };
 
-/// Run a registered scenario at smoke scale on one thread per rank.
+/// Run a built-in scenario at smoke scale on one thread per rank.
 nc::ScenarioReport runQuiet(const std::string& name, nc::ScenarioOptions opts) {
-  nc::registerBuiltinScenarios();
-  const nc::Scenario* s = nc::ScenarioRegistry::instance().find(name);
+  const nc::Scenario* s = nc::findScenario(name);
   if (s == nullptr) throw std::invalid_argument("no scenario " + name);
   opts.threads = 1;
   opts.quiet = true;

@@ -39,8 +39,7 @@ constexpr double kBaselineF32MisfitTol = 1e-7;
 constexpr double kLoh3F32MisfitTol = 1e-6;
 
 const nc::Scenario* scenario(const std::string& name) {
-  nc::registerBuiltinScenarios();
-  return nc::ScenarioRegistry::instance().find(name);
+  return nc::findScenario(name);
 }
 
 /// Run quickstart at f32 and gate against the committed f64 golden trace.
@@ -76,8 +75,6 @@ TEST(Precision, ParseRoundTrips) {
   EXPECT_THROW(ns::parsePrecision(""), std::invalid_argument);
   for (auto p : {ns::Precision::kF64, ns::Precision::kF32})
     EXPECT_EQ(ns::parsePrecision(ns::precisionName(p)), p);
-  EXPECT_EQ(ns::precisionBytes(ns::Precision::kF64), 8);
-  EXPECT_EQ(ns::precisionBytes(ns::Precision::kF32), 4);
 }
 
 TEST(Precision, DefaultIsF64AndOverrideApplies) {

@@ -113,8 +113,7 @@ namespace {
 #endif
 
 void checkGoldenQuickstart(ns::TimeScheme scheme, const std::string& file) {
-  nglts::cli::registerBuiltinScenarios();
-  const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find("quickstart");
+  const nglts::cli::Scenario* s = nglts::cli::findScenario("quickstart");
   ASSERT_NE(s, nullptr);
   const nglts::cli::ScenarioReport report = s->run(goldenQuickstartOptions(scheme));
 
@@ -147,8 +146,7 @@ TEST(SolverLtsGolden, QuickstartLtsMatchesCommittedFixture) {
 //         --output tests/golden/
 //   mv tests/golden/loh1_seismogram.csv tests/golden/loh1_lts.csv
 TEST(SolverLtsGolden, Loh1MatchesCommittedFixtureWithMultipleClusters) {
-  nglts::cli::registerBuiltinScenarios();
-  const nglts::cli::Scenario* s = nglts::cli::ScenarioRegistry::instance().find("loh1");
+  const nglts::cli::Scenario* s = nglts::cli::findScenario("loh1");
   ASSERT_NE(s, nullptr);
   nglts::cli::ScenarioOptions opts;
   opts.order = 3;
