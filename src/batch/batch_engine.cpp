@@ -51,6 +51,13 @@ void BatchEngine::add(ScenarioRequest req) {
   if (!std::isfinite(req.materialScale) || !(req.materialScale > 0.0))
     throw std::invalid_argument("batch request '" + req.id + "': material scale " +
                                 std::to_string(req.materialScale) + " must be finite and > 0");
+  if (!std::isfinite(req.sourceScale))
+    throw std::invalid_argument("batch request '" + req.id + "': source scale " +
+                                std::to_string(req.sourceScale) + " must be finite");
+  for (const double d : req.receiverOffset)
+    if (!std::isfinite(d))
+      throw std::invalid_argument("batch request '" + req.id + "': receiver offset " +
+                                  std::to_string(d) + " must be finite");
   requests_.push_back(std::move(req));
   planned_ = false;
 }

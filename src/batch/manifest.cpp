@@ -1,5 +1,6 @@
 #include "batch/manifest.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,9 +18,9 @@ double parseNumber(const std::string& tok, const std::string& name, idx_t line,
   } catch (const std::exception&) {
     used = 0;
   }
-  if (used != tok.size())
-    throw std::runtime_error(name + ":" + std::to_string(line) + ": bad " + field + " '" + tok +
-                             "'");
+  if (used != tok.size() || !std::isfinite(v))
+    throw std::invalid_argument(name + ":" + std::to_string(line) + ": bad " + field + " '" +
+                                tok + "' (expected a finite number)");
   return v;
 }
 
@@ -37,9 +38,10 @@ std::vector<ScenarioRequest> parseManifest(std::istream& in, const std::string& 
     for (std::string t; line >> t;) tok.push_back(t);
     if (tok.empty()) continue;
     if (tok.size() == 4 || tok.size() == 5 || tok.size() > 6)
-      throw std::runtime_error(name + ":" + std::to_string(lineNo) +
-                               ": expected 'id [source_scale [material_scale [dx dy dz]]]', got " +
-                               std::to_string(tok.size()) + " fields");
+      throw std::invalid_argument(
+          name + ":" + std::to_string(lineNo) +
+          ": expected 'id [source_scale [material_scale [dx dy dz]]]', got " +
+          std::to_string(tok.size()) + " fields");
     ScenarioRequest req;
     req.id = tok[0];
     if (tok.size() >= 2) req.sourceScale = parseNumber(tok[1], name, lineNo, "source_scale");
@@ -50,18 +52,18 @@ std::vector<ScenarioRequest> parseManifest(std::istream& in, const std::string& 
                             parseNumber(tok[5], name, lineNo, "recv_dz")};
     }
     if (!(req.materialScale > 0.0))
-      throw std::runtime_error(name + ":" + std::to_string(lineNo) +
-                               ": material_scale must be > 0");
+      throw std::invalid_argument(name + ":" + std::to_string(lineNo) +
+                                  ": material_scale must be > 0");
     requests.push_back(std::move(req));
   }
   if (requests.empty())
-    throw std::runtime_error(name + ": manifest contains no requests");
+    throw std::invalid_argument(name + ": manifest contains no requests");
   return requests;
 }
 
 std::vector<ScenarioRequest> parseManifestFile(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open batch manifest '" + path + "'");
+  if (!in) throw std::invalid_argument("cannot open batch manifest '" + path + "'");
   return parseManifest(in, path);
 }
 

@@ -8,14 +8,13 @@
 // perturbs the materials so the plan exercises group splitting).
 // `--checkpoint FILE --checkpoint-every N` snapshots the batch;
 // `--restore` resumes it bitwise-identically.
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "batch/batch_engine.hpp"
 #include "batch/manifest.hpp"
 #include "cli/scenario.hpp"
+#include "seismo/misfit.hpp"
 #include "seismo/receiver.hpp"
 
 namespace nglts::cli {
@@ -91,8 +90,7 @@ class BatchScenario final : public Scenario {
     const idx_t samples = 101;
     const batch::BatchStats stats = engine.run([&](const batch::RequestResult& res) {
       const std::vector<double> vx = seismo::resample(res.trace, kVelU, tEnd, samples);
-      double peak = 0.0;
-      for (double v : vx) peak = std::max(peak, std::fabs(v));
+      const double peak = seismo::peakAmplitude(vx);
       progressf(opts, "  %-10s lane %d/%d  vx peak %.4e m/s\n", res.id.c_str(),
                 static_cast<int>(res.lane), static_cast<int>(res.fusedWidth), peak);
       appendf(report.summary, "request %-10s width %d lane %d  vx peak %.4e m/s\n",

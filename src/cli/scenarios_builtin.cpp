@@ -269,9 +269,8 @@ template <typename Sim>
 void reportReceiver0(const Sim& sim, double tEnd, idx_t samples, const ScenarioOptions& opts,
                      const std::string& file, ScenarioReport& report) {
   report.trace = seismo::resample(sim.receiver(0).traces[0], kVelU, tEnd, samples);
-  double peak = 0.0;
-  for (double v : report.trace) peak = std::max(peak, std::fabs(v));
-  appendf(report.summary, "receiver vx peak: %.4e m/s over %.2f s\n", peak, tEnd);
+  appendf(report.summary, "receiver vx peak: %.4e m/s over %.2f s\n",
+          seismo::peakAmplitude(report.trace), tEnd);
   writeCsv(opts, file, tEnd, {report.trace}, "time,vx", report);
 }
 

@@ -5,7 +5,13 @@
 //   * scalar — the reference triple loops of linalg/small_gemm.hpp
 //     (`#pragma omp simd` hints only, auto-vectorization),
 //   * vector — the explicit register-blocked SIMD micro-kernels of
-//     linalg/small_gemm_vector.hpp (GCC/Clang vector extensions).
+//     linalg/small_gemm_vector.hpp (GCC/Clang vector extensions), compiled
+//     once per ISA variant of the build's clone set.
+//
+// kernel_backend.cpp owns the dispatch tables of both backends
+// (linalg/small_gemm_dispatch.hpp): it is the only TU that compiles the
+// vector kernels, it decides which ISA variants this build carries and
+// which one dispatches on the host, and the label below names that one.
 //
 // The machine picks the backend: `kAuto` (the default of
 // `SimConfig::kernelBackend`, which no scenario, CLI flag or environment
@@ -72,10 +78,11 @@ constexpr bool vectorBackendCompiled() {
 ///     kScalar.
 KernelBackend resolveKernelBackend(KernelBackend requested);
 
-/// Human-readable label of what `requested` resolves to, e.g. "scalar",
-/// "vector(avx512f)" or "vector(avx2)" — printed in scenario summaries
-/// and bench artifacts so every measurement records the backend (and the
-/// ISA its kernels actually dispatch to) that produced it.
+/// Human-readable label of what `requested` resolves to: "scalar", or
+/// "vector(<isa>)" naming the dispatched table's ISA (the first of
+/// `vectorKernelTables`, e.g. "vector(avx512f)") — printed in scenario
+/// summaries and bench artifacts so every measurement records the backend
+/// (and the ISA its kernels actually dispatch to) that produced it.
 std::string resolvedKernelBackendLabel(KernelBackend requested);
 
 } // namespace nglts::linalg

@@ -1,21 +1,28 @@
 #pragma once
 // Runtime dispatch for the small-GEMM kernel layer: one function-pointer
-// table per (scalar type, fused width W) instantiation, holding either the
-// scalar reference kernels (small_gemm.hpp) or the explicit-SIMD backend
-// (small_gemm_vector.hpp). `kernels::AderKernels` resolves its table once
-// at construction — the per-call indirection is amortized over the hundreds
-// to thousands of FLOPs each small-GEMM performs, and the inner loops stay
-// fully compiled per backend.
+// table per (scalar type, fused width W) engine type, holding either the
+// scalar reference kernels (small_gemm.hpp) or one ISA variant of the
+// explicit-SIMD backend (small_gemm_vector.hpp). `kernels::AderKernels`
+// resolves its table once at construction — the per-call indirection is
+// amortized over the hundreds to thousands of FLOPs each small-GEMM
+// performs, and the inner loops stay fully compiled per backend.
+//
+// The tables are defined and instantiated in one TU,
+// linalg/kernel_backend.cpp, for every engine type of
+// `NGLTS_FOR_EACH_ENGINE_TYPE`. That file owns the ISA clone set (which
+// variants this build carries, which one dispatches, and its label), and
+// it is the only TU that compiles the vector kernels.
 //
 // Flop accounting is part of the kernel contract: every entry returns the
 // same analytic non-zero-operation count as the scalar reference
 // (docs/KERNELS.md, "Flop accounting"), so counters are backend-invariant
 // by construction (asserted by tests/test_kernel_backends.cpp).
 #include <cstdint>
+#include <vector>
 
+#include "common/types.hpp"
 #include "linalg/kernel_backend.hpp"
 #include "linalg/small_gemm.hpp"
-#include "linalg/small_gemm_vector.hpp"
 
 namespace nglts::linalg {
 
@@ -32,51 +39,29 @@ struct SmallGemmOps {
                             int_t ldd, int_t ldo);
   void (*axpy)(Real s, const Real* src, Real* dst, std::size_t n);
   KernelBackend backend;  ///< kScalar or kVector — which table this is
+  const char* isa;        ///< ISA the vector entries run: "avx512f", "avx2", "sse2", ...
+                          ///< ("none" on the scalar reference)
 };
 
-/// The table for a *resolved* backend (kScalar or kVector —
-/// pass requests through `resolveKernelBackend` first; kAuto maps to the
-/// scalar table here only as a safety net). The vector table exists for
-/// power-of-two W (every instantiated fused width) on compilers with
-/// vector extensions; otherwise the scalar table is returned for any
-/// request. On x86-64 portable builds the vector backend carries
-/// additional `target("avx2")` and `target("avx512f")` clone tables,
-/// picked here at runtime (widest CPU-supported ISA first) — same bodies,
-/// 32/64-byte vectors, bitwise-identical results (small_gemm_vector.hpp).
+/// The table for a *resolved* backend (kScalar or kVector — pass requests
+/// through `resolveKernelBackend` first; kAuto maps to the scalar table
+/// here only as a safety net). kVector returns the first table of
+/// `vectorKernelTables`, or the scalar table when that list is empty.
 template <typename Real, int W>
-inline const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved) {
-  static constexpr SmallGemmOps<Real, W> scalar = {
-      &starMul<Real, W>,   &rightMulDense<Real, W>, &rightMulCsr<Real, W>,
-      &axpyBlock<Real>,    KernelBackend::kScalar,
-  };
-#if NGLTS_HAVE_VECTOR_KERNELS
-  if constexpr (vecdetail::isPow2(W)) {
-    if (resolved == KernelBackend::kVector) {
-#if NGLTS_HAVE_AVX512_CLONES
-      static constexpr SmallGemmOps<Real, W> vectorAvx512 = {
-          &starMulVecAvx512<Real, W>,   &rightMulDenseVecAvx512<Real, W>,
-          &rightMulCsrVecAvx512<Real, W>, &axpyBlockVecAvx512<Real>,
-          KernelBackend::kVector,
-      };
-      if (detectCpuSimd().avx512f) return vectorAvx512;
-#endif
-#if NGLTS_HAVE_AVX2_CLONES
-      static constexpr SmallGemmOps<Real, W> vectorAvx2 = {
-          &starMulVecAvx2<Real, W>,   &rightMulDenseVecAvx2<Real, W>,
-          &rightMulCsrVecAvx2<Real, W>, &axpyBlockVecAvx2<Real>,
-          KernelBackend::kVector,
-      };
-      if (detectCpuSimd().avx2) return vectorAvx2;
-#endif
-      static constexpr SmallGemmOps<Real, W> vector = {
-          &starMulVec<Real, W>,     &rightMulDenseVec<Real, W>, &rightMulCsrVec<Real, W>,
-          &axpyBlockVec<Real>,      KernelBackend::kVector,
-      };
-      return vector;
-    }
-  }
-#endif
-  return scalar;
-}
+const SmallGemmOps<Real, W>& smallGemmOps(KernelBackend resolved);
+
+/// Every vector table this build carries that the host runs, widest ISA
+/// first: on portable x86-64 builds the AVX-512 and AVX2 clones the CPU
+/// supports, then the baseline variant. Same bodies, bitwise-identical
+/// results (small_gemm_vector.hpp). Empty when the vector backend is
+/// unavailable (`resolveKernelBackend(kVector)` throws then).
+template <typename Real, int W>
+const std::vector<const SmallGemmOps<Real, W>*>& vectorKernelTables();
+
+#define NGLTS_SMALL_GEMM_OPS(Real, W, Extern)                                        \
+  Extern template const SmallGemmOps<Real, W>& smallGemmOps<Real, W>(KernelBackend); \
+  Extern template const std::vector<const SmallGemmOps<Real, W>*>&                    \
+  vectorKernelTables<Real, W>();
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_SMALL_GEMM_OPS, extern)
 
 } // namespace nglts::linalg

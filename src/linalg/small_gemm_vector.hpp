@@ -2,20 +2,21 @@
 // The `vector` kernel backend: explicit register-blocked SIMD micro-kernels
 // for the small-GEMM shapes of linalg/small_gemm.hpp, written with
 // GCC/Clang vector extensions (portable across x86/AArch64; the compiler
-// lowers the generic vectors to the selected ISA). Selected at runtime
-// through linalg/small_gemm_dispatch.hpp.
+// lowers the generic vectors to the selected ISA).
 //
 // ISA multi-versioning: each kernel body lives in `VecKernels<Real, W,
-// VecBytes>` and is stamped out twice on x86-64 — once at the build's
-// baseline vector width (16 B under plain x86-64, wider under -march
-// flags) and once as an `__attribute__((target("avx2")))` clone using
-// 32-byte vectors. The dispatch layer picks the AVX2 clone at runtime when
-// `detectCpuSimd().avx2` reports it, so a *portable* binary still runs
-// 256-bit kernels on 256-bit hardware — the LIBXSMM-style benefit of
-// runtime kernel selection (paper Sec. IV-B) without JIT. The AVX2 clone
-// deliberately does NOT enable FMA: contraction state must match the
-// scalar reference compiled under the same flags, or bitwise identity dies
-// (docs/KERNELS.md, "Why the backends agree bitwise").
+// VecBytes>`, forced inline and free of target attributes. The one TU that
+// includes this header, linalg/kernel_backend.cpp, stamps the bodies into
+// dispatch tables: once at the build's baseline vector width (16 B under
+// plain x86-64, wider under -march flags) and, on portable x86-64 builds,
+// once more per runtime clone (`target("avx2")` at 32 B, `target("avx512f")`
+// at 64 B). CPU detection picks the widest clone the host runs, so a
+// *portable* binary still runs 256/512-bit kernels on such hardware — the
+// LIBXSMM-style benefit of runtime kernel selection (paper Sec. IV-B)
+// without JIT. No clone enables FMA contraction the baseline lacks:
+// contraction state must match the scalar reference compiled under the
+// same flags, or bitwise identity dies (docs/KERNELS.md, "Why the backends
+// agree bitwise").
 //
 // Bitwise contract (enforced by tests/test_kernel_backends.cpp): every
 // kernel here produces results bitwise-identical to its scalar reference
@@ -48,38 +49,6 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define NGLTS_HAVE_VECTOR_KERNELS 1
 
-// AVX2 runtime clones: only worth stamping when the baseline does not
-// already target AVX2 (with -march=native on a 256-bit host the baseline
-// variant is just as wide).
-#if defined(__x86_64__) && !defined(__AVX2__)
-#define NGLTS_HAVE_AVX2_CLONES 1
-#define NGLTS_TARGET_AVX2 __attribute__((target("avx2")))
-#else
-#define NGLTS_HAVE_AVX2_CLONES 0
-#endif
-
-// AVX-512 runtime clones (same rationale, 64-byte vectors: 8 doubles /
-// 16 floats per register). Contraction subtlety: AVX512F carries its own
-// FMA instruction forms, so `target("avx512f")` alone lets GCC contract
-// `acc += a * b` into vfmadd even though the `fma` feature flag is absent.
-// On builds whose baseline cannot contract (no __FMA__: plain x86-64,
-// where the scalar reference and the AVX2 clones emit separate mul+add)
-// that would be an asymmetric contraction — a bitwise break against the
-// scalar reference. `optimize("fp-contract=off")` on the clone keeps the
-// mul+add pairs separate there. When the baseline itself has FMA
-// (__FMA__, e.g. -march=haswell) every backend contracts symmetrically
-// and the clone must contract too.
-#if defined(__x86_64__) && !defined(__AVX512F__)
-#define NGLTS_HAVE_AVX512_CLONES 1
-#if defined(__FMA__)
-#define NGLTS_TARGET_AVX512 __attribute__((target("avx512f")))
-#else
-#define NGLTS_TARGET_AVX512 __attribute__((optimize("fp-contract=off"), target("avx512f")))
-#endif
-#else
-#define NGLTS_HAVE_AVX512_CLONES 0
-#endif
-
 // The helpers pass generic vectors by value; without -mavx GCC warns that
 // the (hypothetical out-of-line) call ABI would change. Everything here is
 // forced inline, so no ABI is ever exposed — silence the note.
@@ -89,16 +58,6 @@
 namespace nglts::linalg {
 
 namespace vecdetail {
-
-/// Vector width of the *baseline* variant: the widest ISA the build flags
-/// enable (SSE2/NEON 16 B floor — never scalar).
-#if defined(__AVX512F__)
-inline constexpr int kBaseVecBytes = 64;
-#elif defined(__AVX__)
-inline constexpr int kBaseVecBytes = 32;
-#else
-inline constexpr int kBaseVecBytes = 16;
-#endif
 
 template <typename Real, int Bytes>
 struct VecT {
@@ -135,12 +94,10 @@ NGLTS_VEC_INLINE V splat(Real s) {
   return v;
 }
 
-constexpr bool isPow2(int w) { return w > 0 && (w & (w - 1)) == 0; }
-
 /// The kernel bodies, parameterized on the vector width so the same code
-/// serves the baseline variant and the AVX2 clone. All forced inline: each
-/// public entry point below stamps a fully-specialized copy compiled under
-/// that entry's target ISA.
+/// serves the baseline variant and every clone. All forced inline: each
+/// dispatch-table entry (kernel_backend.cpp) stamps a fully-specialized
+/// copy compiled under that entry's target ISA.
 template <typename Real, int W, int VecBytes>
 struct VecKernels {
   using V = typename VecT<Real, VecBytes>::type;
@@ -454,135 +411,10 @@ struct VecKernels {
 
 } // namespace vecdetail
 
-// ---------------------------------------------------------------------------
-// Public entry points: baseline-ISA variants (see small_gemm.hpp for the
-// operand shapes and accumulate semantics; flop returns are identical to
-// the scalar reference by construction).
-//
-// W = 1: `star` and `rightDense` run their own register schedules (one
-// output row chunk per register across all terms, overlapped last vector;
-// see `VecKernels`). `rightCsr` at W = 1 is a scatter into the output row
-// with nothing to keep in registers and delegates to the scalar reference.
-// ---------------------------------------------------------------------------
-
-template <typename Real, int W>
-std::uint64_t starMulVec(const StarPattern& p, const Real* a, int_t nCols, int_t ld,
-                         const Real* d, Real* o) {
-  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::star(p, a, nCols, ld, d, o);
-}
-
-template <typename Real, int W>
-std::uint64_t rightMulDenseVec(int_t nVars, int_t kEff, int_t nEff, int_t ldb, const Real* d,
-                               const Real* b, Real* o, int_t ldd, int_t ldo) {
-  return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightDense(
-      nVars, kEff, nEff, ldb, d, b, o, ldd, ldo);
-}
-
-template <typename Real, int W>
-std::uint64_t rightMulCsrVec(int_t nVars, int_t kEff, const Csr<Real>& b, const Real* d,
-                             Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulCsr<Real, 1>(nVars, kEff, b, d, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, vecdetail::kBaseVecBytes>::rightCsr(nVars, kEff, b, d,
-                                                                              o, ldd, ldo);
-}
-
-template <typename Real>
-void axpyBlockVec(Real s, const Real* src, Real* dst, std::size_t n) {
-  vecdetail::VecKernels<Real, 1, vecdetail::kBaseVecBytes>::axpy(s, src, dst, n);
-}
-
-// ---------------------------------------------------------------------------
-// AVX2 runtime clones (x86-64 portable builds): the same bodies inlined
-// into target("avx2") wrappers with 32-byte vectors. Selected by the
-// dispatch layer when `detectCpuSimd().avx2` is set. No FMA on purpose —
-// see the header comment.
-// ---------------------------------------------------------------------------
-
-#if NGLTS_HAVE_AVX2_CLONES
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX2 std::uint64_t starMulVecAvx2(const StarPattern& p, const Real* a, int_t nCols,
-                                               int_t ld, const Real* d, Real* o) {
-  return vecdetail::VecKernels<Real, W, 32>::star(p, a, nCols, ld, d, o);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX2 std::uint64_t rightMulDenseVecAvx2(int_t nVars, int_t kEff, int_t nEff,
-                                                     int_t ldb, const Real* d, const Real* b,
-                                                     Real* o, int_t ldd, int_t ldo) {
-  return vecdetail::VecKernels<Real, W, 32>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                        ldo);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX2 std::uint64_t rightMulCsrVecAvx2(int_t nVars, int_t kEff, const Csr<Real>& b,
-                                                   const Real* d, Real* o, int_t ldd,
-                                                   int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulCsr<Real, 1>(nVars, kEff, b, d, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 32>::rightCsr(nVars, kEff, b, d, o, ldd, ldo);
-}
-
-template <typename Real>
-NGLTS_TARGET_AVX2 void axpyBlockVecAvx2(Real s, const Real* src, Real* dst, std::size_t n) {
-  vecdetail::VecKernels<Real, 1, 32>::axpy(s, src, dst, n);
-}
-
-#endif // NGLTS_HAVE_AVX2_CLONES
-
-// ---------------------------------------------------------------------------
-// AVX-512 runtime clones (x86-64 builds below AVX-512): the same bodies at
-// 64-byte vectors — W = 8 doubles or W = 16 floats fill one register, so
-// those fused widths run whole W-blocks per instruction. Selected by the
-// dispatch layer when `detectCpuSimd().avx512f` is set (checked *before*
-// the AVX2 clone). Contraction handling: see NGLTS_TARGET_AVX512 above.
-// ---------------------------------------------------------------------------
-
-#if NGLTS_HAVE_AVX512_CLONES
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX512 std::uint64_t starMulVecAvx512(const StarPattern& p, const Real* a,
-                                                   int_t nCols, int_t ld, const Real* d,
-                                                   Real* o) {
-  return vecdetail::VecKernels<Real, W, 64>::star(p, a, nCols, ld, d, o);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX512 std::uint64_t rightMulDenseVecAvx512(int_t nVars, int_t kEff, int_t nEff,
-                                                         int_t ldb, const Real* d,
-                                                         const Real* b, Real* o, int_t ldd,
-                                                         int_t ldo) {
-  return vecdetail::VecKernels<Real, W, 64>::rightDense(nVars, kEff, nEff, ldb, d, b, o, ldd,
-                                                        ldo);
-}
-
-template <typename Real, int W>
-NGLTS_TARGET_AVX512 std::uint64_t rightMulCsrVecAvx512(int_t nVars, int_t kEff,
-                                                       const Csr<Real>& b, const Real* d,
-                                                       Real* o, int_t ldd, int_t ldo) {
-  if constexpr (W == 1)
-    return rightMulCsr<Real, 1>(nVars, kEff, b, d, o, ldd, ldo);
-  else
-    return vecdetail::VecKernels<Real, W, 64>::rightCsr(nVars, kEff, b, d, o, ldd, ldo);
-}
-
-template <typename Real>
-NGLTS_TARGET_AVX512 void axpyBlockVecAvx512(Real s, const Real* src, Real* dst,
-                                            std::size_t n) {
-  vecdetail::VecKernels<Real, 1, 64>::axpy(s, src, dst, n);
-}
-
-#endif // NGLTS_HAVE_AVX512_CLONES
-
 } // namespace nglts::linalg
 
 #pragma GCC diagnostic pop
 
 #else
 #define NGLTS_HAVE_VECTOR_KERNELS 0
-#define NGLTS_HAVE_AVX2_CLONES 0
-#define NGLTS_HAVE_AVX512_CLONES 0
 #endif // __GNUC__ || __clang__

@@ -1,5 +1,6 @@
 #include "seismo/fault.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <memory>
@@ -42,11 +43,10 @@ class FaultParser {
     try {
       std::size_t pos = 0;
       const double v = std::stod(tok, &pos);
-      if (pos != tok.size()) throw std::invalid_argument(tok);
-      return v;
+      if (pos == tok.size() && std::isfinite(v)) return v;
     } catch (const std::exception&) {
-      fail("invalid number '" + tok + "'");
     }
+    fail("invalid number '" + tok + "' (expected a finite number)");
   }
 
  private:

@@ -27,7 +27,10 @@ double rmsDifference(const std::vector<double>& a, const std::vector<double>& b)
 
 double peakAmplitude(const std::vector<double>& a) {
   double m = 0.0;
-  for (double v : a) m = std::max(m, std::fabs(v));
+  for (double v : a) {
+    if (std::isnan(v)) return v;
+    m = std::max(m, std::fabs(v));
+  }
   return m;
 }
 

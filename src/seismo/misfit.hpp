@@ -13,7 +13,8 @@ double energyMisfit(const std::vector<double>& signal, const std::vector<double>
 /// Root-mean-square difference.
 double rmsDifference(const std::vector<double>& a, const std::vector<double>& b);
 
-/// Peak absolute amplitude.
+/// Peak absolute amplitude; NaN when any sample is NaN (a blown-up run
+/// must not read as a quiet one).
 double peakAmplitude(const std::vector<double>& a);
 
 } // namespace nglts::seismo

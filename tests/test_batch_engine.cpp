@@ -310,10 +310,18 @@ TEST(BatchEngine, RejectsInvalidConfig) {
 
 TEST(BatchEngine, AddRejectsMaterialScalesThatAreNotFiniteAndPositive) {
   nbatch::BatchEngine engine(smallBatchConfig(nsol::TimeScheme::kGts));
-  for (const double scale : {0.0, -1.1, std::numeric_limits<double>::infinity(),
-                             std::numeric_limits<double>::quiet_NaN()})
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double scale : {0.0, -1.1, inf, nan})
     EXPECT_THROW(engine.add({"bad", 1.0, scale, {0.0, 0.0, 0.0}}), std::invalid_argument)
         << "material scale " << scale;
+  // The source scale and the receiver offset must be finite too.
+  for (const double bad : {inf, -inf, nan}) {
+    EXPECT_THROW(engine.add({"bad", bad, 1.0, {0.0, 0.0, 0.0}}), std::invalid_argument)
+        << "source scale " << bad;
+    EXPECT_THROW(engine.add({"bad", 1.0, 1.0, {0.0, bad, 0.0}}), std::invalid_argument)
+        << "receiver offset " << bad;
+  }
   EXPECT_EQ(engine.numRequests(), 0);
   engine.add({"ok", 1.0, 0.9, {0.0, 0.0, 0.0}});
   EXPECT_EQ(engine.numRequests(), 1);
@@ -466,25 +474,29 @@ TEST(BatchManifest, ParsesFieldsDefaultsAndComments) {
 }
 
 TEST(BatchManifest, ErrorsNameTheLine) {
-  {
-    std::istringstream in("ok 1.0\nbad 1.0 not-a-number\n");
+  // A non-finite number is an error of its line too: a NaN scale would run
+  // and report a zero peak, an infinite one would fail later without a
+  // location.
+  for (const char* text : {"ok 1.0\nbad 1.0 not-a-number\n", "ok 1.0\na nan\n",
+                           "ok 1.0\na 1.0 inf\n", "ok 1.0\na 1.0 1.0 0 -inf 0\n"}) {
+    std::istringstream in(text);
     try {
       nbatch::parseManifest(in, "m");
-      FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
+      ADD_FAILURE() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("m:2"), std::string::npos) << e.what();
     }
   }
   {
     std::istringstream in("partial 1.0 1.0 5 5\n"); // offset needs all three
-    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::runtime_error);
+    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::invalid_argument);
   }
   {
     std::istringstream in("# only comments\n\n");
-    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::runtime_error);
+    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::invalid_argument);
   }
   {
     std::istringstream in("neg 1.0 -0.5\n"); // material scale must be positive
-    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::runtime_error);
+    EXPECT_THROW(nbatch::parseManifest(in, "m"), std::invalid_argument);
   }
 }

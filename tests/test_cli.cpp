@@ -305,14 +305,19 @@ TEST(Cli, OutOfRangeIntegerFlagsAreRejected) {
 TEST(Cli, BadValuesAndInputFilesAreUsageErrors) {
   // Each run exits 2 with a message naming what is wrong, before it runs.
   const std::string dir = ::testing::TempDir();
-  // A .msh cut off inside its $Nodes section, and a fault stanza without
-  // its moment: both errors name file:line.
+  // A .msh cut off inside its $Nodes section, a fault stanza without its
+  // moment, a NaN moment and a NaN source scale in a batch manifest: each
+  // error names file:line.
   const std::string truncatedMesh = dir + "test_cli_truncated.msh";
   const std::string badFault = dir + "test_cli_bad_fault.txt";
+  const std::string nanFault = dir + "test_cli_nan_fault.txt";
+  const std::string nanManifest = dir + "test_cli_nan_manifest.txt";
   for (const auto& [path, text] :
        {std::pair{truncatedMesh, "$MeshFormat\n4.1 0 8\n$EndMeshFormat\n$Nodes\n1 4 1 4\n"
                                  "3 1 0 4\n1\n2\n"},
-        std::pair{badFault, "subfault\nposition 0 0 0\n"}}) {
+        std::pair{badFault, "subfault\nposition 0 0 0\n"},
+        std::pair{nanFault, "subfault\nposition 0 0 0\nmoment 0 0 0 nan 0 0\n"},
+        std::pair{nanManifest, "a 1.0\nb nan\n"}}) {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr) << path;
     std::fputs(text, f);
@@ -336,6 +341,10 @@ TEST(Cli, BadValuesAndInputFilesAreUsageErrors) {
        truncatedMesh + ":8: unexpected end of file inside $Nodes"},
       {"-s quickstart --scale 0.3 --end-time 0.01 -q --fault-file '" + badFault + "'",
        badFault + ":1: subfault missing 'moment'"},
+      {"-s quickstart --scale 0.3 --end-time 0.01 -q --fault-file '" + nanFault + "'",
+       nanFault + ":3: invalid number 'nan'"},
+      {"-s batch --scale 0.3 --end-time 0.01 -q --batch-manifest '" + nanManifest + "'",
+       nanManifest + ":2: bad source_scale 'nan'"},
   };
   for (const auto& [flags, expected] : cases) {
     int status = 0;
@@ -344,8 +353,8 @@ TEST(Cli, BadValuesAndInputFilesAreUsageErrors) {
     EXPECT_EQ(WEXITSTATUS(status), 2) << flags << "\n" << err;
     EXPECT_NE(err.find(expected), std::string::npos) << err;
   }
-  std::remove(truncatedMesh.c_str());
-  std::remove(badFault.c_str());
+  for (const std::string& path : {truncatedMesh, badFault, nanFault, nanManifest})
+    std::remove(path.c_str());
 }
 
 TEST(Cli, RemovedOptionsAreUsageErrors) {

@@ -2,9 +2,10 @@
 // backend must be *bitwise*-identical to the scalar reference for every
 // dispatched kernel — the documented tolerance policy is zero — and must
 // return identical analytic flop counts. Covered here:
-//   * per-kernel randomized-operand exactness for {W = 1, 2, 4} x
-//     {star over a full and a sparse pattern, right dense and CSR}
-//     (double and float), under every vector table the host runs,
+//   * per-kernel randomized-operand exactness for every engine type of
+//     NGLTS_FOR_EACH_ENGINE_TYPE x {star over a full and a sparse pattern,
+//     right dense and CSR}, under every vector table the host runs
+//     (`linalg::vectorKernelTables`),
 //   * a W = 1 star / rightDense row-length sweep (every basis size of
 //     orders 1-7 and each vector width +-1, zeros and -0.0 salted in, a
 //     sentinel in the row padding) and W = 2 star rows of odd length,
@@ -79,37 +80,6 @@ nl::Matrix toMatrix(const std::vector<double>& v, int_t r, int_t c) {
 
 template <typename Real, int W>
 using Ops = nl::SmallGemmOps<Real, W>;
-
-/// Every vector-backend table this build and host can run: the dispatched
-/// one, then each compiled ISA variant the CPU supports (the baseline and,
-/// on portable x86-64 builds, the AVX2 and AVX-512 clones), so the narrower
-/// variants are checked on a host whose dispatch picks the widest.
-template <typename Real, int W>
-std::vector<std::pair<std::string, Ops<Real, W>>> vectorTables() {
-  std::vector<std::pair<std::string, Ops<Real, W>>> t;
-  t.emplace_back("dispatched", nl::smallGemmOps<Real, W>(KernelBackend::kVector));
-#if NGLTS_HAVE_VECTOR_KERNELS
-  t.emplace_back("baseline", Ops<Real, W>{&nl::starMulVec<Real, W>, &nl::rightMulDenseVec<Real, W>,
-                                          &nl::rightMulCsrVec<Real, W>, &nl::axpyBlockVec<Real>,
-                                          KernelBackend::kVector});
-#endif
-#if NGLTS_HAVE_AVX2_CLONES
-  if (nl::detectCpuSimd().avx2)
-    t.emplace_back("avx2", Ops<Real, W>{&nl::starMulVecAvx2<Real, W>,
-                                        &nl::rightMulDenseVecAvx2<Real, W>,
-                                        &nl::rightMulCsrVecAvx2<Real, W>,
-                                        &nl::axpyBlockVecAvx2<Real>, KernelBackend::kVector});
-#endif
-#if NGLTS_HAVE_AVX512_CLONES
-  if (nl::detectCpuSimd().avx512f)
-    t.emplace_back("avx512f", Ops<Real, W>{&nl::starMulVecAvx512<Real, W>,
-                                           &nl::rightMulDenseVecAvx512<Real, W>,
-                                           &nl::rightMulCsrVecAvx512<Real, W>,
-                                           &nl::axpyBlockVecAvx512<Real>,
-                                           KernelBackend::kVector});
-#endif
-  return t;
-}
 
 /// Overwrite about a quarter of `v` with +0.0 and -0.0 (the skip tests, and
 /// a sign a broadcast or a dropped skip could flip).
@@ -240,7 +210,13 @@ void checkBackendsAgree(unsigned seed) {
   NGLTS_REQUIRE_VECTOR_BACKEND();
   const auto& scalar = nl::smallGemmOps<Real, W>(KernelBackend::kScalar);
   ASSERT_EQ(scalar.backend, KernelBackend::kScalar);
-  for (const auto& [isa, vector] : vectorTables<Real, W>()) {
+  const auto& tables = nl::vectorKernelTables<Real, W>();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_EQ((&nl::smallGemmOps<Real, W>(KernelBackend::kVector)), tables.front())
+      << "the first listed table dispatches";
+  for (const Ops<Real, W>* table : tables) {
+    const Ops<Real, W>& vector = *table;
+    const std::string isa = vector.isa;
     ASSERT_EQ(vector.backend, KernelBackend::kVector) << isa;
 
     // star: an even row and an odd one (nCols = 13), which ends in an
@@ -302,15 +278,11 @@ void checkBackendsAgree(unsigned seed) {
 
 } // namespace
 
-// -- per-kernel exactness: {W=1,2,4} x {star, dense, CSR}, double and float --
+// -- per-kernel exactness: {star, dense, CSR, axpy} for every engine type --
 
-TEST(KernelBackends, BitwiseAgreementDoubleW1) { checkBackendsAgree<double, 1>(11); }
-TEST(KernelBackends, BitwiseAgreementDoubleW2) { checkBackendsAgree<double, 2>(12); }
-TEST(KernelBackends, BitwiseAgreementDoubleW4) { checkBackendsAgree<double, 4>(13); }
-TEST(KernelBackends, BitwiseAgreementFloatW1) { checkBackendsAgree<float, 1>(14); }
-TEST(KernelBackends, BitwiseAgreementFloatW4) { checkBackendsAgree<float, 4>(15); }
-TEST(KernelBackends, BitwiseAgreementFloatW8) { checkBackendsAgree<float, 8>(16); }
-TEST(KernelBackends, BitwiseAgreementFloatW16) { checkBackendsAgree<float, 16>(17); }
+#define NGLTS_BITWISE_AGREEMENT(Real, W, ...) \
+  TEST(KernelBackends, BitwiseAgreement_##Real##_W##W) { checkBackendsAgree<Real, W>(10 + W); }
+NGLTS_FOR_EACH_ENGINE_TYPE(NGLTS_BITWISE_AGREEMENT)
 
 // -- resolution ---------------------------------------------------------------
 
@@ -324,17 +296,18 @@ TEST(KernelBackends, ResolutionNeverReturnsAuto) {
   if (nl::vectorBackendCompiled() && nl::detectCpuSimd().any()) {
     EXPECT_EQ(autoPick, KernelBackend::kVector);
     EXPECT_EQ(nl::resolveKernelBackend(KernelBackend::kVector), KernelBackend::kVector);
-    EXPECT_EQ(nl::resolvedKernelBackendLabel(KernelBackend::kVector).rfind("vector(", 0), 0u);
-  }
-  // A portable x86-64 build carries the AVX2 and AVX-512 clones, and auto
-  // must dispatch to the widest one the CPU runs (the label scenario
-  // summaries and bench artifacts record).
-  const std::string autoLabel = nl::resolvedKernelBackendLabel(KernelBackend::kAuto);
-  const auto& simd = nl::detectCpuSimd();
-  if (NGLTS_HAVE_AVX512_CLONES && simd.avx512f) {
-    EXPECT_EQ(autoLabel, "vector(avx512f)");
-  } else if (NGLTS_HAVE_AVX2_CLONES && simd.avx2) {
-    EXPECT_EQ(autoLabel, "vector(avx2)");
+    // The label scenario summaries and bench artifacts record names the
+    // first (widest) listed table, the one auto dispatches to. An x86-64
+    // host with AVX-512F or AVX2 gets that ISA in every build: a portable
+    // build through its clones, a -march build through its baseline.
+    const std::string autoLabel = nl::resolvedKernelBackendLabel(KernelBackend::kAuto);
+    EXPECT_EQ(autoLabel,
+              "vector(" + std::string(nl::vectorKernelTables<double, 1>().front()->isa) + ")");
+    const auto& simd = nl::detectCpuSimd();
+    if (simd.avx512f)
+      EXPECT_EQ(autoLabel, "vector(avx512f)");
+    else if (simd.avx2)
+      EXPECT_EQ(autoLabel, "vector(avx2)");
   }
 }
 

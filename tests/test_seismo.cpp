@@ -105,6 +105,10 @@ TEST(Misfit, EnergyMisfitProperties) {
 TEST(Misfit, RmsAndPeak) {
   EXPECT_NEAR(nsei::rmsDifference({1, 1}, {2, 2}), 1.0, 1e-14);
   EXPECT_DOUBLE_EQ(nsei::peakAmplitude({-3.0, 2.0}), 3.0);
+  // A NaN sample anywhere makes the peak NaN instead of vanishing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(nsei::peakAmplitude({nan, 1.0})));
+  EXPECT_TRUE(std::isnan(nsei::peakAmplitude({1.0, nan, -3.0})));
 }
 
 TEST(VelocityModels, Loh3LayerAndHalfspace) {

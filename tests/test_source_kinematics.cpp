@@ -181,6 +181,13 @@ TEST(FaultParser, RejectsUnknownDirectiveAndArity) {
 
 TEST(FaultParser, RejectsInvalidNumbers) {
   expectFaultError("subfault\nposition 1 2 x\n", "invalid number 'x'", 2);
+  // Non-finite values: a NaN moment would run silently, an infinite onset
+  // would fail in the source-time function without a location.
+  expectFaultError("subfault\nposition 1 2 nan\n", "invalid number 'nan'", 2);
+  expectFaultError("subfault\nmoment 0 0 0 nan 0 0\n", "invalid number 'nan'", 2);
+  expectFaultError("subfault\nonset inf\n", "invalid number 'inf'", 2);
+  expectFaultError("subfault\nstf 0 0\nstf -inf 1\n", "invalid number '-inf'", 3);
+  expectFaultError("subfault\nstf 0 INFINITY\n", "invalid number 'INFINITY'", 2);
 }
 
 TEST(FaultParser, RejectsEmptyFile) {
