@@ -34,7 +34,7 @@ void printUsage() {
       "  -l, --list-scenarios  list registered scenarios and exit\n"
       "      --order N         convergence order, 1..7 (scenario default: usually 4)\n"
       "      --scheme S        time stepping: gts | lts | baseline\n"
-      "      --clusters N      number of LTS clusters, 1..%d\n"
+      "      --clusters N      most LTS clusters, 1..%d (empty top ones are dropped)\n"
       "      --fused W         fused-simulation width, f32:%s, f64:%s\n"
       "                        (batch: max fused-lane packing width)\n"
       "      --end-time T      simulated end time [s]\n"

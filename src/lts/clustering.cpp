@@ -63,12 +63,18 @@ Clustering buildClustering(const mesh::TetMesh& mesh, const std::vector<double>&
 
   out.clusterSize.assign(numClusters, 0);
   for (idx_t e = 0; e < k; ++e) ++out.clusterSize[out.cluster[e]];
+  // Only the populated clusters run: an empty top cluster would still set
+  // the cycle length (2^(N_c-1) cluster-0 steps). Empty middle clusters stay,
+  // the rate-2 coupling steps through them.
+  while (out.numClusters > 1 && out.clusterSize[out.numClusters - 1] == 0) --out.numClusters;
+  out.clusterDt.resize(out.numClusters);
+  out.clusterSize.resize(out.numClusters);
 
   out.theoreticalSpeedup = theoreticalSpeedup(dtCfl, out);
 
-  out.loadFraction.assign(numClusters, 0.0);
+  out.loadFraction.assign(out.numClusters, 0.0);
   double total = 0.0;
-  for (int_t l = 0; l < numClusters; ++l) {
+  for (int_t l = 0; l < out.numClusters; ++l) {
     out.loadFraction[l] = static_cast<double>(out.clusterSize[l]) / out.clusterDt[l];
     total += out.loadFraction[l];
   }

@@ -32,7 +32,9 @@ struct Clustering {
 };
 
 /// Assign clusters from per-element CFL steps; normalizes so neighbors differ
-/// by at most one cluster (paper Sec. V-A). `normalize = false` is the
+/// by at most one cluster (paper Sec. V-A). `numClusters` is an upper bound:
+/// the empty clusters above the largest populated one are dropped, empty
+/// ones below it stay. `normalize = false` is the
 /// reference `Clustering.NormalizationLossIsSmall` (tests/test_lts.cpp)
 /// measures the paper's sub-1.5% normalization loss against.
 Clustering buildClustering(const mesh::TetMesh& mesh, const std::vector<double>& dtCfl,

@@ -6,28 +6,33 @@
 // it (owned elements cluster-contiguous, ids for the halo — the remote
 // face-neighbors — after the owned ranges) and runs the same flattened LTS
 // schedule through a `StepExecutor`, whose one neighbor-data rule reads
-// owned faces from the arena and cross-rank faces from the rank's ghost
-// slots (`solver::HaloGhosts`), filled here from the message-passing layer
-// between schedule ops. Sources, receivers, `dofs` and `sample` speak
-// global element ids on every rank count. All three time schemes (GTS, the
+// owned faces from the arena and cross-rank faces through the rank's ghost
+// pointers (`solver::HaloGhosts`) into the receive buffers filled here from
+// the message-passing layer between schedule ops. Sources, receivers, `dofs`
+// and `sample` speak global element ids on every rank count. All three time schemes (GTS, the
 // next-generation three-buffer scheme, the buffer+derivative baseline of
 // [15]) and fused ensembles W > 1 run through it. The single-rank run
 // (`solver::Simulation`, simulation.hpp) is the same class over an
 // all-zero partition: one rank, no halo, no messages.
 //
-// Messages per cross-boundary face and producer step (next-gen / GTS;
-// payloads are raw 9 x B buffers or, with `compressFaces`, face-local 9 x F
-// projections computed sender-side):
+// Halo channels. At setup every rank groups its cut faces into channels,
+// one per (peer rank, producer cluster, consumer cluster) and direction; a
+// channel sends one message per producer step holding one record per face,
+// ordered on both ends by the producer's global element id * 4 + face.
+// Records (next-gen / GTS; raw 9 x B buffers or, with `compressFaces`,
+// face-local 9 x F projections computed sender-side):
 //   consumer in equal cluster   : P(B1)            every producer step,
 //   consumer in larger cluster  : P(B3)            after odd producer steps,
-//   consumer in smaller cluster : P(B2), P(B1-B2)  one combined message per
-//                                                  producer step (serves the
-//                                                  consumer's two sub-steps).
+//   consumer in smaller cluster : P(B2), P(B1-B2)  every producer step (serves
+//                                                  the consumer's two
+//                                                  sub-steps).
 // The baseline scheme ships its trimmed elastic derivative stack to equal-
 // and smaller-cluster consumers and raw B3 to larger ones (compression does
 // not apply — consumers re-integrate the stack before the flux product).
-// FIFO per (src, dst, tag) channel preserves consumption order; the tag is
-// the producer's global element id * 4 + face.
+// The receiver keeps one aligned buffer per channel and copies each message
+// into it in one piece; only trimmed stacks unpack face by face. The tag is
+// the channel's producer * kMaxClusters + consumer cluster, so the FIFO per
+// (src, dst, tag) preserves each channel's consumption order.
 //
 // Three transports drive the same protocol (`DistConfig::transport`): with
 // SeqComm the ranks execute each schedule op in deterministic lockstep on

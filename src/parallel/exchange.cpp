@@ -1,8 +1,8 @@
 // DistributedSimulation: the solver engine on one rank or many (see
 // dist_sim.hpp). This file owns the glue the solver core does not: global
-// setup, per-rank construction from the global mesh, the send/receive protocol
-// packing (raw 9 x B vs face-local 9 x F, trimmed derivative stacks for the
-// baseline scheme) interleaved between schedule ops, and the run drivers — SeqComm
+// setup, per-rank construction from the global mesh and its halo channels, the
+// message packing (raw 9 x B vs face-local 9 x F, trimmed derivative stacks for
+// the baseline scheme) interleaved between schedule ops, and the run drivers — SeqComm
 // lockstep, ThreadComm per-rank threads, and the MpiComm one-process-per-
 // rank mode where only the local rank's engine is built. The element
 // stepping itself is the shared `StepExecutor` — there is no duplicated
@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/float_env.hpp"
@@ -64,8 +66,8 @@ void checkIndex(const char* what, idx_t i, idx_t n) {
 
 } // namespace
 
-/// Per-rank engine: arena, hook, executor, ghost slots and the per-cluster
-/// send/receive lists derived from the cross-rank faces.
+/// Per-rank engine: arena, hook, executor, ghost pointers and the halo
+/// channels derived from the cross-rank faces.
 template <typename Real, int W>
 struct DistributedSimulation<Real, W>::Rank {
   int_t id = 0;
@@ -74,19 +76,31 @@ struct DistributedSimulation<Real, W>::Rank {
   std::unique_ptr<solver::StepExecutor<Real, W>> exec;
   solver::HaloGhosts<Real> ghosts;
 
-  struct SendOp {
-    idx_t el = 0;       ///< internal id of the owned producer element
-    int_t face = 0;     ///< producer's local face
-    int_t remoteCluster = 0; ///< time cluster of the remote consumer
-    int_t dstRank = 0;
-    int_t recvPerm = 0; ///< consumer-side orientation (sender compression)
-    std::int64_t tag = 0;
+  /// The cut faces one (peer rank, producer cluster, consumer cluster)
+  /// triple exchanges in one direction, in ascending producer global id and
+  /// face on both ends: face i is record i of every message on the channel.
+  struct Channel {
+    struct Face {
+      idx_t el = 0;       ///< internal producer id (owned when sending, halo when receiving)
+      int_t face = 0;     ///< producer's local face
+      int_t recvPerm = 0; ///< consumer-side orientation (sender compression)
+    };
+    int_t peer = 0;
+    int_t producer = 0;     ///< time cluster of the sending faces
+    int_t consumer = 0;     ///< time cluster of the receiving faces
+    std::size_t record = 0; ///< Reals one face adds to a message
+    std::vector<Face> faces;
+    /// Receive side: every face's datasets in record order, trimmed
+    /// derivative stacks unpacked to full stacks.
+    aligned_vector<Real> ghosts;
+    /// The message tag; the (source, destination) pair names the peer.
+    std::int64_t tag() const { return std::int64_t{producer} * solver::kMaxClusters + consumer; }
   };
-  std::vector<std::vector<SendOp>> sendByCluster;
-  std::vector<std::vector<idx_t>> recvByCluster; ///< ghost slot ids
-
-  // Serial packing staging (one producer face at a time).
-  aligned_vector<Real> combo, face0, face1;
+  std::vector<Channel> sends, recvs;
+  /// (offset, length) of the derivative-stack blocks the baseline ships.
+  std::vector<std::pair<std::size_t, std::size_t>> stackBlocks;
+  /// B1 - B2 staging for the face compression of a smaller consumer.
+  aligned_vector<Real> combo;
   /// Flops of packAndSend: the B1 - B2 combination and the face compression
   /// a single-rank consumer computes itself (only this rank's thread writes
   /// it; runCycles sums it).
@@ -196,68 +210,76 @@ void DistributedSimulation<Real, W>::buildRank(int_t r) {
   rank->hook = std::make_unique<solver::SeismoHook<Real, W>>(mesh_, geo_, materials_, kernels,
                                                              *rank->state, recDt);
 
-  // Ghost slots + send/receive lists from the cross-rank faces. One scan of
-  // the owned elements in ascending global id covers each cross face once
-  // in both roles: the owned element consumes the remote buffers (receive
-  // slot) and produces for the remote consumer (send op) through the same
-  // geometric face.
+  // Halo channels from the cut faces. One scan of the global elements in
+  // ascending id visits every cut face from its producer side, so both ends
+  // list a channel's faces in the same order.
   const solver::SolverState<Real, W>& state = *rank->state;
-  const int_t nc = clustering_.numClusters;
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
   const std::size_t bufN = kernels.elasticDofsPerElement();
-  const std::size_t faceN = kernels.faceDataSize();
-  const std::size_t stackN = static_cast<std::size_t>(kernels.order()) * bufN;
-  const std::size_t dataN = cfg_.compressFaces && !baseline ? faceN : bufN;
-
-  rank->sendByCluster.assign(nc, {});
-  rank->recvByCluster.assign(nc, {});
-  rank->ghosts.slotOf.assign(static_cast<std::size_t>(state.numHalo()) * 4, -1);
-  for (idx_t el = 0; el < mesh_.numElements(); ++el) {
-    if (part_[el] != r) continue;
-    const int_t cMe = clustering_.cluster[el];
+  const std::size_t dataN = cfg_.compressFaces && !baseline ? kernels.faceDataSize() : bufN;
+  using Key = std::tuple<int_t, int_t, int_t>; // (peer, producer, consumer)
+  std::map<Key, typename Rank::Channel> sends, recvs;
+  for (idx_t el = 0; el < mesh_.numElements(); ++el)
     for (int_t f = 0; f < 4; ++f) {
       const mesh::FaceInfo& fi = mesh_.faces[el][f];
-      if (fi.neighbor < 0 || part_[fi.neighbor] == r) continue; // boundary or same-rank face
-      const int_t cNb = clustering_.cluster[fi.neighbor];
-
-      // Receive slot: the owned element consumes the remote element's data.
-      solver::GhostSlot<Real> slot;
-      slot.remoteCluster = cNb;
-      slot.srcRank = part_[fi.neighbor];
-      slot.tag = fi.neighbor * 4 + fi.neighborFace;
-      if (baseline) {
-        slot.ds0.assign(cNb < cMe ? bufN : stackN, Real(0));
-      } else {
-        slot.ds0.assign(dataN, Real(0));
-        if (cNb > cMe) slot.ds1.assign(dataN, Real(0));
-      }
-      const idx_t haloInternal = state.toInternal(fi.neighbor);
-      rank->ghosts.slotOf[(haloInternal - state.numOwned()) * 4 + fi.neighborFace] =
-          static_cast<idx_t>(rank->ghosts.slots.size());
-      rank->recvByCluster[cMe].push_back(static_cast<idx_t>(rank->ghosts.slots.size()));
-      rank->ghosts.slots.push_back(std::move(slot));
-
-      // Send op: the owned element produces for the remote consumer.
-      typename Rank::SendOp op;
-      op.el = state.toInternal(el);
-      op.face = f;
-      op.remoteCluster = cNb;
-      op.dstRank = part_[fi.neighbor];
-      op.recvPerm = mesh_.faces[fi.neighbor][fi.neighborFace].perm;
-      op.tag = el * 4 + f;
-      // The op must read buffers the producer keeps: B3 for a larger
-      // consumer, B2 for a smaller next-gen one (B1 and the baseline's
-      // derivative stack exist for every owned element).
-      if ((cNb > cMe && !state.b3(op.el)) || (cNb < cMe && !baseline && !state.b2(op.el)))
-        throw std::logic_error("DistributedSimulation: rank " + std::to_string(r) +
-                               " sends element " + std::to_string(el) + " face " +
-                               std::to_string(f) + " from a buffer its arena does not keep");
-      rank->sendByCluster[cMe].push_back(op);
+      if (fi.neighbor < 0 || part_[el] == part_[fi.neighbor]) continue; // boundary or uncut
+      const bool send = part_[el] == r;
+      if (!send && part_[fi.neighbor] != r) continue; // between two other ranks
+      const Key key{part_[send ? fi.neighbor : el], clustering_.cluster[el],
+                    clustering_.cluster[fi.neighbor]};
+      (send ? sends : recvs)[key].faces.push_back(
+          {state.toInternal(el), f, mesh_.faces[fi.neighbor][fi.neighborFace].perm});
     }
+
+  // Trimmed derivative stack: elastic runs truncate degree d to the
+  // vanishing-block width B(O - d) (the paper's payload accounting);
+  // anelastic runs keep full blocks. Lossless — the truncated tails are
+  // exact zeros in the producer's stack.
+  std::size_t trimN = 0;
+  for (int_t d = 0; d < kernels.order(); ++d) {
+    const std::size_t nb = kernels.numBasis();
+    const std::size_t wid = (kernels.mechanisms() > 0 ? nb : numBasis3d(kernels.order() - d)) * W;
+    for (int_t v = 0; v < kElasticVars; ++v, trimN += wid)
+      rank->stackBlocks.emplace_back(d * bufN + v * nb * W, wid);
+  }
+  // Reals per face: the baseline ships raw B3 to a larger consumer and the
+  // trimmed stack otherwise; next-gen ships B2 and B1 - B2 to a smaller
+  // consumer and one dataset otherwise.
+  for (auto* channels : {&sends, &recvs})
+    for (auto& [key, ch] : *channels) {
+      std::tie(ch.peer, ch.producer, ch.consumer) = key;
+      if (baseline)
+        ch.record = ch.producer < ch.consumer ? bufN : trimN;
+      else
+        ch.record = (ch.producer > ch.consumer ? 2 : 1) * dataN;
+    }
+  for (auto& [key, ch] : sends) {
+    // The send must read buffers the producer keeps: B3 for a larger
+    // consumer, B2 for a smaller next-gen one (B1 and the baseline's
+    // derivative stack exist for every owned element).
+    for (const auto& sf : ch.faces)
+      if ((ch.consumer > ch.producer && !state.b3(sf.el)) ||
+          (ch.consumer < ch.producer && !baseline && !state.b2(sf.el)))
+        throw std::logic_error("DistributedSimulation: rank " + std::to_string(r) +
+                               " sends element " + std::to_string(state.toExternal(sf.el)) +
+                               " face " + std::to_string(sf.face) +
+                               " from a buffer its arena does not keep");
+    rank->sends.push_back(std::move(ch));
+  }
+  rank->ghosts.ds0.assign(static_cast<std::size_t>(state.numHalo()) * 4, nullptr);
+  rank->ghosts.ds1.assign(rank->ghosts.ds0.size(), nullptr);
+  for (auto& [key, ch] : recvs) {
+    const bool trimmed = baseline && ch.producer >= ch.consumer;
+    const std::size_t stride = trimmed ? kernels.order() * bufN : ch.record;
+    ch.ghosts.assign(ch.faces.size() * stride, Real(0)); // a stack's padding stays zero
+    for (std::size_t i = 0; i < ch.faces.size(); ++i) {
+      const std::size_t g = (ch.faces[i].el - state.numOwned()) * 4 + ch.faces[i].face;
+      rank->ghosts.ds0[g] = ch.ghosts.data() + i * stride;
+      if (!baseline && ch.producer > ch.consumer) rank->ghosts.ds1[g] = rank->ghosts.ds0[g] + dataN;
+    }
+    rank->recvs.push_back(std::move(ch));
   }
   rank->combo.assign(bufN, Real(0));
-  rank->face0.assign(faceN, Real(0));
-  rank->face1.assign(faceN, Real(0));
   // The baseline scheme always ships raw data: its equal/larger-neighbor
   // payload is a derivative stack the consumer re-integrates first.
   rank->ghosts.faceLocal = cfg_.compressFaces && !baseline;
@@ -486,63 +508,50 @@ void DistributedSimulation<Real, W>::packAndSend(Rank& rank, int_t cluster) {
   const kernels::AderKernels<Real, W>& kernels = *kernels_;
   const std::size_t bufN = kernels.elasticDofsPerElement();
   const std::size_t faceN = kernels.faceDataSize();
-  const int_t order = kernels.order();
-  const int_t nb = kernels.numBasis();
-  const bool anel = kernels.mechanisms() > 0;
-  const std::size_t nbW = static_cast<std::size_t>(nb) * W;
 
-  for (const typename Rank::SendOp& op : rank.sendByCluster[cluster]) {
+  for (const typename Rank::Channel& ch : rank.sends) {
     // A larger-cluster consumer reads the B3 window accumulator (or the raw
     // B3 of the baseline scheme), complete only after odd producer steps.
-    const bool toLarger = op.remoteCluster > cluster;
-    if (toLarger && step % 2 == 0) continue;
+    const bool toLarger = ch.consumer > cluster;
+    if (ch.producer != cluster || (toLarger && step % 2 == 0)) continue;
 
-    std::vector<std::uint8_t> payload;
-    if (baseline) {
-      if (toLarger) {
-        appendReals(payload, state.b3(op.el), bufN);
-      } else {
-        // Trimmed derivative stack: elastic runs truncate degree d to the
-        // vanishing-block width B(O - d) (the paper's payload accounting);
-        // anelastic runs keep full blocks. Lossless — the truncated tails
-        // are exact zeros in the producer's stack.
-        const Real* stack = state.derivStack(op.el);
-        for (int_t d = 0; d < order; ++d) {
-          const std::size_t wid = anel ? nb : numBasis3d(order - d);
-          for (int_t v = 0; v < kElasticVars; ++v)
-            appendReals(payload,
-                        stack + static_cast<std::size_t>(d) * bufN + v * nbW, wid * W);
-        }
-      }
-    } else if (op.remoteCluster < cluster) {
-      // Smaller-cluster consumer: B2 and B1 - B2 in one combined message
-      // (its two sub-steps inside the producer's step).
-      const Real* b1 = state.b1(op.el);
-      const Real* b2 = state.b2(op.el);
-      Real* combo = rank.combo.data();
+    // Records are whole Reals, so each starts Real-aligned in the payload.
+    std::vector<std::uint8_t> payload(ch.faces.size() * ch.record * sizeof(Real));
+    Real* out = reinterpret_cast<Real*>(payload.data());
+    for (const auto& sf : ch.faces) {
+      if (baseline && toLarger) {
+        std::copy_n(state.b3(sf.el), bufN, out);
+      } else if (baseline) { // the trimmed derivative stack
+        Real* rec = out;
+        for (const auto& [off, n] : rank.stackBlocks)
+          rec = std::copy_n(state.derivStack(sf.el) + off, n, rec);
+      } else if (ch.consumer < cluster) {
+        // Smaller-cluster consumer: B2 and B1 - B2 in one record (its two
+        // sub-steps inside the producer's step). Uncompressed, B1 - B2 is
+        // formed in place in the record.
+        const Real* b1 = state.b1(sf.el);
+        const Real* b2 = state.b2(sf.el);
+        Real* combo = cfg_.compressFaces ? rank.combo.data() : out + bufN;
 #pragma omp simd
-      for (std::size_t i = 0; i < bufN; ++i) combo[i] = b1[i] - b2[i];
-      rank.packFlops += bufN;
-      if (cfg_.compressFaces) {
-        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, b2, rank.face0.data());
-        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, combo, rank.face1.data());
-        appendReals(payload, rank.face0.data(), faceN);
-        appendReals(payload, rank.face1.data(), faceN);
+        for (std::size_t i = 0; i < bufN; ++i) combo[i] = b1[i] - b2[i];
+        rank.packFlops += bufN;
+        if (cfg_.compressFaces) {
+          rank.packFlops += kernels.compressBuffer(sf.face, sf.recvPerm, b2, out);
+          rank.packFlops += kernels.compressBuffer(sf.face, sf.recvPerm, combo, out + faceN);
+        } else {
+          std::copy_n(b2, bufN, out);
+        }
       } else {
-        appendReals(payload, b2, bufN);
-        appendReals(payload, combo, bufN);
+        // Equal cluster ships B1 every step; a larger consumer ships B3.
+        const Real* data = toLarger ? state.b3(sf.el) : state.b1(sf.el);
+        if (cfg_.compressFaces)
+          rank.packFlops += kernels.compressBuffer(sf.face, sf.recvPerm, data, out);
+        else
+          std::copy_n(data, bufN, out);
       }
-    } else {
-      // Equal cluster ships B1 every step; a larger consumer ships B3.
-      const Real* data = toLarger ? state.b3(op.el) : state.b1(op.el);
-      if (cfg_.compressFaces) {
-        rank.packFlops += kernels.compressBuffer(op.face, op.recvPerm, data, rank.face0.data());
-        appendReals(payload, rank.face0.data(), faceN);
-      } else {
-        appendReals(payload, data, bufN);
-      }
+      out += ch.record;
     }
-    comm_->send(rank.id, op.dstRank, op.tag, std::move(payload));
+    comm_->send(rank.id, ch.peer, ch.tag(), std::move(payload));
   }
 }
 
@@ -550,43 +559,36 @@ template <typename Real, int W>
 void DistributedSimulation<Real, W>::receiveHalo(Rank& rank, int_t cluster) {
   const idx_t step = rank.exec->clusterStep(cluster);
   const bool baseline = cfg_.sim.scheme == solver::TimeScheme::kLtsBaseline;
-  const kernels::AderKernels<Real, W>& kernels = *kernels_;
-  const std::size_t bufN = kernels.elasticDofsPerElement();
-  const int_t order = kernels.order();
-  const int_t nb = kernels.numBasis();
-  const bool anel = kernels.mechanisms() > 0;
-  const std::size_t nbW = static_cast<std::size_t>(nb) * W;
-
-  for (idx_t si : rank.recvByCluster[cluster]) {
-    solver::GhostSlot<Real>& g = rank.ghosts.slots[si];
+  for (typename Rank::Channel& ch : rank.recvs) {
     // A larger remote producer sends once per its own step; the odd local
     // sub-step reuses the datasets received on the even one.
-    const bool fromLarger = g.remoteCluster > cluster;
-    if (fromLarger && step % 2 == 1) continue;
+    if (ch.consumer != cluster || (ch.producer > cluster && step % 2 == 1)) continue;
 
-    const std::vector<std::uint8_t> raw = comm_->recv(rank.id, g.srcRank, g.tag);
-    std::size_t off = 0;
-    if (baseline && g.remoteCluster >= cluster) {
-      // Trimmed stack -> full stack layout (padding stays zero from setup).
-      for (int_t d = 0; d < order; ++d) {
-        const std::size_t wid = anel ? nb : numBasis3d(order - d);
-        for (int_t v = 0; v < kElasticVars; ++v)
-          readReals(raw, off, g.ds0.data() + static_cast<std::size_t>(d) * bufN + v * nbW,
-                    wid * W);
-      }
-    } else {
-      readReals(raw, off, g.ds0.data(), g.ds0.size());
-      if (fromLarger) readReals(raw, off, g.ds1.data(), g.ds1.size());
+    const std::vector<std::uint8_t> raw = comm_->recv(rank.id, ch.peer, ch.tag());
+    const std::size_t bytes = ch.faces.size() * ch.record * sizeof(Real);
+    if (raw.size() != bytes)
+      throw std::runtime_error(
+          "DistributedSimulation: halo message from rank " + std::to_string(ch.peer) +
+          " to rank " + std::to_string(rank.id) + " (producer cluster " +
+          std::to_string(ch.producer) + ", consumer cluster " + std::to_string(ch.consumer) +
+          ") has " + std::to_string(raw.size()) + " bytes, expected " + std::to_string(bytes));
+    if (!baseline || ch.producer < cluster) {
+      std::memcpy(ch.ghosts.data(), raw.data(), bytes);
+      continue;
     }
-    if (off != raw.size())
-      throw std::runtime_error("DistributedSimulation: unexpected message payload size");
+    // Trimmed stacks -> full stack layout (padding stays zero from setup).
+    const std::size_t stackN = kernels_->order() * kernels_->elasticDofsPerElement();
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < ch.faces.size(); ++i)
+      for (const auto& [off, n] : rank.stackBlocks)
+        readReals(raw, pos, ch.ghosts.data() + i * stackN + off, n);
   }
 }
 
 // The exchange, overlapped with interior compute. Correctness rests on three
 // facts: (1) packAndSend reads only the boundary producers' buffers, all
 // written by the time the boundary sub-range ran; (2) interior consumers
-// read no ghost slot, so they may run before the receives; (3) the
+// read no ghost buffer, so they may run before the receives; (3) the
 // executor's step counter advances only on the final sub-range call, so the
 // sub-step parity seen by packAndSend / receiveHalo / the element kernels is
 // that of the op. Send and receive calls keep their per-(src,dst,tag)

@@ -6,12 +6,13 @@
 // installation.
 //
 // Mapping the Communicator contract onto MPI:
-//  * Logical tags are 64-bit (producer's global element id * 4 + face) and
-//    can exceed MPI_TAG_UB, so every message travels on ONE fixed MPI tag
-//    per (src, dst) pair with the logical tag prepended as an 8-byte
-//    header. The receiver demultiplexes arrivals into per-(src, tag) inbox
-//    queues; MPI's per-(src, comm, tag) ordering plus stable queues
-//    preserve the per-channel FIFO contract exactly.
+//  * Logical tags are 64-bit: halo channel keys (producer cluster *
+//    kMaxClusters + consumer cluster, dist_sim.hpp) and the negative tags of
+//    the receiver gather, which no MPI tag can carry. So every message
+//    travels on ONE fixed MPI tag per (src, dst) pair with the logical tag
+//    prepended as an 8-byte header. The receiver demultiplexes arrivals
+//    into per-(src, tag) inbox queues; MPI's per-(src, comm, tag) ordering
+//    plus stable queues preserve the per-channel FIFO contract exactly.
 //  * Sends are MPI_Isend with the frame kept alive in a pending list —
 //    the halo protocol posts all of a cluster's sends before any receive,
 //    which would deadlock with blocking rendezvous sends. Completed

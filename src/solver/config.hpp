@@ -51,12 +51,10 @@ inline Precision parsePrecision(const std::string& s) {
   throw std::invalid_argument("unknown precision '" + s + "' (expected f64 | f32)");
 }
 
-/// Largest accepted `SimConfig::numClusters`. The paper uses at most 5
-/// clusters and no run here uses more than 6. The LTS schedule holds
-/// 2^(N_c+1) - 2 ops and every run steps whole cycles of 2^(N_c-1) cluster-0
-/// steps, so each cluster beyond the populated ones doubles the work of the
-/// shortest run: at 16 clusters a 162-element box took 37 s for its one
-/// cycle, at 10 it is 512 steps.
+/// Largest accepted `SimConfig::numClusters`, an input check. The paper uses
+/// at most 5 clusters and no run here uses more than 6. The value is an
+/// upper bound: the clustering drops the empty top clusters, so a run steps
+/// whole cycles of 2^(N_c-1) cluster-0 steps over its populated N_c only.
 inline constexpr int_t kMaxClusters = 10;
 
 /// Solver configuration shared by all time-stepping schemes. Every field
@@ -96,9 +94,11 @@ struct SimConfig {
   /// Time-stepping scheme: GTS, the paper's next-generation clustered LTS
   /// (Sec. V), or the buffer+derivative baseline of [15].
   TimeScheme scheme = TimeScheme::kGts;
-  /// Number of rate-2 LTS clusters N_c (cluster c steps at 2^c * dt_min).
-  /// Valid: 1..kMaxClusters; ignored for GTS (which behaves as N_c = 1). The paper
-  /// uses 3 for LOH.3 (Fig. 4) and 5 for La Habra (Fig. 5).
+  /// Upper bound on the rate-2 LTS clusters N_c (cluster c steps at
+  /// 2^c * dt_min); the empty clusters above the populated ones are dropped
+  /// (`lts::buildClustering`). Valid: 1..kMaxClusters; ignored for GTS
+  /// (which behaves as N_c = 1). The paper uses 3 for LOH.3 (Fig. 4) and 5
+  /// for La Habra (Fig. 5).
   int_t numClusters = 3;
   /// Cluster-growth control parameter lambda of the clustering criterion
   /// (Sec. V-A): elements with dt < (1 + lambda) * 2^c * dt_min may stay

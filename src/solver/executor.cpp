@@ -36,7 +36,7 @@ StepExecutor<Real, W>::StepExecutor(const SimConfig& cfg,
       nThreads_(checkedThreads(cfg.numThreads)),
       pool_(kernels, state.stackSize(), nThreads_) {
   if (state.numHalo() > 0 && !ghosts)
-    throw std::invalid_argument("StepExecutor: a state with a halo needs ghost slots");
+    throw std::invalid_argument("StepExecutor: a state with a halo needs ghost buffers");
 }
 
 template <typename Real, int W>
@@ -88,28 +88,26 @@ typename StepExecutor<Real, W>::FaceData StepExecutor<Real, W>::neighborData(
   const int_t cNb = state_.clusterOf(fi.neighbor); // the global cluster, halo ids too
   // The second half-window of a larger neighbor (odd sub-step).
   const bool oddLarger = cNb > cMe && step % 2 != 0;
-  const GhostSlot<Real>* g =
-      state_.isHalo(fi.neighbor)
-          ? &ghosts_->slots[ghosts_->slotOf[(fi.neighbor - state_.numOwned()) * 4 +
-                                            fi.neighborFace]]
-          : nullptr;
+  const idx_t g = state_.isHalo(fi.neighbor)
+                      ? (fi.neighbor - state_.numOwned()) * 4 + fi.neighborFace
+                      : -1;
   if (baseline_) {
     // Buffer+derivative baseline of [15]: a smaller neighbor serves its B3
     // window accumulator; an equal or larger one's derivative stack is
     // re-integrated over this element's interval.
-    if (cNb < cMe) return {g ? g->ds0.data() : state_.b3(fi.neighbor), false};
+    if (cNb < cMe) return {g >= 0 ? ghosts_->ds0[g] : state_.b3(fi.neighbor), false};
     const double dtMe = clusterDt_[cMe];
     const double a = oddLarger ? dtMe : 0.0;
-    flops += kernels_.integrateDerivStack(g ? g->ds0.data() : state_.derivStack(fi.neighbor),
+    flops += kernels_.integrateDerivStack(g >= 0 ? ghosts_->ds0[g] : state_.derivStack(fi.neighbor),
                                           static_cast<Real>(a), static_cast<Real>(dtMe),
                                           s.bufCombo.data());
     return {s.bufCombo.data(), false};
   }
   // Next-generation three-buffer scheme (Sec. V-B / Fig. 6): equal cluster
   // -> B1, smaller neighbor -> B3, larger neighbor -> B2 on the first
-  // half-window and B1 - B2 on the second. A ghost slot holds the same data,
+  // half-window and B1 - B2 on the second. A halo face reads the same data,
   // with B1 - B2 already combined by the producer in ds1.
-  if (g) return {oddLarger ? g->ds1.data() : g->ds0.data(), ghosts_->faceLocal};
+  if (g >= 0) return {oddLarger ? ghosts_->ds1[g] : ghosts_->ds0[g], ghosts_->faceLocal};
   const Real* b1 = state_.b1(fi.neighbor);
   if (cNb == cMe) return {b1, false};
   if (cNb < cMe) return {state_.b3(fi.neighbor), false};

@@ -12,7 +12,7 @@
 // rule of both paradigms — the paper's next-generation three-buffer scheme
 // (GTS is its one-cluster case) and the buffer+derivative baseline of [15]
 // — for owned neighbors, read from the arena, and halo neighbors, read from
-// the ghost slots the distributed engine fills, side by side.
+// the ghost buffers the distributed engine fills, side by side.
 //
 // The executor owns the per-thread `WorkspacePool` (kernel scratch,
 // receiver derivative stacks, flop counters); sources and receivers live in
@@ -20,12 +20,11 @@
 // calls after the kernel local phase of each element.
 // Results are bitwise-identical for every `numThreads`: each element is
 // updated by exactly one chunk in a fixed order, neighbor reads go through
-// the double-buffered B1/B2/B3 data and ghost slots, and hook state is only
+// the double-buffered B1/B2/B3 data and ghost buffers, and hook state is only
 // touched from the element that owns it.
 #include <cstdint>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "common/types.hpp"
 #include "kernels/ader_kernels.hpp"
 #include "lts/clustering.hpp"
@@ -36,28 +35,18 @@
 
 namespace nglts::solver {
 
-/// Ghost storage of one cross-rank face, owned by the consuming rank and
-/// filled by the distributed engine's receives (parallel/exchange.cpp).
-/// `ds0`/`ds1` hold the received datasets: the next-generation scheme keeps
-/// B2 in ds0 and B1 - B2 in ds1 for a larger remote neighbor (one message
-/// serves two local sub-steps), everything else lives in ds0 (B1 or B3 —
-/// raw 9 x B or face-local 9 x F — or the baseline scheme's trimmed
-/// derivative stack, unpacked to full layout).
-template <typename Real>
-struct GhostSlot {
-  int_t remoteCluster = 0; ///< time cluster of the remote producer
-  int_t srcRank = 0;
-  std::int64_t tag = 0;    ///< producer's global element id * 4 + face
-  aligned_vector<Real> ds0, ds1;
-};
-
-/// A rank's ghost slots. Written serially between schedule ops, read
-/// concurrently by the executor's neighbor loop.
+/// What a rank's halo faces consume, filled by the distributed engine's
+/// receives (parallel/exchange.cpp). Entry (internal halo id - numOwned) * 4
+/// + producer face points into the receive buffer of the halo channel that
+/// carries the face: the next-generation scheme keeps B2 in ds0 and B1 - B2
+/// in ds1 for a larger remote neighbor (one message serves two local
+/// sub-steps); everything else lives in ds0 (B1 or B3 — raw 9 x B or
+/// face-local 9 x F — or the baseline scheme's derivative stack, unpacked to
+/// full layout). Written serially between schedule ops, read concurrently by
+/// the executor's neighbor loop.
 template <typename Real>
 struct HaloGhosts {
-  /// (internal halo id - numOwned) * 4 + producerFace -> slot index or -1.
-  std::vector<idx_t> slotOf;
-  std::vector<GhostSlot<Real>> slots;
+  std::vector<const Real*> ds0, ds1;
   /// The payloads are face-local 9 x F projections (the neighboring-flux
   /// product already applied by the producer, Sec. V-C), consumed through
   /// `neighborContributionFaceLocal`, instead of element-local 9 x B data.

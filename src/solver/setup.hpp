@@ -20,7 +20,7 @@ namespace nglts::solver {
 /// run) with the solver knobs of `cfg` mirrored in — order, mechanisms,
 /// cfl and the clustering — and `numPartitions` parts. The clustering is
 /// the one the engine steps: GTS collapses to one cluster at lambda 1 with
-/// the sweep off, otherwise `cfg.numClusters` rate-2 clusters with
+/// the sweep off, otherwise at most `cfg.numClusters` rate-2 clusters with
 /// `cfg.lambda` or the Sec. V-A sweep (`cfg.autoLambda`). So a pipeline
 /// clusters and partitions exactly as the engine steps.
 pre::PipelineConfig pipelineConfigFor(pre::PipelineConfig domain, const SimConfig& cfg,

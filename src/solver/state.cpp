@@ -70,7 +70,7 @@ SolverState<Real, W>::SolverState(const mesh::TetMesh& mesh,
   // therefore placed — on the memory node of the thread that later computes
   // its elements. The side-arena slots ascend with the internal id, so each
   // chunk zeroes a contiguous run of them too. Halo elements get no slot:
-  // the engine serves every halo face from its ghost slots.
+  // the engine serves every halo face from its ghost buffers.
   q_.resize(owned * elSize_);
   b1_.resize(owned * bufSize_);
   b2_.resize(numB2 * bufSize_);

@@ -513,6 +513,32 @@ TEST(Scenarios, GtsPipelineClustersAndPartitionsOneCluster) {
   EXPECT_EQ(r.clusterHistogram, std::vector<nglts::idx_t>{432});
 }
 
+TEST(Scenarios, EmptyTopClustersAreDropped) {
+  // --clusters is an upper bound: quickstart at this scale populates 3
+  // clusters, and asking for 10 steps those 3 only — same histogram, same
+  // cycles of 4 cluster-0 steps, same trace bits — instead of one 512-step
+  // cycle that overshoots the end time by 119x.
+  auto run = [](nglts::int_t clusters) {
+    nc::ScenarioOptions opts;
+    opts.meshScale = 0.3;
+    opts.endTime = 0.01;
+    opts.numClusters = clusters;
+    opts.lambda = 1.0;
+    opts.threads = 1;
+    opts.quiet = true;
+    return nc::findScenario("quickstart")->run(opts);
+  };
+  const nc::ScenarioReport three = run(3), ten = run(10);
+  EXPECT_EQ(three.clusterHistogram.size(), 3u);
+  EXPECT_EQ(ten.clusterHistogram, three.clusterHistogram);
+  EXPECT_EQ(ten.stats.cycles, three.stats.cycles);
+  EXPECT_EQ(ten.stats.simulatedTime, three.stats.simulatedTime);
+  EXPECT_LT(ten.stats.simulatedTime, 0.1);
+  ASSERT_EQ(ten.trace.size(), three.trace.size());
+  EXPECT_EQ(
+      std::memcmp(ten.trace.data(), three.trace.data(), three.trace.size() * sizeof(double)), 0);
+}
+
 namespace {
 
 /// Every scenario's primary run takes one engine path, on 1 rank and on 2.

@@ -277,7 +277,7 @@ TEST(PaperCounters, Loh1TwoRanks) {
   nc::ScenarioOptions opts;
   opts.ranks = 2;
   opts.endTime = 0.05;
-  expectCounts("loh1", opts, {3, 5376, 642750336u, {16, 416, 0, 0}, 2904, 2134080});
+  expectCounts("loh1", opts, {11, 4928, 589150368u, {16, 416}, 110, 1956240});
 }
 
 TEST(PaperCounters, FusedEight) {
@@ -293,5 +293,5 @@ TEST(PaperCounters, LaHabraTwoRanks) {
   opts.ranks = 2;
   opts.meshScale = 0.5;
   opts.endTime = 0.05;
-  expectCounts("lahabra", opts, {2, 27060, 6116198520u, {106, 1122, 713, 3, 0}, 4352, 1820160});
+  expectCounts("lahabra", opts, {3, 20295, 4587148620u, {106, 1122, 713, 3}, 156, 1365120});
 }

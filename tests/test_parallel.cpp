@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <thread>
+#include <tuple>
 
+#include "lts/schedule.hpp"
 #include "mesh/box_gen.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/dist_sim.hpp"
@@ -18,6 +21,7 @@ namespace npar = nglts::parallel;
 namespace nm = nglts::mesh;
 namespace np = nglts::physics;
 namespace ns = nglts::solver;
+namespace nlts = nglts::lts;
 using nglts::idx_t;
 using nglts::int_t;
 
@@ -194,7 +198,10 @@ TEST(DistributedSim, CompressionReducesBytes) {
 TEST(DistributedSim, MeasuredHaloBytesMatchAnalyticCount) {
   // The bytes the exchange ships per cycle equal the analytic Sec. V-C
   // count cycleCommBytes() for every scheme, with and without face
-  // compression (the baseline scheme never compresses).
+  // compression (the baseline scheme never compresses). The messages are
+  // one per halo channel — (sender, receiver, producer cluster, consumer
+  // cluster) — and producer step, toward a larger consumer after odd steps
+  // only.
   const DistFixture f = makeFixture(6);
   constexpr std::uint64_t kCycles = 2;
   for (const ns::TimeScheme scheme :
@@ -210,7 +217,68 @@ TEST(DistributedSim, MeasuredHaloBytesMatchAnalyticCount) {
         const auto st = sim.runCycles(kCycles);
         EXPECT_GT(st.commBytes, 0u);
         EXPECT_EQ(st.commBytes, kCycles * sim.cycleCommBytes(part, compress));
+
+        const nlts::Clustering& cl = sim.clustering();
+        std::set<std::tuple<int_t, int_t, int_t, int_t>> channels;
+        for (idx_t el = 0; el < f.mesh.numElements(); ++el)
+          for (const auto& fi : f.mesh.faces[el])
+            if (fi.neighbor >= 0 && part[el] != part[fi.neighbor])
+              channels.emplace(part[el], part[fi.neighbor], cl.cluster[el],
+                               cl.cluster[fi.neighbor]);
+        std::uint64_t perCycle = 0;
+        for (const auto& [src, dst, producer, consumer] : channels) {
+          const idx_t steps = nlts::stepsPerCycle(cl.numClusters, producer);
+          perCycle += consumer > producer ? steps / 2 : steps;
+        }
+        EXPECT_EQ(st.messages, kCycles * perCycle);
       }
+}
+
+TEST(DistributedSim, DamagedHaloMessageNamesItsChannel) {
+  // A halo message one byte short stops the run with an error naming its
+  // channel: the two ranks and the producer and consumer clusters (the tag
+  // is producer * kMaxClusters + consumer, dist_sim.hpp).
+  class TruncatingComm final : public npar::Communicator {
+   public:
+    explicit TruncatingComm(int_t ranks) : Communicator(ranks), inner_(ranks) {}
+    void send(int_t from, int_t to, std::int64_t tag, std::vector<std::uint8_t> data) override {
+      if (channel.empty()) {
+        data.pop_back();
+        channel = "from rank " + std::to_string(from) + " to rank " + std::to_string(to) +
+                  " (producer cluster " + std::to_string(tag / ns::kMaxClusters) +
+                  ", consumer cluster " + std::to_string(tag % ns::kMaxClusters) + ")";
+      }
+      inner_.send(from, to, tag, std::move(data));
+    }
+    std::vector<std::uint8_t> recv(int_t to, int_t from, std::int64_t tag) override {
+      return inner_.recv(to, from, tag);
+    }
+    std::uint64_t bytesSent() const override { return inner_.bytesSent(); }
+    std::uint64_t messagesSent() const override { return inner_.messagesSent(); }
+    std::string channel; ///< the damaged message's channel, as the error names it
+
+   private:
+    npar::SeqComm inner_;
+  };
+
+  const DistFixture f = makeFixture(4);
+  TruncatingComm* comm = nullptr;
+  npar::DistConfig cfg = makeDistConfig();
+  cfg.commFactory = [&comm](int_t ranks) {
+    auto c = std::make_unique<TruncatingComm>(ranks);
+    comm = c.get();
+    return c;
+  };
+  npar::DistributedSimulation<double, 1> sim(f.mesh, f.mats, stripePartition(f.mesh, 2, 1000.0),
+                                             cfg);
+  try {
+    sim.runCycles(1);
+    FAIL() << "a truncated halo message must throw";
+  } catch (const std::runtime_error& e) {
+    ASSERT_NE(comm, nullptr);
+    ASSERT_FALSE(comm->channel.empty());
+    EXPECT_NE(std::string(e.what()).find(comm->channel), std::string::npos) << e.what();
+  }
 }
 
 TEST(DistributedSim, MpiTransportWithoutBuildThrows) {
